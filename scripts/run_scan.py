@@ -2,28 +2,30 @@
 """Ground-state pairon scan along gx + gy = const, with collapse report.
 
 Sweeps the coupling line, tracks the ten pairon branches of the j = 10
-ground state, locates the zero-collapse points from the dispersion
-profile, and checks them against the closed-form hyperbola intersections
-(including the merged-zero multiplicity pattern at each point).
+ground state, locates the zero-collapse points where the amplitude at the
+-eps anchor changes sign, and checks them against the closed-form
+hyperbola intersections (including the merged-zero multiplicity pattern
+at each point).  Exits 3 if the anchor amplitude is below its noise bound
+anywhere on the line.
 """
 import argparse
 import csv
 import sys
 import time
 
-from pairons import (ModelParams, TrajectorySpec, collapse_points,
-                     collapse_zero_pattern, detect_collapses, refine_collapse,
-                     sample_dispersion, scan_trajectory)
+from pairons import (ModelParams, TrajectorySpec, UnresolvedAnchorError,
+                     anchor_profile, collapse_points, collapse_zero_pattern,
+                     find_collapses, scan_trajectory)
 
 
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--j", type=int, default=10)
     ap.add_argument("--line-sum", type=float, default=10.0)
-    ap.add_argument("--steps", type=int, default=200)
+    ap.add_argument("--steps", type=int, default=1200)
     ap.add_argument("--state", type=int, default=0)
     ap.add_argument("--threads", type=int, default=1)
-    ap.add_argument("--out", help="write the dispersion profile as CSV")
+    ap.add_argument("--out", help="write the anchor-value profile as CSV")
     args = ap.parse_args(argv)
 
     spec = TrajectorySpec(j=args.j, start=0.05 * args.line_sum / 10.0,
@@ -53,35 +55,45 @@ def main(argv=None):
         start = i
     print("pairon regimes: " + "; ".join(labels))
 
-    disp = [sample_dispersion(s) for s in table.samples]
+    profile = anchor_profile(spec)
     if args.out:
         with open(args.out, "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["gx", "gy", "dispersion"])
-            for s, d in zip(table.samples, disp):
-                w.writerow([f"{s.gamma_x:.17g}", f"{s.gamma_y:.17g}",
-                            f"{d:.17g}"])
-        print(f"dispersion profile -> {args.out}")
+            w.writerow(["gx", "gy", "anchor_value", "noise"])
+            for gx, f, noise in zip(spec.samples(), profile.value,
+                                    profile.noise):
+                w.writerow([f"{gx:.17g}", f"{spec.gamma_y(gx):.17g}",
+                            f"{f:.17g}", f"{noise:.17g}"])
+        print(f"anchor-value profile -> {args.out}")
 
+    try:
+        found = find_collapses(profile)
+    except UnresolvedAnchorError as exc:
+        print(f"no collapse report: {exc}")
+        return 3
     analytic = collapse_points(args.j, args.line_sum)
-    candidates = detect_collapses(table)
-    print(f"\ncollapse points: {len(analytic)} analytic, "
-          f"{len(candidates)} dispersion minima at this resolution")
-    print(f"{'k':>2} {'branch':>6} {'gx analytic':>12} {'gx refined':>12} "
+    print(f"\ncollapse points: {len(analytic)} analytic, {len(found)} "
+          "detected (sign changes plus the total collapse)")
+    print(f"{'k':>2} {'branch':>8} {'gx analytic':>12} {'gx detected':>12} "
           f"{'|delta|':>9}  zero pattern")
-    for cp in sorted(analytic, key=lambda c: c.gamma_x):
-        got = refine_collapse(spec, max(spec.start, cp.gamma_x - 0.02),
-                              min(spec.stop, cp.gamma_x + 0.02))
-        delta = abs(got.gamma_x - cp.gamma_x)
-        params = ModelParams.from_gammas(args.j, cp.gamma_x, cp.gamma_y)
-        pattern = sorted(collapse_zero_pattern(params, cp.k,
+    targets = [(cp.k, cp.branch, cp.gamma_x) for cp in analytic]
+    for cand in found:
+        if cand.total:
+            k, branch, gx_a = args.j - 1, "diagonal", cand.gamma_x
+            expect = [2 * args.j]
+        else:
+            k, branch, gx_a = min(
+                targets, key=lambda tg: abs(tg[2] - cand.gamma_x))
+            expect = sorted([2 * (k + 1)] + [2] * (args.j - k - 1),
+                            reverse=True)
+        params = ModelParams.from_gammas(args.j, cand.gamma_x,
+                                         spec.gamma_y(cand.gamma_x))
+        pattern = sorted(collapse_zero_pattern(params, k,
                                                state_index=args.state),
                          reverse=True)
-        expect = sorted([2 * (cp.k + 1)] + [2] * (args.j - cp.k - 1),
-                        reverse=True)
         mark = "" if pattern == expect else "  << unexpected"
-        print(f"{cp.k:>2} {cp.branch:>6} {cp.gamma_x:12.6f} "
-              f"{got.gamma_x:12.6f} {delta:9.2e}  "
+        print(f"{k:>2} {branch:>8} {gx_a:12.6f} {cand.gamma_x:12.6f} "
+              f"{abs(cand.gamma_x - gx_a):9.2e}  "
               f"{'+'.join(map(str, pattern))}{mark}")
     return 0
 

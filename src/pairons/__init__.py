@@ -5,7 +5,8 @@ __version__ = "0.1.0"
 
 from .errors import (ConvergenceError, DegenerateStateError,
                      InconsistentPaironsError, PaironsError,
-                     SingularParameterError, UnpairedZeroError)
+                     SingularParameterError, UnpairedZeroError,
+                     UnresolvedAnchorError)
 from .sphere import SpherePoint, chordal_distance
 from .spin import (EigenPair, HamiltonianMatrix, ModelParams, StateVector,
                    build_hamiltonian, diagonalize, eigen_residual,
@@ -16,12 +17,13 @@ from .phasespace import (MajoranaPoly, ZeroSet, cluster_zeros,
 from .paironmap import (ExtractionDiagnostics, PaironSet, extract_pairons,
                         fidelity, pairon_from_u, pairons_to_zeros,
                         reconstruct_state, u_from_pairon, zeros_to_pairons)
-from .collapse import (CollapseCandidate, CollapsePoint, CrossingPoint,
-                       ScanTable, TrajectorySpec, collapse_points,
+from .collapse import (AnchorProfile, CollapseCandidate, CollapsePoint,
+                       CrossingPoint, ScanTable, TrajectorySpec,
+                       anchor_profile, anchor_value, collapse_points,
                        collapse_zero_pattern, crossing_points,
-                       detect_collapses, dispersion_at, hyperbola_levels,
+                       find_collapses, hyperbola_levels,
                        pairon_cluster_sizes, pattern_radius,
-                       refine_collapse, sample_dispersion, scan_trajectory)
+                       scan_trajectory, total_collapse)
 from .bosonbcs import (BosonModel, BosonPaironSet, BosonState, boson_energy,
                        boson_fidelity, boson_husimi_amplitude,
                        build_bcs_hamiltonian, diagonalize_boson,

@@ -27,9 +27,9 @@ from .bosonbcs import (BosonModel, boson_energy, boson_fidelity,
                        extract_boson_pairons, reconstruct_boson_state,
                        verify_ellipsoid)
 from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
-                       TrajectorySpec, _canonical_site, collapse_points,
-                       collapse_zero_pattern, crossing_points,
-                       detect_collapses, refine_collapse, scan_trajectory)
+                       CollapseCandidate, TrajectorySpec, _canonical_site,
+                       anchor_profile, collapse_points, collapse_zero_pattern,
+                       crossing_points, find_collapses, scan_trajectory)
 from .errors import InconsistentPaironsError, PaironsError
 from .paironmap import (PaironSet, extract_pairons, pairon_from_u,
                         u_from_pairon)
@@ -44,7 +44,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-COLLAPSE_THRESHOLD = 0.02
 SITE_MERGE_RADIUS = 1e-6
 MAP_CHECK_TOL = 1e-9
 
@@ -440,88 +439,28 @@ def _cmd_lmg_collapse(args) -> int:
     start = args.from_ if args.from_ is not None else lo_default
     stop = args.to if args.to is not None else hi_default
     steps = args.steps if args.steps is not None else 1200
-
     spec = _trajectory_spec(args, start, stop, steps)
-    coarse = scan_trajectory(spec, threads=args.threads)
-    for gx, reason in coarse.failures:
-        print(f"skipped gx={gx:.6g}: {reason}", file=sys.stderr)
-    candidates = detect_collapses(coarse, threshold=COLLAPSE_THRESHOLD,
-                                  min_samples=min(50, steps))
-    h = (stop - start) / (steps - 1)
 
-    refined = []
-    for cand in candidates:
-        lo = max(start, cand.gamma_x - 1.5 * h)
-        hi = min(stop, cand.gamma_x + 1.5 * h)
-        if hi - lo <= 1e-12:
-            refined.append(cand)
-            continue
-        fine_spec = _trajectory_spec(args, lo, hi, 161)
-        fine = scan_trajectory(fine_spec, threads=args.threads)
-        got = detect_collapses(fine, threshold=COLLAPSE_THRESHOLD,
-                               min_samples=50)
-        # drop window-edge minima: the dispersion keeps falling toward a
-        # neighbouring collapse outside this window, so the edge sample
-        # masquerades as a local minimum (a true cusp sits >= 0.5h, i.e.
-        # dozens of fine steps, inside the window)
-        fstep = (hi - lo) / 160.0
-        interior = [g for g in got
-                    if lo + 1.5 * fstep < g.gamma_x < hi - 1.5 * fstep
-                    or abs(g.gamma_x - start) < fstep
-                    or abs(g.gamma_x - stop) < fstep]
-        # one refined point per coarse window, its lowest interior
-        # minimum: distinct collapses sit many coarse steps apart (the
-        # dedupe below assumes the same), so a +-1.5h window holds at most
-        # one.  Any other minimum is root jitter (~1e-6 steps) on a flat
-        # stretch of the profile, such as the top between two collapses,
-        # and would polish into a spurious row.
-        refined.append(min(interior, key=lambda g: g.dispersion)
-                       if interior else cand)
+    if args.line == LINE_DIAGONAL:
+        # lam = 0 on the whole line: every sample is a Dicke state and the
+        # total collapse holds throughout; one row at the midpoint
+        found = [CollapseCandidate(gamma_x=0.5 * (start + stop),
+                                   anchor_value=0.0, total=True)]
+    else:
+        found = find_collapses(anchor_profile(spec))
 
-    # cusp-aware polish: the fine-grid parabola is biased at the 1e-5
-    # level, which already scrambles high-multiplicity patterns; skip
-    # flat plateaus (total collapse), whose run centre is already exact
-    h_fine = 3.0 * h / 160.0
-    polished = []
-    for cand in refined:
-        if cand.dispersion < 1e-12:
-            polished.append(cand)
-            continue
-        lo = max(start, cand.gamma_x - 2.0 * h_fine)
-        hi = min(stop, cand.gamma_x + 2.0 * h_fine)
-        try:
-            polished.append(refine_collapse(spec, lo, hi))
-        except PaironsError:
-            polished.append(cand)
-
-    # dedupe at the coarse resolution (distinct collapses sit many steps
-    # apart; duplicate detections converge to the same polished point)
-    dedupe = max(1e-3, h)
-    polished.sort(key=lambda c: (c.gamma_x, c.dispersion))
-    final = []
-    for cand in polished:
-        if final and abs(cand.gamma_x - final[-1].gamma_x) <= dedupe:
-            if cand.dispersion < final[-1].dispersion:
-                final[-1] = cand
-        else:
-            final.append(cand)
-
-    targets = []
-    if args.line == LINE_SUM:
-        for cp in collapse_points(args.j, args.line_sum):
-            targets.append((cp.k, cp.branch, cp.gamma_x))
-        targets.append((args.j - 1, "diagonal", args.line_sum / 2.0))
-
+    targets = [(cp.k, cp.branch, cp.gamma_x)
+               for cp in collapse_points(args.j, args.line_sum)]
+    targets.append((args.j - 1, "diagonal", args.line_sum / 2.0))
     rows = []
-    for cand in final:
-        if args.line == LINE_DIAGONAL:
+    for cand in found:
+        if cand.total:
             k, branch, gx_a = args.j - 1, "diagonal", cand.gamma_x
         else:
             k, branch, gx_a = min(
                 targets, key=lambda tg: abs(tg[2] - cand.gamma_x))
-        gy_d = args.line_sum - cand.gamma_x \
-            if args.line == LINE_SUM else cand.gamma_x
-        params = ModelParams.from_gammas(args.j, cand.gamma_x, gy_d,
+        params = ModelParams.from_gammas(args.j, cand.gamma_x,
+                                         spec.gamma_y(cand.gamma_x),
                                          eps=args.eps)
         if branch == "diagonal":
             expected = [2 * args.j]
@@ -531,14 +470,13 @@ def _cmd_lmg_collapse(args) -> int:
                                                state_index=args.state))
         rows.append([
             k, branch, gx_a, cand.gamma_x, abs(cand.gamma_x - gx_a),
-            cand.dispersion,
+            cand.anchor_value,
             "+".join(str(s) for s in sorted(pattern, reverse=True)),
             int(pattern == expected),
         ])
-    rows.sort(key=lambda r: r[3])
     _emit(args, "lmg collapse",
           ["k", "branch", "gx_analytic", "gx_detected", "delta",
-           "dispersion", "pattern", "pattern_ok"], rows)
+           "anchor_value", "pattern", "pattern_ok"], rows)
     return EXIT_OK
 
 
@@ -711,6 +649,4 @@ def bcs_main(argv=None) -> int:
 
 
 if __name__ == "__main__":  # pragma: no cover
-    prog = os.path.basename(sys.argv[0])
-    main = bcs_main if prog.startswith("bcs") else lmg_main
-    sys.exit(main())
+    sys.exit(lmg_main())

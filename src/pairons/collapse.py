@@ -11,24 +11,26 @@ crossings are at gx = c/2 +- sqrt(c^2/4 - h_k).  On the diagonal gx = gy
 (lam = 0) the spectrum is diagonal and even-odd level crossings happen at
 gx = -(2j-1)/(2j-1-2k).
 
-The numeric detector scans a trajectory and tracks a dispersion built
-from two vanishing signatures: zeros of distinct pairons approaching each
-other, and zeros approaching the singular anchor points that correspond
-to a pairon crossing -eps or +eps.  The anchor term is what makes the
-k = 0 events visible: there a single pairon crosses -eps and nothing
-merges, so a pairwise-only dispersion has no minimum at all.
+The numeric detector uses the paper's exact structure: a pairon at -eps
+is a root of the state's u-polynomial at the anchor u* = (t+1)/(t-1), so
+the polynomial's value there is a signed, smooth function of gx that
+changes sign at every collapse.  Sign changes between samples are
+bracketed and root-solved; samples whose value is below its rounding
+noise are refused, not guessed.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PaironsError
+from .errors import (DegenerateStateError, PaironsError,
+                     UnresolvedAnchorError)
 from .paironmap import (PaironSet, extract_pairons, u_from_pairon)
+from .phasespace import majorana_poly
 from .sphere import SpherePoint, chordal_distance
-from .spin import ModelParams, build_hamiltonian, diagonalize
+from .spin import PARITY_ODD, ModelParams, build_hamiltonian, diagonalize
 
 LINE_SUM = "sum"
 LINE_DIAGONAL = "diagonal"
@@ -280,11 +282,6 @@ def _align_branch_signs(samples: list[ScanSample]) -> None:
             last[rec.branch_id] = rec.site
 
 
-def _site_distance(a: SpherePoint, b: SpherePoint) -> float:
-    return min(chordal_distance(a, b),
-               chordal_distance(a, b.antipode_negation()))
-
-
 def scan_trajectory(spec: TrajectorySpec, threads: int = 1) -> ScanTable:
     """Extract pairons at every sample; failures are recorded, not fatal.
 
@@ -336,168 +333,153 @@ def _safe_call(fn):
 
 
 # ---------------------------------------------------------------------------
-# Collapse detection
+# Collapse detection: the amplitude at the -eps anchor changes sign
 # ---------------------------------------------------------------------------
 
-def _anchor_sites(t: float) -> list[SpherePoint]:
-    """Zero locations of a pairon sitting exactly at -eps or +eps.
+# Noise-bound constant of anchor_value; its docstring derives it.
+ANCHOR_NOISE_C = 8.0
 
-    From the map, e = -+eps corresponds to u = (t +- 1)/(t -+ 1) (eps = 1
-    units of the scan; e is measured in units of eps).  At t = 1 one
-    anchor is the south pole.
+# |<j,-j|psi>| that confirms the closed-form total collapse (criterion 4).
+TOTAL_COLLAPSE_OVERLAP = 1.0 - 1e-12
+
+
+def anchor_value(spec: TrajectorySpec, gx: float) -> tuple[float, float]:
+    """Signed amplitude of the tracked state at the -eps anchor, and its noise.
+
+    A pairon at e = -eps puts a +- zero pair at zeta^2 = u* = (t+1)/(t-1).
+    An eigenstate has definite parity, so its Majorana polynomial is
+    zeta^parity * P(zeta^2) with real coefficients d_0..d_n (the parity
+    slice), and a k-collapse, k+1 roots of P meeting at u*, makes P(u*)
+    vanish.  The value is taken on the chart w = 1/u* = (t-1)/(t+1),
+    where |w| < 1 on both branches and t = 1 is an ordinary point:
+
+        f = sum_i d_i w^(n-i) / max|d|,   sign fixed by d_0 > 0.
+
+    d_0 is the first component of an eigenvector of an unreduced
+    tridiagonal block (lam != 0), which never vanishes, so f is continuous
+    in gx.  It changes sign at every collapse: the k+1 roots leave u* like
+    the (k+1)-th root of the offset, so their product is linear in it.
+
+    The noise bound is c*n*eps*S/max|d|, S = sum_i |d_i||w|^(n-i), with
+    c = ANCHOR_NOISE_C = 8.  Horner's rule in double precision errs by at
+    most gamma_2n*S ~ n*eps*S (Higham, Accuracy and Stability of Numerical
+    Algorithms, sec. 5.1).  The coefficients carry the eigenvector's error
+    of order eps*|v| from the tridiagonal solver, plus one rounding each
+    for the binomial weight and the normalization; taken as at most n*eps
+    relative per coefficient (the check below tests this), they reach f
+    through the same sum S.  The two sources give 2*n*eps*S, and c = 8
+    allows four times that.  Rounding in w only moves the evaluation point
+    by a few ulps of gx: it shifts a root but cannot flip a sign away from
+    one.  Against 50-digit references (j <= 10 on line sums 10, 12 and
+    20, 600 samples) the error of f stays below 0.04 of the bound; a test
+    repeats the check at j = 6.
     """
-    out = []
-    for u in ((t + 1.0) / (t - 1.0) if t != 1.0 else None,
-              (t - 1.0) / (t + 1.0)):
-        out.append(_canonical_site(complex(u) if u is not None else None))
-    return out
+    params = ModelParams.from_gammas(spec.j, gx, spec.gamma_y(gx),
+                                     eps=spec.eps)
+    pair = diagonalize(build_hamiltonian(params))[spec.state_index]
+    if pair.degenerate:
+        raise DegenerateStateError(
+            f"state {spec.state_index} is degenerate at gx={gx:.6g}")
+    d = majorana_poly(pair.state).coeffs.real
+    d = d[1::2] if pair.state.parity == PARITY_ODD else d[0::2]
+    if d[0] < 0:
+        d = -d
+    t = params.t
+    w = (t - 1.0) / (t + 1.0)
+    scale = float(np.max(np.abs(d)))
+    value = float(np.polyval(d, w)) / scale
+    bound = float(np.polyval(np.abs(d), abs(w))) / scale
+    eps = float(np.finfo(float).eps)
+    return value, ANCHOR_NOISE_C * (len(d) - 1) * eps * bound
 
 
-def sample_dispersion(sample: ScanSample) -> float:
-    """min chordal separation signalling a collapse at this sample.
+@dataclass(frozen=True)
+class AnchorProfile:
+    """anchor_value and its noise bound at every sample of a trajectory."""
 
-    Pairwise part: distance between zeros of distinct pairons (both signs
-    considered, exact +- partners excluded by construction).  Anchor part:
-    distance of any pairon's zeros to the singular anchors where a pairon
-    crosses -+eps.
+    spec: TrajectorySpec
+    value: np.ndarray
+    noise: np.ndarray
+
+    def unresolved(self) -> np.ndarray:
+        """Mask of the samples whose sign is lost in the noise.
+
+        A zero noise bound means f was computed without rounding (all
+        terms vanish but one, as at lam = 0), so f = 0 there is exact.
+        """
+        return (self.noise > 0) & (np.abs(self.value) <= self.noise)
+
+
+def anchor_profile(spec: TrajectorySpec) -> AnchorProfile:
+    """anchor_value at every sample of spec."""
+    pairs = [anchor_value(spec, float(g)) for g in spec.samples()]
+    return AnchorProfile(spec=spec, value=np.array([p[0] for p in pairs]),
+                         noise=np.array([p[1] for p in pairs]))
+
+
+def total_collapse(spec: TrajectorySpec) -> float | None:
+    """gx = c/2 if the state there is |j, -j>, on a sum line through it.
+
+    On gx = gy, lam = 0 and H is diagonal; for gx > 0 the ground state is
+    |j, -j>, with all 2j zeros at the pole and all j pairons at -eps.
+    That is not a sign change of anchor_value (f vanishes there like
+    (gx - c/2)^j, which changes sign only for odd j), so it is checked in
+    closed form.
     """
-    sites = [rec.site for rec in sample.records]
-    best = math.inf
-    for i in range(len(sites)):
-        for k in range(i + 1, len(sites)):
-            best = min(best, _site_distance(sites[i], sites[k]))
-    for anchor in _anchor_sites(sample.t):
-        for s in sites:
-            best = min(best, _site_distance(s, anchor))
-    return best
+    half = spec.line_sum / 2.0
+    if spec.line != LINE_SUM or not spec.start <= half <= spec.stop:
+        return None
+    params = ModelParams.from_gammas(spec.j, half, half, eps=spec.eps)
+    state = diagonalize(build_hamiltonian(params))[spec.state_index].state
+    return half if abs(state.coeffs[0]) >= TOTAL_COLLAPSE_OVERLAP else None
 
 
 @dataclass(frozen=True)
 class CollapseCandidate:
     gamma_x: float
-    dispersion: float
+    anchor_value: float
+    total: bool = False  # the closed-form total collapse at gx = gy
 
 
-def detect_collapses(table: ScanTable, threshold: float = 0.02,
-                     min_samples: int = 50) -> list[CollapseCandidate]:
-    """Local dispersion minima signalling collapses, sub-sample refined.
+def find_collapses(profile: AnchorProfile) -> list[CollapseCandidate]:
+    """Collapses on the profile's sum-line segment, ascending in gx.
 
-    Two detection routes.  Below-threshold runs: interior strict minima
-    get a parabolic refinement clamped to the bracketing samples; flat
-    runs at the floor (an interval of coincident zeros, e.g. a monomial
-    ground state along a whole line) are reported once, at the run
-    center.  Contrast route: an m-fold merge splits like the m-th root
-    of the parameter offset, so for large m the dispersion saturates
-    above any safe threshold (an 8-fold merge bottoms out near 0.027 at
-    j = 10) while still denting the profile sharply; strict local minima
-    below 2x threshold whose value undercuts the +-2-sample
-    neighbourhood by at least 15% are therefore reported as well.
-    Smooth inter-collapse wiggles dip well under 1% and stay out.
+    Each sign change of anchor_value between neighbouring samples is
+    refined with brentq; a sample where f is exactly zero is a root
+    itself.  The total collapse comes from total_collapse, and a sign
+    change within 1e-9*c of it (odd j) is the same event and dropped.
+    Raises UnresolvedAnchorError if any sample's sign is below its noise
+    bound: the count of sign changes would not be trustworthy.
     """
-    if len(table.samples) < min_samples:
-        raise ValueError(
-            f"need at least {min_samples} samples, got {len(table.samples)}")
-    gx = np.array([s.gamma_x for s in table.samples])
-    disp = np.array([sample_dispersion(s) for s in table.samples])
-    n = len(gx)
-    flat_tol = 1e-12
+    from scipy.optimize import brentq
 
-    candidates: list[CollapseCandidate] = []
-    i = 0
-    while i < n:
-        if disp[i] > threshold:
-            i += 1
-            continue
-        # grow a maximal below-threshold run
-        run_start = i
-        while i + 1 < n and disp[i + 1] <= threshold:
-            i += 1
-        run_end = i
-        i += 1
-        seg = slice(run_start, run_end + 1)
-        seg_disp = disp[seg]
-        seg_gx = gx[seg]
-        if seg_disp.max() - seg_disp.min() <= flat_tol:
-            # structureless plateau: single candidate at the center
-            candidates.append(CollapseCandidate(
-                gamma_x=float(0.5 * (seg_gx[0] + seg_gx[-1])),
-                dispersion=float(seg_disp.min())))
-            continue
-        for local in _local_minima(seg_disp):
-            k = run_start + local
-            candidates.append(CollapseCandidate(
-                gamma_x=_refine_minimum(gx, disp, k),
-                dispersion=float(disp[k])))
-    for k in range(1, n - 1):
-        if not (threshold <= disp[k] < 2.0 * threshold):
-            continue
-        if not (disp[k] < disp[k - 1] and disp[k] < disp[k + 1]):
-            continue
-        neighbourhood = min(disp[max(0, k - 2)], disp[min(n - 1, k + 2)])
-        if disp[k] <= 0.85 * neighbourhood:
-            candidates.append(CollapseCandidate(
-                gamma_x=_refine_minimum(gx, disp, k),
-                dispersion=float(disp[k])))
-    candidates.sort(key=lambda c: c.gamma_x)
-    return candidates
-
-
-def _local_minima(y: np.ndarray) -> list[int]:
-    out = []
-    n = len(y)
-    for i in range(n):
-        left = y[i - 1] if i > 0 else math.inf
-        right = y[i + 1] if i < n - 1 else math.inf
-        if y[i] <= left and y[i] < right:
-            out.append(i)
-        elif y[i] < left and y[i] <= right:
-            out.append(i)
-    return out
-
-
-def _refine_minimum(gx: np.ndarray, disp: np.ndarray, k: int) -> float:
-    """Parabola through the bracketing triple, clamped to the bracket."""
-    if k == 0 or k == len(gx) - 1:
-        return float(gx[k])
-    x0, x1, x2 = gx[k - 1], gx[k], gx[k + 1]
-    y0, y1, y2 = disp[k - 1], disp[k], disp[k + 1]
-    denom = (y0 - 2.0 * y1 + y2)
-    if denom <= 0:
-        return float(x1)
-    shift = 0.5 * (y0 - y2) / denom
-    shift = max(-1.0, min(1.0, shift))
-    h = 0.5 * (x2 - x0)
-    return float(x1 + shift * h)
-
-
-def dispersion_at(spec: TrajectorySpec, gx: float) -> float:
-    """Dispersion of a single freshly extracted sample at gamma_x = gx."""
-    params = ModelParams.from_gammas(spec.j, gx, spec.gamma_y(gx),
-                                     eps=spec.eps)
-    pairons, diag = extract_pairons(params, spec.state_index)
-    sample = ScanSample(gamma_x=float(gx), gamma_y=spec.gamma_y(float(gx)),
-                        t=pairons.t, state_index=spec.state_index,
-                        energy=diag.energy, nu=pairons.nu,
-                        records=_sample_records(pairons))
-    return sample_dispersion(sample)
-
-
-def refine_collapse(spec: TrajectorySpec, lo: float, hi: float,
-                    xatol: float = 1e-9) -> CollapseCandidate:
-    """Locate the dispersion minimum inside [lo, hi] to xatol in gamma_x.
-
-    The dispersion has a |gx - gx*| cusp at a collapse, so a parabolic
-    fit through nearby samples is biased at the 1e-5 level.  That is far
-    too coarse to resolve a merged group's multiplicity: the group's
-    diameter grows like the m-th root of the offset and swamps the gap
-    to neighbouring pairons already around 1e-5.  Golden-section/Brent
-    needs only function values and handles the cusp.
-    """
-    from scipy.optimize import minimize_scalar
-    res = minimize_scalar(lambda g: dispersion_at(spec, float(g)),
-                          bounds=(float(lo), float(hi)), method="bounded",
-                          options={"xatol": xatol})
-    return CollapseCandidate(gamma_x=float(res.x), dispersion=float(res.fun))
+    spec = profile.spec
+    gx = spec.samples()
+    bad = profile.unresolved()
+    if bad.any():
+        first = last = int(np.argmax(bad))
+        while last + 1 < len(bad) and bad[last + 1]:
+            last += 1
+        raise UnresolvedAnchorError(
+            f"anchor value within its noise bound at {int(bad.sum())} of "
+            f"{len(bad)} samples, first over gx in "
+            f"[{gx[first]:.6g}, {gx[last]:.6g}]")
+    sign = np.sign(profile.value)
+    roots = [float(g) for g, s in zip(gx, sign) if s == 0]
+    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+        roots.append(float(brentq(lambda g: anchor_value(spec, g)[0],
+                                  gx[i], gx[i + 1])))
+    found = []
+    total = total_collapse(spec)
+    if total is not None:
+        found.append(CollapseCandidate(gamma_x=total, anchor_value=0.0,
+                                       total=True))
+        roots = [r for r in roots
+                 if abs(r - total) > 1e-9 * abs(spec.line_sum)]
+    found += [CollapseCandidate(gamma_x=r,
+                                anchor_value=anchor_value(spec, r)[0])
+              for r in roots]
+    return sorted(found, key=lambda c: c.gamma_x)
 
 
 # ---------------------------------------------------------------------------

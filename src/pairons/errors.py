@@ -37,3 +37,8 @@ class InconsistentPaironsError(PaironsError):
     """A pairon set violates a consistency requirement (imaginary parts
     failing to cancel in the energy sum, say) that points at an upstream
     extraction problem rather than at physics."""
+
+
+class UnresolvedAnchorError(PaironsError):
+    """The amplitude at a collapse anchor is within its rounding noise, so
+    its sign, and with it the count of collapses, is not determined."""

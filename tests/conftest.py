@@ -72,16 +72,17 @@ def random_state(j, rng, parity=None):
     return StateVector(j=j, coeffs=c / np.linalg.norm(c))
 
 
-def module_cli():
-    """Command prefix and environment that run `lmg` in a fresh interpreter.
+def module_cli(module="pairons.cli"):
+    """Command prefix and environment that run `python -m module` in a
+    fresh interpreter: `lmg` by default, `pairons` for `lmg|bcs ...`.
 
-    `python -m pairons.cli` needs no installed console script; the
-    directory holding the imported pairons goes first on PYTHONPATH, so
-    the child runs the same source as the tests whatever its cwd.
+    Neither needs an installed console script; the directory holding the
+    imported pairons goes first on PYTHONPATH, so the child runs the same
+    source as the tests whatever its cwd.
     """
     import pairons
     env = dict(os.environ)
     src = os.path.dirname(os.path.dirname(os.path.abspath(pairons.__file__)))
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + rest if rest else "")
-    return [sys.executable, "-m", "pairons.cli"], env
+    return [sys.executable, "-m", module], env

@@ -4,6 +4,7 @@ import subprocess
 
 import pytest
 
+from pairons import collapse_points
 from pairons.cli import bcs_main, lmg_main
 from conftest import module_cli
 
@@ -69,6 +70,48 @@ def test_zeros_total_collapse_pole(capsys):
     assert float(theta) == pytest.approx(3.141592653589793, abs=1e-15)
     assert mult == "20"
     assert "pole" in flags
+
+
+COLLAPSE_DIAGONAL_J10 = """\
+k,branch,gx_analytic,gx_detected,delta,anchor_value,pattern,pattern_ok
+9,diagonal,5.0250000000000004,5.0250000000000004,0,0,20,1
+"""
+
+
+@pytest.mark.parametrize("j, line_sum, extra", [
+    (1, 10.0, []), (2, 10.0, ["--steps", "50"]), (3, 10.0, []),
+    (6, 10.0, []), (4, 12.0, [])])
+def test_collapse_rows_match_analytic_points(capsys, j, line_sum, extra):
+    rc, out, _ = run_lmg(capsys, "collapse", "--j", str(j), "--line-sum",
+                         str(line_sum), *extra)
+    assert rc == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    # distinct analytic points plus the total collapse at c/2 (at j=3,
+    # c=10 the k=2 hyperbola touches the line there)
+    targets = sorted({p.gamma_x for p in collapse_points(j, line_sum)}
+                     | {line_sum / 2.0})
+    assert len(rows) == len(targets)
+    for r in rows:
+        assert float(r[4]) <= 1e-9
+        assert r[7] == "1"
+    for gx in targets:
+        assert sum(abs(float(r[3]) - gx) <= 1e-9 for r in rows) == 1
+
+
+@pytest.mark.parametrize("argv", [["--j", "20"],
+                                  ["--j", "10", "--line-sum", "20"]])
+def test_collapse_unresolved_anchor_exits_3(capsys, argv):
+    rc, out, err = run_lmg(capsys, "collapse", *argv)
+    assert rc == 3
+    assert out == ""
+    assert "first over gx in [" in err
+
+
+def test_collapse_diagonal_frozen(capsys):
+    rc, out, _ = run_lmg(capsys, "collapse", "--j", "10", "--line",
+                         "diagonal")
+    assert rc == 0
+    assert out == COLLAPSE_DIAGONAL_J10
 
 
 def test_float_cells_roundtrip(capsys):
@@ -284,6 +327,15 @@ def test_entry_points_installed():
                               text=True)
         assert proc.returncode == 0
         assert "pairons" in proc.stdout
+
+
+def test_module_main_runs_bcs():
+    prefix, env = module_cli("pairons")
+    proc = subprocess.run(prefix + ["bcs", "spectrum", "--levels", "0,1",
+                                    "--gamma", "1", "--n", "2"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == BCS_SPECTRUM
 
 
 def test_entry_point_env_threads_deterministic(tmp_path):

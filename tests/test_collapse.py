@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairons import (ModelParams, PaironSet, TrajectorySpec, build_hamiltonian,
-                     collapse_points, collapse_zero_pattern, crossing_points,
-                     detect_collapses, diagonalize, dispersion_at,
-                     hyperbola_levels, pairon_cluster_sizes, pattern_radius,
-                     refine_collapse, sample_dispersion, scan_trajectory,
-                     split_parity)
+from pairons import (ModelParams, PaironSet, TrajectorySpec,
+                     UnresolvedAnchorError, anchor_profile, anchor_value,
+                     build_hamiltonian, collapse_points, collapse_zero_pattern,
+                     crossing_points, find_collapses, hyperbola_levels,
+                     pairon_cluster_sizes, pattern_radius, scan_trajectory,
+                     split_parity, total_collapse)
 
 
 def test_hyperbola_levels_frozen():
@@ -79,28 +79,104 @@ def test_scan_and_detect_small():
     table = scan_trajectory(spec, threads=2)
     assert not table.failures
     assert len(table.samples) == 400
-    cands = detect_collapses(table, threshold=0.02)
+    found = find_collapses(anchor_profile(spec))
     targets = sorted(p.gamma_x for p in collapse_points(4, 10.0)) + [5.0]
+    assert len(found) == len(targets)
     for gx in targets:
-        assert min(abs(c.gamma_x - gx) for c in cands) < 2e-2
+        assert min(abs(c.gamma_x - gx) for c in found) <= 1e-9
 
 
-def test_refine_collapse_cusp():
-    spec = TrajectorySpec(j=4, line="sum", line_sum=10.0, start=0.08,
-                          stop=9.92, steps=100, state_index=0)
+def test_collapse_root_is_analytic():
     target = min(collapse_points(4, 10.0), key=lambda p: p.gamma_x)
-    cand = refine_collapse(spec, target.gamma_x - 5e-3, target.gamma_x + 5e-3)
-    assert abs(cand.gamma_x - target.gamma_x) < 1e-6
-    assert cand.dispersion < dispersion_at(spec, target.gamma_x + 4e-3)
+    spec = TrajectorySpec(j=4, line="sum", line_sum=10.0,
+                          start=target.gamma_x - 5e-3,
+                          stop=target.gamma_x + 5e-3, steps=2)
+    (cand,) = find_collapses(anchor_profile(spec))
+    assert abs(cand.gamma_x - target.gamma_x) <= 1e-9
+    assert not cand.total
+    assert abs(cand.anchor_value) < abs(
+        anchor_value(spec, target.gamma_x + 4e-3)[0])
 
 
-def test_total_collapse_dispersion_zero():
-    # on the diagonal the ground state is a single Dicke state: all zeros
-    # coincide and the dispersion vanishes identically
+def test_total_collapse_closed_form():
+    # on the diagonal the ground state is the single Dicke state |j,-j>:
+    # all zeros coincide at the pole, checked in closed form at c/2
     spec = TrajectorySpec(j=3, line="sum", line_sum=10.0, start=4.0,
                           stop=6.0, steps=60, state_index=0)
-    assert dispersion_at(spec, 5.0) == 0.0
-    assert dispersion_at(spec, 4.9) > 1e-3
+    assert total_collapse(spec) == 5.0
+    value, noise = anchor_value(spec, 4.9)
+    assert value != 0.0 and abs(value) > noise
+    found = find_collapses(anchor_profile(spec))
+    assert [(c.gamma_x, c.anchor_value, c.total) for c in found] == [
+        (5.0, 0.0, True)]
+    excited = TrajectorySpec(j=3, line="sum", line_sum=10.0, start=4.0,
+                             stop=6.0, steps=60, state_index=1)
+    assert total_collapse(excited) is None
+    off_range = TrajectorySpec(j=3, line="sum", line_sum=10.0, start=5.5,
+                               stop=6.0, steps=60, state_index=0)
+    assert total_collapse(off_range) is None
+
+
+def test_exact_zero_sample_at_total_collapse():
+    # a sample on gx = gy has lam = 0: f and its noise bound are both
+    # exactly zero, a resolved root that the closed-form row absorbs
+    spec = TrajectorySpec(j=4, line="sum", line_sum=10.0, start=4.0,
+                          stop=6.0, steps=5, state_index=0)
+    profile = anchor_profile(spec)
+    assert profile.value[2] == 0.0 and profile.noise[2] == 0.0
+    assert not profile.unresolved().any()
+    assert [c.gamma_x for c in find_collapses(profile)] == [5.0]
+
+
+def test_unresolved_anchor_refused():
+    spec = TrajectorySpec(j=20, line="sum", line_sum=10.0, start=0.05,
+                          stop=9.95, steps=40, state_index=0)
+    profile = anchor_profile(spec)
+    assert profile.unresolved()[0]
+    with pytest.raises(UnresolvedAnchorError,
+                       match=r"first over gx in \[0.05, "):
+        find_collapses(profile)
+
+
+def test_anchor_noise_bounds_true_error():
+    # the noise bound must cover the difference to a 50-digit reference
+    mp = pytest.importorskip("mpmath")
+    j, c = 6, 10.0
+    spec = TrajectorySpec(j=j, line="sum", line_sum=c, start=0.05,
+                          stop=c - 0.05, steps=40, state_index=0)
+    with mp.workdps(50):
+        for gx in spec.samples():
+            value, noise = anchor_value(spec, float(gx))
+            assert abs(value - _anchor_value_mp(mp, j, gx, c - gx)) <= noise
+
+
+def _anchor_value_mp(mp, j, gx, gy):
+    """anchor_value of the ground state in mpmath arithmetic."""
+    gx, gy = mp.mpf(gx), mp.mpf(gy)
+    lam = (gx - gy) / (2 * (2 * j - 1))
+    gam = (gx + gy) / (2 * (2 * j - 1))
+    best = None
+    for off in (0, 1):
+        idx = list(range(off, 2 * j + 1, 2))
+        a = mp.matrix(len(idx), len(idx))
+        for r, k in enumerate(idx):
+            m = k - j
+            a[r, r] = m + gam * (j * (j + 1) - m * m)
+            if r + 1 < len(idx):
+                a[r, r + 1] = a[r + 1, r] = lam / 2 * mp.sqrt(
+                    (j - m) * (j + m + 1) * (j - m - 1) * (j + m + 2))
+        energies, vectors = mp.eigsy(a)
+        col = min(range(len(idx)), key=lambda i: energies[i])
+        if best is None or energies[col] < best[0]:
+            best = (energies[col], [vectors[r, col] * mp.sqrt(
+                mp.binomial(2 * j, k)) for r, k in enumerate(idx)])
+    d = best[1] if best[1][0] > 0 else [-x for x in best[1]]
+    t = mp.sqrt(abs(gx / gy))
+    w = (t - 1) / (t + 1)
+    value = mp.mpf(0)
+    for x in d:
+        value = value * w + x
+    return float(value / max(abs(x) for x in d))
 
 
 def test_scan_branches_are_continuous():
@@ -148,10 +224,11 @@ def test_collapse_pattern_j10_low_k():
                                  reverse=True)
 
 
-def test_dispersion_continuous_near_collapse():
+def test_anchor_value_changes_sign_at_collapse():
     spec = TrajectorySpec(j=4, line="sum", line_sum=10.0, start=0.08,
                           stop=9.92, steps=100, state_index=0)
-    p = collapse_points(4, 10.0)[0]
-    d1 = dispersion_at(spec, p.gamma_x + 1e-4)
-    d2 = dispersion_at(spec, p.gamma_x + 2e-4)
-    assert 0 < d1 < d2
+    for p in collapse_points(4, 10.0):
+        below = anchor_value(spec, p.gamma_x - 1e-4)[0]
+        above = anchor_value(spec, p.gamma_x + 1e-4)[0]
+        assert below * above < 0
+        assert 0 < abs(above) < abs(anchor_value(spec, p.gamma_x + 2e-4)[0])
