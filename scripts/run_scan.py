@@ -6,7 +6,8 @@ ground state, locates the zero-collapse points where the amplitude at the
 -eps anchor changes sign, and checks them against the closed-form
 hyperbola intersections (including the merged-zero multiplicity pattern
 at each point).  Exits 3 if the anchor amplitude is below its noise bound
-anywhere on the line.
+anywhere on the line, or if the detected collapses do not match the
+analytic points one to one (the grid is too coarse).
 """
 import argparse
 import csv
@@ -15,7 +16,7 @@ import time
 
 from pairons import (ModelParams, TrajectorySpec, UnresolvedAnchorError,
                      anchor_profile, collapse_points, collapse_zero_pattern,
-                     find_collapses, scan_trajectory)
+                     find_collapses, label_collapses, scan_trajectory)
 
 
 def main(argv=None):
@@ -24,7 +25,6 @@ def main(argv=None):
     ap.add_argument("--line-sum", type=float, default=10.0)
     ap.add_argument("--steps", type=int, default=1200)
     ap.add_argument("--state", type=int, default=0)
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--out", help="write the anchor-value profile as CSV")
     args = ap.parse_args(argv)
 
@@ -33,7 +33,7 @@ def main(argv=None):
                           steps=args.steps, line="sum",
                           line_sum=args.line_sum, state_index=args.state)
     t0 = time.perf_counter()
-    table = scan_trajectory(spec, threads=args.threads)
+    table = scan_trajectory(spec)
     dt = time.perf_counter() - t0
     print(f"scan: j={args.j} line gx+gy={args.line_sum} "
           f"({args.steps} samples, state {args.state}) in {dt:.2f}s")
@@ -68,6 +68,7 @@ def main(argv=None):
 
     try:
         found = find_collapses(profile)
+        labelled = label_collapses(spec, found)
     except UnresolvedAnchorError as exc:
         print(f"no collapse report: {exc}")
         return 3
@@ -76,14 +77,10 @@ def main(argv=None):
           "detected (sign changes plus the total collapse)")
     print(f"{'k':>2} {'branch':>8} {'gx analytic':>12} {'gx detected':>12} "
           f"{'|delta|':>9}  zero pattern")
-    targets = [(cp.k, cp.branch, cp.gamma_x) for cp in analytic]
-    for cand in found:
-        if cand.total:
-            k, branch, gx_a = args.j - 1, "diagonal", cand.gamma_x
+    for cand, k, branch, gx_a in labelled:
+        if branch == "diagonal":
             expect = [2 * args.j]
         else:
-            k, branch, gx_a = min(
-                targets, key=lambda tg: abs(tg[2] - cand.gamma_x))
             expect = sorted([2 * (k + 1)] + [2] * (args.j - k - 1),
                             reverse=True)
         params = ModelParams.from_gammas(args.j, cand.gamma_x,

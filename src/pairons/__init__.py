@@ -11,17 +11,18 @@ from .sphere import SpherePoint, chordal_distance
 from .spin import (EigenPair, HamiltonianMatrix, ModelParams, StateVector,
                    build_hamiltonian, diagonalize, eigen_residual,
                    expectation, split_parity)
-from .phasespace import (MajoranaPoly, ZeroSet, cluster_zeros,
-                         coherent_overlap, husimi, husimi_quadrature,
-                         majorana_poly, poly_roots, root_residual)
+from .phasespace import (MajoranaPoly, ZeroSet, coherent_overlap, husimi,
+                         husimi_quadrature, majorana_poly, parity_slice,
+                         poly_residual, poly_roots, root_residual,
+                         strip_and_solve)
 from .paironmap import (ExtractionDiagnostics, PaironSet, extract_pairons,
-                        fidelity, pairon_from_u, pairons_to_zeros,
-                        reconstruct_state, u_from_pairon, zeros_to_pairons)
+                        fidelity, pairon_from_u, pairons_from_state,
+                        pairons_to_zeros, reconstruct_state, u_from_pairon)
 from .collapse import (AnchorProfile, CollapseCandidate, CollapsePoint,
                        CrossingPoint, ScanTable, TrajectorySpec,
                        anchor_profile, anchor_value, collapse_points,
                        collapse_zero_pattern, crossing_points,
-                       find_collapses, hyperbola_levels,
+                       find_collapses, hyperbola_levels, label_collapses,
                        pairon_cluster_sizes, pattern_radius,
                        scan_trajectory, total_collapse)
 from .bosonbcs import (BosonModel, BosonPaironSet, BosonState, boson_energy,

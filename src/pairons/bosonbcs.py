@@ -27,7 +27,7 @@ from itertools import combinations_with_replacement
 import numpy as np
 
 from .errors import DegenerateStateError, InconsistentPaironsError
-from .phasespace import _aberth
+from .phasespace import strip_and_solve
 
 AXIS_POLE_FLAG = "axis-pole"  # root at w = -1: pairon at infinity of the map
 
@@ -245,22 +245,19 @@ def extract_boson_pairons(state: BosonState, axis: int = 1,
             "level energies are not pairwise distinct; the axis map "
             "cannot be inverted")
     g = axis_slice_coefficients(state, axis)
-    mags = np.abs(g)
-    if mags.max() == 0.0:
+    if not np.any(g):
         raise ValueError("slice polynomial vanished; axis cannot see this state")
-    cut = 1e-13 * float(mags.max())
-    live = np.nonzero(mags > cut)[0]
-    lo, hi = int(live[0]), int(live[-1])
-    # trailing deficiency: roots at y = 0 <-> pairons at 2 eps_axis;
-    # degree deficiency: roots at y = inf <-> pairons at 2 eps_0
+    n_zero, n_inf, roots = strip_and_solve(g)
+    # roots at y = 0 <-> pairons at 2 eps_axis;
+    # roots at y = inf <-> pairons at 2 eps_0
     energies: list[complex] = []
-    energies.extend([complex(2.0 * model.levels[axis])] * lo)
-    energies.extend([complex(2.0 * model.levels[0])] * (len(g) - 1 - hi))
+    energies.extend([complex(2.0 * model.levels[axis])] * n_zero)
+    energies.extend([complex(2.0 * model.levels[0])] * n_inf)
     n_pole = 0
     flags: list[str] = []
     eps0 = model.levels[0]
     eps_ax = model.levels[axis]
-    for w in _aberth(g[lo:hi + 1]):
+    for w in roots:
         wc = np.conj(w)
         if abs(1.0 + wc) <= pole_tol:
             n_pole += 1

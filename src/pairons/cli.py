@@ -6,8 +6,9 @@
 
 Both tools emit a single table per invocation, as CSV (default) or as a
 JSON document with a meta header; floats are printed with 17 significant
-digits and the output is byte-identical for a fixed seed at any thread
-count.  Exit codes: 0 success, 2 usage error, 3 numerical failure.
+digits and the output is byte-identical across runs.  `--threads` (or
+PAIRONS_THREADS) is validated and has no effect.  Exit codes: 0 success,
+2 usage error, 3 numerical failure.
 """
 from __future__ import annotations
 
@@ -28,8 +29,8 @@ from .bosonbcs import (BosonModel, boson_energy, boson_fidelity,
                        verify_ellipsoid)
 from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
                        CollapseCandidate, TrajectorySpec, _canonical_site,
-                       anchor_profile, collapse_points, collapse_zero_pattern,
-                       crossing_points, find_collapses, scan_trajectory)
+                       anchor_profile, collapse_zero_pattern, crossing_points,
+                       find_collapses, label_collapses, scan_trajectory)
 from .errors import InconsistentPaironsError, PaironsError
 from .paironmap import (PaironSet, extract_pairons, pairon_from_u,
                         u_from_pairon)
@@ -422,7 +423,7 @@ def _scan_rows(table) -> list[list]:
 def _cmd_lmg_scan(args) -> int:
     _check_state_index(args.state, 2 * args.j + 1)
     spec = _trajectory_spec(args, args.from_, args.to, args.steps)
-    table = scan_trajectory(spec, threads=args.threads)
+    table = scan_trajectory(spec)
     for gx, reason in table.failures:
         print(f"skipped gx={gx:.6g}: {reason}", file=sys.stderr)
     _emit(args, "lmg scan", SCAN_COLUMNS, _scan_rows(table))
@@ -449,16 +450,8 @@ def _cmd_lmg_collapse(args) -> int:
     else:
         found = find_collapses(anchor_profile(spec))
 
-    targets = [(cp.k, cp.branch, cp.gamma_x)
-               for cp in collapse_points(args.j, args.line_sum)]
-    targets.append((args.j - 1, "diagonal", args.line_sum / 2.0))
     rows = []
-    for cand in found:
-        if cand.total:
-            k, branch, gx_a = args.j - 1, "diagonal", cand.gamma_x
-        else:
-            k, branch, gx_a = min(
-                targets, key=lambda tg: abs(tg[2] - cand.gamma_x))
+    for cand, k, branch, gx_a in label_collapses(spec, found):
         params = ModelParams.from_gammas(args.j, cand.gamma_x,
                                          spec.gamma_y(cand.gamma_x),
                                          eps=args.eps)

@@ -28,9 +28,9 @@ import numpy as np
 from .errors import (DegenerateStateError, PaironsError,
                      UnresolvedAnchorError)
 from .paironmap import (PaironSet, extract_pairons, u_from_pairon)
-from .phasespace import majorana_poly
+from .phasespace import parity_slice
 from .sphere import SpherePoint, chordal_distance
-from .spin import PARITY_ODD, ModelParams, build_hamiltonian, diagonalize
+from .spin import ModelParams, build_hamiltonian, diagonalize
 
 LINE_SUM = "sum"
 LINE_DIAGONAL = "diagonal"
@@ -282,54 +282,25 @@ def _align_branch_signs(samples: list[ScanSample]) -> None:
             last[rec.branch_id] = rec.site
 
 
-def scan_trajectory(spec: TrajectorySpec, threads: int = 1) -> ScanTable:
-    """Extract pairons at every sample; failures are recorded, not fatal.
-
-    The per-sample work is independent; with threads > 1 it is distributed
-    over a pool and gathered back in sample order, so the table does not
-    depend on the thread count.
-    """
-    gxs = spec.samples()
-
-    def work(gx: float):
-        params = ModelParams.from_gammas(spec.j, gx, spec.gamma_y(gx),
-                                         eps=spec.eps)
-        pairons, diag = extract_pairons(params, spec.state_index)
-        return pairons, diag
-
-    results: list = [None] * len(gxs)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for i, res in enumerate(pool.map(_safe_call(work), gxs)):
-                results[i] = res
-    else:
-        f = _safe_call(work)
-        for i, gx in enumerate(gxs):
-            results[i] = f(gx)
-
+def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
+    """Extract pairons at every sample; failures are recorded, not fatal."""
     samples: list[ScanSample] = []
     failures: list[tuple[float, str]] = []
-    for gx, res in zip(gxs, results):
-        if isinstance(res, Exception):
-            failures.append((float(gx), f"{type(res).__name__}: {res}"))
+    for gx in spec.samples():
+        gx = float(gx)
+        try:
+            params = ModelParams.from_gammas(spec.j, gx, spec.gamma_y(gx),
+                                             eps=spec.eps)
+            pairons, diag = extract_pairons(params, spec.state_index)
+        except (PaironsError, ValueError, ZeroDivisionError) as exc:
+            failures.append((gx, f"{type(exc).__name__}: {exc}"))
             continue
-        pairons, diag = res
         samples.append(ScanSample(
-            gamma_x=float(gx), gamma_y=spec.gamma_y(float(gx)),
+            gamma_x=gx, gamma_y=spec.gamma_y(gx),
             t=pairons.t, state_index=spec.state_index, energy=diag.energy,
             nu=pairons.nu, records=_sample_records(pairons)))
     _assign_branches(samples)
     return ScanTable(spec=spec, samples=samples, failures=failures)
-
-
-def _safe_call(fn):
-    def wrapped(gx):
-        try:
-            return fn(gx)
-        except (PaironsError, ValueError, ZeroDivisionError) as exc:
-            return exc
-    return wrapped
 
 
 # ---------------------------------------------------------------------------
@@ -380,8 +351,7 @@ def anchor_value(spec: TrajectorySpec, gx: float) -> tuple[float, float]:
     if pair.degenerate:
         raise DegenerateStateError(
             f"state {spec.state_index} is degenerate at gx={gx:.6g}")
-    d = majorana_poly(pair.state).coeffs.real
-    d = d[1::2] if pair.state.parity == PARITY_ODD else d[0::2]
+    d = parity_slice(pair.state)[1].real
     if d[0] < 0:
         d = -d
     t = params.t
@@ -480,6 +450,61 @@ def find_collapses(profile: AnchorProfile) -> list[CollapseCandidate]:
                                 anchor_value=anchor_value(spec, r)[0])
               for r in roots]
     return sorted(found, key=lambda c: c.gamma_x)
+
+
+def label_collapses(spec: TrajectorySpec, found: list[CollapseCandidate]
+                    ) -> list[tuple[CollapseCandidate, int, str, float]]:
+    """Each detected collapse with its analytic point: (cand, k, branch, gx).
+
+    The total collapse is labelled (j-1, "diagonal", its gx); every other
+    candidate takes the nearest analytic point, a hyperbola point of
+    collapse_points or the total collapse at c/2.  These are the ground
+    state's points, so for state 0 on a sum line the match is checked:
+    points within 1e-9*c of each other are one point, and each distinct
+    point inside [start, stop] must take exactly one candidate and every
+    other point none.  Otherwise neighbouring sign changes have cancelled
+    between two samples (or a spurious one appeared), and
+    UnresolvedAnchorError names the points.
+    """
+    j, c = spec.j, spec.line_sum
+    targets = [(p.k, p.branch, p.gamma_x) for p in collapse_points(j, c)]
+    targets.append((j - 1, "diagonal", c / 2.0))
+    labelled = []
+    for cand in found:
+        if cand.total:
+            k, branch, gx = j - 1, "diagonal", cand.gamma_x
+        else:
+            k, branch, gx = min(targets,
+                                key=lambda tg: abs(tg[2] - cand.gamma_x))
+        labelled.append((cand, k, branch, gx))
+    if spec.line != LINE_SUM or spec.state_index != 0:
+        return labelled
+
+    tol = 1e-9 * abs(c)
+    points: list[float] = []
+    for gx in sorted(tg[2] for tg in targets):
+        if not points or gx - points[-1] > tol:
+            points.append(gx)
+    missed, extra = [], []
+    for p in points:
+        rows = sum(abs(row[3] - p) <= tol for row in labelled)
+        expected = int(spec.start <= p <= spec.stop)
+        if rows < expected:
+            missed.append(p)
+        elif rows > expected:
+            extra.append(p)
+    if missed or extra:
+        parts = []
+        if missed:
+            parts.append("no collapse detected at analytic gx "
+                         + ", ".join(f"{p:.6g}" for p in missed))
+        if extra:
+            parts.append("more collapses than analytic points at gx "
+                         + ", ".join(f"{p:.6g}" for p in extra))
+        raise UnresolvedAnchorError(
+            "; ".join(parts) + f": sign changes cancel or split between "
+            f"the {spec.steps} samples; rerun with more --steps")
+    return labelled
 
 
 # ---------------------------------------------------------------------------

@@ -11,8 +11,12 @@ class PaironsError(Exception):
 
 
 class ConvergenceError(PaironsError):
-    """An iterative solver hit its iteration cap.
+    """A solver returned no trustworthy result.
 
+    Root finding raises it when neither the Aberth nor the companion root
+    set reproduces the polynomial's coefficients (residual and factor
+    defect checks); hitting the Aberth iteration cap alone does not raise
+    it.  The tridiagonal eigensolver raises it when LAPACK fails.
     Carries whatever partial results were available in ``partial``.
     """
 
@@ -40,5 +44,7 @@ class InconsistentPaironsError(PaironsError):
 
 
 class UnresolvedAnchorError(PaironsError):
-    """The amplitude at a collapse anchor is within its rounding noise, so
-    its sign, and with it the count of collapses, is not determined."""
+    """The collapses on a trajectory are not determined: the amplitude at
+    the anchor is within its rounding noise at some sample, so its sign is
+    lost, or the samples are too coarse to tell neighbouring sign changes
+    apart."""

@@ -19,20 +19,16 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateStateError, SingularParameterError,
-                     UnpairedZeroError)
-from .phasespace import (DEFAULT_CLUSTER_RADIUS, MajoranaPoly, ZeroSet,
-                         cluster_zeros, majorana_poly, poly_roots,
-                         root_residual)
-from .sphere import SpherePoint, chordal_distance
-from .spin import (EigenPair, HamiltonianMatrix, ModelParams, StateVector,
-                   build_hamiltonian, diagonalize, eigen_residual)
-
-DEFAULT_PAIR_TOL = 1e-6
+from .errors import DegenerateStateError, SingularParameterError
+from .phasespace import (ZeroSet, parity_slice, poly_residual,
+                         strip_and_solve)
+from .sphere import SpherePoint
+from .spin import (ModelParams, StateVector, build_hamiltonian, diagonalize,
+                   eigen_residual)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
 
@@ -91,50 +87,27 @@ def u_from_pairon(e: complex, t: float) -> complex | None:
     return complex((t - ec) / den)
 
 
-def zeros_to_pairons(zeros: ZeroSet, t: float,
-                     pair_tol: float = DEFAULT_PAIR_TOL,
-                     flags: tuple[str, ...] = ()) -> PaironSet:
-    """Collapse the zero multiset into pairons.
+def pairons_from_state(state: StateVector, t: float,
+                       flags: tuple[str, ...] = ()
+                       ) -> tuple[PaironSet, float]:
+    """Pairons of a parity eigenstate, read off its u-polynomial.
 
-    Zeros must close (within pair_tol, chordal) under zeta -> -zeta after
-    removing the seniority pair; otherwise UnpairedZeroError.  The origin
-    and infinity are self-paired: 2k zeros there give k pairons at +-t,
-    and one leftover at each end signals nu = 1.
+    Each root u of the parity slice (parity_slice) is one pairon,
+    pairon_from_u(u, t); a structural root at u = 0 is a pairon at +t and
+    one at u = infinity a pairon at -t.  Also returns poly_residual of the
+    slice over its finite u-roots.  A mixed-parity state raises
+    UnpairedZeroError.
     """
     if t <= 0 or not math.isfinite(t):
         raise ValueError(f"t must be positive and finite, got {t}")
-    j = zeros.j
-    n0 = zeros.multiplicity_at_origin()
-    n_inf = zeros.multiplicity_at_infinity()
-    if (n0 % 2) != (n_inf % 2):
-        raise UnpairedZeroError(
-            f"origin multiplicity {n0} and infinity multiplicity {n_inf} "
-            "have different parities; zero set is not +- symmetric")
-    nu = n0 % 2
-
-    energies: list[complex] = []
-    energies.extend([complex(t)] * ((n0 - nu) // 2))
-    energies.extend([complex(-t)] * ((n_inf - nu) // 2))
-
-    finite = [pt.zeta for pt, mult in zeros.zeros
-              if not pt.is_infinity and pt.zeta != 0
-              for _ in range(mult)]
-    pool = list(finite)
-    while pool:
-        z = pool.pop()
-        target = -z
-        best = min(range(len(pool)),
-                   key=lambda i: chordal_distance(pool[i], target),
-                   default=None)
-        if best is None or chordal_distance(pool[best], target) > pair_tol:
-            raise UnpairedZeroError(
-                f"zero at {z} has no partner near {-z} within {pair_tol}")
-        partner = pool.pop(best)
-        u = -z * partner  # symmetric estimate of zeta^2 from both members
-        energies.append(pairon_from_u(u, t))
-
+    nu, d = parity_slice(state)
+    n0, n_inf, roots = strip_and_solve(d)
+    energies = ([complex(t)] * n0 + [complex(-t)] * n_inf
+                + [pairon_from_u(u, t) for u in roots])
     energies.sort(key=lambda e: (e.real, e.imag))
-    return PaironSet(j=j, nu=nu, energies=tuple(energies), t=t, flags=flags)
+    pairons = PaironSet(j=state.j, nu=nu, energies=tuple(energies), t=t,
+                        flags=flags)
+    return pairons, poly_residual(d, roots)
 
 
 def pairons_to_zeros(pairons: PaironSet, t: float | None = None) -> ZeroSet:
@@ -239,17 +212,13 @@ class ExtractionDiagnostics:
     max_pairing_defect: float
     reconstruction_fidelity: float
     reconstruction_residual: float
-    pair_tol: float
-    cluster_radius: float
     flags: tuple[str, ...]
 
 
 def extract_pairons(params: ModelParams, state_index: int = 0,
-                    pair_tol: float = DEFAULT_PAIR_TOL,
-                    cluster_radius: float = DEFAULT_CLUSTER_RADIUS,
                     allow_degenerate: bool = False,
                     ) -> tuple[PaironSet, ExtractionDiagnostics]:
-    """Full pipeline: diagonalize -> zeros -> cluster -> pairons -> verify.
+    """Full pipeline: diagonalize -> u-roots -> pairons -> verify.
 
     Refuses eigenstates that are degenerate within their parity sector
     (zeros of an arbitrary basis choice inside the degenerate subspace
@@ -276,22 +245,16 @@ def extract_pairons(params: ModelParams, state_index: int = 0,
             "within its parity sector")
 
     t = params.t
-    poly = majorana_poly(pair.state)
-    raw = poly_roots(poly)
-    zeros = cluster_zeros(raw, radius=cluster_radius)
-    pairons = zeros_to_pairons(zeros, t, pair_tol=pair_tol, flags=flags)
-
+    pairons, residual = pairons_from_state(pair.state, t, flags=flags)
     recon = reconstruct_state(pairons)
     diag = ExtractionDiagnostics(
         t=t,
         energy=pair.energy,
         state_index=state_index,
-        max_root_residual=root_residual(poly, raw),
+        max_root_residual=residual,
         max_pairing_defect=pairons.conjugation_defect(),
         reconstruction_fidelity=fidelity(recon, pair.state),
         reconstruction_residual=eigen_residual(h, recon),
-        pair_tol=pair_tol,
-        cluster_radius=cluster_radius,
         flags=flags,
     )
     return pairons, diag

@@ -13,19 +13,17 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError
-from .sphere import SpherePoint, chordal_distance
-from .spin import PARITY_EVEN, PARITY_ODD, StateVector
+from .errors import ConvergenceError, UnpairedZeroError
+from .sphere import SpherePoint
+from .spin import PARITY_MIXED, PARITY_ODD, StateVector
 
 # Coefficients below DEGREE_RTOL * max|d| at either end of the coefficient
 # vector are treated as structural zeros (roots at the origin / infinity).
 DEGREE_RTOL = 1e-13
-
-DEFAULT_CLUSTER_RADIUS = 1e-6
 
 # Root sets from _aberth: one that reproduces the coefficients to within
 # SWITCH_DEFECT is taken as is; above it the companion set is computed
@@ -57,22 +55,6 @@ class MajoranaPoly:
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
 
-    @property
-    def degree(self) -> int:
-        """Largest power whose coefficient is not structurally zero."""
-        mags = np.abs(self.coeffs)
-        cut = DEGREE_RTOL * float(mags.max())
-        live = np.nonzero(mags > cut)[0]
-        if live.size == 0:
-            raise ValueError("polynomial is identically zero")
-        return int(live[-1])
-
-    def origin_multiplicity(self) -> int:
-        mags = np.abs(self.coeffs)
-        cut = DEGREE_RTOL * float(mags.max())
-        live = np.nonzero(mags > cut)[0]
-        return int(live[0])
-
     def to_state(self) -> StateVector:
         c = np.conj(self.coeffs) / _binomial_sqrt(2 * self.j)
         return StateVector(j=self.j, coeffs=c)
@@ -81,6 +63,22 @@ class MajoranaPoly:
 def majorana_poly(state: StateVector) -> MajoranaPoly:
     d = np.conj(state.coeffs) * _binomial_sqrt(2 * state.j)
     return MajoranaPoly(j=state.j, coeffs=d)
+
+
+def parity_slice(state: StateVector) -> tuple[int, np.ndarray]:
+    """Seniority nu and the u-polynomial of a parity eigenstate.
+
+    A state of definite parity has P(zeta) = zeta^nu * sum_i d_i u^i with
+    u = zeta^2 and d = majorana_poly(state).coeffs[nu::2] (nu = 1 for odd
+    parity), so its zeros come in exact +- pairs, one pair per root u.
+    A mixed-parity state has no such structure: UnpairedZeroError.
+    """
+    if state.parity == PARITY_MIXED:
+        raise UnpairedZeroError(
+            "state has mixed parity; its zeros do not close under "
+            "zeta -> -zeta")
+    nu = 1 if state.parity == PARITY_ODD else 0
+    return nu, majorana_poly(state).coeffs[nu::2]
 
 
 def coherent_overlap(state: StateVector, point: SpherePoint | complex) -> complex:
@@ -304,120 +302,76 @@ class ZeroSet:
         return out
 
 
+def _live_range(coeffs: np.ndarray) -> tuple[int, int]:
+    """First and last index of a coefficient above DEGREE_RTOL * max."""
+    mags = np.abs(coeffs)
+    live = np.nonzero(mags > DEGREE_RTOL * float(mags.max()))[0]
+    if live.size == 0:
+        raise ValueError("polynomial is identically zero")
+    return int(live[0]), int(live[-1])
+
+
+def strip_and_solve(coeffs: np.ndarray) -> tuple[int, int, np.ndarray]:
+    """Roots of sum_k coeffs[k] z^k as (count at 0, count at infinity, rest).
+
+    Coefficients below DEGREE_RTOL * max|coeffs| at either end of the
+    vector are structural zeros: each one at the low end is a root at
+    z = 0, each one at the high end a root at infinity.  The stripped
+    core is solved by _aberth.
+    """
+    lo, hi = _live_range(coeffs)
+    return lo, len(coeffs) - 1 - hi, _aberth(coeffs[lo:hi + 1])
+
+
+def poly_residual(coeffs: np.ndarray, roots) -> float:
+    """max over roots r of |P(r)| / (max|coeffs| * max(1,|r|)^deg).
+
+    deg is the largest power whose coefficient is not structurally zero.
+    """
+    r = np.asarray(roots, dtype=complex)
+    if r.size == 0:
+        return 0.0
+    deg = _live_range(coeffs)[1]
+    vals = np.abs(np.polynomial.polynomial.polyval(r, coeffs))
+    scale = float(np.max(np.abs(coeffs)))
+    return float(np.max(vals / (scale * np.maximum(1.0, np.abs(r)) ** deg)))
+
+
 def poly_roots(poly: MajoranaPoly) -> ZeroSet:
     """Zeros of P on the sphere, exploiting parity structure when present.
 
-    Structural zeros at the origin come from trailing coefficients below
-    the degree threshold; the multiplicity at infinity is 2j - degree.
-    For a parity eigenstate P is (zeta times) a polynomial in zeta^2,
-    which is solved in u = zeta^2 so the +-zeta pairs come out exact.
+    Structural zeros at the ends of the coefficient vector are the zeros
+    at the origin and at infinity (strip_and_solve).  When every
+    coefficient of one parity is structurally zero, P is zeta^nu times a
+    polynomial in u = zeta^2, which is solved in u so the +- zeta pairs
+    come out exact.
     """
     d = poly.coeffs
-    two_j = 2 * poly.j
-    deg = poly.degree
-    n0 = poly.origin_multiplicity()
-    n_inf = two_j - deg
+    mags = np.abs(d)
+    cut = DEGREE_RTOL * float(mags.max())
+    nu = next((nu for nu in (0, 1) if not np.any(mags[1 - nu::2] > cut)),
+              None)
+    finite: list[tuple[SpherePoint, int]] = []
+    if nu is None:
+        n0, n_inf, roots = strip_and_solve(d)
+        finite = [(SpherePoint.from_zeta(r), 1) for r in roots]
+    else:
+        n0, n_inf, u_roots = strip_and_solve(d[nu::2])
+        n0, n_inf = 2 * n0 + nu, 2 * n_inf + nu
+        for u in u_roots:
+            root = cmath.sqrt(u)
+            finite.append((SpherePoint.from_zeta(root), 1))
+            finite.append((SpherePoint.from_zeta(-root), 1))
 
     zeros: list[tuple[SpherePoint, int]] = []
     if n0 > 0:
         zeros.append((SpherePoint.from_zeta(0.0), n0))
     if n_inf > 0:
         zeros.append((SpherePoint.infinity(), n_inf))
-
-    core = d[n0:deg + 1]
-    if len(core) > 1:
-        mags = np.abs(core)
-        cut = DEGREE_RTOL * float(mags.max())
-        odd_live = np.any(mags[1::2] > cut)
-        if not odd_live:
-            # polynomial in u = zeta^2: emit each u-root as an exact +- pair
-            for u in _aberth(core[0::2]):
-                root = cmath.sqrt(u)
-                zeros.append((SpherePoint.from_zeta(root), 1))
-                zeros.append((SpherePoint.from_zeta(-root), 1))
-        else:
-            for r in _aberth(core):
-                zeros.append((SpherePoint.from_zeta(r), 1))
-    return ZeroSet(j=poly.j, zeros=tuple(zeros))
+    return ZeroSet(j=poly.j, zeros=tuple(zeros + finite))
 
 
 def root_residual(poly: MajoranaPoly, zeros: ZeroSet) -> float:
-    """max over finite roots of |P(root)| / (max|d| * max(1,|root|)^deg)."""
-    d = poly.coeffs
-    deg = poly.degree
-    scale = float(np.max(np.abs(d)))
-    worst = 0.0
-    for pt, _ in zeros.zeros:
-        if pt.is_infinity:
-            continue
-        val = abs(complex(np.polynomial.polynomial.polyval(pt.zeta, d)))
-        worst = max(worst, val / (scale * max(1.0, abs(pt.zeta)) ** deg))
-    return worst
-
-
-def cluster_zeros(zeros: ZeroSet,
-                  radius: float = DEFAULT_CLUSTER_RADIUS) -> ZeroSet:
-    """Merge zeros within chordal radius by single linkage.
-
-    Cluster centers are multiplicity-weighted means, computed on the
-    w = 1/zeta chart when the cluster sits nearer the south pole, so a
-    cluster containing the infinity point is well defined.
-    """
-    items = list(zeros.zeros)
-    n = len(items)
-    parent = list(range(n))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if chordal_distance(items[a][0], items[b][0]) <= radius:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-
-    groups: dict[int, list[tuple[SpherePoint, int]]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(items[i])
-
-    merged: list[tuple[SpherePoint, int]] = []
-    for members in groups.values():
-        total = sum(m for _, m in members)
-        if len(members) == 1:
-            merged.append((members[0][0], total))
-            continue
-        merged.append((_embedded_mean(members), total))
-    return ZeroSet(j=zeros.j, zeros=tuple(merged))
-
-
-def _embedded_mean(members: list[tuple[SpherePoint, int]]) -> SpherePoint:
-    """Multiplicity-weighted mean taken on the embedded unit sphere.
-
-    Chart-free, so clusters containing the infinity point are handled
-    uniformly; the normalized 3-vector mean is mapped back by inverse
-    stereographic projection.
-    """
-    acc = np.zeros(3)
-    total = 0
-    for pt, mult in members:
-        if pt.is_infinity:
-            vec = np.array([0.0, 0.0, -1.0])
-        else:
-            z = pt.zeta
-            den = 1.0 + abs(z) ** 2
-            vec = np.array([2.0 * z.real / den, -2.0 * z.imag / den,
-                            (1.0 - abs(z) ** 2) / den])
-        acc += mult * vec
-        total += mult
-    mean = acc / total
-    norm = np.linalg.norm(mean)
-    if norm < 1e-300:
-        raise ValueError("cluster mean is at the sphere center; radius too large")
-    x, y, zc = mean / norm
-    if zc <= -1.0 + 1e-15:
-        return SpherePoint.infinity()
-    return SpherePoint.from_zeta(complex(x, -y) / (1.0 + zc))
+    """poly_residual of P over the finite zeros."""
+    return poly_residual(poly.coeffs, [pt.zeta for pt, _ in zeros.zeros
+                                       if not pt.is_infinity])

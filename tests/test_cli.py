@@ -107,6 +107,20 @@ def test_collapse_unresolved_anchor_exits_3(capsys, argv):
     assert "first over gx in [" in err
 
 
+@pytest.mark.parametrize("j, steps", [(10, "200"), (3, "2")])
+def test_collapse_coarse_grid_exits_3(capsys, j, steps):
+    # the k=0 and k=1 sign changes on each branch cancel within one
+    # bracket; the command names those points instead of dropping them
+    rc, out, err = run_lmg(capsys, "collapse", "--j", str(j), "--steps",
+                           steps)
+    assert rc == 3
+    assert out == ""
+    missed = err.split("analytic gx ")[1].split(":")[0].split(", ")
+    assert missed == [f"{p.gamma_x:.6g}" for p in sorted(
+        collapse_points(j, 10.0), key=lambda p: p.gamma_x) if p.k <= 1]
+    assert "more --steps" in err
+
+
 def test_collapse_diagonal_frozen(capsys):
     rc, out, _ = run_lmg(capsys, "collapse", "--j", "10", "--line",
                          "diagonal")

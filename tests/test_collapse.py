@@ -76,7 +76,7 @@ def test_trajectory_spec_validation():
 def test_scan_and_detect_small():
     spec = TrajectorySpec(j=4, line="sum", line_sum=10.0, start=0.08,
                           stop=9.92, steps=400, state_index=0)
-    table = scan_trajectory(spec, threads=2)
+    table = scan_trajectory(spec)
     assert not table.failures
     assert len(table.samples) == 400
     found = find_collapses(anchor_profile(spec))

@@ -6,13 +6,14 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 from numpy.testing import assert_allclose
+from scipy.optimize import linear_sum_assignment
 
 from pairons import (DegenerateStateError, ModelParams, PaironSet,
-                     SpherePoint, StateVector, UnpairedZeroError, ZeroSet,
-                     build_hamiltonian, diagonalize, eigen_residual,
+                     StateVector, UnpairedZeroError, build_hamiltonian,
+                     chordal_distance, diagonalize, eigen_residual,
                      extract_pairons, fidelity, majorana_poly,
-                     pairon_from_u, pairons_to_zeros, poly_roots,
-                     reconstruct_state, u_from_pairon, zeros_to_pairons)
+                     pairon_from_u, pairons_from_state, pairons_to_zeros,
+                     poly_roots, reconstruct_state, u_from_pairon)
 
 
 def test_map_fixed_points():
@@ -37,28 +38,33 @@ def test_map_is_involutive(u, t):
 
 
 def test_all_infinity_zeros_give_minus_t():
-    # monomial |2,-2>: all four zeros at the pole, both pairons at -t
-    zs = ZeroSet(j=2, zeros=((SpherePoint(zeta=None), 4),))
-    ps = zeros_to_pairons(zs, 0.7)
+    # |2,-2>: all four zeros at the pole (u = infinity twice), both at -t
+    ps, residual = pairons_from_state(StateVector.dicke(2, -2), 0.7)
     assert ps.nu == 0
-    assert_allclose(sorted(e.real for e in ps.energies), [-0.7, -0.7])
-    assert all(e.imag == 0 for e in ps.energies)
+    assert ps.energies == (-0.7, -0.7)
+    assert residual == 0.0
+
+
+def test_all_origin_zeros_give_plus_t():
+    # |2,2>: all four zeros at the origin (u = 0 twice), both at +t
+    ps, _ = pairons_from_state(StateVector.dicke(2, 2), 0.7)
+    assert ps.nu == 0
+    assert ps.energies == (0.7, 0.7)
 
 
 def test_seniority_from_odd_pole_multiplicities():
-    # origin and infinity multiplicities both odd <-> one unpaired particle
-    zs = ZeroSet(j=1, zeros=((SpherePoint(zeta=0j), 1),
-                             (SpherePoint(zeta=None), 1)))
-    ps = zeros_to_pairons(zs, 1.3)
+    # odd parity: one zero at the origin and one at infinity are the
+    # unpaired particle, and |1,0> has nothing else
+    ps, _ = pairons_from_state(StateVector.dicke(1, 0), 1.3)
     assert ps.nu == 1
     assert ps.energies == ()
 
 
 def test_unpaired_zero_rejected():
-    zs = ZeroSet(j=1, zeros=((SpherePoint(zeta=0.5 + 0j), 1),
-                             (SpherePoint(zeta=0.7 + 0j), 1)))
+    # mixed parity: the zeros do not close under zeta -> -zeta
+    mixed = StateVector(j=1, coeffs=np.array([0.6, 0.8, 0.0]))
     with pytest.raises(UnpairedZeroError):
-        zeros_to_pairons(zs, 1.0)
+        pairons_from_state(mixed, 1.0)
 
 
 def test_j1_ground_pairon_frozen():
@@ -88,10 +94,26 @@ def test_pairons_to_zeros_roundtrip():
     ps, _ = extract_pairons(params, state_index=0)
     zs = pairons_to_zeros(ps)
     assert zs.total_multiplicity == 10
-    back = zeros_to_pairons(zs, ps.t)
+    back, _ = pairons_from_state(reconstruct_state(ps), ps.t)
     a = sorted(ps.energies, key=lambda z: (z.real, z.imag))
     b = sorted(back.energies, key=lambda z: (z.real, z.imag))
     assert_allclose(a, b, atol=1e-9)
+
+
+@given(st.integers(1, 12), st.floats(0.05, 9.95), st.data())
+@settings(max_examples=60)
+def test_pairon_zeros_match_poly_roots(j, gx, data):
+    # the pairon path and the public zero finder see the same zeros
+    params = ModelParams.from_gammas(j, gx, 10.0 - gx)
+    idx = data.draw(st.integers(0, 2 * j))
+    state = diagonalize(build_hamiltonian(params))[idx].state
+    ps, _ = pairons_from_state(state, params.t)
+    mine = pairons_to_zeros(ps).expand()
+    ref = poly_roots(majorana_poly(state)).expand()
+    assert len(mine) == len(ref) == 2 * j
+    cost = np.array([[chordal_distance(a, b) for b in ref] for a in mine])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-8
 
 
 def test_reconstruct_near_minus_t_concentrates_on_lowest_dicke():

@@ -7,8 +7,8 @@ import hypothesis.strategies as st
 from numpy.testing import assert_allclose
 
 from pairons import (MajoranaPoly, ModelParams, SpherePoint, StateVector,
-                     ZeroSet, build_hamiltonian, chordal_distance,
-                     cluster_zeros, coherent_overlap, diagonalize, husimi,
+                     build_hamiltonian, chordal_distance,
+                     coherent_overlap, diagonalize, husimi,
                      husimi_quadrature, majorana_poly, poly_roots,
                      root_residual)
 from conftest import random_state
@@ -92,27 +92,6 @@ def test_quadrature_of_coherent_like_peak():
     # worst case for the grid: sharply peaked monomial state
     s = StateVector.dicke(10, -10)
     assert abs(husimi_quadrature(s) - 1.0) < 1e-6
-
-
-def test_cluster_multiplicity_conserved():
-    a = SpherePoint(zeta=0.5 + 0.5j)
-    b = SpherePoint(zeta=0.5 + 0.5j + 1e-9)
-    zs = ZeroSet(j=2, zeros=((a, 1), (b, 1),
-                             (SpherePoint(zeta=-0.5 - 0.5j), 1),
-                             (SpherePoint(zeta=-0.5 - 0.5j - 1e-9), 1)))
-    cl = cluster_zeros(zs, radius=1e-6)
-    assert cl.total_multiplicity == 4
-    assert sorted(m for _, m in cl.zeros) == [2, 2]
-    # negation symmetry of the input survives clustering exactly
-    zetas = [z.zeta for z, _ in cl.zeros]
-    assert zetas[0] == -zetas[1]
-
-
-def test_cluster_keeps_separated_points():
-    zs = ZeroSet(j=1, zeros=((SpherePoint(zeta=1.0 + 0j), 1),
-                             (SpherePoint(zeta=-1.0 + 0j), 1)))
-    cl = cluster_zeros(zs, radius=1e-6)
-    assert len(cl.zeros) == 2
 
 
 def test_chordal_metric():
