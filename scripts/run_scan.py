@@ -27,6 +27,9 @@ def main(argv=None):
     ap.add_argument("--state", type=int, default=0)
     ap.add_argument("--out", help="write the anchor-value profile as CSV")
     args = ap.parse_args(argv)
+    if args.state != 0:
+        ap.error("--state must be 0: the collapse points and zero patterns "
+                 "are the ground state's")
 
     spec = TrajectorySpec(j=args.j, start=0.05 * args.line_sum / 10.0,
                           stop=args.line_sum - 0.05 * args.line_sum / 10.0,

@@ -10,7 +10,7 @@ from .errors import (ConvergenceError, DegenerateStateError,
 from .sphere import SpherePoint, chordal_distance
 from .spin import (EigenPair, HamiltonianMatrix, ModelParams, StateVector,
                    build_hamiltonian, diagonalize, eigen_residual,
-                   expectation, split_parity)
+                   eigenpair, expectation, split_parity)
 from .phasespace import (MajoranaPoly, ZeroSet, coherent_overlap, husimi,
                          husimi_quadrature, majorana_poly, parity_slice,
                          poly_residual, poly_roots, root_residual,
@@ -25,10 +25,11 @@ from .collapse import (AnchorProfile, CollapseCandidate, CollapsePoint,
                        find_collapses, hyperbola_levels, label_collapses,
                        pairon_cluster_sizes, pattern_radius,
                        scan_trajectory, total_collapse)
-from .bosonbcs import (BosonModel, BosonPaironSet, BosonState, boson_energy,
-                       boson_fidelity, boson_husimi_amplitude,
-                       build_bcs_hamiltonian, diagonalize_boson,
-                       ellipsoid_axes, extract_boson_pairons, fock_basis,
+from .bosonbcs import (BosonModel, BosonPaironSet, BosonState,
+                       boson_eigenstate, boson_energy, boson_fidelity,
+                       boson_husimi_amplitude, build_bcs_hamiltonian,
+                       diagonalize_boson, ellipsoid_axes,
+                       extract_boson_pairons, fock_basis,
                        reconstruct_boson_state, verify_ellipsoid)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

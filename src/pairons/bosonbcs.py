@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 import numpy as np
@@ -32,6 +33,8 @@ from .phasespace import strip_and_solve
 AXIS_POLE_FLAG = "axis-pole"  # root at w = -1: pairon at infinity of the map
 
 LEVEL_DEGENERACY_TOL = 1e-9
+
+DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -66,6 +69,12 @@ class BosonModel:
         return any(self.levels[i + 1] - self.levels[i] <= LEVEL_DEGENERACY_TOL
                    for i in range(len(self.levels) - 1))
 
+    @cached_property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """fock_basis of the model, built once per model object and shared
+        by every state built from it."""
+        return tuple(fock_basis(self.n_levels, self.n_bosons))
+
 
 def fock_basis(n_levels: int, n_bosons: int) -> list[tuple[int, ...]]:
     """All occupation tuples with sum = n_bosons, lexicographically sorted."""
@@ -79,30 +88,103 @@ def fock_basis(n_levels: int, n_bosons: int) -> list[tuple[int, ...]]:
     return states
 
 
+def _basis_rank(occ: np.ndarray, n_bosons: int) -> np.ndarray:
+    """Position in fock_basis order of each occupation row of occ.
+
+    fock_basis lists the compositions of N into L parts lexicographically.
+    The rows before occ are, level by level, those that agree with it on
+    levels 0..p-1 and put fewer bosons on level p.  With R_p bosons left
+    for levels p..L-1 they number S(R_p, L-p) - S(R_p - n_p, L-p), where
+    S(r, m) = C(r+m-1, m-1) counts the compositions of r into m parts (and
+    those of at most r into m-1 parts).
+    """
+    n_rows, n_levels = occ.shape
+    count = np.array([[math.comb(r + n_levels - p - 1, n_levels - p - 1)
+                       for r in range(n_bosons + 1)]
+                      for p in range(n_levels - 1)])
+    after = n_bosons - np.cumsum(occ[:, :-1], axis=1)  # R_{p+1}, p < L-1
+    left = np.concatenate([np.full((n_rows, 1), n_bosons), after[:, :-1]],
+                          axis=1)  # R_p, p < L-1
+    level = np.arange(n_levels - 1)
+    return (count[level, left] - count[level, after]).sum(axis=1)
+
+
+def _sector_blocks(model: BosonModel
+                   ) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
+    """H on each seniority sector, as (seniority, idx, block).
+
+    Sectors come in sorted seniority order; idx lists a sector's rows of
+    model.basis in basis order, and block is H[ix_(idx, idx)].  Every
+    entry is computed in the operation order of the definition, so each
+    block equals the one cut from an element-by-element build, bit for bit:
+
+        diagonal   sum_l eps_l n_l, then + (g4 n_l)(n_l - 1) level by level
+        pair hop   (g4 sqrt(n_l (n_l - 1))) sqrt((n_k + 1)(n_k + 2)),
+                   from occ to occ - 2 e_l + 2 e_k
+
+    with g4 = gamma / 4.
+    """
+    occ = np.array(model.basis)
+    g4 = model.gamma / 4.0
+    diag = np.zeros(len(occ))
+    for l, e in enumerate(model.levels):
+        diag = diag + e * occ[:, l]
+    for n_l in occ.T:
+        # n_l < 2 adds a signed zero, which leaves every sum unchanged
+        diag = diag + (g4 * n_l) * (n_l - 1)
+
+    hops, cols, vals = [], [], []
+    for l in range(model.n_levels):
+        src = np.nonzero(occ[:, l] >= 2)[0]
+        n_l = occ[src, l]
+        down = g4 * np.sqrt(n_l * (n_l - 1))
+        for k in range(model.n_levels):
+            if k == l:
+                continue
+            hop = occ[src]
+            hop[:, l] -= 2
+            hop[:, k] += 2
+            n_k = occ[src, k]
+            hops.append(hop)
+            cols.append(src)
+            vals.append(down * np.sqrt((n_k + 1) * (n_k + 2)))
+    rows = _basis_rank(np.concatenate(hops), model.n_bosons)
+    cols = np.concatenate(cols)
+    vals = np.concatenate(vals)
+
+    parity = occ % 2
+    # sorted seniority, basis order inside each sector
+    members = np.lexsort(parity.T[::-1])
+    ordered = parity[members]
+    first = np.concatenate(
+        ([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
+    row0 = np.nonzero(first)[0]
+    size = np.diff(np.append(row0, len(occ)))
+    sector = np.empty(len(occ), dtype=np.intp)
+    sector[members] = np.cumsum(first) - 1
+    local = np.empty(len(occ), dtype=np.intp)
+    local[members] = np.arange(len(occ)) - row0[sector[members]]
+    # all blocks row-major in one buffer; a hop keeps every parity, so it
+    # lands in its column's block
+    start = np.concatenate(([0], np.cumsum(size * size)))
+    flat = np.zeros(start[-1])
+    flat[start[sector] + local * (size[sector] + 1)] = diag
+    hop_sector = sector[cols]
+    flat[start[hop_sector] + local[rows] * size[hop_sector]
+         + local[cols]] = vals
+    return [(tuple(int(p) for p in ordered[r0]), members[r0:r0 + m],
+             flat[start[i]:start[i + 1]].reshape(m, m))
+            for i, (r0, m) in enumerate(zip(row0, size))]
+
+
 def build_bcs_hamiltonian(model: BosonModel
                           ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
-    basis = fock_basis(model.n_levels, model.n_bosons)
-    index = {occ: i for i, occ in enumerate(basis)}
-    dim = len(basis)
+    """Dense H over fock_basis, and the basis; zero between sectors."""
+    dim = len(model.basis)
     H = np.zeros((dim, dim))
-    g4 = model.gamma / 4.0
-    for i, occ in enumerate(basis):
-        H[i, i] = sum(e * n for e, n in zip(model.levels, occ))
-        for l, n_l in enumerate(occ):
-            if n_l < 2:
-                continue
-            amp_down = math.sqrt(n_l * (n_l - 1))
-            for k in range(model.n_levels):
-                if k == l:
-                    H[i, i] += g4 * n_l * (n_l - 1)
-                    continue
-                target = list(occ)
-                target[l] -= 2
-                target[k] += 2
-                jdx = index[tuple(target)]
-                H[jdx, i] += g4 * amp_down * math.sqrt(
-                    (occ[k] + 1) * (occ[k] + 2))
-    return H, basis
+    for _, idx, block in _sector_blocks(model):
+        H[np.ix_(idx, idx)] = block
+    return H, list(model.basis)
 
 
 @dataclass(frozen=True)
@@ -121,8 +203,42 @@ class BosonState:
         return (self.model.n_bosons - sum(self.seniority)) // 2
 
 
+def _sorted_eigensystem(model: BosonModel,
+                        degeneracy_rtol: float = DEGENERACY_RTOL
+                        ) -> list[tuple[float, tuple[int, ...], np.ndarray,
+                                        np.ndarray, int, bool]]:
+    """Every sector's eigenpairs as (energy, seniority, idx, sector
+    eigenvectors, column, degenerate), in a stable sort by energy
+    (sorted seniority, then column, on ties)."""
+    blocks = _sector_blocks(model)
+    # every row of H lies inside one sector block
+    norm = max(float(np.max(np.sum(np.abs(block), axis=1)))
+               for _, _, block in blocks)
+    gap_tol = degeneracy_rtol * max(norm, 1.0)
+    merged = []
+    for parity, idx, block in blocks:
+        w, v = np.linalg.eigh(block)
+        close = np.diff(w) < gap_tol
+        flags = np.zeros(len(w), dtype=bool)
+        flags[:-1] |= close
+        flags[1:] |= close
+        merged.extend((float(w[col]), parity, idx, v, col, bool(flags[col]))
+                      for col in range(v.shape[1]))
+    merged.sort(key=lambda item: item[0])
+    return merged
+
+
+def _boson_state(model: BosonModel, entry) -> BosonState:
+    energy, parity, idx, v, col, flag = entry
+    coeffs = np.zeros(len(model.basis))
+    coeffs[idx] = v[:, col]
+    return BosonState(model=model, energy=energy, coeffs=coeffs,
+                      basis=model.basis, seniority=parity, degenerate=flag)
+
+
 def diagonalize_boson(model: BosonModel,
-                      degeneracy_rtol: float = 1e-9) -> list[BosonState]:
+                      degeneracy_rtol: float = DEGENERACY_RTOL
+                      ) -> list[BosonState]:
     """All eigenstates sorted by energy, labeled by per-level parity.
 
     Each seniority sector (per-level occupation parities) is solved
@@ -132,33 +248,21 @@ def diagonalize_boson(model: BosonModel,
     where the eigenvector itself is ill-defined; cross-sector
     coincidences leave every eigenvector (and its pairons) intact.
     """
-    H, basis = build_bcs_hamiltonian(model)
-    norm = float(np.max(np.sum(np.abs(H), axis=1)))
-    sectors: dict[tuple[int, ...], list[int]] = {}
-    for i, occ in enumerate(basis):
-        sectors.setdefault(tuple(n % 2 for n in occ), []).append(i)
+    return [_boson_state(model, entry)
+            for entry in _sorted_eigensystem(model, degeneracy_rtol)]
 
-    gap_tol = degeneracy_rtol * max(norm, 1.0)
-    merged: list[tuple[float, np.ndarray, tuple[int, ...], bool]] = []
-    for parity in sorted(sectors):
-        idx = np.array(sectors[parity])
-        w, v = np.linalg.eigh(H[np.ix_(idx, idx)])
-        close = np.diff(w) < gap_tol
-        flags = np.zeros(len(w), dtype=bool)
-        flags[:-1] |= close
-        flags[1:] |= close
-        for col in range(v.shape[1]):
-            full = np.zeros(len(basis))
-            full[idx] = v[:, col]
-            merged.append((float(w[col]), full, parity, bool(flags[col])))
-    merged.sort(key=lambda item: item[0])
 
-    out = []
-    for en, vec, parity, flag in merged:
-        out.append(BosonState(
-            model=model, energy=en, coeffs=vec, basis=tuple(basis),
-            seniority=parity, degenerate=flag))
-    return out
+def boson_eigenstate(model: BosonModel, index: int) -> BosonState:
+    """diagonalize_boson(model)[index], building only that one state.
+
+    Every sector is still solved with eigenvectors: the energy order that
+    picks the state comes from the same solves.  An index outside
+    0..dim-1 raises ValueError.
+    """
+    merged = _sorted_eigensystem(model)
+    if not 0 <= index < len(merged):
+        raise ValueError(f"state index {index} out of range")
+    return _boson_state(model, merged[index])
 
 
 def boson_husimi_amplitude(state: BosonState, zetas: np.ndarray) -> complex:
@@ -312,9 +416,8 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
             raise ValueError("pairon product vanished; invalid pairon set")
         amp = {k: v / scale for k, v in new.items()}
 
-    basis = fock_basis(L1, model.n_bosons)
-    index = {occ: i for i, occ in enumerate(basis)}
-    coeffs = np.zeros(len(basis), dtype=complex)
+    index = {occ: i for i, occ in enumerate(model.basis)}
+    coeffs = np.zeros(len(index), dtype=complex)
     for pair_counts, val in amp.items():
         occ = tuple(2 * p + s for p, s in zip(pair_counts, seniority))
         weight = math.exp(0.5 * sum(math.lgamma(n + 1) for n in occ))
@@ -327,7 +430,7 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
     energy = sum(e * s for e, s in zip(levels, seniority)) + sum(
         np.real(e) for e in pairons)
     return BosonState(model=model, energy=float(energy), coeffs=coeffs,
-                      basis=tuple(basis), seniority=tuple(seniority),
+                      basis=model.basis, seniority=tuple(seniority),
                       degenerate=False)
 
 

@@ -23,8 +23,8 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bosonbcs import (BosonModel, boson_energy, boson_fidelity,
-                       diagonalize_boson, ellipsoid_axes,
+from .bosonbcs import (BosonModel, _sorted_eigensystem, boson_eigenstate,
+                       boson_energy, boson_fidelity, ellipsoid_axes,
                        extract_boson_pairons, reconstruct_boson_state,
                        verify_ellipsoid)
 from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
@@ -431,7 +431,9 @@ def _cmd_lmg_scan(args) -> int:
 
 
 def _cmd_lmg_collapse(args) -> int:
-    _check_state_index(args.state, 2 * args.j + 1)
+    if args.state != 0:
+        raise UsageError("--state must be 0: the collapse points and zero "
+                         "patterns are the ground state's")
     if args.line == LINE_SUM:
         lo_default = SINGULAR_MARGIN + 0.049
         hi_default = args.line_sum - lo_default
@@ -459,8 +461,7 @@ def _cmd_lmg_collapse(args) -> int:
             expected = [2 * args.j]
         else:
             expected = sorted([2 * (k + 1)] + [2] * (args.j - 1 - k))
-        pattern = sorted(collapse_zero_pattern(params, k,
-                                               state_index=args.state))
+        pattern = sorted(collapse_zero_pattern(params, k))
         rows.append([
             k, branch, gx_a, cand.gamma_x, abs(cand.gamma_x - gx_a),
             cand.anchor_value,
@@ -503,9 +504,9 @@ def _cmd_lmg_crossings(args) -> int:
 
 def _cmd_bcs_spectrum(args) -> int:
     model = _boson_model(args)
-    states = diagonalize_boson(model)
-    rows = [[i, st.energy, "".join(str(s) for s in st.seniority),
-             int(st.degenerate)] for i, st in enumerate(states)]
+    rows = [[i, energy, "".join(str(s) for s in seniority), int(flag)]
+            for i, (energy, seniority, _, _, _, flag)
+            in enumerate(_sorted_eigensystem(model))]
     _emit(args, "bcs spectrum", ["index", "energy", "seniority", "degenerate"],
           rows)
     return EXIT_OK
@@ -515,9 +516,8 @@ def _bcs_state(args):
     model = _boson_model(args)
     if not 1 <= args.slice <= model.n_levels - 1:
         raise UsageError(f"--slice must be in 1..{model.n_levels - 1}")
-    states = diagonalize_boson(model)
-    _check_state_index(args.state, len(states))
-    return model, states[args.state]
+    _check_state_index(args.state, len(model.basis))
+    return model, boson_eigenstate(model, args.state)
 
 
 def _cmd_bcs_pairons(args) -> int:

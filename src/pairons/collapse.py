@@ -30,7 +30,7 @@ from .errors import (DegenerateStateError, PaironsError,
 from .paironmap import (PaironSet, extract_pairons, u_from_pairon)
 from .phasespace import parity_slice
 from .sphere import SpherePoint, chordal_distance
-from .spin import ModelParams, build_hamiltonian, diagonalize
+from .spin import ModelParams, build_hamiltonian, eigenpair
 
 LINE_SUM = "sum"
 LINE_DIAGONAL = "diagonal"
@@ -347,7 +347,7 @@ def anchor_value(spec: TrajectorySpec, gx: float) -> tuple[float, float]:
     """
     params = ModelParams.from_gammas(spec.j, gx, spec.gamma_y(gx),
                                      eps=spec.eps)
-    pair = diagonalize(build_hamiltonian(params))[spec.state_index]
+    pair = eigenpair(build_hamiltonian(params), spec.state_index)
     if pair.degenerate:
         raise DegenerateStateError(
             f"state {spec.state_index} is degenerate at gx={gx:.6g}")
@@ -400,7 +400,7 @@ def total_collapse(spec: TrajectorySpec) -> float | None:
     if spec.line != LINE_SUM or not spec.start <= half <= spec.stop:
         return None
     params = ModelParams.from_gammas(spec.j, half, half, eps=spec.eps)
-    state = diagonalize(build_hamiltonian(params))[spec.state_index].state
+    state = eigenpair(build_hamiltonian(params), spec.state_index).state
     return half if abs(state.coeffs[0]) >= TOTAL_COLLAPSE_OVERLAP else None
 
 

@@ -27,8 +27,8 @@ from .errors import DegenerateStateError, SingularParameterError
 from .phasespace import (ZeroSet, parity_slice, poly_residual,
                          strip_and_solve)
 from .sphere import SpherePoint
-from .spin import (ModelParams, StateVector, build_hamiltonian, diagonalize,
-                   eigen_residual)
+from .spin import (ModelParams, StateVector, build_hamiltonian, eigen_residual,
+                   eigenpair)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
 
@@ -235,10 +235,7 @@ def extract_pairons(params: ModelParams, state_index: int = 0,
         flags = (FLAG_SIGN_UNVERIFIED,)
 
     h = build_hamiltonian(params)
-    pairs = diagonalize(h)
-    if not 0 <= state_index < len(pairs):
-        raise ValueError(f"state_index {state_index} out of range")
-    pair = pairs[state_index]
+    pair = eigenpair(h, state_index)
     if pair.degenerate and not allow_degenerate:
         raise DegenerateStateError(
             f"state {state_index} at (gx={gx:.6g}, gy={gy:.6g}) is degenerate "

@@ -186,18 +186,17 @@ class EigenPair:
     degenerate: bool
 
 
-def diagonalize(h: HamiltonianMatrix,
-                degeneracy_rtol: float = 1e-9) -> list[EigenPair]:
-    """All eigenpairs, sorted by ascending energy.
+DEGENERACY_RTOL = 1e-9
 
-    Each parity sector is solved separately (they are exactly decoupled),
-    so eigenvectors carry exact structural zeros on the other sublattice
-    and a sharp parity label.  States closer than degeneracy_rtol * |H|
-    to a same-sector neighbor are flagged degenerate.
-    """
-    dim = h.matrix.shape[0]
+
+def _sorted_eigensystem(h: HamiltonianMatrix,
+                        degeneracy_rtol: float = DEGENERACY_RTOL
+                        ) -> list[tuple[float, np.ndarray, int, int, bool]]:
+    """Both parity sectors' eigenpairs as (energy, sector eigenvectors,
+    Dicke offset, column, degenerate), in a stable sort by energy (even
+    sector first on ties)."""
     gap_tol = degeneracy_rtol * h.norm
-    merged: list[tuple[float, np.ndarray, bool]] = []
+    merged: list[tuple[float, np.ndarray, int, int, bool]] = []
     for name, offset in ((PARITY_EVEN, 0), (PARITY_ODD, 1)):
         block = h.matrix[offset::2, offset::2]
         d = np.diag(block).copy()
@@ -211,19 +210,45 @@ def diagonalize(h: HamiltonianMatrix,
         flags = np.zeros(len(w), dtype=bool)
         flags[:-1] |= close
         flags[1:] |= close
-        for col in range(v.shape[1]):
-            full = np.zeros(dim)
-            full[offset::2] = v[:, col]
-            merged.append((float(w[col]), full, bool(flags[col])))
+        merged.extend((float(w[col]), v, offset, col, bool(flags[col]))
+                      for col in range(v.shape[1]))
     merged.sort(key=lambda item: item[0])
+    return merged
 
-    out = []
-    for idx, (en, vec, flag) in enumerate(merged):
-        out.append(EigenPair(energy=en,
-                             state=StateVector(j=h.params.j, coeffs=vec),
-                             index=idx,
-                             degenerate=flag))
-    return out
+
+def _eigenpair(h: HamiltonianMatrix, entry, index: int) -> EigenPair:
+    energy, v, offset, col, flag = entry
+    full = np.zeros(h.matrix.shape[0])
+    full[offset::2] = v[:, col]
+    return EigenPair(energy=energy,
+                     state=StateVector(j=h.params.j, coeffs=full),
+                     index=index, degenerate=flag)
+
+
+def diagonalize(h: HamiltonianMatrix,
+                degeneracy_rtol: float = DEGENERACY_RTOL) -> list[EigenPair]:
+    """All eigenpairs, sorted by ascending energy.
+
+    Each parity sector is solved separately (they are exactly decoupled),
+    so eigenvectors carry exact structural zeros on the other sublattice
+    and a sharp parity label.  States closer than degeneracy_rtol * |H|
+    to a same-sector neighbor are flagged degenerate.
+    """
+    return [_eigenpair(h, entry, index) for index, entry
+            in enumerate(_sorted_eigensystem(h, degeneracy_rtol))]
+
+
+def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:
+    """diagonalize(h)[index], building only that one state.
+
+    Both sectors are still solved with eigenvectors: the energy order
+    that picks the state comes from the same solves.  An index outside
+    0..2j raises ValueError.
+    """
+    merged = _sorted_eigensystem(h)
+    if not 0 <= index < len(merged):
+        raise ValueError(f"state_index {index} out of range")
+    return _eigenpair(h, merged[index], index)
 
 
 def expectation(h: HamiltonianMatrix, state: StateVector) -> float:

@@ -6,11 +6,19 @@ from numpy.testing import assert_allclose
 
 from pairons import (BosonModel, BosonPaironSet, BosonState,
                      DegenerateStateError,
-                     InconsistentPaironsError, boson_energy, boson_fidelity,
+                     InconsistentPaironsError, boson_eigenstate,
+                     boson_energy, boson_fidelity,
                      build_bcs_hamiltonian, diagonalize_boson, ellipsoid_axes,
                      extract_boson_pairons, fock_basis,
                      reconstruct_boson_state, verify_ellipsoid)
+from pairons.bosonbcs import _sector_blocks
 from conftest import pair_hamiltonian
+
+# small models for the bit-identity checks: both signs of gamma, an odd
+# boson number, equal levels
+SMALL_MODELS = [((0.0, 0.5, 1.0), 0.5, 6), ((0.0, 0.5, 1.0), -0.5, 6),
+                ((0.0, 0.5, 1.0, 1.5), 0.5, 7), ((0.0, 0.7), -0.4, 5),
+                ((0.0, 0.0, 1.0), 0.3, 5), ((0.25, 0.25, 0.25), -0.5, 4)]
 
 
 def test_fock_basis_counts():
@@ -43,6 +51,78 @@ def test_matches_operator_oracle():
         model = BosonModel(levels=levels, gamma=gamma, n_bosons=n)
         h, basis = build_bcs_hamiltonian(model)
         assert_allclose(h, pair_hamiltonian(levels, gamma, basis), atol=1e-12)
+
+
+def _reference_hamiltonian(model):
+    """H element by element from the model's definition.
+
+    The diagonal is sum_l eps_l n_l, then + (g4 n_l)(n_l - 1) for each
+    level in turn; a pair hop l -> k from occ is
+    (g4 sqrt(n_l (n_l - 1))) sqrt((n_k + 1)(n_k + 2)), g4 = gamma/4.
+    """
+    basis = fock_basis(model.n_levels, model.n_bosons)
+    index = {occ: i for i, occ in enumerate(basis)}
+    g4 = model.gamma / 4.0
+    h = np.zeros((len(basis), len(basis)))
+    for i, occ in enumerate(basis):
+        diag = 0.0
+        for e, n in zip(model.levels, occ):
+            diag += e * n
+        for n in occ:
+            if n >= 2:
+                diag += g4 * n * (n - 1)
+        h[i, i] = diag
+        for l, n_l in enumerate(occ):
+            if n_l < 2:
+                continue
+            for k, n_k in enumerate(occ):
+                if k == l:
+                    continue
+                target = list(occ)
+                target[l] -= 2
+                target[k] += 2
+                h[index[tuple(target)], i] = (
+                    g4 * math.sqrt(n_l * (n_l - 1))
+                    * math.sqrt((n_k + 1) * (n_k + 2)))
+    return h
+
+
+@pytest.mark.parametrize("levels, gamma, n", SMALL_MODELS + [
+    ((0.0, 0.5, 1.0, 1.5), -0.5, 12), ((-1.3, 0.2, 0.9), 0.8, 1)])
+def test_sector_blocks_bitwise(levels, gamma, n):
+    model = BosonModel(levels=levels, gamma=gamma, n_bosons=n)
+    ref = _reference_hamiltonian(model)
+    blocks = _sector_blocks(model)
+    seniorities = [nu for nu, _, _ in blocks]
+    assert seniorities == sorted(set(seniorities))
+    rows = np.concatenate([idx for _, idx, _ in blocks])
+    assert sorted(rows) == list(range(len(ref)))
+    for nu, idx, block in blocks:
+        assert list(idx) == sorted(idx)
+        assert all(tuple(o % 2 for o in model.basis[i]) == nu for i in idx)
+        assert block.tobytes() == ref[np.ix_(idx, idx)].tobytes()
+    h, basis = build_bcs_hamiltonian(model)
+    assert basis == fock_basis(model.n_levels, model.n_bosons)
+    assert h.tobytes() == ref.tobytes()
+
+
+def _same_state(a, b):
+    return (a.model == b.model and a.energy == b.energy
+            and a.seniority == b.seniority and a.degenerate == b.degenerate
+            and a.basis == b.basis
+            and a.coeffs.tobytes() == b.coeffs.tobytes())
+
+
+@pytest.mark.parametrize("levels, gamma, n", SMALL_MODELS)
+def test_boson_eigenstate_is_diagonalize_entry(levels, gamma, n):
+    model = BosonModel(levels=levels, gamma=gamma, n_bosons=n)
+    states = diagonalize_boson(model)
+    assert all(s.basis is model.basis for s in states)
+    assert all(_same_state(boson_eigenstate(model, i), states[i])
+               for i in range(len(states)))
+    for bad in (-1, len(states)):
+        with pytest.raises(ValueError, match="out of range"):
+            boson_eigenstate(model, bad)
 
 
 def test_spectrum_two_levels_frozen():

@@ -4,7 +4,8 @@ import subprocess
 
 import pytest
 
-from pairons import collapse_points
+import pairons.cli
+from pairons import BosonState, collapse_points
 from pairons.cli import bcs_main, lmg_main
 from conftest import module_cli
 
@@ -26,6 +27,38 @@ index,energy,seniority,degenerate
 0,0.3819660112501051,00,0
 1,1,11,0
 2,2.6180339887498949,00,0
+"""
+
+BCS_SPECTRUM_N6 = """\
+index,energy,seniority,degenerate
+0,1.3221235170369472,000,0
+1,1.3247965051247466,110,0
+2,1.9912190904426363,101,0
+3,2.0282594500957098,011,0
+4,2.3307679137177937,000,0
+5,2.5312162728976673,110,0
+6,2.63676521397581,101,0
+7,3.0662979558588561,011,0
+8,3.0719721885442097,000,0
+9,3.6728915748241291,110,0
+10,3.6747046557176395,101,0
+11,4.1392131670139207,000,0
+12,4.2793013709167562,110,0
+13,4.3752075532281394,000,0
+14,4.3756337168635007,011,0
+15,5.1347465565861912,000,0
+16,5.1351755027188952,101,0
+17,5.4506517232778924,011,0
+18,5.9256033432016988,110,0
+19,6.1505505664353937,101,0
+20,6.7165008207485846,000,0
+21,6.8752861023153455,000,0
+22,6.9828008268085551,011,0
+23,7.2661909330349976,110,0
+24,8.1825516915813115,000,0
+25,8.4115849707096206,101,0
+26,9.0963563270954833,011,0
+27,10.351630489227553,000,0
 """
 
 
@@ -58,6 +91,14 @@ def test_bcs_spectrum_frozen(capsys):
                          "--gamma", "1", "--n", "2")
     assert rc == 0
     assert out == BCS_SPECTRUM
+
+
+def test_bcs_spectrum_three_levels_frozen(capsys):
+    # read off the sector solves without building a state
+    rc, out, _ = run_bcs(capsys, "spectrum", "--levels", "0,0.5,1",
+                         "--gamma", "0.5", "--n", "6")
+    assert rc == 0
+    assert out == BCS_SPECTRUM_N6
 
 
 def test_zeros_total_collapse_pole(capsys):
@@ -119,6 +160,15 @@ def test_collapse_coarse_grid_exits_3(capsys, j, steps):
     assert missed == [f"{p.gamma_x:.6g}" for p in sorted(
         collapse_points(j, 10.0), key=lambda p: p.gamma_x) if p.k <= 1]
     assert "more --steps" in err
+
+
+@pytest.mark.parametrize("state", ["1", "2"])
+def test_collapse_excited_state_is_usage_error(capsys, state):
+    # the analytic points and the zero patterns are the ground state's
+    rc, out, err = run_lmg(capsys, "collapse", "--j", "4", "--state", state)
+    assert rc == 2
+    assert out == ""
+    assert "--state must be 0" in err and "ground state" in err
 
 
 def test_collapse_diagonal_frozen(capsys):
@@ -303,6 +353,42 @@ def test_bcs_pairons_meta(capsys):
     assert doc["meta"]["energy_sum"] == pytest.approx(doc["meta"]["energy"])
     assert doc["meta"]["seniority"] == [0, 0]
     assert doc["meta"]["reconstruction_fidelity"] == pytest.approx(1.0, abs=1e-10)
+
+
+def test_bcs_state_index_out_of_range(capsys):
+    # levels 0, 0.5, 1 with 6 bosons: dim = C(8, 2) = 28
+    rc, out, err = run_bcs(capsys, "pairons", "--levels", "0,0.5,1",
+                           "--gamma", "0.5", "--n", "6", "--state", "28")
+    assert rc == 2
+    assert out == ""
+    assert "--state must be in 0..27, got 28" in err
+
+
+def test_bcs_pairons_builds_one_eigenstate(capsys, monkeypatch):
+    # one BosonState from the sector solves, one from the reconstruction
+    made = {"eigen": 0, "recon": 0}
+    inside = []
+    init = BosonState.__init__
+    reconstruct = pairons.cli.reconstruct_boson_state
+
+    def counting_init(self, *args, **kwargs):
+        made["recon" if inside else "eigen"] += 1
+        init(self, *args, **kwargs)
+
+    def counting_reconstruct(*args, **kwargs):
+        inside.append(True)
+        try:
+            return reconstruct(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(BosonState, "__init__", counting_init)
+    monkeypatch.setattr(pairons.cli, "reconstruct_boson_state",
+                        counting_reconstruct)
+    rc, _, _ = run_bcs(capsys, "pairons", "--levels", "0,0.5,1",
+                       "--gamma", "0.5", "--n", "6", "--state", "3")
+    assert rc == 0
+    assert made == {"eigen": 1, "recon": 1}
 
 
 def test_bcs_ellipsoid_columns(capsys):

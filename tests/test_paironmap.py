@@ -16,6 +16,20 @@ from pairons import (DegenerateStateError, ModelParams, PaironSet,
                      poly_roots, reconstruct_state, u_from_pairon)
 
 
+def test_extraction_builds_two_state_vectors(monkeypatch):
+    # the requested eigenvector and the reconstruction, not all 2j+1
+    made = []
+    post_init = StateVector.__post_init__
+
+    def counting(self):
+        made.append(self.j)
+        post_init(self)
+
+    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    extract_pairons(ModelParams.from_gammas(10, 2.0, 8.0), state_index=4)
+    assert made == [10, 10]
+
+
 def test_map_fixed_points():
     # zeta = infinity <-> e = -t, zeta = 0 <-> e = +t
     t = 0.7

@@ -20,3 +20,13 @@ def test_script_runs(script, argv):
                            *argv], env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_run_scan_excited_state_is_usage_error():
+    _, env = module_cli()
+    script = os.path.join(SCRIPTS, "run_scan.py")
+    proc = subprocess.run([sys.executable, script,
+                           "--j", "4", "--state", "1"], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2
+    assert "ground state" in proc.stderr

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from pairons import (ModelParams, SingularParameterError, StateVector,
                      build_hamiltonian, diagonalize, eigen_residual,
-                     expectation, split_parity)
+                     eigenpair, expectation, split_parity)
 from conftest import schwinger_hamiltonian
 
 
@@ -65,6 +65,31 @@ def test_degenerate_flag_within_sector():
     assert len(flagged) == 2
     assert_allclose([e.energy for e in flagged], [-3.0, -3.0], atol=1e-12)
     assert all(e.state.parity == "even" for e in flagged)
+
+
+def _same_pair(a, b):
+    return (a.energy == b.energy and a.index == b.index
+            and a.degenerate == b.degenerate
+            and a.state.parity == b.state.parity
+            and a.state.coeffs.tobytes() == b.state.coeffs.tobytes())
+
+
+@pytest.mark.parametrize("j", range(1, 13))
+def test_eigenpair_is_diagonalize_entry(j):
+    # gx = gy = -(2j-1)/2 is lam = 0, gam = -1/2: levels m = 0 and m = -2
+    # of one sector coincide, so degenerate flags are set there (j >= 2)
+    diagonal = -(2 * j - 1) / 2.0
+    for gx, gy in [(2.0, 8.0), (8.0, 2.0), (-3.0, 1.5), (5.0, 5.0),
+                   (diagonal, diagonal)]:
+        h = build_hamiltonian(ModelParams.from_gammas(j, gx, gy))
+        pairs = diagonalize(h)
+        assert all(_same_pair(eigenpair(h, i), pairs[i])
+                   for i in range(2 * j + 1))
+        if gx == diagonal and j >= 2:
+            assert any(p.degenerate for p in pairs)
+    for bad in (-1, 2 * j + 1):
+        with pytest.raises(ValueError, match="out of range"):
+            eigenpair(h, bad)
 
 
 def test_cross_sector_degeneracy_not_flagged():
