@@ -168,6 +168,30 @@ def _factor_defect(c: np.ndarray, roots: np.ndarray) -> float:
     return float(np.max(np.abs(aligned - ref)))
 
 
+def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Several polynomials, each at its own points, in one Horner sweep.
+
+    table has shape (deg+1, m): table[k, i] is the z^k coefficient of
+    polynomial i.  x has shape (m, n); row i of the result is polynomial i
+    at the points x[i].  The operations are those of
+    np.polynomial.polynomial.polyval, in its order, so each row has
+    polyval's bits; a shorter column padded with zeros at the top and a
+    real column carried in complex keep them too.  The rows are swept as
+    one flat array, each coefficient repeated once per point, which costs
+    two ufunc calls per power for all m polynomials together.  The
+    products stay out of place, as in polyval: numpy's in-place complex
+    multiply of a single element can round differently from its other
+    loops (no fused multiply-add).
+    """
+    m, n = x.shape
+    cols = np.repeat(table, n, axis=1)
+    x = x.ravel()
+    acc = cols[-1] + x * 0
+    for coeff in cols[-2::-1]:
+        acc = coeff + acc * x
+    return acc.reshape(m, n)
+
+
 def _aberth(coeffs: np.ndarray, tol: float = 1e-14,
             max_iter: int = 200) -> np.ndarray:
     """All roots of sum_k coeffs[k] z^k by simultaneous Aberth iteration.
@@ -185,6 +209,18 @@ def _aberth(coeffs: np.ndarray, tol: float = 1e-14,
     reproduces the coefficients better is returned.  Either set must pass
     the residual check and a factor defect of at most ACCEPT_DEFECT;
     ConvergenceError is raised only when neither does.
+
+    Each iteration makes one _horner sweep over the columns c, c' (padded
+    with a zero at the top) and |c| at the rows z, z and |z|; P, P' and
+    the noise floor of |P| come out with the bits of three polyval calls.
+    A root whose |P| is below its noise floor is converged and frozen:
+    later iterations neither evaluate nor move it.  That changes no value,
+    because an iteration over all roots gives a converged root a zero
+    step and keeps it converged.  The roots still active take the Aberth
+    step, with the repulsion summed over the full row of all roots in
+    index order (inf on the root's own entry), so np.sum adds the same
+    terms in the same order and the termination test sees the same
+    steps: the returned set is bit for bit the all-roots iteration's.
     """
     c = np.asarray(coeffs, dtype=complex)
     c = c / np.max(np.abs(c))
@@ -204,51 +240,57 @@ def _aberth(coeffs: np.ndarray, tol: float = 1e-14,
         r2 = cc / q if q != 0 else -b / a - r1
         return np.array([r1, r2])
 
-    dc = c[1:] * np.arange(1, deg + 1)
+    dc = np.append(c[1:] * np.arange(1, deg + 1), 0)
+    table = np.stack([c, dc, np.abs(c)], axis=1)
+    eps = np.finfo(float).eps
+
+    def sweep(zz: np.ndarray):
+        """P, P' and the noise floor of |P| at zz."""
+        p, dp, noise = _horner(table, np.array([zz, zz, np.abs(zz)]))
+        # a floor that overflows reads inf in real arithmetic but nan in
+        # complex (inf * 0j); map it back so comparisons see polyval's value
+        noise = noise.real
+        return p, dp, np.where(np.isnan(noise), np.inf, noise)
 
     radius = (np.max(np.abs(c)) / abs(c[-1])) ** (1.0 / deg)
     k = np.arange(deg)
     angles = 2.0 * math.pi * (k + 0.35) / deg + 0.4 * np.sin(k + 1.0) / deg
     z = radius * np.exp(1j * angles)
 
-    coeff_mags = np.abs(c)
-    eps = np.finfo(float).eps
-    converged = np.zeros(deg, dtype=bool)
+    active = np.arange(deg)
     for _ in range(max_iter):
-        p = np.polynomial.polynomial.polyval(z, c)
+        za = z[active]
+        p, dp, noise = sweep(za)
         # unimprovable when |P(z)| is below the evaluation noise floor
-        noise = np.polynomial.polynomial.polyval(np.abs(z), coeff_mags)
-        converged |= np.abs(p) <= 4.0 * eps * noise
-        if converged.all():
+        moving = ~(np.abs(p) <= 4.0 * eps * noise)
+        if not moving.any():
             break
-        dp = np.polynomial.polynomial.polyval(z, dc)
+        active, za, p, dp = active[moving], za[moving], p[moving], dp[moving]
         newton = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.1)
-        diff = z[:, None] - z[None, :]
-        np.fill_diagonal(diff, np.inf)
+        diff = za[:, None] - z[None, :]
+        diff[np.arange(active.size), active] = np.inf
         repulsion = np.sum(1.0 / diff, axis=1)
         denom = 1.0 - newton * repulsion
         step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
-        step = np.where(converged, 0.0, step)
-        z = z - step
-        if np.all(np.abs(step) <= tol * (1.0 + np.abs(z))):
+        za = za - step
+        z[active] = za
+        if np.all(np.abs(step) <= tol * (1.0 + np.abs(za))):
             break
 
     def polish(zz: np.ndarray) -> np.ndarray:
         # Newton steps, accepted only when the residual improves
         for _ in range(2):
-            p = np.polynomial.polynomial.polyval(zz, c)
-            dp = np.polynomial.polynomial.polyval(zz, dc)
+            p, dp, _ = sweep(zz)
             ok = dp != 0
             z_new = np.where(ok, zz - np.where(ok, p, 0) / np.where(ok, dp, 1),
                              zz)
-            p_new = np.polynomial.polynomial.polyval(z_new, c)
+            p_new = sweep(z_new)[0]
             zz = np.where(np.abs(p_new) < np.abs(p), z_new, zz)
         return zz
 
     def defect(zz: np.ndarray) -> float:
         """Factor defect, or inf when a root fails the residual check."""
-        p = np.polynomial.polynomial.polyval(zz, c)
-        noise = np.polynomial.polynomial.polyval(np.abs(zz), coeff_mags)
+        p, _, noise = sweep(zz)
         if not np.all(np.abs(p) <= 1e6 * eps * np.maximum(noise, 1e-300)):
             return math.inf
         return _factor_defect(c, zz)
@@ -332,7 +374,7 @@ def poly_residual(coeffs: np.ndarray, roots) -> float:
     if r.size == 0:
         return 0.0
     deg = _live_range(coeffs)[1]
-    vals = np.abs(np.polynomial.polynomial.polyval(r, coeffs))
+    vals = np.abs(_horner(np.asarray(coeffs)[:, None], r[None])[0])
     scale = float(np.max(np.abs(coeffs)))
     return float(np.max(vals / (scale * np.maximum(1.0, np.abs(r)) ** deg)))
 

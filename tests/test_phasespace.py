@@ -6,11 +6,13 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 from numpy.testing import assert_allclose
 
-from pairons import (MajoranaPoly, ModelParams, SpherePoint, StateVector,
-                     build_hamiltonian, chordal_distance,
-                     coherent_overlap, diagonalize, husimi,
-                     husimi_quadrature, majorana_poly, poly_roots,
-                     root_residual)
+from pairons import (ConvergenceError, MajoranaPoly, ModelParams,
+                     SpherePoint, StateVector, build_hamiltonian,
+                     chordal_distance, coherent_overlap, diagonalize,
+                     eigenpair, husimi, husimi_quadrature, majorana_poly,
+                     parity_slice, poly_roots, root_residual)
+from pairons.phasespace import (ACCEPT_DEFECT, SWITCH_DEFECT, _aberth,
+                                _factor_defect, _horner, _live_range)
 from conftest import random_state
 
 
@@ -128,3 +130,162 @@ def test_total_multiplicity_always_2j(rng):
         j = int(rng.integers(1, 9))
         s = random_state(j, rng)
         assert poly_roots(majorana_poly(s)).total_multiplicity == 2 * j
+
+
+def test_horner_sweep_is_polyval_bitwise():
+    # complex coefficients, real ones carried as +0j, and real ones with
+    # the -0j imaginary parts that majorana_poly's conj leaves behind
+    rng = np.random.default_rng(11)
+    polyval = np.polynomial.polynomial.polyval
+    for deg in range(3, 61):
+        for kind in ("complex", "real", "conj"):
+            re = rng.standard_normal(deg + 1)
+            if kind == "complex":
+                c = re + 1j * rng.standard_normal(deg + 1)
+            else:
+                c = re.astype(complex)
+                if kind == "conj":
+                    c = np.conj(c)
+            dc = c[1:] * np.arange(1, deg + 1)
+            table = np.stack([c, np.append(dc, 0), np.abs(c)], axis=1)
+            n = (1, 2, int(rng.integers(3, 45)))[deg % 3]
+            z = (10.0 ** rng.uniform(-3, 3, n)
+                 * np.exp(2j * math.pi * rng.random(n)))
+            p, dp, noise = _horner(table, np.array([z, z, np.abs(z)]))
+            assert p.tobytes() == polyval(z, c).tobytes()
+            assert dp.tobytes() == polyval(z, dc).tobytes()
+            assert noise.real.tobytes() == \
+                polyval(np.abs(z), np.abs(c)).tobytes()
+            assert not noise.imag.any()
+            # one column, as poly_residual sweeps it
+            assert _horner(c[:, None], z[None])[0].tobytes() == \
+                polyval(z, c).tobytes()
+
+
+def _stripped_slice(j, gx, state):
+    h = build_hamiltonian(ModelParams.from_gammas(j, gx, 10.0 - gx))
+    d = parity_slice(eigenpair(h, state).state)[1]
+    lo, hi = _live_range(d)
+    return d[lo:hi + 1]
+
+
+def test_aberth_calls_polyval_zero_times(monkeypatch):
+    # one Horner sweep per iteration, no polyval call at all
+    calls = []
+    polyval = np.polynomial.polynomial.polyval
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return polyval(*args, **kwargs)
+
+    d = _stripped_slice(40, 2.0, 21)
+    assert len(d) == 38
+    monkeypatch.setattr(np.polynomial.polynomial, "polyval", counting)
+    assert _aberth(d).shape == (37,)
+    assert calls == []
+
+
+def _aberth_reference(coeffs, tol=1e-14, max_iter=200):
+    """The all-roots iteration with three polyval calls per step, as
+    _aberth ran before the stacked sweep; also names the path taken."""
+    c = np.asarray(coeffs, dtype=complex)
+    c = c / np.max(np.abs(c))
+    deg = len(c) - 1
+    assert deg >= 3
+    dc = c[1:] * np.arange(1, deg + 1)
+
+    radius = (np.max(np.abs(c)) / abs(c[-1])) ** (1.0 / deg)
+    k = np.arange(deg)
+    angles = 2.0 * math.pi * (k + 0.35) / deg + 0.4 * np.sin(k + 1.0) / deg
+    z = radius * np.exp(1j * angles)
+
+    coeff_mags = np.abs(c)
+    eps = np.finfo(float).eps
+    converged = np.zeros(deg, dtype=bool)
+    for _ in range(max_iter):
+        p = np.polynomial.polynomial.polyval(z, c)
+        noise = np.polynomial.polynomial.polyval(np.abs(z), coeff_mags)
+        converged |= np.abs(p) <= 4.0 * eps * noise
+        if converged.all():
+            break
+        dp = np.polynomial.polynomial.polyval(z, dc)
+        newton = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.1)
+        diff = z[:, None] - z[None, :]
+        np.fill_diagonal(diff, np.inf)
+        repulsion = np.sum(1.0 / diff, axis=1)
+        denom = 1.0 - newton * repulsion
+        step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
+        step = np.where(converged, 0.0, step)
+        z = z - step
+        if np.all(np.abs(step) <= tol * (1.0 + np.abs(z))):
+            break
+
+    def polish(zz):
+        for _ in range(2):
+            p = np.polynomial.polynomial.polyval(zz, c)
+            dp = np.polynomial.polynomial.polyval(zz, dc)
+            ok = dp != 0
+            z_new = np.where(ok, zz - np.where(ok, p, 0) / np.where(ok, dp, 1),
+                             zz)
+            p_new = np.polynomial.polynomial.polyval(z_new, c)
+            zz = np.where(np.abs(p_new) < np.abs(p), z_new, zz)
+        return zz
+
+    def defect(zz):
+        p = np.polynomial.polynomial.polyval(zz, c)
+        noise = np.polynomial.polynomial.polyval(np.abs(zz), coeff_mags)
+        if not np.all(np.abs(p) <= 1e6 * eps * np.maximum(noise, 1e-300)):
+            return math.inf
+        return _factor_defect(c, zz)
+
+    z = polish(z)
+    z_defect = defect(z)
+    if z_defect <= SWITCH_DEFECT:
+        return z, "aberth"
+    comp = np.roots(c[::-1])
+    comp_defect = defect(comp)
+    path = "aberth after companion"
+    if comp_defect < z_defect:
+        z, z_defect, path = comp, comp_defect, "companion"
+    if not z_defect <= ACCEPT_DEFECT:
+        raise ConvergenceError(
+            f"root finding failed for degree {deg}", partial=comp)
+    return z, path
+
+
+def _wide_range(deg, span, seed):
+    # coefficient magnitudes spread over 10^(+-span): the evaluation
+    # overflows at some iterates
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(deg + 1)
+            * 10.0 ** rng.uniform(-span, span, deg + 1))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_aberth_is_polyval_reference_bitwise():
+    # the active set and the stacked sweep change no bit of the result:
+    # compared on this machine, not against frozen bytes, because LAPACK
+    # (the companion path) differs between machines
+    cases = [_stripped_slice(10, gx, s) for gx in (3.0, 4.975)
+             for s in range(21)]
+    cases += [_stripped_slice(40, 2.0, s) for s in range(0, 81, 10)]
+    cases.append(np.polynomial.polynomial.polyfromroots([-2.0] * 4 + [0.06]))
+    # the noise floor overflows here (nan in complex, inf in real)
+    cases.append(_wide_range(50, 10, 12))
+    # both sets fail: the roots overflow the evaluation
+    cases.append(_wide_range(25, 15, 23))
+    paths = []
+    for coeffs in cases:
+        try:
+            roots, path = _aberth_reference(coeffs)
+        except ConvergenceError as exc:
+            with pytest.raises(ConvergenceError) as got:
+                _aberth(coeffs)
+            assert got.value.partial.tobytes() == exc.partial.tobytes()
+            paths.append("refused")
+            continue
+        mine = _aberth(coeffs)
+        assert mine.dtype == roots.dtype
+        assert mine.tobytes() == roots.tobytes()
+        paths.append(path)
+    assert {"aberth", "companion", "refused"} <= set(paths)
