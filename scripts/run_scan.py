@@ -14,9 +14,9 @@ import csv
 import sys
 import time
 
-from pairons import (ModelParams, TrajectorySpec, UnresolvedAnchorError,
-                     anchor_profile, collapse_points, collapse_zero_pattern,
-                     find_collapses, label_collapses, scan_trajectory)
+from pairons import (TrajectorySpec, UnresolvedAnchorError, anchor_profile,
+                     collapse_points, collapse_rows, find_collapses,
+                     scan_trajectory)
 
 
 def main(argv=None):
@@ -71,7 +71,7 @@ def main(argv=None):
 
     try:
         found = find_collapses(profile)
-        labelled = label_collapses(spec, found)
+        rows = collapse_rows(spec, found)
     except UnresolvedAnchorError as exc:
         print(f"no collapse report: {exc}")
         return 3
@@ -80,21 +80,12 @@ def main(argv=None):
           "detected (sign changes plus the total collapse)")
     print(f"{'k':>2} {'branch':>8} {'gx analytic':>12} {'gx detected':>12} "
           f"{'|delta|':>9}  zero pattern")
-    for cand, k, branch, gx_a in labelled:
-        if branch == "diagonal":
-            expect = [2 * args.j]
-        else:
-            expect = sorted([2 * (k + 1)] + [2] * (args.j - k - 1),
-                            reverse=True)
-        params = ModelParams.from_gammas(args.j, cand.gamma_x,
-                                         spec.gamma_y(cand.gamma_x))
-        pattern = sorted(collapse_zero_pattern(params, k,
-                                               state_index=args.state),
-                         reverse=True)
-        mark = "" if pattern == expect else "  << unexpected"
-        print(f"{k:>2} {branch:>8} {gx_a:12.6f} {cand.gamma_x:12.6f} "
-              f"{abs(cand.gamma_x - gx_a):9.2e}  "
-              f"{'+'.join(map(str, pattern))}{mark}")
+    for row in rows:
+        gx_a, gx_d = row.point.gamma_x, row.candidate.gamma_x
+        mark = "" if row.pattern_ok else "  << unexpected"
+        print(f"{row.point.k:>2} {row.point.branch:>8} {gx_a:12.6f} "
+              f"{gx_d:12.6f} {abs(gx_d - gx_a):9.2e}  "
+              f"{'+'.join(map(str, row.pattern))}{mark}")
     return 0
 
 

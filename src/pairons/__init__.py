@@ -19,11 +19,10 @@ from .paironmap import (ExtractionDiagnostics, PaironSet, extract_pairons,
                         fidelity, pairon_from_u, pairons_from_state,
                         pairons_to_zeros, reconstruct_state, u_from_pairon)
 from .collapse import (AnchorProfile, CollapseCandidate, CollapsePoint,
-                       CrossingPoint, ScanTable, TrajectorySpec,
+                       CollapseRow, CrossingPoint, ScanTable, TrajectorySpec,
                        anchor_profile, anchor_value, collapse_points,
-                       collapse_zero_pattern, crossing_points,
+                       collapse_rows, collapse_zero_pattern, crossing_points,
                        find_collapses, hyperbola_levels, label_collapses,
-                       pairon_cluster_sizes, pattern_radius,
                        scan_trajectory, total_collapse)
 from .bosonbcs import (BosonModel, BosonPaironSet, BosonState,
                        boson_eigenstate, boson_energy, boson_fidelity,

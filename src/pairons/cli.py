@@ -29,8 +29,8 @@ from .bosonbcs import (BosonModel, _sorted_eigensystem, boson_eigenstate,
                        verify_ellipsoid)
 from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
                        CollapseCandidate, TrajectorySpec, _canonical_site,
-                       anchor_profile, collapse_zero_pattern, crossing_points,
-                       find_collapses, label_collapses, scan_trajectory)
+                       anchor_profile, collapse_rows, crossing_points,
+                       find_collapses, scan_trajectory)
 from .errors import InconsistentPaironsError, PaironsError
 from .paironmap import (PaironSet, extract_pairons, pairon_from_u,
                         u_from_pairon)
@@ -452,22 +452,11 @@ def _cmd_lmg_collapse(args) -> int:
     else:
         found = find_collapses(anchor_profile(spec))
 
-    rows = []
-    for cand, k, branch, gx_a in label_collapses(spec, found):
-        params = ModelParams.from_gammas(args.j, cand.gamma_x,
-                                         spec.gamma_y(cand.gamma_x),
-                                         eps=args.eps)
-        if branch == "diagonal":
-            expected = [2 * args.j]
-        else:
-            expected = sorted([2 * (k + 1)] + [2] * (args.j - 1 - k))
-        pattern = sorted(collapse_zero_pattern(params, k))
-        rows.append([
-            k, branch, gx_a, cand.gamma_x, abs(cand.gamma_x - gx_a),
-            cand.anchor_value,
-            "+".join(str(s) for s in sorted(pattern, reverse=True)),
-            int(pattern == expected),
-        ])
+    rows = [[r.point.k, r.point.branch, r.point.gamma_x,
+             r.candidate.gamma_x, abs(r.candidate.gamma_x - r.point.gamma_x),
+             r.candidate.anchor_value, "+".join(map(str, r.pattern)),
+             int(r.pattern_ok)]
+            for r in collapse_rows(spec, found)]
     _emit(args, "lmg collapse",
           ["k", "branch", "gx_analytic", "gx_detected", "delta",
            "anchor_value", "pattern", "pattern_ok"], rows)

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateStateError, PaironsError,
-                     UnresolvedAnchorError)
-from .paironmap import (PaironSet, extract_pairons, u_from_pairon)
-from .phasespace import parity_slice
+                     SingularParameterError, UnresolvedAnchorError)
+from .paironmap import PaironSet, extract_pairons, u_from_pairon
+from .phasespace import _live_range, parity_slice
 from .sphere import SpherePoint, chordal_distance
 from .spin import ModelParams, build_hamiltonian, eigenpair
 
@@ -344,23 +344,51 @@ def anchor_value(spec: TrajectorySpec, gx: float) -> tuple[float, float]:
     one.  Against 50-digit references (j <= 10 on line sums 10, 12 and
     20, 600 samples) the error of f stays below 0.04 of the bound; a test
     repeats the check at j = 6.
+
+    The same derivation bounds every Taylor coefficient of f at w,
+    a_m = sum_i d_i C(n-i, m) w^(n-i-m): the integer weights C(n-i, m)
+    are exact and their product adds one rounding per coefficient, within
+    the n*eps allowance, so the bound is c*n*eps*S_m/max|d| with
+    S_m = sum_i |d_i| C(n-i, m) |w|^(n-i-m).  f is a_0 (_anchor_coefficient
+    computes both), and collapse_zero_pattern counts the leading a_m
+    within their bounds as the multiplicity of the root at the anchor.
     """
     params = ModelParams.from_gammas(spec.j, gx, spec.gamma_y(gx),
                                      eps=spec.eps)
-    pair = eigenpair(build_hamiltonian(params), spec.state_index)
+    d, w = _anchor_slice(params, spec.state_index)
+    return _anchor_coefficient(d, w, 0)
+
+
+def _anchor_slice(params: ModelParams,
+                  state_index: int) -> tuple[np.ndarray, float]:
+    """Parity slice d of the state, sign fixed by d_0 > 0, and w = 1/u*."""
+    pair = eigenpair(build_hamiltonian(params), state_index)
     if pair.degenerate:
         raise DegenerateStateError(
-            f"state {spec.state_index} is degenerate at gx={gx:.6g}")
+            f"state {state_index} is degenerate at gx={params.gamma_x:.6g}")
     d = parity_slice(pair.state)[1].real
     if d[0] < 0:
         d = -d
     t = params.t
-    w = (t - 1.0) / (t + 1.0)
+    return d, (t - 1.0) / (t + 1.0)
+
+
+def _anchor_coefficient(d: np.ndarray, w: float,
+                        m: int) -> tuple[float, float]:
+    """Taylor coefficient a_m of f at w, and its noise bound, over max|d|.
+
+    The bound is derived in anchor_value's docstring.  Multiplying by the
+    weight C(n-i, 0) = 1 is exact, so m = 0 keeps anchor_value's bits.
+    """
+    n = len(d) - 1
+    weights = np.array([math.comb(n - i, m) for i in range(n - m + 1)],
+                       dtype=float)
     scale = float(np.max(np.abs(d)))
-    value = float(np.polyval(d, w)) / scale
-    bound = float(np.polyval(np.abs(d), abs(w))) / scale
+    value = float(np.polyval(d[:n - m + 1] * weights, w)) / scale
+    bound = float(np.polyval(np.abs(d[:n - m + 1]) * weights,
+                             abs(w))) / scale
     eps = float(np.finfo(float).eps)
-    return value, ANCHOR_NOISE_C * (len(d) - 1) * eps * bound
+    return value, ANCHOR_NOISE_C * n * eps * bound
 
 
 @dataclass(frozen=True)
@@ -511,101 +539,73 @@ def label_collapses(spec: TrajectorySpec, found: list[CollapseCandidate]
 # Multiplicity pattern at a collapse point
 # ---------------------------------------------------------------------------
 
-def pattern_radius(m: int) -> float:
-    """Pairon-space clustering radius for an expected m-fold merge.
-
-    Calibrated at the j = 10 sum-line collapse points on both hyperbola
-    branches: the merged group's double-precision diameter grows with m
-    (the splitting of an m-fold root goes like the m-th root of the
-    parameter offset) while the gap to the nearest distinct pairon
-    shrinks with t on the lower branch, leaving a window per m that this
-    law threads with a few-1e-3 margin on the tight side (m = 6, 7 on
-    the lower branch, where the window is roughly [0.02, 0.034]).
-    """
-    return 0.003 * m + 0.008
-
-
-def pairon_cluster_sizes(pairons: PaironSet, radius: float) -> list[int]:
-    """Single-linkage cluster sizes of the pairon multiset, descending."""
-    e = list(pairons.energies)
-    n = len(e)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for a in range(n):
-        for b in range(a + 1, n):
-            if abs(e[a] - e[b]) <= radius:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[rb] = ra
-    sizes: dict[int, int] = {}
-    for i in range(n):
-        r = find(i)
-        sizes[r] = sizes.get(r, 0) + 1
-    return sorted(sizes.values(), reverse=True)
-
-
-def _mst_max_edge(pts: list[complex]) -> float:
-    """Largest edge of the minimum spanning tree of a point set (Prim)."""
-    if len(pts) < 2:
-        return 0.0
-    rest = list(range(1, len(pts)))
-    dist = {i: abs(pts[i] - pts[0]) for i in rest}
-    worst = 0.0
-    while rest:
-        i = min(rest, key=lambda q: dist[q])
-        worst = max(worst, dist[i])
-        rest.remove(i)
-        for q in rest:
-            d = abs(pts[q] - pts[i])
-            if d < dist[q]:
-                dist[q] = d
-    return worst
-
-
-def collapse_zero_pattern(params: ModelParams, k: int,
+def collapse_zero_pattern(params: ModelParams,
                           state_index: int = 0) -> list[int]:
-    """Zero multiplicity pattern at a k-collapse point, as 2x pairon sizes.
+    """Zero multiplicity pattern of a state, descending, read off its u-roots.
 
-    Zeros occur in +- pairs sharing one pairon, so a pairon cluster of
-    size s corresponds to two sphere points of multiplicity s each; the
-    reported pattern counts the pair as one merged object of multiplicity
-    2s, matching how coincident conjugate zeros are tallied.
+    Zeros come in +- pairs sharing one pairon, so s pairons merged at one
+    site count as multiplicity 2s.  The sites are the anchor u* (pairons
+    at e = -eps), whose multiplicity is the number of leading Taylor
+    coefficients of f at w = 1/u* within their noise bound (anchor_value
+    derives it); the structural roots at u = 0 (e = +t) and, for w != 0,
+    at u = infinity (e = -t), as strip_and_solve counts them; and each
+    other pairon on its own.  No pairon is computed.
 
-    The clustering radius is chosen adaptively: the k + 1 pairons nearest
-    -eps form the expected merged group, and any radius between that
-    group's diameter (largest single-linkage edge) and the smallest
-    remaining pairon distance yields identical clusters, so the geometric
-    mean of the two scales is used.  If the scales overlap -- the
-    evaluation point is far enough from the collapse that the m-th-root
-    splitting of the merge exceeds the gap to its neighbours -- the fixed
-    pattern_radius law is the fallback.
+    The count is exact only at the collapse itself: an offset delta in gx
+    leaves the vanishing a_m of order delta.  At the analytic points with
+    j <= 10 on line sums 10 and 12 they stay below 0.24 of their bound
+    and the next coefficient exceeds its bound 1.9e4-fold; at the
+    root-solved gx of find_collapses (up to 6e-7 off at j = 10) the count
+    falls short at 65 of the 178 points with j = 2..10.
     """
-    pairons, _ = extract_pairons(params, state_index)
-    e = list(pairons.energies)
-    m = k + 1
-    if not 1 <= m <= len(e):
-        raise ValueError(f"k={k} expects between 1 and {len(e)} merged"
-                         " pairons")
-    order = sorted(range(len(e)), key=lambda i: abs(e[i] + params.eps))
-    group = [e[i] for i in order[:m]]
-    rest = [e[i] for i in order[m:]]
-    diam = _mst_max_edge(group)
-    sep = min((abs(a - b) for a in group for b in rest), default=math.inf)
-    sep = min(sep, min((abs(rest[a] - rest[b])
-                        for a in range(len(rest))
-                        for b in range(a + 1, len(rest))),
-                       default=math.inf))
-    if math.isinf(sep):  # total collapse: everything is one group
-        radius = 2.0 * diam + 1e-9
-    elif diam < sep:
-        radius = math.sqrt(max(diam, 1e-4 * sep) * sep)
-    else:
-        radius = pattern_radius(m)
-    sizes = pairon_cluster_sizes(pairons, radius)
-    return [2 * s for s in sizes]
+    if params.gamma_x == 0.0 or params.gamma_y == 0.0:
+        raise SingularParameterError(
+            "gamma_x = 0 or gamma_y = 0: the anchor is undefined")
+    d, w = _anchor_slice(params, state_index)
+    n0, hi = _live_range(d)
+    n_inf = len(d) - 1 - hi if w != 0 else 0
+    free = len(d) - 1 - n0 - n_inf
+    merged = 0
+    while merged < free:
+        value, noise = _anchor_coefficient(d, w, merged)
+        if abs(value) > noise:
+            break
+        merged += 1
+    sites = [merged, n0, n_inf] + [1] * (free - merged)
+    return sorted((2 * s for s in sites if s), reverse=True)
+
+
+@dataclass(frozen=True)
+class CollapseRow:
+    """A detected collapse, its analytic point and the zero pattern there."""
+
+    candidate: CollapseCandidate
+    point: CollapsePoint
+    pattern: tuple[int, ...]   # collapse_zero_pattern at point.gamma_x
+    expected: tuple[int, ...]
+
+    @property
+    def pattern_ok(self) -> bool:
+        return self.pattern == self.expected
+
+
+def collapse_rows(spec: TrajectorySpec, found: list[CollapseCandidate]
+                  ) -> list[CollapseRow]:
+    """label_collapses with the zero pattern at each analytic point.
+
+    The expected pattern is a site of merged_zero_multiplicity = 2(k+1)
+    and a 2 for each other pairon.  The pattern is taken at the analytic
+    gx, where collapse_zero_pattern's count is exact, not the detected one.
+    """
+    rows = []
+    for cand, k, branch, gx in label_collapses(spec, found):
+        point = CollapsePoint(k=k, gamma_x=gx, gamma_y=spec.gamma_y(gx),
+                              branch=branch)
+        params = ModelParams.from_gammas(spec.j, gx, point.gamma_y,
+                                         eps=spec.eps)
+        rows.append(CollapseRow(
+            candidate=cand, point=point,
+            pattern=tuple(collapse_zero_pattern(params, spec.state_index)),
+            expected=((point.merged_zero_multiplicity,)
+                      + (2,) * (spec.j - 1 - k))))
+    return rows

@@ -5,6 +5,8 @@ import subprocess
 import pytest
 
 import pairons.cli
+import pairons.collapse
+import pairons.paironmap
 from pairons import BosonState, collapse_points
 from pairons.cli import bcs_main, lmg_main
 from conftest import module_cli
@@ -176,6 +178,47 @@ def test_collapse_diagonal_frozen(capsys):
                          "diagonal")
     assert rc == 0
     assert out == COLLAPSE_DIAGONAL_J10
+
+
+def test_collapse_diagonal_dicke_state_split(capsys):
+    # at gx = gy = -2 the j=4 ground state is |4,-2>, pairons -1 three
+    # times and +1 once: not the total collapse the row is labelled with
+    rc, out, _ = run_lmg(capsys, "collapse", "--j", "4", "--line",
+                         "diagonal", "--from", "-3", "--to", "-1")
+    assert rc == 0
+    assert out.splitlines()[1] == "3,diagonal,-2,-2,0,0,6+2,0"
+
+
+@pytest.mark.parametrize("j, line_sum", [(14, "12"), (13, "20")])
+def test_collapse_outside_envelope_exits_before_patterns(capsys, monkeypatch,
+                                                         j, line_sum):
+    # the Taylor count is wrong for k <= 1 here; the unresolved anchor
+    # refuses the line before any pattern is computed
+    calls = []
+    monkeypatch.setattr(pairons.collapse, "collapse_zero_pattern",
+                        lambda *args, **kwargs: calls.append(args))
+    rc, out, err = run_lmg(capsys, "collapse", "--j", str(j),
+                           "--line-sum", line_sum)
+    assert rc == 3
+    assert out == ""
+    assert "anchor value within its noise bound" in err
+    assert calls == []
+
+
+def test_collapse_extracts_no_pairons(capsys, monkeypatch):
+    calls = []
+    original = pairons.paironmap.extract_pairons
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (pairons, pairons.paironmap, pairons.collapse, pairons.cli):
+        monkeypatch.setattr(module, "extract_pairons", counted)
+    rc, out, _ = run_lmg(capsys, "collapse", "--j", "4")
+    assert rc == 0
+    assert len(out.splitlines()) == 1 + 7  # 6 hyperbola points + total
+    assert calls == []
 
 
 def test_float_cells_roundtrip(capsys):

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from pairons import (ModelParams, PaironSet, TrajectorySpec,
-                     UnresolvedAnchorError, anchor_profile, anchor_value,
-                     build_hamiltonian, collapse_points, collapse_zero_pattern,
-                     crossing_points, find_collapses, hyperbola_levels,
-                     pairon_cluster_sizes, pattern_radius, scan_trajectory,
+from pairons import (ModelParams, TrajectorySpec, UnresolvedAnchorError,
+                     anchor_profile, anchor_value, build_hamiltonian,
+                     collapse_points, collapse_zero_pattern, crossing_points,
+                     find_collapses, hyperbola_levels, scan_trajectory,
                      split_parity, total_collapse)
+from pairons.collapse import _anchor_coefficient, _anchor_slice
 
 
 def test_hyperbola_levels_frozen():
@@ -194,22 +194,10 @@ def test_scan_branches_are_continuous():
         prev = cur
 
 
-def test_pattern_radius_monotone():
-    radii = [pattern_radius(m) for m in range(1, 9)]
-    assert all(b > a for a, b in zip(radii, radii[1:]))
-
-
-def test_pairon_cluster_sizes():
-    ps = PaironSet(j=3, nu=0, energies=(-1.0, -1.0 + 1e-3, 4.0), t=1.0,
-                   flags=())
-    assert pairon_cluster_sizes(ps, 1e-2) == [2, 1]
-    assert pairon_cluster_sizes(ps, 1e-5) == [1, 1, 1]
-
-
 def test_collapse_pattern_j4():
     for p in collapse_points(4, 10.0):
         params = ModelParams.from_gammas(4, p.gamma_x, 10.0 - p.gamma_x)
-        pattern = sorted(collapse_zero_pattern(params, p.k), reverse=True)
+        pattern = sorted(collapse_zero_pattern(params), reverse=True)
         expect = sorted([2 * (p.k + 1)] + [2] * (4 - 1 - p.k), reverse=True)
         assert pattern == expect
 
@@ -219,9 +207,57 @@ def test_collapse_pattern_j10_low_k():
         if p.k > 3:
             continue
         params = ModelParams.from_gammas(10, p.gamma_x, 10.0 - p.gamma_x)
-        pattern = sorted(collapse_zero_pattern(params, p.k), reverse=True)
+        pattern = sorted(collapse_zero_pattern(params), reverse=True)
         assert pattern == sorted([2 * (p.k + 1)] + [2] * (9 - p.k),
                                  reverse=True)
+
+
+@pytest.mark.parametrize("j, gx, pattern", [
+    (5, -3.0, [6, 4]),   # |5,-1>: pairons -1, -1, -1, +1, +1
+    (3, -2.0, [4, 2]),   # |3,-1>: pairons -1, -1, +1
+    (4, -2.0, [6, 2]),   # |4,-2>: pairons -1, -1, -1, +1
+])
+def test_collapse_pattern_dicke_state_split(j, gx, pattern):
+    # on the diagonal the ground state is a Dicke state whose pairons sit
+    # at -eps and +eps: two sites, not one merged group of all j
+    params = ModelParams.from_gammas(j, gx, gx)
+    assert collapse_zero_pattern(params) == pattern
+
+
+def _anchor_multiplicity(j, gx, gy):
+    """(m, ratios): Taylor count at the anchor and |a_m|/bound for all m."""
+    d, w = _anchor_slice(ModelParams.from_gammas(j, gx, gy), 0)
+    ratios = []
+    for m in range(len(d)):
+        value, noise = _anchor_coefficient(d, w, m)
+        ratios.append(abs(value) / noise if noise else 0.0)  # 0 is exact
+    m = next((i for i, r in enumerate(ratios) if r > 1.0), len(d) - 1)
+    return m, ratios
+
+
+@pytest.mark.parametrize("line_sum", [10.0, 12.0])
+def test_anchor_taylor_count_over_envelope(line_sum):
+    # every analytic point with j <= 10 gives m = k+1: the vanishing
+    # coefficients stay below half their bound (0.24 at worst) and the
+    # next one exceeds it a thousandfold (1.9e4 at worst).  Where a
+    # hyperbola touches the line at c/2 the state is |j,-j> and all j
+    # pairons sit at the anchor.  1e-3 off each point a_0 exceeds its
+    # bound (2.5-fold at worst), so the count is not true by construction.
+    for j in range(1, 11):
+        for p in collapse_points(j, line_sum):
+            m, ratios = _anchor_multiplicity(j, p.gamma_x, p.gamma_y)
+            merged = j if p.gamma_x == line_sum / 2 else p.k + 1
+            assert m == merged, (j, p)
+            assert max(ratios[:merged]) <= 0.5, (j, p)
+            if merged < j:
+                assert ratios[merged] >= 1e3, (j, p)
+            params = ModelParams.from_gammas(j, p.gamma_x, p.gamma_y)
+            assert collapse_zero_pattern(params) == (
+                [2 * merged] + [2] * (j - merged))
+            for step in (-1e-3, 1e-3):
+                gx = p.gamma_x + step
+                m, ratios = _anchor_multiplicity(j, gx, line_sum - gx)
+                assert m == 0 and ratios[0] >= 1.5, (j, p, step)
 
 
 def test_anchor_value_changes_sign_at_collapse():
