@@ -14,8 +14,8 @@ import sys
 
 import numpy as np
 
-from pairons import (BosonModel, boson_fidelity, diagonalize_boson,
-                     ellipsoid_axes, extract_boson_pairons,
+from pairons import (BosonModel, diagonalize_boson, ellipsoid_axes,
+                     extract_boson_pairons, fidelity,
                      reconstruct_boson_state, verify_ellipsoid)
 
 
@@ -60,7 +60,7 @@ def main(argv=None):
         ps = extract_boson_pairons(st)
         defect = abs(ps.energy_sum() - st.energy)
         recon = reconstruct_boson_state(model, st.seniority, ps.energies)
-        fid = boson_fidelity(st, recon)
+        fid = fidelity(st, recon)
         # the slice along any axis must see the same pairons
         alt = extract_boson_pairons(st, axis=2)
         a = sorted(ps.energies, key=lambda z: (z.real, z.imag))

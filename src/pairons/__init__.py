@@ -23,12 +23,12 @@ from .collapse import (AnchorProfile, CollapseCandidate, CollapsePoint,
                        anchor_profile, anchor_value, collapse_points,
                        collapse_rows, collapse_zero_pattern, crossing_points,
                        find_collapses, hyperbola_levels, label_collapses,
-                       scan_trajectory, total_collapse)
+                       scan_trajectory, total_collapse,
+                       total_collapse_candidates)
 from .bosonbcs import (BosonModel, BosonPaironSet, BosonState,
-                       boson_eigenstate, boson_energy, boson_fidelity,
-                       boson_husimi_amplitude, build_bcs_hamiltonian,
-                       diagonalize_boson, ellipsoid_axes,
-                       extract_boson_pairons, fock_basis,
+                       boson_eigenstate, boson_energy, boson_husimi_amplitude,
+                       build_bcs_hamiltonian, diagonalize_boson,
+                       ellipsoid_axes, extract_boson_pairons, fock_basis,
                        reconstruct_boson_state, verify_ellipsoid)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

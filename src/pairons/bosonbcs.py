@@ -29,12 +29,11 @@ import numpy as np
 
 from .errors import DegenerateStateError, InconsistentPaironsError
 from .phasespace import strip_and_solve
+from .spin import DEGENERACY_RTOL, _sector_eigensystem
 
 AXIS_POLE_FLAG = "axis-pole"  # root at w = -1: pairon at infinity of the map
 
 LEVEL_DEGENERACY_TOL = 1e-9
-
-DEGENERACY_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,26 @@ class BosonModel:
         """fock_basis of the model, built once per model object and shared
         by every state built from it."""
         return tuple(fock_basis(self.n_levels, self.n_bosons))
+
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """basis as a read-only (dim, L+1) integer array."""
+        occ = np.array(self.basis)
+        occ.setflags(write=False)
+        return occ
+
+    @cached_property
+    def weights(self) -> np.ndarray:
+        """Coherent-state weight sqrt(N! / prod_l n_l!) of each basis row:
+        math.exp(0.5 * (lgamma(N+1) - sum_l lgamma(n_l+1))), the sum taken
+        level by level (np.exp would round differently)."""
+        log_fact = np.array([math.lgamma(n + 1)
+                             for n in range(self.n_bosons + 1)])
+        log_prod = np.zeros(len(self.basis))
+        for column in log_fact[self.occupations.T]:
+            log_prod = log_prod + column
+        return np.array([math.exp(x) for x in
+                         (0.5 * (log_fact[-1] - log_prod)).tolist()])
 
 
 def fock_basis(n_levels: int, n_bosons: int) -> list[tuple[int, ...]]:
@@ -124,7 +143,7 @@ def _sector_blocks(model: BosonModel
 
     with g4 = gamma / 4.
     """
-    occ = np.array(model.basis)
+    occ = model.occupations
     g4 = model.gamma / 4.0
     diag = np.zeros(len(occ))
     for l, e in enumerate(model.levels):
@@ -203,29 +222,16 @@ class BosonState:
         return (self.model.n_bosons - sum(self.seniority)) // 2
 
 
-def _sorted_eigensystem(model: BosonModel,
-                        degeneracy_rtol: float = DEGENERACY_RTOL
-                        ) -> list[tuple[float, tuple[int, ...], np.ndarray,
-                                        np.ndarray, int, bool]]:
-    """Every sector's eigenpairs as (energy, seniority, idx, sector
-    eigenvectors, column, degenerate), in a stable sort by energy
-    (sorted seniority, then column, on ties)."""
+def _sorted_eigensystem(model: BosonModel) -> list[tuple]:
+    """_sector_eigensystem of every seniority sector, in sorted seniority
+    order; the rows of a sector are its idx in model.basis."""
     blocks = _sector_blocks(model)
     # every row of H lies inside one sector block
     norm = max(float(np.max(np.sum(np.abs(block), axis=1)))
                for _, _, block in blocks)
-    gap_tol = degeneracy_rtol * max(norm, 1.0)
-    merged = []
-    for parity, idx, block in blocks:
-        w, v = np.linalg.eigh(block)
-        close = np.diff(w) < gap_tol
-        flags = np.zeros(len(w), dtype=bool)
-        flags[:-1] |= close
-        flags[1:] |= close
-        merged.extend((float(w[col]), parity, idx, v, col, bool(flags[col]))
-                      for col in range(v.shape[1]))
-    merged.sort(key=lambda item: item[0])
-    return merged
+    return _sector_eigensystem(
+        ((nu, idx, *np.linalg.eigh(block)) for nu, idx, block in blocks),
+        DEGENERACY_RTOL * max(norm, 1.0))
 
 
 def _boson_state(model: BosonModel, entry) -> BosonState:
@@ -236,9 +242,7 @@ def _boson_state(model: BosonModel, entry) -> BosonState:
                       basis=model.basis, seniority=parity, degenerate=flag)
 
 
-def diagonalize_boson(model: BosonModel,
-                      degeneracy_rtol: float = DEGENERACY_RTOL
-                      ) -> list[BosonState]:
+def diagonalize_boson(model: BosonModel) -> list[BosonState]:
     """All eigenstates sorted by energy, labeled by per-level parity.
 
     Each seniority sector (per-level occupation parities) is solved
@@ -249,7 +253,7 @@ def diagonalize_boson(model: BosonModel,
     coincidences leave every eigenvector (and its pairons) intact.
     """
     return [_boson_state(model, entry)
-            for entry in _sorted_eigensystem(model, degeneracy_rtol)]
+            for entry in _sorted_eigensystem(model)]
 
 
 def boson_eigenstate(model: BosonModel, index: int) -> BosonState:
@@ -265,6 +269,13 @@ def boson_eigenstate(model: BosonModel, index: int) -> BosonState:
     return _boson_state(model, merged[index])
 
 
+def _amplitude_terms(state: BosonState, z: np.ndarray) -> np.ndarray:
+    """conj(c_n) sqrt(N!/prod n_l!) prod_{l>=1} zeta_l^n_l for every basis
+    row n: the terms of the unnormalized coherent amplitude."""
+    monos = np.prod(z[None, :] ** state.model.occupations[:, 1:], axis=1)
+    return np.conj(state.coeffs) * state.model.weights * monos
+
+
 def boson_husimi_amplitude(state: BosonState, zetas: np.ndarray) -> complex:
     """<psi|zeta> for the SU(L+1) coherent state labeled by (zeta_1..zeta_L).
 
@@ -275,14 +286,7 @@ def boson_husimi_amplitude(state: BosonState, zetas: np.ndarray) -> complex:
     model = state.model
     if z.shape != (model.n_levels - 1,):
         raise ValueError(f"need {model.n_levels - 1} coordinates")
-    n_fact = math.lgamma(model.n_bosons + 1)
-    total = 0.0 + 0.0j
-    for c, occ in zip(state.coeffs, state.basis):
-        if c == 0:
-            continue
-        weight = math.exp(0.5 * (n_fact - sum(math.lgamma(n + 1) for n in occ)))
-        mono = np.prod(z ** np.array(occ[1:]))
-        total += np.conj(c) * weight * mono
+    total = np.sum(_amplitude_terms(state, z))
     norm = (1.0 + float(np.sum(np.abs(z) ** 2))) ** (model.n_bosons / 2.0)
     return complex(total / norm)
 
@@ -298,24 +302,16 @@ def axis_slice_coefficients(state: BosonState, axis: int) -> np.ndarray:
     model = state.model
     if not 1 <= axis <= model.n_levels - 1:
         raise ValueError(f"axis must be 1..{model.n_levels - 1}")
-    nu = state.seniority
-    M = state.n_pairs
-    n_fact = math.lgamma(model.n_bosons + 1)
-    g = np.zeros(M + 1, dtype=complex)
-    for c, occ in zip(state.coeffs, state.basis):
-        if any(occ[l] != nu[l] for l in range(model.n_levels)
-               if l not in (0, axis)):
-            continue
-        # the basis spans all seniority sectors; occupations whose level-0
-        # or axis parity disagrees with nu carry zero weight in this state
-        # but would alias onto wrong (even negative) q slots
-        if occ[axis] < nu[axis] or (occ[axis] - nu[axis]) % 2:
-            continue
-        if occ[0] < nu[0] or (occ[0] - nu[0]) % 2:
-            continue
-        q = (occ[axis] - nu[axis]) // 2
-        weight = math.exp(0.5 * (n_fact - sum(math.lgamma(n + 1) for n in occ)))
-        g[q] = np.conj(c) * weight
+    excess = model.occupations - np.array(state.seniority)
+    off = [l for l in range(model.n_levels) if l not in (0, axis)]
+    # the basis spans all seniority sectors; occupations whose axis parity
+    # disagrees with nu carry zero weight in this state but would alias
+    # onto wrong (even negative) q slots.  Level 0's excess is then 2M
+    # minus the axis excess: even, so non-negative as well.
+    live = (excess[:, off] == 0).all(axis=1) & (excess[:, axis] % 2 == 0)
+    g = np.zeros(state.n_pairs + 1, dtype=complex)
+    g[excess[live, axis] // 2] = (np.conj(state.coeffs[live])
+                                   * model.weights[live])
     return g
 
 
@@ -332,13 +328,12 @@ class BosonPaironSet:
         return base + sum(self.energies)
 
 
-def extract_boson_pairons(state: BosonState, axis: int = 1,
-                          pole_tol: float = 1e-9) -> BosonPaironSet:
+def extract_boson_pairons(state: BosonState, axis: int = 1) -> BosonPaironSet:
     """Pairons from the roots of the axis-slice polynomial.
 
     e_a = 2 (eps_axis + eps_0 conj(w_a)) / (1 + conj(w_a)); roots with
-    |1 + w| <= pole_tol are pairons pushed to infinity of the axis map
-    and are counted separately with a flag.
+    |1 + w| <= 1e-9 are pairons pushed to infinity of the axis map and
+    are counted separately with a flag.
     """
     if state.degenerate:
         raise DegenerateStateError(
@@ -363,7 +358,7 @@ def extract_boson_pairons(state: BosonState, axis: int = 1,
     eps_ax = model.levels[axis]
     for w in roots:
         wc = np.conj(w)
-        if abs(1.0 + wc) <= pole_tol:
+        if abs(1.0 + wc) <= 1e-9:
             n_pole += 1
             continue
         energies.append(complex(2.0 * (eps_ax + eps0 * wc) / (1.0 + wc)))
@@ -416,12 +411,14 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
             raise ValueError("pairon product vanished; invalid pairon set")
         amp = {k: v / scale for k, v in new.items()}
 
-    index = {occ: i for i, occ in enumerate(model.basis)}
-    coeffs = np.zeros(len(index), dtype=complex)
-    for pair_counts, val in amp.items():
-        occ = tuple(2 * p + s for p, s in zip(pair_counts, seniority))
-        weight = math.exp(0.5 * sum(math.lgamma(n + 1) for n in occ))
-        coeffs[index[occ]] += val * weight
+    occs = [tuple(2 * p + s for p, s in zip(pair_counts, seniority))
+            for pair_counts in amp]
+    coeffs = np.zeros(len(model.basis), dtype=complex)
+    # sqrt(prod n_l!) alone: dividing by model.weights instead would
+    # round differently
+    coeffs[_basis_rank(np.array(occs), model.n_bosons)] += [
+        val * math.exp(0.5 * sum(math.lgamma(n + 1) for n in occ))
+        for occ, val in zip(occs, amp.values())]
     nrm = np.linalg.norm(coeffs)
     if nrm == 0:
         raise ValueError("reconstructed state vanished")
@@ -434,15 +431,11 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
                       degenerate=False)
 
 
-def boson_fidelity(a: BosonState, b: BosonState) -> float:
-    return float(abs(np.vdot(a.coeffs, b.coeffs)))
-
-
-def boson_energy(pairons: BosonPaironSet, imag_tol: float = 1e-8) -> float:
+def boson_energy(pairons: BosonPaironSet) -> float:
     """Total energy from the sum rule, as a real number.
 
     Complex pairons must come in conjugate pairs, so the imaginary parts
-    have to cancel; a residue above imag_tol means the extraction that
+    have to cancel; a residue above 1e-8 means the extraction that
     produced the set was inconsistent, and the sum cannot be trusted.
     """
     if pairons.n_at_infinity:
@@ -450,7 +443,7 @@ def boson_energy(pairons: BosonPaironSet, imag_tol: float = 1e-8) -> float:
             f"{pairons.n_at_infinity} pairon(s) at infinity; the energy "
             "sum is not defined")
     total = pairons.energy_sum()
-    if abs(total.imag) > imag_tol:
+    if abs(total.imag) > 1e-8:
         raise InconsistentPaironsError(
             f"imaginary parts of the pairon sum fail to cancel "
             f"({total.imag:.3e}); extraction is inconsistent")
@@ -482,11 +475,6 @@ def verify_ellipsoid(state: BosonState, pairon: complex, n_points: int = 100,
     rng = np.random.default_rng(seed)
     L = model.n_levels - 1
     worst = 0.0
-    n_fact = math.lgamma(model.n_bosons + 1)
-    occs = np.array(state.basis)
-    weights = np.exp(0.5 * (n_fact - np.array(
-        [sum(math.lgamma(n + 1) for n in occ) for occ in state.basis])))
-    base = np.conj(state.coeffs) * weights
     for _ in range(n_points):
         g = rng.normal(size=L) + 1j * rng.normal(size=L)
         s = np.sum(g * g)
@@ -494,9 +482,7 @@ def verify_ellipsoid(state: BosonState, pairon: complex, n_points: int = 100,
             g = rng.normal(size=L) + 1j * rng.normal(size=L)
             s = np.sum(g * g)
         u = g / np.sqrt(s)
-        z = xi * u
-        monos = np.prod(z[None, :] ** occs[:, 1:], axis=1)
-        terms = base * monos
+        terms = _amplitude_terms(state, xi * u)
         total = abs(np.sum(terms))
         scale = float(np.sum(np.abs(terms)))
         if scale > 0:

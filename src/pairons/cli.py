@@ -24,15 +24,14 @@ import numpy as np
 
 from . import __version__
 from .bosonbcs import (BosonModel, _sorted_eigensystem, boson_eigenstate,
-                       boson_energy, boson_fidelity, ellipsoid_axes,
-                       extract_boson_pairons, reconstruct_boson_state,
-                       verify_ellipsoid)
+                       boson_energy, ellipsoid_axes, extract_boson_pairons,
+                       reconstruct_boson_state, verify_ellipsoid)
 from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
-                       CollapseCandidate, TrajectorySpec, _canonical_site,
-                       anchor_profile, collapse_rows, crossing_points,
-                       find_collapses, scan_trajectory)
+                       TrajectorySpec, _canonical_site, anchor_profile,
+                       collapse_rows, crossing_points, find_collapses,
+                       scan_trajectory, total_collapse_candidates)
 from .errors import InconsistentPaironsError, PaironsError
-from .paironmap import (PaironSet, extract_pairons, pairon_from_u,
+from .paironmap import (PaironSet, extract_pairons, fidelity, pairon_from_u,
                         u_from_pairon)
 from .sphere import SpherePoint, chordal_distance
 from .spin import (PARITY_EVEN, PARITY_ODD, ModelParams, build_hamiltonian,
@@ -445,10 +444,9 @@ def _cmd_lmg_collapse(args) -> int:
     spec = _trajectory_spec(args, start, stop, steps)
 
     if args.line == LINE_DIAGONAL:
-        # lam = 0 on the whole line: every sample is a Dicke state and the
-        # total collapse holds throughout; one row at the midpoint
-        found = [CollapseCandidate(gamma_x=0.5 * (start + stop),
-                                   anchor_value=0.0, total=True)]
+        # lam = 0 on the whole line: every sample is a Dicke state, so the
+        # only collapse is the total one, checked at the midpoint
+        found = total_collapse_candidates(spec)
     else:
         found = find_collapses(anchor_profile(spec))
 
@@ -517,7 +515,7 @@ def _cmd_bcs_pairons(args) -> int:
         raise InconsistentPaironsError(
             f"pairon sum {total} disagrees with eigenvalue {state.energy}")
     recon = reconstruct_boson_state(model, state.seniority, pairons.energies)
-    fid = boson_fidelity(recon, state)
+    fid = fidelity(recon, state)
     flags = ";".join(sorted(pairons.flags))
     rows = [[alpha, e.real, e.imag, flags]
             for alpha, e in enumerate(pairons.energies)]

@@ -206,17 +206,6 @@ def _sample_records(pairons: PaironSet) -> list[BranchRecord]:
     return records
 
 
-def _pairon_chordal(a: complex, b: complex) -> float:
-    """Chordal distance between pairons on the e-sphere.
-
-    The pairon plane is compactified exactly like the zero plane: a
-    branch sweeping through the map's pole (e past -t, zeros through the
-    south pole) moves a bounded amount here while |e| itself blows up.
-    """
-    return 2.0 * abs(a - b) / math.sqrt(
-        (1.0 + abs(a) ** 2) * (1.0 + abs(b) ** 2))
-
-
 def _assign_branches(samples: list[ScanSample]) -> None:
     """Propagate stable branch ids by continuation of the pairon energies.
 
@@ -226,6 +215,8 @@ def _assign_branches(samples: list[ScanSample]) -> None:
     collide.  Each step solves the optimal assignment between consecutive
     energy sets, taking for each candidate pair the better of the direct
     distance and the distance to the linear continuation of the branch.
+    Distances are chordal on the e-sphere: a branch sweeping through the
+    map's pole (e past -t) moves a bounded amount there, however large |e|.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -239,14 +230,17 @@ def _assign_branches(samples: list[ScanSample]) -> None:
                 rec.branch_id = next_id
                 next_id += 1
         else:
+            predicted = []
+            for p in prev:
+                hist = history.get(p.branch_id, [])
+                predicted.append(2 * hist[-1] - hist[-2]
+                                 if len(hist) >= 2 else None)
             cost = np.zeros((len(sample.records), len(prev)))
             for i, rec in enumerate(sample.records):
-                for p_idx, p in enumerate(prev):
-                    d = _pairon_chordal(rec.energy, p.energy)
-                    hist = history.get(p.branch_id, [])
-                    if len(hist) >= 2:
-                        predicted = 2 * hist[-1] - hist[-2]
-                        d = min(d, _pairon_chordal(rec.energy, predicted))
+                for p_idx, (p, guess) in enumerate(zip(prev, predicted)):
+                    d = chordal_distance(rec.energy, p.energy)
+                    if guess is not None:
+                        d = min(d, chordal_distance(rec.energy, guess))
                     cost[i, p_idx] = d
             rows, cols = linear_sum_assignment(cost)
             matched = dict(zip(rows.tolist(), cols.tolist()))
@@ -416,20 +410,24 @@ def anchor_profile(spec: TrajectorySpec) -> AnchorProfile:
 
 
 def total_collapse(spec: TrajectorySpec) -> float | None:
-    """gx = c/2 if the state there is |j, -j>, on a sum line through it.
+    """The point of spec on gx = gy if the state there is |j, -j>.
 
     On gx = gy, lam = 0 and H is diagonal; for gx > 0 the ground state is
     |j, -j>, with all 2j zeros at the pole and all j pairons at -eps.
     That is not a sign change of anchor_value (f vanishes there like
     (gx - c/2)^j, which changes sign only for odd j), so it is checked in
-    closed form.
+    closed form: at gx = c/2 on a sum line, if in [start, stop], and at
+    the segment's midpoint on the diagonal line (all Dicke states).
     """
-    half = spec.line_sum / 2.0
-    if spec.line != LINE_SUM or not spec.start <= half <= spec.stop:
-        return None
-    params = ModelParams.from_gammas(spec.j, half, half, eps=spec.eps)
+    if spec.line == LINE_SUM:
+        gx = spec.line_sum / 2.0
+        if not spec.start <= gx <= spec.stop:
+            return None
+    else:
+        gx = 0.5 * (spec.start + spec.stop)
+    params = ModelParams.from_gammas(spec.j, gx, gx, eps=spec.eps)
     state = eigenpair(build_hamiltonian(params), spec.state_index).state
-    return half if abs(state.coeffs[0]) >= TOTAL_COLLAPSE_OVERLAP else None
+    return gx if abs(state.coeffs[0]) >= TOTAL_COLLAPSE_OVERLAP else None
 
 
 @dataclass(frozen=True)
@@ -437,6 +435,13 @@ class CollapseCandidate:
     gamma_x: float
     anchor_value: float
     total: bool = False  # the closed-form total collapse at gx = gy
+
+
+def total_collapse_candidates(spec: TrajectorySpec
+                              ) -> list[CollapseCandidate]:
+    """total_collapse as a list of at most one candidate."""
+    gx = total_collapse(spec)
+    return [] if gx is None else [CollapseCandidate(gx, 0.0, total=True)]
 
 
 def find_collapses(profile: AnchorProfile) -> list[CollapseCandidate]:
@@ -467,13 +472,10 @@ def find_collapses(profile: AnchorProfile) -> list[CollapseCandidate]:
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
         roots.append(float(brentq(lambda g: anchor_value(spec, g)[0],
                                   gx[i], gx[i + 1])))
-    found = []
-    total = total_collapse(spec)
-    if total is not None:
-        found.append(CollapseCandidate(gamma_x=total, anchor_value=0.0,
-                                       total=True))
+    found = total_collapse_candidates(spec)
+    for total in found:
         roots = [r for r in roots
-                 if abs(r - total) > 1e-9 * abs(spec.line_sum)]
+                 if abs(r - total.gamma_x) > 1e-9 * abs(spec.line_sum)]
     found += [CollapseCandidate(gamma_x=r,
                                 anchor_value=anchor_value(spec, r)[0])
               for r in roots]

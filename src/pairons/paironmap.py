@@ -87,6 +87,12 @@ def u_from_pairon(e: complex, t: float) -> complex | None:
     return complex((t - ec) / den)
 
 
+def _checked_t(t: float) -> float:
+    if t <= 0 or not math.isfinite(t):
+        raise ValueError(f"t must be positive and finite, got {t}")
+    return t
+
+
 def pairons_from_state(state: StateVector, t: float,
                        flags: tuple[str, ...] = ()
                        ) -> tuple[PaironSet, float]:
@@ -98,8 +104,7 @@ def pairons_from_state(state: StateVector, t: float,
     slice over its finite u-roots.  A mixed-parity state raises
     UnpairedZeroError.
     """
-    if t <= 0 or not math.isfinite(t):
-        raise ValueError(f"t must be positive and finite, got {t}")
+    _checked_t(t)
     nu, d = parity_slice(state)
     n0, n_inf, roots = strip_and_solve(d)
     energies = ([complex(t)] * n0 + [complex(-t)] * n_inf
@@ -116,9 +121,7 @@ def pairons_to_zeros(pairons: PaironSet, t: float | None = None) -> ZeroSet:
     `t` overrides the trajectory parameter stored on the set, letting the
     same energies be examined at another point of the (state, t) surface.
     """
-    t = pairons.t if t is None else t
-    if t <= 0 or not math.isfinite(t):
-        raise ValueError(f"t must be positive and finite, got {t}")
+    t = _checked_t(pairons.t if t is None else t)
     n0 = pairons.nu
     n_inf = pairons.nu
     finite: list[tuple[SpherePoint, int]] = []
@@ -156,9 +159,7 @@ def reconstruct_state(pairons: PaironSet, t: float | None = None) -> StateVector
     stored trajectory parameter (same energies, another slice of the
     (state, t) surface).
     """
-    t = pairons.t if t is None else t
-    if t <= 0 or not math.isfinite(t):
-        raise ValueError(f"t must be positive and finite, got {t}")
+    t = _checked_t(pairons.t if t is None else t)
     M = pairons.m_pairs
     nu = pairons.nu
     j = pairons.j
@@ -199,7 +200,8 @@ def reconstruct_state(pairons: PaironSet, t: float | None = None) -> StateVector
     return StateVector(j=j, coeffs=coeffs)
 
 
-def fidelity(a: StateVector, b: StateVector) -> float:
+def fidelity(a, b) -> float:
+    """|<a|b>| of two states on one basis (StateVector or BosonState)."""
     return float(abs(np.vdot(a.coeffs, b.coeffs)))
 
 

@@ -108,14 +108,15 @@ def husimi(state: StateVector, point: SpherePoint | complex) -> float:
     return float(abs(amp) ** 2)
 
 
-def husimi_quadrature(state: StateVector, n_theta: int = 128,
-                      n_phi: int = 128) -> float:
+def husimi_quadrature(state: StateVector) -> float:
     """Integral of Q over the sphere with measure (2j+1)/(4 pi) sin(theta).
 
-    Gauss-Legendre in cos(theta) crossed with a uniform azimuthal grid;
-    both are spectrally exact once n exceeds the bandwidth 2j, so the
-    result is 1.0 to roundoff for any normalized state.
+    Gauss-Legendre in cos(theta) crossed with a uniform azimuthal grid,
+    128 nodes each; both are spectrally exact once 128 exceeds the
+    bandwidth 2j, so for 2j < 128 the result is 1.0 to roundoff for any
+    normalized state.
     """
+    n_theta = n_phi = 128
     j = state.j
     d = majorana_poly(state).coeffs
     x, wx = np.polynomial.legendre.leggauss(n_theta)
@@ -192,17 +193,18 @@ def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
     return acc.reshape(m, n)
 
 
-def _aberth(coeffs: np.ndarray, tol: float = 1e-14,
-            max_iter: int = 200) -> np.ndarray:
+def _aberth(coeffs: np.ndarray) -> np.ndarray:
     """All roots of sum_k coeffs[k] z^k by simultaneous Aberth iteration.
 
     Requires coeffs[0] != 0 and coeffs[-1] != 0 (callers strip structural
-    zeros first).  Finishes each root with a guarded Newton polish, then
-    cross-checks the factorization against the input coefficients.  Near
-    multiple roots the iteration can stall a member inside the cluster
-    while losing an isolated root, or stop with every member of a cluster
-    "converged" on its own (|P| at the noise floor) while the set as a
-    whole is off by far more than rounding; residuals alone see neither.
+    zeros first).  Iterates at most 200 times, stopping once every step
+    is within 1e-14 (1 + |z|).  Finishes each root with a guarded Newton
+    polish, then cross-checks the factorization against the input
+    coefficients.  Near multiple roots the iteration can stall a member
+    inside the cluster while losing an isolated root, or stop with every
+    member of a cluster "converged" on its own (|P| at the noise floor)
+    while the set as a whole is off by far more than rounding; residuals
+    alone see neither.
     Companion-matrix eigenvalues keep the symmetric functions of a
     cluster, so whenever the Aberth set misses the coefficients by more
     than SWITCH_DEFECT the companion set is computed too and whichever
@@ -258,7 +260,7 @@ def _aberth(coeffs: np.ndarray, tol: float = 1e-14,
     z = radius * np.exp(1j * angles)
 
     active = np.arange(deg)
-    for _ in range(max_iter):
+    for _ in range(200):
         za = z[active]
         p, dp, noise = sweep(za)
         # unimprovable when |P(z)| is below the evaluation noise floor
@@ -274,7 +276,7 @@ def _aberth(coeffs: np.ndarray, tol: float = 1e-14,
         step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
         za = za - step
         z[active] = za
-        if np.all(np.abs(step) <= tol * (1.0 + np.abs(za))):
+        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(za))):
             break
 
     def polish(zz: np.ndarray) -> np.ndarray:

@@ -189,14 +189,26 @@ class EigenPair:
 DEGENERACY_RTOL = 1e-9
 
 
-def _sorted_eigensystem(h: HamiltonianMatrix,
-                        degeneracy_rtol: float = DEGENERACY_RTOL
-                        ) -> list[tuple[float, np.ndarray, int, int, bool]]:
-    """Both parity sectors' eigenpairs as (energy, sector eigenvectors,
-    Dicke offset, column, degenerate), in a stable sort by energy (even
-    sector first on ties)."""
-    gap_tol = degeneracy_rtol * h.norm
-    merged: list[tuple[float, np.ndarray, int, int, bool]] = []
+def _sector_eigensystem(sectors, gap_tol: float) -> list[tuple]:
+    """Eigenpairs of the solved sectors (label, rows, w, v), v's rows
+    sitting at `rows` of the full basis, as (energy, label, rows, v,
+    column, degenerate) in a stable sort by energy.  An eigenvalue within
+    gap_tol of a neighbour in its own sector is flagged degenerate."""
+    merged = []
+    for label, rows, w, v in sectors:
+        close = np.diff(w) < gap_tol
+        flags = np.zeros(len(w), dtype=bool)
+        flags[:-1] |= close
+        flags[1:] |= close
+        merged.extend((float(w[col]), label, rows, v, col, bool(flags[col]))
+                      for col in range(v.shape[1]))
+    merged.sort(key=lambda item: item[0])
+    return merged
+
+
+def _sorted_eigensystem(h: HamiltonianMatrix) -> list[tuple]:
+    """_sector_eigensystem of the two parity sectors, even first."""
+    sectors = []
     for name, offset in ((PARITY_EVEN, 0), (PARITY_ODD, 1)):
         block = h.matrix[offset::2, offset::2]
         d = np.diag(block).copy()
@@ -206,36 +218,29 @@ def _sorted_eigensystem(h: HamiltonianMatrix,
         except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
             raise ConvergenceError(
                 f"tridiagonal solve failed in the {name} sector: {exc}") from exc
-        close = np.diff(w) < gap_tol
-        flags = np.zeros(len(w), dtype=bool)
-        flags[:-1] |= close
-        flags[1:] |= close
-        merged.extend((float(w[col]), v, offset, col, bool(flags[col]))
-                      for col in range(v.shape[1]))
-    merged.sort(key=lambda item: item[0])
-    return merged
+        sectors.append((name, slice(offset, None, 2), w, v))
+    return _sector_eigensystem(sectors, DEGENERACY_RTOL * h.norm)
 
 
 def _eigenpair(h: HamiltonianMatrix, entry, index: int) -> EigenPair:
-    energy, v, offset, col, flag = entry
+    energy, _, rows, v, col, flag = entry
     full = np.zeros(h.matrix.shape[0])
-    full[offset::2] = v[:, col]
+    full[rows] = v[:, col]
     return EigenPair(energy=energy,
                      state=StateVector(j=h.params.j, coeffs=full),
                      index=index, degenerate=flag)
 
 
-def diagonalize(h: HamiltonianMatrix,
-                degeneracy_rtol: float = DEGENERACY_RTOL) -> list[EigenPair]:
+def diagonalize(h: HamiltonianMatrix) -> list[EigenPair]:
     """All eigenpairs, sorted by ascending energy.
 
     Each parity sector is solved separately (they are exactly decoupled),
     so eigenvectors carry exact structural zeros on the other sublattice
-    and a sharp parity label.  States closer than degeneracy_rtol * |H|
+    and a sharp parity label.  States closer than DEGENERACY_RTOL * |H|
     to a same-sector neighbor are flagged degenerate.
     """
     return [_eigenpair(h, entry, index) for index, entry
-            in enumerate(_sorted_eigensystem(h, degeneracy_rtol))]
+            in enumerate(_sorted_eigensystem(h))]
 
 
 def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:

@@ -13,7 +13,7 @@ from pairons import (BosonModel, ModelParams, StateVector, boson_energy,
                      build_hamiltonian, collapse_points, crossing_points,
                      diagonalize, diagonalize_boson, extract_boson_pairons,
                      extract_pairons, husimi_quadrature, majorana_poly,
-                     poly_roots, reconstruct_boson_state, boson_fidelity,
+                     poly_roots, reconstruct_boson_state, fidelity,
                      verify_ellipsoid)
 from pairons.cli import lmg_main
 from pairons.sphere import SpherePoint, chordal_distance
@@ -150,7 +150,7 @@ def test_criterion_7_bosonic_model():
             ps = extract_boson_pairons(st, axis=1)
             worst["sum"] = max(worst["sum"], abs(boson_energy(ps) - st.energy))
             recon = reconstruct_boson_state(model, st.seniority, ps.energies)
-            worst["fid"] = max(worst["fid"], 1.0 - boson_fidelity(recon, st))
+            worst["fid"] = max(worst["fid"], 1.0 - fidelity(recon, st))
             other = extract_boson_pairons(st, axis=2)
             for e in ps.energies:
                 near = min(abs(e - f) for f in other.energies) if other.energies else 0.0

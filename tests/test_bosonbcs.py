@@ -6,12 +6,11 @@ from numpy.testing import assert_allclose
 
 from pairons import (BosonModel, BosonPaironSet, BosonState,
                      DegenerateStateError,
-                     InconsistentPaironsError, boson_eigenstate,
-                     boson_energy, boson_fidelity,
+                     InconsistentPaironsError, boson_eigenstate, boson_energy, boson_husimi_amplitude,
                      build_bcs_hamiltonian, diagonalize_boson, ellipsoid_axes,
-                     extract_boson_pairons, fock_basis,
+                     extract_boson_pairons, fidelity, fock_basis,
                      reconstruct_boson_state, verify_ellipsoid)
-from pairons.bosonbcs import _sector_blocks
+from pairons.bosonbcs import _sector_blocks, axis_slice_coefficients
 from conftest import pair_hamiltonian
 
 # small models for the bit-identity checks: both signs of gamma, an odd
@@ -19,6 +18,9 @@ from conftest import pair_hamiltonian
 SMALL_MODELS = [((0.0, 0.5, 1.0), 0.5, 6), ((0.0, 0.5, 1.0), -0.5, 6),
                 ((0.0, 0.5, 1.0, 1.5), 0.5, 7), ((0.0, 0.7), -0.4, 5),
                 ((0.0, 0.0, 1.0), 0.3, 5), ((0.25, 0.25, 0.25), -0.5, 4)]
+# ... plus a larger model and a single boson
+SECTOR_MODELS = SMALL_MODELS + [((0.0, 0.5, 1.0, 1.5), -0.5, 12),
+                                ((-1.3, 0.2, 0.9), 0.8, 1)]
 
 
 def test_fock_basis_counts():
@@ -87,8 +89,7 @@ def _reference_hamiltonian(model):
     return h
 
 
-@pytest.mark.parametrize("levels, gamma, n", SMALL_MODELS + [
-    ((0.0, 0.5, 1.0, 1.5), -0.5, 12), ((-1.3, 0.2, 0.9), 0.8, 1)])
+@pytest.mark.parametrize("levels, gamma, n", SECTOR_MODELS)
 def test_sector_blocks_bitwise(levels, gamma, n):
     model = BosonModel(levels=levels, gamma=gamma, n_bosons=n)
     ref = _reference_hamiltonian(model)
@@ -104,6 +105,80 @@ def test_sector_blocks_bitwise(levels, gamma, n):
     h, basis = build_bcs_hamiltonian(model)
     assert basis == fock_basis(model.n_levels, model.n_bosons)
     assert h.tobytes() == ref.tobytes()
+
+
+def _reference_weight(n_bosons, occ):
+    """sqrt(N! / prod n_l!) as the per-row loops computed it."""
+    n_fact = math.lgamma(n_bosons + 1)
+    return math.exp(0.5 * (n_fact - sum(math.lgamma(n + 1) for n in occ)))
+
+
+def _reference_axis_slice(state, axis):
+    """axis_slice_coefficients as a loop over the basis rows."""
+    model = state.model
+    nu = state.seniority
+    g = np.zeros(state.n_pairs + 1, dtype=complex)
+    for c, occ in zip(state.coeffs, state.basis):
+        if any(occ[l] != nu[l] for l in range(model.n_levels)
+               if l not in (0, axis)):
+            continue
+        if occ[axis] < nu[axis] or (occ[axis] - nu[axis]) % 2:
+            continue
+        if occ[0] < nu[0] or (occ[0] - nu[0]) % 2:
+            continue
+        q = (occ[axis] - nu[axis]) // 2
+        g[q] = np.conj(c) * _reference_weight(model.n_bosons, occ)
+    return g
+
+
+@pytest.mark.parametrize("levels, gamma, n", SECTOR_MODELS)
+def test_weights_and_axis_slice_bitwise(levels, gamma, n):
+    model = BosonModel(levels=levels, gamma=gamma, n_bosons=n)
+    ref = np.array([_reference_weight(n, occ) for occ in model.basis])
+    assert model.weights.tobytes() == ref.tobytes()
+    for state in diagonalize_boson(model):
+        for axis in range(1, model.n_levels):
+            assert (axis_slice_coefficients(state, axis).tobytes()
+                    == _reference_axis_slice(state, axis).tobytes())
+
+
+def _reference_amplitude_terms(state, z):
+    """Terms of the unnormalized coherent amplitude, one basis row at a
+    time."""
+    return np.array([
+        np.conj(c) * _reference_weight(state.model.n_bosons, occ)
+        * np.prod(z ** np.array(occ[1:]))
+        for c, occ in zip(state.coeffs, state.basis)])
+
+
+def test_husimi_amplitude_vanishes_on_quadrics():
+    model = BosonModel(levels=(0.0, 0.5, 1.0), gamma=0.5, n_bosons=6)
+    ground = diagonalize_boson(model)[0]
+    rng = np.random.default_rng(5)
+    pairons = extract_boson_pairons(ground).energies
+    assert len(pairons) == 3
+    for e in pairons:
+        xi = np.sqrt(ellipsoid_axes(model, e).astype(complex))
+        for _ in range(20):
+            g = rng.normal(size=2) + 1j * rng.normal(size=2)
+            z = xi * g / np.sqrt(np.sum(g * g))
+            scale = np.sum(np.abs(_reference_amplitude_terms(ground, z)))
+            norm = (1.0 + np.sum(np.abs(z) ** 2)) ** 3
+            assert abs(boson_husimi_amplitude(ground, z)) * norm < 1e-9 * scale
+
+
+def test_husimi_amplitude_matches_row_loop():
+    model = BosonModel(levels=(0.0, 0.5, 1.0), gamma=0.5, n_bosons=6)
+    ground = diagonalize_boson(model)[0]
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        z = rng.normal(size=2) + 1j * rng.normal(size=2)
+        expect = (np.sum(_reference_amplitude_terms(ground, z))
+                  / (1.0 + np.sum(np.abs(z) ** 2)) ** 3)
+        got = boson_husimi_amplitude(ground, z)
+        assert abs(got - expect) <= 1e-14 * abs(expect)
+    with pytest.raises(ValueError, match="coordinates"):
+        boson_husimi_amplitude(ground, np.zeros(3))
 
 
 def _same_state(a, b):
@@ -165,7 +240,7 @@ def test_single_pair_reconstruction_weights():
     ratio = amp[(2, 0)] / amp[(0, 2)]
     expect = (2 * model.levels[1] - e) / (2 * model.levels[0] - e)
     assert_allclose(ratio, expect, rtol=1e-10)
-    assert boson_fidelity(ground, rec) > 1.0 - 1e-12
+    assert fidelity(ground, rec) > 1.0 - 1e-12
 
 
 def test_weak_coupling_pairons_near_level_doubles():
@@ -201,7 +276,7 @@ def test_seniority_states_sum_rule():
         ps = extract_boson_pairons(s, axis=1)
         assert abs(ps.energy_sum() - s.energy) < 1e-8
         rec = reconstruct_boson_state(model, ps.seniority, ps.energies)
-        assert boson_fidelity(s, rec) > 1.0 - 1e-8
+        assert fidelity(s, rec) > 1.0 - 1e-8
         exercised += 1
     assert exercised >= 10
 

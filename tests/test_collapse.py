@@ -8,7 +8,7 @@ from pairons import (ModelParams, TrajectorySpec, UnresolvedAnchorError,
                      anchor_profile, anchor_value, build_hamiltonian,
                      collapse_points, collapse_zero_pattern, crossing_points,
                      find_collapses, hyperbola_levels, scan_trajectory,
-                     split_parity, total_collapse)
+                     split_parity, total_collapse, total_collapse_candidates)
 from pairons.collapse import _anchor_coefficient, _anchor_slice
 
 
@@ -115,6 +115,20 @@ def test_total_collapse_closed_form():
     off_range = TrajectorySpec(j=3, line="sum", line_sum=10.0, start=5.5,
                                stop=6.0, steps=60, state_index=0)
     assert total_collapse(off_range) is None
+
+
+def test_total_collapse_on_diagonal_checks_midpoint():
+    # lam = 0 along gx = gy: |j,-j> is the ground state for gx > 0 only;
+    # at gx = -2 the j = 4 ground state is |4,-2>
+    spec = TrajectorySpec(j=4, line="diagonal", start=1.0, stop=3.0,
+                          steps=20)
+    assert total_collapse(spec) == 2.0
+    assert [(c.gamma_x, c.anchor_value, c.total)
+            for c in total_collapse_candidates(spec)] == [(2.0, 0.0, True)]
+    negative = TrajectorySpec(j=4, line="diagonal", start=-3.0, stop=-1.0,
+                              steps=20)
+    assert total_collapse(negative) is None
+    assert total_collapse_candidates(negative) == []
 
 
 def test_exact_zero_sample_at_total_collapse():
