@@ -1,0 +1,69 @@
+#!/usr/bin/env python3
+"""Write the outputs of a fixed list of CLI commands to OUT as JSON.
+
+Usage: python scripts/dump_outputs.py OUT
+
+Each command runs in a fresh interpreter as `python -m pairons ...` on the
+package source of the checkout this script sits in; OUT lists, per
+command, its argv, exit code, stdout and stderr.  Run it from two
+checkouts and compare the files with `cmp` to check that a change leaves
+every output byte-identical.
+
+The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
+0,0.5,1,1.5, N=20), `bcs spectrum` of the same models, `bcs ellipsoid`
+at N=12 and at N=10 with --state 3 (both gammas), `lmg scan --j 10
+--steps 200`, `lmg collapse --j 10` and its --line diagonal form,
+`lmg spectrum --j 40 --gx 2 --gy 8` and `lmg zeros --j 10 --gx 2 --gy 8
+--state 3`.
+"""
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LEVELS = ["--levels", "0,0.5,1,1.5"]
+GAMMAS = ("0.5", "-0.5")
+
+COMMANDS = (
+    [["bcs", "pairons", *LEVELS, "--n", "20", "--gamma", g, "--state", str(s),
+      "--format", "json"] for g in GAMMAS for s in range(60)]
+    + [["bcs", "spectrum", *LEVELS, "--n", "20", "--gamma", g,
+        "--format", "json"] for g in GAMMAS]
+    + [["bcs", "ellipsoid", *LEVELS, *size, "--gamma", g, "--format", "json"]
+       for size in (["--n", "12"], ["--n", "10", "--state", "3"])
+       for g in GAMMAS]
+    + [["lmg", "scan", "--j", "10", "--from", "0.05", "--to", "9.95",
+        "--steps", "200"],
+       ["lmg", "collapse", "--j", "10"],
+       ["lmg", "collapse", "--j", "10", "--line", "diagonal"],
+       ["lmg", "spectrum", "--j", "40", "--gx", "2", "--gy", "8"],
+       ["lmg", "zeros", "--j", "10", "--gx", "2", "--gy", "8", "--state", "3"]])
+
+
+def run(argv: list[str]) -> dict:
+    """One command in a fresh interpreter: argv, exit code, stdout, stderr."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-m", "pairons", *argv], env=env,
+                          capture_output=True, text=True, timeout=600)
+    return {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
+            "stderr": proc.stderr}
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    if len(argv) != 1:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    records = [run(command) for command in COMMANDS]
+    with open(argv[0], "w") as fh:
+        json.dump(records, fh, indent=1)
+        fh.write("\n")
+    print(f"{len(records)} commands, "
+          f"{sum(r['exit'] != 0 for r in records)} with a non-zero exit")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -35,6 +35,9 @@ AXIS_POLE_FLAG = "axis-pole"  # root at w = -1: pairon at infinity of the map
 
 LEVEL_DEGENERACY_TOL = 1e-9
 
+# c of the eigenvalue error bound c*n*eps*|H| (boson_eigenstate)
+EIGENVALUE_ERROR_C = 1e3
+
 
 @dataclass(frozen=True)
 class BosonModel:
@@ -52,6 +55,10 @@ class BosonModel:
     def __post_init__(self):
         if len(self.levels) < 2:
             raise ValueError("need at least two levels")
+        if not all(math.isfinite(e) for e in self.levels):
+            raise ValueError(f"levels must be finite, got {self.levels!r}")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
         if list(self.levels) != sorted(self.levels):
             raise ValueError("level energies must be non-decreasing")
         if self.n_bosons < 1:
@@ -222,16 +229,19 @@ class BosonState:
         return (self.model.n_bosons - sum(self.seniority)) // 2
 
 
+def _block_norm(blocks) -> float:
+    """Max row sum of H; every row of H lies inside one sector block."""
+    return max(float(np.max(np.sum(np.abs(block), axis=1)))
+               for _, _, block in blocks)
+
+
 def _sorted_eigensystem(model: BosonModel) -> list[tuple]:
     """_sector_eigensystem of every seniority sector, in sorted seniority
     order; the rows of a sector are its idx in model.basis."""
     blocks = _sector_blocks(model)
-    # every row of H lies inside one sector block
-    norm = max(float(np.max(np.sum(np.abs(block), axis=1)))
-               for _, _, block in blocks)
     return _sector_eigensystem(
         ((nu, idx, *np.linalg.eigh(block)) for nu, idx, block in blocks),
-        DEGENERACY_RTOL * max(norm, 1.0))
+        DEGENERACY_RTOL * max(_block_norm(blocks), 1.0))
 
 
 def _boson_state(model: BosonModel, entry) -> BosonState:
@@ -259,14 +269,51 @@ def diagonalize_boson(model: BosonModel) -> list[BosonState]:
 def boson_eigenstate(model: BosonModel, index: int) -> BosonState:
     """diagonalize_boson(model)[index], building only that one state.
 
-    Every sector is still solved with eigenvectors: the energy order that
-    picks the state comes from the same solves.  An index outside
-    0..dim-1 raises ValueError.
+    Every sector is ranked by its eigvalsh values, and v is the value at
+    rank `index`.  eigh, which also gives the vectors, runs only on the
+    sectors with an eigenvalue within 4*delta of v.  The state is the entry
+    at rank `index` of one stable sort, in diagonalize_boson's sector and
+    column order, over the eigh values of the solved sectors and the
+    eigvalsh values of the others.  An index outside 0..dim-1 raises
+    ValueError.
+
+    Both solvers are backward stable: each computed eigenvalue lies within
+    delta = c*n*eps*|H| of the exact one (the LAPACK bound p(n)*eps*|H|_2,
+    p(n) a modest function of n; Golub & Van Loan, Matrix Computations,
+    sec. 8.3), with n = dim, |H|_2 bounded by the max row sum, and
+    c = EIGENVALUE_ERROR_C = 1e3.  So the eigh and eigvalsh values of one
+    (sector, column) differ by at most 2*delta, and so do the values at
+    rank `index` of the two sorted lists: the state t that
+    diagonalize_boson picks has an eigh value within 2*delta of v.  An
+    unsolved sector has every eigvalsh value more than 4*delta from v;
+    its eigh values lie within 2*delta of those, so the eigh and eigvalsh
+    value of each of its entries sit on the same side of t's, strictly.
+    Solved sectors carry the same eigh values in both sorts.  Every entry
+    thus compares with t the same way in both, so t has rank `index` here
+    too: the same (sector, column), eigh vector bits and energy, and the
+    same degenerate flag from _sector_eigensystem over that sector.
     """
-    merged = _sorted_eigensystem(model)
-    if not 0 <= index < len(merged):
+    if not 0 <= index < len(model.basis):
         raise ValueError(f"state index {index} out of range")
-    return _boson_state(model, merged[index])
+    blocks = _sector_blocks(model)
+    scale = max(_block_norm(blocks), 1.0)
+    values = [np.linalg.eigvalsh(block) for _, _, block in blocks]
+    target = np.sort(np.concatenate(values))[index]
+    delta = EIGENVALUE_ERROR_C * len(model.basis) * np.finfo(float).eps * scale
+    solved = {}
+    for i, (_, _, block) in enumerate(blocks):
+        if np.any(np.abs(values[i] - target) <= 4.0 * delta):
+            solved[i] = np.linalg.eigh(block)
+            values[i] = solved[i][0]
+    pick = int(np.argsort(np.concatenate(values), kind="stable")[index])
+    ends = np.cumsum([len(w) for w in values])
+    sector = int(np.searchsorted(ends, pick, side="right"))
+    nu, idx, _ = blocks[sector]
+    # eigh returns ascending values, so the stable sort keeps column order
+    entry = _sector_eigensystem(
+        [(nu, idx, *solved[sector])],
+        DEGENERACY_RTOL * scale)[pick - ends[sector] + len(idx)]
+    return _boson_state(model, entry)
 
 
 def _amplitude_terms(state: BosonState, z: np.ndarray) -> np.ndarray:

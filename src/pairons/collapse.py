@@ -127,6 +127,12 @@ class TrajectorySpec:
     def __post_init__(self):
         if self.line not in (LINE_SUM, LINE_DIAGONAL):
             raise ValueError(f"unknown line type {self.line!r}")
+        for name in ("line_sum", "eps", "start", "stop"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
+        if self.eps == 0:
+            raise ValueError("eps must be nonzero")
         if self.steps < 2:
             raise ValueError("need at least 2 samples")
         if self.stop <= self.start:

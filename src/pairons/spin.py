@@ -42,6 +42,10 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.j, (int, np.integer)) or self.j < 1:
             raise ValueError(f"j must be a positive integer, got {self.j!r}")
+        for name in ("eps", "lam", "gam"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(
+                    f"{name} must be finite, got {getattr(self, name)!r}")
         if self.eps == 0:
             raise ValueError("eps must be nonzero")
 

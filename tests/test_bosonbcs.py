@@ -188,7 +188,14 @@ def _same_state(a, b):
             and a.coeffs.tobytes() == b.coeffs.tobytes())
 
 
-@pytest.mark.parametrize("levels, gamma, n", SMALL_MODELS)
+# ties between sectors: without coupling the energies are level sums
+# shared by many sectors, exactly; a coupling of 1e-13 splits them by far
+# less than boson_eigenstate's eigenvalue window
+TIE_MODELS = [((0.0, 0.5, 1.0, 1.5), 0.0, 8), ((0.25, 0.25, 0.25), 0.0, 6),
+              ((0.0, 0.5, 1.0, 1.5), 1e-13, 8)]
+
+
+@pytest.mark.parametrize("levels, gamma, n", SMALL_MODELS + TIE_MODELS)
 def test_boson_eigenstate_is_diagonalize_entry(levels, gamma, n):
     model = BosonModel(levels=levels, gamma=gamma, n_bosons=n)
     states = diagonalize_boson(model)
@@ -198,6 +205,26 @@ def test_boson_eigenstate_is_diagonalize_entry(levels, gamma, n):
     for bad in (-1, len(states)):
         with pytest.raises(ValueError, match="out of range"):
             boson_eigenstate(model, bad)
+
+
+@pytest.mark.parametrize("gamma", [0.5, -0.5])
+def test_boson_eigenstate_solves_few_sectors(monkeypatch, gamma):
+    # N=20 on four levels: 1771 states in 8 sectors of up to 286 rows;
+    # only the sectors near the target energy get eigenvectors
+    model = BosonModel(levels=(0.0, 0.5, 1.0, 1.5), gamma=gamma, n_bosons=20)
+    states = diagonalize_boson(model)
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    for s in range(20):
+        calls.clear()
+        assert _same_state(boson_eigenstate(model, s), states[s])
+        assert 1 <= len(calls) <= 2
 
 
 def test_spectrum_two_levels_frozen():

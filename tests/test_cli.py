@@ -266,6 +266,41 @@ def test_bad_flag_value(capsys):
     assert "usage error" in err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+@pytest.mark.parametrize("main, argv, name", [
+    (bcs_main, ["pairons", "--levels", "0,0.5,1", "--n", "4", "--gamma", "{}",
+                "--state", "0"], "gamma"),
+    (bcs_main, ["pairons", "--levels", "0,{},1", "--n", "4", "--gamma", "0.5",
+                "--state", "0"], "levels"),
+    (lmg_main, ["pairons", "--j", "4", "--gx", "{}", "--gy", "2"], "lam"),
+    (lmg_main, ["pairons", "--j", "4", "--gx", "2", "--gy", "{}"], "lam"),
+    (lmg_main, ["pairons", "--j", "4", "--gx", "2", "--gy", "3",
+                "--eps", "{}"], "eps"),
+    (lmg_main, ["scan", "--j", "4", "--from", "0.1", "--to", "1",
+                "--steps", "3", "--eps", "{}"], "eps")])
+def test_non_finite_parameter_is_usage_error(capsys, main, argv, name, bad):
+    rc = main([a.format(bad) for a in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"usage error: {name} must be finite" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["scan", "--from", "1", "--to", "2", "--steps", "3"], ["collapse"]])
+def test_zero_eps_on_a_line_is_usage_error(capsys, command):
+    rc, out, err = run_lmg(capsys, *command, "--j", "4", "--eps", "0")
+    assert rc == 2
+    assert out == ""
+    assert "usage error: eps must be nonzero" in err
+
+
+def test_overflowing_couplings_are_usage_error(capsys):
+    rc, _, err = run_lmg(capsys, "pairons", "--j", "4", "--gx=1e308",
+                         "--gy=-1e308")
+    assert rc == 2
+    assert "lam must be finite, got inf" in err
+
+
 def test_nonpositive_j_rejected(capsys):
     rc, _, err = run_lmg(capsys, "spectrum", "--j", "0", "--gx", "1", "--gy", "2")
     assert rc == 2
