@@ -13,8 +13,10 @@ The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
 0,0.5,1,1.5, N=20), `bcs spectrum` of the same models, `bcs ellipsoid`
 at N=12 and at N=10 with --state 3 (both gammas), `lmg scan --j 10
 --steps 200`, `lmg collapse --j 10` and its --line diagonal form,
-`lmg spectrum --j 40 --gx 2 --gy 8` and `lmg zeros --j 10 --gx 2 --gy 8
---state 3`.
+`lmg collapse --j 10 --line-sum 12`, `lmg collapse --j 8` and `lmg
+collapse --j 6 --format json`, whose root refinements cover the
+collapse detector's own Brent solver, `lmg spectrum --j 40 --gx 2 --gy 8`
+and `lmg zeros --j 10 --gx 2 --gy 8 --state 3`.
 """
 import json
 import os
@@ -38,6 +40,9 @@ COMMANDS = (
         "--steps", "200"],
        ["lmg", "collapse", "--j", "10"],
        ["lmg", "collapse", "--j", "10", "--line", "diagonal"],
+       ["lmg", "collapse", "--j", "10", "--line-sum", "12"],
+       ["lmg", "collapse", "--j", "8"],
+       ["lmg", "collapse", "--j", "6", "--format", "json"],
        ["lmg", "spectrum", "--j", "40", "--gx", "2", "--gy", "8"],
        ["lmg", "zeros", "--j", "10", "--gx", "2", "--gy", "8", "--state", "3"]])
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (DegenerateStateError, PaironsError,
+from .errors import (ConvergenceError, DegenerateStateError, PaironsError,
                      SingularParameterError, UnresolvedAnchorError)
 from .paironmap import PaironSet, extract_pairons, u_from_pairon
 from .phasespace import _live_range, parity_slice
@@ -436,6 +436,67 @@ def total_collapse(spec: TrajectorySpec) -> float | None:
     return gx if abs(state.coeffs[0]) >= TOTAL_COLLAPSE_OVERLAP else None
 
 
+def _brentq(f, xa: float, xb: float) -> float:
+    """A root of f in the sign-change bracket [xa, xb], by Brent's method.
+
+    A step-for-step transcription of scipy's brentq.c (Brent 1973,
+    "Algorithms for Minimization without Derivatives", ch. 4): inverse
+    quadratic extrapolation or secant interpolation where the step is
+    short enough, bisection otherwise, with the defaults of
+    scipy.optimize.brentq (xtol 2e-12, rtol 4*eps, maxiter 100).  Given
+    float brackets it returns the same root as scipy, bit for bit, which
+    tests pin; keeping it here spares every collapse command the import
+    of scipy.optimize.  An endpoint where f is 0 is returned as is; a
+    bracket without a sign change raises ValueError, and 100 steps
+    without convergence raise ConvergenceError.
+    """
+    xtol, rtol, maxiter = 2e-12, 4 * math.ulp(1.0), 100
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # interpolate
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # extrapolate
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = (-fcur * (fblk * dblk - fpre * dpre)
+                            / (dblk * dpre * (fblk - fpre)))
+            except ZeroDivisionError:  # C's inf or nan step: bisect
+                stry = math.inf
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConvergenceError(
+        f"brentq did not converge in {maxiter} steps in [{xa!r}, {xb!r}]",
+        partial=xcur)
+
+
 @dataclass(frozen=True)
 class CollapseCandidate:
     gamma_x: float
@@ -454,14 +515,12 @@ def find_collapses(profile: AnchorProfile) -> list[CollapseCandidate]:
     """Collapses on the profile's sum-line segment, ascending in gx.
 
     Each sign change of anchor_value between neighbouring samples is
-    refined with brentq; a sample where f is exactly zero is a root
+    refined with _brentq; a sample where f is exactly zero is a root
     itself.  The total collapse comes from total_collapse, and a sign
     change within 1e-9*c of it (odd j) is the same event and dropped.
     Raises UnresolvedAnchorError if any sample's sign is below its noise
     bound: the count of sign changes would not be trustworthy.
     """
-    from scipy.optimize import brentq
-
     spec = profile.spec
     gx = spec.samples()
     bad = profile.unresolved()
@@ -476,8 +535,8 @@ def find_collapses(profile: AnchorProfile) -> list[CollapseCandidate]:
     sign = np.sign(profile.value)
     roots = [float(g) for g, s in zip(gx, sign) if s == 0]
     for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(float(brentq(lambda g: anchor_value(spec, g)[0],
-                                  gx[i], gx[i + 1])))
+        roots.append(_brentq(lambda g: anchor_value(spec, g)[0],
+                             float(gx[i]), float(gx[i + 1])))
     found = total_collapse_candidates(spec)
     for total in found:
         roots = [r for r in roots

@@ -16,7 +16,8 @@ class ConvergenceError(PaironsError):
     Root finding raises it when neither the Aberth nor the companion root
     set reproduces the polynomial's coefficients (residual and factor
     defect checks); hitting the Aberth iteration cap alone does not raise
-    it.  The tridiagonal eigensolver raises it when LAPACK fails.
+    it.  The tridiagonal eigensolver raises it when LAPACK fails, and the
+    collapse detector's Brent solver when it does not converge.
     Carries whatever partial results were available in ``partial``.
     """
 

@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConvergenceError
 
@@ -212,6 +211,8 @@ def _sector_eigensystem(sectors, gap_tol: float) -> list[tuple]:
 
 def _sorted_eigensystem(h: HamiltonianMatrix) -> list[tuple]:
     """_sector_eigensystem of the two parity sectors, even first."""
+    from scipy.linalg import eigh_tridiagonal
+
     sectors = []
     for name, offset in ((PARITY_EVEN, 0), (PARITY_ODD, 1)):
         block = h.matrix[offset::2, offset::2]

@@ -517,6 +517,58 @@ def test_module_main_runs_bcs():
     assert proc.stdout == BCS_SPECTRUM
 
 
+# Imports pairons and pairons.cli in a fresh interpreter, scipy made
+# unimportable if argv[1] is "block", runs `python -m pairons argv[2:]` if
+# given, and prints the scipy modules then loaded as JSON on stderr's last
+# line.
+_SCIPY_PROBE = """\
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["scipy"] = None
+import pairons, pairons.cli
+from pairons.__main__ import main
+rc = main(sys.argv[2:]) if sys.argv[2:] else 0
+sys.stdout.flush()
+print(json.dumps(sorted(name for name, module in sys.modules.items()
+                        if module is not None
+                        and name.partition(".")[0] == "scipy")),
+      file=sys.stderr)
+sys.exit(rc)
+"""
+
+
+def _scipy_probe(*argv, block=False):
+    """The stdout of a run that exits 0, and the scipy modules it loaded."""
+    prefix, env = module_cli("pairons")
+    proc = subprocess.run([prefix[0], "-c", _SCIPY_PROBE,
+                           "block" if block else "load", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout, json.loads(proc.stderr.splitlines()[-1])
+
+
+def test_import_loads_no_scipy():
+    assert _scipy_probe() == ("", [])
+
+
+@pytest.mark.parametrize("command", ["pairons", "spectrum", "ellipsoid"])
+def test_bcs_runs_without_scipy(command):
+    argv = ["bcs", command, "--levels", "0,0.5,1", "--n", "6",
+            "--gamma", "0.5"]
+    prefix, env = module_cli("pairons")
+    ref = subprocess.run(prefix + argv, capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert ref.returncode == 0, ref.stderr
+    assert _scipy_probe(*argv, block=True) == (ref.stdout, [])
+
+
+def test_lmg_collapse_loads_no_scipy_optimize():
+    _, loaded = _scipy_probe("lmg", "collapse", "--j", "4")
+    assert "scipy.linalg" in loaded
+    assert not [name for name in loaded if name.startswith("scipy.optimize")]
+
+
 def test_entry_point_env_threads_deterministic(tmp_path):
     lmg, env = module_cli()
     env.pop("PAIRONS_THREADS", None)

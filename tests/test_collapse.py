@@ -3,13 +3,16 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.optimize import brentq
 
-from pairons import (ModelParams, TrajectorySpec, UnresolvedAnchorError,
-                     anchor_profile, anchor_value, build_hamiltonian,
-                     collapse_points, collapse_zero_pattern, crossing_points,
-                     find_collapses, hyperbola_levels, scan_trajectory,
-                     split_parity, total_collapse, total_collapse_candidates)
-from pairons.collapse import _anchor_coefficient, _anchor_slice
+from pairons import (ConvergenceError, ModelParams, TrajectorySpec,
+                     UnresolvedAnchorError, anchor_profile, anchor_value,
+                     build_hamiltonian, collapse_points,
+                     collapse_zero_pattern, crossing_points, find_collapses,
+                     hyperbola_levels, scan_trajectory, split_parity,
+                     total_collapse, total_collapse_candidates)
+from pairons.collapse import (SINGULAR_MARGIN, _anchor_coefficient,
+                              _anchor_slice, _brentq)
 
 
 def test_hyperbola_levels_frozen():
@@ -282,3 +285,78 @@ def test_anchor_value_changes_sign_at_collapse():
         above = anchor_value(spec, p.gamma_x + 1e-4)[0]
         assert below * above < 0
         assert 0 < abs(above) < abs(anchor_value(spec, p.gamma_x + 2e-4)[0])
+
+
+def _root_or_failure(solve, failure, f, a, b):
+    """The root's hex, or which way the solve failed."""
+    try:
+        return solve(f, a, b).hex()
+    except ValueError:
+        return "no sign change"
+    except failure:
+        return "no convergence"
+
+
+def _same_as_scipy(f, a, b):
+    return (_root_or_failure(_brentq, ConvergenceError, f, a, b)
+            == _root_or_failure(brentq, RuntimeError, f, a, b))
+
+
+# (f, lo, root, hi): brackets are drawn with one end in [lo, root) and
+# the other in (root, hi]
+BRENTQ_CASES = [
+    (lambda x: math.cos(x) - x, -2.0, 0.7390851332151607, 3.0),
+    (lambda x: x ** 3 - 2 * x - 5, 0.0, 2.0945514815423265, 4.0),
+    (lambda x: math.exp(x) - 3, -1.0, math.log(3), 3.0),
+    (lambda x: (x - 0.3) ** 5, -2.0, 0.3, 2.0),  # often out of steps
+    (lambda x: math.tan(x) - 1, -1.5, math.pi / 4, 1.5),
+    (lambda x: x ** 4 - 1e-10, 0.0, 10 ** -2.5, 2.0)]
+
+
+@pytest.mark.parametrize("case", range(len(BRENTQ_CASES)))
+def test_brentq_is_scipy_bitwise(case):
+    f, lo, root, hi = BRENTQ_CASES[case]
+    rng = np.random.default_rng(case)
+    for _ in range(100):
+        a = float(rng.uniform(lo, root))
+        b = float(rng.uniform(root, hi))
+        if rng.random() < 0.5:
+            a, b = b, a
+        assert _same_as_scipy(f, a, b), (case, a, b)
+
+
+def test_brentq_edge_cases():
+    # an endpoint where f is 0 is the root; a bracket without a sign
+    # change raises ValueError, one that does not converge in 100 steps
+    # ConvergenceError (scipy: RuntimeError)
+    f = lambda x: x * x - 4
+    p5 = lambda x: (x - 0.3) ** 5
+    assert _brentq(f, 2.0, 5.0) == 2.0
+    assert _brentq(f, 0.0, -2.0) == -2.0
+    assert _brentq(p5, 0.3, 1.0) == 0.3
+    with pytest.raises(ValueError):
+        _brentq(f, 3.0, 4.0)
+    with pytest.raises(ConvergenceError):
+        _brentq(p5, 0.0, 1.0)
+    for g, a, b in [(f, 2.0, 5.0), (f, 0.0, -2.0), (p5, 0.3, 1.0),
+                    (f, 3.0, 4.0), (p5, 0.0, 1.0)]:
+        assert _same_as_scipy(g, a, b)
+
+
+def test_brentq_is_scipy_bitwise_on_anchor_brackets():
+    # every sign-change bracket the collapse command refines at these
+    # (j, line sum), on its default sampling
+    lo = SINGULAR_MARGIN + 0.049
+    count = 0
+    for j in (3, 6, 10):
+        for c in (10.0, 12.0):
+            spec = TrajectorySpec(j=j, start=lo, stop=c - lo, steps=1200,
+                                  line_sum=c)
+            gx = spec.samples()
+            sign = np.sign(anchor_profile(spec).value)
+            f = lambda g: anchor_value(spec, g)[0]
+            for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
+                assert _same_as_scipy(f, float(gx[i]), float(gx[i + 1])), \
+                    (j, c, i)
+                count += 1
+    assert count == 64
