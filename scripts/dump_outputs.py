@@ -15,8 +15,10 @@ at N=12 and at N=10 with --state 3 (both gammas), `lmg scan --j 10
 --steps 200`, `lmg collapse --j 10` and its --line diagonal form,
 `lmg collapse --j 10 --line-sum 12`, `lmg collapse --j 8` and `lmg
 collapse --j 6 --format json`, whose root refinements cover the
-collapse detector's own Brent solver, `lmg spectrum --j 40 --gx 2 --gy 8`
-and `lmg zeros --j 10 --gx 2 --gy 8 --state 3`.
+collapse detector's own Brent solver, `lmg spectrum --j 40 --gx 2 --gy 8`,
+`lmg zeros --j 10 --gx 2 --gy 8 --state 3` and `lmg pairons --j 40
+--state 19` at gx = 3.74102 and 6.164669 on gx + gy = 10, where an
+unscaled companion solve misses the root residual check.
 """
 import json
 import os
@@ -44,7 +46,9 @@ COMMANDS = (
        ["lmg", "collapse", "--j", "8"],
        ["lmg", "collapse", "--j", "6", "--format", "json"],
        ["lmg", "spectrum", "--j", "40", "--gx", "2", "--gy", "8"],
-       ["lmg", "zeros", "--j", "10", "--gx", "2", "--gy", "8", "--state", "3"]])
+       ["lmg", "zeros", "--j", "10", "--gx", "2", "--gy", "8", "--state", "3"]]
+    + [["lmg", "pairons", "--j", "40", "--gx", gx, "--gy", gy, "--state", "19"]
+       for gx, gy in (("3.74102", "6.25898"), ("6.164669", "3.835331"))])
 
 
 def run(argv: list[str]) -> dict:

@@ -375,12 +375,63 @@ class BosonPaironSet:
         return base + sum(self.energies)
 
 
+def _richardson(model: BosonModel, seniority: tuple[int, ...],
+                e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Richardson's equations for bosons at the pairons e, and their
+    Jacobian dF_a/de_b:
+
+        F_a = sum_l (nu_l + 1/2) / (2 eps_l - e_a)
+              - 2 sum_{b != a} 1 / (e_a - e_b) + 1/gamma
+    """
+    inv_level = 1.0 / (2.0 * np.array(model.levels)[None, :] - e[:, None])
+    weight = np.array(seniority) + 0.5
+    diff = e[:, None] - e[None, :]
+    np.fill_diagonal(diff, np.inf)
+    inv_pair = 1.0 / diff
+    F = inv_level @ weight - 2.0 * inv_pair.sum(axis=1) + 1.0 / model.gamma
+    J = -2.0 * inv_pair ** 2
+    np.fill_diagonal(J, inv_level ** 2 @ weight
+                     + 2.0 * (inv_pair ** 2).sum(axis=1))
+    return F, J
+
+
+def _richardson_newton(model: BosonModel, seniority: tuple[int, ...],
+                       e: np.ndarray) -> np.ndarray:
+    """Newton's method on Richardson's equations, starting from e.
+
+    A step is kept only while max|F| strictly decreases, so the loop ends
+    (the kept values form a strictly decreasing sequence of floats) and
+    never returns a worse set than it was given.  A step that lands on a
+    pole of F, or a singular Jacobian, ends it the same way.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        F, J = _richardson(model, seniority, e)
+        best = np.max(np.abs(F))
+        while True:
+            try:
+                trial = e - np.linalg.solve(J, F)
+            except np.linalg.LinAlgError:
+                break
+            F, J = _richardson(model, seniority, trial)
+            size = np.max(np.abs(F))
+            if not size < best:
+                break
+            e, best = trial, size
+    return e
+
+
 def extract_boson_pairons(state: BosonState, axis: int = 1) -> BosonPaironSet:
-    """Pairons from the roots of the axis-slice polynomial.
+    """Pairons from the roots of the axis-slice polynomial, finished on
+    Richardson's equations.
 
     e_a = 2 (eps_axis + eps_0 conj(w_a)) / (1 + conj(w_a)); roots with
     |1 + w| <= 1e-9 are pairons pushed to infinity of the axis map and
-    are counted separately with a flag.
+    are counted separately with a flag.  The slice pairons start Newton's
+    method on Richardson's equations (_richardson_newton), which fixes the
+    digits the slice coefficients cannot.  Newton is skipped at
+    gamma = 0, where the equations do not exist, and when a root sits at
+    y = 0, y = infinity or on the axis pole: such a pairon is on a pole
+    of the equations or off the map.
     """
     if state.degenerate:
         raise DegenerateStateError(
@@ -394,27 +445,24 @@ def extract_boson_pairons(state: BosonState, axis: int = 1) -> BosonPaironSet:
     if not np.any(g):
         raise ValueError("slice polynomial vanished; axis cannot see this state")
     n_zero, n_inf, roots = strip_and_solve(g)
-    # roots at y = 0 <-> pairons at 2 eps_axis;
-    # roots at y = inf <-> pairons at 2 eps_0
-    energies: list[complex] = []
-    energies.extend([complex(2.0 * model.levels[axis])] * n_zero)
-    energies.extend([complex(2.0 * model.levels[0])] * n_inf)
-    n_pole = 0
-    flags: list[str] = []
     eps0 = model.levels[0]
     eps_ax = model.levels[axis]
-    for w in roots:
-        wc = np.conj(w)
-        if abs(1.0 + wc) <= 1e-9:
-            n_pole += 1
-            continue
-        energies.append(complex(2.0 * (eps_ax + eps0 * wc) / (1.0 + wc)))
-    if n_pole:
-        flags.append(AXIS_POLE_FLAG)
+    wc = np.conj(roots)
+    pole = np.abs(1.0 + wc) <= 1e-9
+    wc = wc[~pole]
+    finite = 2.0 * (eps_ax + eps0 * wc) / (1.0 + wc)
+    n_pole = int(pole.sum())
+    if model.gamma != 0.0 and finite.size and not (n_zero or n_inf or n_pole):
+        finite = _richardson_newton(model, state.seniority, finite)
+    # roots at y = 0 <-> pairons at 2 eps_axis;
+    # roots at y = inf <-> pairons at 2 eps_0
+    energies = ([complex(2.0 * eps_ax)] * n_zero
+                + [complex(2.0 * eps0)] * n_inf
+                + [complex(e) for e in finite])
     energies.sort(key=lambda e: (e.real, e.imag))
     return BosonPaironSet(model=model, seniority=state.seniority,
                           energies=tuple(energies), n_at_infinity=n_pole,
-                          flags=tuple(flags))
+                          flags=(AXIS_POLE_FLAG,) if n_pole else ())
 
 
 def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],

@@ -13,11 +13,11 @@ class PaironsError(Exception):
 class ConvergenceError(PaironsError):
     """A solver returned no trustworthy result.
 
-    Root finding raises it when neither the Aberth nor the companion root
-    set reproduces the polynomial's coefficients (residual and factor
-    defect checks); hitting the Aberth iteration cap alone does not raise
-    it.  The tridiagonal eigensolver raises it when LAPACK fails, and the
-    collapse detector's Brent solver when it does not converge.
+    Root finding raises it when the companion-matrix roots fail the
+    residual check or reproduce the polynomial's coefficients no better
+    than ACCEPT_DEFECT (phasespace._solve_core).  The tridiagonal
+    eigensolver raises it when LAPACK fails, and the collapse detector's
+    Brent solver when it does not converge.
     Carries whatever partial results were available in ``partial``.
     """
 

@@ -25,10 +25,8 @@ from .spin import PARITY_MIXED, PARITY_ODD, StateVector
 # vector are treated as structural zeros (roots at the origin / infinity).
 DEGREE_RTOL = 1e-13
 
-# Root sets from _aberth: one that reproduces the coefficients to within
-# SWITCH_DEFECT is taken as is; above it the companion set is computed
-# too and the better one kept; above ACCEPT_DEFECT a set is refused.
-SWITCH_DEFECT = 1e-10
+# A root set that misses the coefficients it came from by a factor defect
+# above ACCEPT_DEFECT is refused (_solve_core).
 ACCEPT_DEFECT = 1e-6
 
 
@@ -169,149 +167,41 @@ def _factor_defect(c: np.ndarray, roots: np.ndarray) -> float:
     return float(np.max(np.abs(aligned - ref)))
 
 
-def _horner(table: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Several polynomials, each at its own points, in one Horner sweep.
+def _solve_core(coeffs: np.ndarray) -> np.ndarray:
+    """All roots of sum_k coeffs[k] z^k, as companion-matrix eigenvalues.
 
-    table has shape (deg+1, m): table[k, i] is the z^k coefficient of
-    polynomial i.  x has shape (m, n); row i of the result is polynomial i
-    at the points x[i].  The operations are those of
-    np.polynomial.polynomial.polyval, in its order, so each row has
-    polyval's bits; a shorter column padded with zeros at the top and a
-    real column carried in complex keep them too.  The rows are swept as
-    one flat array, each coefficient repeated once per point, which costs
-    two ufunc calls per power for all m polynomials together.  The
-    products stay out of place, as in polyval: numpy's in-place complex
-    multiply of a single element can round differently from its other
-    loops (no fused multiply-add).
+    Requires coeffs[0] != 0 and coeffs[-1] != 0 (strip_and_solve strips
+    structural zeros first).  The variable is scaled, z = s y with
+    s = |coeffs[0] / coeffs[-1]|^(1/n), so the polynomial in y has end
+    coefficients of equal magnitude; np.roots then takes the eigenvalues
+    of its companion matrix, which LAPACK balances.  Those eigenvalues are
+    backward stable as a set (Edelman & Murakami, Math. Comp. 64, 1995),
+    so a cluster of roots keeps its symmetric functions.  Real
+    coefficients give a real companion matrix, whose complex eigenvalues
+    come in exact conjugate pairs.
+
+    The set must pass a residual check, |P(z)| <= 1e6 eps sum_k |c_k||z|^k
+    at every root, and reproduce the coefficients within ACCEPT_DEFECT
+    (_factor_defect); otherwise ConvergenceError, with the roots in
+    `partial`.
     """
-    m, n = x.shape
-    cols = np.repeat(table, n, axis=1)
-    x = x.ravel()
-    acc = cols[-1] + x * 0
-    for coeff in cols[-2::-1]:
-        acc = coeff + acc * x
-    return acc.reshape(m, n)
-
-
-def _aberth(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of sum_k coeffs[k] z^k by simultaneous Aberth iteration.
-
-    Requires coeffs[0] != 0 and coeffs[-1] != 0 (callers strip structural
-    zeros first).  Iterates at most 200 times, stopping once every step
-    is within 1e-14 (1 + |z|).  Finishes each root with a guarded Newton
-    polish, then cross-checks the factorization against the input
-    coefficients.  Near multiple roots the iteration can stall a member
-    inside the cluster while losing an isolated root, or stop with every
-    member of a cluster "converged" on its own (|P| at the noise floor)
-    while the set as a whole is off by far more than rounding; residuals
-    alone see neither.
-    Companion-matrix eigenvalues keep the symmetric functions of a
-    cluster, so whenever the Aberth set misses the coefficients by more
-    than SWITCH_DEFECT the companion set is computed too and whichever
-    reproduces the coefficients better is returned.  Either set must pass
-    the residual check and a factor defect of at most ACCEPT_DEFECT;
-    ConvergenceError is raised only when neither does.
-
-    Each iteration makes one _horner sweep over the columns c, c' (padded
-    with a zero at the top) and |c| at the rows z, z and |z|; P, P' and
-    the noise floor of |P| come out with the bits of three polyval calls.
-    A root whose |P| is below its noise floor is converged and frozen:
-    later iterations neither evaluate nor move it.  That changes no value,
-    because an iteration over all roots gives a converged root a zero
-    step and keeps it converged.  The roots still active take the Aberth
-    step, with the repulsion summed over the full row of all roots in
-    index order (inf on the root's own entry), so np.sum adds the same
-    terms in the same order and the termination test sees the same
-    steps: the returned set is bit for bit the all-roots iteration's.
-    """
-    c = np.asarray(coeffs, dtype=complex)
-    c = c / np.max(np.abs(c))
+    c = np.asarray(coeffs)
+    if not np.any(c.imag):
+        c = c.real
     deg = len(c) - 1
     if deg == 0:
         return np.zeros(0, dtype=complex)
-    if deg == 1:
-        return np.array([-c[0] / c[1]])
-    if deg == 2:
-        a, b, cc = c[2], c[1], c[0]
-        disc = cmath.sqrt(b * b - 4 * a * cc)
-        # pick the sign that avoids cancellation in the large root
-        if (b.conjugate() * disc).real < 0:
-            disc = -disc
-        q = -0.5 * (b + disc)
-        r1 = q / a
-        r2 = cc / q if q != 0 else -b / a - r1
-        return np.array([r1, r2])
-
-    dc = np.append(c[1:] * np.arange(1, deg + 1), 0)
-    table = np.stack([c, dc, np.abs(c)], axis=1)
+    s = (abs(c[0]) / abs(c[-1])) ** (1.0 / deg)
+    roots = s * np.roots((c * s ** np.arange(deg + 1))[::-1]).astype(complex)
+    polyval = np.polynomial.polynomial.polyval
+    noise = polyval(np.abs(roots), np.abs(c))
     eps = np.finfo(float).eps
-
-    def sweep(zz: np.ndarray):
-        """P, P' and the noise floor of |P| at zz."""
-        p, dp, noise = _horner(table, np.array([zz, zz, np.abs(zz)]))
-        # a floor that overflows reads inf in real arithmetic but nan in
-        # complex (inf * 0j); map it back so comparisons see polyval's value
-        noise = noise.real
-        return p, dp, np.where(np.isnan(noise), np.inf, noise)
-
-    radius = (np.max(np.abs(c)) / abs(c[-1])) ** (1.0 / deg)
-    k = np.arange(deg)
-    angles = 2.0 * math.pi * (k + 0.35) / deg + 0.4 * np.sin(k + 1.0) / deg
-    z = radius * np.exp(1j * angles)
-
-    active = np.arange(deg)
-    for _ in range(200):
-        za = z[active]
-        p, dp, noise = sweep(za)
-        # unimprovable when |P(z)| is below the evaluation noise floor
-        moving = ~(np.abs(p) <= 4.0 * eps * noise)
-        if not moving.any():
-            break
-        active, za, p, dp = active[moving], za[moving], p[moving], dp[moving]
-        newton = np.where(dp != 0, p / np.where(dp == 0, 1, dp), 0.1)
-        diff = za[:, None] - z[None, :]
-        diff[np.arange(active.size), active] = np.inf
-        repulsion = np.sum(1.0 / diff, axis=1)
-        denom = 1.0 - newton * repulsion
-        step = np.where(np.abs(denom) > 1e-300, newton / denom, newton)
-        za = za - step
-        z[active] = za
-        if np.all(np.abs(step) <= 1e-14 * (1.0 + np.abs(za))):
-            break
-
-    def polish(zz: np.ndarray) -> np.ndarray:
-        # Newton steps, accepted only when the residual improves
-        for _ in range(2):
-            p, dp, _ = sweep(zz)
-            ok = dp != 0
-            z_new = np.where(ok, zz - np.where(ok, p, 0) / np.where(ok, dp, 1),
-                             zz)
-            p_new = sweep(z_new)[0]
-            zz = np.where(np.abs(p_new) < np.abs(p), z_new, zz)
-        return zz
-
-    def defect(zz: np.ndarray) -> float:
-        """Factor defect, or inf when a root fails the residual check."""
-        p, _, noise = sweep(zz)
-        if not np.all(np.abs(p) <= 1e6 * eps * np.maximum(noise, 1e-300)):
-            return math.inf
-        return _factor_defect(c, zz)
-
-    z = polish(z)
-    z_defect = defect(z)
-    if z_defect <= SWITCH_DEFECT:
-        return z
-    # companion eigenvalues are backward stable as a set; polishing
-    # would sharpen members of a root cluster individually while
-    # corrupting their symmetric functions, so take them as-is
-    comp = np.roots(c[::-1])
-    comp_defect = defect(comp)
-    if comp_defect < z_defect:
-        z, z_defect = comp, comp_defect
-    if not z_defect <= ACCEPT_DEFECT:
+    if not (np.all(np.abs(polyval(roots, c))
+                   <= 1e6 * eps * np.maximum(noise, 1e-300))
+            and _factor_defect(c, roots) <= ACCEPT_DEFECT):
         raise ConvergenceError(
-            f"root finding failed for degree {deg}", partial=comp)
-    return z
+            f"root finding failed for degree {deg}", partial=roots)
+    return roots
 
 
 @dataclass(frozen=True)
@@ -361,10 +251,10 @@ def strip_and_solve(coeffs: np.ndarray) -> tuple[int, int, np.ndarray]:
     Coefficients below DEGREE_RTOL * max|coeffs| at either end of the
     vector are structural zeros: each one at the low end is a root at
     z = 0, each one at the high end a root at infinity.  The stripped
-    core is solved by _aberth.
+    core is solved by _solve_core.
     """
     lo, hi = _live_range(coeffs)
-    return lo, len(coeffs) - 1 - hi, _aberth(coeffs[lo:hi + 1])
+    return lo, len(coeffs) - 1 - hi, _solve_core(coeffs[lo:hi + 1])
 
 
 def poly_residual(coeffs: np.ndarray, roots) -> float:
@@ -376,7 +266,7 @@ def poly_residual(coeffs: np.ndarray, roots) -> float:
     if r.size == 0:
         return 0.0
     deg = _live_range(coeffs)[1]
-    vals = np.abs(_horner(np.asarray(coeffs)[:, None], r[None])[0])
+    vals = np.abs(np.polynomial.polynomial.polyval(r, np.asarray(coeffs)))
     scale = float(np.max(np.abs(coeffs)))
     return float(np.max(vals / (scale * np.maximum(1.0, np.abs(r)) ** deg)))
 

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ from pairons import (BosonModel, BosonPaironSet, BosonState,
                      build_bcs_hamiltonian, diagonalize_boson, ellipsoid_axes,
                      extract_boson_pairons, fidelity, fock_basis,
                      reconstruct_boson_state, verify_ellipsoid)
-from pairons.bosonbcs import _sector_blocks, axis_slice_coefficients
+from pairons.bosonbcs import (_richardson, _sector_blocks,
+                              axis_slice_coefficients)
 from conftest import pair_hamiltonian
 
 # small models for the bit-identity checks: both signs of gamma, an odd
@@ -371,3 +373,64 @@ def test_spin_state_pairons_via_two_level_slice():
     a = sorted(spin_ps.energies, key=lambda z: (z.real, z.imag))
     b = sorted(boson_ps.energies, key=lambda z: (z.real, z.imag))
     assert_allclose(a, b, atol=1e-8)
+
+
+# pairons of state 0 (seniority 0000) at levels 0,0.5,1,1.5, N=20,
+# gamma=-0.5: mpmath findroot on Richardson's equations at 50 digits,
+# max|F| = 2e-50; they sum to the eigenvalue within 4e-14
+N20_GROUND_PAIRONS = [
+    -15.44371621025612545404304, -11.39575142969017543049618,
+    -8.460756654332292089096351, -6.170898846970240940534364,
+    -4.344683907984169144600814, -2.88937292824935362744993,
+    -1.752143646472304215765851, -0.9032393845672032279007587,
+    -0.3302780628904074083987219, -0.03719579878776330200804094]
+
+
+def test_n20_attractive_ground_state_pairons_frozen():
+    model = BosonModel(levels=(0.0, 0.5, 1.0, 1.5), gamma=-0.5, n_bosons=20)
+    ps = extract_boson_pairons(boson_eigenstate(model, 0))
+    assert_allclose(ps.energies, N20_GROUND_PAIRONS, rtol=0, atol=1e-10)
+
+
+def _richardson_residual(ps):
+    """max_a |F_a| of Richardson's equations at the pairons of ps."""
+    F, _ = _richardson(ps.model, ps.seniority, np.array(ps.energies))
+    return float(np.max(np.abs(F)))
+
+
+@pytest.mark.parametrize("gamma", [0.5, -0.5])
+def test_richardson_equations_hold(gamma):
+    # the states of acceptance criterion 7
+    model = BosonModel(levels=(0.0, 0.5, 1.0), gamma=gamma, n_bosons=6)
+    checked = 0
+    for st in diagonalize_boson(model):
+        if st.degenerate:
+            continue
+        assert _richardson_residual(extract_boson_pairons(st)) <= 1e-12
+        checked += 1
+    assert checked >= 20
+
+
+def test_richardson_newton_fixes_the_attractive_sum_rule():
+    # the slice roots alone miss the sum rule by 1e-7 or more (relative)
+    # on these states
+    model = BosonModel(levels=(0.0, 0.5, 1.0, 1.5), gamma=-0.5, n_bosons=20)
+    for index in (0, 2, 8, 12):
+        st = boson_eigenstate(model, index)
+        ps = extract_boson_pairons(st)
+        assert abs(boson_energy(ps) - st.energy) <= 1e-12 * abs(st.energy)
+        assert _richardson_residual(ps) <= 1e-10
+
+
+def test_richardson_skipped_at_zero_coupling():
+    # pairons sit on the level doubles: no Newton, no RuntimeWarning
+    model = BosonModel(levels=(0.0, 0.5, 1.0), gamma=0.0, n_bosons=4)
+    checked = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for st in diagonalize_boson(model):
+            if not st.degenerate and np.any(axis_slice_coefficients(st, 1)):
+                ps = extract_boson_pairons(st)
+                assert boson_energy(ps) == pytest.approx(st.energy, abs=1e-12)
+                checked += 1
+    assert checked >= 5
