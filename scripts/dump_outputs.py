@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Write the outputs of a fixed list of CLI commands to OUT as JSON.
 
-Usage: python scripts/dump_outputs.py OUT
+Usage: python scripts/dump_outputs.py [--src DIR] OUT
 
 Each command runs in a fresh interpreter as `python -m pairons ...` on the
-package source of the checkout this script sits in; OUT lists, per
-command, its argv, exit code, stdout and stderr.  Run it from two
-checkouts and compare the files with `cmp` to check that a change leaves
-every output byte-identical.
+package source in DIR (default: the `src` of the checkout this script sits
+in); OUT lists, per command, its argv, exit code, stdout and stderr.  Run
+it once with --src pointing at each of two checkouts' `src` and compare
+the files with `cmp` to check that a change leaves every output
+byte-identical.
 
 The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
 0,0.5,1,1.5, N=20), `bcs spectrum` of the same models, `bcs ellipsoid`
@@ -16,10 +17,12 @@ at N=12 and at N=10 with --state 3 (both gammas), `lmg scan --j 10
 `lmg collapse --j 10 --line-sum 12`, `lmg collapse --j 8` and `lmg
 collapse --j 6 --format json`, whose root refinements cover the
 collapse detector's own Brent solver, `lmg spectrum --j 40 --gx 2 --gy 8`,
-`lmg zeros --j 10 --gx 2 --gy 8 --state 3` and `lmg pairons --j 40
---state 19` at gx = 3.74102 and 6.164669 on gx + gy = 10, where an
+`lmg zeros --j 10 --gx 2 --gy 8 --state 3`, `lmg crossings --j 10`,
+whose full diagonalizations cover spin.diagonalize, and `lmg pairons --j
+40 --state 19` at gx = 3.74102 and 6.164669 on gx + gy = 10, where an
 unscaled companion solve misses the root residual check.
 """
+import argparse
 import json
 import os
 import subprocess
@@ -46,14 +49,16 @@ COMMANDS = (
        ["lmg", "collapse", "--j", "8"],
        ["lmg", "collapse", "--j", "6", "--format", "json"],
        ["lmg", "spectrum", "--j", "40", "--gx", "2", "--gy", "8"],
-       ["lmg", "zeros", "--j", "10", "--gx", "2", "--gy", "8", "--state", "3"]]
+       ["lmg", "zeros", "--j", "10", "--gx", "2", "--gy", "8", "--state", "3"],
+       ["lmg", "crossings", "--j", "10"]]
     + [["lmg", "pairons", "--j", "40", "--gx", gx, "--gy", gy, "--state", "19"]
        for gx, gy in (("3.74102", "6.25898"), ("6.164669", "3.835331"))])
 
 
-def run(argv: list[str]) -> dict:
-    """One command in a fresh interpreter: argv, exit code, stdout, stderr."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
+def run(argv: list[str], src: Path = SRC) -> dict:
+    """One command in a fresh interpreter on the package in src: argv, exit
+    code, stdout, stderr."""
+    env = dict(os.environ, PYTHONPATH=str(src))
     proc = subprocess.run([sys.executable, "-m", "pairons", *argv], env=env,
                           capture_output=True, text=True, timeout=600)
     return {"argv": argv, "exit": proc.returncode, "stdout": proc.stdout,
@@ -61,12 +66,17 @@ def run(argv: list[str]) -> dict:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    if len(argv) != 1:
-        print(__doc__.split("\n\n")[1], file=sys.stderr)
-        return 2
-    records = [run(command) for command in COMMANDS]
-    with open(argv[0], "w") as fh:
+    ap = argparse.ArgumentParser(
+        description="Write the outputs of a fixed list of CLI commands to "
+                    "OUT as JSON.")
+    ap.add_argument("--src", type=Path, default=SRC,
+                    help="package source directory (default: %(default)s)")
+    ap.add_argument("out", metavar="OUT")
+    args = ap.parse_args(argv)
+    if not (args.src / "pairons" / "__init__.py").is_file():
+        ap.error(f"no pairons package in {args.src}")
+    records = [run(command, args.src.resolve()) for command in COMMANDS]
+    with open(args.out, "w") as fh:
         json.dump(records, fh, indent=1)
         fh.write("\n")
     print(f"{len(records)} commands, "

@@ -28,9 +28,11 @@ import numpy as np
 from .errors import (ConvergenceError, DegenerateStateError, PaironsError,
                      SingularParameterError, UnresolvedAnchorError)
 from .paironmap import PaironSet, extract_pairons, u_from_pairon
-from .phasespace import _live_range, parity_slice
+from .phasespace import _binomial_sqrt, _live_range
 from .sphere import SpherePoint, chordal_distance
-from .spin import ModelParams, build_hamiltonian, eigenpair
+from .spin import (PARITY_SECTORS, ModelParams, build_hamiltonian,
+                   couplings, eigenpair, gammas, hamiltonian_stack,
+                   parity_eigenstates)
 
 LINE_SUM = "sum"
 LINE_DIAGONAL = "diagonal"
@@ -310,6 +312,9 @@ def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
 # Noise-bound constant of anchor_value; its docstring derives it.
 ANCHOR_NOISE_C = 8.0
 
+# Entries of H one stacked solve of anchor_profile holds at most.
+STACK_ENTRIES = 1 << 18
+
 # |<j,-j|psi>| that confirms the closed-form total collapse (criterion 4).
 TOTAL_COLLAPSE_OVERLAP = 1.0 - 1e-12
 
@@ -335,8 +340,9 @@ def anchor_value(spec: TrajectorySpec, gx: float) -> tuple[float, float]:
     c = ANCHOR_NOISE_C = 8.  Horner's rule in double precision errs by at
     most gamma_2n*S ~ n*eps*S (Higham, Accuracy and Stability of Numerical
     Algorithms, sec. 5.1).  The coefficients carry the eigenvector's error
-    of order eps*|v| from the tridiagonal solver, plus one rounding each
-    for the binomial weight and the normalization; taken as at most n*eps
+    of order eps*|v| from the backward-stable LAPACK eigensolver of the
+    parity block (parity_eigh), plus one rounding each for the binomial
+    weight and the normalization; taken as at most n*eps
     relative per coefficient (the check below tests this), they reach f
     through the same sum S.  The two sources give 2*n*eps*S, and c = 8
     allows four times that.  Rounding in w only moves the evaluation point
@@ -349,44 +355,89 @@ def anchor_value(spec: TrajectorySpec, gx: float) -> tuple[float, float]:
     a_m = sum_i d_i C(n-i, m) w^(n-i-m): the integer weights C(n-i, m)
     are exact and their product adds one rounding per coefficient, within
     the n*eps allowance, so the bound is c*n*eps*S_m/max|d| with
-    S_m = sum_i |d_i| C(n-i, m) |w|^(n-i-m).  f is a_0 (_anchor_coefficient
+    S_m = sum_i |d_i| C(n-i, m) |w|^(n-i-m).  f is a_0 (_anchor_coefficients
     computes both), and collapse_zero_pattern counts the leading a_m
     within their bounds as the multiplicity of the root at the anchor.
     """
-    params = ModelParams.from_gammas(spec.j, gx, spec.gamma_y(gx),
-                                     eps=spec.eps)
-    d, w = _anchor_slice(params, spec.state_index)
-    return _anchor_coefficient(d, w, 0)
+    value, noise = _anchor_values(spec, np.array([gx], dtype=float))
+    return float(value[0]), float(noise[0])
 
 
-def _anchor_slice(params: ModelParams,
-                  state_index: int) -> tuple[np.ndarray, float]:
-    """Parity slice d of the state, sign fixed by d_0 > 0, and w = 1/u*."""
-    pair = eigenpair(build_hamiltonian(params), state_index)
-    if pair.degenerate:
-        raise DegenerateStateError(
-            f"state {state_index} is degenerate at gx={params.gamma_x:.6g}")
-    d = parity_slice(pair.state)[1].real
-    if d[0] < 0:
-        d = -d
-    t = params.t
-    return d, (t - 1.0) / (t + 1.0)
+def _anchor_values(spec: TrajectorySpec,
+                   gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """anchor_value and its noise bound at every point of the array gx."""
+    lam, gam = couplings(spec.j, gx, spec.gamma_y(gx), spec.eps)
+    value, noise = np.empty(len(gx)), np.empty(len(gx))
+    for rows, d, w in _anchor_slices(spec.j, spec.eps, lam, gam,
+                                     spec.state_index):
+        value[rows], noise[rows] = _anchor_coefficients(d, w, 0)
+    return value, noise
 
 
-def _anchor_coefficient(d: np.ndarray, w: float,
-                        m: int) -> tuple[float, float]:
-    """Taylor coefficient a_m of f at w, and its noise bound, over max|d|.
+def _anchor_slices(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
+                   state_index: int
+                   ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Parity slices d of the state at a stack of parameter points, with
+    w = 1/u*, as [(rows, d, w)], one entry per parity sector that holds
+    the state somewhere: rows index the points, d (len(rows), n+1) holds
+    their slices with the sign fixed by d_0 > 0, and w their anchors.
+
+    The points' H are solved and their states picked together by
+    parity_eigenstates, whose one-sample case is spin.eigenpair.  The
+    slice is the eigenvector's column times the sector's sqrt(C(2j, k)),
+    as parity_slice computes it, so each point gets the bits it gets
+    alone.  When points fail, the first one in order raises what it
+    raises alone: ConvergenceError or ValueError as spin.eigenpair does,
+    DegenerateStateError, or ZeroDivisionError as ModelParams.t does.
+    """
+    h = hamiltonian_stack(j, eps, lam, gam)
+    try:
+        solved, sector, col, degenerate = parity_eigenstates(h, state_index)
+    except ConvergenceError:
+        if len(h) > 1:  # the first point that fails alone raises
+            for i in range(len(h)):
+                _anchor_slices(j, eps, lam[i:i + 1], gam[i:i + 1],
+                               state_index)
+        raise
+    gamma_x, gamma_y = gammas(j, eps, lam, gam)
+    bad = degenerate | (gamma_y == 0)
+    if bad.any():
+        first = int(np.argmax(bad))
+        if degenerate[first]:
+            raise DegenerateStateError(f"state {state_index} is degenerate "
+                                       f"at gx={gamma_x[first]:.6g}")
+        raise ZeroDivisionError("t undefined: gamma_y = 0")
+    t = np.sqrt(np.abs(gamma_x / gamma_y))
+    w = (t - 1.0) / (t + 1.0)
+    binom = _binomial_sqrt(2 * j)
+    out = []
+    for (_, v), (_, offset) in zip(solved, PARITY_SECTORS):
+        rows = np.flatnonzero(sector == offset)
+        if rows.size:
+            d = v[rows, :, col[rows]] * binom[offset::2]
+            d[d[:, 0] < 0] *= -1.0
+            out.append((rows, d, w[rows]))
+    return out
+
+
+def _anchor_coefficients(d: np.ndarray, w: np.ndarray,
+                         m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Taylor coefficient a_m of f at w, and its noise bound, over max|d|,
+    for each row of the stack of slices d and its w.
 
     The bound is derived in anchor_value's docstring.  Multiplying by the
-    weight C(n-i, 0) = 1 is exact, so m = 0 keeps anchor_value's bits.
+    weight C(n-i, 0) = 1 is exact, so m = 0 gives anchor_value.  Both
+    sums run Horner's rule over the whole stack (polyval with tensor=False
+    evaluates column k of its coefficients at x[k]).
     """
-    n = len(d) - 1
+    n = d.shape[1] - 1
     weights = np.array([math.comb(n - i, m) for i in range(n - m + 1)],
                        dtype=float)
-    scale = float(np.max(np.abs(d)))
-    value = float(np.polyval(d[:n - m + 1] * weights, w)) / scale
-    bound = float(np.polyval(np.abs(d[:n - m + 1]) * weights,
-                             abs(w))) / scale
+    scale = np.max(np.abs(d), axis=1)
+    terms = (d[:, :n - m + 1] * weights)[:, ::-1].T  # lowest power first
+    polyval = np.polynomial.polynomial.polyval
+    value = polyval(w, terms, tensor=False) / scale
+    bound = polyval(np.abs(w), np.abs(terms), tensor=False) / scale
     eps = float(np.finfo(float).eps)
     return value, ANCHOR_NOISE_C * n * eps * bound
 
@@ -409,10 +460,20 @@ class AnchorProfile:
 
 
 def anchor_profile(spec: TrajectorySpec) -> AnchorProfile:
-    """anchor_value at every sample of spec."""
-    pairs = [anchor_value(spec, float(g)) for g in spec.samples()]
-    return AnchorProfile(spec=spec, value=np.array([p[0] for p in pairs]),
-                         noise=np.array([p[1] for p in pairs]))
+    """anchor_value at every sample of spec, bit for bit.
+
+    The samples are solved as stacks of STACK_ENTRIES // (2j+1)^2 (at
+    least one), so a stack's matrices hold at most STACK_ENTRIES floats
+    whatever j and the number of samples.  A failing sample raises what
+    anchor_value raises for the first failing sample in gx order.
+    """
+    gx = spec.samples()
+    chunk = max(1, STACK_ENTRIES // (2 * spec.j + 1) ** 2)
+    value, noise = np.empty(len(gx)), np.empty(len(gx))
+    for lo in range(0, len(gx), chunk):
+        part = slice(lo, lo + chunk)
+        value[part], noise[part] = _anchor_values(spec, gx[part])
+    return AnchorProfile(spec=spec, value=value, noise=noise)
 
 
 def total_collapse(spec: TrajectorySpec) -> float | None:
@@ -628,14 +689,16 @@ def collapse_zero_pattern(params: ModelParams,
     if params.gamma_x == 0.0 or params.gamma_y == 0.0:
         raise SingularParameterError(
             "gamma_x = 0 or gamma_y = 0: the anchor is undefined")
-    d, w = _anchor_slice(params, state_index)
-    n0, hi = _live_range(d)
-    n_inf = len(d) - 1 - hi if w != 0 else 0
-    free = len(d) - 1 - n0 - n_inf
+    [(_, d, w)] = _anchor_slices(params.j, params.eps, np.array([params.lam]),
+                                 np.array([params.gam]), state_index)
+    n0, hi = _live_range(d[0])
+    n = d.shape[1] - 1
+    n_inf = n - hi if w[0] != 0 else 0
+    free = n - n0 - n_inf
     merged = 0
     while merged < free:
-        value, noise = _anchor_coefficient(d, w, merged)
-        if abs(value) > noise:
+        value, noise = _anchor_coefficients(d, w, merged)
+        if abs(value[0]) > noise[0]:
             break
         merged += 1
     sites = [merged, n0, n_inf] + [1] * (free - merged)

@@ -12,6 +12,7 @@ any degree deficiency).  Everything downstream runs on those roots.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -30,10 +31,13 @@ DEGREE_RTOL = 1e-13
 ACCEPT_DEFECT = 1e-6
 
 
+@functools.cache
 def _binomial_sqrt(two_j: int) -> np.ndarray:
-    out = np.empty(two_j + 1)
-    for k in range(two_j + 1):
-        out[k] = math.sqrt(math.comb(two_j, k))
+    """sqrt(C(2j, k)) for k = 0..2j, one rounding each from the exact
+    integer; computed once per 2j and returned read-only."""
+    out = np.array([math.sqrt(math.comb(two_j, k))
+                    for k in range(two_j + 1)])
+    out.setflags(write=False)
     return out
 
 

@@ -51,20 +51,16 @@ class ModelParams:
     @classmethod
     def from_gammas(cls, j: int, gamma_x: float, gamma_y: float,
                     eps: float = 1.0) -> "ModelParams":
-        if not isinstance(j, (int, np.integer)) or j < 1:
-            raise ValueError(f"j must be a positive integer, got {j!r}")
-        scale = eps / (2.0 * (2 * j - 1))
-        return cls(j=int(j), eps=eps,
-                   lam=scale * (gamma_x - gamma_y),
-                   gam=scale * (gamma_x + gamma_y))
+        lam, gam = couplings(j, gamma_x, gamma_y, eps)
+        return cls(j=int(j), eps=eps, lam=lam, gam=gam)
 
     @property
     def gamma_x(self) -> float:
-        return (2 * self.j - 1) * (self.gam + self.lam) / self.eps
+        return gammas(self.j, self.eps, self.lam, self.gam)[0]
 
     @property
     def gamma_y(self) -> float:
-        return (2 * self.j - 1) * (self.gam - self.lam) / self.eps
+        return gammas(self.j, self.eps, self.lam, self.gam)[1]
 
     @property
     def t(self) -> float:
@@ -73,6 +69,19 @@ class ModelParams:
         if gy == 0.0:
             raise ZeroDivisionError("t undefined: gamma_y = 0")
         return math.sqrt(abs(self.gamma_x / gy))
+
+
+def couplings(j: int, gamma_x, gamma_y, eps=1.0):
+    """(lam, gam) at the control parameters, elementwise over arrays."""
+    if not isinstance(j, (int, np.integer)) or j < 1:
+        raise ValueError(f"j must be a positive integer, got {j!r}")
+    scale = eps / (2.0 * (2 * j - 1))
+    return scale * (gamma_x - gamma_y), scale * (gamma_x + gamma_y)
+
+
+def gammas(j: int, eps, lam, gam):
+    """(gamma_x, gamma_y) of the couplings, elementwise over arrays."""
+    return ((2 * j - 1) * (gam + lam) / eps, (2 * j - 1) * (gam - lam) / eps)
 
 
 def _detect_parity(coeffs: np.ndarray) -> str:
@@ -137,26 +146,45 @@ class HamiltonianMatrix:
     @property
     def norm(self) -> float:
         """Max row sum (induced infinity norm), used to scale tolerances."""
-        return float(np.max(np.sum(np.abs(self.matrix), axis=1)))
+        return float(max_row_sum(self.matrix))
+
+
+def max_row_sum(matrices: np.ndarray) -> np.ndarray:
+    """Max row sum of |H| for each matrix of a stack (..., dim, dim)."""
+    return np.max(np.sum(np.abs(matrices), axis=-1), axis=-1)
+
+
+def hamiltonian_stack(j: int, eps, lam, gam) -> np.ndarray:
+    """The Dicke-basis matrices of H for arrays of couplings, (S, dim, dim).
+
+    eps, lam and gam broadcast to one shape (S,).  Each entry is computed
+    with the same operations, in the same order, as a scalar formula:
+
+        Diagonal:   <m|H|m>   = eps*m + gam*(j(j+1) - m^2)
+        Off-band:   <m+2|H|m> = (lam/2) * sqrt((j-m)(j+m+1)(j-m-1)(j+m+2))
+
+    with the integer factors exact, so every sample gets the bits that
+    build_hamiltonian gives it alone.
+    """
+    eps, lam, gam = (x.astype(float)[:, None] for x in
+                     np.broadcast_arrays(*np.atleast_1d(eps, lam, gam)))
+    dim = 2 * j + 1
+    k = np.arange(dim)
+    m = k - j
+    H = np.zeros((eps.shape[0], dim, dim))
+    H[:, k, k] = eps * m + gam * (j * (j + 1) - m * m)
+    k, m = k[:-2], m[:-2]
+    v = 0.5 * lam * np.sqrt(
+        ((j - m) * (j + m + 1) * (j - m - 1) * (j + m + 2)).astype(float))
+    H[:, k + 2, k] = v
+    H[:, k, k + 2] = v
+    return H
 
 
 def build_hamiltonian(params: ModelParams) -> HamiltonianMatrix:
-    """Assemble the banded Dicke-basis matrix.
-
-    Diagonal:   <m|H|m>   = eps*m + gam*(j(j+1) - m^2)
-    Off-band:   <m+2|H|m> = (lam/2) * sqrt((j-m)(j+m+1)(j-m-1)(j+m+2))
-    """
-    j, eps, lam, gam = params.j, params.eps, params.lam, params.gam
-    dim = 2 * j + 1
-    H = np.zeros((dim, dim))
-    for k in range(dim):
-        m = k - j
-        H[k, k] = eps * m + gam * (j * (j + 1) - m * m)
-        if m + 2 <= j:
-            v = 0.5 * lam * math.sqrt(
-                (j - m) * (j + m + 1) * (j - m - 1) * (j + m + 2))
-            H[k + 2, k] = v
-            H[k, k + 2] = v
+    """The banded Dicke-basis matrix of one parameter point: the
+    one-sample case of hamiltonian_stack."""
+    H = hamiltonian_stack(params.j, params.eps, params.lam, params.gam)[0]
     H.setflags(write=False)
     return HamiltonianMatrix(params=params, matrix=H)
 
@@ -192,6 +220,16 @@ class EigenPair:
 DEGENERACY_RTOL = 1e-9
 
 
+def degenerate_flags(w: np.ndarray, gap_tol) -> np.ndarray:
+    """Mask of the eigenvalues within gap_tol of a neighbour, over the last
+    axis of ascending w; gap_tol broadcasts against np.diff(w, axis=-1)."""
+    close = np.diff(w, axis=-1) < gap_tol
+    flags = np.zeros(w.shape, dtype=bool)
+    flags[..., :-1] |= close
+    flags[..., 1:] |= close
+    return flags
+
+
 def _sector_eigensystem(sectors, gap_tol: float) -> list[tuple]:
     """Eigenpairs of the solved sectors (label, rows, w, v), v's rows
     sitting at `rows` of the full basis, as (energy, label, rows, v,
@@ -199,66 +237,95 @@ def _sector_eigensystem(sectors, gap_tol: float) -> list[tuple]:
     gap_tol of a neighbour in its own sector is flagged degenerate."""
     merged = []
     for label, rows, w, v in sectors:
-        close = np.diff(w) < gap_tol
-        flags = np.zeros(len(w), dtype=bool)
-        flags[:-1] |= close
-        flags[1:] |= close
+        flags = degenerate_flags(w, gap_tol)
         merged.extend((float(w[col]), label, rows, v, col, bool(flags[col]))
                       for col in range(v.shape[1]))
     merged.sort(key=lambda item: item[0])
     return merged
 
 
-def _sorted_eigensystem(h: HamiltonianMatrix) -> list[tuple]:
-    """_sector_eigensystem of the two parity sectors, even first."""
-    from scipy.linalg import eigh_tridiagonal
-
-    sectors = []
-    for name, offset in ((PARITY_EVEN, 0), (PARITY_ODD, 1)):
-        block = h.matrix[offset::2, offset::2]
-        d = np.diag(block).copy()
-        e = np.diag(block, 1).copy() if block.shape[0] > 1 else np.zeros(0)
-        try:
-            w, v = eigh_tridiagonal(d, e)
-        except Exception as exc:  # pragma: no cover - LAPACK failure is exotic
-            raise ConvergenceError(
-                f"tridiagonal solve failed in the {name} sector: {exc}") from exc
-        sectors.append((name, slice(offset, None, 2), w, v))
-    return _sector_eigensystem(sectors, DEGENERACY_RTOL * h.norm)
+PARITY_SECTORS = ((PARITY_EVEN, 0), (PARITY_ODD, 1))
 
 
-def _eigenpair(h: HamiltonianMatrix, entry, index: int) -> EigenPair:
-    energy, _, rows, v, col, flag = entry
+def parity_eigh(blocks: np.ndarray,
+                name: str) -> tuple[np.ndarray, np.ndarray]:
+    """np.linalg.eigh of one parity block or a stack of them.
+
+    Each block is already tridiagonal, so LAPACK's reduction to
+    tridiagonal form leaves it unchanged; on numpy 2.4.6 and scipy 1.17.1
+    the values and vectors are the bits of scipy's eigh_tridiagonal, and
+    a stacked call gives each block the bits it gets alone.  A LAPACK
+    failure raises ConvergenceError naming the sector.
+    """
+    try:
+        return np.linalg.eigh(blocks)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(
+            f"eigensolve failed in the {name} sector: {exc}") from exc
+
+
+def parity_eigenstates(h: np.ndarray, index: int) -> tuple:
+    """The state of energy rank `index` of each H in a stack (S, dim, dim).
+
+    Both parity blocks are solved by parity_eigh, stacked.  Returns
+    (solved, offset, col, degenerate): the (w, v) stacks of the sectors
+    of PARITY_SECTORS, and for each H the sector offset (0 even, 1 odd),
+    column and degenerate flag of its state.  The rank is a stable
+    argsort of the even then the odd values and the flag degenerate_flags
+    with gap DEGENERACY_RTOL * |H|, as _sector_eigensystem ranks and flags
+    diagonalize's list.  An index outside 0..2j raises ValueError.
+    """
+    solved = [parity_eigh(h[:, offset::2, offset::2], name)
+              for name, offset in PARITY_SECTORS]
+    if not 0 <= index < h.shape[-1]:
+        raise ValueError(f"state_index {index} out of range")
+    gap_tol = DEGENERACY_RTOL * max_row_sum(h)[:, None]
+    values = np.concatenate([w for w, _ in solved], axis=1)
+    flags = np.concatenate([degenerate_flags(w, gap_tol) for w, _ in solved],
+                           axis=1)
+    pick = np.argsort(values, axis=1, kind="stable")[:, index]
+    n_even = solved[0][0].shape[1]
+    offset = (pick >= n_even).astype(int)
+    return (solved, offset, pick - offset * n_even,
+            flags[np.arange(len(h)), pick])
+
+
+def _eigenpair(h: HamiltonianMatrix, rows, column: np.ndarray, energy,
+               index: int, degenerate) -> EigenPair:
     full = np.zeros(h.matrix.shape[0])
-    full[rows] = v[:, col]
-    return EigenPair(energy=energy,
+    full[rows] = column
+    return EigenPair(energy=float(energy),
                      state=StateVector(j=h.params.j, coeffs=full),
-                     index=index, degenerate=flag)
+                     index=index, degenerate=bool(degenerate))
 
 
 def diagonalize(h: HamiltonianMatrix) -> list[EigenPair]:
     """All eigenpairs, sorted by ascending energy.
 
-    Each parity sector is solved separately (they are exactly decoupled),
-    so eigenvectors carry exact structural zeros on the other sublattice
-    and a sharp parity label.  States closer than DEGENERACY_RTOL * |H|
-    to a same-sector neighbor are flagged degenerate.
+    Each parity sector is solved separately by parity_eigh (they are
+    exactly decoupled), so eigenvectors carry exact structural zeros on
+    the other sublattice and a sharp parity label.  States closer than
+    DEGENERACY_RTOL * |H| to a same-sector neighbor are flagged
+    degenerate.
     """
-    return [_eigenpair(h, entry, index) for index, entry
-            in enumerate(_sorted_eigensystem(h))]
+    sectors = [(name, slice(offset, None, 2),
+                *parity_eigh(h.matrix[offset::2, offset::2], name))
+               for name, offset in PARITY_SECTORS]
+    return [_eigenpair(h, rows, v[:, col], energy, index, flag)
+            for index, (energy, _, rows, v, col, flag) in enumerate(
+                _sector_eigensystem(sectors, DEGENERACY_RTOL * h.norm))]
 
 
 def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:
-    """diagonalize(h)[index], building only that one state.
-
-    Both sectors are still solved with eigenvectors: the energy order
-    that picks the state comes from the same solves.  An index outside
-    0..2j raises ValueError.
+    """diagonalize(h)[index], building only that one state: the
+    one-sample case of parity_eigenstates.  An index outside 0..2j
+    raises ValueError.
     """
-    merged = _sorted_eigensystem(h)
-    if not 0 <= index < len(merged):
-        raise ValueError(f"state_index {index} out of range")
-    return _eigenpair(h, merged[index], index)
+    solved, (offset,), (col,), (flag,) = parity_eigenstates(h.matrix[None],
+                                                            index)
+    w, v = solved[offset]
+    return _eigenpair(h, slice(offset, None, 2), v[0, :, col], w[0, col],
+                      index, flag)
 
 
 def expectation(h: HamiltonianMatrix, state: StateVector) -> float:

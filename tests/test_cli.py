@@ -563,10 +563,19 @@ def test_bcs_runs_without_scipy(command):
     assert _scipy_probe(*argv, block=True) == (ref.stdout, [])
 
 
-def test_lmg_collapse_loads_no_scipy_optimize():
-    _, loaded = _scipy_probe("lmg", "collapse", "--j", "4")
-    assert "scipy.linalg" in loaded
-    assert not [name for name in loaded if name.startswith("scipy.optimize")]
+@pytest.mark.parametrize("command", [
+    ["collapse"], ["spectrum", "--gx", "2", "--gy", "8"],
+    ["pairons", "--gx", "2", "--gy", "8"],
+    ["zeros", "--gx", "2", "--gy", "8", "--state", "3"], ["crossings"]],
+    ids=lambda command: command[0])
+def test_lmg_runs_without_scipy(command):
+    # every lmg command but scan, whose branch matcher needs scipy.optimize
+    argv = ["lmg", command[0], "--j", "4", *command[1:]]
+    prefix, env = module_cli("pairons")
+    ref = subprocess.run(prefix + argv, capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert ref.returncode == 0, ref.stderr
+    assert _scipy_probe(*argv, block=True) == (ref.stdout, [])
 
 
 def test_entry_point_env_threads_deterministic(tmp_path):

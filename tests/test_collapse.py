@@ -5,14 +5,16 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
-from pairons import (ConvergenceError, ModelParams, TrajectorySpec,
-                     UnresolvedAnchorError, anchor_profile, anchor_value,
-                     build_hamiltonian, collapse_points,
-                     collapse_zero_pattern, crossing_points, find_collapses,
-                     hyperbola_levels, scan_trajectory, split_parity,
-                     total_collapse, total_collapse_candidates)
-from pairons.collapse import (SINGULAR_MARGIN, _anchor_coefficient,
-                              _anchor_slice, _brentq)
+from pairons import (ConvergenceError, DegenerateStateError, ModelParams,
+                     TrajectorySpec, UnresolvedAnchorError, anchor_profile,
+                     anchor_value, build_hamiltonian, collapse_points,
+                     collapse_zero_pattern, crossing_points, eigenpair,
+                     find_collapses, hyperbola_levels, parity_slice,
+                     scan_trajectory, split_parity, total_collapse,
+                     total_collapse_candidates)
+from pairons import collapse, spin
+from pairons.collapse import (SINGULAR_MARGIN, _anchor_coefficients,
+                              _anchor_slices, _brentq)
 
 
 def test_hyperbola_levels_frozen():
@@ -167,6 +169,88 @@ def test_anchor_noise_bounds_true_error():
             assert abs(value - _anchor_value_mp(mp, j, gx, c - gx)) <= noise
 
 
+def _anchor_value_reference(spec, gx):
+    """anchor_value of one sample composed from the one-state primitives:
+    eigenpair, parity_slice and np.polyval."""
+    params = ModelParams.from_gammas(spec.j, gx, spec.gamma_y(gx),
+                                     eps=spec.eps)
+    pair = eigenpair(build_hamiltonian(params), spec.state_index)
+    assert not pair.degenerate
+    d = parity_slice(pair.state)[1].real
+    d = -d if d[0] < 0 else d
+    t = params.t
+    w = (t - 1.0) / (t + 1.0)
+    scale = float(np.max(np.abs(d)))
+    bound = float(np.polyval(np.abs(d), abs(w))) / scale
+    return (float(np.polyval(d, w)) / scale,
+            collapse.ANCHOR_NOISE_C * (len(d) - 1) * np.finfo(float).eps
+            * bound)
+
+
+@pytest.mark.parametrize("j, line_sum, state, start, stop", [
+    (j, c, 0, 0.05, c - 0.05) for j in (4, 6, 10) for c in (10.0, 12.0)] + [
+    # stacks whose state sits in the even sector at some samples and in
+    # the odd one at others
+    (6, 10.0, 3, 0.05, 9.95), (10, -7.0, 0, -9.0, -0.05)])
+def test_anchor_profile_is_anchor_value_bitwise(j, line_sum, state, start,
+                                                stop):
+    spec = TrajectorySpec(j=j, line="sum", line_sum=line_sum, start=start,
+                          stop=stop, steps=240, state_index=state)
+    profile = anchor_profile(spec)
+    one = np.array([anchor_value(spec, float(g)) for g in spec.samples()])
+    ref = np.array([_anchor_value_reference(spec, float(g))
+                    for g in spec.samples()])
+    for pairs in (one, ref):
+        assert profile.value.tobytes() == pairs[:, 0].tobytes()
+        assert profile.noise.tobytes() == pairs[:, 1].tobytes()
+
+
+@pytest.mark.parametrize("j, budget", [(10, 7 * 21 ** 2), (40, None)])
+def test_anchor_profile_across_chunks(monkeypatch, j, budget):
+    # chunks of 7 samples at j = 10, and the default budget's 39 at j = 40
+    if budget is not None:
+        monkeypatch.setattr(collapse, "STACK_ENTRIES", budget)
+    spec = TrajectorySpec(j=j, line="sum", line_sum=10.0, start=0.05,
+                          stop=9.95, steps=100, state_index=0)
+    assert collapse.STACK_ENTRIES // (2 * j + 1) ** 2 < 50
+    profile = anchor_profile(spec)
+    pairs = np.array([anchor_value(spec, float(g)) for g in spec.samples()])
+    assert profile.value.tobytes() == pairs[:, 0].tobytes()
+    assert profile.noise.tobytes() == pairs[:, 1].tobytes()
+
+
+def test_anchor_profile_refuses_as_the_first_failing_sample(monkeypatch):
+    # lam = 0 on the diagonal, and at j = 3 state 4 is degenerate within
+    # its parity sector at gx = 1.25 and at gx = 2.5
+    spec = TrajectorySpec(j=3, line="diagonal", start=1.0, stop=3.0,
+                          steps=9, state_index=4)
+    with pytest.raises(DegenerateStateError) as alone:
+        anchor_value(spec, 1.25)
+    with pytest.raises(DegenerateStateError) as stacked:
+        anchor_profile(spec)
+    assert str(stacked.value) == str(alone.value) == (
+        "state 4 is degenerate at gx=1.25")
+    # a LAPACK failure of a stack is traced to its first failing sample
+    solve = spin.parity_eigh
+
+    def failing(blocks, name):
+        # <-3|H|-3> = 3 gx/5 - 3 picks the samples gx >= 2.5
+        if name == "even" and np.any(blocks[:, 0, 0] > -1.6):
+            raise ConvergenceError(f"eigensolve failed in the {name} sector")
+        return solve(blocks, name)
+
+    monkeypatch.setattr(spin, "parity_eigh", failing)
+    with pytest.raises(DegenerateStateError, match="at gx=1.25"):
+        anchor_profile(spec)
+    spec = TrajectorySpec(j=3, line="diagonal", start=1.0, stop=3.0,
+                          steps=9, state_index=0)
+    anchor_value(spec, 2.25)
+    with pytest.raises(ConvergenceError, match="in the even sector"):
+        anchor_value(spec, 2.5)
+    with pytest.raises(ConvergenceError, match="in the even sector"):
+        anchor_profile(spec)
+
+
 def _anchor_value_mp(mp, j, gx, gy):
     """anchor_value of the ground state in mpmath arithmetic."""
     gx, gy = mp.mpf(gx), mp.mpf(gy)
@@ -243,12 +327,14 @@ def test_collapse_pattern_dicke_state_split(j, gx, pattern):
 
 def _anchor_multiplicity(j, gx, gy):
     """(m, ratios): Taylor count at the anchor and |a_m|/bound for all m."""
-    d, w = _anchor_slice(ModelParams.from_gammas(j, gx, gy), 0)
+    params = ModelParams.from_gammas(j, gx, gy)
+    [(_, d, w)] = _anchor_slices(j, params.eps, np.array([params.lam]),
+                                 np.array([params.gam]), 0)
     ratios = []
-    for m in range(len(d)):
-        value, noise = _anchor_coefficient(d, w, m)
+    for m in range(d.shape[1]):
+        (value,), (noise,) = _anchor_coefficients(d, w, m)
         ratios.append(abs(value) / noise if noise else 0.0)  # 0 is exact
-    m = next((i for i, r in enumerate(ratios) if r > 1.0), len(d) - 1)
+    m = next((i for i, r in enumerate(ratios) if r > 1.0), d.shape[1] - 1)
     return m, ratios
 
 
