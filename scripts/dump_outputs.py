@@ -14,13 +14,17 @@ The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
 0,0.5,1,1.5, N=20), `bcs spectrum` of the same models, `bcs ellipsoid`
 at N=12 and at N=10 with --state 3 (both gammas), `lmg scan --j 10
 --steps 200`, `lmg collapse --j 10` and its --line diagonal form,
-`lmg collapse --j 10 --line-sum 12`, `lmg collapse --j 8` and `lmg
-collapse --j 6 --format json`, whose root refinements cover the
-collapse detector's own Brent solver, `lmg spectrum --j 40 --gx 2 --gy 8`,
-`lmg zeros --j 10 --gx 2 --gy 8 --state 3`, `lmg crossings --j 10`,
-whose full diagonalizations cover spin.diagonalize, and `lmg pairons --j
-40 --state 19` at gx = 3.74102 and 6.164669 on gx + gy = 10, where an
-unscaled companion solve misses the root residual check.
+`lmg collapse --j 10 --line-sum 12`, `lmg collapse --j 8`, `lmg
+collapse --j 6 --format json` and `lmg collapse --j 10 --steps 400`,
+whose root refinements cover the collapse detector's own Brent solver,
+`lmg collapse --j 4 --from 4 --to 6 --steps 5`, with a sample where the
+anchor value is exactly zero beside the total collapse, `lmg collapse
+--j 20`, which exits 3 on an unresolved anchor, `lmg spectrum --j 40
+--gx 2 --gy 8`, `lmg zeros --j 10 --gx 2 --gy 8 --state 3`, `lmg
+crossings --j 10`, whose full diagonalizations cover spin.diagonalize,
+and `lmg pairons --j 40 --state 19` at gx = 3.74102 and 6.164669 on
+gx + gy = 10, where an unscaled companion solve misses the root
+residual check.
 """
 import argparse
 import json
@@ -48,6 +52,10 @@ COMMANDS = (
        ["lmg", "collapse", "--j", "10", "--line-sum", "12"],
        ["lmg", "collapse", "--j", "8"],
        ["lmg", "collapse", "--j", "6", "--format", "json"],
+       ["lmg", "collapse", "--j", "10", "--steps", "400"],
+       ["lmg", "collapse", "--j", "4", "--from", "4", "--to", "6",
+        "--steps", "5"],
+       ["lmg", "collapse", "--j", "20"],
        ["lmg", "spectrum", "--j", "40", "--gx", "2", "--gy", "8"],
        ["lmg", "zeros", "--j", "10", "--gx", "2", "--gy", "8", "--state", "3"],
        ["lmg", "crossings", "--j", "10"]]

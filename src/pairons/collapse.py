@@ -462,18 +462,24 @@ class AnchorProfile:
 def anchor_profile(spec: TrajectorySpec) -> AnchorProfile:
     """anchor_value at every sample of spec, bit for bit.
 
-    The samples are solved as stacks of STACK_ENTRIES // (2j+1)^2 (at
-    least one), so a stack's matrices hold at most STACK_ENTRIES floats
-    whatever j and the number of samples.  A failing sample raises what
-    anchor_value raises for the first failing sample in gx order.
+    The samples are solved by _stacked_anchor_values.  A failing sample
+    raises what anchor_value raises for the first failing sample in gx
+    order.
     """
-    gx = spec.samples()
+    return AnchorProfile(spec, *_stacked_anchor_values(spec, spec.samples()))
+
+
+def _stacked_anchor_values(spec: TrajectorySpec, gx: np.ndarray
+                           ) -> tuple[np.ndarray, np.ndarray]:
+    """_anchor_values at every point of gx, in stacks of STACK_ENTRIES //
+    (2j+1)^2 points (at least one), so a stack's matrices hold at most
+    STACK_ENTRIES floats whatever j and the number of points."""
     chunk = max(1, STACK_ENTRIES // (2 * spec.j + 1) ** 2)
     value, noise = np.empty(len(gx)), np.empty(len(gx))
     for lo in range(0, len(gx), chunk):
         part = slice(lo, lo + chunk)
         value[part], noise[part] = _anchor_values(spec, gx[part])
-    return AnchorProfile(spec=spec, value=value, noise=noise)
+    return value, noise
 
 
 def total_collapse(spec: TrajectorySpec) -> float | None:
@@ -500,25 +506,42 @@ def total_collapse(spec: TrajectorySpec) -> float | None:
 def _brentq(f, xa: float, xb: float) -> float:
     """A root of f in the sign-change bracket [xa, xb], by Brent's method.
 
+    Drives _brent_steps with f, calling f at xa, at xb and then at each
+    point the steps ask for.  Given float brackets it returns the same
+    root as scipy.optimize.brentq, bit for bit, which tests pin; keeping
+    it here spares every collapse command the import of scipy.optimize.
+    """
+    steps = _brent_steps(xa, xb, f(xa), f(xb))
+    try:
+        x = next(steps)
+        while True:
+            x = steps.send(f(x))
+    except StopIteration as done:
+        return done.value[0]
+
+
+def _brent_steps(xa: float, xb: float, fa: float, fb: float):
+    """Brent's method on the sign-change bracket [xa, xb] with f(xa) = fa
+    and f(xb) = fb, as a generator: it yields each point where it needs
+    f, is sent f there, and returns (root, f(root)).
+
     A step-for-step transcription of scipy's brentq.c (Brent 1973,
     "Algorithms for Minimization without Derivatives", ch. 4): inverse
     quadratic extrapolation or secant interpolation where the step is
     short enough, bisection otherwise, with the defaults of
-    scipy.optimize.brentq (xtol 2e-12, rtol 4*eps, maxiter 100).  Given
-    float brackets it returns the same root as scipy, bit for bit, which
-    tests pin; keeping it here spares every collapse command the import
-    of scipy.optimize.  An endpoint where f is 0 is returned as is; a
-    bracket without a sign change raises ValueError, and 100 steps
-    without convergence raise ConvergenceError.
+    scipy.optimize.brentq (xtol 2e-12, rtol 4*eps, maxiter 100).  An
+    endpoint where f is 0 is returned as is; a bracket without a sign
+    change raises ValueError, and 100 steps without convergence raise
+    ConvergenceError.
     """
     xtol, rtol, maxiter = 2e-12, 4 * math.ulp(1.0), 100
     xpre, xcur = xa, xb
     xblk = fblk = spre = scur = 0.0
-    fpre, fcur = f(xpre), f(xcur)
+    fpre, fcur = fa, fb
     if fpre == 0:
-        return xpre
+        return xpre, fpre
     if fcur == 0:
-        return xcur
+        return xcur, fcur
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
         raise ValueError("f(a) and f(b) must have different signs")
     for _ in range(maxiter):
@@ -532,7 +555,7 @@ def _brentq(f, xa: float, xb: float) -> float:
         delta = (xtol + rtol * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
-            return xcur
+            return xcur, fcur
         if abs(spre) > delta and abs(fcur) < abs(fpre):
             try:
                 if xpre == xblk:  # interpolate
@@ -552,7 +575,7 @@ def _brentq(f, xa: float, xb: float) -> float:
             spre = scur = sbis
         xpre, fpre = xcur, fcur
         xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = f(xcur)
+        fcur = yield xcur
     raise ConvergenceError(
         f"brentq did not converge in {maxiter} steps in [{xa!r}, {xb!r}]",
         partial=xcur)
@@ -575,12 +598,13 @@ def total_collapse_candidates(spec: TrajectorySpec
 def find_collapses(profile: AnchorProfile) -> list[CollapseCandidate]:
     """Collapses on the profile's sum-line segment, ascending in gx.
 
-    Each sign change of anchor_value between neighbouring samples is
-    refined with _brentq; a sample where f is exactly zero is a root
-    itself.  The total collapse comes from total_collapse, and a sign
-    change within 1e-9*c of it (odd j) is the same event and dropped.
-    Raises UnresolvedAnchorError if any sample's sign is below its noise
-    bound: the count of sign changes would not be trustworthy.
+    A sample where f is exactly zero is a root itself, and each sign
+    change of anchor_value between neighbouring samples is refined by
+    _refine_brackets, all brackets in lockstep.  The total collapse comes
+    from total_collapse, and a sign change within 1e-9*c of it (odd j) is
+    the same event and dropped.  Raises UnresolvedAnchorError if any
+    sample's sign is below its noise bound: the count of sign changes
+    would not be trustworthy.
     """
     spec = profile.spec
     gx = spec.samples()
@@ -593,19 +617,74 @@ def find_collapses(profile: AnchorProfile) -> list[CollapseCandidate]:
             f"anchor value within its noise bound at {int(bad.sum())} of "
             f"{len(bad)} samples, first over gx in "
             f"[{gx[first]:.6g}, {gx[last]:.6g}]")
-    sign = np.sign(profile.value)
-    roots = [float(g) for g, s in zip(gx, sign) if s == 0]
-    for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-        roots.append(_brentq(lambda g: anchor_value(spec, g)[0],
-                             float(gx[i]), float(gx[i + 1])))
+    value = profile.value
+    sign = np.sign(value)
+    roots = [(float(gx[i]), float(value[i]))
+             for i in np.flatnonzero(sign == 0)]
+    roots += _refine_brackets(spec, [
+        (float(gx[i]), float(gx[i + 1]), float(value[i]), float(value[i + 1]))
+        for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)])
     found = total_collapse_candidates(spec)
     for total in found:
         roots = [r for r in roots
-                 if abs(r - total.gamma_x) > 1e-9 * abs(spec.line_sum)]
-    found += [CollapseCandidate(gamma_x=r,
-                                anchor_value=anchor_value(spec, r)[0])
-              for r in roots]
+                 if abs(r[0] - total.gamma_x) > 1e-9 * abs(spec.line_sum)]
+    found += [CollapseCandidate(gamma_x=r, anchor_value=f) for r, f in roots]
     return sorted(found, key=lambda c: c.gamma_x)
+
+
+def _refine_brackets(spec: TrajectorySpec,
+                     brackets: list[tuple[float, float, float, float]]
+                     ) -> list[tuple[float, float]]:
+    """(root, anchor_value there) in each bracket (xa, xb, f(xa), f(xb)),
+    the roots _brentq finds bracket by bracket, bit for bit.
+
+    One _brent_steps generator per bracket; the brackets step in
+    lockstep, and each round evaluates every pending point with one
+    _stacked_anchor_values call.  A bracket whose point fails, or whose
+    steps raise (ConvergenceError after 100 steps), stops with that
+    exception while the others go on.  If the stacked call raises, the
+    round's points are evaluated one by one with anchor_value, so each
+    bracket keeps the exception its own point raises alone.  The
+    brackets do not depend on each other, so the exception of the first
+    failed bracket is the one the bracket-by-bracket order raises first,
+    and it is raised once all are done.
+    """
+    failures = (PaironsError, ValueError, ZeroDivisionError)
+    steps = [_brent_steps(*bracket) for bracket in brackets]
+    results: list = [None] * len(steps)  # (root, f), or the failure
+    pending: dict[int, float] = {}  # bracket -> the point it asks f at
+
+    def advance(i: int, f: float | None) -> None:
+        try:
+            pending[i] = next(steps[i]) if f is None else steps[i].send(f)
+        except StopIteration as done:
+            results[i] = done.value
+        except failures as exc:
+            results[i] = exc
+
+    for i in range(len(steps)):
+        advance(i, None)
+    while pending:
+        index, x = list(pending), list(pending.values())
+        pending.clear()
+        try:
+            values = _stacked_anchor_values(spec, np.array(x))[0].tolist()
+        except failures:
+            values = []
+            for g in x:
+                try:
+                    values.append(anchor_value(spec, g)[0])
+                except failures as exc:
+                    values.append(exc)
+        for i, f in zip(index, values):
+            if isinstance(f, failures):
+                results[i] = f
+            else:
+                advance(i, f)
+    for result in results:
+        if isinstance(result, failures):
+            raise result
+    return results
 
 
 def label_collapses(spec: TrajectorySpec, found: list[CollapseCandidate]
@@ -685,12 +764,38 @@ def collapse_zero_pattern(params: ModelParams,
     and the next coefficient exceeds its bound 1.9e4-fold; at the
     root-solved gx of find_collapses (up to 6e-7 off at j = 10) the count
     falls short at 65 of the 178 points with j = 2..10.
+
+    This is the one-point case of _zero_patterns, which collapse_rows
+    calls on all its points at once.
     """
-    if params.gamma_x == 0.0 or params.gamma_y == 0.0:
+    return _zero_patterns(params.j, params.eps, np.array([params.lam]),
+                          np.array([params.gam]), state_index)[0]
+
+
+def _zero_patterns(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
+                   state_index: int) -> list[list[int]]:
+    """collapse_zero_pattern at each point of the arrays of couplings lam,
+    gam, with the slices of all points from one _anchor_slices call.
+
+    When points fail, the first one in order raises what it raises alone.
+    """
+    gamma_x, gamma_y = gammas(j, eps, lam, gam)
+    singular = np.flatnonzero((gamma_x == 0.0) | (gamma_y == 0.0))
+    solved = int(singular[0]) if singular.size else len(lam)
+    patterns: list = [None] * solved
+    if solved:
+        for rows, d, w in _anchor_slices(j, eps, lam[:solved], gam[:solved],
+                                         state_index):
+            for r, i in enumerate(rows):
+                patterns[i] = _zero_pattern(d[r:r + 1], w[r:r + 1])
+    if solved < len(lam):
         raise SingularParameterError(
             "gamma_x = 0 or gamma_y = 0: the anchor is undefined")
-    [(_, d, w)] = _anchor_slices(params.j, params.eps, np.array([params.lam]),
-                                 np.array([params.gam]), state_index)
+    return patterns
+
+
+def _zero_pattern(d: np.ndarray, w: np.ndarray) -> list[int]:
+    """The pattern of one point from its slice d (1, n+1) and w (1,)."""
     n0, hi = _live_range(d[0])
     n = d.shape[1] - 1
     n_inf = n - hi if w[0] != 0 else 0
@@ -725,17 +830,19 @@ def collapse_rows(spec: TrajectorySpec, found: list[CollapseCandidate]
 
     The expected pattern is a site of merged_zero_multiplicity = 2(k+1)
     and a 2 for each other pairon.  The pattern is taken at the analytic
-    gx, where collapse_zero_pattern's count is exact, not the detected one.
+    gx, where collapse_zero_pattern's count is exact, not the detected one;
+    the patterns of all rows come from one stacked solve (_zero_patterns).
     """
+    labelled = label_collapses(spec, found)
+    at = np.array([row[3] for row in labelled], dtype=float)
+    lam, gam = couplings(spec.j, at, spec.gamma_y(at), spec.eps)
+    patterns = _zero_patterns(spec.j, spec.eps, lam, gam, spec.state_index)
     rows = []
-    for cand, k, branch, gx in label_collapses(spec, found):
+    for (cand, k, branch, gx), pattern in zip(labelled, patterns):
         point = CollapsePoint(k=k, gamma_x=gx, gamma_y=spec.gamma_y(gx),
                               branch=branch)
-        params = ModelParams.from_gammas(spec.j, gx, point.gamma_y,
-                                         eps=spec.eps)
         rows.append(CollapseRow(
-            candidate=cand, point=point,
-            pattern=tuple(collapse_zero_pattern(params, spec.state_index)),
+            candidate=cand, point=point, pattern=tuple(pattern),
             expected=((point.merged_zero_multiplicity,)
                       + (2,) * (spec.j - 1 - k))))
     return rows

@@ -196,8 +196,9 @@ def test_collapse_outside_envelope_exits_before_patterns(capsys, monkeypatch,
     # the Taylor count is wrong for k <= 1 here; the unresolved anchor
     # refuses the line before any pattern is computed
     calls = []
-    monkeypatch.setattr(pairons.collapse, "collapse_zero_pattern",
-                        lambda *args, **kwargs: calls.append(args))
+    for name in ("collapse_zero_pattern", "_zero_patterns"):
+        monkeypatch.setattr(pairons.collapse, name,
+                            lambda *args, **kwargs: calls.append(args))
     rc, out, err = run_lmg(capsys, "collapse", "--j", str(j),
                            "--line-sum", line_sum)
     assert rc == 3

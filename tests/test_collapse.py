@@ -13,8 +13,9 @@ from pairons import (ConvergenceError, DegenerateStateError, ModelParams,
                      scan_trajectory, split_parity, total_collapse,
                      total_collapse_candidates)
 from pairons import collapse, spin
-from pairons.collapse import (SINGULAR_MARGIN, _anchor_coefficients,
-                              _anchor_slices, _brentq)
+from pairons.collapse import (SINGULAR_MARGIN, AnchorProfile,
+                              CollapseCandidate, _anchor_coefficients,
+                              _anchor_slices, _brentq, collapse_rows)
 
 
 def test_hyperbola_levels_frozen():
@@ -446,3 +447,138 @@ def test_brentq_is_scipy_bitwise_on_anchor_brackets():
                     (j, c, i)
                 count += 1
     assert count == 64
+
+
+def _brackets(profile):
+    gx = profile.spec.samples()
+    sign = np.sign(profile.value)
+    return [(float(gx[i]), float(gx[i + 1]))
+            for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)]
+
+
+def _serial_collapses(profile):
+    """find_collapses bracket by bracket: _brentq on one-sample
+    anchor_value calls, then anchor_value at each root."""
+    spec = profile.spec
+    f = lambda g: anchor_value(spec, g)[0]
+    roots = [float(g) for g, v in zip(spec.samples(), profile.value)
+             if v == 0]
+    roots += [_brentq(f, a, b) for a, b in _brackets(profile)]
+    found = total_collapse_candidates(spec)
+    for total in found:
+        roots = [r for r in roots
+                 if abs(r - total.gamma_x) > 1e-9 * abs(spec.line_sum)]
+    found += [CollapseCandidate(gamma_x=r, anchor_value=f(r)) for r in roots]
+    return sorted(found, key=lambda c: c.gamma_x)
+
+
+def _fields(found):
+    return [(c.gamma_x.hex(), c.anchor_value.hex(), c.total) for c in found]
+
+
+@pytest.mark.parametrize("j, line_sum, state", [
+    (j, c, 0) for j in (3, 6, 10) for c in (10.0, 12.0, 20.0)] + [
+    (6, 10.0, 1)])
+def test_find_collapses_is_serial_brent_bitwise(j, line_sum, state):
+    # the lockstep rounds give every bracket the root and the anchor value
+    # that _brentq on one-sample anchor_value calls gives it
+    lo = SINGULAR_MARGIN + 0.049
+    spec = TrajectorySpec(j=j, start=lo, stop=line_sum - lo, steps=1200,
+                          line_sum=line_sum, state_index=state)
+    profile = anchor_profile(spec)
+    if profile.unresolved().any():  # j = 10 on c = 20: exit 3
+        with pytest.raises(UnresolvedAnchorError):
+            find_collapses(profile)
+        found = find_collapses(AnchorProfile(
+            spec, profile.value, np.zeros_like(profile.noise)))
+    else:
+        found = find_collapses(profile)
+    assert _fields(found) == _fields(_serial_collapses(profile))
+    if profile.unresolved().any():
+        return
+    rows = collapse_rows(spec, found)
+    assert len(rows) == len(found)
+    for row in rows:
+        params = ModelParams.from_gammas(j, row.point.gamma_x,
+                                         row.point.gamma_y)
+        assert list(row.pattern) == collapse_zero_pattern(params, state)
+
+
+def test_find_collapses_raises_as_the_first_failing_bracket(monkeypatch):
+    # the later bracket fails at its first point, the earlier one only
+    # near its root, rounds later: the earlier bracket's failure wins, as
+    # it does bracket by bracket
+    spec = TrajectorySpec(j=6, start=0.05, stop=9.95, steps=1200)
+    profile = anchor_profile(spec)
+    found = find_collapses(profile)
+    brackets = _brackets(profile)
+    (early, late) = brackets[1], brackets[4]
+    (root,) = [c.gamma_x for c in found if early[0] < c.gamma_x < early[1]]
+    values = collapse._anchor_values
+    raised = []
+
+    def failing(spec, gx):
+        for g in gx.tolist():
+            if late[0] <= g <= late[1]:
+                raised.append("late")
+                raise DegenerateStateError(f"state 0 is degenerate at {g!r}")
+            if early[0] <= g <= early[1] and abs(g - root) < 1e-7:
+                raised.append("early")
+                raise ConvergenceError(f"eigensolve failed at {g!r}")
+        return values(spec, gx)
+
+    monkeypatch.setattr(collapse, "_anchor_values", failing)
+    with pytest.raises(ConvergenceError) as serial:
+        _serial_collapses(profile)
+    assert raised == ["early"]
+    raised.clear()
+    with pytest.raises(ConvergenceError) as lockstep:
+        find_collapses(profile)
+    assert raised[0] == "late" and "early" in raised
+    assert str(lockstep.value) == str(serial.value)
+
+    # an earlier bracket out of Brent steps wins over a later bracket
+    # whose first point fails
+    spec = TrajectorySpec(j=2, start=1.0, stop=3.0, steps=3)
+
+    def quintic(spec, gx):
+        if np.any((2.0 < gx) & (gx < 3.0)):
+            raise DegenerateStateError("state 0 is degenerate")
+        return np.where(gx <= 2.0, (gx - 1.3) ** 5, -1.0), np.zeros(len(gx))
+
+    monkeypatch.setattr(collapse, "_anchor_values", quintic)
+    profile = anchor_profile(spec)
+    assert _brackets(profile) == [(1.0, 2.0), (2.0, 3.0)]
+    with pytest.raises(ConvergenceError) as serial:
+        _serial_collapses(profile)
+    with pytest.raises(ConvergenceError) as lockstep:
+        find_collapses(profile)
+    assert str(lockstep.value) == str(serial.value) == (
+        "brentq did not converge in 100 steps in [1.0, 2.0]")
+
+
+def test_find_collapses_stacks_its_brent_steps(monkeypatch):
+    # j = 10 on the default grid: 16 brackets, each round one stacked
+    # call (one chunk), and no one-sample anchor_value call at all, where
+    # the bracket-by-bracket refinement made 316 of them
+    lo = SINGULAR_MARGIN + 0.049
+    spec = TrajectorySpec(j=10, start=lo, stop=10.0 - lo, steps=1200)
+    profile = anchor_profile(spec)
+    assert len(_brackets(profile)) == 16
+    assert 16 <= collapse.STACK_ENTRIES // 21 ** 2
+    calls = {"one": 0, "stacked": 0}
+    one, values = collapse.anchor_value, collapse._anchor_values
+
+    def counted_one(*args):
+        calls["one"] += 1
+        return one(*args)
+
+    def counted_stacked(*args):
+        calls["stacked"] += 1
+        return values(*args)
+
+    monkeypatch.setattr(collapse, "anchor_value", counted_one)
+    monkeypatch.setattr(collapse, "_anchor_values", counted_stacked)
+    assert len(find_collapses(profile)) == 17
+    assert calls["one"] == 0
+    assert 0 < calls["stacked"] <= 101
