@@ -12,19 +12,24 @@ byte-identical.
 
 The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
 0,0.5,1,1.5, N=20), `bcs spectrum` of the same models, `bcs ellipsoid`
-at N=12 and at N=10 with --state 3 (both gammas), `lmg scan --j 10
---steps 200`, `lmg collapse --j 10` and its --line diagonal form,
-`lmg collapse --j 10 --line-sum 12`, `lmg collapse --j 8`, `lmg
-collapse --j 6 --format json` and `lmg collapse --j 10 --steps 400`,
-whose root refinements cover the collapse detector's own Brent solver,
-`lmg collapse --j 4 --from 4 --to 6 --steps 5`, with a sample where the
-anchor value is exactly zero beside the total collapse, `lmg collapse
---j 20`, which exits 3 on an unresolved anchor, `lmg spectrum --j 40
---gx 2 --gy 8`, `lmg zeros --j 10 --gx 2 --gy 8 --state 3`, `lmg
-crossings --j 10`, whose full diagonalizations cover spin.diagonalize,
-and `lmg pairons --j 40 --state 19` at gx = 3.74102 and 6.164669 on
-gx + gy = 10, where an unscaled companion solve misses the root
-residual check.
+at N=12 and at N=10 with --state 3 (both gammas); `lmg scan --j 10
+--steps 200` and four more scans: `--j 10 --line diagonal --from 4.5
+--to 5 --steps 3 --state 4`, which skips gx = 4.75 on a degenerate
+state, `--j 7 --steps 100 --state 3`, whose samples mix both
+seniorities, `--j 10 --line diagonal --from -9.95 --to -0.05 --steps
+50`, with Dicke states and structural zeros, and `--j 40 --steps 100
+--format json`, with stripped u-polynomials of many lengths; `lmg
+collapse --j 10` and its --line diagonal form, `lmg collapse --j 10
+--line-sum 12`, `lmg collapse --j 8`, `lmg collapse --j 6 --format
+json` and `lmg collapse --j 10 --steps 400`, whose root refinements
+cover the collapse detector's own Brent solver, `lmg collapse --j 4
+--from 4 --to 6 --steps 5`, with a sample where the anchor value is
+exactly zero beside the total collapse, `lmg collapse --j 20`, which
+exits 3 on an unresolved anchor, `lmg spectrum --j 40 --gx 2 --gy 8`,
+`lmg zeros --j 10 --gx 2 --gy 8 --state 3`, `lmg crossings --j 10`,
+whose full diagonalizations cover spin.diagonalize, and `lmg pairons
+--j 40 --state 19` at gx = 3.74102 and 6.164669 on gx + gy = 10, where
+an unscaled companion solve misses the root residual check.
 """
 import argparse
 import json
@@ -47,6 +52,14 @@ COMMANDS = (
        for g in GAMMAS]
     + [["lmg", "scan", "--j", "10", "--from", "0.05", "--to", "9.95",
         "--steps", "200"],
+       ["lmg", "scan", "--j", "10", "--line", "diagonal", "--from", "4.5",
+        "--to", "5", "--steps", "3", "--state", "4"],
+       ["lmg", "scan", "--j", "7", "--from", "0.05", "--to", "9.95",
+        "--steps", "100", "--state", "3"],
+       ["lmg", "scan", "--j", "10", "--line", "diagonal", "--from", "-9.95",
+        "--to", "-0.05", "--steps", "50"],
+       ["lmg", "scan", "--j", "40", "--from", "0.05", "--to", "9.95",
+        "--steps", "100", "--format", "json"],
        ["lmg", "collapse", "--j", "10"],
        ["lmg", "collapse", "--j", "10", "--line", "diagonal"],
        ["lmg", "collapse", "--j", "10", "--line-sum", "12"],

@@ -33,7 +33,8 @@ from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
 from .errors import InconsistentPaironsError, PaironsError
 from .paironmap import (PaironSet, extract_pairons, fidelity, pairon_from_u,
                         u_from_pairon)
-from .sphere import SpherePoint, chordal_distance
+from .sphere import (SITE_MERGE_RADIUS, SpherePoint, chordal_distances,
+                     coordinates)
 from .spin import (PARITY_EVEN, PARITY_ODD, ModelParams, build_hamiltonian,
                    diagonalize)
 
@@ -44,7 +45,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
-SITE_MERGE_RADIUS = 1e-6
 MAP_CHECK_TOL = 1e-9
 
 
@@ -309,20 +309,23 @@ def _zero_rows(pairons: PaironSet) -> list[list]:
         entries.append((SpherePoint.from_zeta(0.0), -1, 1, {"seniority", "pole"}))
         entries.append((SpherePoint.infinity(), -1, 1, {"seniority", "pole"}))
 
-    merged: list[list] = []  # [point, alpha, multiplicity, flags]
-    for point, alpha, mult, fl in entries:
+    z = coordinates([point for point, _, _, _ in entries])
+    near = chordal_distances(z[:, None], z[None, :]) <= SITE_MERGE_RADIUS
+    merged: list[list] = []  # [first entry, alpha, multiplicity, flags]
+    for k, (_, alpha, mult, fl) in enumerate(entries):
         for group in merged:
-            if chordal_distance(group[0], point) <= SITE_MERGE_RADIUS:
+            if near[group[0], k]:
                 group[2] += mult
                 group[3] |= fl
                 if alpha >= 0:
                     group[1] = alpha if group[1] < 0 else min(group[1], alpha)
                 break
         else:
-            merged.append([point, alpha, mult, set(fl)])
+            merged.append([k, alpha, mult, set(fl)])
 
     rows = []
-    for point, alpha, mult, fl in merged:
+    for k, alpha, mult, fl in merged:
+        point = entries[k][0]
         flags = ";".join(sorted(fl | base_flags))
         rows.append([alpha, point.theta(), point.phi(), mult, flags])
     rows.sort(key=lambda r: (r[0] < 0, r[0], r[1], r[2]))

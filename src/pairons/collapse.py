@@ -27,9 +27,10 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStateError, PaironsError,
                      SingularParameterError, UnresolvedAnchorError)
-from .paironmap import PaironSet, extract_pairons, u_from_pairon
+from .paironmap import PaironSet, extract_stack, u_from_pairon
 from .phasespace import _binomial_sqrt, _live_range
-from .sphere import SpherePoint, chordal_distance
+from .sphere import (INFINITY, SITE_MERGE_RADIUS, SpherePoint,
+                     chordal_distances, coordinates)
 from .spin import (PARITY_SECTORS, ModelParams, build_hamiltonian,
                    couplings, eigenpair, gammas, hamiltonian_stack,
                    parity_eigenstates)
@@ -38,6 +39,9 @@ LINE_SUM = "sum"
 LINE_DIAGONAL = "diagonal"
 
 SINGULAR_MARGIN = 1e-3
+
+# Entries of H one stacked solve holds at most (_stack_slices).
+STACK_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -186,31 +190,47 @@ class ScanTable:
 
 def _canonical_site(u: complex | None) -> SpherePoint:
     """Deterministic representative of the +- pair with squared value u."""
-    if u is None:
-        return SpherePoint.infinity()
-    if u == 0:
-        return SpherePoint.from_zeta(0.0)
-    root = complex(np.sqrt(complex(u)))
+    return _canonical_sites(np.array([INFINITY if u is None else u],
+                                     dtype=complex))[0]
+
+
+def _canonical_sites(u: np.ndarray) -> list[SpherePoint]:
+    """_canonical_site of each u of an array, infinity as INFINITY."""
+    root = np.sqrt(u)
     # prefer the member with phi in [0, pi): Im(zeta) <= 0, tie on Re > 0
-    if root.imag > 0 or (root.imag == 0 and root.real < 0):
-        root = -root
-    return SpherePoint.from_zeta(root)
+    flip = (root.imag > 0) | ((root.imag == 0) & (root.real < 0))
+    root = np.where(flip, -root, root)
+    return [SpherePoint.infinity() if math.isinf(abs(z))
+            else SpherePoint.from_zeta(0.0 if w == 0 else z)
+            for w, z in zip(u.tolist(), root.tolist())]
 
 
-def _sample_records(pairons: PaironSet) -> list[BranchRecord]:
-    sites: list[SpherePoint] = []
-    for e in pairons.energies:
-        sites.append(_canonical_site(u_from_pairon(e, pairons.t)))
-    records = []
-    for alpha, (e, site) in enumerate(zip(pairons.energies, sites)):
-        mult = sum(1 for other in sites
-                   if chordal_distance(site, other) <= 1e-6) * 2
-        flags = list(pairons.flags)
-        if site.is_infinity or (not site.is_infinity and site.zeta == 0):
-            flags.append("pole")
-        records.append(BranchRecord(alpha=alpha, energy=e, site=site,
-                                    site_multiplicity=mult,
-                                    branch_id=-1, flags=tuple(flags)))
+def _sample_records(sets: list[PaironSet]) -> list[list[BranchRecord]]:
+    """The branch records of each pairon set, with branch_id -1.
+
+    The sites of all sets come from one _canonical_sites call, and their
+    multiplicities from one chordal_distances stack, padded to the
+    longest set.
+    """
+    counts = np.array([len(p.energies) for p in sets], dtype=int)
+    live = np.arange(counts.max(initial=0)) < counts[:, None]
+    energies = np.zeros(live.shape, dtype=complex)
+    energies[live] = [e for p in sets for e in p.energies]
+    t = np.array([p.t for p in sets])[:, None]
+    sites = _canonical_sites(u_from_pairon(energies, t)[live])
+    z = np.zeros(live.shape, dtype=complex)
+    z[live] = coordinates(sites)
+    near = chordal_distances(z[:, :, None], z[:, None, :]) <= SITE_MERGE_RADIUS
+    mult = 2 * np.sum(near & live[:, None, :], axis=2)
+    records, start = [], 0
+    for p, m in zip(sets, mult.tolist()):
+        row = sites[start:start + len(p.energies)]
+        start += len(row)
+        records.append([BranchRecord(
+            alpha=alpha, energy=e, site=site, site_multiplicity=m[alpha],
+            branch_id=-1, flags=p.flags + (
+                ("pole",) if site.is_infinity or site.zeta == 0 else ()))
+            for alpha, (e, site) in enumerate(zip(p.energies, row))])
     return records
 
 
@@ -225,6 +245,7 @@ def _assign_branches(samples: list[ScanSample]) -> None:
     distance and the distance to the linear continuation of the branch.
     Distances are chordal on the e-sphere: a branch sweeping through the
     map's pole (e past -t) moves a bounded amount there, however large |e|.
+    Each step's costs are one chordal_distances matrix.
     """
     from scipy.optimize import linear_sum_assignment
 
@@ -243,13 +264,16 @@ def _assign_branches(samples: list[ScanSample]) -> None:
                 hist = history.get(p.branch_id, [])
                 predicted.append(2 * hist[-1] - hist[-2]
                                  if len(hist) >= 2 else None)
-            cost = np.zeros((len(sample.records), len(prev)))
-            for i, rec in enumerate(sample.records):
-                for p_idx, (p, guess) in enumerate(zip(prev, predicted)):
-                    d = chordal_distance(rec.energy, p.energy)
-                    if guess is not None:
-                        d = min(d, chordal_distance(rec.energy, guess))
-                    cost[i, p_idx] = d
+            known = np.array([g is not None for g in predicted])
+            # row 0: distance to the branch's last energy, row 1: to its
+            # continuation
+            direct, ahead = chordal_distances(
+                np.array([rec.energy for rec in sample.records],
+                         dtype=complex)[:, None],
+                np.array([[p.energy for p in prev],
+                          [0j if g is None else g for g in predicted]],
+                         dtype=complex)[:, None, :])
+            cost = np.where(known, np.minimum(direct, ahead), direct)
             rows, cols = linear_sum_assignment(cost)
             matched = dict(zip(rows.tolist(), cols.tolist()))
             for i, rec in enumerate(sample.records):
@@ -270,37 +294,68 @@ def _align_branch_signs(samples: list[ScanSample]) -> None:
     Branch matching is sign-blind, but the emitted site is one member of
     the pair; the canonical pick can hop between members when a zero
     drifts across the representative's boundary, which would read as a
-    fake discontinuity in the table.
+    fake discontinuity in the table.  A sample's records carry distinct
+    branch ids, so each sample is compared in one chordal_distances call.
     """
     last: dict[int, SpherePoint] = {}
     for sample in samples:
+        recs = [rec for rec in sample.records
+                if rec.branch_id in last and not rec.site.is_infinity]
+        if recs:
+            site = coordinates([rec.site for rec in recs])
+            to_flipped, to_site = chordal_distances(
+                coordinates([last[rec.branch_id] for rec in recs]),
+                np.array([-site, site]))
+            flip = to_flipped < to_site
+            for rec, flipped in zip(recs, flip.tolist()):
+                if flipped:
+                    rec.site = rec.site.antipode_negation()
         for rec in sample.records:
-            seen = last.get(rec.branch_id)
-            if seen is not None and not rec.site.is_infinity:
-                flipped = rec.site.antipode_negation()
-                if (chordal_distance(seen, flipped)
-                        < chordal_distance(seen, rec.site)):
-                    rec.site = flipped
             last[rec.branch_id] = rec.site
 
 
+def _stack_slices(j: int, count: int) -> list[slice]:
+    """count points in stacks of STACK_ENTRIES // (2j+1)^2 points (at
+    least one), so a stack's matrices hold at most STACK_ENTRIES floats
+    whatever j and the number of points."""
+    chunk = max(1, STACK_ENTRIES // (2 * j + 1) ** 2)
+    return [slice(lo, lo + chunk) for lo in range(0, count, chunk)]
+
+
 def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
-    """Extract pairons at every sample; failures are recorded, not fatal."""
-    samples: list[ScanSample] = []
-    failures: list[tuple[float, str]] = []
-    for gx in spec.samples():
-        gx = float(gx)
+    """Extract pairons at every sample; failures are recorded, not fatal.
+
+    Each sample's couplings come from ModelParams.from_gammas; the samples
+    whose couplings are valid are extracted by extract_stack, in stacks
+    of _stack_slices.  Every sample gets the pairons, or the failure,
+    that extract_pairons gives it alone, and failures are listed in gx
+    order.
+    """
+    gx = spec.samples().tolist()
+    results: list = []
+    for g in gx:
         try:
-            params = ModelParams.from_gammas(spec.j, gx, spec.gamma_y(gx),
-                                             eps=spec.eps)
-            pairons, diag = extract_pairons(params, spec.state_index)
+            results.append(ModelParams.from_gammas(spec.j, g, spec.gamma_y(g),
+                                                   eps=spec.eps))
         except (PaironsError, ValueError, ZeroDivisionError) as exc:
-            failures.append((gx, f"{type(exc).__name__}: {exc}"))
-            continue
-        samples.append(ScanSample(
-            gamma_x=gx, gamma_y=spec.gamma_y(gx),
-            t=pairons.t, state_index=spec.state_index, energy=diag.energy,
-            nu=pairons.nu, records=_sample_records(pairons)))
+            results.append(exc)
+    valid = [i for i, r in enumerate(results) if isinstance(r, ModelParams)]
+    lam = np.array([results[i].lam for i in valid])
+    gam = np.array([results[i].gam for i in valid])
+    for part in _stack_slices(spec.j, len(valid)):
+        for i, result in zip(valid[part],
+                             extract_stack(int(spec.j), spec.eps, lam[part],
+                                           gam[part], spec.state_index)):
+            results[i] = result
+    done = [(g, r) for g, r in zip(gx, results)
+            if not isinstance(r, Exception)]
+    records = _sample_records([pairons for _, (pairons, _) in done])
+    samples = [ScanSample(gamma_x=g, gamma_y=spec.gamma_y(g), t=pairons.t,
+                          state_index=spec.state_index, energy=diag.energy,
+                          nu=pairons.nu, records=recs)
+               for (g, (pairons, diag)), recs in zip(done, records)]
+    failures = [(g, f"{type(r).__name__}: {r}")
+                for g, r in zip(gx, results) if isinstance(r, Exception)]
     _assign_branches(samples)
     return ScanTable(spec=spec, samples=samples, failures=failures)
 
@@ -311,9 +366,6 @@ def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
 
 # Noise-bound constant of anchor_value; its docstring derives it.
 ANCHOR_NOISE_C = 8.0
-
-# Entries of H one stacked solve of anchor_profile holds at most.
-STACK_ENTRIES = 1 << 18
 
 # |<j,-j|psi>| that confirms the closed-form total collapse (criterion 4).
 TOTAL_COLLAPSE_OVERLAP = 1.0 - 1e-12
@@ -471,13 +523,10 @@ def anchor_profile(spec: TrajectorySpec) -> AnchorProfile:
 
 def _stacked_anchor_values(spec: TrajectorySpec, gx: np.ndarray
                            ) -> tuple[np.ndarray, np.ndarray]:
-    """_anchor_values at every point of gx, in stacks of STACK_ENTRIES //
-    (2j+1)^2 points (at least one), so a stack's matrices hold at most
-    STACK_ENTRIES floats whatever j and the number of points."""
-    chunk = max(1, STACK_ENTRIES // (2 * spec.j + 1) ** 2)
+    """_anchor_values at every point of gx, in the stacks of
+    _stack_slices."""
     value, noise = np.empty(len(gx)), np.empty(len(gx))
-    for lo in range(0, len(gx), chunk):
-        part = slice(lo, lo + chunk)
+    for part in _stack_slices(spec.j, len(gx)):
         value[part], noise[part] = _anchor_values(spec, gx[part])
     return value, noise
 

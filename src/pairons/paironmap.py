@@ -23,12 +23,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStateError, SingularParameterError
-from .phasespace import (ZeroSet, parity_slice, poly_residual,
-                         strip_and_solve)
-from .sphere import SpherePoint
-from .spin import (ModelParams, StateVector, build_hamiltonian, eigen_residual,
-                   eigenpair)
+from .errors import (ConvergenceError, DegenerateStateError,
+                     SingularParameterError, UnpairedZeroError)
+from .phasespace import (ZeroSet, _raised, parity_slice, poly_residuals,
+                         strip_and_solve_stack)
+from .sphere import INFINITY, SpherePoint
+from .spin import (HamiltonianMatrix, ModelParams, StateVector,
+                   eigen_residual, gammas, hamiltonian_stack,
+                   parity_eigenstates)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
 
@@ -70,21 +72,33 @@ class PaironSet:
         return worst
 
 
-def pairon_from_u(u: complex, t: float) -> complex:
-    """e = t (1 - conj(u)) / (1 + conj(u)) with u = zeta^2; u = inf -> -t."""
-    uc = np.conj(u)
-    if np.isinf(abs(uc)):
-        return complex(-t)
-    return complex(t * (1.0 - uc) / (1.0 + uc))
+def pairon_from_u(u, t):
+    """e = t (1 - conj(u)) / (1 + conj(u)) with u = zeta^2; u = inf -> -t.
+
+    Elementwise over an array u, with t broadcasting against it; a scalar
+    u gives a complex.
+    """
+    uc = np.conj(np.asarray(u))
+    pole = np.isinf(np.hypot(uc.real, uc.imag))
+    if pole.any():
+        uc = np.where(pole, 0.0, uc)
+    e = np.where(pole, -t, t * (1.0 - uc) / (1.0 + uc))
+    return complex(e) if e.ndim == 0 else e
 
 
-def u_from_pairon(e: complex, t: float) -> complex | None:
-    """zeta^2 = (t - conj(e)) / (conj(e) + t); None encodes infinity (e = -t)."""
-    ec = np.conj(e)
+def u_from_pairon(e, t):
+    """zeta^2 = (t - conj(e)) / (conj(e) + t); None encodes infinity (e = -t).
+
+    Elementwise over an array e, with t broadcasting against it; there
+    infinity is sphere.INFINITY.
+    """
+    ec = np.conj(np.asarray(e))
     den = ec + t
-    if den == 0:
-        return None
-    return complex((t - ec) / den)
+    pole = den == 0
+    u = np.where(pole, INFINITY, (t - ec) / np.where(pole, 1.0, den))
+    if u.ndim:
+        return u
+    return None if pole else complex(u)
 
 
 def _checked_t(t: float) -> float:
@@ -102,17 +116,58 @@ def pairons_from_state(state: StateVector, t: float,
     pairon_from_u(u, t); a structural root at u = 0 is a pairon at +t and
     one at u = infinity a pairon at -t.  Also returns poly_residual of the
     slice over its finite u-roots.  A mixed-parity state raises
-    UnpairedZeroError.
+    UnpairedZeroError.  The one-state case of _pairon_sets.
     """
-    _checked_t(t)
-    nu, d = parity_slice(state)
-    n0, n_inf, roots = strip_and_solve(d)
-    energies = ([complex(t)] * n0 + [complex(-t)] * n_inf
-                + [pairon_from_u(u, t) for u in roots])
-    energies.sort(key=lambda e: (e.real, e.imag))
-    pairons = PaironSet(j=state.j, nu=nu, energies=tuple(energies), t=t,
-                        flags=flags)
-    return pairons, poly_residual(d, roots)
+    return _raised(_pairon_sets([state], [t], [flags])[0])
+
+
+def _pairon_sets(states: list[StateVector], ts: list[float],
+                 flags: list[tuple[str, ...]]) -> list:
+    """pairons_from_state for each state at its t, with its flags: the
+    (PaironSet, residual), or the exception it raises alone.
+
+    The slices of each seniority are root-solved together
+    (strip_and_solve_stack); the u-roots of the slices with equal root
+    counts are mapped and checked together.
+    """
+    out: list = [None] * len(states)
+    by_nu: dict[int, list] = {}
+    for i, (state, t) in enumerate(zip(states, ts)):
+        try:
+            _checked_t(t)
+            nu, d = parity_slice(state)
+        except (ValueError, UnpairedZeroError) as exc:
+            out[i] = exc
+            continue
+        by_nu.setdefault(nu, []).append((i, d))
+    for nu, items in by_nu.items():
+        d = np.stack([row for _, row in items])
+        by_count: dict[int, list] = {}
+        for r, ((i, _), solved) in enumerate(zip(items,
+                                                 strip_and_solve_stack(d))):
+            if isinstance(solved, Exception):
+                out[i] = solved
+            else:
+                by_count.setdefault(len(solved[2]), []).append((r, i, solved))
+        for count, group in by_count.items():
+            t = [ts[i] for _, i, _ in group]
+            if count:
+                roots = np.stack([solved[2] for _, _, solved in group])
+                finite = pairon_from_u(roots, np.array(t)[:, None]).tolist()
+                residual = poly_residuals(
+                    d[[r for r, _, _ in group]], roots,
+                    np.array([d.shape[1] - 1 - solved[1]
+                              for _, _, solved in group])).tolist()
+            else:
+                finite, residual = [[]] * len(group), [0.0] * len(group)
+            for (_, i, (n0, n_inf, _)), ti, row, res in zip(
+                    group, t, finite, residual):
+                energies = [complex(ti)] * n0 + [complex(-ti)] * n_inf + row
+                energies.sort(key=lambda e: (e.real, e.imag))
+                out[i] = (PaironSet(j=states[i].j, nu=nu,
+                                    energies=tuple(energies), t=ti,
+                                    flags=flags[i]), res)
+    return out
 
 
 def pairons_to_zeros(pairons: PaironSet, t: float | None = None) -> ZeroSet:
@@ -157,47 +212,56 @@ def reconstruct_state(pairons: PaironSet, t: float | None = None) -> StateVector
     Factorials are handled through log-magnitudes so large j cannot
     overflow; the result is normalized at the end.  `t` overrides the
     stored trajectory parameter (same energies, another slice of the
-    (state, t) surface).
+    (state, t) surface).  The one-set case of _reconstruct_stack.
     """
     t = _checked_t(pairons.t if t is None else t)
-    M = pairons.m_pairs
-    nu = pairons.nu
-    j = pairons.j
+    energies = np.array(pairons.energies, dtype=complex).reshape(1, -1)
+    return _raised(_reconstruct_stack(pairons.j, pairons.nu, energies,
+                                      np.array([t]))[0])
 
-    sigma = np.zeros(M + 1, dtype=complex)
-    sigma[0] = 1.0
-    top = 0
-    for e in pairons.energies:
-        a = e - t
-        b = e + t
-        new = np.zeros_like(sigma)
-        new[:top + 1] += a * sigma[:top + 1]
-        new[1:top + 2] += b * sigma[:top + 1]
-        top += 1
-        scale = np.max(np.abs(new[:top + 1]))
-        if scale == 0.0:
-            raise ValueError("pairon product vanished; invalid pairon set")
-        sigma = new / scale
 
-    coeffs = np.zeros(2 * j + 1, dtype=complex)
-    logs = np.full(M + 1, -np.inf)
-    phases = np.zeros(M + 1, dtype=complex)
-    for s in range(M + 1):
-        if sigma[s] == 0:
-            continue
-        n_a = 2 * (M - s) + nu
-        n_b = 2 * s + nu
-        logs[s] = (math.log(abs(sigma[s]))
-                   + 0.5 * (math.lgamma(n_a + 1) + math.lgamma(n_b + 1)))
-        phases[s] = sigma[s] / abs(sigma[s])
-    peak = float(np.max(logs))
-    for s in range(M + 1):
-        if logs[s] == -np.inf:
-            continue
-        n_b = 2 * s + nu
-        m = n_b - j  # (n_b - n_a)/2 with n_a + n_b = 2j
-        coeffs[j + m] = phases[s] * math.exp(logs[s] - peak)
-    return StateVector(j=j, coeffs=coeffs)
+def _reconstruct_stack(j: int, nu: int, energies: np.ndarray,
+                       t: np.ndarray) -> list:
+    """reconstruct_state for each row of energies (R, j - nu) at its t:
+    the StateVector, or the ValueError it raises alone.
+
+    The recurrence for sigma runs over all rows at once.  Each magnitude
+    is hypot(re, im), as abs takes it of a complex scalar, and each log
+    and exp is math's, so every row gets the bits it gets alone.
+    """
+    count, m_pairs = energies.shape
+    lower = energies - t[:, None]  # A_a
+    upper = energies + t[:, None]  # B_a
+    sigma = np.zeros((count, m_pairs + 1), dtype=complex)
+    sigma[:, 0] = 1.0
+    vanished = np.zeros(count, dtype=bool)
+    for top in range(m_pairs):
+        new = np.zeros(sigma.shape, dtype=complex)
+        new[:, :top + 1] += lower[:, top:top + 1] * sigma[:, :top + 1]
+        new[:, 1:top + 2] += upper[:, top:top + 1] * sigma[:, :top + 1]
+        scale = np.maximum.reduce(np.abs(new[:, :top + 2]), axis=1)
+        if not np.minimum.reduce(scale) > 0.0:
+            vanished |= scale == 0.0
+            scale[vanished] = 1.0
+        sigma = new / scale[:, None]
+
+    s = np.arange(m_pairs + 1)
+    weight = [0.5 * (math.lgamma(2 * (m_pairs - k) + nu + 1)
+                     + math.lgamma(2 * k + nu + 1)) for k in s.tolist()]
+    live = sigma != 0
+    rows, cols = np.nonzero(live)
+    magnitude = np.hypot(sigma.real, sigma.imag)[live]
+    logs = np.full(sigma.shape, -np.inf)
+    logs[live] = [math.log(x) + weight[k]
+                  for x, k in zip(magnitude.tolist(), cols.tolist())]
+    shifted = logs[live] - logs.max(axis=1)[rows]
+    coeffs = np.zeros((count, 2 * j + 1), dtype=complex)
+    # c(m) sits at Dicke index j + m = n_b = 2s + nu
+    coeffs[rows, 2 * cols + nu] = (sigma[live] / magnitude) * np.array(
+        [math.exp(x) for x in shifted.tolist()])
+    return [ValueError("pairon product vanished; invalid pairon set")
+            if vanished[r] else StateVector(j=j, coeffs=coeffs[r])
+            for r in range(count)]
 
 
 def fidelity(a, b) -> float:
@@ -225,35 +289,100 @@ def extract_pairons(params: ModelParams, state_index: int = 0,
     Refuses eigenstates that are degenerate within their parity sector
     (zeros of an arbitrary basis choice inside the degenerate subspace
     carry no invariant meaning) and the singular parameter loci
-    gamma_x = 0 / gamma_y = 0.
+    gamma_x = 0 / gamma_y = 0.  The one-point case of extract_stack.
     """
-    gx, gy = params.gamma_x, params.gamma_y
-    if gy == 0.0:
-        raise SingularParameterError("gamma_y = 0: t is undefined")
-    if gx == 0.0:
-        raise SingularParameterError("gamma_x = 0: t = 0 degenerates the map")
-    flags: tuple[str, ...] = ()
-    if gx * gy < 0:
-        flags = (FLAG_SIGN_UNVERIFIED,)
+    return _raised(extract_stack(params.j, params.eps, [params.lam],
+                                 [params.gam], state_index,
+                                 allow_degenerate)[0])
 
-    h = build_hamiltonian(params)
-    pair = eigenpair(h, state_index)
-    if pair.degenerate and not allow_degenerate:
-        raise DegenerateStateError(
-            f"state {state_index} at (gx={gx:.6g}, gy={gy:.6g}) is degenerate "
-            "within its parity sector")
 
-    t = params.t
-    pairons, residual = pairons_from_state(pair.state, t, flags=flags)
-    recon = reconstruct_state(pairons)
-    diag = ExtractionDiagnostics(
-        t=t,
-        energy=pair.energy,
-        state_index=state_index,
-        max_root_residual=residual,
-        max_pairing_defect=pairons.conjugation_defect(),
-        reconstruction_fidelity=fidelity(recon, pair.state),
-        reconstruction_residual=eigen_residual(h, recon),
-        flags=flags,
-    )
-    return pairons, diag
+def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
+                  allow_degenerate: bool = False) -> list:
+    """extract_pairons at each point of the coupling arrays lam and gam:
+    per point its (PaironSet, ExtractionDiagnostics), or the exception
+    extract_pairons raises there.
+
+    The points' H are built by hamiltonian_stack and solved and ranked
+    together by parity_eigenstates; the states' slices are root-solved
+    together (_pairon_sets) and the pairon sets of each seniority rebuilt
+    together (_reconstruct_stack).  Fidelity and eigen-residual are taken
+    point by point.  Each layer gives every point the bits it gets alone.
+    If the stacked eigensolve raises, each point is solved alone.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    gam = np.atleast_1d(np.asarray(gam, dtype=float))
+    gamma = list(zip(*(g.tolist() for g in gammas(j, eps, lam, gam))))
+    out: list = [None] * len(lam)
+    for i, (gx, gy) in enumerate(gamma):
+        if gy == 0.0:
+            out[i] = SingularParameterError("gamma_y = 0: t is undefined")
+        elif gx == 0.0:
+            out[i] = SingularParameterError(
+                "gamma_x = 0: t = 0 degenerates the map")
+    points = [i for i, result in enumerate(out) if result is None]
+    if not points:
+        return out
+    h = hamiltonian_stack(j, eps, lam[points], gam[points])
+    try:
+        solved, sector, col, degenerate = parity_eigenstates(h, state_index)
+    except ConvergenceError as exc:
+        for i in points:
+            out[i] = exc if len(points) == 1 else extract_stack(
+                j, eps, lam[i:i + 1], gam[i:i + 1], state_index,
+                allow_degenerate)[0]
+        return out
+    except ValueError as exc:
+        for i in points:
+            out[i] = exc
+        return out
+
+    kept, states, ts, flags = [], [], [], []
+    for row, i in enumerate(points):
+        offset, c = int(sector[row]), int(col[row])
+        w, v = solved[offset]
+        full = np.zeros(2 * j + 1)
+        full[offset::2] = v[row, :, c]
+        state = StateVector(j=j, coeffs=full)
+        gx, gy = gamma[i]
+        if degenerate[row] and not allow_degenerate:
+            out[i] = DegenerateStateError(
+                f"state {state_index} at (gx={gx:.6g}, gy={gy:.6g}) is "
+                "degenerate within its parity sector")
+            continue
+        kept.append((row, i, float(w[row, c])))
+        states.append(state)
+        ts.append(math.sqrt(abs(gx / gy)))
+        flags.append((FLAG_SIGN_UNVERIFIED,) if gx * gy < 0 else ())
+
+    sets = _pairon_sets(states, ts, flags)
+    by_nu: dict[int, list] = {}
+    for k, result in enumerate(sets):
+        if isinstance(result, Exception):
+            out[kept[k][1]] = result
+        else:
+            by_nu.setdefault(result[0].nu, []).append(k)
+    for nu, group in by_nu.items():
+        energies = np.array([sets[k][0].energies for k in group],
+                            dtype=complex).reshape(len(group), j - nu)
+        recons = _reconstruct_stack(j, nu, energies,
+                                    np.array([ts[k] for k in group]))
+        for k, recon in zip(group, recons):
+            row, i, energy = kept[k]
+            if isinstance(recon, Exception):
+                out[i] = recon
+                continue
+            pairons, residual = sets[k]
+            matrix = HamiltonianMatrix(
+                ModelParams(j=j, eps=eps, lam=float(lam[i]),
+                            gam=float(gam[i])), h[row])
+            out[i] = pairons, ExtractionDiagnostics(
+                t=ts[k],
+                energy=energy,
+                state_index=state_index,
+                max_root_residual=residual,
+                max_pairing_defect=pairons.conjugation_defect(),
+                reconstruction_fidelity=fidelity(recon, states[k]),
+                reconstruction_residual=eigen_residual(matrix, recon),
+                flags=flags[k],
+            )
+    return out

@@ -148,64 +148,112 @@ def husimi_quadrature(state: StateVector) -> float:
 # Root finding
 # ---------------------------------------------------------------------------
 
-def _factor_defect(c: np.ndarray, roots: np.ndarray) -> float:
-    """Shape distance between c and lead * prod (z - r_i).
+def _factor_defects(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """Shape distance between each row of c and lead * prod (z - r_i)
+    over its row of roots, for stacks c (R, n+1) and roots (R, n).
 
     Both coefficient vectors are compared at unit max magnitude, so the
     measure is scale-free and safe against overflow for long products.
     A wrong or lost root shows up as an O(1) defect; a correct root set,
-    clustered or not, reconstructs the shape to rounding.
+    clustered or not, reconstructs the shape to rounding.  A product that
+    vanishes or overflows turns its row to nan, which reads as an
+    infinite defect.
     """
-    prod = np.array([1.0 + 0.0j])
-    for r in roots:
-        prod = np.convolve(prod, np.array([-r, 1.0]))
-        peak = np.max(np.abs(prod))
-        if peak == 0 or not np.isfinite(peak):
-            return math.inf
-        prod = prod / peak
-    ref = c / np.max(np.abs(c))
-    k = int(np.argmax(np.abs(prod)))
-    if prod[k] == 0 or ref[k] == 0:
-        return math.inf
-    aligned = prod * (ref[k] / prod[k])
-    return float(np.max(np.abs(aligned - ref)))
+    count, n = roots.shape
+    prod = np.zeros((count, n + 1), dtype=complex)
+    prod[:, 0] = 1.0
+    with np.errstate(all="ignore"):
+        for i in range(n):
+            new = prod * -roots[:, i:i + 1]  # times (z - r_i)
+            new[:, 1:] += prod[:, :-1]
+            prod = new / np.abs(new).max(axis=1)[:, None]
+        rows = np.arange(count)
+        ref = c / np.abs(c).max(axis=1)[:, None]
+        k = np.argmax(np.abs(prod), axis=1)
+        ref_k = ref[rows, k]
+        defect = np.abs(prod * (ref_k / prod[rows, k])[:, None]
+                        - ref).max(axis=1)
+    return np.where(np.isfinite(defect) & (ref_k != 0), defect, math.inf)
+
+
+def _solve_cores(cores: np.ndarray) -> list:
+    """_solve_core for each row of a stack (R, n+1) of cores of one
+    length: its roots, or the exception it raises alone.
+
+    Real and complex rows are solved apart.  The scale s of each row is
+    the scalar expression of _solve_core, and the scaled companion
+    matrices of all rows go to one batched np.linalg.eigvals, which runs
+    the LAPACK routine of np.roots on each matrix.  The ends of each
+    scaled polynomial are nonzero (|c_n| s^n = |c_0| up to rounding), so
+    np.roots would strip nothing.  If the batched call raises, each row
+    is solved alone.
+    """
+    c = np.asarray(cores)
+    real = ~np.any(c.imag, axis=1)
+    if real.any() and not real.all():
+        out: list = [None] * len(c)
+        for part in (real, ~real):
+            rows = np.flatnonzero(part)
+            for i, result in zip(rows, _solve_cores(c[rows])):
+                out[i] = result
+        return out
+    if real.all():
+        c = c.real
+    deg = c.shape[1] - 1
+    if deg == 0:
+        return [np.zeros(0, dtype=complex) for _ in c]
+    s = np.array([(abs(row[0]) / abs(row[-1])) ** (1.0 / deg) for row in c])
+    p = (c * s[:, None] ** np.arange(deg + 1))[:, ::-1]
+    companion = np.zeros((len(c), deg, deg), dtype=p.dtype)
+    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1
+    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+    try:
+        eig = np.linalg.eigvals(companion).astype(complex)
+    except np.linalg.LinAlgError as exc:
+        if len(c) == 1:
+            return [exc]
+        return [result for i in range(len(c))
+                for result in _solve_cores(c[i:i + 1])]
+    roots = s[:, None] * eig
+    polyval = np.polynomial.polynomial.polyval
+    terms = c.T[:, :, None]  # polyval evaluates row r of c at row r of x
+    noise = polyval(np.abs(roots), np.abs(terms), tensor=False)
+    eps = np.finfo(float).eps
+    ok = np.all(np.abs(polyval(roots, terms, tensor=False))
+                <= 1e6 * eps * np.maximum(noise, 1e-300), axis=1)
+    ok[ok] = _factor_defects(c[ok], roots[ok]) <= ACCEPT_DEFECT
+    return [roots[i] if ok[i] else ConvergenceError(
+                f"root finding failed for degree {deg}", partial=roots[i])
+            for i in range(len(c))]
 
 
 def _solve_core(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of sum_k coeffs[k] z^k, as companion-matrix eigenvalues.
+    """All roots of sum_k coeffs[k] z^k, as companion-matrix eigenvalues:
+    the one-row case of _solve_cores.
 
     Requires coeffs[0] != 0 and coeffs[-1] != 0 (strip_and_solve strips
     structural zeros first).  The variable is scaled, z = s y with
     s = |coeffs[0] / coeffs[-1]|^(1/n), so the polynomial in y has end
-    coefficients of equal magnitude; np.roots then takes the eigenvalues
-    of its companion matrix, which LAPACK balances.  Those eigenvalues are
-    backward stable as a set (Edelman & Murakami, Math. Comp. 64, 1995),
-    so a cluster of roots keeps its symmetric functions.  Real
-    coefficients give a real companion matrix, whose complex eigenvalues
-    come in exact conjugate pairs.
+    coefficients of equal magnitude; the roots are the eigenvalues of its
+    companion matrix, as np.roots takes them, which LAPACK balances.
+    Those eigenvalues are backward stable as a set (Edelman & Murakami,
+    Math. Comp. 64, 1995), so a cluster of roots keeps its symmetric
+    functions.  Real coefficients give a real companion matrix, whose
+    complex eigenvalues come in exact conjugate pairs.
 
     The set must pass a residual check, |P(z)| <= 1e6 eps sum_k |c_k||z|^k
     at every root, and reproduce the coefficients within ACCEPT_DEFECT
-    (_factor_defect); otherwise ConvergenceError, with the roots in
+    (_factor_defects); otherwise ConvergenceError, with the roots in
     `partial`.
     """
-    c = np.asarray(coeffs)
-    if not np.any(c.imag):
-        c = c.real
-    deg = len(c) - 1
-    if deg == 0:
-        return np.zeros(0, dtype=complex)
-    s = (abs(c[0]) / abs(c[-1])) ** (1.0 / deg)
-    roots = s * np.roots((c * s ** np.arange(deg + 1))[::-1]).astype(complex)
-    polyval = np.polynomial.polynomial.polyval
-    noise = polyval(np.abs(roots), np.abs(c))
-    eps = np.finfo(float).eps
-    if not (np.all(np.abs(polyval(roots, c))
-                   <= 1e6 * eps * np.maximum(noise, 1e-300))
-            and _factor_defect(c, roots) <= ACCEPT_DEFECT):
-        raise ConvergenceError(
-            f"root finding failed for degree {deg}", partial=roots)
-    return roots
+    return _raised(_solve_cores(np.asarray(coeffs)[None])[0])
+
+
+def _raised(result):
+    """result, or raise it if it is an exception."""
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 @dataclass(frozen=True)
@@ -240,13 +288,45 @@ class ZeroSet:
         return out
 
 
-def _live_range(coeffs: np.ndarray) -> tuple[int, int]:
-    """First and last index of a coefficient above DEGREE_RTOL * max."""
+def _live_ranges(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and last index of a coefficient above DEGREE_RTOL * max, for
+    each row of a stack (R, n); a row with none gets (n, -1)."""
     mags = np.abs(coeffs)
-    live = np.nonzero(mags > DEGREE_RTOL * float(mags.max()))[0]
-    if live.size == 0:
+    live = mags > DEGREE_RTOL * mags.max(axis=1)[:, None]
+    n = coeffs.shape[1]
+    lo, hi = live.argmax(axis=1), n - 1 - live[:, ::-1].argmax(axis=1)
+    found = live.any(axis=1)
+    if found.all():
+        return lo, hi
+    return np.where(found, lo, n), np.where(found, hi, -1)
+
+
+def _live_range(coeffs: np.ndarray) -> tuple[int, int]:
+    """First and last index of a coefficient above DEGREE_RTOL * max: the
+    one-row case of _live_ranges."""
+    (lo,), (hi,) = _live_ranges(np.asarray(coeffs)[None])
+    if hi < 0:
         raise ValueError("polynomial is identically zero")
-    return int(live[0]), int(live[-1])
+    return int(lo), int(hi)
+
+
+def strip_and_solve_stack(coeffs: np.ndarray) -> list:
+    """strip_and_solve for each row of a stack (R, n+1): its (count at 0,
+    count at infinity, rest), or the exception it raises alone.  The
+    stripped cores of equal length are solved together (_solve_cores).
+    """
+    lo, hi = _live_ranges(coeffs)
+    n = coeffs.shape[1]
+    out: list = [ValueError("polynomial is identically zero") if h < 0
+                 else None for h in hi.tolist()]
+    size = hi - lo + 1
+    for length in sorted(set(size[hi >= 0].tolist())):
+        rows = np.flatnonzero((size == length) & (hi >= 0))
+        cores = coeffs[rows[:, None], lo[rows, None] + np.arange(length)]
+        for i, roots in zip(rows.tolist(), _solve_cores(cores)):
+            out[i] = (roots if isinstance(roots, Exception)
+                      else (int(lo[i]), n - 1 - int(hi[i]), roots))
+    return out
 
 
 def strip_and_solve(coeffs: np.ndarray) -> tuple[int, int, np.ndarray]:
@@ -255,24 +335,41 @@ def strip_and_solve(coeffs: np.ndarray) -> tuple[int, int, np.ndarray]:
     Coefficients below DEGREE_RTOL * max|coeffs| at either end of the
     vector are structural zeros: each one at the low end is a root at
     z = 0, each one at the high end a root at infinity.  The stripped
-    core is solved by _solve_core.
+    core is solved by _solve_core.  The one-row case of
+    strip_and_solve_stack.
     """
-    lo, hi = _live_range(coeffs)
-    return lo, len(coeffs) - 1 - hi, _solve_core(coeffs[lo:hi + 1])
+    return _raised(strip_and_solve_stack(np.asarray(coeffs)[None])[0])
+
+
+def poly_residuals(coeffs: np.ndarray, roots: np.ndarray,
+                   deg: np.ndarray) -> np.ndarray:
+    """poly_residual of each row of a stack of coefficients (R, n+1) over
+    its row of roots (R, k), k >= 1, given each row's deg (the last index
+    of _live_ranges).  Rows of one deg share the power deg, a Python int,
+    as poly_residual raises to it."""
+    polyval = np.polynomial.polynomial.polyval
+    vals = np.abs(polyval(roots, coeffs.T[:, :, None], tensor=False))
+    scale = np.max(np.abs(coeffs), axis=1)[:, None]
+    out = np.empty(len(coeffs))
+    for d in sorted(set(deg.tolist())):
+        rows = deg == d
+        weight = np.maximum(1.0, np.abs(roots[rows])) ** d
+        out[rows] = np.max(vals[rows] / (scale[rows] * weight), axis=1)
+    return out
 
 
 def poly_residual(coeffs: np.ndarray, roots) -> float:
     """max over roots r of |P(r)| / (max|coeffs| * max(1,|r|)^deg).
 
     deg is the largest power whose coefficient is not structurally zero.
+    The one-row case of poly_residuals.
     """
     r = np.asarray(roots, dtype=complex)
     if r.size == 0:
         return 0.0
     deg = _live_range(coeffs)[1]
-    vals = np.abs(np.polynomial.polynomial.polyval(r, np.asarray(coeffs)))
-    scale = float(np.max(np.abs(coeffs)))
-    return float(np.max(vals / (scale * np.maximum(1.0, np.abs(r)) ** deg)))
+    return float(poly_residuals(np.asarray(coeffs)[None], r[None],
+                                np.array([deg]))[0])
 
 
 def poly_roots(poly: MajoranaPoly) -> ZeroSet:

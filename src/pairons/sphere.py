@@ -10,7 +10,15 @@ import cmath
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
+
+# The coordinate that stands for the point at infinity in arrays.
+INFINITY = complex(math.inf, 0.0)
+
+# Zero sites closer than this chordal distance count as one site.
+SITE_MERGE_RADIUS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -58,23 +66,46 @@ class SpherePoint:
         return SpherePoint(-self.zeta)
 
 
-def chordal_distance(a: SpherePoint | complex | None,
-                     b: SpherePoint | complex | None) -> float:
-    """Distance between two sphere points through the embedding ball.
+def coordinates(points) -> np.ndarray:
+    """Complex coordinates of a sequence of points (SpherePoint, complex or
+    None for infinity), with INFINITY for the point at infinity."""
+    zs = (p.zeta if isinstance(p, SpherePoint) else p for p in points)
+    return np.array([INFINITY if z is None else z for z in zs],
+                    dtype=complex)
+
+
+def chordal_distances(za, zb) -> np.ndarray:
+    """Distance between sphere points through the embedding ball,
+    elementwise over two broadcasting arrays of complex coordinates, any
+    infinite one standing for the point at infinity.
 
     d(z, w) = 2|z - w| / sqrt((1+|z|^2)(1+|w|^2)), with the usual limit
-    d(z, inf) = 2 / sqrt(1+|z|^2).  Ranges over [0, 2].
+    d(z, inf) = 2 / sqrt(1+|z|^2).  Ranges over [0, 2].  |z| is
+    hypot(re, im) and |z|^2 is float_power(|z|, 2.0), which are the bits
+    abs and ** 2 give a Python complex; the limit at infinity is taken
+    with math.hypot.  So each entry is the scalar chordal_distance.
     """
-    za = a.zeta if isinstance(a, SpherePoint) else a
-    zb = b.zeta if isinstance(b, SpherePoint) else b
-    if za is None and zb is None:
-        return 0.0
-    if za is None:
-        return 2.0 / math.hypot(1.0, abs(zb))
-    if zb is None:
-        return 2.0 / math.hypot(1.0, abs(za))
-    za = complex(za)
-    zb = complex(zb)
-    num = 2.0 * abs(za - zb)
-    den = math.sqrt((1.0 + abs(za) ** 2) * (1.0 + abs(zb) ** 2))
-    return num / den
+    za, zb = np.asarray(za, dtype=complex), np.asarray(zb, dtype=complex)
+    ra, rb = np.hypot(za.real, za.imag), np.hypot(zb.real, zb.imag)
+    inf_a, inf_b = np.isinf(ra), np.isinf(rb)
+    pole = inf_a.any() or inf_b.any()
+    if pole:  # finite stand-ins, so the formula raises no warning
+        za, zb = np.where(inf_a, 0.0, za), np.where(inf_b, 0.0, zb)
+    dz = za - zb
+    d = 2.0 * np.hypot(dz.real, dz.imag) / np.sqrt(
+        (1.0 + np.float_power(ra, 2.0)) * (1.0 + np.float_power(rb, 2.0)))
+    if pole:
+        d = np.array(d)
+        inf_a, inf_b, ra, rb = np.broadcast_arrays(inf_a, inf_b, ra, rb)
+        d[inf_a & inf_b] = 0.0
+        one = inf_a != inf_b
+        d[one] = [2.0 / math.hypot(1.0, r)
+                  for r in np.where(inf_a, rb, ra)[one].tolist()]
+    return d
+
+
+def chordal_distance(a: SpherePoint | complex | None,
+                     b: SpherePoint | complex | None) -> float:
+    """chordal_distances of two points (SpherePoint, complex or None for
+    infinity), as a float."""
+    return float(chordal_distances(coordinates([a]), coordinates([b]))[0])

@@ -208,15 +208,21 @@ def test_collapse_outside_envelope_exits_before_patterns(capsys, monkeypatch,
 
 
 def test_collapse_extracts_no_pairons(capsys, monkeypatch):
+    # neither the one-point extraction nor the stacked one (the scan's)
     calls = []
-    original = pairons.paironmap.extract_pairons
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counted(original):
+        def wrapper(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+        return wrapper
 
-    for module in (pairons, pairons.paironmap, pairons.collapse, pairons.cli):
-        monkeypatch.setattr(module, "extract_pairons", counted)
+    for name, modules in (
+            ("extract_pairons", (pairons, pairons.paironmap, pairons.cli)),
+            ("extract_stack", (pairons.paironmap, pairons.collapse))):
+        wrapped = counted(getattr(pairons.paironmap, name))
+        for module in modules:
+            monkeypatch.setattr(module, name, wrapped)
     rc, out, _ = run_lmg(capsys, "collapse", "--j", "4")
     assert rc == 0
     assert len(out.splitlines()) == 1 + 7  # 6 hyperbola points + total
@@ -590,3 +596,16 @@ def test_entry_point_env_threads_deterministic(tmp_path):
     alt = subprocess.run(cmd, capture_output=True, text=True, env=env)
     assert alt.returncode == 0
     assert alt.stdout == ref.stdout
+
+
+def test_scan_skips_a_degenerate_sample(capsys):
+    # j = 10, lam = 0: state 4 is degenerate within its sector at 4.75
+    rc, out, err = run_lmg(capsys, "scan", "--j", "10", "--line", "diagonal",
+                           "--from", "4.5", "--to", "5", "--steps", "3",
+                           "--state", "4")
+    assert rc == 0
+    assert err == ("skipped gx=4.75: DegenerateStateError: state 4 at "
+                   "(gx=4.75, gy=4.75) is degenerate within its parity "
+                   "sector\n")
+    assert sorted({row.split(",")[0] for row in out.splitlines()[1:]}) == [
+        "4.5", "5"]

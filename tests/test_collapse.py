@@ -5,14 +5,18 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.optimize import brentq
 
+import pairons
 from pairons import (ConvergenceError, DegenerateStateError, ModelParams,
-                     TrajectorySpec, UnresolvedAnchorError, anchor_profile,
-                     anchor_value, build_hamiltonian, collapse_points,
-                     collapse_zero_pattern, crossing_points, eigenpair,
+                     PaironsError, TrajectorySpec, UnresolvedAnchorError,
+                     anchor_profile, anchor_value, build_hamiltonian,
+                     chordal_distance, collapse_points, collapse_zero_pattern,
+                     crossing_points, eigenpair, extract_pairons,
                      find_collapses, hyperbola_levels, parity_slice,
                      scan_trajectory, split_parity, total_collapse,
                      total_collapse_candidates)
-from pairons import collapse, spin
+from pairons import collapse, paironmap, spin
+from pairons.paironmap import extract_stack
+from pairons.sphere import INFINITY, chordal_distances, coordinates
 from pairons.collapse import (SINGULAR_MARGIN, AnchorProfile,
                               CollapseCandidate, _anchor_coefficients,
                               _anchor_slices, _brentq, collapse_rows)
@@ -582,3 +586,113 @@ def test_find_collapses_stacks_its_brent_steps(monkeypatch):
     assert len(find_collapses(profile)) == 17
     assert calls["one"] == 0
     assert 0 < calls["stacked"] <= 101
+
+
+def _chordal_reference(a, b):
+    """The chordal metric in Python's scalar arithmetic."""
+    if a is None and b is None:
+        return 0.0
+    if a is None or b is None:
+        return 2.0 / math.hypot(1.0, abs(b if a is None else a))
+    return 2.0 * abs(a - b) / math.sqrt((1.0 + abs(a) ** 2)
+                                        * (1.0 + abs(b) ** 2))
+
+
+def test_chordal_array_form_is_the_scalar_formula_bitwise(rng):
+    # finite points over 16 decades, zero, infinity and near-coincident
+    # pairs; a cost matrix of the branch matcher has this shape
+    z = ((rng.normal(size=80) + 1j * rng.normal(size=80))
+         * 10.0 ** rng.uniform(-8, 8, 80))
+    points = [complex(p) for p in z] + [0j, None, 1.0 + 1e-12j, 1.0 + 0j]
+    ref = np.array([[_chordal_reference(a, b) for b in points]
+                    for a in points])
+    coords = coordinates(points)
+    assert chordal_distances(coords[:, None],
+                             coords[None, :]).tobytes() == ref.tobytes()
+    assert all(chordal_distance(a, b) == ref[i, k]
+               for i, a in enumerate(points) for k, b in enumerate(points))
+    assert chordal_distances(INFINITY, np.array([0j, INFINITY])).tolist() \
+        == [2.0, 0.0]
+
+
+def _table_bits(table):
+    return ([(f, r) for f, r in table.failures],
+            [(s.gamma_x, s.gamma_y, s.t, s.energy, s.nu,
+              [(r.alpha, r.energy, r.site, r.site_multiplicity, r.branch_id,
+                r.flags) for r in s.records]) for s in table.samples])
+
+
+def test_scan_solves_each_sample_alone_when_the_stack_fails(monkeypatch):
+    # j = 3, state 4: degenerate within its sector at gx = 1.25 and 2.5 on
+    # the diagonal; the patched solver refuses every stack of several
+    # blocks, and the even blocks of the points with gx >= 2.5 alone
+    spec = TrajectorySpec(j=3, line="diagonal", start=1.0, stop=3.0,
+                          steps=9, state_index=4)
+    params = [ModelParams.from_gammas(3, g, g) for g in spec.samples()]
+    solve = spin.parity_eigh
+
+    def failing(blocks, name):
+        if len(blocks) > 1:
+            raise ConvergenceError(f"stack of {len(blocks)} refused")
+        if name == "even" and blocks[0, 0, 0] > -1.6:
+            raise ConvergenceError(f"eigensolve failed in the {name} sector")
+        return solve(blocks, name)
+
+    monkeypatch.setattr(spin, "parity_eigh", failing)
+    alone = []
+    for p in params:
+        try:
+            alone.append(extract_pairons(p, 4))
+        except (PaironsError, ValueError) as exc:
+            alone.append(exc)
+    stacked = extract_stack(3, 1.0, [p.lam for p in params],
+                            [p.gam for p in params], 4)
+    kinds = [type(r).__name__ for r in alone]
+    assert kinds == (["tuple", "DegenerateStateError"] + ["tuple"] * 4
+                     + ["ConvergenceError"] * 3)
+    for a, b in zip(alone, stacked):
+        if isinstance(a, Exception):
+            assert (type(a), str(a)) == (type(b), str(b))
+        else:
+            assert a == b
+    table = scan_trajectory(spec)
+    assert [f for f, _ in table.failures] == [
+        float(g) for g, r in zip(spec.samples(), alone)
+        if isinstance(r, Exception)]
+    assert table.failures[0][1] == (
+        "DegenerateStateError: state 4 at (gx=1.25, gy=1.25) is degenerate "
+        "within its parity sector")
+    assert table.failures[1][1] == (
+        "ConvergenceError: eigensolve failed in the even sector")
+
+
+@pytest.mark.parametrize("budget", [None, 7 * 21 ** 2],
+                         ids=["one-chunk", "chunks-of-7"])
+def test_scan_is_one_stacked_extraction_per_chunk(monkeypatch, budget):
+    # at most one parity_eigh call per parity and chunk, no one-point
+    # extraction, and the table of the default chunks
+    spec = TrajectorySpec(j=10, line="sum", line_sum=10.0, start=0.05,
+                          stop=9.95, steps=200, state_index=0)
+    reference = _table_bits(scan_trajectory(spec))
+    if budget is not None:
+        monkeypatch.setattr(collapse, "STACK_ENTRIES", budget)
+    chunks = len(collapse._stack_slices(10, 200))
+    assert chunks == (1 if budget is None else 29)
+    solves = []
+    solve = spin.parity_eigh
+
+    def counted(blocks, name):
+        solves.append(blocks.shape)
+        return solve(blocks, name)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("extract_pairons called by the scan")
+
+    monkeypatch.setattr(spin, "parity_eigh", counted)
+    for module in (pairons, paironmap):
+        monkeypatch.setattr(module, "extract_pairons", refused)
+    table = scan_trajectory(spec)
+    assert len(solves) <= 2 * chunks
+    assert sum(shape[0] for shape in solves) == 2 * 200
+    assert not table.failures
+    assert _table_bits(table) == reference

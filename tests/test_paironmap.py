@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -9,11 +10,14 @@ from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
 from pairons import (DegenerateStateError, ModelParams, PaironSet,
-                     StateVector, UnpairedZeroError, build_hamiltonian,
-                     chordal_distance, diagonalize, eigen_residual,
-                     extract_pairons, fidelity, majorana_poly,
-                     pairon_from_u, pairons_from_state, pairons_to_zeros,
-                     poly_roots, reconstruct_state, u_from_pairon)
+                     PaironsError, StateVector, UnpairedZeroError,
+                     build_hamiltonian, chordal_distance, diagonalize,
+                     eigen_residual, extract_pairons, fidelity,
+                     majorana_poly, pairon_from_u, pairons_from_state,
+                     pairons_to_zeros, poly_roots, reconstruct_state,
+                     u_from_pairon)
+from pairons import phasespace
+from pairons.paironmap import _reconstruct_stack, extract_stack
 
 
 def test_extraction_builds_two_state_vectors(monkeypatch):
@@ -218,3 +222,142 @@ def test_large_j_log_path():
     params = ModelParams.from_gammas(80, 3.0, 7.0)
     ps, diag = extract_pairons(params, state_index=0)
     assert diag.reconstruction_fidelity > 1.0 - 1e-8
+
+
+def _bits(value):
+    """An exact fingerprint: floats by their hex form, so -0.0 != 0.0,
+    exceptions by type and message, dataclasses field by field."""
+    if isinstance(value, Exception):
+        return type(value).__name__, str(value)
+    if isinstance(value, float):
+        return "float", value.hex()
+    if isinstance(value, complex):
+        return "complex", value.real.hex(), value.imag.hex()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    if dataclasses.is_dataclass(value):
+        return type(value).__name__, tuple(
+            (f.name, _bits(getattr(value, f.name)))
+            for f in dataclasses.fields(value))
+    return type(value).__name__, value
+
+
+def _alone(params, state_index):
+    try:
+        return extract_pairons(params, state_index)
+    except (PaironsError, ValueError) as exc:
+        return exc
+
+
+@pytest.mark.parametrize("j, state_index, gx, line", [
+    (10, 0, np.linspace(0.05, 9.95, 200), "sum"),
+    (7, 3, np.linspace(0.05, 9.95, 100), "sum"),
+    (10, 0, np.linspace(-9.95, -0.05, 50), "diagonal"),
+    (40, 0, np.linspace(0.05, 9.95, 40), "sum"),
+], ids=["c10-j10", "both-seniorities-j7", "dicke-diagonal-j10",
+        "core-lengths-j40"])
+def test_stacked_extraction_is_extract_pairons_bitwise(monkeypatch, j,
+                                                       state_index, gx,
+                                                       line):
+    gy = 10.0 - gx if line == "sum" else gx
+    params = [ModelParams.from_gammas(j, a, b)
+              for a, b in zip(gx.tolist(), gy.tolist())]
+    solve, cores = phasespace._solve_cores, []
+
+    def spy(c):
+        cores.append(c.shape)
+        return solve(c)
+
+    monkeypatch.setattr(phasespace, "_solve_cores", spy)
+    stacked = extract_stack(j, 1.0, [p.lam for p in params],
+                            [p.gam for p in params], state_index)
+    stacked_cores = cores[:]
+    assert len(stacked) == len(params)
+    for p, result in zip(params, stacked):
+        assert _bits(result) == _bits(_alone(p, state_index))
+    sets = [r[0] for r in stacked]
+    if j == 7:
+        assert {ps.nu for ps in sets} == {0, 1}
+    if line == "diagonal":  # structural cuts: every pairon at +-t
+        assert all(abs(e) == ps.t for ps in sets for e in ps.energies)
+    if j == 40:
+        assert len({length for _, length in stacked_cores}) > 3
+
+
+def test_stacked_extraction_refuses_as_alone():
+    # singular loci, a state degenerate within its sector (j = 3,
+    # lam = 0, gx = 1.25) and regular points, in one stack
+    j, state_index = 3, 4
+    params = ([ModelParams(j=j, eps=1.0, lam=0.1, gam=-0.1),  # gx = 0
+               ModelParams(j=j, eps=1.0, lam=0.1, gam=0.1)]  # gy = 0
+              + [ModelParams.from_gammas(j, g, g) for g in (1.0, 1.25)]
+              + [ModelParams.from_gammas(j, g, 10.0 - g) for g in (2.0, 7.0)])
+    stacked = extract_stack(j, 1.0, [p.lam for p in params],
+                            [p.gam for p in params], state_index)
+    assert [type(r).__name__ for r in stacked[:4]] == [
+        "SingularParameterError", "SingularParameterError", "tuple",
+        "DegenerateStateError"]
+    for p, result in zip(params, stacked):
+        assert _bits(result) == _bits(_alone(p, state_index))
+    with pytest.raises(ValueError, match="out of range"):
+        extract_pairons(params[2], state_index=7)
+    assert all(isinstance(r, ValueError) for r in extract_stack(
+        j, 1.0, [p.lam for p in params[2:]], [p.gam for p in params[2:]], 7))
+
+
+def _reconstruct_reference(pairons):
+    """reconstruct_state as a loop over one pairon set, in scalar steps."""
+    t, m_pairs, nu, j = pairons.t, pairons.m_pairs, pairons.nu, pairons.j
+    sigma = np.zeros(m_pairs + 1, dtype=complex)
+    sigma[0] = 1.0
+    for top, e in enumerate(pairons.energies):
+        new = np.zeros_like(sigma)
+        new[:top + 1] += (e - t) * sigma[:top + 1]
+        new[1:top + 2] += (e + t) * sigma[:top + 1]
+        sigma = new / np.max(np.abs(new[:top + 2]))
+    logs = np.full(m_pairs + 1, -np.inf)
+    for s, x in enumerate(sigma):
+        if x != 0:
+            logs[s] = math.log(abs(x)) + 0.5 * (
+                math.lgamma(2 * (m_pairs - s) + nu + 1)
+                + math.lgamma(2 * s + nu + 1))
+    coeffs = np.zeros(2 * j + 1, dtype=complex)
+    for s, x in enumerate(sigma):
+        if x != 0:
+            coeffs[2 * s + nu] = (x / abs(x)) * math.exp(logs[s] - max(logs))
+    return StateVector(j=j, coeffs=coeffs)
+
+
+@pytest.mark.parametrize("j, gx", [
+    (8, np.linspace(0.3, 9.7, 30)), (7, np.linspace(0.3, 9.7, 30)),
+    (40, np.array([0.5, 2.0, 6.5]))], ids=["j8", "j7", "j40"])
+def test_stacked_reconstruction_is_the_loop_bitwise(j, gx):
+    params = [ModelParams.from_gammas(j, g, 10.0 - g) for g in gx.tolist()]
+    sets = [r[0] for r in extract_stack(j, 1.0, [p.lam for p in params],
+                                        [p.gam for p in params], 1)]
+    by_nu = {}
+    for ps in sets:
+        by_nu.setdefault(ps.nu, []).append(ps)
+    for nu, group in by_nu.items():
+        energies = np.array([ps.energies for ps in group], dtype=complex)
+        stacked = _reconstruct_stack(j, nu, energies,
+                                     np.array([ps.t for ps in group]))
+        for ps, state in zip(group, stacked):
+            ref = _reconstruct_reference(ps).coeffs.tobytes()
+            assert state.coeffs.tobytes() == ref
+            assert reconstruct_state(ps).coeffs.tobytes() == ref
+
+
+def test_reconstruction_of_arbitrary_pairons_is_the_loop_bitwise(rng):
+    # complex energies off any conjugation symmetry make every sigma_s
+    # complex, where numpy's abs, log and exp differ from hypot and
+    # math's in the last bit on some inputs
+    for nu in (0, 1):
+        energies = (rng.normal(size=(200, 12 - nu))
+                    + 1j * rng.normal(size=(200, 12 - nu)))
+        t = rng.uniform(0.2, 5.0, 200)
+        stacked = _reconstruct_stack(12, nu, energies, t)
+        for e, ti, state in zip(energies, t.tolist(), stacked):
+            ps = PaironSet(j=12, nu=nu, energies=tuple(e.tolist()), t=ti)
+            ref = _reconstruct_reference(ps).coeffs.tobytes()
+            assert state.coeffs.tobytes() == ref

@@ -11,6 +11,7 @@ from pairons import (ConvergenceError, MajoranaPoly, ModelParams,
                      chordal_distance, coherent_overlap, diagonalize,
                      eigenpair, husimi, husimi_quadrature, majorana_poly,
                      parity_slice, poly_roots, root_residual)
+from pairons import phasespace
 from pairons.phasespace import strip_and_solve
 from conftest import random_state
 
@@ -132,8 +133,9 @@ def test_total_multiplicity_always_2j(rng):
 
 
 def test_refuses_a_root_set_that_misses_the_residual(monkeypatch):
-    monkeypatch.setattr(np, "roots",
-                        lambda p: np.array([1.0, 2.0, 3.0]) * 1.01)
+    # the companion eigenvalues of the one stacked core, 1% off
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: np.array([[1.0, 2.0, 3.0]]) * 1.01)
     with pytest.raises(ConvergenceError) as got:
         strip_and_solve(np.polynomial.polynomial.polyfromroots([1, 2, 3]))
     assert got.value.partial.shape == (3,)
@@ -144,7 +146,51 @@ def test_refuses_a_root_set_that_misses_the_coefficients(monkeypatch):
     # and 1 doubled: the factor defect is O(1)
     c = np.polynomial.polynomial.polyfromroots([1.0, 2.0, 3.0])
     s = (abs(c[0]) / abs(c[-1])) ** (1.0 / 3)
-    monkeypatch.setattr(np, "roots",
-                        lambda p: np.array([1.0, 1.0, 3.0]) / s)
+    monkeypatch.setattr(np.linalg, "eigvals",
+                        lambda a: np.array([[1.0, 1.0, 3.0]]) / s)
     with pytest.raises(ConvergenceError):
         strip_and_solve(c)
+
+
+def _np_roots_reference(c):
+    """_solve_core's roots through np.roots, one polynomial at a time."""
+    c = c.real if not np.any(c.imag) else c
+    deg = len(c) - 1
+    s = (abs(c[0]) / abs(c[-1])) ** (1.0 / deg)
+    return s * np.roots((c * s ** np.arange(deg + 1))[::-1]).astype(complex)
+
+
+def _convolve_defect_reference(c, roots):
+    """The factor defect with the product built by np.convolve."""
+    prod = np.array([1.0 + 0.0j])
+    for r in roots:
+        prod = np.convolve(prod, np.array([-r, 1.0]))
+        prod = prod / np.max(np.abs(prod))
+    ref = c / np.max(np.abs(c))
+    k = int(np.argmax(np.abs(prod)))
+    return float(np.max(np.abs(prod * (ref[k] / prod[k]) - ref)))
+
+
+@pytest.mark.parametrize("length", [2, 5, 11, 21, 41])
+def test_batched_companion_roots_are_np_roots_bitwise(rng, length):
+    # real and complex cores of one length, solved in one stack, get the
+    # bits np.roots gives each alone; the factor defect of the roots, and
+    # of the roots with one lost, agrees with the convolution product
+    cores = (rng.normal(size=(30, length))
+             * 10.0 ** rng.uniform(-3, 3, (30, length))).astype(complex)
+    cores[20:] += 1j * rng.normal(size=(10, length))
+    solved = phasespace._solve_cores(cores)
+    for c, roots in zip(cores, solved):
+        if isinstance(roots, ConvergenceError):
+            roots = roots.partial
+        ref = _np_roots_reference(c)
+        assert roots.tobytes() == ref.tobytes()
+        # a rounding-level quantity; only its gate decides anything
+        lost = roots.copy()
+        lost[0] = lost[-1]
+        for r in (roots, lost):
+            defect = phasespace._factor_defects(c[None], r[None])[0]
+            ref = _convolve_defect_reference(c, r)
+            assert (defect <= phasespace.ACCEPT_DEFECT) == (
+                ref <= phasespace.ACCEPT_DEFECT)
+            assert abs(defect - ref) <= 0.1 * phasespace.ACCEPT_DEFECT

@@ -51,4 +51,4 @@ def test_dump_outputs_runner():
     bad = dump.run(["lmg", "spectrum", "--j", "2", "--gx", "nan", "--gy", "1"])
     assert bad["exit"] == 2 and bad["stdout"] == ""
     assert "lam must be finite" in bad["stderr"]
-    assert len(dump.COMMANDS) == 140
+    assert len(dump.COMMANDS) == 144
