@@ -18,6 +18,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -56,12 +57,49 @@ class UsageError(Exception):
 # Output
 # ---------------------------------------------------------------------------
 
-def _cell(value) -> str:
+def _cell_format(value) -> str:
+    """The % conversion of one CSV cell: FLOAT_FMT for a float, %d for an
+    integer, %s (str) for anything else."""
     if isinstance(value, float):
-        return FLOAT_FMT % value
+        return FLOAT_FMT
     if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return str(value)
+        return "%d"
+    return "%s"
+
+
+def _cell(value) -> str:
+    return _cell_format(value) % (value,)
+
+
+# a character that makes csv quote the field that holds it
+_CSV_QUOTED = re.compile('[,"\r\n]').search
+
+
+def _csv_text(columns: list[str], rows: list[list]) -> str:
+    """The CSV of a table, as csv.writer writes the _cell of each value.
+
+    Each row is formatted by one % string, joined from the _cell_format of
+    its values and built once per sequence of value types.  A row that csv
+    would quote (a str value holding a comma, quote, CR or LF, or a lone
+    empty value) is written by csv.writer.
+    """
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    formats: dict[tuple, tuple[str, list[int]]] = {}
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds not in formats:
+            codes = [_cell_format(v) for v in row]
+            formats[kinds] = (",".join(codes) + "\n",
+                              [k for k, c in enumerate(codes) if c == "%s"])
+        line, text_cells = formats[kinds]
+        if text_cells and (any(_CSV_QUOTED(str(row[k])) for k in text_cells)
+                           or line == "%s\n" and str(row[0]) == ""):
+            writer.writerow([_cell(v) for v in row])
+        else:
+            buf.write(line % tuple(row))
+    return buf.getvalue()
 
 
 def _json_value(value) -> str:
@@ -92,12 +130,7 @@ def _emit(args, command: str, columns: list[str], rows: list[list],
           extra_meta: dict | None = None) -> None:
     """Write one table to --out or stdout, as CSV or JSON."""
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow([_cell(v) for v in row])
-        text = buf.getvalue()
+        text = _csv_text(columns, rows)
     else:
         config = {}
         skip = {"config", "out", "threads", "func", "command", "format",

@@ -28,9 +28,8 @@ from .errors import (ConvergenceError, DegenerateStateError,
 from .phasespace import (ZeroSet, _raised, parity_slice, poly_residuals,
                          strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint
-from .spin import (HamiltonianMatrix, ModelParams, StateVector,
-                   eigen_residual, gammas, hamiltonian_stack,
-                   parity_eigenstates)
+from .spin import (ModelParams, StateVector, eigen_residuals, gammas,
+                   hamiltonian_stack, parity_eigenstates, state_vectors)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
 
@@ -63,12 +62,14 @@ class PaironSet:
         while pool:
             e = pool.pop()
             target = e.conjugate()
-            best = min(range(len(pool) + 1),
-                       key=lambda i: abs((pool[i] if i < len(pool) else e) - target))
-            if best == len(pool):
-                worst = max(worst, abs(e - target))
-            else:
-                worst = max(worst, abs(pool.pop(best) - target))
+            # distance of each remaining energy to the target, then of e
+            # itself; the first nearest is taken
+            dist = [abs(p - target) for p in pool]
+            dist.append(abs(e - target))
+            best = dist.index(min(dist))
+            worst = max(worst, dist[best])
+            if best < len(pool):
+                pool.pop(best)
         return worst
 
 
@@ -217,17 +218,19 @@ def reconstruct_state(pairons: PaironSet, t: float | None = None) -> StateVector
     t = _checked_t(pairons.t if t is None else t)
     energies = np.array(pairons.energies, dtype=complex).reshape(1, -1)
     return _raised(_reconstruct_stack(pairons.j, pairons.nu, energies,
-                                      np.array([t]))[0])
+                                      np.array([t]))[1][0])
 
 
 def _reconstruct_stack(j: int, nu: int, energies: np.ndarray,
-                       t: np.ndarray) -> list:
+                       t: np.ndarray) -> tuple[np.ndarray, list]:
     """reconstruct_state for each row of energies (R, j - nu) at its t:
+    the unit coefficients of the rebuilt rows as one stack, and per row
     the StateVector, or the ValueError it raises alone.
 
     The recurrence for sigma runs over all rows at once.  Each magnitude
     is hypot(re, im), as abs takes it of a complex scalar, and each log
-    and exp is math's, so every row gets the bits it gets alone.
+    and exp is math's; the rows are normalized together by state_vectors.
+    So every row gets the bits it gets alone.
     """
     count, m_pairs = energies.shape
     lower = energies - t[:, None]  # A_a
@@ -259,14 +262,21 @@ def _reconstruct_stack(j: int, nu: int, energies: np.ndarray,
     # c(m) sits at Dicke index j + m = n_b = 2s + nu
     coeffs[rows, 2 * cols + nu] = (sigma[live] / magnitude) * np.array(
         [math.exp(x) for x in shifted.tolist()])
-    return [ValueError("pairon product vanished; invalid pairon set")
-            if vanished[r] else StateVector(j=j, coeffs=coeffs[r])
-            for r in range(count)]
+    unit, states = state_vectors(j, coeffs[~vanished])
+    states = iter(states)
+    return unit, [ValueError("pairon product vanished; invalid pairon set")
+                  if gone else next(states) for gone in vanished.tolist()]
 
 
 def fidelity(a, b) -> float:
-    """|<a|b>| of two states on one basis (StateVector or BosonState)."""
-    return float(abs(np.vdot(a.coeffs, b.coeffs)))
+    """|<a|b>| of two states on one basis (StateVector or BosonState):
+    the one-pair case of fidelities."""
+    return float(fidelities(a.coeffs, b.coeffs))
+
+
+def fidelities(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<a|b>| of each pair of rows of two coefficient stacks (..., dim)."""
+    return np.abs(np.vecdot(a, b))
 
 
 @dataclass(frozen=True)
@@ -305,8 +315,9 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
     The points' H are built by hamiltonian_stack and solved and ranked
     together by parity_eigenstates; the states' slices are root-solved
     together (_pairon_sets) and the pairon sets of each seniority rebuilt
-    together (_reconstruct_stack).  Fidelity and eigen-residual are taken
-    point by point.  Each layer gives every point the bits it gets alone.
+    together (_reconstruct_stack), and their fidelities and
+    eigen-residuals taken together (fidelities, eigen_residuals).  Each
+    layer gives every point the bits it gets alone.
     If the stacked eigensolve raises, each point is solved alone.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -336,23 +347,29 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
             out[i] = exc
         return out
 
-    kept, states, ts, flags = [], [], [], []
-    for row, i in enumerate(points):
-        offset, c = int(sector[row]), int(col[row])
+    full = np.zeros((len(points), 2 * j + 1))
+    energy = np.zeros(len(points))
+    for offset in set(sector.tolist()):
         w, v = solved[offset]
-        full = np.zeros(2 * j + 1)
-        full[offset::2] = v[row, :, c]
-        state = StateVector(j=j, coeffs=full)
+        mine = sector == offset
+        c = col[mine]
+        full[mine, offset::2] = v[mine, :, c]
+        energy[mine] = w[mine, c]
+    energy = energy.tolist()
+    kept, ts, flags = [], [], []
+    for row, i in enumerate(points):
         gx, gy = gamma[i]
         if degenerate[row] and not allow_degenerate:
             out[i] = DegenerateStateError(
                 f"state {state_index} at (gx={gx:.6g}, gy={gy:.6g}) is "
                 "degenerate within its parity sector")
             continue
-        kept.append((row, i, float(w[row, c])))
-        states.append(state)
+        kept.append((row, i))
         ts.append(math.sqrt(abs(gx / gy)))
         flags.append((FLAG_SIGN_UNVERIFIED,) if gx * gy < 0 else ())
+    if not kept:
+        return out
+    unit, states = state_vectors(j, full[[row for row, _ in kept]])
 
     sets = _pairon_sets(states, ts, flags)
     by_nu: dict[int, list] = {}
@@ -364,25 +381,29 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
     for nu, group in by_nu.items():
         energies = np.array([sets[k][0].energies for k in group],
                             dtype=complex).reshape(len(group), j - nu)
-        recons = _reconstruct_stack(j, nu, energies,
-                                    np.array([ts[k] for k in group]))
-        for k, recon in zip(group, recons):
-            row, i, energy = kept[k]
-            if isinstance(recon, Exception):
-                out[i] = recon
-                continue
+        recon, recons = _reconstruct_stack(j, nu, energies,
+                                           np.array([ts[k] for k in group]))
+        rebuilt = []
+        for k, result in zip(group, recons):
+            if isinstance(result, Exception):
+                out[kept[k][1]] = result
+            else:
+                rebuilt.append(k)
+        if not rebuilt:
+            continue
+        fid = fidelities(recon, unit[rebuilt]).tolist()
+        res = eigen_residuals(h[[kept[k][0] for k in rebuilt]],
+                              recon).tolist()
+        for k, f, r in zip(rebuilt, fid, res):
             pairons, residual = sets[k]
-            matrix = HamiltonianMatrix(
-                ModelParams(j=j, eps=eps, lam=float(lam[i]),
-                            gam=float(gam[i])), h[row])
-            out[i] = pairons, ExtractionDiagnostics(
+            out[kept[k][1]] = pairons, ExtractionDiagnostics(
                 t=ts[k],
-                energy=energy,
+                energy=energy[kept[k][0]],
                 state_index=state_index,
                 max_root_residual=residual,
                 max_pairing_defect=pairons.conjugation_defect(),
-                reconstruction_fidelity=fidelity(recon, states[k]),
-                reconstruction_residual=eigen_residual(matrix, recon),
+                reconstruction_fidelity=f,
+                reconstruction_residual=r,
                 flags=flags[k],
             )
     return out

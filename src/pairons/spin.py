@@ -84,18 +84,45 @@ def gammas(j: int, eps, lam, gam):
     return ((2 * j - 1) * (gam + lam) / eps, (2 * j - 1) * (gam - lam) / eps)
 
 
-def _detect_parity(coeffs: np.ndarray) -> str:
-    """Even means support only on j+m even, odd only on j+m odd."""
-    scale = float(np.max(np.abs(coeffs)))
-    if scale == 0.0:
-        return PARITY_MIXED
-    even_weight = float(np.max(np.abs(coeffs[0::2]), initial=0.0))
-    odd_weight = float(np.max(np.abs(coeffs[1::2]), initial=0.0))
-    if odd_weight <= _PARITY_TOL * scale:
-        return PARITY_EVEN
-    if even_weight <= _PARITY_TOL * scale:
-        return PARITY_ODD
-    return PARITY_MIXED
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a complex stack (..., n).
+
+    Each is sqrt(x.x) of the real then the imaginary parts, taken on the
+    strided views as np.linalg.norm takes it of one complex vector, so a
+    row of a stack gets the bits that vector gets alone.
+    """
+    return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
+
+
+def _normalized_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The rows of a complex stack (R, dim) at unit norm, and the parity
+    of each row.
+
+    A row whose norm is off 1 by more than 1e-12 is divided by it; a zero
+    row raises ValueError.  A row is even if its odd-index entries are all
+    within _PARITY_TOL of its largest entry, odd if its even-index entries
+    are, mixed otherwise.
+    """
+    norm = _norms(coeffs)
+    off = [abs(n - 1.0) > 1e-12 for n in norm.tolist()]
+    if any(off):
+        if not norm.all():
+            raise ValueError("zero vector is not a state")
+        coeffs = np.divide(coeffs, norm[:, None], out=coeffs.copy(),
+                           where=np.array(off)[:, None])
+    size = np.abs(coeffs)
+    even = size[:, 0::2].max(axis=1)
+    odd = size[:, 1::2].max(axis=1, initial=0.0)
+    parities = []
+    for e, o, scale in zip(even.tolist(), odd.tolist(),
+                           np.maximum(even, odd).tolist()):
+        if o <= _PARITY_TOL * scale:
+            parities.append(PARITY_EVEN)
+        elif e <= _PARITY_TOL * scale:
+            parities.append(PARITY_ODD)
+        else:
+            parities.append(PARITY_MIXED)
+    return coeffs, parities
 
 
 @dataclass(frozen=True)
@@ -115,14 +142,10 @@ class StateVector:
         if arr.shape != (2 * self.j + 1,):
             raise ValueError(
                 f"need {2*self.j+1} coefficients for j={self.j}, got shape {arr.shape}")
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-12:
-            if norm == 0.0:
-                raise ValueError("zero vector is not a state")
-            arr = arr / norm
+        (arr,), (parity,) = _normalized_rows(arr[None])
         arr.setflags(write=False)
         object.__setattr__(self, "coeffs", arr)
-        object.__setattr__(self, "parity", _detect_parity(arr))
+        object.__setattr__(self, "parity", parity)
 
     @classmethod
     def dicke(cls, j: int, m: int) -> "StateVector":
@@ -134,6 +157,24 @@ class StateVector:
 
     def coefficient(self, m: int) -> complex:
         return complex(self.coeffs[self.j + m])
+
+
+def state_vectors(j: int, coeffs: np.ndarray
+                  ) -> tuple[np.ndarray, list[StateVector]]:
+    """StateVector(j, row) for each row of coeffs (R, 2j+1), normalized
+    and labelled by one _normalized_rows pass: each gets the coefficient
+    bits and parity it gets alone, and a zero row raises its ValueError.
+    Returns the unit rows as one read-only stack (which may share memory
+    with coeffs) and the states, each over its row of that stack.
+    """
+    arr, parities = _normalized_rows(np.asarray(coeffs, dtype=complex))
+    arr.setflags(write=False)
+    states = []
+    for row, parity in zip(arr, parities):
+        state = object.__new__(StateVector)
+        vars(state).update(j=j, coeffs=row, parity=parity)
+        states.append(state)
+    return arr, states
 
 
 @dataclass(frozen=True)
@@ -333,7 +374,16 @@ def expectation(h: HamiltonianMatrix, state: StateVector) -> float:
 
 
 def eigen_residual(h: HamiltonianMatrix, state: StateVector) -> float:
-    """|| H psi - <H> psi || / |H|, a scale-free eigenvector quality measure."""
-    hv = h.matrix @ state.coeffs
-    ev = np.real(np.conj(state.coeffs) @ hv)
-    return float(np.linalg.norm(hv - ev * state.coeffs) / h.norm)
+    """|| H psi - <H> psi || / |H|, a scale-free eigenvector quality
+    measure: the one-state case of eigen_residuals."""
+    return float(eigen_residuals(h.matrix[None], state.coeffs[None])[0])
+
+
+def eigen_residuals(matrices: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """eigen_residual of each unit state of a stack (R, dim) under the
+    matching H of a stack (R, dim, dim).  The products are stacked
+    np.matmul and the norms _norms, so each state gets the bits it gets
+    alone."""
+    hv = np.matmul(matrices, coeffs[:, :, None])[:, :, 0]
+    ev = np.matmul(np.conj(coeffs)[:, None, :], hv[:, :, None])[:, 0, 0].real
+    return _norms(hv - ev[:, None] * coeffs) / max_row_sum(matrices)

@@ -1,7 +1,10 @@
+import csv
 import importlib.metadata
+import io
 import json
 import subprocess
 
+import numpy as np
 import pytest
 
 import pairons.cli
@@ -235,6 +238,37 @@ def test_float_cells_roundtrip(capsys):
     assert rc == 0
     energy = out.splitlines()[1].split(",")[1]
     assert float(energy) == -(2.0 ** 0.5)
+
+
+def _csv_writer_text(columns, rows):
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(columns)
+    for row in rows:
+        writer.writerow([pairons.cli._cell(v) for v in row])
+    return buf.getvalue()
+
+
+CSV_CELLS = [1.5, float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+             5e-324, np.float64(0.1), np.float64("nan"), np.int64(-3),
+             np.int64(2 ** 62), 7, True, False, np.bool_(True), "", "a",
+             "a,b", 'say "x"', "c\rd", "e\nf", "g\r\nh", " lead", "%s%d%%",
+             None, (1, 2)]
+
+
+@pytest.mark.parametrize("rows", [
+    [CSV_CELLS],
+    [[v] for v in CSV_CELLS],
+    [[""], [], [""] * 3, ["", 1.0], [1.0, ""], ["x", ",", "y"]],
+    [[float(k) / 3, k, "seniority" if k % 2 else ""] for k in range(50)],
+], ids=["one-row", "one-column", "empty-cells", "mixed-types"])
+def test_csv_rows_are_csv_writer_bytes(rows):
+    # the %-formatted rows equal csv.writer over _cell, byte for byte,
+    # including the rows csv quotes and a lone empty cell, which csv
+    # writes as ""
+    columns = [f"c{k}" for k in range(max(len(r) for r in rows))]
+    assert (pairons.cli._csv_text(columns, rows)
+            == _csv_writer_text(columns, rows))
 
 
 def test_json_meta_and_rows(capsys):

@@ -696,3 +696,36 @@ def test_scan_is_one_stacked_extraction_per_chunk(monkeypatch, budget):
     assert sum(shape[0] for shape in solves) == 2 * 200
     assert not table.failures
     assert _table_bits(table) == reference
+
+
+def test_scan_builds_no_per_sample_objects(monkeypatch):
+    # the diagnostics of all 200 samples come from stacked arrays: no
+    # HamiltonianMatrix, no eigen_residual call and no StateVector built
+    # through __post_init__
+    spec = TrajectorySpec(j=10, line="sum", line_sum=10.0, start=0.05,
+                          stop=9.95, steps=200, state_index=0)
+    reference = _table_bits(scan_trajectory(spec))
+    counts = {"HamiltonianMatrix": 0, "eigen_residual": 0,
+              "StateVector": 0}
+
+    def counted(name, function):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(spin.HamiltonianMatrix, "__init__",
+                        counted("HamiltonianMatrix",
+                                spin.HamiltonianMatrix.__init__))
+    monkeypatch.setattr(spin.StateVector, "__post_init__",
+                        counted("StateVector",
+                                spin.StateVector.__post_init__))
+    residual = counted("eigen_residual", spin.eigen_residual)
+    for module in (pairons, spin, paironmap, collapse):
+        if hasattr(module, "eigen_residual"):
+            monkeypatch.setattr(module, "eigen_residual", residual)
+    table = scan_trajectory(spec)
+    assert counts == {"HamiltonianMatrix": 0, "eigen_residual": 0,
+                      "StateVector": 0}
+    assert len(table.samples) == 200
+    assert _table_bits(table) == reference

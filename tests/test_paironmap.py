@@ -12,26 +12,27 @@ from scipy.optimize import linear_sum_assignment
 from pairons import (DegenerateStateError, ModelParams, PaironSet,
                      PaironsError, StateVector, UnpairedZeroError,
                      build_hamiltonian, chordal_distance, diagonalize,
-                     eigen_residual, extract_pairons, fidelity,
+                     eigen_residual, eigenpair, extract_pairons, fidelity,
                      majorana_poly, pairon_from_u, pairons_from_state,
                      pairons_to_zeros, poly_roots, reconstruct_state,
                      u_from_pairon)
-from pairons import phasespace
+from pairons import phasespace, spin
 from pairons.paironmap import _reconstruct_stack, extract_stack
 
 
 def test_extraction_builds_two_state_vectors(monkeypatch):
-    # the requested eigenvector and the reconstruction, not all 2j+1
+    # the requested eigenvector and the reconstruction, not all 2j+1: every
+    # StateVector, alone or stacked, is normalized by _normalized_rows
     made = []
-    post_init = StateVector.__post_init__
+    normalized = spin._normalized_rows
 
-    def counting(self):
-        made.append(self.j)
-        post_init(self)
+    def counting(coeffs):
+        made.append(coeffs.shape)
+        return normalized(coeffs)
 
-    monkeypatch.setattr(StateVector, "__post_init__", counting)
+    monkeypatch.setattr(spin, "_normalized_rows", counting)
     extract_pairons(ModelParams.from_gammas(10, 2.0, 8.0), state_index=4)
-    assert made == [10, 10]
+    assert made == [(1, 21), (1, 21)]
 
 
 def test_map_fixed_points():
@@ -284,6 +285,37 @@ def test_stacked_extraction_is_extract_pairons_bitwise(monkeypatch, j,
         assert len({length for _, length in stacked_cores}) > 3
 
 
+@pytest.mark.parametrize("j, state_index, gx", [
+    (10, 0, np.linspace(0.05, 9.95, 200)),
+    (7, 3, np.linspace(0.05, 9.95, 100)),
+    (40, 0, np.linspace(0.05, 9.95, 12)),
+    (40, 19, np.array([3.74102, 6.164669])),
+], ids=["c10-j10", "both-seniorities-j7", "ground-j40", "state19-j40"])
+def test_stacked_diagnostics_are_each_alone(j, state_index, gx):
+    # the stacked fidelity and eigen-residual of each sample equal
+    # fidelity and eigen_residual of its own eigenstate and rebuilt state,
+    # and those equal |vdot| and the residual formula on the vectors
+    params = [ModelParams.from_gammas(j, g, 10.0 - g) for g in gx.tolist()]
+    stacked = extract_stack(j, 1.0, [p.lam for p in params],
+                            [p.gam for p in params], state_index)
+    nus = set()
+    for p, (pairons, diag) in zip(params, stacked):
+        h = build_hamiltonian(p)
+        state = eigenpair(h, state_index).state
+        recon = reconstruct_state(pairons)
+        assert diag.reconstruction_fidelity == fidelity(recon, state)
+        assert diag.reconstruction_fidelity == abs(np.vdot(recon.coeffs,
+                                                           state.coeffs))
+        hv = h.matrix @ recon.coeffs
+        ev = np.real(np.conj(recon.coeffs) @ hv)
+        assert diag.reconstruction_residual == eigen_residual(h, recon)
+        assert diag.reconstruction_residual == float(
+            np.linalg.norm(hv - ev * recon.coeffs) / h.norm)
+        nus.add(pairons.nu)
+    if j == 7:
+        assert nus == {0, 1}
+
+
 def test_stacked_extraction_refuses_as_alone():
     # singular loci, a state degenerate within its sector (j = 3,
     # lam = 0, gx = 1.25) and regular points, in one stack
@@ -340,8 +372,8 @@ def test_stacked_reconstruction_is_the_loop_bitwise(j, gx):
         by_nu.setdefault(ps.nu, []).append(ps)
     for nu, group in by_nu.items():
         energies = np.array([ps.energies for ps in group], dtype=complex)
-        stacked = _reconstruct_stack(j, nu, energies,
-                                     np.array([ps.t for ps in group]))
+        _, stacked = _reconstruct_stack(j, nu, energies,
+                                        np.array([ps.t for ps in group]))
         for ps, state in zip(group, stacked):
             ref = _reconstruct_reference(ps).coeffs.tobytes()
             assert state.coeffs.tobytes() == ref
@@ -356,7 +388,7 @@ def test_reconstruction_of_arbitrary_pairons_is_the_loop_bitwise(rng):
         energies = (rng.normal(size=(200, 12 - nu))
                     + 1j * rng.normal(size=(200, 12 - nu)))
         t = rng.uniform(0.2, 5.0, 200)
-        stacked = _reconstruct_stack(12, nu, energies, t)
+        _, stacked = _reconstruct_stack(12, nu, energies, t)
         for e, ti, state in zip(energies, t.tolist(), stacked):
             ps = PaironSet(j=12, nu=nu, energies=tuple(e.tolist()), t=ti)
             ref = _reconstruct_reference(ps).coeffs.tobytes()

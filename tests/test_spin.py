@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from pairons import (ModelParams, SingularParameterError, StateVector,
                      build_hamiltonian, diagonalize, eigen_residual,
                      eigenpair, expectation, split_parity)
+from pairons import spin
 from conftest import schwinger_hamiltonian
 
 
@@ -134,6 +135,78 @@ def test_eigen_residual_detects_non_eigenvector(rng):
     c = rng.standard_normal(11)
     v = StateVector(j=5, coeffs=c / np.linalg.norm(c))
     assert eigen_residual(h, v) > 1e-3
+
+
+def _state_reference(j, coeffs):
+    """(coefficients, parity) of StateVector(j, coeffs) by its definition:
+    np.linalg.norm of the vector, one division by it when it is off 1 by
+    more than 1e-12, parity from the max scans of the two sublattices."""
+    arr = np.asarray(coeffs, dtype=complex)
+    norm = float(np.linalg.norm(arr))
+    if abs(norm - 1.0) > 1e-12:
+        arr = arr / norm
+    scale = float(np.max(np.abs(arr)))
+    even = float(np.max(np.abs(arr[0::2])))
+    odd = float(np.max(np.abs(arr[1::2]), initial=0.0))
+    if odd <= 1e-12 * scale:
+        return arr, "even"
+    if even <= 1e-12 * scale:
+        return arr, "odd"
+    return arr, "mixed"
+
+
+@pytest.mark.parametrize("j", [1, 7, 10, 40])
+def test_stacked_state_vectors_are_each_alone(rng, j):
+    # unit, unnormalized, real, complex, even, odd and mixed rows, a
+    # sublattice 1e-13 below the other and a -0.0 entry
+    dim = 2 * j + 1
+    rows = rng.normal(size=(12, dim)) + 1j * rng.normal(size=(12, dim))
+    rows[0::3, 1::2] = 0.0
+    rows[1::3, 0::2] = 0.0
+    rows[3, 0::2] *= 1e-13
+    rows[4] = rows[4].real
+    rows[5] /= np.linalg.norm(rows[5])
+    rows[5, 2] = complex(-0.0, abs(rows[5, 2]))  # stays unit: not divided
+    rows[6, 0] = -0.0
+    rows[7] = np.abs(rows[7]) ** 0.5 * 1e-3
+    unit, states = spin.state_vectors(j, rows)
+    assert unit.shape == rows.shape and not unit.flags.writeable
+    assert {s.parity for s in states} == {"even", "odd", "mixed"}
+    for row, state, stacked in zip(rows, states, unit):
+        alone = StateVector(j=j, coeffs=row)
+        ref, parity = _state_reference(j, row)
+        assert state.j == alone.j == j
+        assert (state.coeffs.tobytes() == alone.coeffs.tobytes()
+                == stacked.tobytes() == ref.tobytes())
+        assert state.parity == alone.parity == parity
+
+
+def test_stacked_state_vectors_refuse_a_zero_row():
+    rows = np.eye(3, 5, dtype=complex)
+    rows[1] = 0.0
+    with pytest.raises(ValueError, match="^zero vector is not a state$"):
+        spin.state_vectors(2, rows)
+    with pytest.raises(ValueError, match="^zero vector is not a state$"):
+        StateVector(j=2, coeffs=rows[1])
+
+
+@pytest.mark.parametrize("j", [1, 7, 10, 40])
+def test_stacked_eigen_residuals_are_each_alone(rng, j):
+    params = [ModelParams(j=j, eps=1.0, lam=lam, gam=gam)
+              for lam, gam in rng.uniform(-2, 2, (6, 2))]
+    matrices = [build_hamiltonian(p) for p in params]
+    states = [diagonalize(h)[k % (2 * j + 1)].state
+              for k, h in enumerate(matrices)]
+    states[1] = StateVector(j=j, coeffs=rng.normal(size=2 * j + 1)
+                            + 1j * rng.normal(size=2 * j + 1))
+    stacked = spin.eigen_residuals(np.stack([h.matrix for h in matrices]),
+                                   np.stack([s.coeffs for s in states]))
+    for h, state, r in zip(matrices, states, stacked.tolist()):
+        hv = h.matrix @ state.coeffs
+        ev = np.real(np.conj(state.coeffs) @ hv)
+        ref = float(np.linalg.norm(hv - ev * state.coeffs) / h.norm)
+        assert eigen_residual(h, state) == r == ref
+    assert stacked[1] > 1e-3
 
 
 @given(j=st.integers(1, 6), lam=st.floats(-3, 3), gam=st.floats(-3, 3))
