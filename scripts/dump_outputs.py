@@ -1,14 +1,18 @@
 #!/usr/bin/env python3
-"""Write the outputs of a fixed list of CLI commands to OUT as JSON.
+"""Write the outputs of a fixed list of CLI commands to OUT as JSON, or
+compare two such files.
 
 Usage: python scripts/dump_outputs.py [--src DIR] OUT
+       python scripts/dump_outputs.py --compare BASE HEAD
 
 Each command runs in a fresh interpreter as `python -m pairons ...` on the
 package source in DIR (default: the `src` of the checkout this script sits
 in); OUT lists, per command, its argv, exit code, stdout and stderr.  Run
 it once with --src pointing at each of two checkouts' `src` and compare
 the files with `cmp` to check that a change leaves every output
-byte-identical.
+byte-identical.  --compare prints, as Markdown, the commands whose
+records differ between two files, each with its change of exit code and
+the first line of stdout and of stderr that differs.
 
 The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
 0,0.5,1,1.5, N=20), `bcs spectrum` of the same models, `bcs ellipsoid`
@@ -86,14 +90,71 @@ def run(argv: list[str], src: Path = SRC) -> dict:
             "stderr": proc.stderr}
 
 
+END = "(end of output)"
+
+
+def first_difference(base: str, head: str) -> tuple[int, int, str, str]:
+    """Line number, column (both from 1) and the two lines where two texts
+    first differ; a text that ends first reads END there."""
+    a, b = base.split("\n"), head.split("\n")
+    number = next((k for k, (x, y) in enumerate(zip(a, b)) if x != y),
+                  min(len(a), len(b)))
+    x = a[number] if number < len(a) else END
+    y = b[number] if number < len(b) else END
+    column = next((k for k, (p, q) in enumerate(zip(x, y)) if p != q),
+                  min(len(x), len(y)))
+    return number + 1, column + 1, x, y
+
+
+def excerpt(line: str, column: int) -> str:
+    """Up to 120 characters of a line around a column."""
+    start = max(0, column - 41)
+    text = line[start:start + 120]
+    return (("..." if start else "") + text
+            + ("..." if start + 120 < len(line) else ""))
+
+
+def compare(base: list[dict], head: list[dict]) -> str:
+    """The Markdown report of the records that differ between two dumps."""
+    differ = [(b, h) for b, h in zip(base, head) if b != h]
+    lines = ["## Byte identity against the base commit", "",
+             f"{len(differ)} of {len(head)} commands differ.", ""]
+    for b, h in differ:
+        lines.append("- `" + " ".join(h["argv"]) + "`")
+        if b["exit"] != h["exit"]:
+            lines.append(f"  - exit code {b['exit']} -> {h['exit']}")
+        for stream in ("stdout", "stderr"):
+            if b[stream] != h[stream]:
+                line, column, x, y = first_difference(b[stream], h[stream])
+                lines += [f"  - {stream}, first difference at line {line}, "
+                          f"column {column}:",
+                          "    ```",
+                          "    base: " + excerpt(x, column),
+                          "    head: " + excerpt(y, column),
+                          "    ```"]
+    return "\n".join(lines) + "\n"
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         description="Write the outputs of a fixed list of CLI commands to "
-                    "OUT as JSON.")
+                    "OUT as JSON, or compare two such files.")
     ap.add_argument("--src", type=Path, default=SRC,
                     help="package source directory (default: %(default)s)")
-    ap.add_argument("out", metavar="OUT")
+    ap.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"),
+                    help="print the commands whose outputs differ between "
+                         "two files written by this script")
+    ap.add_argument("out", metavar="OUT", nargs="?")
     args = ap.parse_args(argv)
+    if args.compare:
+        if args.out is not None:
+            ap.error("--compare takes no OUT")
+        base, head = (json.loads(Path(path).read_text())
+                      for path in args.compare)
+        sys.stdout.write(compare(base, head))
+        return 0
+    if args.out is None:
+        ap.error("OUT is required")
     if not (args.src / "pairons" / "__init__.py").is_file():
         ap.error(f"no pairons package in {args.src}")
     records = [run(command, args.src.resolve()) for command in COMMANDS]

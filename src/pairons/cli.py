@@ -75,30 +75,49 @@ def _cell(value) -> str:
 _CSV_QUOTED = re.compile('[,"\r\n]').search
 
 
-def _csv_text(columns: list[str], rows: list[list]) -> str:
+def _csv_text(columns: list[str], rows: list[list],
+              leads: list[list] | None = None) -> str:
     """The CSV of a table, as csv.writer writes the _cell of each value.
 
-    Each row is formatted by one % string, joined from the _cell_format of
-    its values and built once per sequence of value types.  A row that csv
-    would quote (a str value holding a comma, quote, CR or LF, or a lone
-    empty value) is written by csv.writer.
+    With leads, the table comes in groups: rows[g] holds the rows of group
+    g, each of at least one cell, and every one of them follows the cells
+    of leads[g], which are formatted once per group.  Each row (or the
+    rest of it after its lead) is formatted by one % string, joined from
+    the _cell_format of its values and built once per sequence of value
+    types.  A row that csv would quote (a str value holding a comma,
+    quote, CR or LF, or a lone empty value) is written by csv.writer.
     """
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(columns)
     formats: dict[tuple, tuple[str, list[int]]] = {}
-    for row in rows:
-        kinds = tuple(map(type, row))
+
+    def template(cells) -> tuple[str, list[int]]:
+        kinds = tuple(map(type, cells))
         if kinds not in formats:
-            codes = [_cell_format(v) for v in row]
-            formats[kinds] = (",".join(codes) + "\n",
+            codes = [_cell_format(v) for v in cells]
+            formats[kinds] = (",".join(codes),
                               [k for k, c in enumerate(codes) if c == "%s"])
-        line, text_cells = formats[kinds]
-        if text_cells and (any(_CSV_QUOTED(str(row[k])) for k in text_cells)
-                           or line == "%s\n" and str(row[0]) == ""):
-            writer.writerow([_cell(v) for v in row])
-        else:
-            buf.write(line % tuple(row))
+        return formats[kinds]
+
+    def quoted(cells, text_cells) -> bool:
+        for k in text_cells:
+            if _CSV_QUOTED(str(cells[k])):
+                return True
+        return False
+
+    for lead, group in zip(leads, rows) if leads is not None else [([], rows)]:
+        line, text_cells = template(lead)
+        head = line % tuple(lead) + "," if lead else ""
+        lead_quoted = quoted(lead, text_cells)
+        for row in group:
+            line, text_cells = template(row)
+            if lead_quoted or text_cells and (
+                    quoted(row, text_cells)
+                    or not lead and line == "%s" and str(row[0]) == ""):
+                writer.writerow([_cell(v) for v in [*lead, *row]])
+            else:
+                buf.write(head + line % tuple(row) + "\n")
     return buf.getvalue()
 
 
@@ -127,11 +146,16 @@ def _json_value(value) -> str:
 
 
 def _emit(args, command: str, columns: list[str], rows: list[list],
-          extra_meta: dict | None = None) -> None:
-    """Write one table to --out or stdout, as CSV or JSON."""
+          extra_meta: dict | None = None,
+          leads: list[list] | None = None) -> None:
+    """Write one table to --out or stdout, as CSV or JSON; with leads, the
+    rows come in groups that share their leading cells (_csv_text)."""
     if args.format == "csv":
-        text = _csv_text(columns, rows)
+        text = _csv_text(columns, rows, leads)
     else:
+        if leads is not None:
+            rows = [lead + row for lead, group in zip(leads, rows)
+                    for row in group]
         config = {}
         skip = {"config", "out", "threads", "func", "command", "format",
                 "_fields", "_required"}
@@ -439,20 +463,23 @@ SCAN_COLUMNS = ["gx", "gy", "t", "state_index", "energy", "alpha", "re_e",
                 "im_e", "theta", "phi", "multiplicity", "branch_id", "flags"]
 
 
-def _scan_rows(table) -> list[list]:
-    rows = []
+def _scan_rows(table) -> tuple[list[list], list[list[list]]]:
+    """The rows of the scan table in groups, one per sample: the sample's
+    cells (gx, gy, t, state_index, energy) and the rest of each of its
+    records' rows."""
+    leads, groups = [], []
     for s in table.samples:
+        leads.append([s.gamma_x, s.gamma_y, s.t, s.state_index, s.energy])
+        group = []
         for r in s.records:
             flags = set(r.flags)
             if s.nu:
                 flags.add("seniority")
-            rows.append([
-                s.gamma_x, s.gamma_y, s.t, s.state_index, s.energy,
-                r.alpha, r.energy.real, r.energy.imag,
-                r.site.theta(), r.site.phi(), r.site_multiplicity,
-                r.branch_id, ";".join(sorted(flags)),
-            ])
-    return rows
+            group.append([r.alpha, r.energy.real, r.energy.imag,
+                          r.site.theta(), r.site.phi(), r.site_multiplicity,
+                          r.branch_id, ";".join(sorted(flags))])
+        groups.append(group)
+    return leads, groups
 
 
 def _cmd_lmg_scan(args) -> int:
@@ -461,7 +488,8 @@ def _cmd_lmg_scan(args) -> int:
     table = scan_trajectory(spec)
     for gx, reason in table.failures:
         print(f"skipped gx={gx:.6g}: {reason}", file=sys.stderr)
-    _emit(args, "lmg scan", SCAN_COLUMNS, _scan_rows(table))
+    leads, groups = _scan_rows(table)
+    _emit(args, "lmg scan", SCAN_COLUMNS, groups, leads=leads)
     return EXIT_OK
 
 
@@ -615,20 +643,27 @@ _BCS_COMMANDS = {
 }
 
 
-def _build_parser(prog: str, commands: dict) -> argparse.ArgumentParser:
+def _build_parser(prog: str, commands: dict,
+                  argv: list[str]) -> argparse.ArgumentParser:
+    """The parser of a tool.  Every subcommand is registered, so the help
+    and the errors list them all, but only the one argv runs (its first
+    word that is not an option) gets its flags."""
     parser = argparse.ArgumentParser(prog=prog)
     parser.add_argument("--version", action="version",
                         version=f"pairons {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    wanted = next((a for a in argv if not a.startswith("-")), None)
     for name, (fields, required, func) in commands.items():
         p = sub.add_parser(name)
-        _add_flags(p, fields)
-        p.set_defaults(func=func, _fields=fields, _required=required)
+        if name == wanted:
+            _add_flags(p, fields)
+            p.set_defaults(func=func, _fields=fields, _required=required)
     return parser
 
 
 def _run(prog: str, commands: dict, argv) -> int:
-    parser = _build_parser(prog, commands)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = _build_parser(prog, commands, argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -30,7 +30,7 @@ from .errors import (ConvergenceError, DegenerateStateError, PaironsError,
 from .paironmap import PaironSet, extract_stack, u_from_pairon
 from .phasespace import _binomial_sqrt, _live_range
 from .sphere import (INFINITY, SITE_MERGE_RADIUS, SpherePoint,
-                     chordal_distances, coordinates)
+                     chordal_distances, sphere_points)
 from .spin import (PARITY_SECTORS, ModelParams, build_hamiltonian,
                    couplings, eigenpair, gammas, hamiltonian_stack,
                    parity_eigenstates)
@@ -164,7 +164,7 @@ class BranchRecord:
 
     alpha: int
     energy: complex
-    site: SpherePoint          # canonical member of the +- zero pair
+    site: SpherePoint          # member of the +- zero pair on the branch
     site_multiplicity: int     # zeros sharing the site at default radius
     branch_id: int
     flags: tuple[str, ...]
@@ -190,51 +190,54 @@ class ScanTable:
 
 def _canonical_site(u: complex | None) -> SpherePoint:
     """Deterministic representative of the +- pair with squared value u."""
-    return _canonical_sites(np.array([INFINITY if u is None else u],
-                                     dtype=complex))[0]
+    return sphere_points(_canonical_sites(
+        np.array([INFINITY if u is None else u], dtype=complex)))[0]
 
 
-def _canonical_sites(u: np.ndarray) -> list[SpherePoint]:
-    """_canonical_site of each u of an array, infinity as INFINITY."""
+def _canonical_sites(u: np.ndarray) -> np.ndarray:
+    """The coordinate of _canonical_site for each u of an array, infinity
+    as INFINITY."""
     root = np.sqrt(u)
     # prefer the member with phi in [0, pi): Im(zeta) <= 0, tie on Re > 0
     flip = (root.imag > 0) | ((root.imag == 0) & (root.real < 0))
     root = np.where(flip, -root, root)
-    return [SpherePoint.infinity() if math.isinf(abs(z))
-            else SpherePoint.from_zeta(0.0 if w == 0 else z)
-            for w, z in zip(u.tolist(), root.tolist())]
+    return np.where(np.isinf(np.hypot(root.real, root.imag)), INFINITY,
+                    np.where(u == 0, 0.0, root))
 
 
 def _sample_records(sets: list[PaironSet]) -> list[list[BranchRecord]]:
-    """The branch records of each pairon set, with branch_id -1.
+    """The branch records of each pairon set, the sets in scan order.
 
-    The sites of all sets come from one _canonical_sites call, and their
-    multiplicities from one chordal_distances stack, padded to the
-    longest set.
+    The pairons of all sets sit in one array, padded to the longest set.
+    Their canonical sites come from one _canonical_sites call and their
+    multiplicities from one chordal_distances stack; _assign_branches
+    gives their branch ids and _align_branch_signs the member of each
+    site's +- pair that is emitted.  Each SpherePoint and BranchRecord is
+    built once, with its final site.
     """
-    counts = np.array([len(p.energies) for p in sets], dtype=int)
-    live = np.arange(counts.max(initial=0)) < counts[:, None]
+    counts = [len(p.energies) for p in sets]
+    live = np.arange(max(counts, default=0)) < np.array(counts)[:, None]
     energies = np.zeros(live.shape, dtype=complex)
     energies[live] = [e for p in sets for e in p.energies]
-    t = np.array([p.t for p in sets])[:, None]
-    sites = _canonical_sites(u_from_pairon(energies, t)[live])
-    z = np.zeros(live.shape, dtype=complex)
-    z[live] = coordinates(sites)
+    z = _canonical_sites(u_from_pairon(
+        energies, np.array([p.t for p in sets])[:, None]))
     near = chordal_distances(z[:, :, None], z[:, None, :]) <= SITE_MERGE_RADIUS
     mult = 2 * np.sum(near & live[:, None, :], axis=2)
-    records, start = [], 0
-    for p, m in zip(sets, mult.tolist()):
-        row = sites[start:start + len(p.energies)]
-        start += len(row)
-        records.append([BranchRecord(
-            alpha=alpha, energy=e, site=site, site_multiplicity=m[alpha],
-            branch_id=-1, flags=p.flags + (
-                ("pole",) if site.is_infinity or site.zeta == 0 else ()))
-            for alpha, (e, site) in enumerate(zip(p.energies, row))])
-    return records
+    branch, source = _assign_branches(energies, counts)
+    flip = _align_branch_signs(z, source)
+    pole = ((z == 0) | np.isinf(z))[live].tolist()
+    cells = iter(zip(sphere_points(np.where(flip, -z, z)[live]),
+                     mult[live].tolist(), branch[live].tolist(), pole))
+    return [[BranchRecord(alpha=alpha, energy=e, site=site,
+                          site_multiplicity=m, branch_id=b,
+                          flags=p.flags + ("pole",) if at_pole else p.flags)
+             for alpha, (e, (site, m, b, at_pole))
+             in enumerate(zip(p.energies, cells))]
+            for p in sets]
 
 
-def _assign_branches(samples: list[ScanSample]) -> None:
+def _assign_branches(energies: np.ndarray, counts: list[int]
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Propagate stable branch ids by continuation of the pairon energies.
 
     Energies move slowly and stay well separated away from collapses, so
@@ -246,72 +249,82 @@ def _assign_branches(samples: list[ScanSample]) -> None:
     Distances are chordal on the e-sphere: a branch sweeping through the
     map's pole (e past -t) moves a bounded amount there, however large |e|.
     Each step's costs are one chordal_distances matrix.
+
+    energies holds the pairons of each sample (S, M), its first counts[s]
+    columns live.  Returns each record's branch id and the column of the
+    record of the previous sample that it continues (-1 where a branch
+    starts), both -1 past counts.
     """
     from scipy.optimize import linear_sum_assignment
 
+    rows = energies.tolist()
+    branch = np.full(energies.shape, -1)
+    source = np.full(energies.shape, -1)
+    ids: list[int] = []
+    back: list[int] = []
     next_id = 0
-    prev: list[BranchRecord] = []
-    history: dict[int, list[complex]] = {}
-
-    for sample in samples:
-        if not prev:
-            for rec in sample.records:
-                rec.branch_id = next_id
-                next_id += 1
-        else:
-            predicted = []
-            for p in prev:
-                hist = history.get(p.branch_id, [])
-                predicted.append(2 * hist[-1] - hist[-2]
-                                 if len(hist) >= 2 else None)
-            known = np.array([g is not None for g in predicted])
-            # row 0: distance to the branch's last energy, row 1: to its
-            # continuation
+    for s, n in enumerate(counts):
+        prev_ids, prev_back, back = ids, back, [-1] * n
+        if n and prev_ids:
+            m = len(prev_ids)
+            # continuation 2 h[-1] - h[-2] of each branch with two energies,
+            # in Python's complex arithmetic
+            guess = [2 * e - rows[s - 2][k] if k >= 0 else 0j
+                     for e, k in zip(rows[s - 1][:m], prev_back)]
+            # distances to each branch's last energy and to its continuation
             direct, ahead = chordal_distances(
-                np.array([rec.energy for rec in sample.records],
-                         dtype=complex)[:, None],
-                np.array([[p.energy for p in prev],
-                          [0j if g is None else g for g in predicted]],
-                         dtype=complex)[:, None, :])
-            cost = np.where(known, np.minimum(direct, ahead), direct)
-            rows, cols = linear_sum_assignment(cost)
-            matched = dict(zip(rows.tolist(), cols.tolist()))
-            for i, rec in enumerate(sample.records):
-                if i in matched:
-                    rec.branch_id = prev[matched[i]].branch_id
-                else:
-                    rec.branch_id = next_id
-                    next_id += 1
-        for rec in sample.records:
-            history.setdefault(rec.branch_id, []).append(rec.energy)
-        prev = sample.records
-    _align_branch_signs(samples)
+                energies[s, :n, None],
+                np.array([rows[s - 1][:m], guess])[:, None, :])
+            cost = np.where([k >= 0 for k in prev_back],
+                            np.minimum(direct, ahead), direct)
+            matched, cols = linear_sum_assignment(cost)
+            for i, k in zip(matched.tolist(), cols.tolist()):
+                back[i] = k
+        ids = []
+        for k in back:
+            if k < 0:
+                k, next_id = next_id, next_id + 1
+            else:
+                k = prev_ids[k]
+            ids.append(k)
+        branch[s, :n] = ids
+        source[s, :n] = back
+    return branch, source
 
 
-def _align_branch_signs(samples: list[ScanSample]) -> None:
-    """Pick the +- representative that continues each branch.
+def _align_branch_signs(z: np.ndarray, source: np.ndarray) -> np.ndarray:
+    """Pick the +- representative that continues each branch: whether each
+    canonical site z (S, M) is emitted negated.
 
     Branch matching is sign-blind, but the emitted site is one member of
     the pair; the canonical pick can hop between members when a zero
     drifts across the representative's boundary, which would read as a
-    fake discontinuity in the table.  A sample's records carry distinct
-    branch ids, so each sample is compared in one chordal_distances call.
+    fake discontinuity in the table.  A finite site is negated when its
+    negation is strictly nearer than itself to the emitted site of the
+    record it continues (source, from _assign_branches).
+
+    chordal_distances gives (-p, -s) the bits of (p, s), since hypot and a
+    negated difference are sign-symmetric.  So one call takes the distance
+    of every continuing site s and of -s to its raw predecessor p, and a
+    record whose predecessor was negated compares the two the other way
+    round: the chain is walked once over the records in scan order.
     """
-    last: dict[int, SpherePoint] = {}
-    for sample in samples:
-        recs = [rec for rec in sample.records
-                if rec.branch_id in last and not rec.site.is_infinity]
-        if recs:
-            site = coordinates([rec.site for rec in recs])
-            to_flipped, to_site = chordal_distances(
-                coordinates([last[rec.branch_id] for rec in recs]),
-                np.array([-site, site]))
-            flip = to_flipped < to_site
-            for rec, flipped in zip(recs, flip.tolist()):
-                if flipped:
-                    rec.site = rec.site.antipode_negation()
-        for rec in sample.records:
-            last[rec.branch_id] = rec.site
+    sample, col = np.nonzero(source >= 0)
+    back = source[sample, col]
+    site = z[sample, col]
+    to_site, to_negated = chordal_distances(z[sample - 1, back],
+                                            np.array([site, -site]))
+    finite = ~np.isinf(site)
+    nearer_negated = (finite & (to_negated < to_site)).tolist()
+    nearer_site = (finite & (to_site < to_negated)).tolist()
+    width = z.shape[1]
+    flip = [False] * z.size
+    for here, there, negated, kept in zip(
+            (sample * width + col).tolist(),
+            ((sample - 1) * width + back).tolist(),
+            nearer_negated, nearer_site):
+        flip[here] = kept if flip[there] else negated
+    return np.array(flip, dtype=bool).reshape(z.shape)
 
 
 def _stack_slices(j: int, count: int) -> list[slice]:
@@ -356,7 +369,6 @@ def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
                for (g, (pairons, diag)), recs in zip(done, records)]
     failures = [(g, f"{type(r).__name__}: {r}")
                 for g, r in zip(gx, results) if isinstance(r, Exception)]
-    _assign_branches(samples)
     return ScanTable(spec=spec, samples=samples, failures=failures)
 
 

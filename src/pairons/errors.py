@@ -40,8 +40,9 @@ class UnpairedZeroError(PaironsError):
 
 class InconsistentPaironsError(PaironsError):
     """A pairon set violates a consistency requirement (imaginary parts
-    failing to cancel in the energy sum, say) that points at an upstream
-    extraction problem rather than at physics."""
+    failing to cancel in the energy sum, say, or a rebuilt state that
+    fails its fidelity or eigen-residual check) that points at an
+    upstream extraction problem rather than at physics."""
 
 
 class UnresolvedAnchorError(PaironsError):

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStateError,
-                     SingularParameterError, UnpairedZeroError)
+                     InconsistentPaironsError, SingularParameterError,
+                     UnpairedZeroError)
 from .phasespace import (ZeroSet, _raised, parity_slice, poly_residuals,
                          strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint
@@ -32,6 +33,10 @@ from .spin import (ModelParams, StateVector, eigen_residuals, gammas,
                    hamiltonian_stack, parity_eigenstates, state_vectors)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
+
+# Largest fidelity loss 1 - |<rebuilt|state>| and eigen-residual of the
+# rebuilt state with which extract_stack returns a pairon set.
+VERIFY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -298,8 +303,10 @@ def extract_pairons(params: ModelParams, state_index: int = 0,
 
     Refuses eigenstates that are degenerate within their parity sector
     (zeros of an arbitrary basis choice inside the degenerate subspace
-    carry no invariant meaning) and the singular parameter loci
-    gamma_x = 0 / gamma_y = 0.  The one-point case of extract_stack.
+    carry no invariant meaning), the singular parameter loci
+    gamma_x = 0 / gamma_y = 0, and pairon sets whose rebuilt state fails
+    its fidelity or eigen-residual check (InconsistentPaironsError).  The
+    one-point case of extract_stack.
     """
     return _raised(extract_stack(params.j, params.eps, [params.lam],
                                  [params.gam], state_index,
@@ -317,7 +324,9 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
     together (_pairon_sets) and the pairon sets of each seniority rebuilt
     together (_reconstruct_stack), and their fidelities and
     eigen-residuals taken together (fidelities, eigen_residuals).  Each
-    layer gives every point the bits it gets alone.
+    layer gives every point the bits it gets alone.  A point whose
+    rebuilt state has a fidelity loss or an eigen-residual above
+    VERIFY_TOL (or NaN) gets an InconsistentPaironsError.
     If the stacked eigensolve raises, each point is solved alone.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
@@ -396,6 +405,13 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
                               recon).tolist()
         for k, f, r in zip(rebuilt, fid, res):
             pairons, residual = sets[k]
+            if not (1.0 - f <= VERIFY_TOL and r <= VERIFY_TOL):
+                gx, gy = gamma[kept[k][1]]
+                out[kept[k][1]] = InconsistentPaironsError(
+                    f"state {state_index} at (gx={gx:.6g}, gy={gy:.6g}): "
+                    f"pairons unverified, fidelity loss {1.0 - f:.3g} and "
+                    f"eigen-residual {r:.3g} (bound {VERIFY_TOL:g})")
+                continue
             out[kept[k][1]] = pairons, ExtractionDiagnostics(
                 t=ts[k],
                 energy=energy[kept[k][0]],

@@ -74,6 +74,13 @@ def coordinates(points) -> np.ndarray:
                     dtype=complex)
 
 
+def sphere_points(z) -> list[SpherePoint]:
+    """The SpherePoint of each complex coordinate of an array, any infinite
+    one standing for the point at infinity: the inverse of coordinates."""
+    return [SpherePoint(None if cmath.isinf(w) else w)
+            for w in np.asarray(z, dtype=complex).ravel().tolist()]
+
+
 def chordal_distances(za, zb) -> np.ndarray:
     """Distance between sphere points through the embedding ball,
     elementwise over two broadcasting arrays of complex coordinates, any

@@ -271,6 +271,20 @@ def test_csv_rows_are_csv_writer_bytes(rows):
             == _csv_writer_text(columns, rows))
 
 
+@pytest.mark.parametrize("lead", [[0.5, 3], ["a,b", 1.0], [""], [1.0, "x"]],
+                         ids=["numbers", "quoted", "empty", "text"])
+def test_grouped_csv_rows_are_csv_writer_bytes(lead):
+    # rows given behind shared leading cells are the full rows' bytes,
+    # with a quoted cell in the lead or in the rest of a row
+    tails = [[v] for v in CSV_CELLS] + [CSV_CELLS, [1.0, "c\rd"]]
+    leads, groups = [lead, [2.0, 7]], [tails, tails[:3]]
+    rows = [head + tail for head, group in zip(leads, groups)
+            for tail in group]
+    columns = [f"c{k}" for k in range(max(len(r) for r in rows))]
+    assert (pairons.cli._csv_text(columns, groups, leads)
+            == _csv_writer_text(columns, rows))
+
+
 def test_json_meta_and_rows(capsys):
     rc, out, _ = run_lmg(capsys, "pairons", "--j", "1", "--gx", "1",
                          "--gy", "-1", "--format", "json")
@@ -293,6 +307,58 @@ def test_json_meta_and_rows(capsys):
     # gx * gy < 0: |t| is fixed but its branch is not
     assert "sign-unverified" in row[3]
     assert meta["reconstruction_fidelity"] == pytest.approx(1.0, abs=1e-12)
+
+
+def test_help_lists_every_subcommand(capsys):
+    rc, out, _ = run_lmg(capsys, "--help")
+    assert rc == 0
+    assert "{spectrum,zeros,pairons,scan,collapse,crossings}" in out
+    rc, out, _ = run_bcs(capsys, "--help")
+    assert rc == 0
+    assert "{spectrum,pairons,ellipsoid}" in out
+
+
+def test_subcommand_help_lists_its_flags(capsys):
+    rc, out, _ = run_lmg(capsys, "scan", "--help")
+    assert rc == 0
+    assert out.startswith("usage: lmg scan ")
+    for flag in ("--j", "--from", "--to", "--steps", "--line", "--line-sum",
+                 "--state", "--eps", "--seed", "--threads", "--format",
+                 "--out", "--config"):
+        assert f" {flag} " in out
+
+
+def test_unknown_subcommand_is_usage_error(capsys):
+    rc, out, err = run_lmg(capsys, "bogus", "--j", "2")
+    assert rc == 2
+    assert out == ""
+    assert "invalid choice: 'bogus'" in err
+    assert all(f"'{name}'" in err for name in pairons.cli._LMG_COMMANDS)
+
+
+def test_only_the_requested_subcommand_gets_flags(capsys, monkeypatch):
+    added = []
+    add_flags = pairons.cli._add_flags
+
+    def counted(parser, names):
+        added.append(names)
+        add_flags(parser, names)
+
+    monkeypatch.setattr(pairons.cli, "_add_flags", counted)
+    rc, out, _ = run_lmg(capsys, "spectrum", "--j", "1", "--gx", "1",
+                         "--gy", "-1")
+    assert rc == 0
+    assert out == SPECTRUM_J1
+    assert added == [["j", "gx", "gy", "eps"]]
+
+
+def test_unverified_pairons_exit_3(capsys):
+    # the j = 120 ground state at gx = 0.5 rebuilds with fidelity 0.023
+    rc, out, err = run_lmg(capsys, "pairons", "--j", "120", "--gx", "0.5",
+                           "--gy", "9.5")
+    assert rc == 3
+    assert out == ""
+    assert "pairons unverified" in err
 
 
 def test_missing_required_flag(capsys):

@@ -19,7 +19,8 @@ from pairons.paironmap import extract_stack
 from pairons.sphere import INFINITY, chordal_distances, coordinates
 from pairons.collapse import (SINGULAR_MARGIN, AnchorProfile,
                               CollapseCandidate, _anchor_coefficients,
-                              _anchor_slices, _brentq, collapse_rows)
+                              _anchor_slices, _brentq, _canonical_site,
+                              collapse_rows)
 
 
 def test_hyperbola_levels_frozen():
@@ -298,6 +299,36 @@ def test_scan_branches_are_continuous():
             if rec.branch_id in prev:
                 assert chordal_distance(prev[rec.branch_id], rec.site) < 0.1
         prev = cur
+
+
+@pytest.mark.parametrize("spec, minimum", [
+    (TrajectorySpec(j=10, start=0.05, stop=9.95, steps=200), 100),
+    (TrajectorySpec(j=7, start=0.05, stop=9.95, steps=100, state_index=3),
+     90)], ids=["j10-sum", "j7-state3"])
+def test_scan_sites_continue_their_branch(spec, minimum):
+    # each emitted site is the member of its +- pair that is not strictly
+    # farther than the other from the site its branch emitted one sample
+    # before, and the canonical member on a tie; enough of them are the
+    # negated member that the comparison against an emitted negated site
+    # is exercised
+    table = scan_trajectory(spec)
+    before, negated = {}, 0
+    for s in table.samples:
+        for r in s.records:
+            canonical = _canonical_site(paironmap.u_from_pairon(r.energy,
+                                                                s.t))
+            assert r.site in (canonical, canonical.antipode_negation())
+            negated += r.site != canonical
+            p = before.get(r.branch_id)
+            if p is None or p.is_infinity or r.site.is_infinity:
+                continue
+            to_other = chordal_distance(p, r.site.antipode_negation())
+            to_site = chordal_distance(p, r.site)
+            assert not to_other < to_site
+            if to_other == to_site:
+                assert r.site == canonical
+        before = {r.branch_id: r.site for r in s.records}
+    assert negated >= minimum
 
 
 def test_collapse_pattern_j4():

@@ -9,13 +9,13 @@ import hypothesis.strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
-from pairons import (DegenerateStateError, ModelParams, PaironSet,
-                     PaironsError, StateVector, UnpairedZeroError,
-                     build_hamiltonian, chordal_distance, diagonalize,
-                     eigen_residual, eigenpair, extract_pairons, fidelity,
-                     majorana_poly, pairon_from_u, pairons_from_state,
-                     pairons_to_zeros, poly_roots, reconstruct_state,
-                     u_from_pairon)
+from pairons import (DegenerateStateError, InconsistentPaironsError,
+                     ModelParams, PaironSet, PaironsError, StateVector,
+                     UnpairedZeroError, build_hamiltonian, chordal_distance,
+                     diagonalize, eigen_residual, eigenpair, extract_pairons,
+                     fidelity, majorana_poly, pairon_from_u,
+                     pairons_from_state, pairons_to_zeros, poly_roots,
+                     reconstruct_state, u_from_pairon)
 from pairons import phasespace, spin
 from pairons.paironmap import _reconstruct_stack, extract_stack
 
@@ -130,6 +130,19 @@ def test_j40_state_19_verifies(gx):
     params = ModelParams.from_gammas(40, gx, 10.0 - gx)
     ps, diag = extract_pairons(params, state_index=19)
     assert diag.max_root_residual <= 1e-13
+    assert diag.reconstruction_fidelity >= 1.0 - 1e-8
+    assert diag.reconstruction_residual <= 1e-8
+
+
+def test_unverified_extraction_is_refused():
+    # state 14 at j = 40, gx = 0.5 rebuilds with a fidelity loss of 4e-6
+    # and an eigen-residual of 7e-4; state 10 there verifies
+    params = ModelParams.from_gammas(40, 0.5, 9.5)
+    with pytest.raises(InconsistentPaironsError, match="unverified"):
+        extract_pairons(params, state_index=14)
+    (refused,) = extract_stack(40, 1.0, [params.lam], [params.gam], 14)
+    assert isinstance(refused, InconsistentPaironsError)
+    _, diag = extract_pairons(params, state_index=10)
     assert diag.reconstruction_fidelity >= 1.0 - 1e-8
     assert diag.reconstruction_residual <= 1e-8
 

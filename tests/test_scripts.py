@@ -1,5 +1,6 @@
 """The experiment scripts run end to end and exit 0."""
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -33,13 +34,18 @@ def test_run_scan_excited_state_is_usage_error():
     assert "ground state" in proc.stderr
 
 
-def test_dump_outputs_runner():
-    # the runner of the byte-identity dump, on one success and one usage
-    # error, in fresh interpreters
+def _dump_outputs():
     spec = importlib.util.spec_from_file_location(
         "dump_outputs", os.path.join(SCRIPTS, "dump_outputs.py"))
     dump = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(dump)
+    return dump
+
+
+def test_dump_outputs_runner():
+    # the runner of the byte-identity dump, on one success and one usage
+    # error, in fresh interpreters
+    dump = _dump_outputs()
     ok = dump.run(["bcs", "spectrum", "--levels", "0,1", "--gamma", "1",
                    "--n", "2"])
     assert ok == {"argv": ["bcs", "spectrum", "--levels", "0,1", "--gamma",
@@ -52,3 +58,48 @@ def test_dump_outputs_runner():
     assert bad["exit"] == 2 and bad["stdout"] == ""
     assert "lam must be finite" in bad["stderr"]
     assert len(dump.COMMANDS) == 144
+
+
+def test_dump_outputs_compare(tmp_path):
+    # two crafted dumps: one command keeps its output, one changes its
+    # exit code and stderr, one changes stdout at line 2, column 4
+    same = {"argv": ["lmg", "spectrum"], "exit": 0, "stdout": "a\n",
+            "stderr": ""}
+    base = [same,
+            {"argv": ["lmg", "pairons"], "exit": 0, "stdout": "x\n",
+             "stderr": "warning\n"},
+            {"argv": ["lmg", "scan"], "exit": 0, "stdout": "h\n1,2,3\n",
+             "stderr": ""}]
+    head = [same,
+            {"argv": ["lmg", "pairons"], "exit": 3, "stdout": "x\n",
+             "stderr": "numerical failure\n"},
+            {"argv": ["lmg", "scan"], "exit": 0, "stdout": "h\n1,2,4\n",
+             "stderr": ""}]
+    paths = []
+    for name, records in (("base", base), ("head", head)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(records))
+    proc = subprocess.run([sys.executable,
+                           os.path.join(SCRIPTS, "dump_outputs.py"),
+                           "--compare", *map(str, paths)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == """\
+## Byte identity against the base commit
+
+2 of 3 commands differ.
+
+- `lmg pairons`
+  - exit code 0 -> 3
+  - stderr, first difference at line 1, column 1:
+    ```
+    base: warning
+    head: numerical failure
+    ```
+- `lmg scan`
+  - stdout, first difference at line 2, column 5:
+    ```
+    base: 1,2,3
+    head: 1,2,4
+    ```
+"""
