@@ -22,18 +22,20 @@ at N=12 and at N=10 with --state 3 (both gammas); `lmg scan --j 10
 state, `--j 7 --steps 100 --state 3`, whose samples mix both
 seniorities, `--j 10 --line diagonal --from -9.95 --to -0.05 --steps
 50`, with Dicke states and structural zeros, and `--j 40 --steps 100
---format json`, with stripped u-polynomials of many lengths; `lmg
-collapse --j 10` and its --line diagonal form, `lmg collapse --j 10
---line-sum 12`, `lmg collapse --j 8`, `lmg collapse --j 6 --format
-json` and `lmg collapse --j 10 --steps 400`, whose root refinements
+--format json`, whose u-polynomials keep exact zeros at one end of many
+samples; `lmg collapse --j 10` and its --line diagonal form, `lmg
+collapse --j 10 --line-sum 12`, `lmg collapse --j 8`, `lmg collapse --j
+6 --format json` and `lmg collapse --j 10 --steps 400`, whose root refinements
 cover the collapse detector's own Brent solver, `lmg collapse --j 4
 --from 4 --to 6 --steps 5`, with a sample where the anchor value is
 exactly zero beside the total collapse, `lmg collapse --j 20`, which
 exits 3 on an unresolved anchor, `lmg spectrum --j 40 --gx 2 --gy 8`,
 `lmg zeros --j 10 --gx 2 --gy 8 --state 3`, `lmg crossings --j 10`,
-whose full diagonalizations cover spin.diagonalize, and `lmg pairons
---j 40 --state 19` at gx = 3.74102 and 6.164669 on gx + gy = 10, where
-an unscaled companion solve misses the root residual check.
+whose full diagonalizations cover spin.diagonalize, `lmg pairons --j 40
+--state 19` at gx = 3.74102 and 6.164669 on gx + gy = 10, where an
+unscaled companion solve misses the root residual check, and `lmg
+pairons --j 120 --gx 0.25 --gy 9.75 --state 60`, which exits 3 on a
+root residual check that overflows.
 """
 import argparse
 import json
@@ -77,7 +79,9 @@ COMMANDS = (
        ["lmg", "zeros", "--j", "10", "--gx", "2", "--gy", "8", "--state", "3"],
        ["lmg", "crossings", "--j", "10"]]
     + [["lmg", "pairons", "--j", "40", "--gx", gx, "--gy", gy, "--state", "19"]
-       for gx, gy in (("3.74102", "6.25898"), ("6.164669", "3.835331"))])
+       for gx, gy in (("3.74102", "6.25898"), ("6.164669", "3.835331"))]
+    + [["lmg", "pairons", "--j", "120", "--gx", "0.25", "--gy", "9.75",
+        "--state", "60"]])
 
 
 def run(argv: list[str], src: Path = SRC) -> dict:

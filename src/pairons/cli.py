@@ -430,7 +430,6 @@ def _diag_meta(pairons, diag) -> dict:
         "nu": pairons.nu,
         "reconstruction_fidelity": diag.reconstruction_fidelity,
         "reconstruction_residual": diag.reconstruction_residual,
-        "max_pairing_defect": diag.max_pairing_defect,
     }
 
 

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import (ConvergenceError, DegenerateStateError, PaironsError,
                      SingularParameterError, UnresolvedAnchorError)
 from .paironmap import PaironSet, extract_stack, u_from_pairon
-from .phasespace import _binomial_sqrt, _live_range
+from .phasespace import _binomial_sqrt
 from .sphere import (INFINITY, SITE_MERGE_RADIUS, SpherePoint,
                      chordal_distances, sphere_points)
 from .spin import (PARITY_SECTORS, ModelParams, build_hamiltonian,
@@ -857,7 +857,7 @@ def _zero_patterns(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
 
 def _zero_pattern(d: np.ndarray, w: np.ndarray) -> list[int]:
     """The pattern of one point from its slice d (1, n+1) and w (1,)."""
-    n0, hi = _live_range(d[0])
+    n0, hi = np.flatnonzero(d[0])[[0, -1]].tolist()
     n = d.shape[1] - 1
     n_inf = n - hi if w[0] != 0 else 0
     free = n - n0 - n_inf

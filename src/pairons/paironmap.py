@@ -60,23 +60,6 @@ class PaironSet:
     def m_pairs(self) -> int:
         return self.j - self.nu
 
-    def conjugation_defect(self) -> float:
-        """How far the multiset is from closure under complex conjugation."""
-        pool = list(self.energies)
-        worst = 0.0
-        while pool:
-            e = pool.pop()
-            target = e.conjugate()
-            # distance of each remaining energy to the target, then of e
-            # itself; the first nearest is taken
-            dist = [abs(p - target) for p in pool]
-            dist.append(abs(e - target))
-            best = dist.index(min(dist))
-            worst = max(worst, dist[best])
-            if best < len(pool):
-                pool.pop(best)
-        return worst
-
 
 def pairon_from_u(u, t):
     """e = t (1 - conj(u)) / (1 + conj(u)) with u = zeta^2; u = inf -> -t.
@@ -290,7 +273,6 @@ class ExtractionDiagnostics:
     energy: float
     state_index: int
     max_root_residual: float
-    max_pairing_defect: float
     reconstruction_fidelity: float
     reconstruction_residual: float
     flags: tuple[str, ...]
@@ -417,7 +399,6 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
                 energy=energy[kept[k][0]],
                 state_index=state_index,
                 max_root_residual=residual,
-                max_pairing_defect=pairons.conjugation_defect(),
                 reconstruction_fidelity=f,
                 reconstruction_residual=r,
                 flags=flags[k],

@@ -22,10 +22,6 @@ from .errors import ConvergenceError, UnpairedZeroError
 from .sphere import SpherePoint
 from .spin import PARITY_MIXED, PARITY_ODD, StateVector
 
-# Coefficients below DEGREE_RTOL * max|d| at either end of the coefficient
-# vector are treated as structural zeros (roots at the origin / infinity).
-DEGREE_RTOL = 1e-13
-
 # A root set that misses the coefficients it came from by a factor defect
 # above ACCEPT_DEFECT is refused (_solve_core).
 ACCEPT_DEFECT = 1e-6
@@ -217,10 +213,12 @@ def _solve_cores(cores: np.ndarray) -> list:
     roots = s[:, None] * eig
     polyval = np.polynomial.polynomial.polyval
     terms = c.T[:, :, None]  # polyval evaluates row r of c at row r of x
-    noise = polyval(np.abs(roots), np.abs(terms), tensor=False)
     eps = np.finfo(float).eps
-    ok = np.all(np.abs(polyval(roots, terms, tensor=False))
-                <= 1e6 * eps * np.maximum(noise, 1e-300), axis=1)
+    with np.errstate(all="ignore"):  # an overflow fails the check below
+        value = np.abs(polyval(roots, terms, tensor=False))
+        bound = 1e6 * eps * np.maximum(
+            polyval(np.abs(roots), np.abs(terms), tensor=False), 1e-300)
+    ok = np.all((value <= bound) & np.isfinite(bound), axis=1)
     ok[ok] = _factor_defects(c[ok], roots[ok]) <= ACCEPT_DEFECT
     return [roots[i] if ok[i] else ConvergenceError(
                 f"root finding failed for degree {deg}", partial=roots[i])
@@ -242,9 +240,9 @@ def _solve_core(coeffs: np.ndarray) -> np.ndarray:
     complex eigenvalues come in exact conjugate pairs.
 
     The set must pass a residual check, |P(z)| <= 1e6 eps sum_k |c_k||z|^k
-    at every root, and reproduce the coefficients within ACCEPT_DEFECT
-    (_factor_defects); otherwise ConvergenceError, with the roots in
-    `partial`.
+    with both sides finite at every root, and reproduce the coefficients
+    within ACCEPT_DEFECT (_factor_defects); otherwise ConvergenceError,
+    with the roots in `partial`.
     """
     return _raised(_solve_cores(np.asarray(coeffs)[None])[0])
 
@@ -289,25 +287,15 @@ class ZeroSet:
 
 
 def _live_ranges(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and last index of a coefficient above DEGREE_RTOL * max, for
-    each row of a stack (R, n); a row with none gets (n, -1)."""
-    mags = np.abs(coeffs)
-    live = mags > DEGREE_RTOL * mags.max(axis=1)[:, None]
+    """First and last index of a nonzero coefficient, for each row of a
+    stack (R, n); a row with none gets (n, -1)."""
+    live = coeffs != 0
     n = coeffs.shape[1]
     lo, hi = live.argmax(axis=1), n - 1 - live[:, ::-1].argmax(axis=1)
     found = live.any(axis=1)
     if found.all():
         return lo, hi
     return np.where(found, lo, n), np.where(found, hi, -1)
-
-
-def _live_range(coeffs: np.ndarray) -> tuple[int, int]:
-    """First and last index of a coefficient above DEGREE_RTOL * max: the
-    one-row case of _live_ranges."""
-    (lo,), (hi,) = _live_ranges(np.asarray(coeffs)[None])
-    if hi < 0:
-        raise ValueError("polynomial is identically zero")
-    return int(lo), int(hi)
 
 
 def strip_and_solve_stack(coeffs: np.ndarray) -> list:
@@ -332,11 +320,10 @@ def strip_and_solve_stack(coeffs: np.ndarray) -> list:
 def strip_and_solve(coeffs: np.ndarray) -> tuple[int, int, np.ndarray]:
     """Roots of sum_k coeffs[k] z^k as (count at 0, count at infinity, rest).
 
-    Coefficients below DEGREE_RTOL * max|coeffs| at either end of the
-    vector are structural zeros: each one at the low end is a root at
-    z = 0, each one at the high end a root at infinity.  The stripped
-    core is solved by _solve_core.  The one-row case of
-    strip_and_solve_stack.
+    Exact zeros at either end of the vector are structural: each one at
+    the low end is a root at z = 0, each one at the high end a root at
+    infinity.  The stripped core is solved by _solve_core.  The one-row
+    case of strip_and_solve_stack.
     """
     return _raised(strip_and_solve_stack(np.asarray(coeffs)[None])[0])
 
@@ -345,47 +332,50 @@ def poly_residuals(coeffs: np.ndarray, roots: np.ndarray,
                    deg: np.ndarray) -> np.ndarray:
     """poly_residual of each row of a stack of coefficients (R, n+1) over
     its row of roots (R, k), k >= 1, given each row's deg (the last index
-    of _live_ranges).  Rows of one deg share the power deg, a Python int,
-    as poly_residual raises to it."""
+    of _live_ranges).  For a root r with |r| > 1 the ratio
+    |P(r)| / |r|^deg is taken as |Q(1/r)|, Q(w) = w^deg P(1/w) the
+    reversed polynomial, so no power of r is formed that could overflow."""
     polyval = np.polynomial.polynomial.polyval
-    vals = np.abs(polyval(roots, coeffs.T[:, :, None], tensor=False))
     scale = np.max(np.abs(coeffs), axis=1)[:, None]
     out = np.empty(len(coeffs))
     for d in sorted(set(deg.tolist())):
         rows = deg == d
-        weight = np.maximum(1.0, np.abs(roots[rows])) ** d
-        out[rows] = np.max(vals[rows] / (scale[rows] * weight), axis=1)
+        x = roots[rows]
+        big = np.abs(x) > 1.0
+        x[big] = 1.0 / x[big]
+        c = coeffs[rows, :d + 1].T[:, :, None]
+        vals = np.where(big, polyval(x, c[::-1], tensor=False),
+                        polyval(x, c, tensor=False))
+        out[rows] = np.max(np.abs(vals) / scale[rows], axis=1)
     return out
 
 
 def poly_residual(coeffs: np.ndarray, roots) -> float:
     """max over roots r of |P(r)| / (max|coeffs| * max(1,|r|)^deg).
 
-    deg is the largest power whose coefficient is not structurally zero.
-    The one-row case of poly_residuals.
+    deg is the largest power whose coefficient is nonzero.  The one-row
+    case of poly_residuals.
     """
     r = np.asarray(roots, dtype=complex)
     if r.size == 0:
         return 0.0
-    deg = _live_range(coeffs)[1]
+    live = np.flatnonzero(coeffs)
+    if not live.size:
+        raise ValueError("polynomial is identically zero")
     return float(poly_residuals(np.asarray(coeffs)[None], r[None],
-                                np.array([deg]))[0])
+                                live[-1:])[0])
 
 
 def poly_roots(poly: MajoranaPoly) -> ZeroSet:
     """Zeros of P on the sphere, exploiting parity structure when present.
 
-    Structural zeros at the ends of the coefficient vector are the zeros
-    at the origin and at infinity (strip_and_solve).  When every
-    coefficient of one parity is structurally zero, P is zeta^nu times a
-    polynomial in u = zeta^2, which is solved in u so the +- zeta pairs
-    come out exact.
+    Exact zeros at the ends of the coefficient vector are the zeros at
+    the origin and at infinity (strip_and_solve).  When every coefficient
+    of one parity is zero, P is zeta^nu times a polynomial in u = zeta^2,
+    which is solved in u so the +- zeta pairs come out exact.
     """
     d = poly.coeffs
-    mags = np.abs(d)
-    cut = DEGREE_RTOL * float(mags.max())
-    nu = next((nu for nu in (0, 1) if not np.any(mags[1 - nu::2] > cut)),
-              None)
+    nu = next((nu for nu in (0, 1) if not np.any(d[1 - nu::2])), None)
     finite: list[tuple[SpherePoint, int]] = []
     if nu is None:
         n0, n_inf, roots = strip_and_solve(d)

@@ -1,6 +1,7 @@
 """Shared oracles: independent Hamiltonian constructions used to check the
 banded/analytic builders against straightforward operator algebra."""
 
+import dataclasses
 import math
 import os
 import sys
@@ -86,3 +87,17 @@ def module_cli(module="pairons.cli"):
     rest = env.get("PYTHONPATH")
     env["PYTHONPATH"] = src + (os.pathsep + rest if rest else "")
     return [sys.executable, "-m", module], env
+
+
+def shift_one_pairon(monkeypatch, delta=1e-3):
+    """Make paironmap._pairon_sets move the first pairon of every set by
+    delta, so the rebuilt state misses the eigenstate."""
+    from pairons import paironmap
+    pairon_sets = paironmap._pairon_sets
+
+    def shifted(*args):
+        return [(dataclasses.replace(
+                    ps, energies=(ps.energies[0] + delta, *ps.energies[1:])),
+                 residual) for ps, residual in pairon_sets(*args)]
+
+    monkeypatch.setattr(paironmap, "_pairon_sets", shifted)

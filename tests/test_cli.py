@@ -12,7 +12,7 @@ import pairons.collapse
 import pairons.paironmap
 from pairons import BosonState, collapse_points
 from pairons.cli import bcs_main, lmg_main
-from conftest import module_cli
+from conftest import module_cli, shift_one_pairon
 
 SPECTRUM_J1 = """\
 index,energy,parity,degenerate
@@ -352,13 +352,41 @@ def test_only_the_requested_subcommand_gets_flags(capsys, monkeypatch):
     assert added == [["j", "gx", "gy", "eps"]]
 
 
-def test_unverified_pairons_exit_3(capsys):
-    # the j = 120 ground state at gx = 0.5 rebuilds with fidelity 0.023
-    rc, out, err = run_lmg(capsys, "pairons", "--j", "120", "--gx", "0.5",
-                           "--gy", "9.5")
+def test_unverified_pairons_exit_3(capsys, monkeypatch):
+    # a pairon set whose rebuilt state misses the eigenstate
+    shift_one_pairon(monkeypatch)
+    rc, out, err = run_lmg(capsys, "pairons", "--j", "10", "--gx", "3",
+                           "--gy", "7")
     assert rc == 3
     assert out == ""
     assert "pairons unverified" in err
+
+
+def test_j120_pairons_certify(capsys):
+    # the ground state at gx = 0.5, whose u-polynomial spans 18 orders of
+    # magnitude, rebuilds within the bound
+    rc, out, _ = run_lmg(capsys, "pairons", "--j", "120", "--gx", "0.5",
+                         "--gy", "9.5", "--format", "json")
+    assert rc == 0
+    meta = json.loads(out)["meta"]
+    assert 1.0 - meta["reconstruction_fidelity"] <= 1e-8
+    assert meta["reconstruction_residual"] <= 1e-8
+    assert "max_pairing_defect" not in meta
+
+
+def test_overflowing_root_check_fails_without_warnings():
+    # the j = 120 state 60 u-polynomial overflows its residual check
+    prefix, env = module_cli("pairons")
+    proc = subprocess.run(prefix + ["lmg", "pairons", "--j", "120", "--gx",
+                                    "0.25", "--gy", "9.75", "--state", "60"],
+                          capture_output=True, text=True,
+                          env=dict(env, PYTHONWARNINGS="default"),
+                          timeout=300)
+    assert proc.returncode == 3
+    assert "RuntimeWarning" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert lines and all(line.startswith("numerical failure:")
+                         for line in lines)
 
 
 def test_missing_required_flag(capsys):

@@ -18,6 +18,15 @@ from pairons import (DegenerateStateError, InconsistentPaironsError,
                      reconstruct_state, u_from_pairon)
 from pairons import phasespace, spin
 from pairons.paironmap import _reconstruct_stack, extract_stack
+from conftest import shift_one_pairon
+
+
+def _conjugation_closed(energies):
+    """Whether the sorted energies equal their sorted conjugates exactly."""
+    def key(e):
+        return e.real, e.imag
+    return sorted(energies, key=key) == sorted(
+        (e.conjugate() for e in energies), key=key)
 
 
 def test_extraction_builds_two_state_vectors(monkeypatch):
@@ -95,6 +104,70 @@ def test_j1_ground_pairon_frozen():
     assert diag.reconstruction_fidelity > 1.0 - 1e-12
 
 
+# Ground-state pairons at j = 10 on gx + gy = 10: the exact H of the
+# same float couplings diagonalized by mpmath.eigsy at 80 digits, its
+# parity slice solved by mpmath.polyroots, rounded to 20 digits
+J10_REFERENCES = {
+    3.0: [
+        complex(-1.1260716589729040927, -0.046847938543076244209),
+        complex(-1.1260716589729040927, 0.046847938543076244209),
+        complex(-1.066130502866686589, -0.11836471981213147593),
+        complex(-1.066130502866686589, 0.11836471981213147593),
+        complex(-0.97432103613420385854, -0.13796559871268354016),
+        complex(-0.97432103613420385854, 0.13796559871268354016),
+        complex(-0.88003169640734742836, -0.099334772161793723263),
+        complex(-0.88003169640734742836, 0.099334772161793723263),
+        complex(-0.74435573093776297092, 0.0),
+        complex(-0.66406073407944998441, 0.0),
+    ],
+    4.2786: [
+        complex(-1.0461022795711116736, -0.016195189043297593569),
+        complex(-1.0461022795711116736, 0.016195189043297593569),
+        complex(-1.0264518684346876555, -0.042400379905126539792),
+        complex(-1.0264518684346876555, 0.042400379905126539792),
+        complex(-0.99373980851318609306, -0.052447495527491635567),
+        complex(-0.99373980851318609306, 0.052447495527491635567),
+        complex(-0.95685462864327591561, -0.041009909671026505347),
+        complex(-0.95685462864327591561, 0.041009909671026505347),
+        complex(-0.90760227443992511141, 0.0),
+        complex(-0.86927563024472385225, 0.0),
+    ],
+    4.975: [
+        complex(-1.0015734620109986473, -0.00053849114341481086202),
+        complex(-1.0015734620109986473, 0.00053849114341481086202),
+        complex(-1.0009393060799732415, -0.0014357514013613398636),
+        complex(-1.0009393060799732415, 0.0014357514013613398636),
+        complex(-0.9998328645909504338, -0.0018323949428428153679),
+        complex(-0.9998328645909504338, 0.0018323949428428153679),
+        complex(-0.99850842881261166429, -0.0014882328410937017393),
+        complex(-0.99850842881261166429, 0.0014882328410937017393),
+        complex(-0.99669248569362929448, 0.0),
+        complex(-0.99519198727751015314, 0.0),
+    ],
+    5.0249: [
+        complex(-1.0048118696714125537, 0.0),
+        complex(-1.0033051939409699033, 0.0),
+        complex(-1.0014856081769379622, -0.0014866995587301463431),
+        complex(-1.0014856081769379622, 0.0014866995587301463431),
+        complex(-1.0001631553891492933, -0.0018256682961847040526),
+        complex(-1.0001631553891492933, 0.0018256682961847040526),
+        complex(-0.99906328401083727304, -0.0014273282098364730597),
+        complex(-0.99906328401083727304, 0.0014273282098364730597),
+        complex(-0.99843500198785208214, -0.00053465655993661702589),
+        complex(-0.99843500198785208214, 0.00053465655993661702589),
+    ],
+}
+
+
+@pytest.mark.parametrize("gx", sorted(J10_REFERENCES))
+def test_j10_pairons_match_frozen_references(gx):
+    ps, _ = extract_pairons(ModelParams.from_gammas(10, gx, 10.0 - gx))
+    ref = np.array(J10_REFERENCES[gx])
+    cost = np.abs(ref[:, None] - np.array(ps.energies)[None, :])
+    rows, cols = linear_sum_assignment(cost)
+    assert cost[rows, cols].max() <= 1e-8
+
+
 def test_extract_reconstruct_fidelity(rng):
     cases = [(4, 2.0, 8.0, 0), (6, 3.5, 6.5, 0), (5, 1.0, 9.0, 2),
              (7, 4.0, 6.0, 1), (10, 2.0, 8.0, 4)]
@@ -124,9 +197,9 @@ def test_pairons_to_zeros_roundtrip():
 
 @pytest.mark.parametrize("gx", [3.74102, 6.164669])
 def test_j40_state_19_verifies(gx):
-    # without the variable scaling the companion roots come within reach
-    # of the 1e6 eps residual bound or miss it: 1.2e6 and 1.5e6 eps in
-    # complex arithmetic, 2.3e5 and 1.4e6 eps in real; scaled, below 30
+    # without the variable scaling the degree-39 companion roots miss the
+    # 1e6 eps residual bound: 9.3e6 and 1.8e8 eps in complex arithmetic,
+    # 1.1e7 and 9.2e7 eps in real; scaled, below 20
     params = ModelParams.from_gammas(40, gx, 10.0 - gx)
     ps, diag = extract_pairons(params, state_index=19)
     assert diag.max_root_residual <= 1e-13
@@ -134,27 +207,32 @@ def test_j40_state_19_verifies(gx):
     assert diag.reconstruction_residual <= 1e-8
 
 
-def test_unverified_extraction_is_refused():
-    # state 14 at j = 40, gx = 0.5 rebuilds with a fidelity loss of 4e-6
-    # and an eigen-residual of 7e-4; state 10 there verifies
-    params = ModelParams.from_gammas(40, 0.5, 9.5)
+def test_unverified_extraction_is_refused(monkeypatch):
+    # a pairon set whose rebuilt state misses the eigenstate is refused,
+    # alone and in a stack
+    params = ModelParams.from_gammas(10, 3.0, 7.0)
+    shift_one_pairon(monkeypatch)
     with pytest.raises(InconsistentPaironsError, match="unverified"):
-        extract_pairons(params, state_index=14)
-    (refused,) = extract_stack(40, 1.0, [params.lam], [params.gam], 14)
+        extract_pairons(params, state_index=2)
+    (refused,) = extract_stack(10, 1.0, [params.lam], [params.gam], 2)
     assert isinstance(refused, InconsistentPaironsError)
-    _, diag = extract_pairons(params, state_index=10)
-    assert diag.reconstruction_fidelity >= 1.0 - 1e-8
+
+
+@pytest.mark.parametrize("state_index", [14, 10])
+def test_j40_states_at_small_gx_certify(state_index):
+    # at gx = 0.5 the u-polynomials have end coefficients far below their
+    # largest; solved whole, their roots rebuild the eigenstate
+    params = ModelParams.from_gammas(40, 0.5, 9.5)
+    _, diag = extract_pairons(params, state_index=state_index)
+    assert 1.0 - diag.reconstruction_fidelity <= 1e-8
     assert diag.reconstruction_residual <= 1e-8
 
 
 def test_pairons_of_an_eigenstate_come_in_exact_conjugate_pairs():
     params = ModelParams.from_gammas(10, 3.0, 7.0)
     ps, _ = extract_pairons(params, state_index=0)
-    energies = list(ps.energies)
-    assert any(e.imag != 0 for e in energies)
-    assert sorted(energies, key=lambda e: (e.real, e.imag)) == sorted(
-        (e.conjugate() for e in energies), key=lambda e: (e.real, e.imag))
-    assert ps.conjugation_defect() == 0.0
+    assert any(e.imag != 0 for e in ps.energies)
+    assert _conjugation_closed(ps.energies)
 
 
 @given(st.integers(1, 12), st.floats(0.05, 9.95), st.data())
@@ -196,7 +274,7 @@ def test_conjugation_structure_in_spherical_phase():
     # weak coupling: pairons form complex-conjugate pairs
     params = ModelParams.from_gammas(6, 0.3, 0.5)
     ps, _ = extract_pairons(params, state_index=0)
-    assert ps.conjugation_defect() < 1e-8
+    assert _conjugation_closed(ps.energies)
 
 
 def test_real_state_pairons_conjugation_closed():
@@ -217,7 +295,7 @@ def test_diagnostics_fields():
     assert diag.t == pytest.approx(params.t)
     assert diag.state_index == 0
     assert diag.max_root_residual < 1e-9
-    assert diag.max_pairing_defect < 1e-9
+    assert _conjugation_closed(ps.energies)
     assert diag.reconstruction_residual < 1e-10
 
 
@@ -263,17 +341,26 @@ def _alone(params, state_index):
         return exc
 
 
-@pytest.mark.parametrize("j, state_index, gx, line", [
-    (10, 0, np.linspace(0.05, 9.95, 200), "sum"),
-    (7, 3, np.linspace(0.05, 9.95, 100), "sum"),
-    (10, 0, np.linspace(-9.95, -0.05, 50), "diagonal"),
-    (40, 0, np.linspace(0.05, 9.95, 40), "sum"),
+_SUM10, _SUM7 = np.linspace(0.05, 9.95, 200), np.linspace(0.05, 9.95, 100)
+_DICKE10 = np.linspace(-9.95, -0.05, 50)
+# j = 40 mixes core lengths: the sum line, where eigh leaves 21 exact
+# zeros at one end of 18 of the 40 ground-state slices, the Dicke states
+# of the diagonal (lam = 0), whose slices have one nonzero coefficient,
+# and odd ground states at gx gy < 0
+_SUM40, _DIAG40 = np.linspace(0.05, 9.95, 40), np.linspace(-9.95, 9.95, 8)
+_ODD40 = np.linspace(2.5, 5.0, 4)
+
+
+@pytest.mark.parametrize("j, state_index, gx, gy", [
+    (10, 0, _SUM10, 10.0 - _SUM10),
+    (7, 3, _SUM7, 10.0 - _SUM7),
+    (10, 0, _DICKE10, _DICKE10),
+    (40, 0, np.r_[_SUM40, _DIAG40, _ODD40],
+     np.r_[10.0 - _SUM40, _DIAG40, -1.3 * _ODD40]),
 ], ids=["c10-j10", "both-seniorities-j7", "dicke-diagonal-j10",
         "core-lengths-j40"])
 def test_stacked_extraction_is_extract_pairons_bitwise(monkeypatch, j,
-                                                       state_index, gx,
-                                                       line):
-    gy = 10.0 - gx if line == "sum" else gx
+                                                       state_index, gx, gy):
     params = [ModelParams.from_gammas(j, a, b)
               for a, b in zip(gx.tolist(), gy.tolist())]
     solve, cores = phasespace._solve_cores, []
@@ -292,8 +379,9 @@ def test_stacked_extraction_is_extract_pairons_bitwise(monkeypatch, j,
     sets = [r[0] for r in stacked]
     if j == 7:
         assert {ps.nu for ps in sets} == {0, 1}
-    if line == "diagonal":  # structural cuts: every pairon at +-t
-        assert all(abs(e) == ps.t for ps in sets for e in ps.energies)
+    for ps, a, b in zip(sets, gx.tolist(), gy.tolist()):
+        if a == b:  # a Dicke state: every pairon at +-t
+            assert all(abs(e) == ps.t for e in ps.energies)
     if j == 40:
         assert len({length for _, length in stacked_cores}) > 3
 
