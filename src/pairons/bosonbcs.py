@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -75,64 +75,97 @@ class BosonModel:
         return any(self.levels[i + 1] - self.levels[i] <= LEVEL_DEGENERACY_TOL
                    for i in range(len(self.levels) - 1))
 
+    @property
+    def dim(self) -> int:
+        """Number of Fock states, C(N+L, L) for N bosons on L+1 levels."""
+        return math.comb(self.n_bosons + self.n_levels - 1, self.n_levels - 1)
+
     @cached_property
     def basis(self) -> tuple[tuple[int, ...], ...]:
-        """fock_basis of the model, built once per model object and shared
-        by every state built from it."""
-        return tuple(fock_basis(self.n_levels, self.n_bosons))
+        """fock_basis of the model, built on first use and shared by every
+        state built from it."""
+        return tuple(map(tuple, self.occupations.tolist()))
 
     @cached_property
     def occupations(self) -> np.ndarray:
         """basis as a read-only (dim, L+1) integer array."""
-        occ = np.array(self.basis)
+        occ = _compositions(self.n_levels, self.n_bosons)
         occ.setflags(write=False)
         return occ
 
     @cached_property
     def weights(self) -> np.ndarray:
-        """Coherent-state weight sqrt(N! / prod_l n_l!) of each basis row:
-        math.exp(0.5 * (lgamma(N+1) - sum_l lgamma(n_l+1))), the sum taken
-        level by level (np.exp would round differently)."""
-        log_fact = np.array([math.lgamma(n + 1)
-                             for n in range(self.n_bosons + 1)])
-        log_prod = np.zeros(len(self.basis))
-        for column in log_fact[self.occupations.T]:
-            log_prod = log_prod + column
-        return np.array([math.exp(x) for x in
-                         (0.5 * (log_fact[-1] - log_prod)).tolist()])
+        """Coherent-state weight of each basis row (_coherent_weights)."""
+        return _coherent_weights(self.occupations, self.n_bosons)
+
+
+def _coherent_weights(occ: np.ndarray, n_bosons: int) -> np.ndarray:
+    """sqrt(N! / prod_l n_l!) for each occupation row of occ:
+    math.exp(0.5 * (lgamma(N+1) - _log_factorials(occ)))."""
+    return _exp(0.5 * (math.lgamma(n_bosons + 1)
+                       - _log_factorials(occ, n_bosons)))
+
+
+def _log_factorials(occ: np.ndarray, n_bosons: int) -> np.ndarray:
+    """sum_l lgamma(n_l + 1) for each occupation row of occ, summed level
+    by level."""
+    log_fact = np.array([math.lgamma(n + 1) for n in range(n_bosons + 1)])
+    log_prod = np.zeros(len(occ))
+    for column in log_fact[occ.T]:
+        log_prod = log_prod + column
+    return log_prod
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each entry (np.exp would round differently)."""
+    return np.array([math.exp(v) for v in x.tolist()])
 
 
 def fock_basis(n_levels: int, n_bosons: int) -> list[tuple[int, ...]]:
     """All occupation tuples with sum = n_bosons, lexicographically sorted."""
-    states = []
-    for combo in combinations_with_replacement(range(n_levels), n_bosons):
-        occ = [0] * n_levels
-        for lvl in combo:
-            occ[lvl] += 1
-        states.append(tuple(occ))
-    states.sort()
-    return states
+    return list(map(tuple, _compositions(n_levels, n_bosons).tolist()))
 
 
-def _basis_rank(occ: np.ndarray, n_bosons: int) -> np.ndarray:
-    """Position in fock_basis order of each occupation row of occ.
+def _compositions(n_parts: int, total: int) -> np.ndarray:
+    """The compositions of total into n_parts parts, lexicographically
+    sorted, as an integer array (C(total+n_parts-1, n_parts-1), n_parts).
 
-    fock_basis lists the compositions of N into L parts lexicographically.
+    Stars and bars: a composition puts n_parts-1 bars among
+    total+n_parts-1 slots, and its parts are the runs of slots between
+    them.  combinations lists the bar positions in lex order, which is
+    lex order of the parts.
+    """
+    slots = total + n_parts - 1
+    dim = math.comb(slots, n_parts - 1)
+    bars = np.fromiter(
+        chain.from_iterable(combinations(range(slots), n_parts - 1)),
+        dtype=np.intp, count=dim * (n_parts - 1)).reshape(dim, n_parts - 1)
+    edges = np.concatenate([np.full((dim, 1), -1), bars,
+                            np.full((dim, 1), slots)], axis=1)
+    return np.diff(edges, axis=1) - 1
+
+
+def _basis_rank(occ: np.ndarray, total) -> np.ndarray:
+    """Lex position of each row of occ among the compositions of its
+    total into as many parts; with total = N, its position in fock_basis
+    order.  total is one count for every row or one count per row.
+
     The rows before occ are, level by level, those that agree with it on
     levels 0..p-1 and put fewer bosons on level p.  With R_p bosons left
     for levels p..L-1 they number S(R_p, L-p) - S(R_p - n_p, L-p), where
     S(r, m) = C(r+m-1, m-1) counts the compositions of r into m parts (and
     those of at most r into m-1 parts).
     """
-    n_rows, n_levels = occ.shape
-    count = np.array([[math.comb(r + n_levels - p - 1, n_levels - p - 1)
-                       for r in range(n_bosons + 1)]
-                      for p in range(n_levels - 1)])
-    after = n_bosons - np.cumsum(occ[:, :-1], axis=1)  # R_{p+1}, p < L-1
-    left = np.concatenate([np.full((n_rows, 1), n_bosons), after[:, :-1]],
-                          axis=1)  # R_p, p < L-1
-    level = np.arange(n_levels - 1)
-    return (count[level, left] - count[level, after]).sum(axis=1)
+    n_levels = occ.shape[1]
+    top = int(np.max(total, initial=0))
+    rank, left = np.zeros(len(occ), dtype=np.intp), total
+    for p in range(n_levels - 1):
+        count = np.array([math.comb(r + n_levels - p - 1, n_levels - p - 1)
+                          for r in range(top + 1)])
+        after = left - occ[:, p]  # R_{p+1}
+        rank = rank + (count[left] - count[after])
+        left = after
+    return rank
 
 
 def _sector_blocks(model: BosonModel
@@ -150,7 +183,22 @@ def _sector_blocks(model: BosonModel
 
     with g4 = gamma / 4.
     """
+    return _sectors(model)[0]
+
+
+def _sectors(model: BosonModel) -> tuple[list, float]:
+    """_sector_blocks of model, and the max row sum of |H| (every row of
+    H lies inside one sector block).
+
+    A sector nu holds the rows n = 2 p + nu, p running over the
+    compositions of its pair number M = (N - |nu|)/2 into L+1 parts, and
+    lex order in p is lex order in n.  So the sectors of one M share the
+    positions of their hops p -> p - e_l + e_k (wherever p_l >= 1, i.e.
+    n_l >= 2): they are built as one stack (S, m, m), and the hops are
+    ranked once per M.
+    """
     occ = model.occupations
+    n_levels = model.n_levels
     g4 = model.gamma / 4.0
     diag = np.zeros(len(occ))
     for l, e in enumerate(model.levels):
@@ -159,55 +207,53 @@ def _sector_blocks(model: BosonModel
         # n_l < 2 adds a signed zero, which leaves every sum unchanged
         diag = diag + (g4 * n_l) * (n_l - 1)
 
-    hops, cols, vals = [], [], []
-    for l in range(model.n_levels):
-        src = np.nonzero(occ[:, l] >= 2)[0]
-        n_l = occ[src, l]
-        down = g4 * np.sqrt(n_l * (n_l - 1))
-        for k in range(model.n_levels):
-            if k == l:
-                continue
-            hop = occ[src]
-            hop[:, l] -= 2
-            hop[:, k] += 2
-            n_k = occ[src, k]
-            hops.append(hop)
-            cols.append(src)
-            vals.append(down * np.sqrt((n_k + 1) * (n_k + 2)))
-    rows = _basis_rank(np.concatenate(hops), model.n_bosons)
-    cols = np.concatenate(cols)
-    vals = np.concatenate(vals)
-
-    parity = occ % 2
-    # sorted seniority, basis order inside each sector
-    members = np.lexsort(parity.T[::-1])
-    ordered = parity[members]
-    first = np.concatenate(
-        ([True], np.any(ordered[1:] != ordered[:-1], axis=1)))
-    row0 = np.nonzero(first)[0]
-    size = np.diff(np.append(row0, len(occ)))
-    sector = np.empty(len(occ), dtype=np.intp)
-    sector[members] = np.cumsum(first) - 1
-    local = np.empty(len(occ), dtype=np.intp)
-    local[members] = np.arange(len(occ)) - row0[sector[members]]
-    # all blocks row-major in one buffer; a hop keeps every parity, so it
-    # lands in its column's block
-    start = np.concatenate(([0], np.cumsum(size * size)))
-    flat = np.zeros(start[-1])
-    flat[start[sector] + local * (size[sector] + 1)] = diag
-    hop_sector = sector[cols]
-    flat[start[hop_sector] + local[rows] * size[hop_sector]
-         + local[cols]] = vals
-    return [(tuple(int(p) for p in ordered[r0]), members[r0:r0 + m],
-             flat[start[i]:start[i + 1]].reshape(m, m))
-            for i, (r0, m) in enumerate(zip(row0, size))]
+    # each row's seniority read as a binary number: sorted seniority order
+    # is ascending code, and the stable sort keeps basis order in a sector
+    bits = 1 << np.arange(n_levels - 1, -1, -1)
+    code = (occ % 2) @ bits
+    rows = np.argsort(code, kind="stable")
+    first = np.flatnonzero(np.diff(code[rows], prepend=-1))
+    codes, size = code[rows[first]], np.diff(first, append=len(occ))
+    seniorities = (codes[:, None] & bits) // bits
+    ls, ks = np.nonzero(~np.eye(n_levels, dtype=bool))  # every hop l -> k
+    unit = np.eye(n_levels, dtype=np.intp)
+    move = (unit[ks] - unit[ls])[:, None]
+    # one buffer holds every block, a stack (S, m, m) per pair number:
+    # an allocation per stack, with the |H| temporaries, was handed back
+    # to the system and faulted in again on every call
+    flat = np.zeros(int(size @ size))
+    start = 0
+    blocks, norm = [None] * len(codes), 0.0
+    for m in sorted(set(size.tolist())):
+        sel = np.flatnonzero(size == m)
+        idx = rows[first[sel, None] + np.arange(m)]  # (S, m)
+        n = occ[idx].transpose(0, 2, 1)  # (S, L+1, m)
+        pairs = n[0].T // 2
+        live = pairs.T[ls] >= 1  # (hop, m)
+        n_l, n_k = n[:, ls], n[:, ks]
+        vals = (g4 * np.sqrt(n_l * (n_l - 1))) * np.sqrt((n_k + 1)
+                                                         * (n_k + 2))
+        stack = flat[start:start + len(sel) * m * m].reshape(-1, m, m)
+        start += stack.size
+        diagonal = (slice(None), np.arange(m), np.arange(m))
+        hops = (slice(None),
+                _basis_rank((pairs + move)[live], int(pairs[0].sum())),
+                np.nonzero(live)[1])
+        # |H| first, for its row sums without a temporary, then H
+        stack[diagonal] = np.abs(diag[idx])
+        stack[hops] = np.abs(vals[:, live])
+        norm = max(norm, float(np.max(np.sum(stack, axis=2))))
+        stack[diagonal] = diag[idx]
+        stack[hops] = vals[:, live]
+        for i, sector, block in zip(sel.tolist(), idx, stack):
+            blocks[i] = (tuple(seniorities[i].tolist()), sector, block)
+    return blocks, norm
 
 
 def build_bcs_hamiltonian(model: BosonModel
                           ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Dense H over fock_basis, and the basis; zero between sectors."""
-    dim = len(model.basis)
-    H = np.zeros((dim, dim))
+    H = np.zeros((model.dim, model.dim))
     for _, idx, block in _sector_blocks(model):
         H[np.ix_(idx, idx)] = block
     return H, list(model.basis)
@@ -220,36 +266,34 @@ class BosonState:
     model: BosonModel
     energy: float
     coeffs: np.ndarray
-    basis: tuple[tuple[int, ...], ...]
     seniority: tuple[int, ...]
     degenerate: bool
+
+    @property
+    def basis(self) -> tuple[tuple[int, ...], ...]:
+        """model.basis, the Fock states coeffs runs over."""
+        return self.model.basis
 
     @property
     def n_pairs(self) -> int:
         return (self.model.n_bosons - sum(self.seniority)) // 2
 
 
-def _block_norm(blocks) -> float:
-    """Max row sum of H; every row of H lies inside one sector block."""
-    return max(float(np.max(np.sum(np.abs(block), axis=1)))
-               for _, _, block in blocks)
-
-
 def _sorted_eigensystem(model: BosonModel) -> list[tuple]:
     """_sector_eigensystem of every seniority sector, in sorted seniority
     order; the rows of a sector are its idx in model.basis."""
-    blocks = _sector_blocks(model)
+    blocks, norm = _sectors(model)
     return _sector_eigensystem(
         ((nu, idx, *np.linalg.eigh(block)) for nu, idx, block in blocks),
-        DEGENERACY_RTOL * max(_block_norm(blocks), 1.0))
+        DEGENERACY_RTOL * max(norm, 1.0))
 
 
 def _boson_state(model: BosonModel, entry) -> BosonState:
     energy, parity, idx, v, col, flag = entry
-    coeffs = np.zeros(len(model.basis))
+    coeffs = np.zeros(model.dim)
     coeffs[idx] = v[:, col]
     return BosonState(model=model, energy=energy, coeffs=coeffs,
-                      basis=model.basis, seniority=parity, degenerate=flag)
+                      seniority=parity, degenerate=flag)
 
 
 def diagonalize_boson(model: BosonModel) -> list[BosonState]:
@@ -293,13 +337,13 @@ def boson_eigenstate(model: BosonModel, index: int) -> BosonState:
     too: the same (sector, column), eigh vector bits and energy, and the
     same degenerate flag from _sector_eigensystem over that sector.
     """
-    if not 0 <= index < len(model.basis):
+    if not 0 <= index < model.dim:
         raise ValueError(f"state index {index} out of range")
-    blocks = _sector_blocks(model)
-    scale = max(_block_norm(blocks), 1.0)
+    blocks, norm = _sectors(model)
+    scale = max(norm, 1.0)
     values = [np.linalg.eigvalsh(block) for _, _, block in blocks]
     target = np.sort(np.concatenate(values))[index]
-    delta = EIGENVALUE_ERROR_C * len(model.basis) * np.finfo(float).eps * scale
+    delta = EIGENVALUE_ERROR_C * model.dim * np.finfo(float).eps * scale
     solved = {}
     for i, (_, _, block) in enumerate(blocks):
         if np.any(np.abs(values[i] - target) <= 4.0 * delta):
@@ -349,17 +393,13 @@ def axis_slice_coefficients(state: BosonState, axis: int) -> np.ndarray:
     model = state.model
     if not 1 <= axis <= model.n_levels - 1:
         raise ValueError(f"axis must be 1..{model.n_levels - 1}")
-    excess = model.occupations - np.array(state.seniority)
-    off = [l for l in range(model.n_levels) if l not in (0, axis)]
-    # the basis spans all seniority sectors; occupations whose axis parity
-    # disagrees with nu carry zero weight in this state but would alias
-    # onto wrong (even negative) q slots.  Level 0's excess is then 2M
-    # minus the axis excess: even, so non-negative as well.
-    live = (excess[:, off] == 0).all(axis=1) & (excess[:, axis] % 2 == 0)
-    g = np.zeros(state.n_pairs + 1, dtype=complex)
-    g[excess[live, axis] // 2] = (np.conj(state.coeffs[live])
-                                   * model.weights[live])
-    return g
+    # n = nu + 2q e_axis + 2(M - q) e_0 for q = 0..M
+    q = np.arange(state.n_pairs + 1)
+    occ = np.tile(state.seniority, (len(q), 1))
+    occ[:, axis] += 2 * q
+    occ[:, 0] += 2 * (state.n_pairs - q)
+    return (np.conj(state.coeffs[_basis_rank(occ, model.n_bosons)])
+            * _coherent_weights(occ, model.n_bosons)).astype(complex)
 
 
 @dataclass(frozen=True)
@@ -471,7 +511,9 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
 
     Uses the pole-free homogeneous weights w_l(a) = prod_{k != l}
     (2 eps_k - e_a), proportional to 1/(2 eps_l - e_a) whenever no pairon
-    sits exactly on a pair level.
+    sits exactly on a pair level.  The product is taken one pairon at a
+    time, as amplitudes over the pair counts placed so far, rescaled to a
+    largest modulus of 1 after each pairon.
     """
     levels = model.levels
     L1 = model.n_levels
@@ -483,8 +525,31 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
     if len(pairons) != n_rest // 2:
         raise ValueError(f"need {n_rest // 2} pairons, got {len(pairons)}")
 
-    amp: dict[tuple[int, ...], complex] = {tuple([0] * L1): 1.0}
-    for e in pairons:
+    # the keys: every composition of t <= M pairs into L+1 parts, grouped
+    # by t, lex order inside a group.  They number C(M+L+1, L+1), fewer
+    # than the entries of the sector's block.
+    table = _compositions(L1 + 1, n_rest // 2)
+    count = n_rest // 2 - table[:, -1]
+    table = table[:, :-1]
+    order = np.argsort(count, kind="stable")
+    table, count = table[order], count[order]
+    group = np.searchsorted(count, np.arange(n_rest // 2 + 2))
+    # the source key - e_l of each key and level, by its rank in the group
+    # before; -1 where key_l = 0
+    has = table.T >= 1
+    src = np.full(has.shape, -1)
+    src[has] = _basis_rank((table[None] - np.eye(L1, dtype=np.intp)[:, None])
+                           [has], np.broadcast_to(count - 1, has.shape)[has])
+
+    # amp[0] and amp[1]: real and imaginary parts over the keys of t pairs,
+    # then a zero, the value read for a missing source.  Each step forms
+    # the complex sums and products of the product taken key by key, bit
+    # for bit: a key adds its terms in the order l = L..0 (the descending
+    # lex order of their sources), starting from +0.0.  So no part is ever
+    # -0.0, a zero term from a missing source changes nothing, and
+    # complex / float and complex * float act on each part alone.
+    amp = np.array([[1.0, 0.0], [0.0, 0.0]])
+    for t, e in enumerate(pairons, start=1):
         weights = []
         for l in range(L1):
             w = 1.0 + 0.0j
@@ -492,28 +557,26 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
                 if k != l:
                     w *= (2.0 * levels[k] - e)
             weights.append(w)
-        new: dict[tuple[int, ...], complex] = {}
-        for occ, val in amp.items():
-            for l in range(L1):
-                if weights[l] == 0:
-                    continue
-                key = list(occ)
-                key[l] += 1
-                key = tuple(key)
-                new[key] = new.get(key, 0.0) + val * weights[l]
-        scale = max(abs(v) for v in new.values())
+        wr, wi = np.array([(w.real, w.imag) for w in weights]).T[:, :, None]
+        a, b = amp[:, src[:, group[t]:group[t + 1]]]  # (L+1, m) each
+        terms = np.array([a * wr - b * wi, a * wi + b * wr])
+        amp = np.zeros((2, a.shape[1] + 1))
+        for l in reversed(range(L1)):
+            if weights[l] != 0:
+                amp[:, :-1] += terms[:, l]
+        scale = float(np.max(np.hypot(amp[0], amp[1])))
         if scale == 0.0:
             raise ValueError("pairon product vanished; invalid pairon set")
-        amp = {k: v / scale for k, v in new.items()}
+        amp /= scale
 
-    occs = [tuple(2 * p + s for p, s in zip(pair_counts, seniority))
-            for pair_counts in amp]
-    coeffs = np.zeros(len(model.basis), dtype=complex)
-    # sqrt(prod n_l!) alone: dividing by model.weights instead would
-    # round differently
-    coeffs[_basis_rank(np.array(occs), model.n_bosons)] += [
-        val * math.exp(0.5 * sum(math.lgamma(n + 1) for n in occ))
-        for occ, val in zip(occs, amp.values())]
+    occ = 2 * table[group[-2]:] + np.array(seniority)
+    # sqrt(prod n_l!) alone: dividing by model.weights would round
+    # differently
+    factor = _exp(0.5 * _log_factorials(occ, model.n_bosons))
+    coeffs = np.zeros(model.dim, dtype=complex)
+    rows = _basis_rank(occ, model.n_bosons)
+    coeffs.real[rows] = amp[0, :-1] * factor
+    coeffs.imag[rows] = amp[1, :-1] * factor
     nrm = np.linalg.norm(coeffs)
     if nrm == 0:
         raise ValueError("reconstructed state vanished")
@@ -522,7 +585,7 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
     energy = sum(e * s for e, s in zip(levels, seniority)) + sum(
         np.real(e) for e in pairons)
     return BosonState(model=model, energy=float(energy), coeffs=coeffs,
-                      basis=model.basis, seniority=tuple(seniority),
+                      seniority=tuple(seniority),
                       degenerate=False)
 
 

@@ -566,7 +566,7 @@ def _bcs_state(args):
     model = _boson_model(args)
     if not 1 <= args.slice <= model.n_levels - 1:
         raise UsageError(f"--slice must be in 1..{model.n_levels - 1}")
-    _check_state_index(args.state, len(model.basis))
+    _check_state_index(args.state, model.dim)
     return model, boson_eigenstate(model, args.state)
 
 

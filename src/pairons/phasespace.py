@@ -182,7 +182,8 @@ def _solve_cores(cores: np.ndarray) -> list:
     the LAPACK routine of np.roots on each matrix.  The ends of each
     scaled polynomial are nonzero (|c_n| s^n = |c_0| up to rounding), so
     np.roots would strip nothing.  If the batched call raises, each row
-    is solved alone.
+    is solved alone; a row whose eigensolve still fails, as when its
+    scaled coefficients overflow, gets a ConvergenceError.
     """
     c = np.asarray(cores)
     real = ~np.any(c.imag, axis=1)
@@ -199,22 +200,24 @@ def _solve_cores(cores: np.ndarray) -> list:
     if deg == 0:
         return [np.zeros(0, dtype=complex) for _ in c]
     s = np.array([(abs(row[0]) / abs(row[-1])) ** (1.0 / deg) for row in c])
-    p = (c * s[:, None] ** np.arange(deg + 1))[:, ::-1]
-    companion = np.zeros((len(c), deg, deg), dtype=p.dtype)
-    companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1
-    companion[:, 0, :] = -p[:, 1:] / p[:, :1]
-    try:
-        eig = np.linalg.eigvals(companion).astype(complex)
-    except np.linalg.LinAlgError as exc:
-        if len(c) == 1:
-            return [exc]
-        return [result for i in range(len(c))
-                for result in _solve_cores(c[i:i + 1])]
-    roots = s[:, None] * eig
     polyval = np.polynomial.polynomial.polyval
     terms = c.T[:, :, None]  # polyval evaluates row r of c at row r of x
     eps = np.finfo(float).eps
-    with np.errstate(all="ignore"):  # an overflow fails the check below
+    # an overflow fails the eigensolve or the residual check below
+    with np.errstate(all="ignore"):
+        p = (c * s[:, None] ** np.arange(deg + 1))[:, ::-1]
+        companion = np.zeros((len(c), deg, deg), dtype=p.dtype)
+        companion[:, np.arange(1, deg), np.arange(deg - 1)] = 1
+        companion[:, 0, :] = -p[:, 1:] / p[:, :1]
+        try:
+            eig = np.linalg.eigvals(companion).astype(complex)
+        except np.linalg.LinAlgError as exc:
+            if len(c) == 1:
+                return [ConvergenceError(
+                    f"root finding failed for degree {deg}: {exc}")]
+            return [result for i in range(len(c))
+                    for result in _solve_cores(c[i:i + 1])]
+        roots = s[:, None] * eig
         value = np.abs(polyval(roots, terms, tensor=False))
         bound = 1e6 * eps * np.maximum(
             polyval(np.abs(roots), np.abs(terms), tensor=False), 1e-300)

@@ -1,5 +1,6 @@
 import math
 import warnings
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from pairons import (BosonModel, BosonPaironSet, BosonState,
                      build_bcs_hamiltonian, diagonalize_boson, ellipsoid_axes,
                      extract_boson_pairons, fidelity, fock_basis,
                      reconstruct_boson_state, verify_ellipsoid)
-from pairons.bosonbcs import (_richardson, _sector_blocks,
+from pairons.bosonbcs import (_richardson, _sector_blocks, _sectors,
                               axis_slice_coefficients)
 from conftest import pair_hamiltonian
 
@@ -33,6 +34,39 @@ def test_fock_basis_counts():
     b = fock_basis(3, 4)
     assert b == sorted(b)
     assert all(sum(occ) == 4 for occ in b)
+
+
+def _reference_fock_basis(n_levels, n_bosons):
+    """Occupation tuples of the multisets of n_bosons levels, sorted."""
+    return sorted(tuple(combo.count(l) for l in range(n_levels))
+                  for combo in combinations_with_replacement(range(n_levels),
+                                                             n_bosons))
+
+
+@pytest.mark.parametrize("n_bosons", [1, 5, 12])
+@pytest.mark.parametrize("n_levels", [2, 3, 4, 6])
+def test_fock_basis_matches_itertools(n_levels, n_bosons):
+    ref = _reference_fock_basis(n_levels, n_bosons)
+    assert fock_basis(n_levels, n_bosons) == ref
+    model = BosonModel(levels=tuple(0.5 * l for l in range(n_levels)),
+                       gamma=0.3, n_bosons=n_bosons)
+    assert model.occupations.tolist() == [list(occ) for occ in ref]
+    assert not model.occupations.flags.writeable
+    assert model.basis == tuple(ref)
+    assert len(model.basis) == model.dim == math.comb(
+        n_bosons + n_levels - 1, n_levels - 1)
+
+
+def test_one_state_path_leaves_the_basis_unbuilt():
+    # the tuple basis is built on first use only; the command path of
+    # `bcs pairons` reads none of it
+    model = BosonModel(levels=(0.0, 0.5, 1.0, 1.5), gamma=0.5, n_bosons=10)
+    state = boson_eigenstate(model, 3)
+    ps = extract_boson_pairons(state)
+    rec = reconstruct_boson_state(model, ps.seniority, ps.energies)
+    assert fidelity(state, rec) > 1.0 - 1e-8
+    assert "basis" not in vars(model)
+    assert state.basis is model.basis and rec.basis is model.basis
 
 
 def test_two_level_matrix_frozen():
@@ -107,6 +141,16 @@ def test_sector_blocks_bitwise(levels, gamma, n):
     h, basis = build_bcs_hamiltonian(model)
     assert basis == fock_basis(model.n_levels, model.n_bosons)
     assert h.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("levels, gamma, n", SECTOR_MODELS)
+def test_sector_norm_is_max_row_sum(levels, gamma, n):
+    # the max row sum of |H| that scales the eigenvalue error bound, as
+    # it is computed block by block
+    model = BosonModel(levels=levels, gamma=gamma, n_bosons=n)
+    blocks, norm = _sectors(model)
+    assert norm == max(float(np.max(np.sum(np.abs(block), axis=1)))
+                       for _, _, block in blocks)
 
 
 def _reference_weight(n_bosons, occ):
@@ -259,6 +303,88 @@ def test_sum_rule_random_models():
             assert abs(boson_energy(ps) - s.energy) < 1e-8
 
 
+def _reference_reconstruct(model, seniority, pairons):
+    """reconstruct_boson_state's coefficients as a product over a dict of
+    pair-count keys, one key and one level at a time."""
+    levels = model.levels
+    amp = {(0,) * model.n_levels: 1.0}
+    for e in pairons:
+        weights = []
+        for l in range(model.n_levels):
+            w = 1.0 + 0.0j
+            for k in range(model.n_levels):
+                if k != l:
+                    w *= (2.0 * levels[k] - e)
+            weights.append(w)
+        new = {}
+        for occ, val in amp.items():
+            for l in range(model.n_levels):
+                if weights[l] == 0:
+                    continue
+                key = list(occ)
+                key[l] += 1
+                key = tuple(key)
+                new[key] = new.get(key, 0.0) + val * weights[l]
+        scale = max(abs(v) for v in new.values())
+        if scale == 0.0:
+            raise ValueError("pairon product vanished; invalid pairon set")
+        amp = {k: v / scale for k, v in new.items()}
+    index = {occ: i for i, occ in enumerate(model.basis)}
+    coeffs = np.zeros(len(model.basis), dtype=complex)
+    for pair_counts, val in amp.items():
+        occ = tuple(2 * p + s for p, s in zip(pair_counts, seniority))
+        coeffs[index[occ]] += val * math.exp(
+            0.5 * sum(math.lgamma(n + 1) for n in occ))
+    coeffs /= np.linalg.norm(coeffs)
+    return coeffs
+
+
+DISTINCT_MODELS = [m for m in SECTOR_MODELS if len(set(m[0])) == len(m[0])]
+
+
+@pytest.mark.parametrize("levels, gamma, n", DISTINCT_MODELS)
+def test_reconstruction_is_reference_bitwise(levels, gamma, n):
+    # the pairons of every state whose extraction succeeds
+    model = BosonModel(levels=levels, gamma=gamma, n_bosons=n)
+    exercised = 0
+    for state in diagonalize_boson(model):
+        try:
+            ps = extract_boson_pairons(state)
+        except (DegenerateStateError, ValueError):
+            continue
+        rec = reconstruct_boson_state(model, ps.seniority, ps.energies)
+        ref = _reference_reconstruct(model, ps.seniority, ps.energies)
+        assert rec.coeffs.tobytes() == ref.tobytes()
+        exercised += 1
+    assert exercised >= len(model.basis) // 2
+
+
+@pytest.mark.parametrize("levels, n, seniority, pairons", [
+    # two complex conjugate pairs and a real pairon
+    ((0.0, 0.5, 1.0, 1.5), 11, (0, 1, 0, 0),
+     (0.3 + 0.2j, 0.3 - 0.2j, 2.4, 1.7 + 0.05j, 1.7 - 0.05j)),
+    # a pairon exactly at 2 eps_1: every weight but w_1 vanishes
+    ((0.0, 0.5, 1.0), 6, (0, 0, 0), (1.0, 0.2 + 0.7j, 0.2 - 0.7j)),
+    ((-0.5, 0.25, 1.0, 2.0, 3.5), 9, (1, 0, 0, 0, 0), (2.0, 0.5, 2.0, -1.0)),
+])
+def test_reconstruction_of_given_pairons_is_reference_bitwise(
+        levels, n, seniority, pairons):
+    model = BosonModel(levels=levels, gamma=0.5, n_bosons=n)
+    rec = reconstruct_boson_state(model, seniority, pairons)
+    ref = _reference_reconstruct(model, seniority, pairons)
+    assert rec.coeffs.tobytes() == ref.tobytes()
+
+
+def test_vanishing_pairon_product_is_refused():
+    # levels 1 and 2 coincide and the pairon sits on their double: every
+    # weight prod_{k != l} (2 eps_k - e) vanishes
+    model = BosonModel(levels=(0.0, 0.5, 0.5), gamma=0.5, n_bosons=4)
+    with pytest.raises(ValueError, match="pairon product vanished"):
+        reconstruct_boson_state(model, (0, 0, 0), (0.3, 1.0))
+    with pytest.raises(ValueError):
+        _reference_reconstruct(model, (0, 0, 0), (0.3, 1.0))
+
+
 def test_single_pair_reconstruction_weights():
     # M = 1: amplitude on (2,0) vs (0,2) goes like 1/(2 eps_l - e)
     model = BosonModel(levels=(0.0, 1.0), gamma=1.0, n_bosons=2)
@@ -364,10 +490,10 @@ def test_spin_state_pairons_via_two_level_slice():
     spin_ps, _ = extract_pairons(params, state_index=0)
     nu = 0 if ground.state.parity == "even" else 1
     model = BosonModel(levels=(-t / 2.0, t / 2.0), gamma=0.0, n_bosons=2 * j)
-    basis = tuple(fock_basis(2, 2 * j))
     twin = BosonState(model=model, energy=0.0,
                       coeffs=np.asarray(ground.state.coeffs)[::-1].copy(),
-                      basis=basis, seniority=(nu, nu), degenerate=False)
+                      seniority=(nu, nu), degenerate=False)
+    assert twin.basis == tuple(fock_basis(2, 2 * j))
     boson_ps = extract_boson_pairons(twin)
     assert boson_ps.n_at_infinity == 0
     a = sorted(spin_ps.energies, key=lambda z: (z.real, z.imag))

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -150,6 +151,21 @@ def test_refuses_a_root_set_that_misses_the_coefficients(monkeypatch):
                         lambda a: np.array([[1.0, 1.0, 3.0]]) / s)
     with pytest.raises(ConvergenceError):
         strip_and_solve(c)
+
+
+def test_overflowing_core_is_refused_without_warnings():
+    # 40 roots in [2e7, 4e7]: the scaled coefficients c_k s^k overflow,
+    # and the eigensolve refuses the infinite companion matrix.  Alone or
+    # in a stack beside a solvable core, the row is a ConvergenceError.
+    c = np.polynomial.polynomial.polyfromroots(np.linspace(2e7, 4e7, 40))
+    good = np.polynomial.polynomial.polyfromroots(np.arange(1.0, 41.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConvergenceError, match="degree 40"):
+            strip_and_solve(c)
+        bad, roots = phasespace._solve_cores(np.array([c, good]))
+    assert isinstance(bad, ConvergenceError)
+    assert roots.tobytes() == _np_roots_reference(good).tobytes()
 
 
 def _np_roots_reference(c):
