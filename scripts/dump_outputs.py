@@ -19,10 +19,9 @@ The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
 at N=12 and at N=10 with --state 3 (both gammas); `bcs pairons` on
 three levels at odd N=9 (both gammas), on five levels at N=8 and N=7,
 at N=20 on --slice 2, and on the equal levels 0,0,1, which exits 3;
-`lmg scan --j 10
---steps 200` and four more scans: `--j 10 --line diagonal --from 4.5
---to 5 --steps 3 --state 4`, which skips gx = 4.75 on a degenerate
-state, `--j 7 --steps 100 --state 3`, whose samples mix both
+`lmg scan --j 10 --steps 200` and four more scans: `--j 10 --line
+diagonal --from 4.5 --to 5 --steps 3 --state 4`, which skips gx = 4.75
+on a degenerate state, `--j 7 --steps 100 --state 3`, whose samples mix both
 seniorities, `--j 10 --line diagonal --from -9.95 --to -0.05 --steps
 50`, with Dicke states and structural zeros, and `--j 40 --steps 100
 --format json`, whose u-polynomials keep exact zeros at one end of many
