@@ -207,14 +207,13 @@ def _sectors(model: BosonModel) -> tuple[list, float]:
         # n_l < 2 adds a signed zero, which leaves every sum unchanged
         diag = diag + (g4 * n_l) * (n_l - 1)
 
-    # each row's seniority read as a binary number: sorted seniority order
-    # is ascending code, and the stable sort keeps basis order in a sector
-    bits = 1 << np.arange(n_levels - 1, -1, -1)
-    code = (occ % 2) @ bits
-    rows = np.argsort(code, kind="stable")
-    first = np.flatnonzero(np.diff(code[rows], prepend=-1))
-    codes, size = code[rows[first]], np.diff(first, append=len(occ))
-    seniorities = (codes[:, None] & bits) // bits
+    # sorted seniority, basis order inside each sector (lexsort is stable)
+    parity = occ % 2
+    rows = np.lexsort(parity.T[::-1])
+    ordered = parity[rows]
+    first = np.flatnonzero(np.concatenate(
+        ([True], np.any(ordered[1:] != ordered[:-1], axis=1))))
+    seniorities, size = ordered[first], np.diff(first, append=len(occ))
     ls, ks = np.nonzero(~np.eye(n_levels, dtype=bool))  # every hop l -> k
     unit = np.eye(n_levels, dtype=np.intp)
     move = (unit[ks] - unit[ls])[:, None]
@@ -223,7 +222,7 @@ def _sectors(model: BosonModel) -> tuple[list, float]:
     # to the system and faulted in again on every call
     flat = np.zeros(int(size @ size))
     start = 0
-    blocks, norm = [None] * len(codes), 0.0
+    blocks, norm = [None] * len(first), 0.0
     for m in sorted(set(size.tolist())):
         sel = np.flatnonzero(size == m)
         idx = rows[first[sel, None] + np.arange(m)]  # (S, m)

@@ -143,6 +143,20 @@ def test_sector_blocks_bitwise(levels, gamma, n):
     assert h.tobytes() == ref.tobytes()
 
 
+def test_sectors_of_many_levels():
+    # 64 levels: a seniority no longer fits the bits of one int64
+    model = BosonModel(levels=tuple(0.1 * l for l in range(64)), gamma=0.3,
+                       n_bosons=2)
+    blocks = _sector_blocks(model)
+    seniorities = [nu for nu, _, _ in blocks]
+    assert seniorities == sorted(set(seniorities))
+    assert len(blocks) == 1 + math.comb(64, 2)
+    rows = np.concatenate([idx for _, idx, _ in blocks])
+    assert sorted(rows) == list(range(model.dim))
+    for nu, idx, _ in blocks:
+        assert all(tuple(n % 2 for n in model.basis[i]) == nu for i in idx)
+
+
 @pytest.mark.parametrize("levels, gamma, n", SECTOR_MODELS)
 def test_sector_norm_is_max_row_sum(levels, gamma, n):
     # the max row sum of |H| that scales the eigenvalue error bound, as
