@@ -36,8 +36,10 @@ exits 3 on an unresolved anchor, `lmg spectrum --j 40 --gx 2 --gy 8`,
 whose full diagonalizations cover spin.diagonalize, `lmg pairons --j 40
 --state 19` at gx = 3.74102 and 6.164669 on gx + gy = 10, where an
 unscaled companion solve misses the root residual check, and `lmg
-pairons --j 120 --gx 0.25 --gy 9.75 --state 60`, which exits 3 on a
-root residual check that overflows.
+pairons --j 120 --gx 0.25 --gy 9.75 --state 60` and `lmg pairons --j 140
+--gx 2 --gy 8 --state 100`, whose u-polynomials have roots so large that
+their powers overflow, so the root residual check takes them on the
+reversed polynomial.
 """
 import argparse
 import json
@@ -91,8 +93,9 @@ COMMANDS = (
        ["lmg", "crossings", "--j", "10"]]
     + [["lmg", "pairons", "--j", "40", "--gx", gx, "--gy", gy, "--state", "19"]
        for gx, gy in (("3.74102", "6.25898"), ("6.164669", "3.835331"))]
-    + [["lmg", "pairons", "--j", "120", "--gx", "0.25", "--gy", "9.75",
-        "--state", "60"]])
+    + [["lmg", "pairons", "--j", j, "--gx", gx, "--gy", gy, "--state", s]
+       for j, gx, gy, s in (("120", "0.25", "9.75", "60"),
+                            ("140", "2", "8", "100"))])
 
 
 def run(argv: list[str], src: Path = SRC) -> dict:

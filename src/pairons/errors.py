@@ -15,7 +15,7 @@ class ConvergenceError(PaironsError):
 
     Root finding raises it when the companion-matrix roots fail the
     residual check or reproduce the polynomial's coefficients no better
-    than ACCEPT_DEFECT (phasespace._solve_core).  The parity-block
+    than ACCEPT_DEFECT (phasespace._solve_cores).  The parity-block
     eigensolver (spin.parity_eigh) raises it when LAPACK fails, and the
     collapse detector's Brent solver when it does not converge.
     Carries whatever partial results were available in ``partial``.

@@ -24,19 +24,21 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStateError,
-                     InconsistentPaironsError, SingularParameterError,
-                     UnpairedZeroError)
-from .phasespace import (ZeroSet, _raised, parity_slice, poly_residuals,
-                         strip_and_solve_stack)
+                     InconsistentPaironsError, SingularParameterError)
+from .phasespace import (ZeroSet, _binomial_sqrt, _raised, parity_slice,
+                         poly_residuals, strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint
-from .spin import (ModelParams, StateVector, eigen_residuals, gammas,
-                   hamiltonian_stack, parity_eigenstates, state_vectors)
+from .spin import (ModelParams, StateVector, _normalized_rows,
+                   eigen_residuals, gammas, hamiltonian_stack,
+                   parity_eigenstates)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
 
 # Largest fidelity loss 1 - |<rebuilt|state>| and eigen-residual of the
 # rebuilt state with which extract_stack returns a pairon set.
 VERIFY_TOL = 1e-8
+
+_VANISHED = "pairon product vanished; invalid pairon set"
 
 
 @dataclass(frozen=True)
@@ -96,76 +98,58 @@ def _checked_t(t: float) -> float:
     return t
 
 
-def pairons_from_state(state: StateVector, t: float,
-                       flags: tuple[str, ...] = ()
+def pairons_from_state(state: StateVector, t: float
                        ) -> tuple[PaironSet, float]:
-    """Pairons of a parity eigenstate, read off its u-polynomial.
-
-    Each root u of the parity slice (parity_slice) is one pairon,
-    pairon_from_u(u, t); a structural root at u = 0 is a pairon at +t and
-    one at u = infinity a pairon at -t.  Also returns poly_residual of the
-    slice over its finite u-roots.  A mixed-parity state raises
-    UnpairedZeroError.  The one-state case of _pairon_sets.
+    """Pairons of a parity eigenstate at t, read off its u-polynomial
+    (parity_slice), and the root residual: the one-state case of
+    _slice_pairons.  A mixed-parity state raises UnpairedZeroError.
     """
-    return _raised(_pairon_sets([state], [t], [flags])[0])
+    t = _checked_t(t)
+    nu, d = parity_slice(state)
+    return _raised(_slice_pairons(state.j, nu, d[None], np.array([t]),
+                                  [()])[0])
 
 
-def _pairon_sets(states: list[StateVector], ts: list[float],
-                 flags: list[tuple[str, ...]]) -> list:
-    """pairons_from_state for each state at its t, with its flags: the
-    (PaironSet, residual), or the exception it raises alone.
+def _slice_pairons(j: int, nu: int, d: np.ndarray, t: np.ndarray,
+                   flags: list[tuple[str, ...]]) -> list:
+    """The pairons of each u-polynomial of a stack d (R, j - nu + 1) of
+    seniority nu at its t, with its flags: per row the (PaironSet,
+    residual), or the exception it raises alone.
 
-    The slices of each seniority are root-solved together
+    Each root u of a slice is one pairon, pairon_from_u(u, t); a
+    structural root at u = 0 is a pairon at +t and one at u = infinity a
+    pairon at -t.  The residual is poly_residual of the slice over its
+    finite u-roots.  The slices are root-solved together
     (strip_and_solve_stack); the u-roots of the slices with equal root
     counts are mapped and checked together.
     """
-    out: list = [None] * len(states)
-    by_nu: dict[int, list] = {}
-    for i, (state, t) in enumerate(zip(states, ts)):
-        try:
-            _checked_t(t)
-            nu, d = parity_slice(state)
-        except (ValueError, UnpairedZeroError) as exc:
-            out[i] = exc
-            continue
-        by_nu.setdefault(nu, []).append((i, d))
-    for nu, items in by_nu.items():
-        d = np.stack([row for _, row in items])
-        by_count: dict[int, list] = {}
-        for r, ((i, _), solved) in enumerate(zip(items,
-                                                 strip_and_solve_stack(d))):
-            if isinstance(solved, Exception):
-                out[i] = solved
-            else:
-                by_count.setdefault(len(solved[2]), []).append((r, i, solved))
-        for count, group in by_count.items():
-            t = [ts[i] for _, i, _ in group]
-            if count:
-                roots = np.stack([solved[2] for _, _, solved in group])
-                finite = pairon_from_u(roots, np.array(t)[:, None]).tolist()
-                residual = poly_residuals(
-                    d[[r for r, _, _ in group]], roots,
-                    np.array([d.shape[1] - 1 - solved[1]
-                              for _, _, solved in group])).tolist()
-            else:
-                finite, residual = [[]] * len(group), [0.0] * len(group)
-            for (_, i, (n0, n_inf, _)), ti, row, res in zip(
-                    group, t, finite, residual):
-                energies = [complex(ti)] * n0 + [complex(-ti)] * n_inf + row
-                energies.sort(key=lambda e: (e.real, e.imag))
-                out[i] = (PaironSet(j=states[i].j, nu=nu,
-                                    energies=tuple(energies), t=ti,
-                                    flags=flags[i]), res)
+    solved = strip_and_solve_stack(d)
+    out: list = list(solved)
+    by_count: dict[int, list] = {}
+    for i, result in enumerate(solved):
+        if not isinstance(result, Exception):
+            by_count.setdefault(len(result[2]), []).append(i)
+    for count, rows in by_count.items():
+        ts = t[rows]
+        if count:
+            roots = np.stack([solved[i][2] for i in rows])
+            finite = pairon_from_u(roots, ts[:, None]).tolist()
+            deg = [d.shape[1] - 1 - solved[i][1] for i in rows]
+            residual = poly_residuals(d[rows], roots, np.array(deg)).tolist()
+        else:
+            finite, residual = [[]] * len(rows), [0.0] * len(rows)
+        for i, ti, row, res in zip(rows, ts.tolist(), finite, residual):
+            n0, n_inf, _ = solved[i]
+            energies = [complex(ti)] * n0 + [complex(-ti)] * n_inf + row
+            energies.sort(key=lambda e: (e.real, e.imag))
+            out[i] = (PaironSet(j=j, nu=nu, energies=tuple(energies), t=ti,
+                                flags=flags[i]), res)
     return out
 
 
-def pairons_to_zeros(pairons: PaironSet, t: float | None = None) -> ZeroSet:
-    """Rebuild the zero multiset, aggregating the poles.
-
-    `t` overrides the trajectory parameter stored on the set, letting the
-    same energies be examined at another point of the (state, t) surface.
-    """
-    t = _checked_t(pairons.t if t is None else t)
+def pairons_to_zeros(pairons: PaironSet) -> ZeroSet:
+    """Rebuild the zero multiset, aggregating the poles."""
+    t = _checked_t(pairons.t)
     n0 = pairons.nu
     n_inf = pairons.nu
     finite: list[tuple[SpherePoint, int]] = []
@@ -188,7 +172,7 @@ def pairons_to_zeros(pairons: PaironSet, t: float | None = None) -> ZeroSet:
     return ZeroSet(j=pairons.j, zeros=tuple(out))
 
 
-def reconstruct_state(pairons: PaironSet, t: float | None = None) -> StateVector:
+def reconstruct_state(pairons: PaironSet) -> StateVector:
     """State with the given pairons, in the Dicke basis.
 
     Expands prod_a [A_a x + B_a y] with A_a = e_a - t (pair in the lower
@@ -199,26 +183,28 @@ def reconstruct_state(pairons: PaironSet, t: float | None = None) -> StateVector
         n_a = 2(M-s) + nu,  n_b = 2s + nu,  m = (n_b - n_a)/2.
 
     Factorials are handled through log-magnitudes so large j cannot
-    overflow; the result is normalized at the end.  `t` overrides the
-    stored trajectory parameter (same energies, another slice of the
-    (state, t) surface).  The one-set case of _reconstruct_stack.
+    overflow; the result is normalized at the end.  The one-set case of
+    _reconstruct_stack.
     """
-    t = _checked_t(pairons.t if t is None else t)
+    t = _checked_t(pairons.t)
     energies = np.array(pairons.energies, dtype=complex).reshape(1, -1)
-    return _raised(_reconstruct_stack(pairons.j, pairons.nu, energies,
-                                      np.array([t]))[1][0])
+    coeffs, (vanished,) = _reconstruct_stack(pairons.j, pairons.nu, energies,
+                                             np.array([t]))
+    if vanished:
+        raise ValueError(_VANISHED)
+    return StateVector(j=pairons.j, coeffs=coeffs[0])
 
 
 def _reconstruct_stack(j: int, nu: int, energies: np.ndarray,
-                       t: np.ndarray) -> tuple[np.ndarray, list]:
-    """reconstruct_state for each row of energies (R, j - nu) at its t:
-    the unit coefficients of the rebuilt rows as one stack, and per row
-    the StateVector, or the ValueError it raises alone.
+                       t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """reconstruct_state for each row of energies (R, j - nu) at its t,
+    before the normalization: the rebuilt coefficients (R, 2j+1), the
+    largest of each row about 1 in magnitude, and the mask of the rows
+    whose product vanished (zero rows, which reconstruct_state refuses).
 
     The recurrence for sigma runs over all rows at once.  Each magnitude
     is hypot(re, im), as abs takes it of a complex scalar, and each log
-    and exp is math's; the rows are normalized together by state_vectors.
-    So every row gets the bits it gets alone.
+    and exp is math's, so every row gets the bits it gets alone.
     """
     count, m_pairs = energies.shape
     lower = energies - t[:, None]  # A_a
@@ -250,10 +236,7 @@ def _reconstruct_stack(j: int, nu: int, energies: np.ndarray,
     # c(m) sits at Dicke index j + m = n_b = 2s + nu
     coeffs[rows, 2 * cols + nu] = (sigma[live] / magnitude) * np.array(
         [math.exp(x) for x in shifted.tolist()])
-    unit, states = state_vectors(j, coeffs[~vanished])
-    states = iter(states)
-    return unit, [ValueError("pairon product vanished; invalid pairon set")
-                  if gone else next(states) for gone in vanished.tolist()]
+    return coeffs, vanished
 
 
 def fidelity(a, b) -> float:
@@ -278,8 +261,7 @@ class ExtractionDiagnostics:
     flags: tuple[str, ...]
 
 
-def extract_pairons(params: ModelParams, state_index: int = 0,
-                    allow_degenerate: bool = False,
+def extract_pairons(params: ModelParams, state_index: int = 0
                     ) -> tuple[PaironSet, ExtractionDiagnostics]:
     """Full pipeline: diagonalize -> u-roots -> pairons -> verify.
 
@@ -291,116 +273,118 @@ def extract_pairons(params: ModelParams, state_index: int = 0,
     one-point case of extract_stack.
     """
     return _raised(extract_stack(params.j, params.eps, [params.lam],
-                                 [params.gam], state_index,
-                                 allow_degenerate)[0])
+                                 [params.gam], state_index)[0])
 
 
-def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
-                  allow_degenerate: bool = False) -> list:
+def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
     """extract_pairons at each point of the coupling arrays lam and gam:
     per point its (PaironSet, ExtractionDiagnostics), or the exception
     extract_pairons raises there.
 
     The points' H are built by hamiltonian_stack and solved and ranked
-    together by parity_eigenstates; the states' slices are root-solved
-    together (_pairon_sets) and the pairon sets of each seniority rebuilt
-    together (_reconstruct_stack), and their fidelities and
-    eigen-residuals taken together (fidelities, eigen_residuals).  Each
-    layer gives every point the bits it gets alone.  A point whose
-    rebuilt state has a fidelity loss or an eigen-residual above
-    VERIFY_TOL (or NaN) gets an InconsistentPaironsError.
-    If the stacked eigensolve raises, each point is solved alone.
+    together by parity_eigenstates.  Then each parity sector nu (0 even,
+    1 odd) takes its points in one pass: their eigenvectors' u-polynomials
+    are solved together (_slice_pairons), the pairon sets rebuilt together
+    (_reconstruct_stack), and the fidelities and eigen-residuals taken
+    together (fidelities, eigen_residuals).  Each layer gives every point
+    the bits it gets alone.  A point whose rebuilt state has a fidelity
+    loss or an eigen-residual above VERIFY_TOL (or NaN) gets an
+    InconsistentPaironsError.  If the stacked eigensolve raises, each
+    point is solved alone.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))
     gamma = list(zip(*(g.tolist() for g in gammas(j, eps, lam, gam))))
     out: list = [None] * len(lam)
-    for i, (gx, gy) in enumerate(gamma):
-        if gy == 0.0:
+    for i, (x, y) in enumerate(gamma):
+        if y == 0.0:
             out[i] = SingularParameterError("gamma_y = 0: t is undefined")
-        elif gx == 0.0:
+        elif x == 0.0:
             out[i] = SingularParameterError(
                 "gamma_x = 0: t = 0 degenerates the map")
-    points = [i for i, result in enumerate(out) if result is None]
-    if not points:
+    points = np.array([i for i, result in enumerate(out) if result is None],
+                      dtype=int)
+    if not points.size:
         return out
     h = hamiltonian_stack(j, eps, lam[points], gam[points])
     try:
         solved, sector, col, degenerate = parity_eigenstates(h, state_index)
     except ConvergenceError as exc:
-        for i in points:
+        for i in points.tolist():
             out[i] = exc if len(points) == 1 else extract_stack(
-                j, eps, lam[i:i + 1], gam[i:i + 1], state_index,
-                allow_degenerate)[0]
+                j, eps, lam[i:i + 1], gam[i:i + 1], state_index)[0]
         return out
     except ValueError as exc:
-        for i in points:
+        for i in points.tolist():
             out[i] = exc
         return out
 
-    full = np.zeros((len(points), 2 * j + 1))
-    energy = np.zeros(len(points))
-    for offset in set(sector.tolist()):
-        w, v = solved[offset]
-        mine = sector == offset
-        c = col[mine]
-        full[mine, offset::2] = v[mine, :, c]
-        energy[mine] = w[mine, c]
-    energy = energy.tolist()
-    kept, ts, flags = [], [], []
-    for row, i in enumerate(points):
-        gx, gy = gamma[i]
-        if degenerate[row] and not allow_degenerate:
+    t = np.zeros(len(lam))
+    for i, flag in zip(points.tolist(), degenerate.tolist()):
+        x, y = gamma[i]
+        if flag:
             out[i] = DegenerateStateError(
-                f"state {state_index} at (gx={gx:.6g}, gy={gy:.6g}) is "
+                f"state {state_index} at (gx={x:.6g}, gy={y:.6g}) is "
                 "degenerate within its parity sector")
             continue
-        kept.append((row, i))
-        ts.append(math.sqrt(abs(gx / gy)))
-        flags.append((FLAG_SIGN_UNVERIFIED,) if gx * gy < 0 else ())
-    if not kept:
-        return out
-    unit, states = state_vectors(j, full[[row for row, _ in kept]])
-
-    sets = _pairon_sets(states, ts, flags)
-    by_nu: dict[int, list] = {}
-    for k, result in enumerate(sets):
-        if isinstance(result, Exception):
-            out[kept[k][1]] = result
-        else:
-            by_nu.setdefault(result[0].nu, []).append(k)
-    for nu, group in by_nu.items():
-        energies = np.array([sets[k][0].energies for k in group],
-                            dtype=complex).reshape(len(group), j - nu)
-        recon, recons = _reconstruct_stack(j, nu, energies,
-                                           np.array([ts[k] for k in group]))
-        rebuilt = []
-        for k, result in zip(group, recons):
+        try:
+            t[i] = _checked_t(math.sqrt(abs(x / y)))
+        except ValueError as exc:
+            out[i] = exc
+    pending = np.array([out[i] is None for i in points.tolist()])
+    binom = _binomial_sqrt(2 * j)
+    for nu, (w, v) in enumerate(solved):
+        rows = np.flatnonzero((sector == nu) & pending)
+        if not rows.size:
+            continue
+        mine = points[rows].tolist()
+        full = np.zeros((len(rows), 2 * j + 1), dtype=complex)
+        full[:, nu::2] = v[rows, :, col[rows]]
+        unit, _ = _normalized_rows(full)
+        flags = [(FLAG_SIGN_UNVERIFIED,) if x * y < 0 else ()
+                 for x, y in (gamma[i] for i in mine)]
+        sets = _slice_pairons(j, nu, np.conj(unit[:, nu::2]) * binom[nu::2],
+                              t[mine], flags)
+        kept = []
+        for k, result in enumerate(sets):
             if isinstance(result, Exception):
-                out[kept[k][1]] = result
+                out[mine[k]] = result
+            else:
+                kept.append(k)
+        if not kept:
+            continue
+        energies = np.array([sets[k][0].energies for k in kept],
+                            dtype=complex).reshape(len(kept), j - nu)
+        coeffs, vanished = _reconstruct_stack(j, nu, energies,
+                                              t[mine][kept])
+        rebuilt = []
+        for k, gone in zip(kept, vanished.tolist()):
+            if gone:
+                out[mine[k]] = ValueError(_VANISHED)
             else:
                 rebuilt.append(k)
         if not rebuilt:
             continue
+        recon, _ = _normalized_rows(coeffs[~vanished])
         fid = fidelities(recon, unit[rebuilt]).tolist()
-        res = eigen_residuals(h[[kept[k][0] for k in rebuilt]],
-                              recon).tolist()
-        for k, f, r in zip(rebuilt, fid, res):
+        res = eigen_residuals(h[rows[rebuilt]], recon).tolist()
+        energy = w[rows[rebuilt], col[rows[rebuilt]]].tolist()
+        for k, f, r, e in zip(rebuilt, fid, res, energy):
             pairons, residual = sets[k]
             if not (1.0 - f <= VERIFY_TOL and r <= VERIFY_TOL):
-                gx, gy = gamma[kept[k][1]]
-                out[kept[k][1]] = InconsistentPaironsError(
-                    f"state {state_index} at (gx={gx:.6g}, gy={gy:.6g}): "
+                x, y = gamma[mine[k]]
+                out[mine[k]] = InconsistentPaironsError(
+                    f"state {state_index} at (gx={x:.6g}, gy={y:.6g}): "
                     f"pairons unverified, fidelity loss {1.0 - f:.3g} and "
                     f"eigen-residual {r:.3g} (bound {VERIFY_TOL:g})")
                 continue
-            out[kept[k][1]] = pairons, ExtractionDiagnostics(
-                t=ts[k],
-                energy=energy[kept[k][0]],
+            out[mine[k]] = pairons, ExtractionDiagnostics(
+                t=pairons.t,
+                energy=e,
                 state_index=state_index,
                 max_root_residual=residual,
                 reconstruction_fidelity=f,
                 reconstruction_residual=r,
-                flags=flags[k],
+                flags=pairons.flags,
             )
     return out

@@ -23,7 +23,7 @@ from .sphere import SpherePoint
 from .spin import PARITY_MIXED, PARITY_ODD, StateVector
 
 # A root set that misses the coefficients it came from by a factor defect
-# above ACCEPT_DEFECT is refused (_solve_core).
+# above ACCEPT_DEFECT is refused (_solve_cores).
 ACCEPT_DEFECT = 1e-6
 
 
@@ -173,17 +173,33 @@ def _factor_defects(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
 
 def _solve_cores(cores: np.ndarray) -> list:
-    """_solve_core for each row of a stack (R, n+1) of cores of one
-    length: its roots, or the exception it raises alone.
+    """All roots of each row of a stack (R, n+1) of cores of one length,
+    sum_k c[k] z^k, as companion-matrix eigenvalues: its roots, or the
+    ConvergenceError it raises alone.
 
-    Real and complex rows are solved apart.  The scale s of each row is
-    the scalar expression of _solve_core, and the scaled companion
+    Each row needs c[0] != 0 and c[-1] != 0 (strip_and_solve_stack strips
+    structural zeros first).  The variable is scaled, z = s y with
+    s = |c[0] / c[-1]|^(1/n), so the polynomial in y has end coefficients
+    of equal magnitude, and np.roots would strip nothing from it; the
+    roots are the eigenvalues of its companion matrix, as np.roots takes
+    them, which LAPACK balances.  Those eigenvalues are backward stable as
+    a set (Edelman & Murakami, Math. Comp. 64, 1995), so a cluster of
+    roots keeps its symmetric functions.  Real coefficients give a real
+    companion matrix, whose complex eigenvalues come in exact conjugate
+    pairs.
+
+    The set must pass a residual check, |P(z)| <= 1e6 eps sum_k |c_k||z|^k
+    with both sides finite at every root, taken for |z| > 1 on the
+    reversed polynomial at 1/z (_root_charts) so that no power of z
+    overflows, and reproduce the coefficients within ACCEPT_DEFECT
+    (_factor_defects); otherwise ConvergenceError, with the roots in
+    `partial`.
+
+    Real and complex rows are solved apart, and the scaled companion
     matrices of all rows go to one batched np.linalg.eigvals, which runs
-    the LAPACK routine of np.roots on each matrix.  The ends of each
-    scaled polynomial are nonzero (|c_n| s^n = |c_0| up to rounding), so
-    np.roots would strip nothing.  If the batched call raises, each row
-    is solved alone; a row whose eigensolve still fails, as when its
-    scaled coefficients overflow, gets a ConvergenceError.
+    the LAPACK routine of np.roots on each matrix.  If the batched call
+    raises, each row is solved alone; a row whose eigensolve still fails,
+    as when its scaled coefficients overflow, gets a ConvergenceError.
     """
     c = np.asarray(cores)
     real = ~np.any(c.imag, axis=1)
@@ -201,7 +217,6 @@ def _solve_cores(cores: np.ndarray) -> list:
         return [np.zeros(0, dtype=complex) for _ in c]
     s = np.array([(abs(row[0]) / abs(row[-1])) ** (1.0 / deg) for row in c])
     polyval = np.polynomial.polynomial.polyval
-    terms = c.T[:, :, None]  # polyval evaluates row r of c at row r of x
     eps = np.finfo(float).eps
     # an overflow fails the eigensolve or the residual check below
     with np.errstate(all="ignore"):
@@ -218,9 +233,10 @@ def _solve_cores(cores: np.ndarray) -> list:
             return [result for i in range(len(c))
                     for result in _solve_cores(c[i:i + 1])]
         roots = s[:, None] * eig
-        value = np.abs(polyval(roots, terms, tensor=False))
+        x, terms = _root_charts(c, roots)
+        value = np.abs(polyval(x, terms, tensor=False))
         bound = 1e6 * eps * np.maximum(
-            polyval(np.abs(roots), np.abs(terms), tensor=False), 1e-300)
+            polyval(np.abs(x), np.abs(terms), tensor=False), 1e-300)
     ok = np.all((value <= bound) & np.isfinite(bound), axis=1)
     ok[ok] = _factor_defects(c[ok], roots[ok]) <= ACCEPT_DEFECT
     return [roots[i] if ok[i] else ConvergenceError(
@@ -228,26 +244,19 @@ def _solve_cores(cores: np.ndarray) -> list:
             for i in range(len(c))]
 
 
-def _solve_core(coeffs: np.ndarray) -> np.ndarray:
-    """All roots of sum_k coeffs[k] z^k, as companion-matrix eigenvalues:
-    the one-row case of _solve_cores.
-
-    Requires coeffs[0] != 0 and coeffs[-1] != 0 (strip_and_solve strips
-    structural zeros first).  The variable is scaled, z = s y with
-    s = |coeffs[0] / coeffs[-1]|^(1/n), so the polynomial in y has end
-    coefficients of equal magnitude; the roots are the eigenvalues of its
-    companion matrix, as np.roots takes them, which LAPACK balances.
-    Those eigenvalues are backward stable as a set (Edelman & Murakami,
-    Math. Comp. 64, 1995), so a cluster of roots keeps its symmetric
-    functions.  Real coefficients give a real companion matrix, whose
-    complex eigenvalues come in exact conjugate pairs.
-
-    The set must pass a residual check, |P(z)| <= 1e6 eps sum_k |c_k||z|^k
-    with both sides finite at every root, and reproduce the coefficients
-    within ACCEPT_DEFECT (_factor_defects); otherwise ConvergenceError,
-    with the roots in `partial`.
-    """
-    return _raised(_solve_cores(np.asarray(coeffs)[None])[0])
+def _root_charts(coeffs: np.ndarray, roots: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Where to evaluate each row of a stack of coefficients (R, n+1) at
+    each of its roots (R, k) without forming a power above 1: the points
+    x (R, k) and per-root coefficient rows (n+1, R, k), for
+    polyval(x, terms, tensor=False).  A root r with |r| <= 1 keeps the
+    coefficients; one with |r| > 1 is taken as w = 1/r on the reversed
+    ones, Q(w) = w^n P(1/w) = P(r) / r^n."""
+    x = roots.copy()
+    big = np.abs(x) > 1.0
+    x[big] = 1.0 / x[big]
+    terms = coeffs.T[:, :, None]
+    return x, np.where(big, terms[::-1], terms)
 
 
 def _raised(result):
@@ -325,7 +334,7 @@ def strip_and_solve(coeffs: np.ndarray) -> tuple[int, int, np.ndarray]:
 
     Exact zeros at either end of the vector are structural: each one at
     the low end is a root at z = 0, each one at the high end a root at
-    infinity.  The stripped core is solved by _solve_core.  The one-row
+    infinity.  The stripped core is solved by _solve_cores.  The one-row
     case of strip_and_solve_stack.
     """
     return _raised(strip_and_solve_stack(np.asarray(coeffs)[None])[0])
@@ -337,18 +346,14 @@ def poly_residuals(coeffs: np.ndarray, roots: np.ndarray,
     its row of roots (R, k), k >= 1, given each row's deg (the last index
     of _live_ranges).  For a root r with |r| > 1 the ratio
     |P(r)| / |r|^deg is taken as |Q(1/r)|, Q(w) = w^deg P(1/w) the
-    reversed polynomial, so no power of r is formed that could overflow."""
-    polyval = np.polynomial.polynomial.polyval
+    reversed polynomial (_root_charts), so no power of r is formed that
+    could overflow."""
     scale = np.max(np.abs(coeffs), axis=1)[:, None]
     out = np.empty(len(coeffs))
     for d in sorted(set(deg.tolist())):
         rows = deg == d
-        x = roots[rows]
-        big = np.abs(x) > 1.0
-        x[big] = 1.0 / x[big]
-        c = coeffs[rows, :d + 1].T[:, :, None]
-        vals = np.where(big, polyval(x, c[::-1], tensor=False),
-                        polyval(x, c, tensor=False))
+        vals = np.polynomial.polynomial.polyval(
+            *_root_charts(coeffs[rows, :d + 1], roots[rows]), tensor=False)
         out[rows] = np.max(np.abs(vals) / scale[rows], axis=1)
     return out
 

@@ -159,24 +159,6 @@ class StateVector:
         return complex(self.coeffs[self.j + m])
 
 
-def state_vectors(j: int, coeffs: np.ndarray
-                  ) -> tuple[np.ndarray, list[StateVector]]:
-    """StateVector(j, row) for each row of coeffs (R, 2j+1), normalized
-    and labelled by one _normalized_rows pass: each gets the coefficient
-    bits and parity it gets alone, and a zero row raises its ValueError.
-    Returns the unit rows as one read-only stack (which may share memory
-    with coeffs) and the states, each over its row of that stack.
-    """
-    arr, parities = _normalized_rows(np.asarray(coeffs, dtype=complex))
-    arr.setflags(write=False)
-    states = []
-    for row, parity in zip(arr, parities):
-        state = object.__new__(StateVector)
-        vars(state).update(j=j, coeffs=row, parity=parity)
-        states.append(state)
-    return arr, states
-
-
 @dataclass(frozen=True)
 class HamiltonianMatrix:
     """Dense symmetric matrix of H in the Dicke basis, with its parameters."""

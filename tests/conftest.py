@@ -90,14 +90,14 @@ def module_cli(module="pairons.cli"):
 
 
 def shift_one_pairon(monkeypatch, delta=1e-3):
-    """Make paironmap._pairon_sets move the first pairon of every set by
+    """Make paironmap._slice_pairons move the first pairon of every set by
     delta, so the rebuilt state misses the eigenstate."""
     from pairons import paironmap
-    pairon_sets = paironmap._pairon_sets
+    slice_pairons = paironmap._slice_pairons
 
     def shifted(*args):
         return [(dataclasses.replace(
                     ps, energies=(ps.energies[0] + delta, *ps.energies[1:])),
-                 residual) for ps, residual in pairon_sets(*args)]
+                 residual) for ps, residual in slice_pairons(*args)]
 
-    monkeypatch.setattr(paironmap, "_pairon_sets", shifted)
+    monkeypatch.setattr(paironmap, "_slice_pairons", shifted)

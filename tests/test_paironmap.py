@@ -16,7 +16,7 @@ from pairons import (DegenerateStateError, InconsistentPaironsError,
                      fidelity, majorana_poly, pairon_from_u,
                      pairons_from_state, pairons_to_zeros, poly_roots,
                      reconstruct_state, u_from_pairon)
-from pairons import phasespace, spin
+from pairons import paironmap, phasespace, spin
 from pairons.paironmap import _reconstruct_stack, extract_stack
 from conftest import shift_one_pairon
 
@@ -31,7 +31,8 @@ def _conjugation_closed(energies):
 
 def test_extraction_builds_two_state_vectors(monkeypatch):
     # the requested eigenvector and the reconstruction, not all 2j+1: every
-    # StateVector, alone or stacked, is normalized by _normalized_rows
+    # StateVector and every row extract_stack normalizes goes through
+    # _normalized_rows
     made = []
     normalized = spin._normalized_rows
 
@@ -40,6 +41,7 @@ def test_extraction_builds_two_state_vectors(monkeypatch):
         return normalized(coeffs)
 
     monkeypatch.setattr(spin, "_normalized_rows", counting)
+    monkeypatch.setattr(paironmap, "_normalized_rows", counting)
     extract_pairons(ModelParams.from_gammas(10, 2.0, 8.0), state_index=4)
     assert made == [(1, 21), (1, 21)]
 
@@ -266,8 +268,6 @@ def test_degenerate_state_refused():
     params = ModelParams(j=2, eps=1.0, lam=0.0, gam=-0.5)
     with pytest.raises(DegenerateStateError):
         extract_pairons(params, state_index=1)
-    ps, _ = extract_pairons(params, state_index=1, allow_degenerate=True)
-    assert len(ps.energies) + ps.nu <= 2
 
 
 def test_conjugation_structure_in_spherical_phase():
@@ -303,9 +303,24 @@ def test_explicit_t_overrides():
     params = ModelParams.from_gammas(3, 2.0, 8.0)
     ps, _ = extract_pairons(params)
     with pytest.raises(ValueError):
-        reconstruct_state(ps, t=-1.0)
-    zs = pairons_to_zeros(ps, t=ps.t)
+        reconstruct_state(dataclasses.replace(ps, t=-1.0))
+    zs = pairons_to_zeros(ps)
     assert zs.total_multiplicity == 6
+
+
+def test_j140_extraction_certifies_or_refuses_as_inconsistent():
+    # roots far outside the unit disk are checked on the reversed
+    # polynomial, so no root residual check overflows into a
+    # ConvergenceError; the fidelity gate refuses what it must
+    gx = [0.25, 2.0, 5.0, 8.0]
+    params = [ModelParams.from_gammas(140, g, 10.0 - g) for g in gx]
+    for state_index in range(0, 281, 10):
+        for result in extract_stack(140, 1.0, [p.lam for p in params],
+                                    [p.gam for p in params], state_index):
+            if isinstance(result, Exception):
+                assert isinstance(result, InconsistentPaironsError)
+            else:
+                assert 1.0 - result[1].reconstruction_fidelity <= 1e-8
 
 
 def test_large_j_log_path():
@@ -376,6 +391,13 @@ def test_stacked_extraction_is_extract_pairons_bitwise(monkeypatch, j,
     assert len(stacked) == len(params)
     for p, result in zip(params, stacked):
         assert _bits(result) == _bits(_alone(p, state_index))
+        # the one-state path, from the eigenpair's StateVector through
+        # parity_slice, reads the same pairons and root residual
+        state = eigenpair(build_hamiltonian(p), state_index).state
+        alone, residual = pairons_from_state(state, p.t)
+        pairons, diag = result
+        assert _bits(alone) == _bits(dataclasses.replace(pairons, flags=()))
+        assert _bits(residual) == _bits(diag.max_root_residual)
     sets = [r[0] for r in stacked]
     if j == 7:
         assert {ps.nu for ps in sets} == {0, 1}
@@ -473,11 +495,12 @@ def test_stacked_reconstruction_is_the_loop_bitwise(j, gx):
         by_nu.setdefault(ps.nu, []).append(ps)
     for nu, group in by_nu.items():
         energies = np.array([ps.energies for ps in group], dtype=complex)
-        _, stacked = _reconstruct_stack(j, nu, energies,
-                                        np.array([ps.t for ps in group]))
-        for ps, state in zip(group, stacked):
+        rows, vanished = _reconstruct_stack(j, nu, energies,
+                                            np.array([ps.t for ps in group]))
+        assert not vanished.any()
+        for ps, row in zip(group, rows):
             ref = _reconstruct_reference(ps).coeffs.tobytes()
-            assert state.coeffs.tobytes() == ref
+            assert StateVector(j=j, coeffs=row).coeffs.tobytes() == ref
             assert reconstruct_state(ps).coeffs.tobytes() == ref
 
 
@@ -489,8 +512,9 @@ def test_reconstruction_of_arbitrary_pairons_is_the_loop_bitwise(rng):
         energies = (rng.normal(size=(200, 12 - nu))
                     + 1j * rng.normal(size=(200, 12 - nu)))
         t = rng.uniform(0.2, 5.0, 200)
-        _, stacked = _reconstruct_stack(12, nu, energies, t)
-        for e, ti, state in zip(energies, t.tolist(), stacked):
+        rows, vanished = _reconstruct_stack(12, nu, energies, t)
+        assert not vanished.any()
+        for e, ti, row in zip(energies, t.tolist(), rows):
             ps = PaironSet(j=12, nu=nu, energies=tuple(e.tolist()), t=ti)
             ref = _reconstruct_reference(ps).coeffs.tobytes()
-            assert state.coeffs.tobytes() == ref
+            assert StateVector(j=12, coeffs=row).coeffs.tobytes() == ref

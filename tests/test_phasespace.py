@@ -169,7 +169,7 @@ def test_overflowing_core_is_refused_without_warnings():
 
 
 def _np_roots_reference(c):
-    """_solve_core's roots through np.roots, one polynomial at a time."""
+    """_solve_cores' roots through np.roots, one polynomial at a time."""
     c = c.real if not np.any(c.imag) else c
     deg = len(c) - 1
     s = (abs(c[0]) / abs(c[-1])) ** (1.0 / deg)

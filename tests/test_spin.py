@@ -169,23 +169,25 @@ def test_stacked_state_vectors_are_each_alone(rng, j):
     rows[5, 2] = complex(-0.0, abs(rows[5, 2]))  # stays unit: not divided
     rows[6, 0] = -0.0
     rows[7] = np.abs(rows[7]) ** 0.5 * 1e-3
-    unit, states = spin.state_vectors(j, rows)
-    assert unit.shape == rows.shape and not unit.flags.writeable
-    assert {s.parity for s in states} == {"even", "odd", "mixed"}
-    for row, state, stacked in zip(rows, states, unit):
+    # normalized in one _normalized_rows pass, as extract_stack takes its
+    # eigenvectors and rebuilt states, each row gets the bits and parity
+    # a StateVector gets alone
+    unit, parities = spin._normalized_rows(rows)
+    assert unit.shape == rows.shape
+    assert set(parities) == {"even", "odd", "mixed"}
+    for row, stacked, stacked_parity in zip(rows, unit, parities):
         alone = StateVector(j=j, coeffs=row)
         ref, parity = _state_reference(j, row)
-        assert state.j == alone.j == j
-        assert (state.coeffs.tobytes() == alone.coeffs.tobytes()
-                == stacked.tobytes() == ref.tobytes())
-        assert state.parity == alone.parity == parity
+        assert (alone.coeffs.tobytes() == stacked.tobytes()
+                == ref.tobytes())
+        assert stacked_parity == alone.parity == parity
 
 
 def test_stacked_state_vectors_refuse_a_zero_row():
     rows = np.eye(3, 5, dtype=complex)
     rows[1] = 0.0
     with pytest.raises(ValueError, match="^zero vector is not a state$"):
-        spin.state_vectors(2, rows)
+        spin._normalized_rows(rows)
     with pytest.raises(ValueError, match="^zero vector is not a state$"):
         StateVector(j=2, coeffs=rows[1])
 
