@@ -31,9 +31,12 @@ collapse --j 10 --line-sum 12`, `lmg collapse --j 8`, `lmg collapse --j
 cover the collapse detector's own Brent solver, `lmg collapse --j 4
 --from 4 --to 6 --steps 5`, with a sample where the anchor value is
 exactly zero beside the total collapse, `lmg collapse --j 20`, which
-exits 3 on an unresolved anchor, `lmg spectrum --j 40 --gx 2 --gy 8`,
-`lmg zeros --j 10 --gx 2 --gy 8 --state 3`, `lmg crossings --j 10`,
-whose full diagonalizations cover spin.diagonalize, `lmg pairons --j 40
+exits 3 on an unresolved anchor, `lmg spectrum --j 40 --gx 2 --gy 8`;
+`lmg zeros` at `--j 10 --gx 2 --gy 8 --state 3`, at `--j 7 --gx 5 --gy 5
+--state 4`, whose seniority zeros join pairon poles, and at `--j 7 --gx 2
+--gy 8 --state 3`, an odd state with lone seniority poles; `lmg
+crossings --j 10`, whose full diagonalizations cover spin.diagonalize,
+`lmg pairons --j 40
 --state 19` at gx = 3.74102 and 6.164669 on gx + gy = 10, where an
 unscaled companion solve misses the root residual check, and `lmg
 pairons --j 120 --gx 0.25 --gy 9.75 --state 60` and `lmg pairons --j 140
@@ -90,6 +93,8 @@ COMMANDS = (
        ["lmg", "collapse", "--j", "20"],
        ["lmg", "spectrum", "--j", "40", "--gx", "2", "--gy", "8"],
        ["lmg", "zeros", "--j", "10", "--gx", "2", "--gy", "8", "--state", "3"],
+       ["lmg", "zeros", "--j", "7", "--gx", "5", "--gy", "5", "--state", "4"],
+       ["lmg", "zeros", "--j", "7", "--gx", "2", "--gy", "8", "--state", "3"],
        ["lmg", "crossings", "--j", "10"]]
     + [["lmg", "pairons", "--j", "40", "--gx", gx, "--gy", gy, "--state", "19"]
        for gx, gy in (("3.74102", "6.25898"), ("6.164669", "3.835331"))]

@@ -13,6 +13,7 @@ PAIRONS_THREADS) is validated and has no effect.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import cmath
 import csv
 import io
 import json
@@ -28,14 +29,12 @@ from .bosonbcs import (BosonModel, _sorted_eigensystem, boson_eigenstate,
                        boson_energy, ellipsoid_axes, extract_boson_pairons,
                        reconstruct_boson_state, verify_ellipsoid)
 from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
-                       TrajectorySpec, _canonical_site, anchor_profile,
-                       collapse_rows, crossing_points, find_collapses,
-                       scan_trajectory, total_collapse_candidates)
+                       TrajectorySpec, anchor_profile, collapse_rows,
+                       crossing_points, find_collapses, scan_trajectory,
+                       total_collapse_candidates)
 from .errors import InconsistentPaironsError, PaironsError
-from .paironmap import (PaironSet, extract_pairons, fidelity, pairon_from_u,
-                        u_from_pairon)
-from .sphere import (SITE_MERGE_RADIUS, SpherePoint, chordal_distances,
-                     coordinates)
+from .paironmap import (VERIFY_TOL, PaironSet, extract_pairons, fidelity,
+                        pairon_from_u, pairon_sites, zero_sites)
 from .spin import (PARITY_EVEN, PARITY_ODD, ModelParams, build_hamiltonian,
                    diagonalize)
 
@@ -333,69 +332,32 @@ def _check_state_index(state: int, dim: int) -> None:
 def _map_recheck(pairons: PaironSet) -> None:
     """Re-derive each pairon from its emitted zero site; small mismatch
     means the bidirectional map broke somewhere upstream."""
-    for e in pairons.energies:
-        u = u_from_pairon(e, pairons.t)
-        site = _canonical_site(u)
-        if site.is_infinity or site.zeta == 0:
+    sites = pairon_sites(pairons.energies, pairons.t)
+    for e, z in zip(pairons.energies, sites.tolist()):
+        if z == 0 or cmath.isinf(z):
             continue  # pole rows carry their own flag
-        back = pairon_from_u(site.zeta ** 2, pairons.t)
+        back = pairon_from_u(z ** 2, pairons.t)
         if abs(back - e) > MAP_CHECK_TOL * max(1.0, abs(e)):
             raise InconsistentPaironsError(
                 f"zero site round trip moved pairon {e} to {back}")
 
 
 def _zero_rows(pairons: PaironSet) -> list[list]:
-    """Site rows (alpha, theta, phi, multiplicity, flags).
-
-    The two members of a +- pair share their pairon index alpha; sites
-    closer than SITE_MERGE_RADIUS are merged and keep the smallest
-    alpha.  Seniority zeros get alpha = -1 unless they merge into a
-    pairon site.
-    """
-    base_flags = set(pairons.flags)
-    entries: list[tuple[SpherePoint, int, int, set]] = []
-    for alpha, e in enumerate(pairons.energies):
-        u = u_from_pairon(e, pairons.t)
-        site = _canonical_site(u)
-        if site.is_infinity or site.zeta == 0:
-            entries.append((site, alpha, 2, {"pole"}))
-        else:
-            entries.append((site, alpha, 1, set()))
-            entries.append((SpherePoint.from_zeta(-site.zeta), alpha, 1, set()))
-    if pairons.nu:
-        entries.append((SpherePoint.from_zeta(0.0), -1, 1, {"seniority", "pole"}))
-        entries.append((SpherePoint.infinity(), -1, 1, {"seniority", "pole"}))
-
-    z = coordinates([point for point, _, _, _ in entries])
-    near = chordal_distances(z[:, None], z[None, :]) <= SITE_MERGE_RADIUS
-    merged: list[list] = []  # [first entry, alpha, multiplicity, flags]
-    for k, (_, alpha, mult, fl) in enumerate(entries):
-        for group in merged:
-            if near[group[0], k]:
-                group[2] += mult
-                group[3] |= fl
-                if alpha >= 0:
-                    group[1] = alpha if group[1] < 0 else min(group[1], alpha)
-                break
-        else:
-            merged.append([k, alpha, mult, set(fl)])
-
-    rows = []
-    for k, alpha, mult, fl in merged:
-        point = entries[k][0]
-        flags = ";".join(sorted(fl | base_flags))
-        rows.append([alpha, point.theta(), point.phi(), mult, flags])
+    """Site rows (alpha, theta, phi, multiplicity, flags) of zero_sites,
+    by alpha with the seniority-only sites (alpha = -1) last."""
+    rows = [[alpha, point.theta(), point.phi(), mult,
+             ";".join(sorted(flags.union(pairons.flags)))]
+            for point, alpha, mult, flags in zero_sites(pairons)]
     rows.sort(key=lambda r: (r[0] < 0, r[0], r[1], r[2]))
     return rows
 
 
 def _pairon_rows(pairons: PaironSet) -> list[list]:
-    base = set(pairons.flags)
+    sites = pairon_sites(pairons.energies, pairons.t)
     rows = []
-    for alpha, e in enumerate(pairons.energies):
-        u = u_from_pairon(e, pairons.t)
-        fl = set(base)
-        if u is None or u == 0:
+    for alpha, (e, z) in enumerate(zip(pairons.energies, sites.tolist())):
+        fl = set(pairons.flags)
+        if z == 0 or cmath.isinf(z):
             fl.add("pole")
         rows.append([alpha, e.real, e.imag, ";".join(sorted(fl))])
     return rows
@@ -579,6 +541,10 @@ def _cmd_bcs_pairons(args) -> int:
             f"pairon sum {total} disagrees with eigenvalue {state.energy}")
     recon = reconstruct_boson_state(model, state.seniority, pairons.energies)
     fid = fidelity(recon, state)
+    if not 1.0 - fid <= VERIFY_TOL:
+        raise InconsistentPaironsError(
+            f"pairons unverified, fidelity loss {1.0 - fid:.3g} "
+            f"(bound {VERIFY_TOL:g})")
     flags = ";".join(sorted(pairons.flags))
     rows = [[alpha, e.real, e.imag, flags]
             for alpha, e in enumerate(pairons.energies)]

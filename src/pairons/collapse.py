@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStateError, PaironsError,
                      SingularParameterError, UnresolvedAnchorError)
-from .paironmap import PaironSet, extract_stack, u_from_pairon
+from .paironmap import PaironSet, extract_stack, pairon_sites
 from .phasespace import _binomial_sqrt
-from .sphere import (INFINITY, SITE_MERGE_RADIUS, SpherePoint,
-                     chordal_distances, sphere_points)
+from .sphere import SpherePoint, chordal_distances, sphere_points
 from .spin import (PARITY_SECTORS, ModelParams, build_hamiltonian,
                    couplings, eigenpair, gammas, hamiltonian_stack,
                    parity_eigenstates)
@@ -165,7 +164,7 @@ class BranchRecord:
     alpha: int
     energy: complex
     site: SpherePoint          # member of the +- zero pair on the branch
-    site_multiplicity: int     # zeros sharing the site at default radius
+    site_multiplicity: int     # zeros of the sample's pairons at the site
     branch_id: int
     flags: tuple[str, ...]
 
@@ -188,41 +187,24 @@ class ScanTable:
     failures: list[tuple[float, str]]
 
 
-def _canonical_site(u: complex | None) -> SpherePoint:
-    """Deterministic representative of the +- pair with squared value u."""
-    return sphere_points(_canonical_sites(
-        np.array([INFINITY if u is None else u], dtype=complex)))[0]
-
-
-def _canonical_sites(u: np.ndarray) -> np.ndarray:
-    """The coordinate of _canonical_site for each u of an array, infinity
-    as INFINITY."""
-    root = np.sqrt(u)
-    # prefer the member with phi in [0, pi): Im(zeta) <= 0, tie on Re > 0
-    flip = (root.imag > 0) | ((root.imag == 0) & (root.real < 0))
-    root = np.where(flip, -root, root)
-    return np.where(np.isinf(np.hypot(root.real, root.imag)), INFINITY,
-                    np.where(u == 0, 0.0, root))
-
-
 def _sample_records(sets: list[PaironSet]) -> list[list[BranchRecord]]:
     """The branch records of each pairon set, the sets in scan order.
 
     The pairons of all sets sit in one array, padded to the longest set.
-    Their canonical sites come from one _canonical_sites call and their
-    multiplicities from one chordal_distances stack; _assign_branches
-    gives their branch ids and _align_branch_signs the member of each
-    site's +- pair that is emitted.  Each SpherePoint and BranchRecord is
-    built once, with its final site.
+    Their canonical sites come from one pairon_sites call; a site's
+    multiplicity counts the zeros of the pairons of its set at exactly
+    that site, two per pairon.  _assign_branches gives their branch ids
+    and _align_branch_signs the member of each site's +- pair that is
+    emitted.  Each SpherePoint and BranchRecord is built once, with its
+    final site.
     """
     counts = [len(p.energies) for p in sets]
     live = np.arange(max(counts, default=0)) < np.array(counts)[:, None]
     energies = np.zeros(live.shape, dtype=complex)
     energies[live] = [e for p in sets for e in p.energies]
-    z = _canonical_sites(u_from_pairon(
-        energies, np.array([p.t for p in sets])[:, None]))
-    near = chordal_distances(z[:, :, None], z[:, None, :]) <= SITE_MERGE_RADIUS
-    mult = 2 * np.sum(near & live[:, None, :], axis=2)
+    z = pairon_sites(energies, np.array([p.t for p in sets])[:, None])
+    same = z[:, :, None] == z[:, None, :]
+    mult = 2 * np.sum(same & live[:, None, :], axis=2)
     branch, source = _assign_branches(energies, counts)
     flip = _align_branch_signs(z, source)
     pole = ((z == 0) | np.isinf(z))[live].tolist()

@@ -7,9 +7,9 @@ of the state determine each other:
     zeta_a^2 = (t - conj(e_a)) / (conj(e_a) + t)
     e_a      = t (1 - conj(zeta_a^2)) / (1 + conj(zeta_a^2))
 
-A zero pair at infinity maps to e = -t, a pair at the origin to e = +t.
-Seniority nu = 1 shows up as one leftover zero at the origin plus one at
-infinity.  The state is rebuilt from its pairons as
+A zero pair at infinity (sphere.INFINITY) maps to e = -t, a pair at the
+origin to e = +t.  Seniority nu = 1 shows up as one leftover zero at the
+origin plus one at infinity.  The state is rebuilt from its pairons as
 
     prod_a [ (e_a - t) a+a+ + (e_a + t) b+b+ ] |nu, nu>
 
@@ -27,7 +27,7 @@ from .errors import (ConvergenceError, DegenerateStateError,
                      InconsistentPaironsError, SingularParameterError)
 from .phasespace import (ZeroSet, _binomial_sqrt, _raised, parity_slice,
                          poly_residuals, strip_and_solve_stack)
-from .sphere import INFINITY, SpherePoint
+from .sphere import INFINITY, SpherePoint, sphere_points
 from .spin import (ModelParams, StateVector, _normalized_rows,
                    eigen_residuals, gammas, hamiltonian_stack,
                    parity_eigenstates)
@@ -78,18 +78,61 @@ def pairon_from_u(u, t):
 
 
 def u_from_pairon(e, t):
-    """zeta^2 = (t - conj(e)) / (conj(e) + t); None encodes infinity (e = -t).
+    """zeta^2 = (t - conj(e)) / (conj(e) + t); INFINITY at e = -t.
 
-    Elementwise over an array e, with t broadcasting against it; there
-    infinity is sphere.INFINITY.
+    Elementwise over an array e, with t broadcasting against it; a scalar
+    e gives a complex.
     """
     ec = np.conj(np.asarray(e))
     den = ec + t
     pole = den == 0
     u = np.where(pole, INFINITY, (t - ec) / np.where(pole, 1.0, den))
-    if u.ndim:
-        return u
-    return None if pole else complex(u)
+    return u if u.ndim else complex(u)
+
+
+def pairon_sites(energies, t) -> np.ndarray:
+    """The canonical zero site of each pairon of an array (or sequence) at
+    t, which broadcasts against it: the member zeta of its +- zero pair
+    with phi in [0, pi), that is Im(zeta) <= 0 and Re(zeta) > 0 on a tie;
+    0 for a pairon at +t and INFINITY for one at -t.
+    """
+    u = u_from_pairon(energies, t)
+    root = np.sqrt(u)
+    flip = (root.imag > 0) | ((root.imag == 0) & (root.real < 0))
+    root = np.where(flip, -root, root)
+    return np.where(np.isinf(np.hypot(root.real, root.imag)), INFINITY,
+                    np.where(u == 0, 0.0, root))
+
+
+def zero_sites(pairons: PaironSet) -> list[tuple[SpherePoint, int, int,
+                                                  set[str]]]:
+    """The zeros of a pairon set, grouped by exact coordinate: per site its
+    point, its smallest pairon index alpha, its multiplicity and its flags.
+
+    A pairon puts its +- zero pair on its pairon_sites member and the
+    negation of it, or both zeros on it when it is a pole ("pole": 0 or
+    infinity); both zeros take the pairon's alpha.  Seniority nu = 1 adds
+    one zero at 0 and one at infinity, with alpha = -1 and the flags
+    "seniority" and "pole", which join a pairon pole at the same site.
+    The sites come in order of first appearance.
+    """
+    z = pairon_sites(pairons.energies, _checked_t(pairons.t)).tolist()
+    zeros = []
+    for alpha, w in enumerate(z):
+        if w == 0 or cmath.isinf(w):
+            zeros.append((w, alpha, 2, {"pole"}))
+        else:
+            zeros += [(w, alpha, 1, set()), (-w, alpha, 1, set())]
+    zeros += [(w, -1, 1, {"seniority", "pole"})
+              for w in (0j, INFINITY)] * pairons.nu
+    sites: dict[complex, list] = {}
+    for w, alpha, mult, flags in zeros:
+        # the zeros come in order of alpha, so a site keeps its first one
+        site = sites.setdefault(w, [alpha, 0, set()])
+        site[1] += mult
+        site[2] |= flags
+    return [(point, *site)
+            for point, site in zip(sphere_points(list(sites)), sites.values())]
 
 
 def _checked_t(t: float) -> float:
@@ -148,28 +191,9 @@ def _slice_pairons(j: int, nu: int, d: np.ndarray, t: np.ndarray,
 
 
 def pairons_to_zeros(pairons: PaironSet) -> ZeroSet:
-    """Rebuild the zero multiset, aggregating the poles."""
-    t = _checked_t(pairons.t)
-    n0 = pairons.nu
-    n_inf = pairons.nu
-    finite: list[tuple[SpherePoint, int]] = []
-    for e in pairons.energies:
-        u = u_from_pairon(e, t)
-        if u is None:
-            n_inf += 2
-        elif u == 0:
-            n0 += 2
-        else:
-            root = cmath.sqrt(u)
-            finite.append((SpherePoint.from_zeta(root), 1))
-            finite.append((SpherePoint.from_zeta(-root), 1))
-    out: list[tuple[SpherePoint, int]] = []
-    if n0:
-        out.append((SpherePoint.from_zeta(0.0), n0))
-    if n_inf:
-        out.append((SpherePoint.infinity(), n_inf))
-    out.extend(finite)
-    return ZeroSet(j=pairons.j, zeros=tuple(out))
+    """The zero multiset of a pairon set: its zero_sites."""
+    return ZeroSet(j=pairons.j, zeros=tuple(
+        (point, mult) for point, _, mult, _ in zero_sites(pairons)))
 
 
 def reconstruct_state(pairons: PaironSet) -> StateVector:

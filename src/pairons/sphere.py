@@ -17,9 +17,6 @@ TWO_PI = 2.0 * math.pi
 # The coordinate that stands for the point at infinity in arrays.
 INFINITY = complex(math.inf, 0.0)
 
-# Zero sites closer than this chordal distance count as one site.
-SITE_MERGE_RADIUS = 1e-6
-
 
 @dataclass(frozen=True)
 class SpherePoint:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import importlib.metadata
 import io
 import json
@@ -116,6 +117,41 @@ def test_zeros_total_collapse_pole(capsys):
     assert float(theta) == pytest.approx(3.141592653589793, abs=1e-15)
     assert mult == "20"
     assert "pole" in flags
+
+
+ZEROS_J7_DIAGONAL_STATE4 = """\
+alpha,theta,phi,multiplicity,flags
+0,3.1415926535897931,0,11,pole;seniority
+5,0,0,3,pole;seniority
+"""
+
+
+def test_zeros_seniority_joins_pairon_poles(capsys):
+    # an odd Dicke state: five pairons at -t and one at +t, whose pole
+    # sites take the seniority zero at each pole (2 * 5 + 1 and 2 * 1 + 1)
+    rc, out, _ = run_lmg(capsys, "zeros", "--j", "7", "--gx", "5", "--gy", "5",
+                         "--state", "4")
+    assert rc == 0
+    assert out == ZEROS_J7_DIAGONAL_STATE4
+
+
+def test_bcs_pairons_unverified_exit_3(capsys, monkeypatch):
+    # two real pairons moved by +1e-3 and -1e-3 keep the sum rule, but the
+    # rebuilt state loses 1.8e-6 of its fidelity
+    extract = pairons.cli.extract_boson_pairons
+
+    def moved(*args, **kwargs):
+        ps = extract(*args, **kwargs)
+        e = ps.energies
+        return dataclasses.replace(
+            ps, energies=(e[0] + 1e-3, e[1] - 1e-3, *e[2:]))
+
+    monkeypatch.setattr(pairons.cli, "extract_boson_pairons", moved)
+    rc, out, err = run_bcs(capsys, "pairons", "--levels", "0,0.5,1",
+                           "--gamma", "0.5", "--n", "6", "--state", "0")
+    assert rc == 3
+    assert out == ""
+    assert "pairons unverified, fidelity loss 1.8e-06" in err
 
 
 COLLAPSE_DIAGONAL_J10 = """\

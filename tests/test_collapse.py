@@ -12,15 +12,15 @@ from pairons import (ConvergenceError, DegenerateStateError, ModelParams,
                      chordal_distance, collapse_points, collapse_zero_pattern,
                      crossing_points, eigenpair, extract_pairons,
                      find_collapses, hyperbola_levels, parity_slice,
-                     scan_trajectory, split_parity, total_collapse,
-                     total_collapse_candidates)
+                     scan_trajectory, split_parity, strip_and_solve,
+                     total_collapse, total_collapse_candidates)
 from pairons import collapse, paironmap, spin
 from pairons.paironmap import extract_stack
-from pairons.sphere import INFINITY, chordal_distances, coordinates
+from pairons.sphere import (INFINITY, chordal_distances, coordinates,
+                           sphere_points)
 from pairons.collapse import (SINGULAR_MARGIN, AnchorProfile,
                               CollapseCandidate, _anchor_coefficients,
-                              _anchor_slices, _brentq, _canonical_site,
-                              collapse_rows)
+                              _anchor_slices, _brentq, collapse_rows)
 
 
 def test_hyperbola_levels_frozen():
@@ -315,7 +315,7 @@ def test_scan_sites_continue_their_branch(spec, minimum):
     before, negated = {}, 0
     for s in table.samples:
         for r in s.records:
-            canonical = _canonical_site(paironmap.u_from_pairon(r.energy,
+            (canonical,) = sphere_points(paironmap.pairon_sites(r.energy,
                                                                 s.t))
             assert r.site in (canonical, canonical.antipode_negation())
             negated += r.site != canonical
@@ -329,6 +329,31 @@ def test_scan_sites_continue_their_branch(spec, minimum):
                 assert r.site == canonical
         before = {r.branch_id: r.site for r in s.records}
     assert negated >= minimum
+
+
+def test_dicke_line_pole_multiplicities():
+    # on the diagonal gx = gy < 0 every state is a Dicke state, whose
+    # pairons are the exact structural roots of its u-polynomial: n0 at
+    # +t and n_inf at -t, each putting both its zeros on its pole
+    spec = TrajectorySpec(j=10, line="diagonal", start=-9.95, stop=-0.05,
+                          steps=50)
+    table = scan_trajectory(spec)
+    assert len(table.samples) == 50
+    seen = set()
+    for s in table.samples:
+        params = ModelParams.from_gammas(10, s.gamma_x, s.gamma_y)
+        state = eigenpair(build_hamiltonian(params), s.state_index).state
+        n0, n_inf, rest = strip_and_solve(parity_slice(state)[1])
+        assert rest.size == 0
+        for r in s.records:
+            assert "pole" in r.flags
+            assert r.site.is_infinity or r.site.zeta == 0
+            expect = 2 * n_inf if r.site.is_infinity else 2 * n0
+            assert r.site_multiplicity == expect
+            seen.add((s.nu, r.site.is_infinity, expect))
+    # both seniorities, both poles
+    assert {(nu, pole) for nu, pole, _ in seen} == {
+        (0, False), (0, True), (1, False), (1, True)}
 
 
 def test_collapse_pattern_j4():

@@ -18,6 +18,7 @@ from pairons import (DegenerateStateError, InconsistentPaironsError,
                      reconstruct_state, u_from_pairon)
 from pairons import paironmap, phasespace, spin
 from pairons.paironmap import _reconstruct_stack, extract_stack
+from pairons.sphere import INFINITY
 from conftest import shift_one_pairon
 
 
@@ -49,7 +50,8 @@ def test_extraction_builds_two_state_vectors(monkeypatch):
 def test_map_fixed_points():
     # zeta = infinity <-> e = -t, zeta = 0 <-> e = +t
     t = 0.7
-    assert u_from_pairon(-t, t) is None
+    assert u_from_pairon(-t, t) == INFINITY
+    assert pairon_from_u(u_from_pairon(-t, t), t) == -t
     assert u_from_pairon(t, t) == 0.0
     assert pairon_from_u(0.0, t) == t
 
