@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DegenerateStateError, InconsistentPaironsError
 from .phasespace import strip_and_solve
-from .spin import DEGENERACY_RTOL, _sector_eigensystem
+from .spin import DEGENERACY_RTOL, rank_states
 
 AXIS_POLE_FLAG = "axis-pole"  # root at w = -1: pairon at infinity of the map
 
@@ -279,12 +279,16 @@ class BosonState:
 
 
 def _sorted_eigensystem(model: BosonModel) -> list[tuple]:
-    """_sector_eigensystem of every seniority sector, in sorted seniority
-    order; the rows of a sector are its idx in model.basis."""
+    """The eigenpairs of every seniority sector, in sorted seniority
+    order, ranked by rank_states: per state (energy, seniority, idx, v,
+    column, degenerate), its sector's eigenvectors v sitting at the rows
+    idx of model.basis."""
     blocks, norm = _sectors(model)
-    return _sector_eigensystem(
-        ((nu, idx, *np.linalg.eigh(block)) for nu, idx, block in blocks),
-        DEGENERACY_RTOL * max(norm, 1.0))
+    solved = [np.linalg.eigh(block) for _, _, block in blocks]
+    ranked = rank_states([w for w, _ in solved],
+                         DEGENERACY_RTOL * max(norm, 1.0))
+    return [(float(solved[s][0][col]), *blocks[s][:2], solved[s][1], col, flag)
+            for s, col, flag in zip(*(r.tolist() for r in ranked))]
 
 
 def _boson_state(model: BosonModel, entry) -> BosonState:
@@ -334,7 +338,7 @@ def boson_eigenstate(model: BosonModel, index: int) -> BosonState:
     Solved sectors carry the same eigh values in both sorts.  Every entry
     thus compares with t the same way in both, so t has rank `index` here
     too: the same (sector, column), eigh vector bits and energy, and the
-    same degenerate flag from _sector_eigensystem over that sector.
+    same degenerate flag from rank_states over that sector.
     """
     if not 0 <= index < model.dim:
         raise ValueError(f"state index {index} out of range")
@@ -348,15 +352,11 @@ def boson_eigenstate(model: BosonModel, index: int) -> BosonState:
         if np.any(np.abs(values[i] - target) <= 4.0 * delta):
             solved[i] = np.linalg.eigh(block)
             values[i] = solved[i][0]
-    pick = int(np.argsort(np.concatenate(values), kind="stable")[index])
-    ends = np.cumsum([len(w) for w in values])
-    sector = int(np.searchsorted(ends, pick, side="right"))
+    sector, col, flag = (int(r[index]) for r in rank_states(
+        values, DEGENERACY_RTOL * scale))
     nu, idx, _ = blocks[sector]
-    # eigh returns ascending values, so the stable sort keeps column order
-    entry = _sector_eigensystem(
-        [(nu, idx, *solved[sector])],
-        DEGENERACY_RTOL * scale)[pick - ends[sector] + len(idx)]
-    return _boson_state(model, entry)
+    w, v = solved[sector]
+    return _boson_state(model, (float(w[col]), nu, idx, v, col, bool(flag)))
 
 
 def _amplitude_terms(state: BosonState, z: np.ndarray) -> np.ndarray:

@@ -25,22 +25,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (ConvergenceError, DegenerateStateError, PaironsError,
-                     SingularParameterError, UnresolvedAnchorError)
-from .paironmap import PaironSet, extract_stack, pairon_sites
+from .errors import ConvergenceError, PaironsError, UnresolvedAnchorError
+from .paironmap import (PaironSet, extract_stack, pairon_sites, solve_states,
+                        stack_slices)
 from .phasespace import _binomial_sqrt
 from .sphere import SpherePoint, chordal_distances, sphere_points
-from .spin import (PARITY_SECTORS, ModelParams, build_hamiltonian,
-                   couplings, eigenpair, gammas, hamiltonian_stack,
-                   parity_eigenstates)
+from .spin import ModelParams, build_hamiltonian, couplings, eigenpair
 
 LINE_SUM = "sum"
 LINE_DIAGONAL = "diagonal"
 
 SINGULAR_MARGIN = 1e-3
-
-# Entries of H one stacked solve holds at most (_stack_slices).
-STACK_ENTRIES = 1 << 18
 
 
 # ---------------------------------------------------------------------------
@@ -309,22 +304,13 @@ def _align_branch_signs(z: np.ndarray, source: np.ndarray) -> np.ndarray:
     return np.array(flip, dtype=bool).reshape(z.shape)
 
 
-def _stack_slices(j: int, count: int) -> list[slice]:
-    """count points in stacks of STACK_ENTRIES // (2j+1)^2 points (at
-    least one), so a stack's matrices hold at most STACK_ENTRIES floats
-    whatever j and the number of points."""
-    chunk = max(1, STACK_ENTRIES // (2 * j + 1) ** 2)
-    return [slice(lo, lo + chunk) for lo in range(0, count, chunk)]
-
-
 def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
     """Extract pairons at every sample; failures are recorded, not fatal.
 
     Each sample's couplings come from ModelParams.from_gammas; the samples
-    whose couplings are valid are extracted by extract_stack, in stacks
-    of _stack_slices.  Every sample gets the pairons, or the failure,
-    that extract_pairons gives it alone, and failures are listed in gx
-    order.
+    whose couplings are valid are extracted by one extract_stack call.
+    Every sample gets the pairons, or the failure, that extract_pairons
+    gives it alone, and failures are listed in gx order.
     """
     gx = spec.samples().tolist()
     results: list = []
@@ -332,16 +318,13 @@ def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
         try:
             results.append(ModelParams.from_gammas(spec.j, g, spec.gamma_y(g),
                                                    eps=spec.eps))
-        except (PaironsError, ValueError, ZeroDivisionError) as exc:
+        except (PaironsError, ValueError) as exc:
             results.append(exc)
     valid = [i for i, r in enumerate(results) if isinstance(r, ModelParams)]
-    lam = np.array([results[i].lam for i in valid])
-    gam = np.array([results[i].gam for i in valid])
-    for part in _stack_slices(spec.j, len(valid)):
-        for i, result in zip(valid[part],
-                             extract_stack(int(spec.j), spec.eps, lam[part],
-                                           gam[part], spec.state_index)):
-            results[i] = result
+    for i, result in zip(valid, extract_stack(
+            int(spec.j), spec.eps, [results[i].lam for i in valid],
+            [results[i].gam for i in valid], spec.state_index)):
+        results[i] = result
     done = [(g, r) for g, r in zip(gx, results)
             if not isinstance(r, Exception)]
     records = _sample_records([pairons for _, (pairons, _) in done])
@@ -411,12 +394,15 @@ def anchor_value(spec: TrajectorySpec, gx: float) -> tuple[float, float]:
 
 def _anchor_values(spec: TrajectorySpec,
                    gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """anchor_value and its noise bound at every point of the array gx."""
+    """anchor_value and its noise bound at every point of the array gx,
+    solved in the stacks of stack_slices."""
     lam, gam = couplings(spec.j, gx, spec.gamma_y(gx), spec.eps)
     value, noise = np.empty(len(gx)), np.empty(len(gx))
-    for rows, d, w in _anchor_slices(spec.j, spec.eps, lam, gam,
-                                     spec.state_index):
-        value[rows], noise[rows] = _anchor_coefficients(d, w, 0)
+    for part in stack_slices(spec.j, len(gx)):
+        for rows, d, w in _anchor_slices(spec.j, spec.eps, lam[part],
+                                         gam[part], spec.state_index):
+            rows = rows + part.start
+            value[rows], noise[rows] = _anchor_coefficients(d, w, 0)
     return value, noise
 
 
@@ -428,42 +414,24 @@ def _anchor_slices(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
     the state somewhere: rows index the points, d (len(rows), n+1) holds
     their slices with the sign fixed by d_0 > 0, and w their anchors.
 
-    The points' H are solved and their states picked together by
-    parity_eigenstates, whose one-sample case is spin.eigenpair.  The
-    slice is the eigenvector's column times the sector's sqrt(C(2j, k)),
-    as parity_slice computes it, so each point gets the bits it gets
-    alone.  When points fail, the first one in order raises what it
-    raises alone: ConvergenceError or ValueError as spin.eigenpair does,
-    DegenerateStateError, or ZeroDivisionError as ModelParams.t does.
+    The states are solved, and the points refused, by solve_states, as
+    extract_stack solves and refuses them; the first refused point in
+    order raises its refusal.  The slice is the eigenvector's column
+    times the sector's sqrt(C(2j, k)), as parity_slice computes it, so
+    each point gets the bits it gets alone.
     """
-    h = hamiltonian_stack(j, eps, lam, gam)
-    try:
-        solved, sector, col, degenerate = parity_eigenstates(h, state_index)
-    except ConvergenceError:
-        if len(h) > 1:  # the first point that fails alone raises
-            for i in range(len(h)):
-                _anchor_slices(j, eps, lam[i:i + 1], gam[i:i + 1],
-                               state_index)
-        raise
-    gamma_x, gamma_y = gammas(j, eps, lam, gam)
-    bad = degenerate | (gamma_y == 0)
-    if bad.any():
-        first = int(np.argmax(bad))
-        if degenerate[first]:
-            raise DegenerateStateError(f"state {state_index} is degenerate "
-                                       f"at gx={gamma_x[first]:.6g}")
-        raise ZeroDivisionError("t undefined: gamma_y = 0")
-    t = np.sqrt(np.abs(gamma_x / gamma_y))
+    out, _, t, sectors = solve_states(j, eps, lam, gam, state_index)
+    for refusal in out:
+        if refusal is not None:
+            raise refusal
     w = (t - 1.0) / (t + 1.0)
     binom = _binomial_sqrt(2 * j)
-    out = []
-    for (_, v), (_, offset) in zip(solved, PARITY_SECTORS):
-        rows = np.flatnonzero(sector == offset)
-        if rows.size:
-            d = v[rows, :, col[rows]] * binom[offset::2]
-            d[d[:, 0] < 0] *= -1.0
-            out.append((rows, d, w[rows]))
-    return out
+    slices = []
+    for nu, rows, columns, _ in sectors:
+        d = columns * binom[nu::2]
+        d[d[:, 0] < 0] *= -1.0
+        slices.append((rows, d, w[rows]))
+    return slices
 
 
 def _anchor_coefficients(d: np.ndarray, w: np.ndarray,
@@ -508,21 +476,10 @@ class AnchorProfile:
 def anchor_profile(spec: TrajectorySpec) -> AnchorProfile:
     """anchor_value at every sample of spec, bit for bit.
 
-    The samples are solved by _stacked_anchor_values.  A failing sample
-    raises what anchor_value raises for the first failing sample in gx
-    order.
+    The samples are solved by _anchor_values.  A failing sample raises
+    what anchor_value raises for the first failing sample in gx order.
     """
-    return AnchorProfile(spec, *_stacked_anchor_values(spec, spec.samples()))
-
-
-def _stacked_anchor_values(spec: TrajectorySpec, gx: np.ndarray
-                           ) -> tuple[np.ndarray, np.ndarray]:
-    """_anchor_values at every point of gx, in the stacks of
-    _stack_slices."""
-    value, noise = np.empty(len(gx)), np.empty(len(gx))
-    for part in _stack_slices(spec.j, len(gx)):
-        value[part], noise[part] = _anchor_values(spec, gx[part])
-    return value, noise
+    return AnchorProfile(spec, *_anchor_values(spec, spec.samples()))
 
 
 def total_collapse(spec: TrajectorySpec) -> float | None:
@@ -683,7 +640,7 @@ def _refine_brackets(spec: TrajectorySpec,
 
     One _brent_steps generator per bracket; the brackets step in
     lockstep, and each round evaluates every pending point with one
-    _stacked_anchor_values call.  A bracket whose point fails, or whose
+    _anchor_values call.  A bracket whose point fails, or whose
     steps raise (ConvergenceError after 100 steps), stops with that
     exception while the others go on.  If the stacked call raises, the
     round's points are evaluated one by one with anchor_value, so each
@@ -692,7 +649,7 @@ def _refine_brackets(spec: TrajectorySpec,
     failed bracket is the one the bracket-by-bracket order raises first,
     and it is raised once all are done.
     """
-    failures = (PaironsError, ValueError, ZeroDivisionError)
+    failures = (PaironsError, ValueError)
     steps = [_brent_steps(*bracket) for bracket in brackets]
     results: list = [None] * len(steps)  # (root, f), or the failure
     pending: dict[int, float] = {}  # bracket -> the point it asks f at
@@ -711,7 +668,7 @@ def _refine_brackets(spec: TrajectorySpec,
         index, x = list(pending), list(pending.values())
         pending.clear()
         try:
-            values = _stacked_anchor_values(spec, np.array(x))[0].tolist()
+            values = _anchor_values(spec, np.array(x))[0].tolist()
         except failures:
             values = []
             for g in x:
@@ -822,18 +779,10 @@ def _zero_patterns(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
 
     When points fail, the first one in order raises what it raises alone.
     """
-    gamma_x, gamma_y = gammas(j, eps, lam, gam)
-    singular = np.flatnonzero((gamma_x == 0.0) | (gamma_y == 0.0))
-    solved = int(singular[0]) if singular.size else len(lam)
-    patterns: list = [None] * solved
-    if solved:
-        for rows, d, w in _anchor_slices(j, eps, lam[:solved], gam[:solved],
-                                         state_index):
-            for r, i in enumerate(rows):
-                patterns[i] = _zero_pattern(d[r:r + 1], w[r:r + 1])
-    if solved < len(lam):
-        raise SingularParameterError(
-            "gamma_x = 0 or gamma_y = 0: the anchor is undefined")
+    patterns: list = [None] * len(lam)
+    for rows, d, w in _anchor_slices(j, eps, lam, gam, state_index):
+        for r, i in enumerate(rows.tolist()):
+            patterns[i] = _zero_pattern(d[r:r + 1], w[r:r + 1])
     return patterns
 
 

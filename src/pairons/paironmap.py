@@ -38,7 +38,11 @@ FLAG_SIGN_UNVERIFIED = "sign-unverified"
 # rebuilt state with which extract_stack returns a pairon set.
 VERIFY_TOL = 1e-8
 
+# Entries of H one stacked solve holds at most (stack_slices).
+STACK_ENTRIES = 1 << 18
+
 _VANISHED = "pairon product vanished; invalid pairon set"
+_BAD_T = "t must be positive and finite, got {}"
 
 
 @dataclass(frozen=True)
@@ -64,7 +68,8 @@ class PaironSet:
 
 
 def pairon_from_u(u, t):
-    """e = t (1 - conj(u)) / (1 + conj(u)) with u = zeta^2; u = inf -> -t.
+    """e = t (1 - conj(u)) / (1 + conj(u)) with u = zeta^2; u = inf -> -t,
+    and INFINITY where e is infinite (u = -1, the pairon at infinity).
 
     Elementwise over an array u, with t broadcasting against it; a scalar
     u gives a complex.
@@ -73,20 +78,29 @@ def pairon_from_u(u, t):
     pole = np.isinf(np.hypot(uc.real, uc.imag))
     if pole.any():
         uc = np.where(pole, 0.0, uc)
-    e = np.where(pole, -t, t * (1.0 - uc) / (1.0 + uc))
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        e = np.where(pole, -t, t * (1.0 - uc) / (1.0 + uc))
+    far = np.isinf(np.hypot(e.real, e.imag))
+    if far.any():
+        e = np.where(far, INFINITY, e)
     return complex(e) if e.ndim == 0 else e
 
 
 def u_from_pairon(e, t):
-    """zeta^2 = (t - conj(e)) / (conj(e) + t); INFINITY at e = -t.
+    """zeta^2 = (t - conj(e)) / (conj(e) + t); INFINITY at e = -t, and -1
+    at an infinite e.
 
     Elementwise over an array e, with t broadcasting against it; a scalar
     e gives a complex.
     """
     ec = np.conj(np.asarray(e))
+    far = np.isinf(np.hypot(ec.real, ec.imag))
+    if far.any():
+        ec = np.where(far, 0.0, ec)
     den = ec + t
     pole = den == 0
     u = np.where(pole, INFINITY, (t - ec) / np.where(pole, 1.0, den))
+    u = np.where(far, -1.0, u)
     return u if u.ndim else complex(u)
 
 
@@ -137,7 +151,7 @@ def zero_sites(pairons: PaironSet) -> list[tuple[SpherePoint, int, int,
 
 def _checked_t(t: float) -> float:
     if t <= 0 or not math.isfinite(t):
-        raise ValueError(f"t must be positive and finite, got {t}")
+        raise ValueError(_BAD_T.format(t))
     return t
 
 
@@ -300,75 +314,117 @@ def extract_pairons(params: ModelParams, state_index: int = 0
                                  [params.gam], state_index)[0])
 
 
-def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
-    """extract_pairons at each point of the coupling arrays lam and gam:
-    per point its (PaironSet, ExtractionDiagnostics), or the exception
-    extract_pairons raises there.
+def stack_slices(j: int, count: int) -> list[slice]:
+    """count points in stacks of STACK_ENTRIES // (2j+1)^2 points (at
+    least one), so a stack's matrices hold at most STACK_ENTRIES floats
+    whatever j and the number of points."""
+    chunk = max(1, STACK_ENTRIES // (2 * j + 1) ** 2)
+    return [slice(lo, lo + chunk) for lo in range(0, count, chunk)]
 
-    The points' H are built by hamiltonian_stack and solved and ranked
-    together by parity_eigenstates.  Then each parity sector nu (0 even,
-    1 odd) takes its points in one pass: their eigenvectors' u-polynomials
-    are solved together (_slice_pairons), the pairon sets rebuilt together
-    (_reconstruct_stack), and the fidelities and eigen-residuals taken
-    together (fidelities, eigen_residuals).  Each layer gives every point
-    the bits it gets alone.  A point whose rebuilt state has a fidelity
-    loss or an eigen-residual above VERIFY_TOL (or NaN) gets an
-    InconsistentPaironsError.  If the stacked eigensolve raises, each
-    point is solved alone.
+
+def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
+    """The state of energy rank state_index at each point of the coupling
+    arrays lam and gam, and the refusal of each point where it, or its
+    pairon map, is undefined.
+
+    Returns (out, h, t, sectors): per point None, or the exception that
+    refuses it; the points' H (hamiltonian_stack); their t = sqrt|gx/gy|;
+    and per parity sector nu (0 even, 1 odd) that holds a live point,
+    (nu, rows, columns, energies): the indices of its live points, their
+    eigenvectors in the sector's basis (len(rows), j + 1 - nu) and their
+    energies.  The H are solved and ranked together by
+    parity_eigenstates, so each point gets the bits it gets alone; if
+    that raises ConvergenceError, each point is solved alone, and each
+    live point gets an entry of its own.  A point is refused with the
+    first of: what its solve raises (ConvergenceError, or ValueError for
+    a state_index outside 0..2j), SingularParameterError at gamma_y = 0
+    or gamma_x = 0, DegenerateStateError for a state degenerate within
+    its parity sector, and ValueError for a t that is not finite and
+    positive.  The refusals are vectorized masks; an exception is built
+    only for a point that is refused.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))
-    gamma = list(zip(*(g.tolist() for g in gammas(j, eps, lam, gam))))
-    out: list = [None] * len(lam)
-    for i, (x, y) in enumerate(gamma):
+    h = hamiltonian_stack(j, eps, lam, gam)
+    gamma_x, gamma_y = gammas(j, eps, lam, gam)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = np.sqrt(np.abs(gamma_x / gamma_y))
+    try:
+        solved, sector, col, degenerate = parity_eigenstates(h, state_index)
+    except ValueError as exc:
+        return [exc] * len(h), h, t, []
+    except ConvergenceError as exc:
+        if len(h) == 1:
+            return [exc], h, t, []
+        out, sectors = [], []
+        for i in range(len(h)):
+            (alone,), _, _, found = solve_states(j, eps, lam[i:i + 1],
+                                                 gam[i:i + 1], state_index)
+            out.append(alone)
+            sectors += [(nu, rows + i, *rest) for nu, rows, *rest in found]
+        return out, h, t, sectors
+    # gamma_x = 0 gives t = 0 and gamma_y = 0 an infinite or NaN t
+    live = ~degenerate & (0.0 < t) & (t < math.inf)
+    out = [None] * len(h)
+    for i in np.flatnonzero(~live).tolist():
+        x, y = float(gamma_x[i]), float(gamma_y[i])
         if y == 0.0:
             out[i] = SingularParameterError("gamma_y = 0: t is undefined")
         elif x == 0.0:
             out[i] = SingularParameterError(
                 "gamma_x = 0: t = 0 degenerates the map")
-    points = np.array([i for i, result in enumerate(out) if result is None],
-                      dtype=int)
-    if not points.size:
-        return out
-    h = hamiltonian_stack(j, eps, lam[points], gam[points])
-    try:
-        solved, sector, col, degenerate = parity_eigenstates(h, state_index)
-    except ConvergenceError as exc:
-        for i in points.tolist():
-            out[i] = exc if len(points) == 1 else extract_stack(
-                j, eps, lam[i:i + 1], gam[i:i + 1], state_index)[0]
-        return out
-    except ValueError as exc:
-        for i in points.tolist():
-            out[i] = exc
-        return out
-
-    t = np.zeros(len(lam))
-    for i, flag in zip(points.tolist(), degenerate.tolist()):
-        x, y = gamma[i]
-        if flag:
+        elif degenerate[i]:
             out[i] = DegenerateStateError(
                 f"state {state_index} at (gx={x:.6g}, gy={y:.6g}) is "
                 "degenerate within its parity sector")
-            continue
-        try:
-            t[i] = _checked_t(math.sqrt(abs(x / y)))
-        except ValueError as exc:
-            out[i] = exc
-    pending = np.array([out[i] is None for i in points.tolist()])
-    binom = _binomial_sqrt(2 * j)
+        else:
+            out[i] = ValueError(_BAD_T.format(float(t[i])))
+    sectors = []
     for nu, (w, v) in enumerate(solved):
-        rows = np.flatnonzero((sector == nu) & pending)
-        if not rows.size:
-            continue
-        mine = points[rows].tolist()
+        rows = np.flatnonzero((sector == nu) & live)
+        if rows.size:
+            sectors.append((nu, rows, v[rows, :, col[rows]],
+                            w[rows, col[rows]]))
+    return out, h, t, sectors
+
+
+def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
+    """extract_pairons at each point of the coupling arrays lam and gam:
+    per point its (PaironSet, ExtractionDiagnostics), or the exception
+    extract_pairons raises there.
+
+    The points are taken in the stacks of stack_slices, one call each,
+    so the memory a call holds is bounded however many points it is
+    given.  A stack's states are solved, and its points refused, by
+    solve_states.
+    Then each parity sector nu (0 even, 1 odd) takes its live points in
+    one pass: their eigenvectors' u-polynomials are solved together
+    (_slice_pairons), the pairon sets rebuilt together
+    (_reconstruct_stack), and the fidelities and eigen-residuals taken
+    together (fidelities, eigen_residuals).  Each layer gives every point
+    the bits it gets alone.  A point whose rebuilt state has a fidelity
+    loss or an eigen-residual above VERIFY_TOL (or NaN) gets an
+    InconsistentPaironsError.
+    """
+    lam = np.atleast_1d(np.asarray(lam, dtype=float))
+    gam = np.atleast_1d(np.asarray(gam, dtype=float))
+    parts = stack_slices(j, len(lam))
+    if len(parts) != 1:
+        return [result for part in parts for result in extract_stack(
+            j, eps, lam[part], gam[part], state_index)]
+    out, h, t, sectors = solve_states(j, eps, lam, gam, state_index)
+    gamma_x, gamma_y = gammas(j, eps, lam, gam)
+    binom = _binomial_sqrt(2 * j)
+    for nu, rows, columns, energy in sectors:
+        mine = rows.tolist()
+        gamma = list(zip(gamma_x[rows].tolist(), gamma_y[rows].tolist()))
         full = np.zeros((len(rows), 2 * j + 1), dtype=complex)
-        full[:, nu::2] = v[rows, :, col[rows]]
+        full[:, nu::2] = columns
         unit, _ = _normalized_rows(full)
         flags = [(FLAG_SIGN_UNVERIFIED,) if x * y < 0 else ()
-                 for x, y in (gamma[i] for i in mine)]
+                 for x, y in gamma]
         sets = _slice_pairons(j, nu, np.conj(unit[:, nu::2]) * binom[nu::2],
-                              t[mine], flags)
+                              t[rows], flags)
         kept = []
         for k, result in enumerate(sets):
             if isinstance(result, Exception):
@@ -379,8 +435,7 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
             continue
         energies = np.array([sets[k][0].energies for k in kept],
                             dtype=complex).reshape(len(kept), j - nu)
-        coeffs, vanished = _reconstruct_stack(j, nu, energies,
-                                              t[mine][kept])
+        coeffs, vanished = _reconstruct_stack(j, nu, energies, t[rows][kept])
         rebuilt = []
         for k, gone in zip(kept, vanished.tolist()):
             if gone:
@@ -392,11 +447,10 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
         recon, _ = _normalized_rows(coeffs[~vanished])
         fid = fidelities(recon, unit[rebuilt]).tolist()
         res = eigen_residuals(h[rows[rebuilt]], recon).tolist()
-        energy = w[rows[rebuilt], col[rows[rebuilt]]].tolist()
-        for k, f, r, e in zip(rebuilt, fid, res, energy):
+        for k, f, r, e in zip(rebuilt, fid, res, energy[rebuilt].tolist()):
             pairons, residual = sets[k]
             if not (1.0 - f <= VERIFY_TOL and r <= VERIFY_TOL):
-                x, y = gamma[mine[k]]
+                x, y = gamma[k]
                 out[mine[k]] = InconsistentPaironsError(
                     f"state {state_index} at (gx={x:.6g}, gy={y:.6g}): "
                     f"pairons unverified, fidelity loss {1.0 - f:.3g} and "

@@ -253,18 +253,26 @@ def degenerate_flags(w: np.ndarray, gap_tol) -> np.ndarray:
     return flags
 
 
-def _sector_eigensystem(sectors, gap_tol: float) -> list[tuple]:
-    """Eigenpairs of the solved sectors (label, rows, w, v), v's rows
-    sitting at `rows` of the full basis, as (energy, label, rows, v,
-    column, degenerate) in a stable sort by energy.  An eigenvalue within
-    gap_tol of a neighbour in its own sector is flagged degenerate."""
-    merged = []
-    for label, rows, w, v in sectors:
-        flags = degenerate_flags(w, gap_tol)
-        merged.extend((float(w[col]), label, rows, v, col, bool(flags[col]))
-                      for col in range(v.shape[1]))
-    merged.sort(key=lambda item: item[0])
-    return merged
+def rank_states(values, gap_tol) -> tuple[np.ndarray, np.ndarray,
+                                          np.ndarray]:
+    """The states of solved sectors in ascending energy: per rank its
+    sector, its column in that sector and its degenerate flag.
+
+    values lists each sector's ascending eigenvalues, (n_s,) or a stack
+    (S, n_s), and the ranks run over the last axis.  The rank is a
+    stable argsort of the sectors' values concatenated in list order, and
+    the flag degenerate_flags over the state's own sector, with gap_tol
+    broadcasting against each sector's np.diff.
+    """
+    order = np.argsort(np.concatenate(values, axis=-1), axis=-1,
+                       kind="stable")
+    sizes = [w.shape[-1] for w in values]
+    ends = np.cumsum(sizes)
+    sector = np.searchsorted(ends, order, side="right")
+    flags = np.concatenate([degenerate_flags(w, gap_tol) for w in values],
+                           axis=-1)
+    return (sector, order - (ends - sizes)[sector],
+            np.take_along_axis(flags, order, axis=-1))
 
 
 PARITY_SECTORS = ((PARITY_EVEN, 0), (PARITY_ODD, 1))
@@ -293,24 +301,17 @@ def parity_eigenstates(h: np.ndarray, index: int) -> tuple:
     Both parity blocks are solved by parity_eigh, stacked.  Returns
     (solved, offset, col, degenerate): the (w, v) stacks of the sectors
     of PARITY_SECTORS, and for each H the sector offset (0 even, 1 odd),
-    column and degenerate flag of its state.  The rank is a stable
-    argsort of the even then the odd values and the flag degenerate_flags
-    with gap DEGENERACY_RTOL * |H|, as _sector_eigensystem ranks and flags
-    diagonalize's list.  An index outside 0..2j raises ValueError.
+    column and degenerate flag of its state, ranked by rank_states with
+    gap DEGENERACY_RTOL * |H|, as diagonalize ranks its list.  An index
+    outside 0..2j raises ValueError.
     """
     solved = [parity_eigh(h[:, offset::2, offset::2], name)
               for name, offset in PARITY_SECTORS]
     if not 0 <= index < h.shape[-1]:
         raise ValueError(f"state_index {index} out of range")
-    gap_tol = DEGENERACY_RTOL * max_row_sum(h)[:, None]
-    values = np.concatenate([w for w, _ in solved], axis=1)
-    flags = np.concatenate([degenerate_flags(w, gap_tol) for w, _ in solved],
-                           axis=1)
-    pick = np.argsort(values, axis=1, kind="stable")[:, index]
-    n_even = solved[0][0].shape[1]
-    offset = (pick >= n_even).astype(int)
-    return (solved, offset, pick - offset * n_even,
-            flags[np.arange(len(h)), pick])
+    sector, col, flags = rank_states([w for w, _ in solved],
+                                     DEGENERACY_RTOL * max_row_sum(h)[:, None])
+    return solved, sector[:, index], col[:, index], flags[:, index]
 
 
 def _eigenpair(h: HamiltonianMatrix, rows, column: np.ndarray, energy,
@@ -331,12 +332,13 @@ def diagonalize(h: HamiltonianMatrix) -> list[EigenPair]:
     DEGENERACY_RTOL * |H| to a same-sector neighbor are flagged
     degenerate.
     """
-    sectors = [(name, slice(offset, None, 2),
-                *parity_eigh(h.matrix[offset::2, offset::2], name))
-               for name, offset in PARITY_SECTORS]
-    return [_eigenpair(h, rows, v[:, col], energy, index, flag)
-            for index, (energy, _, rows, v, col, flag) in enumerate(
-                _sector_eigensystem(sectors, DEGENERACY_RTOL * h.norm))]
+    solved = [parity_eigh(h.matrix[offset::2, offset::2], name)
+              for name, offset in PARITY_SECTORS]
+    ranked = rank_states([w for w, _ in solved], DEGENERACY_RTOL * h.norm)
+    return [_eigenpair(h, slice(offset, None, 2), solved[offset][1][:, col],
+                       solved[offset][0][col], index, flag)
+            for index, (offset, col, flag) in enumerate(
+                zip(*(r.tolist() for r in ranked)))]
 
 
 def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:

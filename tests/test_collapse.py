@@ -7,13 +7,14 @@ from scipy.optimize import brentq
 
 import pairons
 from pairons import (ConvergenceError, DegenerateStateError, ModelParams,
-                     PaironsError, TrajectorySpec, UnresolvedAnchorError,
-                     anchor_profile, anchor_value, build_hamiltonian,
-                     chordal_distance, collapse_points, collapse_zero_pattern,
-                     crossing_points, eigenpair, extract_pairons,
-                     find_collapses, hyperbola_levels, parity_slice,
-                     scan_trajectory, split_parity, strip_and_solve,
-                     total_collapse, total_collapse_candidates)
+                     PaironsError, SingularParameterError, TrajectorySpec,
+                     UnresolvedAnchorError, anchor_profile, anchor_value,
+                     build_hamiltonian, chordal_distance, collapse_points,
+                     collapse_zero_pattern, crossing_points, eigenpair,
+                     extract_pairons, find_collapses, hyperbola_levels,
+                     parity_slice, scan_trajectory, split_parity,
+                     strip_and_solve, total_collapse,
+                     total_collapse_candidates)
 from pairons import collapse, paironmap, spin
 from pairons.paironmap import extract_stack
 from pairons.sphere import (INFINITY, chordal_distances, coordinates,
@@ -215,10 +216,10 @@ def test_anchor_profile_is_anchor_value_bitwise(j, line_sum, state, start,
 def test_anchor_profile_across_chunks(monkeypatch, j, budget):
     # chunks of 7 samples at j = 10, and the default budget's 39 at j = 40
     if budget is not None:
-        monkeypatch.setattr(collapse, "STACK_ENTRIES", budget)
+        monkeypatch.setattr(paironmap, "STACK_ENTRIES", budget)
     spec = TrajectorySpec(j=j, line="sum", line_sum=10.0, start=0.05,
                           stop=9.95, steps=100, state_index=0)
-    assert collapse.STACK_ENTRIES // (2 * j + 1) ** 2 < 50
+    assert paironmap.STACK_ENTRIES // (2 * j + 1) ** 2 < 50
     profile = anchor_profile(spec)
     pairs = np.array([anchor_value(spec, float(g)) for g in spec.samples()])
     assert profile.value.tobytes() == pairs[:, 0].tobytes()
@@ -235,7 +236,8 @@ def test_anchor_profile_refuses_as_the_first_failing_sample(monkeypatch):
     with pytest.raises(DegenerateStateError) as stacked:
         anchor_profile(spec)
     assert str(stacked.value) == str(alone.value) == (
-        "state 4 is degenerate at gx=1.25")
+        "state 4 at (gx=1.25, gy=1.25) is degenerate within its parity "
+        "sector")
     # a LAPACK failure of a stack is traced to its first failing sample
     solve = spin.parity_eigh
 
@@ -246,7 +248,7 @@ def test_anchor_profile_refuses_as_the_first_failing_sample(monkeypatch):
         return solve(blocks, name)
 
     monkeypatch.setattr(spin, "parity_eigh", failing)
-    with pytest.raises(DegenerateStateError, match="at gx=1.25"):
+    with pytest.raises(DegenerateStateError, match="gx=1.25"):
         anchor_profile(spec)
     spec = TrajectorySpec(j=3, line="diagonal", start=1.0, stop=3.0,
                           steps=9, state_index=0)
@@ -255,6 +257,32 @@ def test_anchor_profile_refuses_as_the_first_failing_sample(monkeypatch):
         anchor_value(spec, 2.5)
     with pytest.raises(ConvergenceError, match="in the even sector"):
         anchor_profile(spec)
+
+
+def test_one_refusal_per_point_whatever_the_path():
+    # the extraction, the anchor and the zero pattern refuse a point with
+    # one exception and one message: state 4 at j = 3 is degenerate
+    # within its parity sector at gx = gy = 1.25
+    spec = TrajectorySpec(j=3, line="diagonal", start=1.0, stop=3.0,
+                          steps=9, state_index=4)
+    params = ModelParams.from_gammas(3, 1.25, 1.25)
+    messages = []
+    for refused in (lambda: extract_pairons(params, 4),
+                    lambda: anchor_value(spec, 1.25),
+                    lambda: collapse_zero_pattern(params, 4)):
+        with pytest.raises(DegenerateStateError) as exc:
+            refused()
+        messages.append(str(exc.value))
+    assert messages == ["state 4 at (gx=1.25, gy=1.25) is degenerate "
+                        "within its parity sector"] * 3
+    # gamma_y = 0 at gx = c on a sum line, and gamma_x = 0 at gx = 0
+    spec = TrajectorySpec(j=3, line_sum=10.0, start=1.0, stop=3.0, steps=3)
+    for gx in (10.0, 0.0):
+        with pytest.raises(SingularParameterError) as alone:
+            extract_pairons(ModelParams.from_gammas(3, gx, 10.0 - gx))
+        with pytest.raises(SingularParameterError) as anchored:
+            anchor_value(spec, gx)
+        assert str(anchored.value) == str(alone.value)
 
 
 def _anchor_value_mp(mp, j, gx, gy):
@@ -625,7 +653,7 @@ def test_find_collapses_stacks_its_brent_steps(monkeypatch):
     spec = TrajectorySpec(j=10, start=lo, stop=10.0 - lo, steps=1200)
     profile = anchor_profile(spec)
     assert len(_brackets(profile)) == 16
-    assert 16 <= collapse.STACK_ENTRIES // 21 ** 2
+    assert 16 <= paironmap.STACK_ENTRIES // 21 ** 2
     calls = {"one": 0, "stacked": 0}
     one, values = collapse.anchor_value, collapse._anchor_values
 
@@ -722,17 +750,32 @@ def test_scan_solves_each_sample_alone_when_the_stack_fails(monkeypatch):
         "ConvergenceError: eigensolve failed in the even sector")
 
 
-@pytest.mark.parametrize("budget", [None, 7 * 21 ** 2],
-                         ids=["one-chunk", "chunks-of-7"])
-def test_scan_is_one_stacked_extraction_per_chunk(monkeypatch, budget):
+@pytest.mark.parametrize("budget, direct",
+                         [(None, False), (7 * 21 ** 2, False),
+                          (7 * 21 ** 2, True)],
+                         ids=["one-chunk", "chunks-of-7", "direct-chunks-of-7"])
+def test_scan_is_one_stacked_extraction_per_chunk(monkeypatch, budget,
+                                                  direct):
     # at most one parity_eigh call per parity and chunk, no one-point
-    # extraction, and the table of the default chunks
+    # extraction, and the table of the default chunks; extract_stack
+    # called directly chunks its points as the scan's call does
     spec = TrajectorySpec(j=10, line="sum", line_sum=10.0, start=0.05,
                           stop=9.95, steps=200, state_index=0)
-    reference = _table_bits(scan_trajectory(spec))
+    params = [ModelParams.from_gammas(10, g, spec.gamma_y(g))
+              for g in spec.samples()]
+
+    def run():
+        if direct:
+            return repr(extract_stack(10, 1.0, [p.lam for p in params],
+                                      [p.gam for p in params], 0))
+        table = scan_trajectory(spec)
+        assert not table.failures
+        return _table_bits(table)
+
+    reference = run()
     if budget is not None:
-        monkeypatch.setattr(collapse, "STACK_ENTRIES", budget)
-    chunks = len(collapse._stack_slices(10, 200))
+        monkeypatch.setattr(paironmap, "STACK_ENTRIES", budget)
+    chunks = len(paironmap.stack_slices(10, 200))
     assert chunks == (1 if budget is None else 29)
     solves = []
     solve = spin.parity_eigh
@@ -747,11 +790,9 @@ def test_scan_is_one_stacked_extraction_per_chunk(monkeypatch, budget):
     monkeypatch.setattr(spin, "parity_eigh", counted)
     for module in (pairons, paironmap):
         monkeypatch.setattr(module, "extract_pairons", refused)
-    table = scan_trajectory(spec)
+    assert run() == reference
     assert len(solves) <= 2 * chunks
     assert sum(shape[0] for shape in solves) == 2 * 200
-    assert not table.failures
-    assert _table_bits(table) == reference
 
 
 def test_scan_builds_no_per_sample_objects(monkeypatch):

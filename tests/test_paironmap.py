@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
@@ -60,9 +60,15 @@ def test_map_fixed_points():
                           allow_infinity=False),
        st.floats(0.05, 20.0))
 @settings(max_examples=200)
+@example(u=-1 + 0j, t=1.0)
 def test_map_is_involutive(u, t):
     e = pairon_from_u(u, t)
-    if e is None or abs(1.0 + u) < 1e-9:
+    if u == -1:
+        # the second pole: the pairon at infinity, and back
+        assert e == INFINITY
+        assert u_from_pairon(INFINITY, t) == -1
+        return
+    if abs(1.0 + u) < 1e-9:
         return
     back = u_from_pairon(e, t)
     assert back is not None

@@ -93,6 +93,36 @@ def test_eigenpair_is_diagonalize_entry(j):
             eigenpair(h, bad)
 
 
+def _rank_reference(values, gap_tol):
+    """(sector, column, flag) per rank: Python's stable sort of the
+    (sector, column) keys by value, with each sector's own flags."""
+    keys = sorted(((s, c) for s, w in enumerate(values)
+                   for c in range(len(w))),
+                  key=lambda key: values[key[0]][key[1]])
+    flags = [spin.degenerate_flags(np.array(w), gap_tol).tolist()
+             for w in values]
+    return [(s, c, flags[s][c]) for s, c in keys]
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_rank_states_is_pythons_stable_sort(seed):
+    # ties inside and across sectors, and -0.0 beside 0.0, one row alone
+    # and a stack of rows with a gap per row
+    rng = np.random.default_rng(seed)
+    pool = np.array([-2.0, -1.0, -0.0, 0.0, 0.5, 1.0])
+    sizes = rng.integers(1, 6, size=rng.integers(1, 5))
+    stack = [np.sort(rng.choice(pool, size=(7, n)), axis=1) for n in sizes]
+    gap = rng.uniform(0.1, 1.0, size=(7, 1))
+    ranked = spin.rank_states(stack, gap)
+    assert all(r.shape == (7, sum(sizes)) for r in ranked)
+    for row in range(7):
+        values = [w[row].tolist() for w in stack]
+        expect = _rank_reference(values, gap[row, 0])
+        assert list(zip(*(r[row].tolist() for r in ranked))) == expect
+        alone = spin.rank_states([w[row] for w in stack], gap[row, 0])
+        assert list(zip(*(r.tolist() for r in alone))) == expect
+
+
 def test_cross_sector_degeneracy_not_flagged():
     # even-odd crossings are fine: parity pins the basis
     from pairons import crossing_points
