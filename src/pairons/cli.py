@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import cmath
 import csv
+import functools
 import io
 import json
 import math
@@ -35,6 +36,7 @@ from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
 from .errors import InconsistentPaironsError, PaironsError
 from .paironmap import (VERIFY_TOL, PaironSet, extract_pairons, fidelity,
                         pairon_from_u, pairon_sites, zero_sites)
+from .sphere import angles
 from .spin import (PARITY_EVEN, PARITY_ODD, ModelParams, build_hamiltonian,
                    diagonalize)
 
@@ -308,7 +310,7 @@ def _resolve(args: argparse.Namespace, fields: list[str],
 def _model_params(args) -> ModelParams:
     try:
         return ModelParams.from_gammas(args.j, args.gx, args.gy, eps=args.eps)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise UsageError(str(exc)) from None
 
 
@@ -431,16 +433,18 @@ def _scan_rows(table) -> tuple[list[list], list[list[list]]]:
     leads, groups = [], []
     for s in table.samples:
         leads.append([s.gamma_x, s.gamma_y, s.t, s.state_index, s.energy])
-        group = []
-        for r in s.records:
-            flags = set(r.flags)
-            if s.nu:
-                flags.add("seniority")
-            group.append([r.alpha, r.energy.real, r.energy.imag,
-                          r.site.theta(), r.site.phi(), r.site_multiplicity,
-                          r.branch_id, ";".join(sorted(flags))])
-        groups.append(group)
+        groups.append([[r.alpha, r.energy.real, r.energy.imag,
+                        *angles(r.site.zeta), r.site_multiplicity,
+                        r.branch_id, _flag_text(r.flags, bool(s.nu))]
+                       for r in s.records])
     return leads, groups
+
+
+@functools.cache
+def _flag_text(flags: tuple[str, ...], seniority: bool) -> str:
+    """The flags cell of a scan record: its flags, with "seniority" on a
+    sample of nonzero seniority, sorted and joined by ";"."""
+    return ";".join(sorted({*flags, "seniority"} if seniority else {*flags}))
 
 
 def _cmd_lmg_scan(args) -> int:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, PaironsError, UnresolvedAnchorError
 from .paironmap import (PaironSet, extract_stack, pairon_sites, solve_states,
                         stack_slices)
-from .phasespace import _binomial_sqrt
+from .phasespace import _binomial_sqrt, _polyval
 from .sphere import SpherePoint, chordal_distances, sphere_points
 from .spin import ModelParams, build_hamiltonian, couplings, eigenpair
 
@@ -36,6 +36,12 @@ LINE_SUM = "sum"
 LINE_DIAGONAL = "diagonal"
 
 SINGULAR_MARGIN = 1e-3
+
+# Entries of the steady cost tables that _assign_branches takes in one
+# chordal_distances call: enough to share the call's cost among the steps
+# of small tables, few enough that a block wastes little on the steps
+# that turn out not to be steady.
+AHEAD_ENTRIES = 1 << 12
 
 
 # ---------------------------------------------------------------------------
@@ -225,18 +231,22 @@ def _assign_branches(energies: np.ndarray, counts: list[int]
     distance and the distance to the linear continuation of the branch.
     Distances are chordal on the e-sphere: a branch sweeping through the
     map's pole (e past -t) moves a bounded amount there, however large |e|.
-    Each step's costs are one chordal_distances matrix.
+    Each step's costs are one chordal_distances matrix.  Most steps are
+    steady: each branch continues the column it came from, so the costs
+    follow from the energies alone, and _steady_costs takes them for a
+    block of up to AHEAD_ENTRIES entries in one call.  Either way each
+    entry has the same bits.
 
     energies holds the pairons of each sample (S, M), its first counts[s]
     columns live.  Returns each record's branch id and the column of the
     record of the previous sample that it continues (-1 where a branch
     starts), both -1 past counts.
     """
-    from scipy.optimize import linear_sum_assignment
-
     rows = energies.tolist()
-    branch = np.full(energies.shape, -1)
-    source = np.full(energies.shape, -1)
+    block = max(1, AHEAD_ENTRIES // max(1, 2 * energies.shape[1] ** 2))
+    steady, first = [], 0  # the steady cost tables of steps first, ...
+    all_ids: list[int] = []
+    all_back: list[int] = []
     ids: list[int] = []
     back: list[int] = []
     next_id = 0
@@ -244,18 +254,25 @@ def _assign_branches(energies: np.ndarray, counts: list[int]
         prev_ids, prev_back, back = ids, back, [-1] * n
         if n and prev_ids:
             m = len(prev_ids)
-            # continuation 2 h[-1] - h[-2] of each branch with two energies,
-            # in Python's complex arithmetic
-            guess = [2 * e - rows[s - 2][k] if k >= 0 else 0j
-                     for e, k in zip(rows[s - 1][:m], prev_back)]
-            # distances to each branch's last energy and to its continuation
-            direct, ahead = chordal_distances(
-                energies[s, :n, None],
-                np.array([rows[s - 1][:m], guess])[:, None, :])
-            cost = np.where([k >= 0 for k in prev_back],
-                            np.minimum(direct, ahead), direct)
-            matched, cols = linear_sum_assignment(cost)
-            for i, k in zip(matched.tolist(), cols.tolist()):
+            if s == 1 or prev_back == list(range(m)):
+                if s >= first + len(steady):
+                    steady, first = _steady_costs(energies, s, s + block), s
+                cost = steady[s - first, :n, :m]
+            else:
+                # continuation 2 h[-1] - h[-2] of each branch with two
+                # energies, in Python's complex arithmetic; a branch with
+                # one energy continues to it, so its distance is the
+                # direct one
+                last = rows[s - 1][:m]
+                guess = [2 * e - rows[s - 2][k] if k >= 0 else e
+                         for e, k in zip(last, prev_back)]
+                # distances to each branch's last energy and to its
+                # continuation
+                direct, ahead = chordal_distances(
+                    energies[s, :n, None],
+                    np.array([last, guess])[:, None, :])
+                cost = np.minimum(direct, ahead)
+            for i, k in zip(*_linear_sum_assignment(cost)):
                 back[i] = k
         ids = []
         for k in back:
@@ -264,9 +281,147 @@ def _assign_branches(energies: np.ndarray, counts: list[int]
             else:
                 k = prev_ids[k]
             ids.append(k)
-        branch[s, :n] = ids
-        source[s, :n] = back
+        all_ids += ids
+        all_back += back
+    live = np.arange(energies.shape[1]) < np.array(counts)[:, None]
+    branch = np.full(energies.shape, -1)
+    source = np.full(energies.shape, -1)
+    branch[live] = all_ids
+    source[live] = all_back
     return branch, source
+
+
+def _steady_costs(energies: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The cost tables of _assign_branches at the steps lo..hi-1 (lo >= 1,
+    hi clipped to S) of the padded energies (S, M), as they are when
+    every branch continues its column: (hi - lo, M, M), entry [s, i, k]
+    the lesser chordal distance of e[s, i] to e[s-1, k] and to the
+    continuation 2 e[s-1, k] - e[s-2, k], which is e[0, k] itself at step
+    1.  numpy's complex arithmetic gives the continuation the bits of
+    Python's, up to the sign of a zero part, which no distance reads.
+    """
+    hi = min(hi, len(energies))
+    last = energies[lo - 1:hi - 1]
+    guess = last.copy()
+    one = 1 if lo == 1 else 0  # step 1 has no continuation
+    guess[one:] = 2 * last[one:] - energies[lo - 2 + one:hi - 2]
+    direct, ahead = chordal_distances(energies[lo:hi, :, None],
+                                      np.stack([last, guess])[:, :, None, :])
+    return np.minimum(direct, ahead)
+
+
+def _linear_sum_assignment(cost) -> tuple[list[int], list[int]]:
+    """The assignment of least total cost between the rows and columns of
+    a cost table, as scipy.optimize.linear_sum_assignment gives it: the
+    assigned rows in order, and their columns, as lists.
+
+    A transcription of scipy's rectangular_lsap.cpp (Crouse, IEEE TAES
+    52(4), 2016), which tests pin bit for bit; keeping it here spares
+    `lmg scan` the import of scipy.optimize.  A tall table is transposed
+    and its assignment sorted by row, as there.  When the first column of
+    least cost of each row is finite and its own, _shortest_paths would
+    assign it to the row without a path, so the argmin is the answer.  A
+    NaN or -inf entry raises ValueError, as does a table with no finite
+    assignment.
+    """
+    cost = np.asarray(cost, dtype=float)
+    if cost.ndim != 2:
+        raise ValueError(
+            f"expected a matrix (2-D array), got a {cost.ndim} array")
+    transpose = cost.shape[1] < cost.shape[0]
+    if transpose:
+        cost = cost.T
+    nr = cost.shape[0]
+    if nr == 0:
+        return [], []
+    least = cost.min(axis=1).tolist()
+    if not all(m > -math.inf for m in least):  # min() propagates NaN
+        raise ValueError("matrix contains invalid numeric entries")
+    low = cost.argmin(axis=1).tolist()
+    if len(set(low)) < nr or max(least) == math.inf:
+        low = _shortest_paths(cost, low, least)
+    if transpose:
+        order = sorted(range(nr), key=low.__getitem__)
+        return [low[k] for k in order], order
+    return list(range(nr)), low
+
+
+def _shortest_paths(cost: np.ndarray, low: list[int], least: list[float]
+                    ) -> list[int]:
+    """The column of each row of a cost table (nr <= nc, no NaN or -inf)
+    in scipy's assignment, given each row's first column of least cost
+    (low) and that cost.
+
+    Step for step the loop of rectangular_lsap.cpp: each row in turn is
+    joined by the shortest path of reduced costs to an unassigned column,
+    the dual variables u, v updated and the path augmented.  The columns
+    are scanned in reverse, a path cost is ((min + c) - u) - v, and a tie
+    goes to an unassigned column.  So the same IEEE double operations in
+    the same order give scipy's assignment, ties included.
+
+    A new row's path cost to a column is its cost there less v, and v
+    is 0.0 on every unassigned column and never positive: a path lowers
+    v only on the columns it visits, which are assigned once it is
+    augmented.  So when the row's first column of least cost, low, is
+    unassigned, the scan settles on it first as the sink, and v stays
+    as it is (the sink's path cost is the minimum): the row is assigned
+    low without a path.  The dual updates run over the rows and columns
+    a path visited, which are the ones scipy updates.
+    """
+    nr, nc = cost.shape
+    inf = math.inf
+    col4row, row4col = [-1] * nr, [-1] * nc
+    u, v = [0.0] * nr, [0.0] * nc
+    c = None
+    for cur, (j, m) in enumerate(zip(low, least)):
+        if m < inf and row4col[j] < 0:
+            col4row[cur], row4col[j] = j, cur
+            u[cur] = 0.0 + m
+            continue
+        if c is None:
+            c = cost.tolist()
+        # shortest augmenting path from row cur to an unassigned column
+        spc, path = [inf] * nc, [-1] * nc
+        remaining = list(range(nc - 1, -1, -1))
+        rows, cols = [], []
+        i, min_val = cur, 0.0
+        while True:
+            rows.append(i)
+            ci, ui = c[i], u[i]
+            sink, lowest = -1, inf
+            for j in remaining:
+                s = spc[j]
+                r = min_val + ci[j] - ui - v[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or s == lowest and row4col[j] < 0:
+                    lowest, sink = s, j
+            min_val = lowest
+            if min_val == inf:
+                raise ValueError("cost matrix is infeasible")
+            cols.append(sink)
+            index = remaining.index(sink)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            if row4col[sink] < 0:
+                break
+            i = row4col[sink]
+        # dual update over the visited rows and columns
+        u[cur] += min_val
+        for i in rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for k in cols:
+            v[k] -= min_val - spc[k]
+        # augment along the path back from the sink
+        j = sink
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
 
 def _align_branch_signs(z: np.ndarray, source: np.ndarray) -> np.ndarray:
@@ -307,24 +462,32 @@ def _align_branch_signs(z: np.ndarray, source: np.ndarray) -> np.ndarray:
 def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
     """Extract pairons at every sample; failures are recorded, not fatal.
 
-    Each sample's couplings come from ModelParams.from_gammas; the samples
-    whose couplings are valid are extracted by one extract_stack call.
-    Every sample gets the pairons, or the failure, that extract_pairons
-    gives it alone, and failures are listed in gx order.
+    The couplings of all samples come from one couplings call over the
+    gx array, which gives each the bits of ModelParams.from_gammas; a
+    sample whose couplings are not finite gets the ValueError of
+    ModelParams.  The other samples are extracted by one extract_stack
+    call.  Every sample gets the pairons, or the failure, that
+    extract_pairons gives it alone, and failures are listed in gx order.
     """
-    gx = spec.samples().tolist()
-    results: list = []
-    for g in gx:
-        try:
-            results.append(ModelParams.from_gammas(spec.j, g, spec.gamma_y(g),
-                                                   eps=spec.eps))
-        except (PaironsError, ValueError) as exc:
-            results.append(exc)
-    valid = [i for i, r in enumerate(results) if isinstance(r, ModelParams)]
+    gx = spec.samples()
+    try:
+        with np.errstate(all="ignore"):  # as float arithmetic overflows
+            lam, gam = couplings(spec.j, gx, spec.gamma_y(gx), spec.eps)
+    except ValueError as exc:  # j is not a positive integer
+        return ScanTable(spec=spec, samples=[], failures=[
+            (g, f"ValueError: {exc}") for g in gx.tolist()])
+    results: list = [None] * len(gx)
+    for i in np.flatnonzero(~np.isfinite(lam) | ~np.isfinite(gam)).tolist():
+        try:  # ModelParams refuses them, in its words
+            ModelParams(j=int(spec.j), eps=spec.eps, lam=float(lam[i]),
+                        gam=float(gam[i]))
+        except ValueError as exc:
+            results[i] = exc
+    valid = [i for i, r in enumerate(results) if r is None]
     for i, result in zip(valid, extract_stack(
-            int(spec.j), spec.eps, [results[i].lam for i in valid],
-            [results[i].gam for i in valid], spec.state_index)):
+            int(spec.j), spec.eps, lam[valid], gam[valid], spec.state_index)):
         results[i] = result
+    gx = gx.tolist()
     done = [(g, r) for g, r in zip(gx, results)
             if not isinstance(r, Exception)]
     records = _sample_records([pairons for _, (pairons, _) in done])
@@ -441,17 +604,16 @@ def _anchor_coefficients(d: np.ndarray, w: np.ndarray,
 
     The bound is derived in anchor_value's docstring.  Multiplying by the
     weight C(n-i, 0) = 1 is exact, so m = 0 gives anchor_value.  Both
-    sums run Horner's rule over the whole stack (polyval with tensor=False
-    evaluates column k of its coefficients at x[k]).
+    sums run Horner's rule over the whole stack (_polyval evaluates
+    column k of its coefficients at x[k]).
     """
     n = d.shape[1] - 1
     weights = np.array([math.comb(n - i, m) for i in range(n - m + 1)],
                        dtype=float)
     scale = np.max(np.abs(d), axis=1)
     terms = (d[:, :n - m + 1] * weights)[:, ::-1].T  # lowest power first
-    polyval = np.polynomial.polynomial.polyval
-    value = polyval(w, terms, tensor=False) / scale
-    bound = polyval(np.abs(w), np.abs(terms), tensor=False) / scale
+    value = _polyval(w, terms) / scale
+    bound = _polyval(np.abs(w), np.abs(terms)) / scale
     eps = float(np.finfo(float).eps)
     return value, ANCHOR_NOISE_C * n * eps * bound
 

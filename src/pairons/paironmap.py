@@ -24,13 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStateError,
-                     InconsistentPaironsError, SingularParameterError)
+                     InconsistentPaironsError)
 from .phasespace import (ZeroSet, _binomial_sqrt, _raised, parity_slice,
                          poly_residuals, strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint, sphere_points
 from .spin import (ModelParams, StateVector, _normalized_rows,
                    eigen_residuals, gammas, hamiltonian_stack,
-                   parity_eigenstates)
+                   parity_eigenstates, singular_refusal)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
 
@@ -368,17 +368,11 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
     out = [None] * len(h)
     for i in np.flatnonzero(~live).tolist():
         x, y = float(gamma_x[i]), float(gamma_y[i])
-        if y == 0.0:
-            out[i] = SingularParameterError("gamma_y = 0: t is undefined")
-        elif x == 0.0:
-            out[i] = SingularParameterError(
-                "gamma_x = 0: t = 0 degenerates the map")
-        elif degenerate[i]:
-            out[i] = DegenerateStateError(
+        out[i] = singular_refusal(x, y) or (
+            DegenerateStateError(
                 f"state {state_index} at (gx={x:.6g}, gy={y:.6g}) is "
                 "degenerate within its parity sector")
-        else:
-            out[i] = ValueError(_BAD_T.format(float(t[i])))
+            if degenerate[i] else ValueError(_BAD_T.format(float(t[i]))))
     sectors = []
     for nu, (w, v) in enumerate(solved):
         rows = np.flatnonzero((sector == nu) & live)

@@ -37,6 +37,20 @@ def _binomial_sqrt(two_j: int) -> np.ndarray:
     return out
 
 
+def _polyval(x, c):
+    """np.polynomial.polynomial.polyval(x, c, tensor=False): the
+    polynomial of coefficients c, lowest power first along the first
+    axis, at x, by Horner's rule.  The same operations as polyval's, so
+    the same bits, without the import of numpy.polynomial.  c is cast
+    once to the dtype of the result, as each of polyval's additions
+    casts it (real coefficients at complex roots)."""
+    c0 = c[-1] + x * 0
+    c = np.asarray(c, dtype=c0.dtype)
+    for i in range(2, len(c) + 1):
+        c0 = c[-i] + c0 * x
+    return c0
+
+
 @dataclass(frozen=True)
 class MajoranaPoly:
     """The amplitude numerator P as a coefficient vector, lowest power first."""
@@ -92,11 +106,11 @@ def coherent_overlap(state: StateVector, point: SpherePoint | complex) -> comple
     if zeta is None:
         return complex(d[two_j])
     if abs(zeta) <= 1.0:
-        num = complex(np.polynomial.polynomial.polyval(zeta, d))
+        num = complex(_polyval(zeta, d))
         return num / (1.0 + abs(zeta) ** 2) ** state.j
     w = 1.0 / zeta
     rev = d[::-1]
-    num = complex(np.polynomial.polynomial.polyval(w, rev))
+    num = complex(_polyval(w, rev))
     phase = cmath.exp(-2j * state.j * cmath.phase(w))
     return phase * num / (1.0 + abs(w) ** 2) ** state.j
 
@@ -129,11 +143,11 @@ def husimi_quadrature(state: StateVector) -> float:
     big = tan_half > 1.0
     if np.any(~big):
         z = zeta[~big]
-        num = np.polynomial.polynomial.polyval(z, d)
+        num = _polyval(z, d)
         q[~big] = np.abs(num) ** 2 / (1.0 + np.abs(z) ** 2) ** (2 * j)
     if np.any(big):
         w = 1.0 / zeta[big]
-        num = np.polynomial.polynomial.polyval(w, rev)
+        num = _polyval(w, rev)
         q[big] = np.abs(num) ** 2 / (1.0 + np.abs(w) ** 2) ** (2 * j)
 
     weights = wx[:, None] * (2.0 * math.pi / n_phi)
@@ -216,7 +230,6 @@ def _solve_cores(cores: np.ndarray) -> list:
     if deg == 0:
         return [np.zeros(0, dtype=complex) for _ in c]
     s = np.array([(abs(row[0]) / abs(row[-1])) ** (1.0 / deg) for row in c])
-    polyval = np.polynomial.polynomial.polyval
     eps = np.finfo(float).eps
     # an overflow fails the eigensolve or the residual check below
     with np.errstate(all="ignore"):
@@ -234,9 +247,9 @@ def _solve_cores(cores: np.ndarray) -> list:
                     for result in _solve_cores(c[i:i + 1])]
         roots = s[:, None] * eig
         x, terms = _root_charts(c, roots)
-        value = np.abs(polyval(x, terms, tensor=False))
+        value = np.abs(_polyval(x, terms))
         bound = 1e6 * eps * np.maximum(
-            polyval(np.abs(x), np.abs(terms), tensor=False), 1e-300)
+            _polyval(np.abs(x), np.abs(terms)), 1e-300)
     ok = np.all((value <= bound) & np.isfinite(bound), axis=1)
     ok[ok] = _factor_defects(c[ok], roots[ok]) <= ACCEPT_DEFECT
     return [roots[i] if ok[i] else ConvergenceError(
@@ -249,9 +262,9 @@ def _root_charts(coeffs: np.ndarray, roots: np.ndarray
     """Where to evaluate each row of a stack of coefficients (R, n+1) at
     each of its roots (R, k) without forming a power above 1: the points
     x (R, k) and per-root coefficient rows (n+1, R, k), for
-    polyval(x, terms, tensor=False).  A root r with |r| <= 1 keeps the
-    coefficients; one with |r| > 1 is taken as w = 1/r on the reversed
-    ones, Q(w) = w^n P(1/w) = P(r) / r^n."""
+    _polyval(x, terms).  A root r with |r| <= 1 keeps the coefficients;
+    one with |r| > 1 is taken as w = 1/r on the reversed ones,
+    Q(w) = w^n P(1/w) = P(r) / r^n."""
     x = roots.copy()
     big = np.abs(x) > 1.0
     x[big] = 1.0 / x[big]
@@ -352,8 +365,7 @@ def poly_residuals(coeffs: np.ndarray, roots: np.ndarray,
     out = np.empty(len(coeffs))
     for d in sorted(set(deg.tolist())):
         rows = deg == d
-        vals = np.polynomial.polynomial.polyval(
-            *_root_charts(coeffs[rows, :d + 1], roots[rows]), tensor=False)
+        vals = _polyval(*_root_charts(coeffs[rows, :d + 1], roots[rows]))
         out[rows] = np.max(np.abs(vals) / scale[rows], axis=1)
     return out
 

@@ -46,21 +46,25 @@ class SpherePoint:
         return cls(r * cmath.exp(-1j * phi))
 
     def theta(self) -> float:
-        if self.is_infinity:
-            return math.pi
-        return 2.0 * math.atan(abs(self.zeta))
+        return angles(self.zeta)[0]
 
     def phi(self) -> float:
-        """Azimuth in [0, 2 pi); 0 by convention at the poles."""
-        if self.is_infinity or self.zeta == 0:
-            return 0.0
-        return (-cmath.phase(self.zeta)) % TWO_PI
+        return angles(self.zeta)[1]
 
     def antipode_negation(self) -> "SpherePoint":
         """The image under zeta -> -zeta (NOT the antipodal map)."""
         if self.is_infinity:
             return self
         return SpherePoint(-self.zeta)
+
+
+def angles(zeta: complex | None) -> tuple[float, float]:
+    """Polar angle theta and azimuth phi in [0, 2 pi) of a coordinate,
+    None for infinity; phi is 0 by convention at the poles."""
+    if zeta is None:
+        return math.pi, 0.0
+    return (2.0 * math.atan(abs(zeta)),
+            0.0 if zeta == 0 else (-cmath.phase(zeta)) % TWO_PI)
 
 
 def coordinates(points) -> np.ndarray:

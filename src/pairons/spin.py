@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, SingularParameterError
 
 PARITY_EVEN = "even"
 PARITY_ODD = "odd"
@@ -64,11 +64,26 @@ class ModelParams:
 
     @property
     def t(self) -> float:
-        """Trajectory parameter sqrt|gamma_x / gamma_y|."""
-        gy = self.gamma_y
-        if gy == 0.0:
-            raise ZeroDivisionError("t undefined: gamma_y = 0")
-        return math.sqrt(abs(self.gamma_x / gy))
+        """Trajectory parameter sqrt|gamma_x / gamma_y|.  The pairon map
+        is undefined at gamma_y = 0 and degenerate at gamma_x = 0, and t
+        is refused there with the extraction's SingularParameterError."""
+        gx, gy = gammas(self.j, self.eps, self.lam, self.gam)
+        refusal = singular_refusal(gx, gy)
+        if refusal is not None:
+            raise refusal
+        return math.sqrt(abs(gx / gy))
+
+
+def singular_refusal(gamma_x: float, gamma_y: float
+                     ) -> SingularParameterError | None:
+    """The refusal of a point on a singular line of the pairon map, or
+    None: t is undefined at gamma_y = 0 and 0 at gamma_x = 0."""
+    if gamma_y == 0.0:
+        return SingularParameterError("gamma_y = 0: t is undefined")
+    if gamma_x == 0.0:
+        return SingularParameterError(
+            "gamma_x = 0: t = 0 degenerates the map")
+    return None
 
 
 def couplings(j: int, gamma_x, gamma_y, eps=1.0):

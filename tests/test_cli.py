@@ -691,9 +691,9 @@ def test_module_main_runs_bcs():
 
 # Imports pairons and pairons.cli in a fresh interpreter, scipy made
 # unimportable if argv[1] is "block", runs `python -m pairons argv[2:]` if
-# given, and prints the scipy modules then loaded as JSON on stderr's last
-# line.
-_SCIPY_PROBE = """\
+# given, and prints the scipy and numpy.polynomial modules then loaded as
+# JSON on stderr's last line.
+_IMPORT_PROBE = """\
 import json, sys
 if sys.argv[1] == "block":
     sys.modules["scipy"] = None
@@ -701,18 +701,20 @@ import pairons, pairons.cli
 from pairons.__main__ import main
 rc = main(sys.argv[2:]) if sys.argv[2:] else 0
 sys.stdout.flush()
-print(json.dumps(sorted(name for name, module in sys.modules.items()
-                        if module is not None
-                        and name.partition(".")[0] == "scipy")),
-      file=sys.stderr)
+print(json.dumps(sorted(
+    name for name, module in sys.modules.items()
+    if module is not None and (name.partition(".")[0] == "scipy"
+                               or name.startswith("numpy.polynomial")))),
+    file=sys.stderr)
 sys.exit(rc)
 """
 
 
-def _scipy_probe(*argv, block=False):
-    """The stdout of a run that exits 0, and the scipy modules it loaded."""
+def _import_probe(*argv, block=False):
+    """The stdout of a run that exits 0, and the scipy and numpy.polynomial
+    modules it loaded."""
     prefix, env = module_cli("pairons")
-    proc = subprocess.run([prefix[0], "-c", _SCIPY_PROBE,
+    proc = subprocess.run([prefix[0], "-c", _IMPORT_PROBE,
                            "block" if block else "load", *argv],
                           capture_output=True, text=True, env=env,
                           timeout=300)
@@ -721,33 +723,35 @@ def _scipy_probe(*argv, block=False):
 
 
 def test_import_loads_no_scipy():
-    assert _scipy_probe() == ("", [])
+    assert _import_probe() == ("", [])
 
 
 @pytest.mark.parametrize("command", ["pairons", "spectrum", "ellipsoid"])
 def test_bcs_runs_without_scipy(command):
+    # the same bytes with scipy blocked, and no numpy.polynomial loaded
     argv = ["bcs", command, "--levels", "0,0.5,1", "--n", "6",
             "--gamma", "0.5"]
     prefix, env = module_cli("pairons")
     ref = subprocess.run(prefix + argv, capture_output=True, text=True,
                          env=env, timeout=300)
     assert ref.returncode == 0, ref.stderr
-    assert _scipy_probe(*argv, block=True) == (ref.stdout, [])
+    assert _import_probe(*argv, block=True) == (ref.stdout, [])
 
 
 @pytest.mark.parametrize("command", [
     ["collapse"], ["spectrum", "--gx", "2", "--gy", "8"],
     ["pairons", "--gx", "2", "--gy", "8"],
-    ["zeros", "--gx", "2", "--gy", "8", "--state", "3"], ["crossings"]],
+    ["zeros", "--gx", "2", "--gy", "8", "--state", "3"], ["crossings"],
+    ["scan", "--from", "0.05", "--to", "9.95", "--steps", "40"]],
     ids=lambda command: command[0])
 def test_lmg_runs_without_scipy(command):
-    # every lmg command but scan, whose branch matcher needs scipy.optimize
+    # the same bytes with scipy blocked, and no numpy.polynomial loaded
     argv = ["lmg", command[0], "--j", "4", *command[1:]]
     prefix, env = module_cli("pairons")
     ref = subprocess.run(prefix + argv, capture_output=True, text=True,
                          env=env, timeout=300)
     assert ref.returncode == 0, ref.stderr
-    assert _scipy_probe(*argv, block=True) == (ref.stdout, [])
+    assert _import_probe(*argv, block=True) == (ref.stdout, [])
 
 
 def test_entry_point_env_threads_deterministic(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq
+from scipy.optimize import brentq, linear_sum_assignment
 
 import pairons
 from pairons import (ConvergenceError, DegenerateStateError, ModelParams,
@@ -21,7 +21,9 @@ from pairons.sphere import (INFINITY, chordal_distances, coordinates,
                            sphere_points)
 from pairons.collapse import (SINGULAR_MARGIN, AnchorProfile,
                               CollapseCandidate, _anchor_coefficients,
-                              _anchor_slices, _brentq, collapse_rows)
+                              _anchor_slices, _assign_branches, _brentq,
+                              _linear_sum_assignment, _steady_costs,
+                              collapse_rows)
 
 
 def test_hyperbola_levels_frozen():
@@ -535,6 +537,131 @@ def test_brentq_is_scipy_bitwise_on_anchor_brackets():
                     (j, c, i)
                 count += 1
     assert count == 64
+
+
+def _same_assignment(cost):
+    """Whether _linear_sum_assignment gives cost scipy's assignment, or
+    the same ValueError."""
+    def solve(f):
+        try:
+            rows, cols = f(cost)
+        except ValueError as exc:
+            return str(exc)
+        return list(rows), list(cols)
+    return solve(_linear_sum_assignment) == solve(linear_sum_assignment)
+
+
+def test_linear_sum_assignment_is_scipy_bitwise():
+    # random real tables, and small integer tables, whose ties the tie
+    # rules decide, also with infinite entries; wide, square and tall
+    rng = np.random.default_rng(7)
+    for _ in range(2000):
+        shape = rng.integers(1, 8, size=2)
+        ties = rng.integers(0, 4, size=shape).astype(float)
+        blocked = np.where(rng.random(shape) < 0.3, np.inf, ties)
+        for cost in (rng.random(shape), ties, blocked):
+            assert _same_assignment(cost), cost.tolist()
+
+
+def test_linear_sum_assignment_edge_cases():
+    for shape in [(0, 3), (3, 0), (0, 0), (1, 1)]:
+        assert _same_assignment(np.ones(shape))
+    # a constant table gets the identity, as scipy's reverse scan gives it
+    assert _linear_sum_assignment(np.zeros((4, 4)))[1] == [0, 1, 2, 3]
+    for bad in (math.nan, -math.inf):
+        cost = np.ones((3, 4))
+        cost[1, 2] = bad
+        with pytest.raises(ValueError, match="invalid numeric entries"):
+            _linear_sum_assignment(cost)
+        assert _same_assignment(cost) and _same_assignment(cost.T)
+    infeasible = np.array([[math.inf, math.inf], [1.0, 2.0]])
+    with pytest.raises(ValueError, match="infeasible"):
+        _linear_sum_assignment(infeasible)
+    assert _same_assignment(infeasible)
+    with pytest.raises(ValueError, match="2-D"):
+        _linear_sum_assignment(np.ones(3))
+
+
+SCAN_LINES = [(10, 200, 0), (7, 100, 3), (40, 100, 0)]
+
+
+def _matcher_inputs(monkeypatch, j, steps, state):
+    """The energies and counts that the scan of gx + gy = 10 from 0.05 to
+    9.95 gives _assign_branches."""
+    calls = []
+    assign = collapse._assign_branches
+    monkeypatch.setattr(collapse, "_assign_branches",
+                        lambda *args: calls.append(args) or assign(*args))
+    scan_trajectory(TrajectorySpec(j=j, start=0.05, stop=9.95, steps=steps,
+                                   state_index=state))
+    monkeypatch.undo()
+    (energies, counts), = calls
+    assert len(counts) == steps
+    return energies, counts
+
+
+@pytest.mark.parametrize("j, steps, state", SCAN_LINES)
+def test_linear_sum_assignment_is_scipy_bitwise_on_scan_tables(
+        monkeypatch, j, steps, state):
+    # every cost table of the branch matcher on lmg scan lines
+    tables = []
+    assignment = collapse._linear_sum_assignment
+    monkeypatch.setattr(collapse, "_linear_sum_assignment",
+                        lambda cost: tables.append(cost) or assignment(cost))
+    scan_trajectory(TrajectorySpec(j=j, start=0.05, stop=9.95, steps=steps,
+                                   state_index=state))
+    monkeypatch.undo()
+    assert len(tables) == steps - 1
+    assert all(_same_assignment(cost) for cost in tables)
+
+
+def _reference_sources(energies, counts):
+    """For each sample, the column of the previous sample that each of its
+    records continues (-1 where a branch starts): one chordal_distances
+    call per step on continuations taken in Python, and scipy's
+    assignment."""
+    rows = energies.tolist()
+    sources, back = [], []
+    for s, n in enumerate(counts):
+        prev_back, back = back, [-1] * n
+        if n and prev_back:
+            last = rows[s - 1][:len(prev_back)]
+            guess = [2 * e - rows[s - 2][k] if k >= 0 else 0j
+                     for e, k in zip(last, prev_back)]
+            direct, ahead = chordal_distances(
+                energies[s, :n, None], np.array([last, guess])[:, None, :])
+            cost = np.where([k >= 0 for k in prev_back],
+                            np.minimum(direct, ahead), direct)
+            for i, k in zip(*linear_sum_assignment(cost)):
+                back[i] = int(k)
+        sources.append(back)
+    return sources
+
+
+@pytest.mark.parametrize("j, steps, state", SCAN_LINES)
+def test_steady_costs_are_each_steps_costs(monkeypatch, j, steps, state):
+    # one _steady_costs call over every step gives the bits of each step's
+    # own chordal_distances call on its continuations, taken in Python's
+    # complex arithmetic; and however many steps share a call, the matcher
+    # continues the records that the per-step scipy matcher continues
+    energies, counts = _matcher_inputs(monkeypatch, j, steps, state)
+    rows = energies.tolist()
+    steady = _steady_costs(energies, 1, steps)
+    for s in range(1, steps):
+        n, m = counts[s], counts[s - 1]
+        last = rows[s - 1][:m]
+        guess = last if s == 1 else [2 * e - rows[s - 2][k]
+                                     for k, e in enumerate(last)]
+        direct, ahead = chordal_distances(energies[s, :n, None],
+                                          np.array([last, guess])[:, None, :])
+        assert steady[s - 1, :n, :m].tobytes() == \
+            np.minimum(direct, ahead).tobytes(), s
+    reference = _reference_sources(energies, counts)
+    for entries in (1, collapse.AHEAD_ENTRIES, 1 << 30):
+        monkeypatch.setattr(collapse, "AHEAD_ENTRIES", entries)
+        _, source = _assign_branches(energies, counts)
+        assert [row[:n] for row, n in zip(source.tolist(), counts)] \
+            == reference
 
 
 def _brackets(profile):

@@ -17,6 +17,23 @@ from pairons.phasespace import strip_and_solve
 from conftest import random_state
 
 
+def test_polyval_is_numpys_bitwise(rng):
+    # the shapes the package evaluates: a scalar point on one row of
+    # coefficients, an array of points on it, and stacks whose column k
+    # is taken at x[k]
+    polyval = np.polynomial.polynomial.polyval
+    c = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+    z = complex(rng.standard_normal(), rng.standard_normal())
+    assert complex(phasespace._polyval(z, c)) == complex(polyval(z, c))
+    x = rng.standard_normal(50) + 1j * rng.standard_normal(50)
+    assert phasespace._polyval(x, c).tobytes() == polyval(x, c).tobytes()
+    terms = rng.standard_normal((9, 4, 3))
+    x = rng.standard_normal((4, 3)) + 1j * rng.standard_normal((4, 3))
+    for t, y in [(terms, x), (terms + 0j, x), (terms, np.abs(x))]:
+        assert (phasespace._polyval(y, t).tobytes()
+                == polyval(y, t, tensor=False).tobytes())
+
+
 def test_majorana_coefficients_frozen():
     # d_k = conj(c_m) * sqrt(C(2j, j+m))
     s = StateVector(j=1, coeffs=np.array([0.6, 0.8j, 0.0]))

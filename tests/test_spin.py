@@ -159,6 +159,20 @@ def test_singular_parameters_rejected():
         ModelParams(j=0, eps=1.0)
 
 
+def test_t_refuses_the_singular_lines():
+    # ModelParams.t raises the extraction's refusal, in its words, where
+    # the extraction refuses the point
+    from pairons import extract_pairons
+    assert ModelParams.from_gammas(3, 2.0, 8.0).t == pytest.approx(0.5)
+    for gx, gy in [(1.0, 0.0), (0.0, 1.0), (0.0, 0.0)]:
+        params = ModelParams.from_gammas(3, gx, gy)
+        with pytest.raises(SingularParameterError) as t_error:
+            params.t
+        with pytest.raises(SingularParameterError) as extraction_error:
+            extract_pairons(params, state_index=0)
+        assert str(t_error.value) == str(extraction_error.value)
+
+
 def test_eigen_residual_detects_non_eigenvector(rng):
     p = ModelParams(j=5, eps=1.0, lam=0.4, gam=0.0)
     h = build_hamiltonian(p)
