@@ -11,8 +11,10 @@ in); OUT lists, per command, its argv, exit code, stdout and stderr.  Run
 it once with --src pointing at each of two checkouts' `src` and compare
 the files with `cmp` to check that a change leaves every output
 byte-identical.  --compare prints, as Markdown, the commands whose
-records differ between two files, each with its change of exit code and
-the first line of stdout and of stderr that differs.
+records differ between two files, each with its change of exit code, the
+first line of stdout and of stderr that differs and, where both stdouts
+are JSON with a "meta" object, the largest absolute difference of each
+numeric meta field.
 
 The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
 0,0.5,1,1.5, N=20), `bcs spectrum` of the same models, `bcs ellipsoid`
@@ -42,7 +44,9 @@ unscaled companion solve misses the root residual check, and `lmg
 pairons --j 120 --gx 0.25 --gy 9.75 --state 60` and `lmg pairons --j 140
 --gx 2 --gy 8 --state 100`, whose u-polynomials have roots so large that
 their powers overflow, so the root residual check takes them on the
-reversed polynomial.
+reversed polynomial; and `lmg pairons --j 40 --format json` on gx + gy =
+10 at gx = 0.5 state 0, gx = 3.5 state 40 and gx = 9.5 state 80, whose
+meta carries the rebuilt state's fidelity and residual.
 """
 import argparse
 import json
@@ -100,7 +104,11 @@ COMMANDS = (
        for gx, gy in (("3.74102", "6.25898"), ("6.164669", "3.835331"))]
     + [["lmg", "pairons", "--j", j, "--gx", gx, "--gy", gy, "--state", s]
        for j, gx, gy, s in (("120", "0.25", "9.75", "60"),
-                            ("140", "2", "8", "100"))])
+                            ("140", "2", "8", "100"))]
+    + [["lmg", "pairons", "--j", "40", "--gx", gx, "--gy", gy, "--state", s,
+        "--format", "json"]
+       for gx, gy, s in (("0.5", "9.5", "0"), ("3.5", "6.5", "40"),
+                         ("9.5", "0.5", "80"))])
 
 
 def run(argv: list[str], src: Path = SRC) -> dict:
@@ -137,6 +145,32 @@ def excerpt(line: str, column: int) -> str:
             + ("..." if start + 120 < len(line) else ""))
 
 
+def _numbers(value) -> list | None:
+    """A number, or a list of numbers, as a list; else None."""
+    items = value if isinstance(value, list) else [value]
+    if all(isinstance(x, (int, float)) and not isinstance(x, bool)
+           for x in items):
+        return items
+    return None
+
+
+def meta_differences(base: str, head: str) -> list[tuple[str, float]]:
+    """Per numeric field of the "meta" objects of two JSON stdouts (a
+    number, or a list of numbers of one length in both), the largest
+    absolute difference; empty unless both stdouts have a meta."""
+    try:
+        a, b = (json.loads(text)["meta"] for text in (base, head))
+    except (ValueError, KeyError, TypeError):
+        return []
+    out = []
+    for key, value in a.items():
+        x, y = _numbers(value), _numbers(b.get(key))
+        if x is not None and y is not None and len(x) == len(y):
+            out.append((key, max((abs(p - q) for p, q in zip(x, y)),
+                                 default=0)))
+    return out
+
+
 def compare(base: list[dict], head: list[dict]) -> str:
     """The Markdown report of the records that differ between two dumps."""
     differ = [(b, h) for b, h in zip(base, head) if b != h]
@@ -155,6 +189,11 @@ def compare(base: list[dict], head: list[dict]) -> str:
                           "    base: " + excerpt(x, column),
                           "    head: " + excerpt(y, column),
                           "    ```"]
+        fields = meta_differences(b["stdout"], h["stdout"])
+        if b["stdout"] != h["stdout"] and fields:
+            lines.append("  - meta, largest absolute difference: "
+                         + ", ".join(f"{key} {delta:.3g}"
+                                     for key, delta in fields))
     return "\n".join(lines) + "\n"
 
 

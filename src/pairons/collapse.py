@@ -583,7 +583,7 @@ def _anchor_slices(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
     times the sector's sqrt(C(2j, k)), as parity_slice computes it, so
     each point gets the bits it gets alone.
     """
-    out, _, t, sectors = solve_states(j, eps, lam, gam, state_index)
+    out, _, _, t, sectors = solve_states(j, eps, lam, gam, state_index)
     for refusal in out:
         if refusal is not None:
             raise refusal

@@ -14,10 +14,10 @@ class ConvergenceError(PaironsError):
     """A solver returned no trustworthy result.
 
     Root finding raises it when the companion-matrix roots fail the
-    residual check or reproduce the polynomial's coefficients no better
-    than ACCEPT_DEFECT (phasespace._solve_cores).  The parity-block
-    eigensolver (spin.parity_eigh) raises it when LAPACK fails, and the
-    collapse detector's Brent solver when it does not converge.
+    residual check or their normalized factor product misses the
+    coefficients by more than ACCEPT_DEFECT (phasespace._solve_cores).
+    The parity-block eigensolver (spin.parity_eigh) raises it when LAPACK
+    fails, and the collapse detector's Brent solver when it does not converge.
     Carries whatever partial results were available in ``partial``.
     """
 

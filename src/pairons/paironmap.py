@@ -18,6 +18,7 @@ written here in homogeneous form so e_a = +-t needs no special casing.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,8 +26,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStateError,
                      InconsistentPaironsError)
-from .phasespace import (ZeroSet, _binomial_sqrt, _raised, parity_slice,
-                         poly_residuals, strip_and_solve_stack)
+from .phasespace import (ZeroSet, _binomial_sqrt, _linear_product, _raised,
+                         parity_slice, poly_residuals, strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint, sphere_points
 from .spin import (ModelParams, StateVector, _normalized_rows,
                    eigen_residuals, gammas, hamiltonian_stack,
@@ -233,36 +234,27 @@ def reconstruct_state(pairons: PaironSet) -> StateVector:
     return StateVector(j=pairons.j, coeffs=coeffs[0])
 
 
+@functools.cache
+def _log_weights(m_pairs: int, nu: int) -> tuple[float, ...]:
+    """log sqrt(n_a! n_b!) per s = 0..M (reconstruct_state), by lgamma."""
+    return tuple(0.5 * (math.lgamma(2 * (m_pairs - k) + nu + 1)
+                        + math.lgamma(2 * k + nu + 1))
+                 for k in range(m_pairs + 1))
+
+
 def _reconstruct_stack(j: int, nu: int, energies: np.ndarray,
                        t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """reconstruct_state for each row of energies (R, j - nu) at its t,
     before the normalization: the rebuilt coefficients (R, 2j+1), the
-    largest of each row about 1 in magnitude, and the mask of the rows
-    whose product vanished (zero rows, which reconstruct_state refuses).
-
-    The recurrence for sigma runs over all rows at once.  Each magnitude
-    is hypot(re, im), as abs takes it of a complex scalar, and each log
-    and exp is math's, so every row gets the bits it gets alone.
-    """
-    count, m_pairs = energies.shape
-    lower = energies - t[:, None]  # A_a
-    upper = energies + t[:, None]  # B_a
-    sigma = np.zeros((count, m_pairs + 1), dtype=complex)
-    sigma[:, 0] = 1.0
-    vanished = np.zeros(count, dtype=bool)
-    for top in range(m_pairs):
-        new = np.zeros(sigma.shape, dtype=complex)
-        new[:, :top + 1] += lower[:, top:top + 1] * sigma[:, :top + 1]
-        new[:, 1:top + 2] += upper[:, top:top + 1] * sigma[:, :top + 1]
-        scale = np.maximum.reduce(np.abs(new[:, :top + 2]), axis=1)
-        if not np.minimum.reduce(scale) > 0.0:
-            vanished |= scale == 0.0
-            scale[vanished] = 1.0
-        sigma = new / scale[:, None]
-
-    s = np.arange(m_pairs + 1)
-    weight = [0.5 * (math.lgamma(2 * (m_pairs - k) + nu + 1)
-                     + math.lgamma(2 * k + nu + 1)) for k in s.tolist()]
+    largest of each row 1 in magnitude, and the mask of the zero rows: those
+    with a zero or non-finite factor, which reconstruct_state refuses.
+    sigma is the _linear_product of the factors (A_a, B_a); each magnitude
+    is hypot(re, im), as abs takes it of a complex scalar, and each log and
+    exp is math's, so every row gets the bits it gets alone."""
+    sigma = _linear_product(energies - t[:, None], energies + t[:, None])
+    vanished = ~np.isfinite(sigma).all(axis=1)
+    sigma[vanished] = 0.0
+    weight = _log_weights(energies.shape[1], nu)
     live = sigma != 0
     rows, cols = np.nonzero(live)
     magnitude = np.hypot(sigma.real, sigma.imag)[live]
@@ -270,7 +262,7 @@ def _reconstruct_stack(j: int, nu: int, energies: np.ndarray,
     logs[live] = [math.log(x) + weight[k]
                   for x, k in zip(magnitude.tolist(), cols.tolist())]
     shifted = logs[live] - logs.max(axis=1)[rows]
-    coeffs = np.zeros((count, 2 * j + 1), dtype=complex)
+    coeffs = np.zeros((len(sigma), 2 * j + 1), dtype=complex)
     # c(m) sits at Dicke index j + m = n_b = 2s + nu
     coeffs[rows, 2 * cols + nu] = (sigma[live] / magnitude) * np.array(
         [math.exp(x) for x in shifted.tolist()])
@@ -327,12 +319,12 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
     arrays lam and gam, and the refusal of each point where it, or its
     pairon map, is undefined.
 
-    Returns (out, h, t, sectors): per point None, or the exception that
-    refuses it; the points' H (hamiltonian_stack); their t = sqrt|gx/gy|;
-    and per parity sector nu (0 even, 1 odd) that holds a live point,
-    (nu, rows, columns, energies): the indices of its live points, their
-    eigenvectors in the sector's basis (len(rows), j + 1 - nu) and their
-    energies.  The H are solved and ranked together by
+    Returns (out, h, gamma, t, sectors): per point None, or the exception
+    that refuses it; the points' H (hamiltonian_stack), (gamma_x, gamma_y)
+    and t = sqrt|gx/gy|; and per parity sector nu (0 even, 1 odd) that
+    holds a live point, (nu, rows, columns, energies): the indices of its
+    live points, their eigenvectors in the sector's basis (len(rows),
+    j + 1 - nu) and their energies.  The H are solved and ranked together by
     parity_eigenstates, so each point gets the bits it gets alone; if
     that raises ConvergenceError, each point is solved alone, and each
     live point gets an entry of its own.  A point is refused with the
@@ -352,17 +344,17 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
     try:
         solved, sector, col, degenerate = parity_eigenstates(h, state_index)
     except ValueError as exc:
-        return [exc] * len(h), h, t, []
+        return [exc] * len(h), h, (gamma_x, gamma_y), t, []
     except ConvergenceError as exc:
         if len(h) == 1:
-            return [exc], h, t, []
+            return [exc], h, (gamma_x, gamma_y), t, []
         out, sectors = [], []
         for i in range(len(h)):
-            (alone,), _, _, found = solve_states(j, eps, lam[i:i + 1],
-                                                 gam[i:i + 1], state_index)
+            (alone,), *_, found = solve_states(j, eps, lam[i:i + 1],
+                                               gam[i:i + 1], state_index)
             out.append(alone)
             sectors += [(nu, rows + i, *rest) for nu, rows, *rest in found]
-        return out, h, t, sectors
+        return out, h, (gamma_x, gamma_y), t, sectors
     # gamma_x = 0 gives t = 0 and gamma_y = 0 an infinite or NaN t
     live = ~degenerate & (0.0 < t) & (t < math.inf)
     out = [None] * len(h)
@@ -379,7 +371,7 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
         if rows.size:
             sectors.append((nu, rows, v[rows, :, col[rows]],
                             w[rows, col[rows]]))
-    return out, h, t, sectors
+    return out, h, (gamma_x, gamma_y), t, sectors
 
 
 def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
@@ -406,8 +398,8 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
     if len(parts) != 1:
         return [result for part in parts for result in extract_stack(
             j, eps, lam[part], gam[part], state_index)]
-    out, h, t, sectors = solve_states(j, eps, lam, gam, state_index)
-    gamma_x, gamma_y = gammas(j, eps, lam, gam)
+    out, h, (gamma_x, gamma_y), t, sectors = solve_states(j, eps, lam, gam,
+                                                          state_index)
     binom = _binomial_sqrt(2 * j)
     for nu, rows, columns, energy in sectors:
         mine = rows.tolist()

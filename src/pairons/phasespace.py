@@ -158,26 +158,44 @@ def husimi_quadrature(state: StateVector) -> float:
 # Root finding
 # ---------------------------------------------------------------------------
 
+def _linear_product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Coefficients (R, n+1), lowest power first, of prod_i (a_i + b_i z)
+    for each row of stacks a, b (R, n), each factor divided first by
+    max(|a_i|, |b_i|) (hypot, as abs of a complex scalar).  Such factors
+    have Mahler measure 1, so the largest coefficient stays in [1/sqrt(n+1),
+    2^n]; a power of two rescales it every 1000 factors.  A zero or
+    non-finite factor gives a nan row; each row gets the bits it gets alone."""
+    with np.errstate(all="ignore"):
+        scale = np.maximum(np.hypot(a.real, a.imag), np.hypot(b.real, b.imag))
+        a, b = ((x.real / scale + 1j * (x.imag / scale)).T for x in (a, b))
+        n, count = a.shape
+        prod = np.zeros((count, n + 1), dtype=complex)
+        prod[:, 0] = 1.0
+        low, high = prod[:, :-1], prod[:, 1:]
+        shifted = np.empty_like(low)
+        # factors as full rows multiply faster than broadcast columns
+        for lo in range(0, n, 1000):
+            if lo:
+                size = np.abs(prod).max(axis=1)
+                prod *= np.ldexp(1.0, -np.frexp(size)[1])[:, None]
+            for ai, bi in zip(np.repeat(a[lo:lo + 1000, :, None], n + 1, 2),
+                              np.repeat(b[lo:lo + 1000, :, None], n, 2)):
+                np.multiply(low, bi, out=shifted)
+                prod *= ai
+                high += shifted
+    return prod
+
+
 def _factor_defects(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
     """Shape distance between each row of c and lead * prod (z - r_i)
-    over its row of roots, for stacks c (R, n+1) and roots (R, n).
-
-    Both coefficient vectors are compared at unit max magnitude, so the
-    measure is scale-free and safe against overflow for long products.
-    A wrong or lost root shows up as an O(1) defect; a correct root set,
-    clustered or not, reconstructs the shape to rounding.  A product that
-    vanishes or overflows turns its row to nan, which reads as an
-    infinite defect.
-    """
-    count, n = roots.shape
-    prod = np.zeros((count, n + 1), dtype=complex)
-    prod[:, 0] = 1.0
+    over its row of roots, for stacks c (R, n+1) and roots (R, n): both
+    at unit max magnitude, the product _linear_product's.  A wrong or
+    lost root shows up as an O(1) defect; a correct root set, clustered
+    or not, reconstructs the shape to rounding.  A non-finite root reads
+    as an infinite defect."""
+    prod = _linear_product(-roots, np.ones_like(roots))
     with np.errstate(all="ignore"):
-        for i in range(n):
-            new = prod * -roots[:, i:i + 1]  # times (z - r_i)
-            new[:, 1:] += prod[:, :-1]
-            prod = new / np.abs(new).max(axis=1)[:, None]
-        rows = np.arange(count)
+        rows = np.arange(len(c))
         ref = c / np.abs(c).max(axis=1)[:, None]
         k = np.argmax(np.abs(prod), axis=1)
         ref_k = ref[rows, k]
@@ -230,7 +248,6 @@ def _solve_cores(cores: np.ndarray) -> list:
     if deg == 0:
         return [np.zeros(0, dtype=complex) for _ in c]
     s = np.array([(abs(row[0]) / abs(row[-1])) ** (1.0 / deg) for row in c])
-    eps = np.finfo(float).eps
     # an overflow fails the eigensolve or the residual check below
     with np.errstate(all="ignore"):
         p = (c * s[:, None] ** np.arange(deg + 1))[:, ::-1]
@@ -247,9 +264,9 @@ def _solve_cores(cores: np.ndarray) -> list:
                     for result in _solve_cores(c[i:i + 1])]
         roots = s[:, None] * eig
         x, terms = _root_charts(c, roots)
-        value = np.abs(_polyval(x, terms))
-        bound = 1e6 * eps * np.maximum(
-            _polyval(np.abs(x), np.abs(terms)), 1e-300)
+        value, bound = np.abs(_polyval(
+            np.stack([x, np.abs(x)]), np.stack([terms, np.abs(terms)], 1)))
+        bound = 1e6 * np.finfo(float).eps * np.maximum(bound, 1e-300)
     ok = np.all((value <= bound) & np.isfinite(bound), axis=1)
     ok[ok] = _factor_defects(c[ok], roots[ok]) <= ACCEPT_DEFECT
     return [roots[i] if ok[i] else ConvergenceError(

@@ -258,36 +258,27 @@ class EigenPair:
 DEGENERACY_RTOL = 1e-9
 
 
-def degenerate_flags(w: np.ndarray, gap_tol) -> np.ndarray:
-    """Mask of the eigenvalues within gap_tol of a neighbour, over the last
-    axis of ascending w; gap_tol broadcasts against np.diff(w, axis=-1)."""
-    close = np.diff(w, axis=-1) < gap_tol
-    flags = np.zeros(w.shape, dtype=bool)
-    flags[..., :-1] |= close
-    flags[..., 1:] |= close
-    return flags
-
-
-def rank_states(values, gap_tol) -> tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]:
+def rank_states(values, gap_tol) -> tuple:
     """The states of solved sectors in ascending energy: per rank its
     sector, its column in that sector and its degenerate flag.
 
     values lists each sector's ascending eigenvalues, (n_s,) or a stack
-    (S, n_s), and the ranks run over the last axis.  The rank is a
-    stable argsort of the sectors' values concatenated in list order, and
-    the flag degenerate_flags over the state's own sector, with gap_tol
-    broadcasting against each sector's np.diff.
-    """
-    order = np.argsort(np.concatenate(values, axis=-1), axis=-1,
-                       kind="stable")
+    (S, n_s), and the ranks run over the last axis: a stable argsort of
+    the values concatenated in list order.  A state is degenerate when a
+    gap w[c+1] - w[c] beside it in its sector, fenced by -inf and +inf,
+    is below gap_tol (broadcast as a column)."""
+    order = np.argsort(np.concatenate(values, -1), -1, kind="stable")
     sizes = [w.shape[-1] for w in values]
     ends = np.cumsum(sizes)
     sector = np.searchsorted(ends, order, side="right")
-    flags = np.concatenate([degenerate_flags(w, gap_tol) for w in values],
-                           axis=-1)
+    fence = np.full(values[0].shape[:-1] + (1,), math.inf)
+    close = np.diff(np.concatenate([x for w in values
+                                    for x in (-fence, w, fence)], axis=-1),
+                    axis=-1) < gap_tol
+    # the state at column o, in sector s, lies between gaps o+2s, o+2s+1
+    flags = close[..., :-1] | close[..., 1:]
     return (sector, order - (ends - sizes)[sector],
-            np.take_along_axis(flags, order, axis=-1))
+            np.take_along_axis(flags, order + 2 * sector, -1))
 
 
 PARITY_SECTORS = ((PARITY_EVEN, 0), (PARITY_ODD, 1))

@@ -227,3 +227,56 @@ def test_batched_companion_roots_are_np_roots_bitwise(rng, length):
             assert (defect <= phasespace.ACCEPT_DEFECT) == (
                 ref <= phasespace.ACCEPT_DEFECT)
             assert abs(defect - ref) <= 0.1 * phasespace.ACCEPT_DEFECT
+
+
+def test_linear_product_rows_are_their_bits_alone(rng):
+    # complex and real factors over many scales, one row with a zero
+    # factor and one with an infinite one (nan rows), in one stack: each
+    # row is the row solved alone, bit for bit
+    a = rng.normal(size=(12, 25)) + 1j * rng.normal(size=(12, 25))
+    b = rng.normal(size=(12, 25)) * 10.0 ** rng.uniform(-8, 8, (12, 25))
+    b = np.where(np.arange(12)[:, None] % 2, b, b + 1j * a.imag)
+    a[5, 7] = b[5, 7] = 0.0
+    a[6, 2] = np.inf
+    stacked = phasespace._linear_product(a, b)
+    assert stacked.shape == (12, 26)
+    assert np.isnan(stacked[[5, 6]]).all()
+    assert np.isfinite(np.delete(stacked, [5, 6], axis=0)).all()
+    for row in range(12):
+        alone = phasespace._linear_product(a[row:row + 1], b[row:row + 1])
+        assert alone.tobytes() == stacked[row:row + 1].tobytes()
+    assert phasespace._linear_product(np.zeros((0, 3)),
+                                      np.zeros((0, 3))).shape == (0, 4)
+
+
+def test_linear_product_past_the_double_range_matches_mpmath():
+    # 1101 factors a + b z, each scaled by 10^u with u in [-8, 8], with
+    # a / b near 1: the product's largest coefficient lies far past the
+    # double range, and the power-of-two rescale keeps the result finite.
+    # Up to that power of two it is the 50-digit product of the factors
+    # divided by their max(|a|, |b|), at points near the positive axis,
+    # where the product is about as large as its coefficients allow
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(11)
+    n = 1101
+    s = 10.0 ** rng.uniform(-8, 8, n)
+    a = s * np.exp(1j * rng.uniform(-0.05, 0.05, n))
+    b = s * rng.uniform(0.99, 1.01, n)
+    got = phasespace._linear_product(a[None], b[None])[0]
+    assert np.isfinite(got).all()
+    with mp.workdps(50):
+        factors = [(mp.mpc(x), mp.mpc(y))
+                   for x, y in zip(a.tolist(), b.tolist())]
+        scale = mp.fprod(max(abs(x), abs(y)) for x, y in factors)
+        coeffs = [mp.mpc(c) for c in got[::-1].tolist()]
+        ratios = []
+        for radius in (0.5, 1.0, 2.0):
+            for phi in (-0.1, 0.0, 0.1):
+                z = radius * mp.expj(phi)
+                ratios.append(mp.fprod(x + y * z for x, y in factors)
+                              / scale / mp.polyval(coeffs, z))
+        power = mp.mpf(2) ** mp.nint(mp.log(abs(ratios[0]), 2))
+        # unscaled, the largest coefficient would overflow
+        assert power * max(abs(got)) > mp.mpf(2) ** 1024
+        for ratio in ratios:
+            assert abs(ratio / power - 1) <= 1e-13

@@ -57,22 +57,34 @@ def test_dump_outputs_runner():
     bad = dump.run(["lmg", "spectrum", "--j", "2", "--gx", "nan", "--gy", "1"])
     assert bad["exit"] == 2 and bad["stdout"] == ""
     assert "lam must be finite" in bad["stderr"]
-    assert len(dump.COMMANDS) == 154
+    assert len(dump.COMMANDS) == 157
 
 
 def test_dump_outputs_compare(tmp_path):
     # two crafted dumps: one command keeps its output, one changes its
-    # exit code and stderr, one changes stdout at line 2, column 4
+    # exit code and stderr, one JSON command moves two numeric meta fields,
+    # and one changes stdout at line 2, column 5
     same = {"argv": ["lmg", "spectrum"], "exit": 0, "stdout": "a\n",
             "stderr": ""}
+
+    def pairons_json(fidelity, rows):
+        meta = {"command": "lmg pairons", "energy": -1.5, "nu": 0,
+                "reconstruction_fidelity": fidelity, "seniority": rows,
+                "config": {"j": 40}}
+        return {"argv": ["lmg", "pairons", "--format", "json"], "exit": 0,
+                "stdout": json.dumps({"meta": meta, "rows": rows}) + "\n",
+                "stderr": ""}
+
     base = [same,
             {"argv": ["lmg", "pairons"], "exit": 0, "stdout": "x\n",
              "stderr": "warning\n"},
+            pairons_json(1.0, [0, 1]),
             {"argv": ["lmg", "scan"], "exit": 0, "stdout": "h\n1,2,3\n",
              "stderr": ""}]
     head = [same,
             {"argv": ["lmg", "pairons"], "exit": 3, "stdout": "x\n",
              "stderr": "numerical failure\n"},
+            pairons_json(1.0 + 2.0 ** -52, [0, 3]),
             {"argv": ["lmg", "scan"], "exit": 0, "stdout": "h\n1,2,4\n",
              "stderr": ""}]
     paths = []
@@ -87,7 +99,7 @@ def test_dump_outputs_compare(tmp_path):
     assert proc.stdout == """\
 ## Byte identity against the base commit
 
-2 of 3 commands differ.
+3 of 4 commands differ.
 
 - `lmg pairons`
   - exit code 0 -> 3
@@ -96,6 +108,16 @@ def test_dump_outputs_compare(tmp_path):
     base: warning
     head: numerical failure
     ```
+- `lmg pairons --format json`
+  - stdout, first difference at line 1, column 92:
+    ```
+    base: ... "nu": 0, "reconstruction_fidelity": 1.0, "seniority": [0, 1], \
+"config": {"j": 40}}, "rows": [0, 1]}
+    head: ... "nu": 0, "reconstruction_fidelity": 1.0000000000000002, \
+"seniority": [0, 3], "config": {"j": 40}}, "rows": [0, 3]}
+    ```
+  - meta, largest absolute difference: energy 0, nu 0, \
+reconstruction_fidelity 2.22e-16, seniority 2
 - `lmg scan`
   - stdout, first difference at line 2, column 5:
     ```

@@ -95,11 +95,13 @@ def test_eigenpair_is_diagonalize_entry(j):
 
 def _rank_reference(values, gap_tol):
     """(sector, column, flag) per rank: Python's stable sort of the
-    (sector, column) keys by value, with each sector's own flags."""
+    (sector, column) keys by value, flagged where a gap to a neighbour in
+    the state's own sector is below gap_tol."""
     keys = sorted(((s, c) for s, w in enumerate(values)
                    for c in range(len(w))),
                   key=lambda key: values[key[0]][key[1]])
-    flags = [spin.degenerate_flags(np.array(w), gap_tol).tolist()
+    flags = [[any(0 <= k < len(w) - 1 and w[k + 1] - w[k] < gap_tol
+                  for k in (c - 1, c)) for c in range(len(w))]
              for w in values]
     return [(s, c, flags[s][c]) for s, c in keys]
 
