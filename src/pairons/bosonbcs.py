@@ -512,7 +512,9 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
     (2 eps_k - e_a), proportional to 1/(2 eps_l - e_a) whenever no pairon
     sits exactly on a pair level.  The product is taken one pairon at a
     time, as amplitudes over the pair counts placed so far, rescaled to a
-    largest modulus of 1 after each pairon.
+    largest modulus of 1 after each pairon.  A product that vanishes, or
+    that is not finite (a NaN pairon, or weights or sums that overflow),
+    raises ValueError.
     """
     levels = model.levels
     L1 = model.n_levels
@@ -558,12 +560,18 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
             weights.append(w)
         wr, wi = np.array([(w.real, w.imag) for w in weights]).T[:, :, None]
         a, b = amp[:, src[:, group[t]:group[t + 1]]]  # (L+1, m) each
-        terms = np.array([a * wr - b * wi, a * wi + b * wr])
-        amp = np.zeros((2, a.shape[1] + 1))
-        for l in reversed(range(L1)):
-            if weights[l] != 0:
-                amp[:, :-1] += terms[:, l]
-        scale = float(np.max(np.hypot(amp[0], amp[1])))
+        # every weight meets the largest amplitude in some key, so a weight
+        # or a sum that is not finite leaves a scale that is not finite
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = np.array([a * wr - b * wi, a * wi + b * wr])
+            amp = np.zeros((2, a.shape[1] + 1))
+            for l in reversed(range(L1)):
+                if weights[l] != 0:
+                    amp[:, :-1] += terms[:, l]
+            scale = float(np.max(np.hypot(amp[0], amp[1])))
+        if not math.isfinite(scale):
+            raise ValueError(
+                "pairon product is not finite; invalid pairon set")
         if scale == 0.0:
             raise ValueError("pairon product vanished; invalid pairon set")
         amp /= scale

@@ -536,9 +536,12 @@ def _bcs_state(args):
     return model, boson_eigenstate(model, args.state)
 
 
-def _cmd_bcs_pairons(args) -> int:
-    model, state = _bcs_state(args)
-    pairons = extract_boson_pairons(state, axis=args.slice)
+def _certified_boson_pairons(model, state, axis: int):
+    """The pairons of a boson eigenstate on an axis, their energy sum and
+    the fidelity of the state they rebuild.  InconsistentPaironsError when
+    the sum misses the eigenvalue by more than 1e-8 (relative, at least
+    absolute) or the fidelity loss is above VERIFY_TOL (or NaN)."""
+    pairons = extract_boson_pairons(state, axis=axis)
     total = boson_energy(pairons)
     if abs(total - state.energy) > 1e-8 * max(1.0, abs(state.energy)):
         raise InconsistentPaironsError(
@@ -549,6 +552,12 @@ def _cmd_bcs_pairons(args) -> int:
         raise InconsistentPaironsError(
             f"pairons unverified, fidelity loss {1.0 - fid:.3g} "
             f"(bound {VERIFY_TOL:g})")
+    return pairons, total, fid
+
+
+def _cmd_bcs_pairons(args) -> int:
+    model, state = _bcs_state(args)
+    pairons, total, fid = _certified_boson_pairons(model, state, args.slice)
     flags = ";".join(sorted(pairons.flags))
     rows = [[alpha, e.real, e.imag, flags]
             for alpha, e in enumerate(pairons.energies)]
@@ -565,10 +574,10 @@ def _cmd_bcs_pairons(args) -> int:
 
 def _cmd_bcs_ellipsoid(args) -> int:
     model, state = _bcs_state(args)
-    pairons = extract_boson_pairons(state, axis=args.slice)
     n_points = args.steps if args.steps is not None else 100
     if n_points < 1:
         raise UsageError("--steps must be at least 1")
+    pairons, _, _ = _certified_boson_pairons(model, state, args.slice)
     rows = []
     for alpha, e in enumerate(pairons.energies):
         residual = verify_ellipsoid(state, e, n_points=n_points,

@@ -27,7 +27,7 @@ import numpy as np
 from .errors import (ConvergenceError, DegenerateStateError,
                      InconsistentPaironsError)
 from .phasespace import (ZeroSet, _binomial_sqrt, _linear_product, _raised,
-                         parity_slice, poly_residuals, strip_and_solve_stack)
+                         parity_slice, strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint, sphere_points
 from .spin import (ModelParams, StateVector, _normalized_rows,
                    eigen_residuals, gammas, hamiltonian_stack,
@@ -164,45 +164,44 @@ def pairons_from_state(state: StateVector, t: float
     """
     t = _checked_t(t)
     nu, d = parity_slice(state)
-    return _raised(_slice_pairons(state.j, nu, d[None], np.array([t]),
-                                  [()])[0])
+    pairons, residual, (refusal,) = _slice_pairons(d[None], np.array([t]))
+    _raised(refusal)
+    return (PaironSet(j=state.j, nu=nu, energies=tuple(pairons[0].tolist()),
+                      t=t), float(residual[0]))
 
 
-def _slice_pairons(j: int, nu: int, d: np.ndarray, t: np.ndarray,
-                   flags: list[tuple[str, ...]]) -> list:
-    """The pairons of each u-polynomial of a stack d (R, j - nu + 1) of
-    seniority nu at its t, with its flags: per row the (PaironSet,
-    residual), or the exception it raises alone.
+def _slice_pairons(d: np.ndarray, t: np.ndarray) -> tuple:
+    """The M pairons of each u-polynomial of a stack d (R, M + 1) at its
+    t: the pairons (R, M), each row sorted by (real, imag), the root residual
+    of each row (R,), and per row None or the exception it raises alone.
+    A refused row holds placeholder pairons, all +t.
 
     Each root u of a slice is one pairon, pairon_from_u(u, t); a
     structural root at u = 0 is a pairon at +t and one at u = infinity a
-    pairon at -t.  The residual is poly_residual of the slice over its
-    finite u-roots.  The slices are root-solved together
-    (strip_and_solve_stack); the u-roots of the slices with equal root
-    counts are mapped and checked together.
+    pairon at -t.  The residual is poly_residual of the slice's stripped
+    core over its u-roots, as the root solve takes it.  The slices are
+    root-solved together (strip_and_solve_stack), and their u-roots,
+    right-aligned in one array, are mapped together.
     """
     solved = strip_and_solve_stack(d)
-    out: list = list(solved)
-    by_count: dict[int, list] = {}
+    m = d.shape[1] - 1
+    u = np.zeros((len(d), m), dtype=complex)
+    # per row n0 and n0 + n_inf: pairons at +t fill the columns before
+    # the first, pairons at -t those before the second
+    cut = np.zeros((len(d), 2), dtype=int)
+    residual = np.zeros(len(d))
+    refusals = []
     for i, result in enumerate(solved):
-        if not isinstance(result, Exception):
-            by_count.setdefault(len(result[2]), []).append(i)
-    for count, rows in by_count.items():
-        ts = t[rows]
-        if count:
-            roots = np.stack([solved[i][2] for i in rows])
-            finite = pairon_from_u(roots, ts[:, None]).tolist()
-            deg = [d.shape[1] - 1 - solved[i][1] for i in rows]
-            residual = poly_residuals(d[rows], roots, np.array(deg)).tolist()
-        else:
-            finite, residual = [[]] * len(rows), [0.0] * len(rows)
-        for i, ti, row, res in zip(rows, ts.tolist(), finite, residual):
-            n0, n_inf, _ = solved[i]
-            energies = [complex(ti)] * n0 + [complex(-ti)] * n_inf + row
-            energies.sort(key=lambda e: (e.real, e.imag))
-            out[i] = (PaironSet(j=j, nu=nu, energies=tuple(energies), t=ti,
-                                flags=flags[i]), res)
-    return out
+        refusals.append(result if isinstance(result, Exception) else None)
+        if refusals[-1] is None:
+            n0, n_inf, roots, residual[i] = result
+            cut[i] = n0, n0 + n_inf
+            u[i, m - len(roots):] = roots
+    col, ts = np.arange(m), t[:, None]
+    pairons = np.where(col < cut[:, :1], ts.astype(complex), np.where(
+        col < cut[:, 1:], (-ts).astype(complex), pairon_from_u(u, ts)))
+    order = np.lexsort((pairons.imag, pairons.real))
+    return np.take_along_axis(pairons, order, axis=1), residual, refusals
 
 
 def pairons_to_zeros(pairons: PaironSet) -> ZeroSet:
@@ -385,12 +384,13 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
     solve_states.
     Then each parity sector nu (0 even, 1 odd) takes its live points in
     one pass: their eigenvectors' u-polynomials are solved together
-    (_slice_pairons), the pairon sets rebuilt together
-    (_reconstruct_stack), and the fidelities and eigen-residuals taken
-    together (fidelities, eigen_residuals).  Each layer gives every point
-    the bits it gets alone.  A point whose rebuilt state has a fidelity
-    loss or an eigen-residual above VERIFY_TOL (or NaN) gets an
-    InconsistentPaironsError.
+    (_slice_pairons), their pairons rebuilt together (_reconstruct_stack),
+    and the fidelities and eigen-residuals taken together (fidelities,
+    eigen_residuals).  Each layer gives every point the bits it gets
+    alone.  A point then gets the first of: the refusal of its root
+    solve, ValueError for a vanished pairon product, and
+    InconsistentPaironsError for a rebuilt state whose fidelity loss or
+    eigen-residual is above VERIFY_TOL (or NaN); otherwise its pairon set.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))
@@ -402,53 +402,37 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
                                                           state_index)
     binom = _binomial_sqrt(2 * j)
     for nu, rows, columns, energy in sectors:
-        mine = rows.tolist()
-        gamma = list(zip(gamma_x[rows].tolist(), gamma_y[rows].tolist()))
         full = np.zeros((len(rows), 2 * j + 1), dtype=complex)
         full[:, nu::2] = columns
         unit, _ = _normalized_rows(full)
-        flags = [(FLAG_SIGN_UNVERIFIED,) if x * y < 0 else ()
-                 for x, y in gamma]
-        sets = _slice_pairons(j, nu, np.conj(unit[:, nu::2]) * binom[nu::2],
-                              t[rows], flags)
-        kept = []
-        for k, result in enumerate(sets):
-            if isinstance(result, Exception):
-                out[mine[k]] = result
-            else:
-                kept.append(k)
-        if not kept:
-            continue
-        energies = np.array([sets[k][0].energies for k in kept],
-                            dtype=complex).reshape(len(kept), j - nu)
-        coeffs, vanished = _reconstruct_stack(j, nu, energies, t[rows][kept])
-        rebuilt = []
-        for k, gone in zip(kept, vanished.tolist()):
-            if gone:
-                out[mine[k]] = ValueError(_VANISHED)
-            else:
-                rebuilt.append(k)
-        if not rebuilt:
-            continue
-        recon, _ = _normalized_rows(coeffs[~vanished])
-        fid = fidelities(recon, unit[rebuilt]).tolist()
-        res = eigen_residuals(h[rows[rebuilt]], recon).tolist()
-        for k, f, r, e in zip(rebuilt, fid, res, energy[rebuilt].tolist()):
-            pairons, residual = sets[k]
-            if not (1.0 - f <= VERIFY_TOL and r <= VERIFY_TOL):
-                x, y = gamma[k]
-                out[mine[k]] = InconsistentPaironsError(
+        ts = t[rows]
+        pairons, root_residual, refusals = _slice_pairons(
+            np.conj(unit[:, nu::2]) * binom[nu::2], ts)
+        coeffs, vanished = _reconstruct_stack(j, nu, pairons, ts)
+        coeffs[vanished, nu] = 1.0  # a placeholder; the row is refused
+        recon, _ = _normalized_rows(coeffs)
+        fid = fidelities(recon, unit).tolist()
+        res = eigen_residuals(h[rows], recon).tolist()
+        for k, (i, f, r) in enumerate(zip(rows.tolist(), fid, res)):
+            x, y = float(gamma_x[i]), float(gamma_y[i])
+            if refusals[k] is not None:
+                out[i] = refusals[k]
+            elif vanished[k]:
+                out[i] = ValueError(_VANISHED)
+            elif not (1.0 - f <= VERIFY_TOL and r <= VERIFY_TOL):
+                out[i] = InconsistentPaironsError(
                     f"state {state_index} at (gx={x:.6g}, gy={y:.6g}): "
                     f"pairons unverified, fidelity loss {1.0 - f:.3g} and "
                     f"eigen-residual {r:.3g} (bound {VERIFY_TOL:g})")
-                continue
-            out[mine[k]] = pairons, ExtractionDiagnostics(
-                t=pairons.t,
-                energy=e,
-                state_index=state_index,
-                max_root_residual=residual,
-                reconstruction_fidelity=f,
-                reconstruction_residual=r,
-                flags=pairons.flags,
-            )
+            else:
+                flags = (FLAG_SIGN_UNVERIFIED,) if x * y < 0 else ()
+                found = PaironSet(j=j, nu=nu,
+                                  energies=tuple(pairons[k].tolist()),
+                                  t=float(ts[k]), flags=flags)
+                out[i] = found, ExtractionDiagnostics(
+                    t=found.t, energy=float(energy[k]),
+                    state_index=state_index,
+                    max_root_residual=float(root_residual[k]),
+                    reconstruction_fidelity=f, reconstruction_residual=r,
+                    flags=flags)
     return out

@@ -206,8 +206,10 @@ def _factor_defects(c: np.ndarray, roots: np.ndarray) -> np.ndarray:
 
 def _solve_cores(cores: np.ndarray) -> list:
     """All roots of each row of a stack (R, n+1) of cores of one length,
-    sum_k c[k] z^k, as companion-matrix eigenvalues: its roots, or the
-    ConvergenceError it raises alone.
+    sum_k c[k] z^k, as companion-matrix eigenvalues: its (roots, residual),
+    or the ConvergenceError it raises alone.  The residual is the largest
+    |P(z)| / max|c| of the sweep that checks the roots below, the
+    poly_residual of the core.
 
     Each row needs c[0] != 0 and c[-1] != 0 (strip_and_solve_stack strips
     structural zeros first).  The variable is scaled, z = s y with
@@ -246,7 +248,7 @@ def _solve_cores(cores: np.ndarray) -> list:
         c = c.real
     deg = c.shape[1] - 1
     if deg == 0:
-        return [np.zeros(0, dtype=complex) for _ in c]
+        return [(np.zeros(0, dtype=complex), 0.0) for _ in c]
     s = np.array([(abs(row[0]) / abs(row[-1])) ** (1.0 / deg) for row in c])
     # an overflow fails the eigensolve or the residual check below
     with np.errstate(all="ignore"):
@@ -267,9 +269,10 @@ def _solve_cores(cores: np.ndarray) -> list:
         value, bound = np.abs(_polyval(
             np.stack([x, np.abs(x)]), np.stack([terms, np.abs(terms)], 1)))
         bound = 1e6 * np.finfo(float).eps * np.maximum(bound, 1e-300)
+        residual = (value.max(axis=1) / np.abs(c).max(axis=1)).tolist()
     ok = np.all((value <= bound) & np.isfinite(bound), axis=1)
     ok[ok] = _factor_defects(c[ok], roots[ok]) <= ACCEPT_DEFECT
-    return [roots[i] if ok[i] else ConvergenceError(
+    return [(roots[i], residual[i]) if ok[i] else ConvergenceError(
                 f"root finding failed for degree {deg}", partial=roots[i])
             for i in range(len(c))]
 
@@ -279,9 +282,9 @@ def _root_charts(coeffs: np.ndarray, roots: np.ndarray
     """Where to evaluate each row of a stack of coefficients (R, n+1) at
     each of its roots (R, k) without forming a power above 1: the points
     x (R, k) and per-root coefficient rows (n+1, R, k), for
-    _polyval(x, terms).  A root r with |r| <= 1 keeps the coefficients;
-    one with |r| > 1 is taken as w = 1/r on the reversed ones,
-    Q(w) = w^n P(1/w) = P(r) / r^n."""
+    _polyval(x, terms) (_solve_cores, poly_residual).  A root r with
+    |r| <= 1 keeps the coefficients; one with |r| > 1 is taken as w = 1/r
+    on the reversed ones, Q(w) = w^n P(1/w) = P(r) / r^n."""
     x = roots.copy()
     big = np.abs(x) > 1.0
     x[big] = 1.0 / x[big]
@@ -342,8 +345,9 @@ def _live_ranges(coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def strip_and_solve_stack(coeffs: np.ndarray) -> list:
     """strip_and_solve for each row of a stack (R, n+1): its (count at 0,
-    count at infinity, rest), or the exception it raises alone.  The
-    stripped cores of equal length are solved together (_solve_cores).
+    count at infinity, rest, residual), or the exception it raises alone.
+    The stripped cores of equal length are solved together (_solve_cores),
+    and the residual is the poly_residual of the row's core over its rest.
     """
     lo, hi = _live_ranges(coeffs)
     n = coeffs.shape[1]
@@ -353,9 +357,9 @@ def strip_and_solve_stack(coeffs: np.ndarray) -> list:
     for length in sorted(set(size[hi >= 0].tolist())):
         rows = np.flatnonzero((size == length) & (hi >= 0))
         cores = coeffs[rows[:, None], lo[rows, None] + np.arange(length)]
-        for i, roots in zip(rows.tolist(), _solve_cores(cores)):
-            out[i] = (roots if isinstance(roots, Exception)
-                      else (int(lo[i]), n - 1 - int(hi[i]), roots))
+        for i, solved in zip(rows.tolist(), _solve_cores(cores)):
+            out[i] = (solved if isinstance(solved, Exception)
+                      else (int(lo[i]), n - 1 - int(hi[i]), *solved))
     return out
 
 
@@ -367,31 +371,16 @@ def strip_and_solve(coeffs: np.ndarray) -> tuple[int, int, np.ndarray]:
     infinity.  The stripped core is solved by _solve_cores.  The one-row
     case of strip_and_solve_stack.
     """
-    return _raised(strip_and_solve_stack(np.asarray(coeffs)[None])[0])
-
-
-def poly_residuals(coeffs: np.ndarray, roots: np.ndarray,
-                   deg: np.ndarray) -> np.ndarray:
-    """poly_residual of each row of a stack of coefficients (R, n+1) over
-    its row of roots (R, k), k >= 1, given each row's deg (the last index
-    of _live_ranges).  For a root r with |r| > 1 the ratio
-    |P(r)| / |r|^deg is taken as |Q(1/r)|, Q(w) = w^deg P(1/w) the
-    reversed polynomial (_root_charts), so no power of r is formed that
-    could overflow."""
-    scale = np.max(np.abs(coeffs), axis=1)[:, None]
-    out = np.empty(len(coeffs))
-    for d in sorted(set(deg.tolist())):
-        rows = deg == d
-        vals = _polyval(*_root_charts(coeffs[rows, :d + 1], roots[rows]))
-        out[rows] = np.max(np.abs(vals) / scale[rows], axis=1)
-    return out
+    return _raised(strip_and_solve_stack(np.asarray(coeffs)[None])[0])[:3]
 
 
 def poly_residual(coeffs: np.ndarray, roots) -> float:
     """max over roots r of |P(r)| / (max|coeffs| * max(1,|r|)^deg).
 
-    deg is the largest power whose coefficient is nonzero.  The one-row
-    case of poly_residuals.
+    deg is the largest power whose coefficient is nonzero.  For |r| > 1
+    the ratio is taken as |Q(1/r)|, Q(w) = w^deg P(1/w) the reversed
+    polynomial (_root_charts), so no power of r is formed that could
+    overflow.
     """
     r = np.asarray(roots, dtype=complex)
     if r.size == 0:
@@ -399,8 +388,9 @@ def poly_residual(coeffs: np.ndarray, roots) -> float:
     live = np.flatnonzero(coeffs)
     if not live.size:
         raise ValueError("polynomial is identically zero")
-    return float(poly_residuals(np.asarray(coeffs)[None], r[None],
-                                live[-1:])[0])
+    c = np.asarray(coeffs)[None, :live[-1] + 1]
+    value = np.abs(_polyval(*_root_charts(c, r[None])))
+    return float(value.max() / np.abs(c).max())
 
 
 def poly_roots(poly: MajoranaPoly) -> ZeroSet:

@@ -1,7 +1,6 @@
 """Shared oracles: independent Hamiltonian constructions used to check the
 banded/analytic builders against straightforward operator algebra."""
 
-import dataclasses
 import math
 import os
 import sys
@@ -96,8 +95,9 @@ def shift_one_pairon(monkeypatch, delta=1e-3):
     slice_pairons = paironmap._slice_pairons
 
     def shifted(*args):
-        return [(dataclasses.replace(
-                    ps, energies=(ps.energies[0] + delta, *ps.energies[1:])),
-                 residual) for ps, residual in slice_pairons(*args)]
+        pairons, residual, refusals = slice_pairons(*args)
+        pairons = pairons.copy()
+        pairons[:, 0] += delta
+        return pairons, residual, refusals
 
     monkeypatch.setattr(paironmap, "_slice_pairons", shifted)

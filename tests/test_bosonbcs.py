@@ -399,6 +399,17 @@ def test_vanishing_pairon_product_is_refused():
         _reference_reconstruct(model, (0, 0, 0), (0.3, 1.0))
 
 
+@pytest.mark.parametrize("pairons", [
+    (1e200, 0.3, 0.7), (math.nan, 0.3, 0.7), (5.6e102, 5.6e102, 0.7)])
+def test_non_finite_pairon_product_is_refused(pairons):
+    # a weight prod_{k != l} (2 eps_k - e) that overflows or is NaN, and
+    # finite weights whose sums overflow, raise ValueError, without the
+    # RuntimeWarnings of an all-NaN state (pytest makes them errors)
+    model = BosonModel(levels=(0.0, 0.5, 1.0, 1.5), gamma=0.5, n_bosons=6)
+    with pytest.raises(ValueError, match="pairon product is not finite"):
+        reconstruct_boson_state(model, (0, 0, 0, 0), pairons)
+
+
 def test_single_pair_reconstruction_weights():
     # M = 1: amplitude on (2,0) vs (0,2) goes like 1/(2 eps_l - e)
     model = BosonModel(levels=(0.0, 1.0), gamma=1.0, n_bosons=2)

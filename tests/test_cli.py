@@ -154,6 +154,28 @@ def test_bcs_pairons_unverified_exit_3(capsys, monkeypatch):
     assert "pairons unverified, fidelity loss 1.8e-06" in err
 
 
+@pytest.mark.parametrize("command", ["pairons", "ellipsoid"])
+def test_bcs_uncertified_pairons_exit_3(capsys, command):
+    # state 675 of N = 14 at gamma = -0.1: the seven pairons sum to
+    # 18.154 against the eigenvalue 17.272; neither command prints them
+    rc, out, err = run_bcs(capsys, command, "--levels", "0,0.5,1,1.5",
+                           "--n", "14", "--gamma", "-0.1", "--state", "675")
+    assert rc == 3
+    assert out == ""
+    assert ("pairon sum 18.154439235534987 disagrees with eigenvalue "
+            "17.27223280251589") in err
+
+
+def test_bcs_ellipsoid_steps_checked_before_the_gate(capsys):
+    # --steps 0 is a usage error whether or not the pairons certify
+    rc, out, err = run_bcs(capsys, "ellipsoid", "--levels", "0,0.5,1,1.5",
+                           "--n", "14", "--gamma", "-0.1", "--state", "675",
+                           "--steps", "0")
+    assert rc == 2
+    assert out == ""
+    assert "--steps must be at least 1" in err
+
+
 COLLAPSE_DIAGONAL_J10 = """\
 k,branch,gx_analytic,gx_detected,delta,anchor_value,pattern,pattern_ok
 9,diagonal,5.0250000000000004,5.0250000000000004,0,0,20,1

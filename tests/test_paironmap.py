@@ -421,11 +421,16 @@ def test_stacked_extraction_is_extract_pairons_bitwise(monkeypatch, j,
     (7, 3, np.linspace(0.05, 9.95, 100)),
     (40, 0, np.linspace(0.05, 9.95, 12)),
     (40, 19, np.array([3.74102, 6.164669])),
-], ids=["c10-j10", "both-seniorities-j7", "ground-j40", "state19-j40"])
+    (40, 20, np.linspace(0.05, 9.95, 100)[42:43]),
+], ids=["c10-j10", "both-seniorities-j7", "ground-j40", "state19-j40",
+        "half-at-t-j40"])
 def test_stacked_diagnostics_are_each_alone(j, state_index, gx):
     # the stacked fidelity and eigen-residual of each sample equal
     # fidelity and eigen_residual of its own eigenstate and rebuilt state,
-    # and those equal |vdot| and the residual formula on the vectors
+    # and those equal |vdot| and the residual formula on the vectors; the
+    # root residual is poly_residual of the stripped core of the state's
+    # u-polynomial over its roots (at half-at-t-j40, 20 of the 40 pairons
+    # sit at +t, structural roots at u = 0)
     params = [ModelParams.from_gammas(j, g, 10.0 - g) for g in gx.tolist()]
     stacked = extract_stack(j, 1.0, [p.lam for p in params],
                             [p.gam for p in params], state_index)
@@ -442,6 +447,11 @@ def test_stacked_diagnostics_are_each_alone(j, state_index, gx):
         assert diag.reconstruction_residual == eigen_residual(h, recon)
         assert diag.reconstruction_residual == float(
             np.linalg.norm(hv - ev * recon.coeffs) / h.norm)
+        _, d = phasespace.parity_slice(state)
+        n0, n_inf, roots = phasespace.strip_and_solve(d)
+        core = d[n0:len(d) - n_inf]
+        assert _bits(diag.max_root_residual) == _bits(
+            phasespace.poly_residual(core, roots))
         nus.add(pairons.nu)
     if j == 7:
         assert nus == {0, 1}

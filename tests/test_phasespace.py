@@ -180,7 +180,7 @@ def test_overflowing_core_is_refused_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ConvergenceError, match="degree 40"):
             strip_and_solve(c)
-        bad, roots = phasespace._solve_cores(np.array([c, good]))
+        bad, (roots, _) = phasespace._solve_cores(np.array([c, good]))
     assert isinstance(bad, ConvergenceError)
     assert roots.tobytes() == _np_roots_reference(good).tobytes()
 
@@ -213,9 +213,14 @@ def test_batched_companion_roots_are_np_roots_bitwise(rng, length):
              * 10.0 ** rng.uniform(-3, 3, (30, length))).astype(complex)
     cores[20:] += 1j * rng.normal(size=(10, length))
     solved = phasespace._solve_cores(cores)
-    for c, roots in zip(cores, solved):
-        if isinstance(roots, ConvergenceError):
-            roots = roots.partial
+    for c, result in zip(cores, solved):
+        if isinstance(result, ConvergenceError):
+            roots = result.partial
+        else:
+            # the residual of the sweep that gates the roots is the
+            # core's poly_residual
+            roots, residual = result
+            assert residual.hex() == phasespace.poly_residual(c, roots).hex()
         ref = _np_roots_reference(c)
         assert roots.tobytes() == ref.tobytes()
         # a rounding-level quantity; only its gate decides anything

@@ -125,3 +125,35 @@ reconstruction_fidelity 2.22e-16, seniority 2
     head: 1,2,4
     ```
 """
+
+
+COUNT_SAMPLE = '''"""A module docstring
+on two lines."""
+import os  # a comment
+
+# a comment line
+
+
+def f(x):
+    """A function docstring."""
+    text = """a string
+that is code"""
+    return (x +
+            1)
+'''
+
+
+def test_count_lines(tmp_path):
+    # 14 lines in two files; code: the import, the def, the two lines of
+    # the string that is no docstring, the two of the return, and x = 1
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "a.py").write_text(COUNT_SAMPLE)
+    (tmp_path / "sub" / "b.py").write_text("x = 1\n")
+    (tmp_path / "notes.txt").write_text("not counted\n")
+    proc = subprocess.run([sys.executable,
+                           os.path.join(SCRIPTS, "count_lines.py"),
+                           str(tmp_path)], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("14 lines, 7 without docstrings, comments and "
+                           "blank lines\n")
