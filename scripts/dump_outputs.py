@@ -46,7 +46,11 @@ pairons --j 120 --gx 0.25 --gy 9.75 --state 60` and `lmg pairons --j 140
 their powers overflow, so the root residual check takes them on the
 reversed polynomial; and `lmg pairons --j 40 --format json` on gx + gy =
 10 at gx = 0.5 state 0, gx = 3.5 state 40 and gx = 9.5 state 80, whose
-meta carries the rebuilt state's fidelity and residual.
+meta carries the rebuilt state's fidelity and residual; and three
+commands whose |H| overflows, which are refused: `lmg spectrum --j 2
+--gx 1.6e308 --gy 1e307`, `lmg scan --j 2 --line-sum 1.7e308 --from
+1e307 --to 1.6e308 --steps 3` and `bcs spectrum --levels 0,1 --gamma
+1e308 --n 4`.
 """
 import argparse
 import json
@@ -108,7 +112,11 @@ COMMANDS = (
     + [["lmg", "pairons", "--j", "40", "--gx", gx, "--gy", gy, "--state", s,
         "--format", "json"]
        for gx, gy, s in (("0.5", "9.5", "0"), ("3.5", "6.5", "40"),
-                         ("9.5", "0.5", "80"))])
+                         ("9.5", "0.5", "80"))]
+    + [["lmg", "spectrum", "--j", "2", "--gx", "1.6e308", "--gy", "1e307"],
+       ["lmg", "scan", "--j", "2", "--line-sum", "1.7e308", "--from", "1e307",
+        "--to", "1.6e308", "--steps", "3"],
+       ["bcs", "spectrum", "--levels", "0,1", "--gamma", "1e308", "--n", "4"]])
 
 
 def run(argv: list[str], src: Path = SRC) -> dict:

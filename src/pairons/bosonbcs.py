@@ -186,9 +186,11 @@ def _sector_blocks(model: BosonModel
     return _sectors(model)[0]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _sectors(model: BosonModel) -> tuple[list, float]:
     """_sector_blocks of model, and the max row sum of |H| (every row of
-    H lies inside one sector block).
+    H lies inside one sector block).  An H whose max row sum is not
+    finite raises ValueError.
 
     A sector nu holds the rows n = 2 p + nu, p running over the
     compositions of its pair number M = (N - |nu|)/2 into L+1 parts, and
@@ -241,11 +243,14 @@ def _sectors(model: BosonModel) -> tuple[list, float]:
         # |H| first, for its row sums without a temporary, then H
         stack[diagonal] = np.abs(diag[idx])
         stack[hops] = np.abs(vals[:, live])
-        norm = max(norm, float(np.max(np.sum(stack, axis=2))))
+        # np.maximum, as a NaN row sum must not be dropped
+        norm = float(np.maximum(norm, np.max(np.sum(stack, axis=2))))
         stack[diagonal] = diag[idx]
         stack[hops] = vals[:, live]
         for i, sector, block in zip(sel.tolist(), idx, stack):
             blocks[i] = (tuple(seniorities[i].tolist()), sector, block)
+    if not norm < math.inf:
+        raise ValueError(f"H overflows at (gamma={model.gamma:.6g})")
     return blocks, norm
 
 

@@ -219,16 +219,16 @@ _FIELDS: dict[str, tuple] = {
 }
 
 
+def _flag(dest: str) -> str:
+    """The command-line flag of a _FIELDS dest: from_ -> --from,
+    line_sum -> --line-sum."""
+    return "--" + dest.rstrip("_").replace("_", "-")
+
+
 def _add_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
     for name in names:
-        flag = "--" + name.replace("_", "-").rstrip("-")
-        dest = name
-        if name == "from_":
-            flag = "--from"
-        if name == "line":
-            parser.add_argument(flag, dest=dest, choices=(LINE_SUM, LINE_DIAGONAL))
-        else:
-            parser.add_argument(flag, dest=dest)
+        choices = (LINE_SUM, LINE_DIAGONAL) if name == "line" else None
+        parser.add_argument(_flag(name), dest=name, choices=choices)
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--out", default=None)
     parser.add_argument("--config", default=None)
@@ -278,15 +278,12 @@ def _resolve(args: argparse.Namespace, fields: list[str],
             value = default
         if value is None:
             if dest in required:
-                flag = "--from" if dest == "from_" else "--" + dest.replace("_", "-")
-                raise UsageError(f"missing required flag {flag}")
+                raise UsageError(f"missing required flag {_flag(dest)}")
             continue
         try:
             setattr(args, dest, norm(value))
-        except UsageError:
-            raise
         except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad value for --{dest.replace('_', '-')}: {exc}") from None
+            raise UsageError(f"bad value for {_flag(dest)}: {exc}") from None
 
     if getattr(args, "threads", None) is None:
         env = os.environ.get(ENV_THREADS)

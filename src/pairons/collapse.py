@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, PaironsError, UnresolvedAnchorError
 from .paironmap import (PaironSet, extract_stack, pairon_sites, solve_states,
                         stack_slices)
-from .phasespace import _binomial_sqrt, _polyval
+from .phasespace import _binomial_sqrt, _polyval, _raised
 from .sphere import SpherePoint, chordal_distances, sphere_points
 from .spin import ModelParams, build_hamiltonian, couplings, eigenpair
 
@@ -144,9 +144,10 @@ class TrajectorySpec:
         if self.stop <= self.start:
             raise ValueError("stop must exceed start")
         singular = [0.0] + ([self.line_sum] if self.line == LINE_SUM else [])
-        for g in np.linspace(self.start, self.stop, self.steps):
+        for g in np.linspace(self.start, self.stop, self.steps).tolist():
             for s in singular:
-                if abs(g - s) < SINGULAR_MARGIN:
+                # in Python floats, which overflow to inf without a warning
+                if abs(g - float(s)) < SINGULAR_MARGIN:
                     raise ValueError(
                         f"sample gx={g:.6g} is within {SINGULAR_MARGIN} of the "
                         f"singular point gx={s:.6g}")
@@ -463,10 +464,10 @@ def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
     """Extract pairons at every sample; failures are recorded, not fatal.
 
     The couplings of all samples come from one couplings call over the
-    gx array, which gives each the bits of ModelParams.from_gammas; a
-    sample whose couplings are not finite gets the ValueError of
-    ModelParams.  The other samples are extracted by one extract_stack
-    call.  Every sample gets the pairons, or the failure, that
+    gx array, which gives each the bits of ModelParams.from_gammas, and
+    every sample is extracted by one extract_stack call; solve_states
+    refuses a sample whose couplings are not finite in ModelParams'
+    words.  Every sample gets the pairons, or the failure, that
     extract_pairons gives it alone, and failures are listed in gx order.
     """
     gx = spec.samples()
@@ -476,17 +477,7 @@ def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
     except ValueError as exc:  # j is not a positive integer
         return ScanTable(spec=spec, samples=[], failures=[
             (g, f"ValueError: {exc}") for g in gx.tolist()])
-    results: list = [None] * len(gx)
-    for i in np.flatnonzero(~np.isfinite(lam) | ~np.isfinite(gam)).tolist():
-        try:  # ModelParams refuses them, in its words
-            ModelParams(j=int(spec.j), eps=spec.eps, lam=float(lam[i]),
-                        gam=float(gam[i]))
-        except ValueError as exc:
-            results[i] = exc
-    valid = [i for i, r in enumerate(results) if r is None]
-    for i, result in zip(valid, extract_stack(
-            int(spec.j), spec.eps, lam[valid], gam[valid], spec.state_index)):
-        results[i] = result
+    results = extract_stack(int(spec.j), spec.eps, lam, gam, spec.state_index)
     gx = gx.tolist()
     done = [(g, r) for g, r in zip(gx, results)
             if not isinstance(r, Exception)]
@@ -551,50 +542,53 @@ def anchor_value(spec: TrajectorySpec, gx: float) -> tuple[float, float]:
     computes both), and collapse_zero_pattern counts the leading a_m
     within their bounds as the multiplicity of the root at the anchor.
     """
-    value, noise = _anchor_values(spec, np.array([gx], dtype=float))
+    value, noise, (refusal,) = _anchor_values(spec, np.array([gx], float))
+    _raised(refusal)
     return float(value[0]), float(noise[0])
 
 
-def _anchor_values(spec: TrajectorySpec,
-                   gx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _anchor_values(spec: TrajectorySpec, gx: np.ndarray) -> tuple:
     """anchor_value and its noise bound at every point of the array gx,
-    solved in the stacks of stack_slices."""
-    lam, gam = couplings(spec.j, gx, spec.gamma_y(gx), spec.eps)
-    value, noise = np.empty(len(gx)), np.empty(len(gx))
-    for part in stack_slices(spec.j, len(gx)):
-        for rows, d, w in _anchor_slices(spec.j, spec.eps, lam[part],
-                                         gam[part], spec.state_index):
-            rows = rows + part.start
-            value[rows], noise[rows] = _anchor_coefficients(d, w, 0)
-    return value, noise
+    and per point None or the exception that refuses it (_anchor_slices);
+    value and noise are NaN at a refused point."""
+    with np.errstate(over="ignore", invalid="ignore"):  # refused as such
+        lam, gam = couplings(spec.j, gx, spec.gamma_y(gx), spec.eps)
+    value, noise = np.full(len(gx), math.nan), np.full(len(gx), math.nan)
+    refusals, slices = _anchor_slices(spec.j, spec.eps, lam, gam,
+                                      spec.state_index)
+    for rows, d, w in slices:
+        value[rows], noise[rows] = _anchor_coefficients(d, w, 0)
+    return value, noise, refusals
 
 
 def _anchor_slices(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
-                   state_index: int
-                   ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Parity slices d of the state at a stack of parameter points, with
-    w = 1/u*, as [(rows, d, w)], one entry per parity sector that holds
-    the state somewhere: rows index the points, d (len(rows), n+1) holds
-    their slices with the sign fixed by d_0 > 0, and w their anchors.
+                   state_index: int) -> tuple[list, list]:
+    """Parity slices d of the state at an array of parameter points, with
+    w = 1/u*.  Returns (refusals, slices): per point None or the exception
+    that refuses it, and [(rows, d, w)], entries of parity sectors that
+    hold the state somewhere: rows index the live points, d (len(rows),
+    n+1) holds their slices with the sign fixed by d_0 > 0, and w their
+    anchors.
 
-    The states are solved, and the points refused, by solve_states, as
-    extract_stack solves and refuses them; the first refused point in
-    order raises its refusal.  The slice is the eigenvector's column
-    times the sector's sqrt(C(2j, k)), as parity_slice computes it, so
-    each point gets the bits it gets alone.
+    The points are taken in the stacks of stack_slices, so the memory a
+    stack holds is bounded however many points there are.  The states are
+    solved, and the points refused, by solve_states, as extract_stack
+    solves and refuses them; nothing is raised.  The slice is the
+    eigenvector's column times the sector's sqrt(C(2j, k)), as
+    parity_slice computes it, so each point gets the bits it gets alone.
     """
-    out, _, _, t, sectors = solve_states(j, eps, lam, gam, state_index)
-    for refusal in out:
-        if refusal is not None:
-            raise refusal
-    w = (t - 1.0) / (t + 1.0)
     binom = _binomial_sqrt(2 * j)
-    slices = []
-    for nu, rows, columns, _ in sectors:
-        d = columns * binom[nu::2]
-        d[d[:, 0] < 0] *= -1.0
-        slices.append((rows, d, w[rows]))
-    return slices
+    refusals, slices = [], []
+    for part in stack_slices(j, len(lam)):
+        out, _, _, t, sectors = solve_states(j, eps, lam[part], gam[part],
+                                             state_index)
+        refusals += out
+        for nu, rows, columns, _ in sectors:
+            d = columns * binom[nu::2]
+            d[d[:, 0] < 0] *= -1.0
+            ts = t[rows]
+            slices.append((rows + part.start, d, (ts - 1.0) / (ts + 1.0)))
+    return refusals, slices
 
 
 def _anchor_coefficients(d: np.ndarray, w: np.ndarray,
@@ -641,7 +635,10 @@ def anchor_profile(spec: TrajectorySpec) -> AnchorProfile:
     The samples are solved by _anchor_values.  A failing sample raises
     what anchor_value raises for the first failing sample in gx order.
     """
-    return AnchorProfile(spec, *_anchor_values(spec, spec.samples()))
+    value, noise, refusals = _anchor_values(spec, spec.samples())
+    for refusal in refusals:
+        _raised(refusal)
+    return AnchorProfile(spec, value, noise)
 
 
 def total_collapse(spec: TrajectorySpec) -> float | None:
@@ -802,16 +799,14 @@ def _refine_brackets(spec: TrajectorySpec,
 
     One _brent_steps generator per bracket; the brackets step in
     lockstep, and each round evaluates every pending point with one
-    _anchor_values call.  A bracket whose point fails, or whose
-    steps raise (ConvergenceError after 100 steps), stops with that
-    exception while the others go on.  If the stacked call raises, the
-    round's points are evaluated one by one with anchor_value, so each
-    bracket keeps the exception its own point raises alone.  The
-    brackets do not depend on each other, so the exception of the first
-    failed bracket is the one the bracket-by-bracket order raises first,
-    and it is raised once all are done.
+    _anchor_values call, which solves each point once.  A bracket whose
+    point is refused stops with that point's refusal, and one whose
+    steps raise (ConvergenceError after 100 steps) with that exception,
+    while the others go on.  The brackets do not depend on each other,
+    so the exception of the first failed bracket is the one the
+    bracket-by-bracket order raises first, and it is raised once all are
+    done.
     """
-    failures = (PaironsError, ValueError)
     steps = [_brent_steps(*bracket) for bracket in brackets]
     results: list = [None] * len(steps)  # (root, f), or the failure
     pending: dict[int, float] = {}  # bracket -> the point it asks f at
@@ -821,7 +816,7 @@ def _refine_brackets(spec: TrajectorySpec,
             pending[i] = next(steps[i]) if f is None else steps[i].send(f)
         except StopIteration as done:
             results[i] = done.value
-        except failures as exc:
+        except (PaironsError, ValueError) as exc:
             results[i] = exc
 
     for i in range(len(steps)):
@@ -829,23 +824,13 @@ def _refine_brackets(spec: TrajectorySpec,
     while pending:
         index, x = list(pending), list(pending.values())
         pending.clear()
-        try:
-            values = _anchor_values(spec, np.array(x))[0].tolist()
-        except failures:
-            values = []
-            for g in x:
-                try:
-                    values.append(anchor_value(spec, g)[0])
-                except failures as exc:
-                    values.append(exc)
-        for i, f in zip(index, values):
-            if isinstance(f, failures):
-                results[i] = f
-            else:
+        values, _, refusals = _anchor_values(spec, np.array(x))
+        for i, f, refusal in zip(index, values.tolist(), refusals):
+            results[i] = refusal  # None while the bracket goes on
+            if refusal is None:
                 advance(i, f)
     for result in results:
-        if isinstance(result, failures):
-            raise result
+        _raised(result)
     return results
 
 
@@ -939,10 +924,13 @@ def _zero_patterns(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
     """collapse_zero_pattern at each point of the arrays of couplings lam,
     gam, with the slices of all points from one _anchor_slices call.
 
-    When points fail, the first one in order raises what it raises alone.
+    When points are refused, the first one in order raises its refusal.
     """
+    refusals, slices = _anchor_slices(j, eps, lam, gam, state_index)
+    for refusal in refusals:
+        _raised(refusal)
     patterns: list = [None] * len(lam)
-    for rows, d, w in _anchor_slices(j, eps, lam, gam, state_index):
+    for rows, d, w in slices:
         for r, i in enumerate(rows.tolist()):
             patterns[i] = _zero_pattern(d[r:r + 1], w[r:r + 1])
     return patterns

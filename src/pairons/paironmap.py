@@ -30,8 +30,8 @@ from .phasespace import (ZeroSet, _binomial_sqrt, _linear_product, _raised,
                          parity_slice, strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint, sphere_points
 from .spin import (ModelParams, StateVector, _normalized_rows,
-                   eigen_residuals, gammas, hamiltonian_stack,
-                   parity_eigenstates, singular_refusal)
+                   eigen_residuals, gammas, hamiltonian_stack, max_row_sum,
+                   overflow_refusal, parity_eigenstates, singular_refusal)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
 
@@ -316,34 +316,47 @@ def stack_slices(j: int, count: int) -> list[slice]:
 def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
     """The state of energy rank state_index at each point of the coupling
     arrays lam and gam, and the refusal of each point where it, or its
-    pairon map, is undefined.
+    pairon map, is undefined: the one place where an lmg point is refused.
 
     Returns (out, h, gamma, t, sectors): per point None, or the exception
     that refuses it; the points' H (hamiltonian_stack), (gamma_x, gamma_y)
     and t = sqrt|gx/gy|; and per parity sector nu (0 even, 1 odd) that
     holds a live point, (nu, rows, columns, energies): the indices of its
     live points, their eigenvectors in the sector's basis (len(rows),
-    j + 1 - nu) and their energies.  The H are solved and ranked together by
+    j + 1 - nu) and their energies.  The H are built, and their max row
+    sums of |H| taken, once; a point whose row sum is not finite keeps a
+    zero H as a placeholder.  The H are solved and ranked together by
     parity_eigenstates, so each point gets the bits it gets alone; if
     that raises ConvergenceError, each point is solved alone, and each
     live point gets an entry of its own.  A point is refused with the
-    first of: what its solve raises (ConvergenceError, or ValueError for
-    a state_index outside 0..2j), SingularParameterError at gamma_y = 0
-    or gamma_x = 0, DegenerateStateError for a state degenerate within
-    its parity sector, and ValueError for a t that is not finite and
-    positive.  The refusals are vectorized masks; an exception is built
-    only for a point that is refused.
+    first of: overflow_refusal where its row sum is not finite (a coupling
+    that is not finite, in ModelParams' words, or H overflows), what its
+    solve raises (ConvergenceError, or ValueError for a state_index
+    outside 0..2j), SingularParameterError at gamma_y = 0 or gamma_x = 0,
+    DegenerateStateError for a state degenerate within its parity sector,
+    and ValueError for a t that is not finite and positive.  The refusals
+    are vectorized masks; an exception is built only for a point that is
+    refused.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))
-    h = hamiltonian_stack(j, eps, lam, gam)
-    gamma_x, gamma_y = gammas(j, eps, lam, gam)
+    # an entry or row sum that overflows is refused below; gamma_y = 0
+    # gives an infinite or NaN t
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        h = hamiltonian_stack(j, eps, lam, gam)
+        gamma_x, gamma_y = gammas(j, eps, lam, gam)
         t = np.sqrt(np.abs(gamma_x / gamma_y))
+        norm = max_row_sum(h)
+    overflow = ~(norm < math.inf)
+    out = [None] * len(h)
+    for i in np.flatnonzero(overflow).tolist():
+        h[i] = 0.0
+        out[i] = overflow_refusal(j, float(eps), float(lam[i]), float(gam[i]))
     try:
-        solved, sector, col, degenerate = parity_eigenstates(h, state_index)
+        solved, sector, col, degenerate = parity_eigenstates(h, norm,
+                                                             state_index)
     except ValueError as exc:
-        return [exc] * len(h), h, (gamma_x, gamma_y), t, []
+        return [r or exc for r in out], h, (gamma_x, gamma_y), t, []
     except ConvergenceError as exc:
         if len(h) == 1:
             return [exc], h, (gamma_x, gamma_y), t, []
@@ -355,11 +368,10 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
             sectors += [(nu, rows + i, *rest) for nu, rows, *rest in found]
         return out, h, (gamma_x, gamma_y), t, sectors
     # gamma_x = 0 gives t = 0 and gamma_y = 0 an infinite or NaN t
-    live = ~degenerate & (0.0 < t) & (t < math.inf)
-    out = [None] * len(h)
+    live = ~overflow & ~degenerate & (0.0 < t) & (t < math.inf)
     for i in np.flatnonzero(~live).tolist():
         x, y = float(gamma_x[i]), float(gamma_y[i])
-        out[i] = singular_refusal(x, y) or (
+        out[i] = out[i] or singular_refusal(x, y) or (
             DegenerateStateError(
                 f"state {state_index} at (gx={x:.6g}, gy={y:.6g}) is "
                 "degenerate within its parity sector")

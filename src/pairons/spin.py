@@ -41,10 +41,8 @@ class ModelParams:
     def __post_init__(self):
         if not isinstance(self.j, (int, np.integer)) or self.j < 1:
             raise ValueError(f"j must be a positive integer, got {self.j!r}")
-        for name in ("eps", "lam", "gam"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(
-                    f"{name} must be finite, got {getattr(self, name)!r}")
+        if not all(map(math.isfinite, (self.eps, self.lam, self.gam))):
+            raise overflow_refusal(self.j, self.eps, self.lam, self.gam)
         if self.eps == 0:
             raise ValueError("eps must be nonzero")
 
@@ -84,6 +82,19 @@ def singular_refusal(gamma_x: float, gamma_y: float
         return SingularParameterError(
             "gamma_x = 0: t = 0 degenerates the map")
     return None
+
+
+def overflow_refusal(j: int, eps: float, lam: float, gam: float
+                     ) -> ValueError:
+    """The refusal of a point whose max row sum of |H| is not finite: the
+    ValueError that names its first coupling that is not finite (which
+    ModelParams raises), or else its (gamma_x, gamma_y), taken in Python's
+    float arithmetic."""
+    for name, value in (("eps", eps), ("lam", lam), ("gam", gam)):
+        if not math.isfinite(value):
+            return ValueError(f"{name} must be finite, got {value!r}")
+    gx, gy = gammas(j, eps, lam, gam)
+    return ValueError(f"H overflows at (gx={gx:.6g}, gy={gy:.6g})")
 
 
 def couplings(j: int, gamma_x, gamma_y, eps=1.0):
@@ -183,8 +194,14 @@ class HamiltonianMatrix:
 
     @property
     def norm(self) -> float:
-        """Max row sum (induced infinity norm), used to scale tolerances."""
-        return float(max_row_sum(self.matrix))
+        """Max row sum (induced infinity norm), used to scale tolerances.
+        An H whose norm is not finite raises overflow_refusal."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            norm = float(max_row_sum(self.matrix))
+        if not norm < math.inf:
+            p = self.params
+            raise overflow_refusal(p.j, p.eps, p.lam, p.gam)
+        return norm
 
 
 def max_row_sum(matrices: np.ndarray) -> np.ndarray:
@@ -221,8 +238,10 @@ def hamiltonian_stack(j: int, eps, lam, gam) -> np.ndarray:
 
 def build_hamiltonian(params: ModelParams) -> HamiltonianMatrix:
     """The banded Dicke-basis matrix of one parameter point: the
-    one-sample case of hamiltonian_stack."""
-    H = hamiltonian_stack(params.j, params.eps, params.lam, params.gam)[0]
+    one-sample case of hamiltonian_stack.  Entries that overflow are
+    left inf or NaN, and the norm refuses them."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        H = hamiltonian_stack(params.j, params.eps, params.lam, params.gam)[0]
     H.setflags(write=False)
     return HamiltonianMatrix(params=params, matrix=H)
 
@@ -301,14 +320,15 @@ def parity_eigh(blocks: np.ndarray,
             f"eigensolve failed in the {name} sector: {exc}") from exc
 
 
-def parity_eigenstates(h: np.ndarray, index: int) -> tuple:
-    """The state of energy rank `index` of each H in a stack (S, dim, dim).
+def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
+    """The state of energy rank `index` of each H in a stack (S, dim, dim)
+    whose max row sums of |H| are norm (S,).
 
     Both parity blocks are solved by parity_eigh, stacked.  Returns
     (solved, offset, col, degenerate): the (w, v) stacks of the sectors
     of PARITY_SECTORS, and for each H the sector offset (0 even, 1 odd),
     column and degenerate flag of its state, ranked by rank_states with
-    gap DEGENERACY_RTOL * |H|, as diagonalize ranks its list.  An index
+    gap DEGENERACY_RTOL * norm, as diagonalize ranks its list.  An index
     outside 0..2j raises ValueError.
     """
     solved = [parity_eigh(h[:, offset::2, offset::2], name)
@@ -316,7 +336,7 @@ def parity_eigenstates(h: np.ndarray, index: int) -> tuple:
     if not 0 <= index < h.shape[-1]:
         raise ValueError(f"state_index {index} out of range")
     sector, col, flags = rank_states([w for w, _ in solved],
-                                     DEGENERACY_RTOL * max_row_sum(h)[:, None])
+                                     DEGENERACY_RTOL * norm[:, None])
     return solved, sector[:, index], col[:, index], flags[:, index]
 
 
@@ -336,11 +356,13 @@ def diagonalize(h: HamiltonianMatrix) -> list[EigenPair]:
     exactly decoupled), so eigenvectors carry exact structural zeros on
     the other sublattice and a sharp parity label.  States closer than
     DEGENERACY_RTOL * |H| to a same-sector neighbor are flagged
-    degenerate.
+    degenerate.  An H whose norm is not finite is refused before the
+    solve (HamiltonianMatrix.norm).
     """
+    gap = DEGENERACY_RTOL * h.norm
     solved = [parity_eigh(h.matrix[offset::2, offset::2], name)
               for name, offset in PARITY_SECTORS]
-    ranked = rank_states([w for w, _ in solved], DEGENERACY_RTOL * h.norm)
+    ranked = rank_states([w for w, _ in solved], gap)
     return [_eigenpair(h, slice(offset, None, 2), solved[offset][1][:, col],
                        solved[offset][0][col], index, flag)
             for index, (offset, col, flag) in enumerate(
@@ -350,10 +372,11 @@ def diagonalize(h: HamiltonianMatrix) -> list[EigenPair]:
 def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:
     """diagonalize(h)[index], building only that one state: the
     one-sample case of parity_eigenstates.  An index outside 0..2j
-    raises ValueError.
+    raises ValueError, and so does an H whose norm is not finite
+    (HamiltonianMatrix.norm).
     """
-    solved, (offset,), (col,), (flag,) = parity_eigenstates(h.matrix[None],
-                                                            index)
+    solved, (offset,), (col,), (flag,) = parity_eigenstates(
+        h.matrix[None], np.array([h.norm]), index)
     w, v = solved[offset]
     return _eigenpair(h, slice(offset, None, 2), v[0, :, col], w[0, col],
                       index, flag)

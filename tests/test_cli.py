@@ -448,6 +448,42 @@ def test_large_root_check_certifies_without_warnings():
     assert 1.0 - meta["reconstruction_fidelity"] <= 1e-8
 
 
+_OVERFLOW = "H overflows at (gx=1.6e+308, gy=1e+307)"
+_INFINITE_LAM = "lam must be finite, got -inf"
+
+
+@pytest.mark.parametrize("argv, code, messages", [
+    ("lmg spectrum --j 2 --gx 1.6e308 --gy 1e307", 3, [_OVERFLOW]),
+    ("lmg pairons --j 2 --gx 1.6e308 --gy 1e307", 3, [_OVERFLOW]),
+    ("lmg scan --j 2 --line-sum 1.7e308 --from=-1e308 --to=-9e307 --steps 3",
+     0, [f"skipped gx={g}: ValueError: {_INFINITE_LAM}"
+         for g in ("-1e+308", "-9.5e+307", "-9e+307")]),
+    ("lmg collapse --j 2 --line-sum 1.7e308 --from=-1e308 --to=-9e307 "
+     "--steps 3", 3, [_INFINITE_LAM]),
+    ("lmg scan --j 2 --line-sum 1.7e308 --from 1e307 --to 1.6e308 --steps 3",
+     0, ["skipped gx=1e+307: ValueError: H overflows at (gx=1e+307, "
+         "gy=1.6e+308)",
+         "skipped gx=8.5e+307: DegenerateStateError: state 0 at "
+         "(gx=8.5e+307, gy=8.5e+307) is degenerate within its parity sector",
+         f"skipped gx=1.6e+308: ValueError: {_OVERFLOW}"]),
+    ("bcs spectrum --levels 0,1 --gamma 1e308 --n 4", 3,
+     ["H overflows at (gamma=1e+308)"]),
+    ("bcs pairons --levels 0,1 --gamma 1e308 --n 4", 3,
+     ["H overflows at (gamma=1e+308)"]),
+])
+def test_overflowing_points_are_refused_without_warnings(argv, code,
+                                                         messages):
+    # couplings that are not finite and an |H| that overflows are refused
+    # before any solve, in one message per point, with no RuntimeWarning
+    prefix, env = module_cli("pairons")
+    env = dict(env, PYTHONWARNINGS="error::RuntimeWarning")
+    proc = subprocess.run(prefix + argv.split(), capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == code
+    prefix = "numerical failure: " if code else ""
+    assert proc.stderr.splitlines() == [prefix + m for m in messages]
+
+
 def test_missing_required_flag(capsys):
     rc, _, err = run_lmg(capsys, "spectrum", "--gx", "1", "--gy", "1")
     assert rc == 2
@@ -563,6 +599,22 @@ def test_config_file_from_key(tmp_path, capsys):
     rc, out, _ = run_lmg(capsys, "scan", "--config", str(cfg))
     assert rc == 0
     assert out.splitlines()[0].startswith("gx,gy,t,state_index,energy")
+
+
+def test_usage_errors_name_the_from_flag(tmp_path, capsys):
+    # a bad --from, on the command line or from the config key "from",
+    # and a missing one are named as the flag the user types
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"from": "x"}))
+    bad = "usage error: bad value for --from: could not convert string to " \
+          "float: 'x'\n"
+    for argv in (["--from", "x"], ["--config", str(cfg)]):
+        rc, _, err = run_lmg(capsys, "scan", "--j", "2", *argv, "--to", "2",
+                             "--steps", "3")
+        assert (rc, err) == (2, bad)
+    rc, _, err = run_lmg(capsys, "scan", "--j", "2", "--to", "2", "--steps",
+                         "3")
+    assert (rc, err) == (2, "usage error: missing required flag --from\n")
 
 
 def test_config_unknown_key(tmp_path, capsys):

@@ -285,6 +285,43 @@ def test_one_refusal_per_point_whatever_the_path():
         with pytest.raises(SingularParameterError) as anchored:
             anchor_value(spec, gx)
         assert str(anchored.value) == str(alone.value)
+    # on c = 1.7e308 at j = 2, gy = c - gx is not finite at gx = -1e308,
+    # so lam is -inf; at gx = 1.6e308 the couplings are finite but the row
+    # sums of |H| overflow.  Each path refuses with ModelParams' words or
+    # with the overflow, and no RuntimeWarning (an error here) is emitted.
+    for start, stop, message in (
+            (-1e308, -9e307, "lam must be finite, got -inf"),
+            (1e307, 1.6e308, "H overflows at (gx=1.6e+308, gy=1e+307)")):
+        spec = TrajectorySpec(j=2, line_sum=1.7e308, start=start, stop=stop,
+                              steps=3)
+        gx = start if start < 0 else stop
+        lam, gam = spin.couplings(2, gx, spec.gamma_y(gx))
+
+        def at_point(call):
+            return lambda: call(ModelParams.from_gammas(2, gx,
+                                                        spec.gamma_y(gx)))
+
+        refusals = [_refusal(call) for call in (
+            lambda: extract_stack(2, 1.0, [lam], [gam])[0],
+            lambda: anchor_value(spec, gx),
+            lambda: collapse._zero_patterns(2, 1.0, np.array([lam]),
+                                            np.array([gam]), 0)[0],
+            at_point(extract_pairons),
+            at_point(collapse_zero_pattern),
+            at_point(lambda p: eigenpair(build_hamiltonian(p), 0)),
+            at_point(lambda p: spin.diagonalize(build_hamiltonian(p))))]
+        assert [(type(r), str(r)) for r in refusals] == (
+            [(ValueError, message)] * len(refusals))
+        failures = dict(scan_trajectory(spec).failures)
+        assert failures[gx] == f"ValueError: {message}"
+
+
+def _refusal(call):
+    """The ValueError that call raises, or returns as a stacked result."""
+    try:
+        return call()
+    except ValueError as exc:
+        return exc
 
 
 def _anchor_value_mp(mp, j, gx, gy):
@@ -419,8 +456,9 @@ def test_collapse_pattern_dicke_state_split(j, gx, pattern):
 def _anchor_multiplicity(j, gx, gy):
     """(m, ratios): Taylor count at the anchor and |a_m|/bound for all m."""
     params = ModelParams.from_gammas(j, gx, gy)
-    [(_, d, w)] = _anchor_slices(j, params.eps, np.array([params.lam]),
-                                 np.array([params.gam]), 0)
+    refusals, [(_, d, w)] = _anchor_slices(
+        j, params.eps, np.array([params.lam]), np.array([params.gam]), 0)
+    assert refusals == [None]
     ratios = []
     for m in range(d.shape[1]):
         (value,), (noise,) = _anchor_coefficients(d, w, m)
@@ -720,9 +758,10 @@ def test_find_collapses_is_serial_brent_bitwise(j, line_sum, state):
 
 
 def test_find_collapses_raises_as_the_first_failing_bracket(monkeypatch):
-    # the later bracket fails at its first point, the earlier one only
-    # near its root, rounds later: the earlier bracket's failure wins, as
-    # it does bracket by bracket
+    # the later bracket is refused at its first point, the earlier one
+    # only near its root, rounds later: the earlier bracket's refusal
+    # wins, as it does bracket by bracket.  Each refused point is
+    # evaluated once: a refusal stops its own bracket and no other.
     spec = TrajectorySpec(j=6, start=0.05, stop=9.95, steps=1200)
     profile = anchor_profile(spec)
     found = find_collapses(profile)
@@ -730,36 +769,39 @@ def test_find_collapses_raises_as_the_first_failing_bracket(monkeypatch):
     (early, late) = brackets[1], brackets[4]
     (root,) = [c.gamma_x for c in found if early[0] < c.gamma_x < early[1]]
     values = collapse._anchor_values
-    raised = []
+    refused = []
 
-    def failing(spec, gx):
-        for g in gx.tolist():
+    def refusing(spec, gx):
+        value, noise, refusals = values(spec, gx)
+        for k, g in enumerate(gx.tolist()):
             if late[0] <= g <= late[1]:
-                raised.append("late")
-                raise DegenerateStateError(f"state 0 is degenerate at {g!r}")
-            if early[0] <= g <= early[1] and abs(g - root) < 1e-7:
-                raised.append("early")
-                raise ConvergenceError(f"eigensolve failed at {g!r}")
-        return values(spec, gx)
+                refused.append("late")
+                refusals[k] = DegenerateStateError(
+                    f"state 0 is degenerate at {g!r}")
+            elif early[0] <= g <= early[1] and abs(g - root) < 1e-7:
+                refused.append("early")
+                refusals[k] = ConvergenceError(f"eigensolve failed at {g!r}")
+        return value, noise, refusals
 
-    monkeypatch.setattr(collapse, "_anchor_values", failing)
+    monkeypatch.setattr(collapse, "_anchor_values", refusing)
     with pytest.raises(ConvergenceError) as serial:
         _serial_collapses(profile)
-    assert raised == ["early"]
-    raised.clear()
+    assert refused == ["early"]
+    refused.clear()
     with pytest.raises(ConvergenceError) as lockstep:
         find_collapses(profile)
-    assert raised[0] == "late" and "early" in raised
+    assert refused == ["late", "early"]
     assert str(lockstep.value) == str(serial.value)
 
     # an earlier bracket out of Brent steps wins over a later bracket
-    # whose first point fails
+    # whose first point is refused
     spec = TrajectorySpec(j=2, start=1.0, stop=3.0, steps=3)
 
     def quintic(spec, gx):
-        if np.any((2.0 < gx) & (gx < 3.0)):
-            raise DegenerateStateError("state 0 is degenerate")
-        return np.where(gx <= 2.0, (gx - 1.3) ** 5, -1.0), np.zeros(len(gx))
+        refusals = [DegenerateStateError("state 0 is degenerate")
+                    if 2.0 < g < 3.0 else None for g in gx.tolist()]
+        return (np.where(gx <= 2.0, (gx - 1.3) ** 5, -1.0),
+                np.zeros(len(gx)), refusals)
 
     monkeypatch.setattr(collapse, "_anchor_values", quintic)
     profile = anchor_profile(spec)

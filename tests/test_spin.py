@@ -161,6 +161,22 @@ def test_singular_parameters_rejected():
         ModelParams(j=0, eps=1.0)
 
 
+def test_overflowing_hamiltonian_is_refused():
+    # at j = 100 the couplings are finite but the diagonal entries
+    # gam*(j(j+1) - m^2) overflow: the full and the one-state solve and
+    # the extraction refuse with one message, before any solve and with
+    # no RuntimeWarning (an error here)
+    from pairons import extract_pairons
+    params = ModelParams.from_gammas(100, 5e306, 5e306)
+    h = build_hamiltonian(params)
+    assert np.isinf(h.matrix).any()
+    for refused in (lambda: diagonalize(h), lambda: eigenpair(h, 0),
+                    lambda: extract_pairons(params)):
+        with pytest.raises(ValueError) as exc:
+            refused()
+        assert str(exc.value) == "H overflows at (gx=5e+306, gy=5e+306)"
+
+
 def test_t_refuses_the_singular_lines():
     # ModelParams.t raises the extraction's refusal, in its words, where
     # the extraction refuses the point
