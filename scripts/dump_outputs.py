@@ -10,8 +10,9 @@ package source in DIR (default: the `src` of the checkout this script sits
 in); OUT lists, per command, its argv, exit code, stdout and stderr.  Run
 it once with --src pointing at each of two checkouts' `src` and compare
 the files with `cmp` to check that a change leaves every output
-byte-identical.  --compare prints, as Markdown, the commands whose
-records differ between two files, each with its change of exit code, the
+byte-identical.  --compare pairs the records of two files by argv and
+prints, as Markdown, the commands found in only one of them and the
+commands whose records differ, each with its change of exit code, the
 first line of stdout and of stderr that differs and, where both stdouts
 are JSON with a "meta" object, the largest absolute difference of each
 numeric meta field.
@@ -50,7 +51,11 @@ meta carries the rebuilt state's fidelity and residual; and three
 commands whose |H| overflows, which are refused: `lmg spectrum --j 2
 --gx 1.6e308 --gy 1e307`, `lmg scan --j 2 --line-sum 1.7e308 --from
 1e307 --to 1.6e308 --steps 3` and `bcs spectrum --levels 0,1 --gamma
-1e308 --n 4`.
+1e308 --n 4`; and two 200-step j = 10 scans, each one stack of
+spin.parity_eigenstates' one-block solve: `--line diagonal --from -9.95
+--to -0.05` (lam = 0), whose ground state is odd at 109 samples, and
+`--state 5` on gx + gy = 10, where the predicted sectors are mixed and
+70 samples fail their certificate and take the two-block fallback.
 """
 import argparse
 import json
@@ -116,7 +121,11 @@ COMMANDS = (
     + [["lmg", "spectrum", "--j", "2", "--gx", "1.6e308", "--gy", "1e307"],
        ["lmg", "scan", "--j", "2", "--line-sum", "1.7e308", "--from", "1e307",
         "--to", "1.6e308", "--steps", "3"],
-       ["bcs", "spectrum", "--levels", "0,1", "--gamma", "1e308", "--n", "4"]])
+       ["bcs", "spectrum", "--levels", "0,1", "--gamma", "1e308", "--n", "4"]]
+    + [["lmg", "scan", "--j", "10", "--line", "diagonal", "--from", "-9.95",
+        "--to", "-0.05", "--steps", "200"],
+       ["lmg", "scan", "--j", "10", "--from", "0.05", "--to", "9.95",
+        "--steps", "200", "--state", "5"]])
 
 
 def run(argv: list[str], src: Path = SRC) -> dict:
@@ -180,10 +189,20 @@ def meta_differences(base: str, head: str) -> list[tuple[str, float]]:
 
 
 def compare(base: list[dict], head: list[dict]) -> str:
-    """The Markdown report of the records that differ between two dumps."""
-    differ = [(b, h) for b, h in zip(base, head) if b != h]
+    """The Markdown report of the records that differ between two dumps.
+
+    Records are paired by argv; the count in the header is of the
+    commands in both dumps, and a command in only one of them is listed
+    as base-only or head-only."""
+    by_argv = {tuple(b["argv"]): b for b in base}
+    paired = [(by_argv[tuple(h["argv"])], h) for h in head
+              if tuple(h["argv"]) in by_argv]
+    differ = [(b, h) for b, h in paired if b != h]
+    in_head = {tuple(h["argv"]) for h in head}
+    only = [("base", [b for b in base if tuple(b["argv"]) not in in_head]),
+            ("head", [h for h in head if tuple(h["argv"]) not in by_argv])]
     lines = ["## Byte identity against the base commit", "",
-             f"{len(differ)} of {len(head)} commands differ.", ""]
+             f"{len(differ)} of {len(paired)} commands differ.", ""]
     for b, h in differ:
         lines.append("- `" + " ".join(h["argv"]) + "`")
         if b["exit"] != h["exit"]:
@@ -202,6 +221,10 @@ def compare(base: list[dict], head: list[dict]) -> str:
             lines.append("  - meta, largest absolute difference: "
                          + ", ".join(f"{key} {delta:.3g}"
                                      for key, delta in fields))
+    for side, records in only:
+        if records:
+            lines += ["", f"{len(records)} only in the {side}:", ""]
+            lines += ["- `" + " ".join(r["argv"]) + "`" for r in records]
     return "\n".join(lines) + "\n"
 
 

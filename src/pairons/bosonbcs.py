@@ -29,14 +29,11 @@ import numpy as np
 
 from .errors import DegenerateStateError, InconsistentPaironsError
 from .phasespace import strip_and_solve
-from .spin import DEGENERACY_RTOL, rank_states
+from .spin import DEGENERACY_RTOL, EIGENVALUE_ERROR_C, rank_states
 
 AXIS_POLE_FLAG = "axis-pole"  # root at w = -1: pairon at infinity of the map
 
 LEVEL_DEGENERACY_TOL = 1e-9
-
-# c of the eigenvalue error bound c*n*eps*|H| (boson_eigenstate)
-EIGENVALUE_ERROR_C = 1e3
 
 
 @dataclass(frozen=True)

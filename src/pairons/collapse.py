@@ -26,8 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, PaironsError, UnresolvedAnchorError
-from .paironmap import (PaironSet, extract_stack, pairon_sites, solve_states,
-                        stack_slices)
+from .paironmap import (PaironSet, extract_stack, names_of, pairon_sites,
+                        solve_states, stack_slices)
 from .phasespace import _binomial_sqrt, _polyval, _raised
 from .sphere import SpherePoint, chordal_distances, sphere_points
 from .spin import ModelParams, build_hamiltonian, couplings, eigenpair
@@ -473,11 +473,13 @@ def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
     gx = spec.samples()
     try:
         with np.errstate(all="ignore"):  # as float arithmetic overflows
-            lam, gam = couplings(spec.j, gx, spec.gamma_y(gx), spec.eps)
+            gy = spec.gamma_y(gx)
+            lam, gam = couplings(spec.j, gx, gy, spec.eps)
     except ValueError as exc:  # j is not a positive integer
         return ScanTable(spec=spec, samples=[], failures=[
             (g, f"ValueError: {exc}") for g in gx.tolist()])
-    results = extract_stack(int(spec.j), spec.eps, lam, gam, spec.state_index)
+    results = extract_stack(int(spec.j), spec.eps, lam, gam, spec.state_index,
+                            (gx, gy))
     gx = gx.tolist()
     done = [(g, r) for g, r in zip(gx, results)
             if not isinstance(r, Exception)]
@@ -552,17 +554,18 @@ def _anchor_values(spec: TrajectorySpec, gx: np.ndarray) -> tuple:
     and per point None or the exception that refuses it (_anchor_slices);
     value and noise are NaN at a refused point."""
     with np.errstate(over="ignore", invalid="ignore"):  # refused as such
-        lam, gam = couplings(spec.j, gx, spec.gamma_y(gx), spec.eps)
+        gy = spec.gamma_y(gx)
+        lam, gam = couplings(spec.j, gx, gy, spec.eps)
     value, noise = np.full(len(gx), math.nan), np.full(len(gx), math.nan)
     refusals, slices = _anchor_slices(spec.j, spec.eps, lam, gam,
-                                      spec.state_index)
+                                      spec.state_index, (gx, gy))
     for rows, d, w in slices:
         value[rows], noise[rows] = _anchor_coefficients(d, w, 0)
     return value, noise, refusals
 
 
 def _anchor_slices(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
-                   state_index: int) -> tuple[list, list]:
+                   state_index: int, names=None) -> tuple[list, list]:
     """Parity slices d of the state at an array of parameter points, with
     w = 1/u*.  Returns (refusals, slices): per point None or the exception
     that refuses it, and [(rows, d, w)], entries of parity sectors that
@@ -573,15 +576,17 @@ def _anchor_slices(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
     The points are taken in the stacks of stack_slices, so the memory a
     stack holds is bounded however many points there are.  The states are
     solved, and the points refused, by solve_states, as extract_stack
-    solves and refuses them; nothing is raised.  The slice is the
+    solves and refuses them, naming the points by names, the callers'
+    (gamma_x, gamma_y) arrays, where given; nothing is raised.  The slice
+    is the
     eigenvector's column times the sector's sqrt(C(2j, k)), as
     parity_slice computes it, so each point gets the bits it gets alone.
     """
     binom = _binomial_sqrt(2 * j)
     refusals, slices = [], []
     for part in stack_slices(j, len(lam)):
-        out, _, _, t, sectors = solve_states(j, eps, lam[part], gam[part],
-                                             state_index)
+        out, _, _, t, sectors = solve_states(
+            j, eps, lam[part], gam[part], state_index, names_of(names, part))
         refusals += out
         for nu, rows, columns, _ in sectors:
             d = columns * binom[nu::2]
@@ -920,13 +925,14 @@ def collapse_zero_pattern(params: ModelParams,
 
 
 def _zero_patterns(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
-                   state_index: int) -> list[list[int]]:
+                   state_index: int, names=None) -> list[list[int]]:
     """collapse_zero_pattern at each point of the arrays of couplings lam,
     gam, with the slices of all points from one _anchor_slices call.
 
-    When points are refused, the first one in order raises its refusal.
+    When points are refused, the first one in order raises its refusal,
+    which names the point by names where given (_anchor_slices).
     """
-    refusals, slices = _anchor_slices(j, eps, lam, gam, state_index)
+    refusals, slices = _anchor_slices(j, eps, lam, gam, state_index, names)
     for refusal in refusals:
         _raised(refusal)
     patterns: list = [None] * len(lam)
@@ -977,8 +983,10 @@ def collapse_rows(spec: TrajectorySpec, found: list[CollapseCandidate]
     """
     labelled = label_collapses(spec, found)
     at = np.array([row[3] for row in labelled], dtype=float)
-    lam, gam = couplings(spec.j, at, spec.gamma_y(at), spec.eps)
-    patterns = _zero_patterns(spec.j, spec.eps, lam, gam, spec.state_index)
+    gy = spec.gamma_y(at)
+    lam, gam = couplings(spec.j, at, gy, spec.eps)
+    patterns = _zero_patterns(spec.j, spec.eps, lam, gam, spec.state_index,
+                              (at, gy))
     rows = []
     for (cand, k, branch, gx), pattern in zip(labelled, patterns):
         point = CollapsePoint(k=k, gamma_x=gx, gamma_y=spec.gamma_y(gx),

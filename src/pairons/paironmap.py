@@ -306,14 +306,26 @@ def extract_pairons(params: ModelParams, state_index: int = 0
 
 
 def stack_slices(j: int, count: int) -> list[slice]:
-    """count points in stacks of STACK_ENTRIES // (2j+1)^2 points (at
-    least one), so a stack's matrices hold at most STACK_ENTRIES floats
-    whatever j and the number of points."""
+    """count points in the fewest stacks of at most STACK_ENTRIES //
+    (2j+1)^2 points (at least one), so a stack's matrices hold at most
+    STACK_ENTRIES floats whatever j and the number of points.  Their sizes
+    differ by one at most, so no stack is a short tail: the 1200 points of
+    a j = 10 profile take three stacks of 400, each at least
+    ONE_BLOCK_MIN_POINTS."""
     chunk = max(1, STACK_ENTRIES // (2 * j + 1) ** 2)
-    return [slice(lo, lo + chunk) for lo in range(0, count, chunk)]
+    parts = -(-count // chunk)
+    ends = [count * k // max(parts, 1) for k in range(parts + 1)]
+    return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
 
 
-def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
+def names_of(names, part) -> tuple | None:
+    """The callers' (gamma_x, gamma_y) arrays that name points in refusal
+    messages, taken at the index or slice part; None where they are."""
+    return None if names is None else (names[0][part], names[1][part])
+
+
+def solve_states(j: int, eps: float, lam, gam, state_index: int,
+                 names=None) -> tuple:
     """The state of energy rank state_index at each point of the coupling
     arrays lam and gam, and the refusal of each point where it, or its
     pairon map, is undefined: the one place where an lmg point is refused.
@@ -336,7 +348,9 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
     DegenerateStateError for a state degenerate within its parity sector,
     and ValueError for a t that is not finite and positive.  The refusals
     are vectorized masks; an exception is built only for a point that is
-    refused.
+    refused.  A message names a point by names, the callers' (gamma_x,
+    gamma_y) arrays where they have them, else by its gamma; gamma, t and
+    every other number are taken from the couplings.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))
@@ -347,14 +361,15 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
         gamma_x, gamma_y = gammas(j, eps, lam, gam)
         t = np.sqrt(np.abs(gamma_x / gamma_y))
         norm = max_row_sum(h)
+    named_x, named_y = (gamma_x, gamma_y) if names is None else names
     overflow = ~(norm < math.inf)
     out = [None] * len(h)
     for i in np.flatnonzero(overflow).tolist():
         h[i] = 0.0
-        out[i] = overflow_refusal(j, float(eps), float(lam[i]), float(gam[i]))
+        out[i] = overflow_refusal(j, float(eps), float(lam[i]), float(gam[i]),
+                                  (float(named_x[i]), float(named_y[i])))
     try:
-        solved, sector, col, degenerate = parity_eigenstates(h, norm,
-                                                             state_index)
+        _, _, degenerate, states = parity_eigenstates(h, norm, state_index)
     except ValueError as exc:
         return [r or exc for r in out], h, (gamma_x, gamma_y), t, []
     except ConvergenceError as exc:
@@ -362,33 +377,39 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int) -> tuple:
             return [exc], h, (gamma_x, gamma_y), t, []
         out, sectors = [], []
         for i in range(len(h)):
-            (alone,), *_, found = solve_states(j, eps, lam[i:i + 1],
-                                               gam[i:i + 1], state_index)
+            (alone,), *_, found = solve_states(
+                j, eps, lam[i:i + 1], gam[i:i + 1], state_index,
+                names_of(names, slice(i, i + 1)))
             out.append(alone)
             sectors += [(nu, rows + i, *rest) for nu, rows, *rest in found]
         return out, h, (gamma_x, gamma_y), t, sectors
     # gamma_x = 0 gives t = 0 and gamma_y = 0 an infinite or NaN t
     live = ~overflow & ~degenerate & (0.0 < t) & (t < math.inf)
     for i in np.flatnonzero(~live).tolist():
-        x, y = float(gamma_x[i]), float(gamma_y[i])
-        out[i] = out[i] or singular_refusal(x, y) or (
+        x, y = float(named_x[i]), float(named_y[i])
+        out[i] = out[i] or singular_refusal(
+            float(gamma_x[i]), float(gamma_y[i])) or (
             DegenerateStateError(
                 f"state {state_index} at (gx={x:.6g}, gy={y:.6g}) is "
                 "degenerate within its parity sector")
             if degenerate[i] else ValueError(_BAD_T.format(float(t[i]))))
-    sectors = []
-    for nu, (w, v) in enumerate(solved):
-        rows = np.flatnonzero((sector == nu) & live)
+    sectors, everywhere = [], live.all()
+    for nu, (rows, columns, energies) in enumerate(states):
+        if not everywhere:
+            keep = live[rows]
+            rows, columns, energies = rows[keep], columns[keep], energies[keep]
         if rows.size:
-            sectors.append((nu, rows, v[rows, :, col[rows]],
-                            w[rows, col[rows]]))
+            sectors.append((nu, rows, columns, energies))
     return out, h, (gamma_x, gamma_y), t, sectors
 
 
-def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
+def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
+                  names=None) -> list:
     """extract_pairons at each point of the coupling arrays lam and gam:
     per point its (PaironSet, ExtractionDiagnostics), or the exception
-    extract_pairons raises there.
+    extract_pairons raises there.  Refusal messages name the points by
+    names, the callers' (gamma_x, gamma_y) arrays, where given
+    (solve_states).
 
     The points are taken in the stacks of stack_slices, one call each,
     so the memory a call holds is bounded however many points it is
@@ -409,9 +430,11 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
     parts = stack_slices(j, len(lam))
     if len(parts) != 1:
         return [result for part in parts for result in extract_stack(
-            j, eps, lam[part], gam[part], state_index)]
-    out, h, (gamma_x, gamma_y), t, sectors = solve_states(j, eps, lam, gam,
-                                                          state_index)
+            j, eps, lam[part], gam[part], state_index,
+            names_of(names, part))]
+    out, h, (gamma_x, gamma_y), t, sectors = solve_states(
+        j, eps, lam, gam, state_index, names)
+    named_x, named_y = (gamma_x, gamma_y) if names is None else names
     binom = _binomial_sqrt(2 * j)
     for nu, rows, columns, energy in sectors:
         full = np.zeros((len(rows), 2 * j + 1), dtype=complex)
@@ -433,9 +456,10 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0) -> list:
                 out[i] = ValueError(_VANISHED)
             elif not (1.0 - f <= VERIFY_TOL and r <= VERIFY_TOL):
                 out[i] = InconsistentPaironsError(
-                    f"state {state_index} at (gx={x:.6g}, gy={y:.6g}): "
-                    f"pairons unverified, fidelity loss {1.0 - f:.3g} and "
-                    f"eigen-residual {r:.3g} (bound {VERIFY_TOL:g})")
+                    f"state {state_index} at (gx={float(named_x[i]):.6g}, "
+                    f"gy={float(named_y[i]):.6g}): pairons unverified, "
+                    f"fidelity loss {1.0 - f:.3g} and eigen-residual "
+                    f"{r:.3g} (bound {VERIFY_TOL:g})")
             else:
                 flags = (FLAG_SIGN_UNVERIFIED,) if x * y < 0 else ()
                 found = PaironSet(j=j, nu=nu,

@@ -84,16 +84,17 @@ def singular_refusal(gamma_x: float, gamma_y: float
     return None
 
 
-def overflow_refusal(j: int, eps: float, lam: float, gam: float
-                     ) -> ValueError:
+def overflow_refusal(j: int, eps: float, lam: float, gam: float,
+                     names: tuple[float, float] | None = None) -> ValueError:
     """The refusal of a point whose max row sum of |H| is not finite: the
     ValueError that names its first coupling that is not finite (which
-    ModelParams raises), or else its (gamma_x, gamma_y), taken in Python's
-    float arithmetic."""
+    ModelParams raises), or else its (gamma_x, gamma_y): names, the
+    caller's own, or those of the couplings, taken in Python's float
+    arithmetic, which cancel where |gamma_y| is huge."""
     for name, value in (("eps", eps), ("lam", lam), ("gam", gam)):
         if not math.isfinite(value):
             return ValueError(f"{name} must be finite, got {value!r}")
-    gx, gy = gammas(j, eps, lam, gam)
+    gx, gy = gammas(j, eps, lam, gam) if names is None else names
     return ValueError(f"H overflows at (gx={gx:.6g}, gy={gy:.6g})")
 
 
@@ -302,6 +303,20 @@ def rank_states(values, gap_tol) -> tuple:
 
 PARITY_SECTORS = ((PARITY_EVEN, 0), (PARITY_ODD, 1))
 
+# c of the eigenvalue error bound c*n*eps*max(|H|, 1) of both window
+# proofs (parity_eigenstates, bosonbcs.boson_eigenstate)
+EIGENVALUE_ERROR_C = 1e3
+
+# Stacks of at least this many points solve one parity block per point
+# (parity_eigenstates).  On a shared 2-core x86-64 host (numpy 2.4.6) the
+# one-block solve broke even with the two-block one at about 100 points
+# of j = 4, 30-60 of j = 10, 16-32 of j = 20 and under 8 of j = 40, and
+# took 1.3-2.4 times as long for a single point.
+ONE_BLOCK_MIN_POINTS = 64
+
+# Smallest pivot magnitude of _sturm_counts, on its scaled matrices
+_PIVMIN = 2.0 ** -900
+
 
 def parity_eigh(blocks: np.ndarray,
                 name: str) -> tuple[np.ndarray, np.ndarray]:
@@ -320,24 +335,151 @@ def parity_eigh(blocks: np.ndarray,
             f"eigensolve failed in the {name} sector: {exc}") from exc
 
 
+def _sturm_counts(diag: np.ndarray, off: np.ndarray,
+                  x: np.ndarray) -> np.ndarray:
+    """The number of eigenvalues below each x of a stack (S, K) of the
+    symmetric tridiagonal matrix T of its row, whose diagonal is diag
+    (S, n) and off-diagonal off (S, n - 1).
+
+    The count is that of the negative pivots of T - x = L D L^T,
+    d_1 = a_1 - x, d_i = (a_i - x) - b_(i-1)^2 / d_(i-1) (Sylvester's
+    inertia; Barth, Martin & Wilkinson, Numer. Math. 9, 1967).  Each row
+    and its x are first scaled by the power of two that brings their
+    largest magnitude into [1/2, 1), exactly but for entries that
+    underflow, so b^2 cannot overflow; a pivot of magnitude below
+    _PIVMIN, zero included, is taken as -_PIVMIN, so no quotient
+    exceeds 2^900, and no operation overflows or divides by zero.
+    Computed so, the count is the exact count of a tridiagonal matrix
+    whose off-diagonals are within a few ulps of T's (Kahan, Stanford
+    CS41, 1966) and whose diagonal is moved by the pivot substitution
+    and the underflow, each by at most 2^-899 of the scale.  A NaN x
+    gives a meaningless count.
+    """
+    top = np.abs(np.concatenate([diag, off, x], axis=1)).max(axis=1)
+    shift = -np.frexp(top)[1][:, None]
+    b2 = np.square(np.ldexp(off, shift)).T
+    # pivots[i] (K, S) is d_i at every x, computed in place
+    pivots = np.ldexp(diag, shift).T[:, None, :] - np.ldexp(x, shift).T
+    for i, d in enumerate(pivots):
+        if i:
+            d -= b2[i - 1] / pivots[i - 1]
+        np.copyto(d, -_PIVMIN, where=np.abs(d) < _PIVMIN)
+    return np.count_nonzero(pivots < 0, axis=0).T
+
+
 def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
     """The state of energy rank `index` of each H in a stack (S, dim, dim)
     whose max row sums of |H| are norm (S,).
 
-    Both parity blocks are solved by parity_eigh, stacked.  Returns
-    (solved, offset, col, degenerate): the (w, v) stacks of the sectors
-    of PARITY_SECTORS, and for each H the sector offset (0 even, 1 odd),
-    column and degenerate flag of its state, ranked by rank_states with
-    gap DEGENERACY_RTOL * norm, as diagonalize ranks its list.  An index
-    outside 0..2j raises ValueError.
+    Returns (sector, col, degenerate, states): per H the sector offset (0
+    even, 1 odd) of its state, its column in that sector's parity_eigh
+    solve and its degenerate flag; and per sector of PARITY_SECTORS,
+    (rows, columns, energies): the ascending indices of the H whose state
+    lies in it, and their eigenvectors in the sector's basis (len(rows),
+    n_s) and energies.  These are what ranking both blocks' parity_eigh
+    values by rank_states, with gap DEGENERACY_RTOL * norm, picks, as
+    diagonalize ranks its list; that two-block solve is what a stack of
+    fewer than ONE_BLOCK_MIN_POINTS points takes.  An index outside 0..2j
+    raises ValueError.
+
+    A larger stack solves one block per point.  Block A is predicted from
+    the weak-coupling order: the parity of the Dicke index at rank `index`
+    of H's diagonal.  A's parity_eigh values w run over columns c; the
+    other block B, of size n_B, is not solved.  Column c is certified when
+    _sturm_counts of B gives index - c both at w[c] - 4*delta and at
+    w[c] + 4*delta, with delta = c_E*n*eps*max(norm, 1), n = dim and
+    c_E = EIGENVALUE_ERROR_C, and a point is certified when all of w and
+    both windows are finite and exactly one column is.  Its state is then
+    column c of A; every other point takes the two-block solve.
+
+    Proof that a certified point gets what the two-block solve picks.
+    Both solvers' values lie within delta of the exact eigenvalues (the
+    LAPACK bound p(n)*eps*|H|_2, |H|_2 at most the max row sum; Golub &
+    Van Loan, Matrix Computations, sec. 8.3), and a stacked parity_eigh
+    gives each block the bits it gets alone, so A's values and vectors
+    are those of the two-block solve.  A computed Sturm count at x is the
+    exact count below x of a matrix B' within a few ulps of B (with
+    _PIVMIN's shift, far below delta), whose eigenvalues lie within delta
+    of B's (Weyl); rounding x costs less than another delta.  So the two
+    counts put index - c of B's exact eigenvalues below w[c] - 2*delta and
+    the others above w[c] + 2*delta, and B's computed values, within
+    delta of them, index - c below w[c] - delta and the rest above
+    w[c] + delta: none ties w[c].  In the stable sort of both blocks'
+    values, A's columns before c come before it (ascending, ties in
+    column order) and those after c after it, so (A, c) has rank
+    c + (index - c) = index: the same sector, column, energy bits and
+    vector bits, and the same degenerate flag, which rank_states takes
+    from A's gaps alone.  The one difference: a LAPACK failure of B,
+    which is not solved, is not raised.
     """
+    dim = h.shape[-1]
+    if len(h) < ONE_BLOCK_MIN_POINTS or not 0 <= index < dim:
+        return _two_block_states(h, norm, index)
+    k = np.arange(dim)
+    predicted = np.argsort(h[:, k, k], axis=1, kind="stable")[:, index] % 2
+    delta = EIGENVALUE_ERROR_C * dim * np.finfo(float).eps * np.maximum(
+        norm, 1.0)
+    sector, col = predicted, np.zeros(len(h), dtype=int)
+    degenerate = np.zeros(len(h), dtype=bool)
+    certified = np.zeros(len(h), dtype=bool)
+    found = ([], [])  # per sector, its (rows, columns, energies) parts
+    for name, offset in PARITY_SECTORS:
+        rows = np.flatnonzero(predicted == offset)
+        if not rows.size:
+            continue
+        w, v = parity_eigh(h[rows, offset::2, offset::2], name)
+        other = k[1 - offset::2]
+        cols = np.arange(max(0, index - len(other)),
+                         min(w.shape[1], index + 1))
+        window = 4.0 * delta[rows, None]
+        x = np.concatenate([w[:, cols] - window, w[:, cols] + window], 1)
+        counts = _sturm_counts(h[rows[:, None], other, other],
+                               h[rows[:, None], other[1:], other[:-1]], x)
+        hit = (counts == np.tile(index - cols, 2)).reshape(
+            len(rows), 2, len(cols)).all(axis=1)
+        ok = ((hit.sum(axis=1) == 1) & np.isfinite(w).all(axis=1)
+              & np.isfinite(x).all(axis=1))
+        c = cols[np.argmax(hit, axis=1)][ok]
+        here, rows = np.flatnonzero(ok), rows[ok]
+        # w is ascending, so rank c in its own sector is column c
+        flags = rank_states([w[here]], DEGENERACY_RTOL * norm[rows, None])[2]
+        certified[rows] = True
+        col[rows], degenerate[rows] = c, flags[np.arange(len(c)), c]
+        found[offset].append((rows, v[here, :, c], w[here, c]))
+    rest = np.flatnonzero(~certified)
+    if rest.size:
+        sector[rest], col[rest], degenerate[rest], states = (
+            _two_block_states(h[rest], norm[rest], index))
+        for parts, (rows, columns, energies) in zip(found, states):
+            parts.append((rest[rows], columns, energies))
+    states = []
+    for parts, (_, offset) in zip(found, PARITY_SECTORS):
+        if not parts:
+            parts = [(np.zeros(0, dtype=int),
+                      np.zeros((0, (dim + 1 - offset) // 2)), np.zeros(0))]
+        if len(parts) > 1:
+            rows, columns, energies = (np.concatenate(x) for x in zip(*parts))
+            order = np.argsort(rows)
+            parts = [(rows[order], columns[order], energies[order])]
+        states += parts
+    return sector, col, degenerate, states
+
+
+def _two_block_states(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
+    """parity_eigenstates by both blocks' parity_eigh, stacked, ranked by
+    rank_states."""
     solved = [parity_eigh(h[:, offset::2, offset::2], name)
               for name, offset in PARITY_SECTORS]
     if not 0 <= index < h.shape[-1]:
         raise ValueError(f"state_index {index} out of range")
-    sector, col, flags = rank_states([w for w, _ in solved],
-                                     DEGENERACY_RTOL * norm[:, None])
-    return solved, sector[:, index], col[:, index], flags[:, index]
+    sector, col, flags = (r[:, index] for r in rank_states(
+        [w for w, _ in solved], DEGENERACY_RTOL * norm[:, None]))
+    states = []
+    for offset, (w, v) in enumerate(solved):
+        rows = np.flatnonzero(sector == offset)
+        c = col[rows]
+        states.append((rows, v[rows, :, c], w[rows, c]))
+    return sector, col, flags, states
 
 
 def _eigenpair(h: HamiltonianMatrix, rows, column: np.ndarray, energy,
@@ -375,11 +517,10 @@ def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:
     raises ValueError, and so does an H whose norm is not finite
     (HamiltonianMatrix.norm).
     """
-    solved, (offset,), (col,), (flag,) = parity_eigenstates(
+    (offset,), _, (flag,), states = parity_eigenstates(
         h.matrix[None], np.array([h.norm]), index)
-    w, v = solved[offset]
-    return _eigenpair(h, slice(offset, None, 2), v[0, :, col], w[0, col],
-                      index, flag)
+    _, (column,), (energy,) = states[offset]
+    return _eigenpair(h, slice(offset, None, 2), column, energy, index, flag)
 
 
 def expectation(h: HamiltonianMatrix, state: StateVector) -> float:

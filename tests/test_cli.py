@@ -484,6 +484,22 @@ def test_overflowing_points_are_refused_without_warnings(argv, code,
     assert proc.stderr.splitlines() == [prefix + m for m in messages]
 
 
+@pytest.mark.parametrize("argv, code, messages", [
+    ("lmg collapse --j 2 --line-sum 1e308 --from 1 --to 5 --steps 3", 3,
+     ["numerical failure: H overflows at (gx=1, gy=1e+308)"]),
+    ("lmg scan --j 2 --line-sum 1e308 --from 1 --to 5 --steps 3", 0,
+     [f"skipped gx={g}: ValueError: H overflows at (gx={g}, gy=1e+308)"
+      for g in "135"])])
+def test_refusals_name_the_samples_own_gammas(argv, code, messages):
+    # beside gy = 1e308 the couplings of gx = 1 give back gx = 0, as they
+    # cancel; a refusal names the sample by its own gx and gy
+    prefix, env = module_cli("pairons")
+    proc = subprocess.run(prefix + argv.split(), capture_output=True,
+                          text=True, timeout=300, env=env)
+    assert proc.returncode == code
+    assert proc.stderr.splitlines() == messages
+
+
 def test_missing_required_flag(capsys):
     rc, _, err = run_lmg(capsys, "spectrum", "--gx", "1", "--gy", "1")
     assert rc == 2

@@ -814,6 +814,33 @@ def test_find_collapses_raises_as_the_first_failing_bracket(monkeypatch):
         "brentq did not converge in 100 steps in [1.0, 2.0]")
 
 
+def test_profile_points_solve_one_block_each(monkeypatch):
+    # the 1200 profile points of `lmg collapse --j 10` take three stacks of
+    # 400, each certified in its one block, and their profile is that of
+    # the two-block solve; a 16-point stack, as a Brent round, passes both
+    # blocks of every point to np.linalg.eigh
+    lo = SINGULAR_MARGIN + 0.049
+    spec = TrajectorySpec(j=10, start=lo, stop=10.0 - lo, steps=1200)
+    monkeypatch.setattr(spin, "ONE_BLOCK_MIN_POINTS", 10 ** 9)
+    reference = anchor_profile(spec)
+    monkeypatch.undo()
+    blocks = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        blocks.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    profile = anchor_profile(spec)
+    assert sum(blocks) == 1200 and len(blocks) == 3
+    assert profile.value.tobytes() == reference.value.tobytes()
+    assert profile.noise.tobytes() == reference.noise.tobytes()
+    blocks.clear()
+    collapse._anchor_values(spec, np.linspace(0.3, 9.7, 16))
+    assert blocks == [16, 16]
+
+
 def test_find_collapses_stacks_its_brent_steps(monkeypatch):
     # j = 10 on the default grid: 16 brackets, each round one stacked
     # call (one chunk), and no one-sample anchor_value call at all, where
@@ -961,7 +988,11 @@ def test_scan_is_one_stacked_extraction_per_chunk(monkeypatch, budget,
         monkeypatch.setattr(module, "extract_pairons", refused)
     assert run() == reference
     assert len(solves) <= 2 * chunks
-    assert sum(shape[0] for shape in solves) == 2 * 200
+    # the one chunk of 200 points solves one certified block per point,
+    # the chunks of 7 (below ONE_BLOCK_MIN_POINTS) both blocks
+    assert spin.ONE_BLOCK_MIN_POINTS <= 200
+    assert sum(shape[0] for shape in solves) == (
+        1 if budget is None else 2) * 200
 
 
 def test_scan_builds_no_per_sample_objects(monkeypatch):

@@ -57,7 +57,7 @@ def test_dump_outputs_runner():
     bad = dump.run(["lmg", "spectrum", "--j", "2", "--gx", "nan", "--gy", "1"])
     assert bad["exit"] == 2 and bad["stdout"] == ""
     assert "lam must be finite" in bad["stderr"]
-    assert len(dump.COMMANDS) == 160
+    assert len(dump.COMMANDS) == 162
 
 
 def test_dump_outputs_compare(tmp_path):
@@ -87,6 +87,26 @@ def test_dump_outputs_compare(tmp_path):
             pairons_json(1.0 + 2.0 ** -52, [0, 3]),
             {"argv": ["lmg", "scan"], "exit": 0, "stdout": "h\n1,2,4\n",
              "stderr": ""}]
+    assert _compare(tmp_path, base, head) == REPORT
+    # dumps of different lengths are paired by argv: a command in only one
+    # of them is listed as such and not counted
+    base_only = {"argv": ["lmg", "zeros"], "exit": 0, "stdout": "z\n",
+                 "stderr": ""}
+    head_only = dict(base_only, argv=["lmg", "crossings"])
+    assert _compare(tmp_path, [base_only] + base,
+                    head + [head_only]) == REPORT + """
+1 only in the base:
+
+- `lmg zeros`
+
+1 only in the head:
+
+- `lmg crossings`
+"""
+
+
+def _compare(tmp_path, base, head):
+    """dump_outputs.py --compare of two lists of records, its stdout."""
     paths = []
     for name, records in (("base", base), ("head", head)):
         paths.append(tmp_path / f"{name}.json")
@@ -96,7 +116,10 @@ def test_dump_outputs_compare(tmp_path):
                            "--compare", *map(str, paths)],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == """\
+    return proc.stdout
+
+
+REPORT = """\
 ## Byte identity against the base commit
 
 3 of 4 commands differ.

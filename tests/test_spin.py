@@ -288,3 +288,105 @@ def test_dicke_state():
     assert s.parity == "odd"
     assert s.coefficient(-2) == 1.0
     assert s.coefficient(0) == 0.0
+
+
+def _two_block_reference(h, norm, index):
+    """The sector, column and flag of the state of rank index of each H of
+    a stack, both parity blocks solved by np.linalg.eigh and ranked by
+    rank_states, and per sector the rows whose state lies in it, with
+    their vectors and energies."""
+    solved = [np.linalg.eigh(h[:, offset::2, offset::2]) for offset in (0, 1)]
+    sector, col, flag = (r[:, index] for r in spin.rank_states(
+        [w for w, _ in solved], spin.DEGENERACY_RTOL * norm[:, None]))
+    states = []
+    for offset, (w, v) in enumerate(solved):
+        rows = [i for i in range(len(h)) if sector[i] == offset]
+        states.append((np.array(rows, dtype=int),
+                       np.array([v[i, :, col[i]] for i in rows]).reshape(
+                           len(rows), w.shape[1]),
+                       np.array([w[i, col[i]] for i in rows])))
+    return sector, col, flag, states
+
+
+def _arrays(solve):
+    """The arrays of a parity_eigenstates result, in order."""
+    sector, col, flag, states = solve
+    return [sector, col, flag] + [x for state in states for x in state]
+
+
+# gx ranges of the lines: gx + gy = 10, the diagonal gx = gy (lam = 0),
+# and its stretch gx = gy < 0, where even and odd levels cross
+_LINES = {"c10": (0.05, 9.95), "diagonal": (-9.95, 9.95),
+          "crossings": (-9.95, -0.05)}
+
+
+@given(j=st.sampled_from(list(range(1, 13)) + [40]),
+       rank=st.sampled_from(["0", "1", "j", "2j"]),
+       line=st.sampled_from(sorted(_LINES)),
+       ends=st.tuples(st.floats(0, 1), st.floats(0, 1)),
+       extra=st.integers(0, 64), scale=st.sampled_from([1.0, 1e300]))
+@settings(max_examples=60, deadline=None)
+def test_one_block_solve_is_the_two_block_solve(j, rank, line, ends, extra,
+                                                scale):
+    # every point of a stack of at least ONE_BLOCK_MIN_POINTS points gets
+    # the sector, column, flag and the energy and vector bits of the
+    # two-block solve, whether its one block is certified or not
+    index = {"0": 0, "1": 1, "j": j, "2j": 2 * j}[rank]
+    lo, hi = _LINES[line]
+    gx = lo + (hi - lo) * np.linspace(*ends, spin.ONE_BLOCK_MIN_POINTS
+                                      + extra)
+    gy = 10.0 - gx if line == "c10" else gx
+    lam, gam = spin.couplings(j, gx * scale, gy * scale)
+    h = spin.hamiltonian_stack(j, 1.0, lam, gam)
+    norm = spin.max_row_sum(h)
+    got = _arrays(spin.parity_eigenstates(h, norm, index))
+    expect = _arrays(_two_block_reference(h, norm, index))
+    for a, b in zip(got, expect, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
+def test_sturm_counts_are_eigenvalue_counts():
+    # random tridiagonals at three scales, some with zero off-diagonals;
+    # wherever x is clear of the eigenvalues by parity_eigenstates' window
+    # 4*delta, delta = EIGENVALUE_ERROR_C * n * eps * |T|, the count is
+    # the number of eigvalsh values below it
+    rng = np.random.default_rng(5)
+    checked = 0
+    for scale in (1e-300, 1.0, 1e300):
+        for n in (1, 2, 5, 11):
+            diag = scale * rng.standard_normal((40, n))
+            off = scale * rng.standard_normal((40, n - 1))
+            off[::3] = 0.0
+            off[1::3, ::2] = 0.0
+            x = scale * 3.0 * rng.standard_normal((40, 7))
+            full = (np.apply_along_axis(np.diag, 1, diag)
+                    + np.apply_along_axis(np.diag, 1, off, 1)
+                    + np.apply_along_axis(np.diag, 1, off, -1))
+            values = np.linalg.eigvalsh(full)
+            size = np.abs(full).sum(axis=2).max(axis=1)
+            delta = spin.EIGENVALUE_ERROR_C * n * np.finfo(float).eps * size
+            clear = (np.abs(x[:, :, None] - values[:, None, :]).min(axis=2)
+                     > 4.0 * delta[:, None])
+            counts = spin._sturm_counts(diag, off, x)
+            below = (values[:, None, :] < x[:, :, None]).sum(axis=2)
+            assert (counts[clear] == below[clear]).all()
+            checked += clear.sum()
+    assert checked > 3000
+
+
+def test_sturm_counts_take_zero_pivots_without_warnings():
+    import warnings
+    # d_2 = 1 - 1/1 is exactly zero at x = 0, and T has one eigenvalue
+    # below 0 (det T = -1, trace 5); diag(0, 1) with a zero off-diagonal
+    # has a zero pivot beside a zero numerator (x = 0 is an eigenvalue,
+    # so only the absence of warnings is checked); and a row of zeros
+    diag = np.array([[1.0, 1.0, 3.0], [0.0, 1.0, 5.0], [0.0, 0.0, 0.0]])
+    off = np.array([[1.0, 1.0], [0.0, 0.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        counts = spin._sturm_counts(diag, off, np.zeros((3, 1)))
+        spin._sturm_counts(diag, off, np.full((3, 1), np.nan))
+    assert counts[0, 0] == 1
+    assert (np.linalg.eigvalsh(np.diag(diag[0]) + np.diag(off[0], 1)
+                               + np.diag(off[0], -1)) < 0).sum() == 1
