@@ -55,7 +55,7 @@ commands whose |H| overflows, which are refused: `lmg spectrum --j 2
 spin.parity_eigenstates' one-block solve: `--line diagonal --from -9.95
 --to -0.05` (lam = 0), whose ground state is odd at 109 samples, and
 `--state 5` on gx + gy = 10, where the predicted sectors are mixed and
-70 samples fail their certificate and take the two-block fallback.
+70 samples fail their certificate and solve the other block too.
 """
 import argparse
 import json

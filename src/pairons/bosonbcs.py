@@ -28,7 +28,7 @@ from itertools import chain, combinations
 import numpy as np
 
 from .errors import DegenerateStateError, InconsistentPaironsError
-from .phasespace import strip_and_solve
+from .phasespace import _exp, _log_factorials, strip_and_solve
 from .spin import DEGENERACY_RTOL, EIGENVALUE_ERROR_C, rank_states
 
 AXIS_POLE_FLAG = "axis-pole"  # root at w = -1: pairon at infinity of the map
@@ -101,21 +101,6 @@ def _coherent_weights(occ: np.ndarray, n_bosons: int) -> np.ndarray:
     math.exp(0.5 * (lgamma(N+1) - _log_factorials(occ)))."""
     return _exp(0.5 * (math.lgamma(n_bosons + 1)
                        - _log_factorials(occ, n_bosons)))
-
-
-def _log_factorials(occ: np.ndarray, n_bosons: int) -> np.ndarray:
-    """sum_l lgamma(n_l + 1) for each occupation row of occ, summed level
-    by level."""
-    log_fact = np.array([math.lgamma(n + 1) for n in range(n_bosons + 1)])
-    log_prod = np.zeros(len(occ))
-    for column in log_fact[occ.T]:
-        log_prod = log_prod + column
-    return log_prod
-
-
-def _exp(x: np.ndarray) -> np.ndarray:
-    """math.exp of each entry (np.exp would round differently)."""
-    return np.array([math.exp(v) for v in x.tolist()])
 
 
 def fock_basis(n_levels: int, n_bosons: int) -> list[tuple[int, ...]]:

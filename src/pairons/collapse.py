@@ -30,7 +30,8 @@ from .paironmap import (PaironSet, extract_stack, names_of, pairon_sites,
                         solve_states, stack_slices)
 from .phasespace import _binomial_sqrt, _polyval, _raised
 from .sphere import SpherePoint, chordal_distances, sphere_points
-from .spin import ModelParams, build_hamiltonian, couplings, eigenpair
+from .spin import (ModelParams, build_hamiltonian, check_j, couplings,
+                   eigenpair)
 
 LINE_SUM = "sum"
 LINE_DIAGONAL = "diagonal"
@@ -116,9 +117,10 @@ def crossing_points(j: int) -> list[CrossingPoint]:
 class TrajectorySpec:
     """A 1-parameter family of control points, sampled uniformly in gx.
 
-    line = "sum": gy = line_sum - gx; line = "diagonal": gy = gx.  The
-    range must keep a margin of SINGULAR_MARGIN away from the singular
-    values gx = 0 and (for sum lines) gx = line_sum.
+    line = "sum": gy = line_sum - gx; line = "diagonal": gy = gx.  j is
+    a positive integer (check_j).  The range must keep a margin of
+    SINGULAR_MARGIN away from the singular values gx = 0 and (for sum
+    lines) gx = line_sum.
     """
 
     j: int
@@ -131,6 +133,7 @@ class TrajectorySpec:
     eps: float = 1.0
 
     def __post_init__(self):
+        check_j(self.j)
         if self.line not in (LINE_SUM, LINE_DIAGONAL):
             raise ValueError(f"unknown line type {self.line!r}")
         for name in ("line_sum", "eps", "start", "stop"):
@@ -471,13 +474,9 @@ def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
     extract_pairons gives it alone, and failures are listed in gx order.
     """
     gx = spec.samples()
-    try:
-        with np.errstate(all="ignore"):  # as float arithmetic overflows
-            gy = spec.gamma_y(gx)
-            lam, gam = couplings(spec.j, gx, gy, spec.eps)
-    except ValueError as exc:  # j is not a positive integer
-        return ScanTable(spec=spec, samples=[], failures=[
-            (g, f"ValueError: {exc}") for g in gx.tolist()])
+    with np.errstate(all="ignore"):  # as float arithmetic overflows
+        gy = spec.gamma_y(gx)
+        lam, gam = couplings(spec.j, gx, gy, spec.eps)
     results = extract_stack(int(spec.j), spec.eps, lam, gam, spec.state_index,
                             (gx, gy))
     gx = gx.tolist()
@@ -568,18 +567,16 @@ def _anchor_slices(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
                    state_index: int, names=None) -> tuple[list, list]:
     """Parity slices d of the state at an array of parameter points, with
     w = 1/u*.  Returns (refusals, slices): per point None or the exception
-    that refuses it, and [(rows, d, w)], entries of parity sectors that
-    hold the state somewhere: rows index the live points, d (len(rows),
-    n+1) holds their slices with the sign fixed by d_0 > 0, and w their
-    anchors.
+    that refuses it, and [(rows, d, w)], one entry per part of
+    solve_states: rows index the live points, d (len(rows), n+1) holds
+    their slices with the sign fixed by d_0 > 0, and w their anchors.
 
     The points are taken in the stacks of stack_slices, so the memory a
     stack holds is bounded however many points there are.  The states are
     solved, and the points refused, by solve_states, as extract_stack
     solves and refuses them, naming the points by names, the callers'
     (gamma_x, gamma_y) arrays, where given; nothing is raised.  The slice
-    is the
-    eigenvector's column times the sector's sqrt(C(2j, k)), as
+    is the eigenvector's column times the sector's sqrt(C(2j, k)), as
     parity_slice computes it, so each point gets the bits it gets alone.
     """
     binom = _binomial_sqrt(2 * j)

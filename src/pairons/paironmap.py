@@ -26,8 +26,9 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStateError,
                      InconsistentPaironsError)
-from .phasespace import (ZeroSet, _binomial_sqrt, _linear_product, _raised,
-                         parity_slice, strip_and_solve_stack)
+from .phasespace import (ZeroSet, _binomial_sqrt, _exp, _linear_product,
+                         _log_factorials, _raised, parity_slice,
+                         strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint, sphere_points
 from .spin import (ModelParams, StateVector, _normalized_rows,
                    eigen_residuals, gammas, hamiltonian_stack, max_row_sum,
@@ -234,11 +235,13 @@ def reconstruct_state(pairons: PaironSet) -> StateVector:
 
 
 @functools.cache
-def _log_weights(m_pairs: int, nu: int) -> tuple[float, ...]:
-    """log sqrt(n_a! n_b!) per s = 0..M (reconstruct_state), by lgamma."""
-    return tuple(0.5 * (math.lgamma(2 * (m_pairs - k) + nu + 1)
-                        + math.lgamma(2 * k + nu + 1))
-                 for k in range(m_pairs + 1))
+def _log_weights(m_pairs: int, nu: int) -> np.ndarray:
+    """log sqrt(n_a! n_b!) per s = 0..M (reconstruct_state), by
+    _log_factorials; computed once per (M, nu) and returned read-only."""
+    n_b = 2 * np.arange(m_pairs + 1) + nu
+    out = 0.5 * _log_factorials(np.stack([n_b[::-1], n_b], 1), n_b[-1])
+    out.setflags(write=False)
+    return out
 
 
 def _reconstruct_stack(j: int, nu: int, energies: np.ndarray,
@@ -258,13 +261,11 @@ def _reconstruct_stack(j: int, nu: int, energies: np.ndarray,
     rows, cols = np.nonzero(live)
     magnitude = np.hypot(sigma.real, sigma.imag)[live]
     logs = np.full(sigma.shape, -np.inf)
-    logs[live] = [math.log(x) + weight[k]
-                  for x, k in zip(magnitude.tolist(), cols.tolist())]
+    logs[live] = [math.log(x) for x in magnitude.tolist()] + weight[cols]
     shifted = logs[live] - logs.max(axis=1)[rows]
     coeffs = np.zeros((len(sigma), 2 * j + 1), dtype=complex)
     # c(m) sits at Dicke index j + m = n_b = 2s + nu
-    coeffs[rows, 2 * cols + nu] = (sigma[live] / magnitude) * np.array(
-        [math.exp(x) for x in shifted.tolist()])
+    coeffs[rows, 2 * cols + nu] = (sigma[live] / magnitude) * _exp(shifted)
     return coeffs, vanished
 
 
@@ -332,25 +333,26 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
 
     Returns (out, h, gamma, t, sectors): per point None, or the exception
     that refuses it; the points' H (hamiltonian_stack), (gamma_x, gamma_y)
-    and t = sqrt|gx/gy|; and per parity sector nu (0 even, 1 odd) that
-    holds a live point, (nu, rows, columns, energies): the indices of its
-    live points, their eigenvectors in the sector's basis (len(rows),
-    j + 1 - nu) and their energies.  The H are built, and their max row
-    sums of |H| taken, once; a point whose row sum is not finite keeps a
-    zero H as a placeholder.  The H are solved and ranked together by
-    parity_eigenstates, so each point gets the bits it gets alone; if
-    that raises ConvergenceError, each point is solved alone, and each
-    live point gets an entry of its own.  A point is refused with the
-    first of: overflow_refusal where its row sum is not finite (a coupling
-    that is not finite, in ModelParams' words, or H overflows), what its
-    solve raises (ConvergenceError, or ValueError for a state_index
-    outside 0..2j), SingularParameterError at gamma_y = 0 or gamma_x = 0,
-    DegenerateStateError for a state degenerate within its parity sector,
-    and ValueError for a t that is not finite and positive.  The refusals
-    are vectorized masks; an exception is built only for a point that is
-    refused.  A message names a point by names, the callers' (gamma_x,
-    gamma_y) arrays where they have them, else by its gamma; gamma, t and
-    every other number are taken from the couplings.
+    and t = sqrt|gx/gy|; and the parts of parity_eigenstates that hold a
+    live point, each (nu, rows, columns, energies) of parity sector nu (0
+    even, 1 odd): the indices of its live points, their eigenvectors in
+    the sector's basis (len(rows), j + 1 - nu) and their energies.  The
+    H are built, and their max row sums of |H| taken, once; a point whose
+    row sum is not finite keeps a zero H as a placeholder.  The H are
+    solved and ranked together by parity_eigenstates, so each point gets
+    the bits it gets alone; if that raises ConvergenceError, each point
+    is solved alone, and each live point gets an entry of its own.  A
+    point is refused with the first of: overflow_refusal where its row
+    sum is not finite (a coupling that is not finite, in ModelParams'
+    words, or H overflows), what its solve raises (ConvergenceError, or
+    ValueError for a state_index outside 0..2j), SingularParameterError
+    at gamma_y = 0 or gamma_x = 0, DegenerateStateError for a state
+    degenerate within its parity sector, and ValueError for a t that is
+    not finite and positive.  The refusals are vectorized masks; an
+    exception is built only for a point that is refused.  A message names
+    a point by names, the callers' (gamma_x, gamma_y) arrays where they
+    have them, else by its gamma; gamma, t and every other number are
+    taken from the couplings.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))
@@ -369,7 +371,7 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
         out[i] = overflow_refusal(j, float(eps), float(lam[i]), float(gam[i]),
                                   (float(named_x[i]), float(named_y[i])))
     try:
-        _, _, degenerate, states = parity_eigenstates(h, norm, state_index)
+        _, _, degenerate, parts = parity_eigenstates(h, norm, state_index)
     except ValueError as exc:
         return [r or exc for r in out], h, (gamma_x, gamma_y), t, []
     except ConvergenceError as exc:
@@ -393,13 +395,11 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
                 f"state {state_index} at (gx={x:.6g}, gy={y:.6g}) is "
                 "degenerate within its parity sector")
             if degenerate[i] else ValueError(_BAD_T.format(float(t[i]))))
-    sectors, everywhere = [], live.all()
-    for nu, (rows, columns, energies) in enumerate(states):
-        if not everywhere:
-            keep = live[rows]
-            rows, columns, energies = rows[keep], columns[keep], energies[keep]
-        if rows.size:
-            sectors.append((nu, rows, columns, energies))
+    sectors = []
+    for nu, rows, columns, energies in parts:
+        keep = live[rows]
+        if keep.any():
+            sectors.append((nu, rows[keep], columns[keep], energies[keep]))
     return out, h, (gamma_x, gamma_y), t, sectors
 
 
@@ -414,16 +414,16 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
     The points are taken in the stacks of stack_slices, one call each,
     so the memory a call holds is bounded however many points it is
     given.  A stack's states are solved, and its points refused, by
-    solve_states.
-    Then each parity sector nu (0 even, 1 odd) takes its live points in
-    one pass: their eigenvectors' u-polynomials are solved together
-    (_slice_pairons), their pairons rebuilt together (_reconstruct_stack),
-    and the fidelities and eigen-residuals taken together (fidelities,
-    eigen_residuals).  Each layer gives every point the bits it gets
-    alone.  A point then gets the first of: the refusal of its root
-    solve, ValueError for a vanished pairon product, and
-    InconsistentPaironsError for a rebuilt state whose fidelity loss or
-    eigen-residual is above VERIFY_TOL (or NaN); otherwise its pairon set.
+    solve_states.  Then each of its parts, of parity sector nu (0 even, 1
+    odd), takes its live points in one pass: their eigenvectors'
+    u-polynomials are solved together (_slice_pairons), their pairons
+    rebuilt together (_reconstruct_stack), and the fidelities and
+    eigen-residuals taken together (fidelities, eigen_residuals).  Each
+    layer gives every point the bits it gets alone.  A point then gets
+    the first of: the refusal of its root solve, ValueError for a
+    vanished pairon product, and InconsistentPaironsError for a rebuilt
+    state whose fidelity loss or eigen-residual is above VERIFY_TOL (or
+    NaN); otherwise its pairon set.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))

@@ -37,6 +37,21 @@ def _binomial_sqrt(two_j: int) -> np.ndarray:
     return out
 
 
+def _log_factorials(occ: np.ndarray, n_bosons: int) -> np.ndarray:
+    """sum_l lgamma(n_l + 1) for each row of occupations occ, none above
+    n_bosons, summed level by level."""
+    log_fact = np.array([math.lgamma(n + 1) for n in range(n_bosons + 1)])
+    log_prod = np.zeros(len(occ))
+    for column in log_fact[occ.T]:
+        log_prod = log_prod + column
+    return log_prod
+
+
+def _exp(x: np.ndarray) -> np.ndarray:
+    """math.exp of each entry (np.exp would round differently)."""
+    return np.array([math.exp(v) for v in x.tolist()])
+
+
 def _polyval(x, c):
     """np.polynomial.polynomial.polyval(x, c, tensor=False): the
     polynomial of coefficients c, lowest power first along the first

@@ -39,8 +39,7 @@ class ModelParams:
     gam: float = 0.0
 
     def __post_init__(self):
-        if not isinstance(self.j, (int, np.integer)) or self.j < 1:
-            raise ValueError(f"j must be a positive integer, got {self.j!r}")
+        check_j(self.j)
         if not all(map(math.isfinite, (self.eps, self.lam, self.gam))):
             raise overflow_refusal(self.j, self.eps, self.lam, self.gam)
         if self.eps == 0:
@@ -98,10 +97,15 @@ def overflow_refusal(j: int, eps: float, lam: float, gam: float,
     return ValueError(f"H overflows at (gx={gx:.6g}, gy={gy:.6g})")
 
 
-def couplings(j: int, gamma_x, gamma_y, eps=1.0):
-    """(lam, gam) at the control parameters, elementwise over arrays."""
+def check_j(j: int) -> None:
+    """Raise ValueError unless j is a positive integer."""
     if not isinstance(j, (int, np.integer)) or j < 1:
         raise ValueError(f"j must be a positive integer, got {j!r}")
+
+
+def couplings(j: int, gamma_x, gamma_y, eps=1.0):
+    """(lam, gam) at the control parameters, elementwise over arrays."""
+    check_j(j)
     scale = eps / (2.0 * (2 * j - 1))
     return scale * (gamma_x - gamma_y), scale * (gamma_x + gamma_y)
 
@@ -371,26 +375,28 @@ def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
     """The state of energy rank `index` of each H in a stack (S, dim, dim)
     whose max row sums of |H| are norm (S,).
 
-    Returns (sector, col, degenerate, states): per H the sector offset (0
+    Returns (sector, col, degenerate, parts): per H the sector offset (0
     even, 1 odd) of its state, its column in that sector's parity_eigh
-    solve and its degenerate flag; and per sector of PARITY_SECTORS,
-    (rows, columns, energies): the ascending indices of the H whose state
-    lies in it, and their eigenvectors in the sector's basis (len(rows),
-    n_s) and energies.  These are what ranking both blocks' parity_eigh
-    values by rank_states, with gap DEGENERACY_RTOL * norm, picks, as
-    diagonalize ranks its list; that two-block solve is what a stack of
-    fewer than ONE_BLOCK_MIN_POINTS points takes.  An index outside 0..2j
-    raises ValueError.
+    solve and its degenerate flag; and a list of parts (offset, rows,
+    columns, energies), each of the H whose state lies in sector offset:
+    their indices, ascending, and their eigenvectors in the sector's basis
+    (len(rows), n_s) and energies.  Every H lies in one part, and no part
+    is empty.  These are what ranking both blocks' parity_eigh values by
+    rank_states, with gap DEGENERACY_RTOL * norm, picks, as diagonalize
+    ranks its list; that two-block solve is what a stack of fewer than
+    ONE_BLOCK_MIN_POINTS points takes.  An index outside 0..2j raises
+    ValueError.
 
-    A larger stack solves one block per point.  Block A is predicted from
-    the weak-coupling order: the parity of the Dicke index at rank `index`
-    of H's diagonal.  A's parity_eigh values w run over columns c; the
-    other block B, of size n_B, is not solved.  Column c is certified when
-    _sturm_counts of B gives index - c both at w[c] - 4*delta and at
-    w[c] + 4*delta, with delta = c_E*n*eps*max(norm, 1), n = dim and
-    c_E = EIGENVALUE_ERROR_C, and a point is certified when all of w and
-    both windows are finite and exactly one column is.  Its state is then
-    column c of A; every other point takes the two-block solve.
+    A larger stack solves one block per point.  Its block A and column c
+    are predicted from the weak-coupling order, H's diagonal sorted
+    stably: A holds the Dicke index at rank `index`, and c is the number
+    of A's indices before it.  With A's parity_eigh values w, the point
+    is certified when _sturm_counts of the other block B gives index - c
+    both at w[c] - 4*delta and at w[c] + 4*delta, with delta =
+    c_E*n*eps*max(norm, 1), n = dim and c_E = EIGENVALUE_ERROR_C, and
+    all of w and both windows are finite.  Its state is then column c of
+    A.  An uncertified point keeps A's values and vectors, and
+    _two_block_states solves B and ranks the two.
 
     Proof that a certified point gets what the two-block solve picks.
     Both solvers' values lie within delta of the exact eigenvalues (the
@@ -416,70 +422,66 @@ def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
     if len(h) < ONE_BLOCK_MIN_POINTS or not 0 <= index < dim:
         return _two_block_states(h, norm, index)
     k = np.arange(dim)
-    predicted = np.argsort(h[:, k, k], axis=1, kind="stable")[:, index] % 2
+    first = np.argsort(h[:, k, k], axis=1, kind="stable")[:, :index + 1] % 2
+    predicted = first[:, index]
+    col = np.count_nonzero(first[:, :index] == predicted[:, None], axis=1)
+    sector = predicted.copy()
     delta = EIGENVALUE_ERROR_C * dim * np.finfo(float).eps * np.maximum(
         norm, 1.0)
-    sector, col = predicted, np.zeros(len(h), dtype=int)
     degenerate = np.zeros(len(h), dtype=bool)
-    certified = np.zeros(len(h), dtype=bool)
-    found = ([], [])  # per sector, its (rows, columns, energies) parts
+    parts = []
     for name, offset in PARITY_SECTORS:
         rows = np.flatnonzero(predicted == offset)
         if not rows.size:
             continue
         w, v = parity_eigh(h[rows, offset::2, offset::2], name)
+        c = col[rows]
+        at = w[np.arange(len(rows)), c]
+        window = 4.0 * delta[rows]
+        x = np.stack([at - window, at + window], axis=1)
         other = k[1 - offset::2]
-        cols = np.arange(max(0, index - len(other)),
-                         min(w.shape[1], index + 1))
-        window = 4.0 * delta[rows, None]
-        x = np.concatenate([w[:, cols] - window, w[:, cols] + window], 1)
         counts = _sturm_counts(h[rows[:, None], other, other],
                                h[rows[:, None], other[1:], other[:-1]], x)
-        hit = (counts == np.tile(index - cols, 2)).reshape(
-            len(rows), 2, len(cols)).all(axis=1)
-        ok = ((hit.sum(axis=1) == 1) & np.isfinite(w).all(axis=1)
-              & np.isfinite(x).all(axis=1))
-        c = cols[np.argmax(hit, axis=1)][ok]
-        here, rows = np.flatnonzero(ok), rows[ok]
-        # w is ascending, so rank c in its own sector is column c
-        flags = rank_states([w[here]], DEGENERACY_RTOL * norm[rows, None])[2]
-        certified[rows] = True
-        col[rows], degenerate[rows] = c, flags[np.arange(len(c)), c]
-        found[offset].append((rows, v[here, :, c], w[here, c]))
-    rest = np.flatnonzero(~certified)
-    if rest.size:
-        sector[rest], col[rest], degenerate[rest], states = (
-            _two_block_states(h[rest], norm[rest], index))
-        for parts, (rows, columns, energies) in zip(found, states):
-            parts.append((rest[rows], columns, energies))
-    states = []
-    for parts, (_, offset) in zip(found, PARITY_SECTORS):
-        if not parts:
-            parts = [(np.zeros(0, dtype=int),
-                      np.zeros((0, (dim + 1 - offset) // 2)), np.zeros(0))]
-        if len(parts) > 1:
-            rows, columns, energies = (np.concatenate(x) for x in zip(*parts))
-            order = np.argsort(rows)
-            parts = [(rows[order], columns[order], energies[order])]
-        states += parts
-    return sector, col, degenerate, states
+        ok = ((counts == (index - c)[:, None]).all(axis=1)
+              & np.isfinite(w).all(axis=1) & np.isfinite(x).all(axis=1))
+        here, rest = np.flatnonzero(ok), np.flatnonzero(~ok)
+        if here.size:
+            # w is ascending, so rank c in its own sector is column c
+            flags = rank_states([w[here]],
+                                DEGENERACY_RTOL * norm[rows[here], None])[2]
+            degenerate[rows[here]] = flags[np.arange(here.size), c[here]]
+            parts.append((offset, rows[here], v[here, :, c[here]],
+                          at[here]))
+        if rest.size:
+            done = rows[rest]
+            sector[done], col[done], degenerate[done], more = (
+                _two_block_states(h[done], norm[done], index,
+                                  {offset: (w[rest], v[rest])}))
+            parts += [(o, done[r], columns, energies)
+                      for o, r, columns, energies in more]
+    return sector, col, degenerate, parts
 
 
-def _two_block_states(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
+def _two_block_states(h: np.ndarray, norm: np.ndarray, index: int,
+                      known: dict | None = None) -> tuple:
     """parity_eigenstates by both blocks' parity_eigh, stacked, ranked by
-    rank_states."""
-    solved = [parity_eigh(h[:, offset::2, offset::2], name)
+    rank_states.  known maps a sector offset to the values and vectors of
+    its blocks where they are already solved."""
+    known = known or {}
+    solved = [known[offset] if offset in known
+              else parity_eigh(h[:, offset::2, offset::2], name)
               for name, offset in PARITY_SECTORS]
     if not 0 <= index < h.shape[-1]:
         raise ValueError(f"state_index {index} out of range")
     sector, col, flags = (r[:, index] for r in rank_states(
         [w for w, _ in solved], DEGENERACY_RTOL * norm[:, None]))
-    states = []
+    parts = []
     for offset, (w, v) in enumerate(solved):
         rows = np.flatnonzero(sector == offset)
         c = col[rows]
-        states.append((rows, v[rows, :, c], w[rows, c]))
-    return sector, col, flags, states
+        if rows.size:
+            parts.append((offset, rows, v[rows, :, c], w[rows, c]))
+    return sector, col, flags, parts
 
 
 def _eigenpair(h: HamiltonianMatrix, rows, column: np.ndarray, energy,
@@ -517,9 +519,8 @@ def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:
     raises ValueError, and so does an H whose norm is not finite
     (HamiltonianMatrix.norm).
     """
-    (offset,), _, (flag,), states = parity_eigenstates(
+    _, _, (flag,), [(offset, _, (column,), (energy,))] = parity_eigenstates(
         h.matrix[None], np.array([h.norm]), index)
-    _, (column,), (energy,) = states[offset]
     return _eigenpair(h, slice(offset, None, 2), column, energy, index, flag)
 
 

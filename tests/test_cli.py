@@ -11,6 +11,7 @@ import pytest
 import pairons.cli
 import pairons.collapse
 import pairons.paironmap
+import pairons.spin
 from pairons import BosonState, collapse_points
 from pairons.cli import bcs_main, lmg_main
 from conftest import module_cli, shift_one_pairon
@@ -552,6 +553,15 @@ def test_nonpositive_j_rejected(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["scan", "--j", "0", "--from", "0.05", "--to", "9.95", "--steps", "10"],
+    ["collapse", "--j", "0"]])
+def test_nonpositive_j_on_a_line_is_usage_error(capsys, argv):
+    rc, _, err = run_lmg(capsys, *argv)
+    assert rc == 2
+    assert err == "usage error: --j must be a positive integer\n"
+
+
 def test_state_index_out_of_range(capsys):
     rc, _, err = run_lmg(capsys, "pairons", "--j", "1", "--gx", "1",
                          "--gy", "2", "--state", "5")
@@ -658,6 +668,23 @@ def test_scan_deterministic_across_threads(capsys):
         assert rc == 0
         outputs.append(out)
     assert outputs[0] == outputs[1]
+
+
+def test_scan_solves_no_block_twice(capsys, monkeypatch):
+    # --state 5 at j = 10: the diagonal order predicts the wrong block at
+    # 70 of the 200 samples, which then solve only the other block
+    rows = []
+
+    def counted(blocks, name):
+        rows.append(len(blocks) if blocks.ndim == 3 else 1)
+        return parity_eigh(blocks, name)
+
+    parity_eigh = pairons.spin.parity_eigh
+    monkeypatch.setattr(pairons.spin, "parity_eigh", counted)
+    rc, _, _ = run_lmg(capsys, "scan", "--j", "10", "--from", "0.05",
+                       "--to", "9.95", "--steps", "200", "--state", "5")
+    assert rc == 0
+    assert sorted(rows) == [70, 200]
 
 
 def test_scan_csv_shape(capsys):

@@ -87,6 +87,12 @@ def test_trajectory_spec_validation():
     assert_allclose(spec.gamma_y(3.0), 7.0)
 
 
+@pytest.mark.parametrize("j", [0, 1.5])
+def test_trajectory_spec_refuses_a_j_that_is_not_a_positive_integer(j):
+    with pytest.raises(ValueError, match="j must be a positive integer"):
+        TrajectorySpec(j=j, start=0.1, stop=9.9, steps=50)
+
+
 def test_scan_and_detect_small():
     spec = TrajectorySpec(j=4, line="sum", line_sum=10.0, start=0.08,
                           stop=9.92, steps=400, state_index=0)

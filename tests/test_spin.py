@@ -308,10 +308,18 @@ def _two_block_reference(h, norm, index):
     return sector, col, flag, states
 
 
-def _arrays(solve):
-    """The arrays of a parity_eigenstates result, in order."""
-    sector, col, flag, states = solve
-    return [sector, col, flag] + [x for state in states for x in state]
+def _points(sector, col, flag, parts):
+    """The sector, column and flag arrays of a parity_eigenstates result,
+    and the vector and energy bytes of each point from its parts."""
+    found = {}
+    for offset, rows, columns, energies in parts:
+        assert len(columns) == len(energies) == len(rows)
+        for i, column, energy in zip(rows.tolist(), columns, energies):
+            assert i not in found and sector[i] == offset
+            found[i] = (column.dtype, column.tobytes(), energy.dtype,
+                        energy.tobytes())
+    assert sorted(found) == list(range(len(sector)))
+    return [(a.dtype, a.tobytes()) for a in (sector, col, flag)], found
 
 
 # gx ranges of the lines: gx + gy = 10, the diagonal gx = gy (lam = 0),
@@ -339,11 +347,43 @@ def test_one_block_solve_is_the_two_block_solve(j, rank, line, ends, extra,
     lam, gam = spin.couplings(j, gx * scale, gy * scale)
     h = spin.hamiltonian_stack(j, 1.0, lam, gam)
     norm = spin.max_row_sum(h)
-    got = _arrays(spin.parity_eigenstates(h, norm, index))
-    expect = _arrays(_two_block_reference(h, norm, index))
-    for a, b in zip(got, expect, strict=True):
-        assert (a.dtype, a.shape) == (b.dtype, b.shape)
-        assert a.tobytes() == b.tobytes()
+    sector, col, flag, states = _two_block_reference(h, norm, index)
+    assert _points(*spin.parity_eigenstates(h, norm, index)) == _points(
+        sector, col, flag, [(offset, *state)
+                            for offset, state in enumerate(states)])
+
+
+# points of 300 on each line that take the two-block completion, per j,
+# for states 0, 1, 5, j and 2j: the counts of a search of every candidate
+# column, so the one predicted column certifies every point it did
+_COMPLETED = {
+    "c10": {4: [0, 0, 22, 32, 26], 10: [0, 0, 104, 84, 132],
+            20: [0, 0, 0, 86, 250], 40: [0, 0, 0, 148, 288]},
+    "diagonal": dict.fromkeys((4, 10, 20, 40), [0] * 5),
+    "crossings": dict.fromkeys((4, 10, 20, 40), [0] * 5),
+}
+
+
+@pytest.mark.parametrize("line", sorted(_LINES))
+@pytest.mark.parametrize("j", [4, 10, 20, 40])
+def test_one_block_solve_completes_as_many_points(monkeypatch, line, j):
+    completed = []
+
+    def counted(h, *args):
+        completed.append(len(h))
+        return two_block(h, *args)
+
+    two_block = spin._two_block_states
+    monkeypatch.setattr(spin, "_two_block_states", counted)
+    gx = np.linspace(*_LINES[line], 300)
+    lam, gam = spin.couplings(j, gx, 10.0 - gx if line == "c10" else gx)
+    h = spin.hamiltonian_stack(j, 1.0, lam, gam)
+    counts = []
+    for index in (0, 1, 5, j, 2 * j):
+        completed.clear()
+        spin.parity_eigenstates(h, spin.max_row_sum(h), index)
+        counts.append(sum(completed))
+    assert counts == _COMPLETED[line][j]
 
 
 def test_sturm_counts_are_eigenvalue_counts():
