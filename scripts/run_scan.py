@@ -14,6 +14,8 @@ import csv
 import sys
 import time
 
+import numpy as np
+
 from pairons import (TrajectorySpec, UnresolvedAnchorError, anchor_profile,
                      collapse_points, collapse_rows, find_collapses,
                      scan_trajectory)
@@ -46,15 +48,15 @@ def main(argv=None):
             print(f"    gx={gx:.4f}: {msg}")
 
     # regime structure: where do the pairons leave the real axis?
-    real = [all(abs(r.energy.imag) <= 1e-8 for r in s.records)
-            for s in table.samples]
+    real = ((np.abs(table.pairons.imag) <= 1e-8) | ~table.live).all(
+        axis=1).tolist()
     edges = [i for i in range(1, len(real)) if real[i] != real[i - 1]]
     labels = []
     start = 0
     for i in edges + [len(real)]:
         kind = "real" if real[start] else "complex-paired"
-        labels.append(f"[{table.samples[start].gamma_x:.3f}, "
-                      f"{table.samples[i - 1].gamma_x:.3f}] {kind}")
+        labels.append(f"[{table.gamma_x[start]:.3f}, "
+                      f"{table.gamma_x[i - 1]:.3f}] {kind}")
         start = i
     print("pairon regimes: " + "; ".join(labels))
 

@@ -22,6 +22,7 @@ import math
 import os
 import re
 import sys
+from itertools import islice
 
 import numpy as np
 
@@ -36,7 +37,7 @@ from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
 from .errors import InconsistentPaironsError, PaironsError
 from .paironmap import (VERIFY_TOL, PaironSet, extract_pairons, fidelity,
                         pairon_from_u, pairon_sites, zero_sites)
-from .sphere import angles
+from .sphere import angle_columns
 from .spin import (PARITY_EVEN, PARITY_ODD, ModelParams, build_hamiltonian,
                    diagonalize)
 
@@ -155,7 +156,7 @@ def _emit(args, command: str, columns: list[str], rows: list[list],
         text = _csv_text(columns, rows, leads)
     else:
         if leads is not None:
-            rows = [lead + row for lead, group in zip(leads, rows)
+            rows = [[*lead, *row] for lead, group in zip(leads, rows)
                     for row in group]
         config = {}
         skip = {"config", "out", "threads", "func", "command", "format",
@@ -423,25 +424,34 @@ SCAN_COLUMNS = ["gx", "gy", "t", "state_index", "energy", "alpha", "re_e",
                 "im_e", "theta", "phi", "multiplicity", "branch_id", "flags"]
 
 
-def _scan_rows(table) -> tuple[list[list], list[list[list]]]:
-    """The rows of the scan table in groups, one per sample: the sample's
-    cells (gx, gy, t, state_index, energy) and the rest of each of its
-    records' rows."""
-    leads, groups = [], []
-    for s in table.samples:
-        leads.append([s.gamma_x, s.gamma_y, s.t, s.state_index, s.energy])
-        groups.append([[r.alpha, r.energy.real, r.energy.imag,
-                        *angles(r.site.zeta), r.site_multiplicity,
-                        r.branch_id, _flag_text(r.flags, bool(s.nu))]
-                       for r in s.records])
-    return leads, groups
+def _scan_rows(table) -> tuple[list[list], list[list[tuple]]]:
+    """The rows of a ScanTable in groups, one per sample: the sample's
+    cells (gx, gy, t, state_index, energy) and the rest of the row of
+    each of its pairons (alpha, re_e, im_e, theta, phi, multiplicity,
+    branch_id, flags), taken from the table's columns."""
+    live = table.live
+    sample, alpha = np.nonzero(live)
+    pairons, flags, nu = table.pairons[live], table.flags, table.nu.tolist()
+    rows = iter(zip(
+        alpha.tolist(), pairons.real.tolist(), pairons.imag.tolist(),
+        *angle_columns(table.sites[live].tolist()),
+        table.multiplicity[live].tolist(), table.branch[live].tolist(),
+        [_flag_text(flags[s], nu[s], pole)
+         for s, pole in zip(sample.tolist(), table.pole[live].tolist())]))
+    leads = [[gx, gy, t, table.spec.state_index, energy]
+             for gx, gy, t, energy in zip(
+                 table.gamma_x.tolist(), table.gamma_y.tolist(),
+                 table.t.tolist(), table.energy.tolist())]
+    return leads, [list(islice(rows, n)) for n in live.sum(axis=1).tolist()]
 
 
 @functools.cache
-def _flag_text(flags: tuple[str, ...], seniority: bool) -> str:
-    """The flags cell of a scan record: its flags, with "seniority" on a
-    sample of nonzero seniority, sorted and joined by ";"."""
-    return ";".join(sorted({*flags, "seniority"} if seniority else {*flags}))
+def _flag_text(flags: tuple[str, ...], seniority: int, pole: bool) -> str:
+    """The flags cell of a scan record: its set's flags, with "seniority"
+    on a sample of nonzero seniority and "pole" at a pole, sorted and
+    joined by ";"."""
+    extra = ("seniority",) * bool(seniority) + ("pole",) * pole
+    return ";".join(sorted({*flags, *extra}))
 
 
 def _cmd_lmg_scan(args) -> int:

@@ -29,7 +29,7 @@ from .errors import ConvergenceError, PaironsError, UnresolvedAnchorError
 from .paironmap import (PaironSet, extract_stack, names_of, pairon_sites,
                         solve_states, stack_slices)
 from .phasespace import _binomial_sqrt, _polyval, _raised
-from .sphere import SpherePoint, chordal_distances, sphere_points
+from .sphere import chordal_distances
 from .spin import (ModelParams, build_hamiltonian, check_j, couplings,
                    eigenpair)
 
@@ -163,45 +163,53 @@ class TrajectorySpec:
 
 
 @dataclass
-class BranchRecord:
-    """One pairon at one sample, with its representative zero."""
-
-    alpha: int
-    energy: complex
-    site: SpherePoint          # member of the +- zero pair on the branch
-    site_multiplicity: int     # zeros of the sample's pairons at the site
-    branch_id: int
-    flags: tuple[str, ...]
-
-
-@dataclass
-class ScanSample:
-    gamma_x: float
-    gamma_y: float
-    t: float
-    state_index: int
-    energy: float
-    nu: int
-    records: list[BranchRecord]
-
-
-@dataclass
 class ScanTable:
+    """The samples of a scan that were extracted, in columns, and the
+    (gx, reason) of each sample that failed.
+
+    Per sample, in gx order: gamma_x, gamma_y, t, the state's energy, its
+    seniority nu and the flags of its pairon set.  Per pairon, (S, M)
+    arrays padded to the longest set, of which the first j - nu columns
+    of each row hold the sample's pairons (the mask live): the pairons;
+    the emitted site, the member of its +- zero pair that continues its
+    branch (_align_branch_signs), complex with sphere.INFINITY for the
+    point at infinity; its multiplicity, the zeros of the sample's
+    pairons at exactly that site, two per pairon; the branch id
+    (_assign_branches), -1 past the live columns; and whether the site is
+    a pole (0 or infinity), False past the live columns.
+    """
+
     spec: TrajectorySpec
-    samples: list[ScanSample]
+    gamma_x: np.ndarray
+    gamma_y: np.ndarray
+    t: np.ndarray
+    energy: np.ndarray
+    nu: np.ndarray
+    flags: list[tuple[str, ...]]
+    pairons: np.ndarray
+    sites: np.ndarray
+    multiplicity: np.ndarray
+    branch: np.ndarray
+    pole: np.ndarray
     failures: list[tuple[float, str]]
 
+    @property
+    def live(self) -> np.ndarray:
+        """Mask (S, M) of the columns that hold a pairon."""
+        return (np.arange(self.pairons.shape[1])
+                < (self.spec.j - self.nu)[:, None])
 
-def _sample_records(sets: list[PaironSet]) -> list[list[BranchRecord]]:
-    """The branch records of each pairon set, the sets in scan order.
+
+def _sample_columns(sets: list[PaironSet]) -> tuple[np.ndarray, ...]:
+    """The per-pairon columns of a ScanTable (pairons, sites,
+    multiplicity, branch, pole) of the pairon sets of a scan's samples.
 
     The pairons of all sets sit in one array, padded to the longest set.
     Their canonical sites come from one pairon_sites call; a site's
     multiplicity counts the zeros of the pairons of its set at exactly
-    that site, two per pairon.  _assign_branches gives their branch ids
+    that site, two per pairon.  _assign_branches gives the branch ids
     and _align_branch_signs the member of each site's +- pair that is
-    emitted.  Each SpherePoint and BranchRecord is built once, with its
-    final site.
+    emitted.
     """
     counts = [len(p.energies) for p in sets]
     live = np.arange(max(counts, default=0)) < np.array(counts)[:, None]
@@ -212,15 +220,8 @@ def _sample_records(sets: list[PaironSet]) -> list[list[BranchRecord]]:
     mult = 2 * np.sum(same & live[:, None, :], axis=2)
     branch, source = _assign_branches(energies, counts)
     flip = _align_branch_signs(z, source)
-    pole = ((z == 0) | np.isinf(z))[live].tolist()
-    cells = iter(zip(sphere_points(np.where(flip, -z, z)[live]),
-                     mult[live].tolist(), branch[live].tolist(), pole))
-    return [[BranchRecord(alpha=alpha, energy=e, site=site,
-                          site_multiplicity=m, branch_id=b,
-                          flags=p.flags + ("pole",) if at_pole else p.flags)
-             for alpha, (e, (site, m, b, at_pole))
-             in enumerate(zip(p.energies, cells))]
-            for p in sets]
+    pole = live & ((z == 0) | np.isinf(z))
+    return energies, np.where(flip, -z, z), mult, branch, pole
 
 
 def _assign_branches(energies: np.ndarray, counts: list[int]
@@ -472,6 +473,8 @@ def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
     refuses a sample whose couplings are not finite in ModelParams'
     words.  Every sample gets the pairons, or the failure, that
     extract_pairons gives it alone, and failures are listed in gx order.
+    The table holds the extracted samples in columns, the per-pairon
+    ones from one _sample_columns call over all samples.
     """
     gx = spec.samples()
     with np.errstate(all="ignore"):  # as float arithmetic overflows
@@ -479,17 +482,16 @@ def scan_trajectory(spec: TrajectorySpec) -> ScanTable:
         lam, gam = couplings(spec.j, gx, gy, spec.eps)
     results = extract_stack(int(spec.j), spec.eps, lam, gam, spec.state_index,
                             (gx, gy))
-    gx = gx.tolist()
-    done = [(g, r) for g, r in zip(gx, results)
-            if not isinstance(r, Exception)]
-    records = _sample_records([pairons for _, (pairons, _) in done])
-    samples = [ScanSample(gamma_x=g, gamma_y=spec.gamma_y(g), t=pairons.t,
-                          state_index=spec.state_index, energy=diag.energy,
-                          nu=pairons.nu, records=recs)
-               for (g, (pairons, diag)), recs in zip(done, records)]
-    failures = [(g, f"{type(r).__name__}: {r}")
-                for g, r in zip(gx, results) if isinstance(r, Exception)]
-    return ScanTable(spec=spec, samples=samples, failures=failures)
+    ok = np.array([not isinstance(r, Exception) for r in results], bool)
+    done = [r for r, keep in zip(results, ok.tolist()) if keep]
+    sets = [pairons for pairons, _ in done]
+    failures = [(g, f"{type(r).__name__}: {r}") for g, r, keep
+                in zip(gx.tolist(), results, ok.tolist()) if not keep]
+    return ScanTable(
+        spec, gx[ok], gy[ok], np.array([p.t for p in sets], dtype=float),
+        np.array([diag.energy for _, diag in done], dtype=float),
+        np.array([p.nu for p in sets], dtype=int), [p.flags for p in sets],
+        *_sample_columns(sets), failures)
 
 
 # ---------------------------------------------------------------------------
@@ -934,25 +936,41 @@ def _zero_patterns(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
         _raised(refusal)
     patterns: list = [None] * len(lam)
     for rows, d, w in slices:
-        for r, i in enumerate(rows.tolist()):
-            patterns[i] = _zero_pattern(d[r:r + 1], w[r:r + 1])
+        for i, pattern in zip(rows.tolist(), _slice_patterns(d, w)):
+            patterns[i] = pattern
     return patterns
 
 
-def _zero_pattern(d: np.ndarray, w: np.ndarray) -> list[int]:
-    """The pattern of one point from its slice d (1, n+1) and w (1,)."""
-    n0, hi = np.flatnonzero(d[0])[[0, -1]].tolist()
+def _slice_patterns(d: np.ndarray, w: np.ndarray) -> list[list[int]]:
+    """The pattern of each row of a stack of slices d (R, n+1) and their
+    w (R,).
+
+    n0 and n_inf count a row's structural roots, its zero coefficients at
+    the low end and, for w != 0, at the high end.  Of its other (free)
+    roots, merged sit at the anchor: the number of leading Taylor
+    coefficients a_0, a_1, ... within their bounds, at most all free
+    roots.  Round m takes a_m of every row by one _anchor_coefficients
+    call, which gives each row the bits it gets alone, and the rounds
+    stop once every row has its count.
+    """
     n = d.shape[1] - 1
-    n_inf = n - hi if w[0] != 0 else 0
+    nonzero = d != 0
+    n0 = np.argmax(nonzero, axis=1)
+    n_inf = np.where(w != 0, np.argmax(nonzero[:, ::-1], axis=1), 0)
     free = n - n0 - n_inf
-    merged = 0
-    while merged < free:
-        value, noise = _anchor_coefficients(d, w, merged)
-        if abs(value[0]) > noise[0]:
-            break
-        merged += 1
-    sites = [merged, n0, n_inf] + [1] * (free - merged)
-    return sorted((2 * s for s in sites if s), reverse=True)
+    merged = free.copy()
+    pending = free > 0
+    m = 0
+    while pending.any():
+        value, noise = _anchor_coefficients(d, w, m)
+        found = pending & (np.abs(value) > noise)
+        merged[found] = m
+        m += 1
+        pending &= ~found & (m < free)
+    return [sorted((2 * s for s in (k, a, b) + (1,) * (f - k) if s),
+                   reverse=True)
+            for k, a, b, f in zip(merged.tolist(), n0.tolist(),
+                                  n_inf.tolist(), free.tolist())]
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from .errors import (ConvergenceError, DegenerateStateError,
 from .phasespace import (ZeroSet, _binomial_sqrt, _exp, _linear_product,
                          _log_factorials, _raised, parity_slice,
                          strip_and_solve_stack)
-from .sphere import INFINITY, SpherePoint, sphere_points
+from .sphere import INFINITY, SpherePoint
 from .spin import (ModelParams, StateVector, _normalized_rows,
                    eigen_residuals, gammas, hamiltonian_stack, max_row_sum,
                    overflow_refusal, parity_eigenstates, singular_refusal)
@@ -147,8 +147,8 @@ def zero_sites(pairons: PaironSet) -> list[tuple[SpherePoint, int, int,
         site = sites.setdefault(w, [alpha, 0, set()])
         site[1] += mult
         site[2] |= flags
-    return [(point, *site)
-            for point, site in zip(sphere_points(list(sites)), sites.values())]
+    return [(SpherePoint(None if cmath.isinf(w) else w), *site)
+            for w, site in sites.items()]
 
 
 def _checked_t(t: float) -> float:
@@ -371,7 +371,7 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
         out[i] = overflow_refusal(j, float(eps), float(lam[i]), float(gam[i]),
                                   (float(named_x[i]), float(named_y[i])))
     try:
-        _, _, degenerate, parts = parity_eigenstates(h, norm, state_index)
+        degenerate, parts = parity_eigenstates(h, norm, state_index)
     except ValueError as exc:
         return [r or exc for r in out], h, (gamma_x, gamma_y), t, []
     except ConvergenceError as exc:

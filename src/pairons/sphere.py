@@ -60,11 +60,20 @@ class SpherePoint:
 
 def angles(zeta: complex | None) -> tuple[float, float]:
     """Polar angle theta and azimuth phi in [0, 2 pi) of a coordinate,
-    None for infinity; phi is 0 by convention at the poles."""
-    if zeta is None:
-        return math.pi, 0.0
-    return (2.0 * math.atan(abs(zeta)),
-            0.0 if zeta == 0 else (-cmath.phase(zeta)) % TWO_PI)
+    None for infinity; phi is 0 by convention at the poles.  The
+    one-point case of angle_columns."""
+    (theta,), (phi,) = angle_columns([INFINITY if zeta is None else zeta])
+    return theta, phi
+
+
+def angle_columns(zetas: list[complex]) -> tuple[list[float], list[float]]:
+    """The theta and the phi of each coordinate of a list of complex
+    numbers, any infinite one standing for the point at infinity (theta
+    pi, phi 0), each by the scalar operations of Python's math and cmath:
+    theta = 2 atan|zeta| and phi = -arg(zeta) mod 2 pi."""
+    return ([2.0 * math.atan(abs(z)) for z in zetas],
+            [0.0 if z == 0 or cmath.isinf(z) else (-cmath.phase(z)) % TWO_PI
+             for z in zetas])
 
 
 def coordinates(points) -> np.ndarray:
@@ -73,13 +82,6 @@ def coordinates(points) -> np.ndarray:
     zs = (p.zeta if isinstance(p, SpherePoint) else p for p in points)
     return np.array([INFINITY if z is None else z for z in zs],
                     dtype=complex)
-
-
-def sphere_points(z) -> list[SpherePoint]:
-    """The SpherePoint of each complex coordinate of an array, any infinite
-    one standing for the point at infinity: the inverse of coordinates."""
-    return [SpherePoint(None if cmath.isinf(w) else w)
-            for w in np.asarray(z, dtype=complex).ravel().tolist()]
 
 
 def chordal_distances(za, zb) -> np.ndarray:

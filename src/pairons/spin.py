@@ -375,13 +375,12 @@ def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
     """The state of energy rank `index` of each H in a stack (S, dim, dim)
     whose max row sums of |H| are norm (S,).
 
-    Returns (sector, col, degenerate, parts): per H the sector offset (0
-    even, 1 odd) of its state, its column in that sector's parity_eigh
-    solve and its degenerate flag; and a list of parts (offset, rows,
-    columns, energies), each of the H whose state lies in sector offset:
-    their indices, ascending, and their eigenvectors in the sector's basis
-    (len(rows), n_s) and energies.  Every H lies in one part, and no part
-    is empty.  These are what ranking both blocks' parity_eigh values by
+    Returns (degenerate, parts): per H the degenerate flag of its state;
+    and a list of parts (offset, rows, columns, energies), each of the H
+    whose state lies in sector offset (0 even, 1 odd): their indices,
+    ascending, and their eigenvectors in the sector's basis (len(rows),
+    n_s) and energies.  Every H lies in one part, and no part is empty.
+    These are what ranking both blocks' parity_eigh values by
     rank_states, with gap DEGENERACY_RTOL * norm, picks, as diagonalize
     ranks its list; that two-block solve is what a stack of fewer than
     ONE_BLOCK_MIN_POINTS points takes.  An index outside 0..2j raises
@@ -425,7 +424,6 @@ def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
     first = np.argsort(h[:, k, k], axis=1, kind="stable")[:, :index + 1] % 2
     predicted = first[:, index]
     col = np.count_nonzero(first[:, :index] == predicted[:, None], axis=1)
-    sector = predicted.copy()
     delta = EIGENVALUE_ERROR_C * dim * np.finfo(float).eps * np.maximum(
         norm, 1.0)
     degenerate = np.zeros(len(h), dtype=bool)
@@ -454,12 +452,11 @@ def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
                           at[here]))
         if rest.size:
             done = rows[rest]
-            sector[done], col[done], degenerate[done], more = (
-                _two_block_states(h[done], norm[done], index,
-                                  {offset: (w[rest], v[rest])}))
+            degenerate[done], more = _two_block_states(
+                h[done], norm[done], index, {offset: (w[rest], v[rest])})
             parts += [(o, done[r], columns, energies)
                       for o, r, columns, energies in more]
-    return sector, col, degenerate, parts
+    return degenerate, parts
 
 
 def _two_block_states(h: np.ndarray, norm: np.ndarray, index: int,
@@ -481,7 +478,7 @@ def _two_block_states(h: np.ndarray, norm: np.ndarray, index: int,
         c = col[rows]
         if rows.size:
             parts.append((offset, rows, v[rows, :, c], w[rows, c]))
-    return sector, col, flags, parts
+    return flags, parts
 
 
 def _eigenpair(h: HamiltonianMatrix, rows, column: np.ndarray, energy,
@@ -519,7 +516,7 @@ def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:
     raises ValueError, and so does an H whose norm is not finite
     (HamiltonianMatrix.norm).
     """
-    _, _, (flag,), [(offset, _, (column,), (energy,))] = parity_eigenstates(
+    (flag,), [(offset, _, (column,), (energy,))] = parity_eigenstates(
         h.matrix[None], np.array([h.norm]), index)
     return _eigenpair(h, slice(offset, None, 2), column, energy, index, flag)
 

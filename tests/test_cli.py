@@ -687,6 +687,30 @@ def test_scan_solves_no_block_twice(capsys, monkeypatch):
     assert sorted(rows) == [70, 200]
 
 
+@pytest.mark.parametrize("argv", [
+    SCAN_ARGS,
+    ["scan", "--j", "7", "--line", "diagonal", "--from", "4.9", "--to", "5",
+     "--steps", "2", "--state", "4"]], ids=["sum-line", "diagonal-poles"])
+def test_scan_csv_and_json_rows_agree(capsys, argv):
+    # both emitters give the same rows, value for value: the JSON numbers
+    # are read as their text, which is the CSV cell (17 significant
+    # digits), and the strings are the CSV strings
+    rc, text, _ = run_lmg(capsys, *argv)
+    assert rc == 0
+    header, *rows = csv.reader(io.StringIO(text))
+    rc, out, _ = run_lmg(capsys, *argv, "--format", "json")
+    assert rc == 0
+    doc = json.loads(out, parse_float=str, parse_int=str)
+    assert doc["columns"] == header
+    assert doc["rows"] == rows
+    assert len(rows) > 0
+    if "diagonal" in argv:
+        # nu = 1 at j = 7: six pairons per sample, all at the poles
+        assert len(rows) == 2 * 6
+        assert all(row[-1] == "pole;seniority" for row in rows)
+        assert {row[8] for row in rows} <= {"0", "3.1415926535897931"}
+
+
 def test_scan_csv_shape(capsys):
     rc, out, _ = run_lmg(capsys, *SCAN_ARGS, "--threads", "2")
     assert rc == 0

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -15,10 +16,9 @@ from pairons import (ConvergenceError, DegenerateStateError, ModelParams,
                      parity_slice, scan_trajectory, split_parity,
                      strip_and_solve, total_collapse,
                      total_collapse_candidates)
-from pairons import collapse, paironmap, spin
+from pairons import collapse, paironmap, sphere, spin
 from pairons.paironmap import extract_stack
-from pairons.sphere import (INFINITY, chordal_distances, coordinates,
-                           sphere_points)
+from pairons.sphere import INFINITY, chordal_distances, coordinates
 from pairons.collapse import (SINGULAR_MARGIN, AnchorProfile,
                               CollapseCandidate, _anchor_coefficients,
                               _anchor_slices, _assign_branches, _brentq,
@@ -98,7 +98,7 @@ def test_scan_and_detect_small():
                           stop=9.92, steps=400, state_index=0)
     table = scan_trajectory(spec)
     assert not table.failures
-    assert len(table.samples) == 400
+    assert len(table.gamma_x) == 400
     found = find_collapses(anchor_profile(spec))
     targets = sorted(p.gamma_x for p in collapse_points(4, 10.0)) + [5.0]
     assert len(found) == len(targets)
@@ -365,12 +365,12 @@ def test_scan_branches_are_continuous():
                           stop=3.8, steps=120, state_index=0)
     table = scan_trajectory(spec)
     prev = {}
-    for s in table.samples:
+    for live, branches, sites in zip(table.live, table.branch, table.sites):
         cur = {}
-        for rec in s.records:
-            cur[rec.branch_id] = rec.site
-            if rec.branch_id in prev:
-                assert chordal_distance(prev[rec.branch_id], rec.site) < 0.1
+        for branch, site in zip(branches[live].tolist(), sites[live].tolist()):
+            cur[branch] = site
+            if branch in prev:
+                assert chordal_distance(prev[branch], site) < 0.1
         prev = cur
 
 
@@ -386,22 +386,29 @@ def test_scan_sites_continue_their_branch(spec, minimum):
     # is exercised
     table = scan_trajectory(spec)
     before, negated = {}, 0
-    for s in table.samples:
-        for r in s.records:
-            (canonical,) = sphere_points(paironmap.pairon_sites(r.energy,
-                                                                s.t))
-            assert r.site in (canonical, canonical.antipode_negation())
-            negated += r.site != canonical
-            p = before.get(r.branch_id)
-            if p is None or p.is_infinity or r.site.is_infinity:
+    for live, pairons, t, branches, sites in zip(
+            table.live, table.pairons, table.t, table.branch, table.sites):
+        records = list(zip(pairons[live].tolist(), branches[live].tolist(),
+                           sites[live].tolist()))
+        for energy, branch, site in records:
+            canonical = complex(paironmap.pairon_sites(energy, t))
+            assert site in (canonical, _negation(canonical))
+            negated += site != canonical
+            p = before.get(branch)
+            if p is None or cmath.isinf(p) or cmath.isinf(site):
                 continue
-            to_other = chordal_distance(p, r.site.antipode_negation())
-            to_site = chordal_distance(p, r.site)
+            to_other = chordal_distance(p, _negation(site))
+            to_site = chordal_distance(p, site)
             assert not to_other < to_site
             if to_other == to_site:
-                assert r.site == canonical
-        before = {r.branch_id: r.site for r in s.records}
+                assert site == canonical
+        before = {branch: site for _, branch, site in records}
     assert negated >= minimum
+
+
+def _negation(z):
+    """The image of a site under zeta -> -zeta, infinity its own."""
+    return z if cmath.isinf(z) else -z
 
 
 def test_dicke_line_pole_multiplicities():
@@ -411,19 +418,24 @@ def test_dicke_line_pole_multiplicities():
     spec = TrajectorySpec(j=10, line="diagonal", start=-9.95, stop=-0.05,
                           steps=50)
     table = scan_trajectory(spec)
-    assert len(table.samples) == 50
+    assert len(table.gamma_x) == 50
     seen = set()
-    for s in table.samples:
-        params = ModelParams.from_gammas(10, s.gamma_x, s.gamma_y)
-        state = eigenpair(build_hamiltonian(params), s.state_index).state
+    for s, (gx, gy, nu) in enumerate(zip(table.gamma_x.tolist(),
+                                         table.gamma_y.tolist(),
+                                         table.nu.tolist())):
+        params = ModelParams.from_gammas(10, gx, gy)
+        state = eigenpair(build_hamiltonian(params), spec.state_index).state
         n0, n_inf, rest = strip_and_solve(parity_slice(state)[1])
         assert rest.size == 0
-        for r in s.records:
-            assert "pole" in r.flags
-            assert r.site.is_infinity or r.site.zeta == 0
-            expect = 2 * n_inf if r.site.is_infinity else 2 * n0
-            assert r.site_multiplicity == expect
-            seen.add((s.nu, r.site.is_infinity, expect))
+        live = table.live[s]
+        for pole, site, mult in zip(table.pole[s, live].tolist(),
+                                    table.sites[s, live].tolist(),
+                                    table.multiplicity[s, live].tolist()):
+            assert pole
+            assert cmath.isinf(site) or site == 0
+            expect = 2 * n_inf if cmath.isinf(site) else 2 * n0
+            assert mult == expect
+            seen.add((nu, cmath.isinf(site), expect))
     # both seniorities, both poles
     assert {(nu, pole) for nu, pole, _ in seen} == {
         (0, False), (0, True), (1, False), (1, True)}
@@ -445,6 +457,43 @@ def test_collapse_pattern_j10_low_k():
         pattern = sorted(collapse_zero_pattern(params), reverse=True)
         assert pattern == sorted([2 * (p.k + 1)] + [2] * (9 - p.k),
                                  reverse=True)
+
+
+def _one_row_pattern(d, w):
+    """The pattern of one slice d (n+1,) at w, a_m taken row by row for
+    m = 0, 1, ... until one exceeds its bound."""
+    n0, hi = np.flatnonzero(d)[[0, -1]].tolist()
+    n = len(d) - 1
+    n_inf = n - hi if w != 0 else 0
+    free = n - n0 - n_inf
+    merged = 0
+    while merged < free:
+        (value,), (noise,) = _anchor_coefficients(d[None], np.array([w]),
+                                                  merged)
+        if abs(value) > noise:
+            break
+        merged += 1
+    sites = [merged, n0, n_inf] + [1] * (free - merged)
+    return sorted((2 * s for s in sites if s), reverse=True)
+
+
+@pytest.mark.parametrize("line_sum", [10.0, 12.0])
+def test_stacked_zero_patterns_are_the_one_point_patterns(line_sum):
+    # every analytic collapse point of j = 2..10 on the line, in one stack
+    # per j: each point's pattern is collapse_zero_pattern's at the point
+    # alone, and the one a row-by-row Taylor count of its slice gives
+    for j in range(2, 11):
+        gx = np.array([p.gamma_x for p in collapse_points(j, line_sum)])
+        lam, gam = spin.couplings(j, gx, line_sum - gx)
+        stacked = collapse._zero_patterns(j, 1.0, lam, gam, 0)
+        assert len(stacked) == len(gx) >= 2
+        assert stacked == [
+            collapse_zero_pattern(ModelParams.from_gammas(j, g, line_sum - g))
+            for g in gx.tolist()]
+        _, slices = _anchor_slices(j, 1.0, lam, gam, 0)
+        for rows, d, w in slices:
+            for i, row, at in zip(rows.tolist(), d, w.tolist()):
+                assert stacked[i] == _one_row_pattern(row, at)
 
 
 @pytest.mark.parametrize("j, gx, pattern", [
@@ -902,10 +951,11 @@ def test_chordal_array_form_is_the_scalar_formula_bitwise(rng):
 
 
 def _table_bits(table):
-    return ([(f, r) for f, r in table.failures],
-            [(s.gamma_x, s.gamma_y, s.t, s.energy, s.nu,
-              [(r.alpha, r.energy, r.site, r.site_multiplicity, r.branch_id,
-                r.flags) for r in s.records]) for s in table.samples])
+    return ([(f, r) for f, r in table.failures], table.flags,
+            [(a.dtype, a.shape, a.tobytes())
+             for a in (table.gamma_x, table.gamma_y, table.t, table.energy,
+                       table.nu, table.pairons, table.sites,
+                       table.multiplicity, table.branch, table.pole)])
 
 
 def test_scan_solves_each_sample_alone_when_the_stack_fails(monkeypatch):
@@ -1001,6 +1051,24 @@ def test_scan_is_one_stacked_extraction_per_chunk(monkeypatch, budget,
         1 if budget is None else 2) * 200
 
 
+def test_scan_builds_no_sphere_points(monkeypatch):
+    # the sites stay complex columns from the extraction to the table and
+    # to the rows of lmg scan: no SpherePoint is built on the way
+    spec = TrajectorySpec(j=10, line="sum", line_sum=10.0, start=0.05,
+                          stop=9.95, steps=200, state_index=0)
+    reference = _table_bits(scan_trajectory(spec))
+
+    def refused(*args, **kwargs):
+        raise AssertionError("SpherePoint built by the scan")
+
+    monkeypatch.setattr(sphere.SpherePoint, "__init__", refused)
+    table = scan_trajectory(spec)
+    assert len(table.gamma_x) == 200
+    assert _table_bits(table) == reference
+    leads, groups = pairons.cli._scan_rows(table)
+    assert len(leads) == len(groups) == 200
+
+
 def test_scan_builds_no_per_sample_objects(monkeypatch):
     # the diagnostics of all 200 samples come from stacked arrays: no
     # HamiltonianMatrix, no eigen_residual call and no StateVector built
@@ -1030,5 +1098,5 @@ def test_scan_builds_no_per_sample_objects(monkeypatch):
     table = scan_trajectory(spec)
     assert counts == {"HamiltonianMatrix": 0, "eigen_residual": 0,
                       "StateVector": 0}
-    assert len(table.samples) == 200
+    assert len(table.gamma_x) == 200
     assert _table_bits(table) == reference

@@ -291,35 +291,36 @@ def test_dicke_state():
 
 
 def _two_block_reference(h, norm, index):
-    """The sector, column and flag of the state of rank index of each H of
-    a stack, both parity blocks solved by np.linalg.eigh and ranked by
-    rank_states, and per sector the rows whose state lies in it, with
-    their vectors and energies."""
+    """The flag of the state of rank index of each H of a stack, both
+    parity blocks solved by np.linalg.eigh and ranked by rank_states, and
+    per sector (offset, rows, columns, energies): the rows whose state
+    lies in it, with their vectors and energies."""
     solved = [np.linalg.eigh(h[:, offset::2, offset::2]) for offset in (0, 1)]
     sector, col, flag = (r[:, index] for r in spin.rank_states(
         [w for w, _ in solved], spin.DEGENERACY_RTOL * norm[:, None]))
-    states = []
+    parts = []
     for offset, (w, v) in enumerate(solved):
         rows = [i for i in range(len(h)) if sector[i] == offset]
-        states.append((np.array(rows, dtype=int),
-                       np.array([v[i, :, col[i]] for i in rows]).reshape(
-                           len(rows), w.shape[1]),
-                       np.array([w[i, col[i]] for i in rows])))
-    return sector, col, flag, states
+        parts.append((offset, np.array(rows, dtype=int),
+                      np.array([v[i, :, col[i]] for i in rows]).reshape(
+                          len(rows), w.shape[1]),
+                      np.array([w[i, col[i]] for i in rows])))
+    return flag, parts
 
 
-def _points(sector, col, flag, parts):
-    """The sector, column and flag arrays of a parity_eigenstates result,
-    and the vector and energy bytes of each point from its parts."""
+def _points(flag, parts):
+    """The flag array of a parity_eigenstates result, and per point the
+    sector it lies in and the vector and energy bytes, read off the parts
+    (the vector and energy name the column)."""
     found = {}
     for offset, rows, columns, energies in parts:
         assert len(columns) == len(energies) == len(rows)
         for i, column, energy in zip(rows.tolist(), columns, energies):
-            assert i not in found and sector[i] == offset
-            found[i] = (column.dtype, column.tobytes(), energy.dtype,
+            assert i not in found
+            found[i] = (offset, column.dtype, column.tobytes(), energy.dtype,
                         energy.tobytes())
-    assert sorted(found) == list(range(len(sector)))
-    return [(a.dtype, a.tobytes()) for a in (sector, col, flag)], found
+    assert sorted(found) == list(range(len(flag)))
+    return (flag.dtype, flag.tobytes()), found
 
 
 # gx ranges of the lines: gx + gy = 10, the diagonal gx = gy (lam = 0),
@@ -347,10 +348,8 @@ def test_one_block_solve_is_the_two_block_solve(j, rank, line, ends, extra,
     lam, gam = spin.couplings(j, gx * scale, gy * scale)
     h = spin.hamiltonian_stack(j, 1.0, lam, gam)
     norm = spin.max_row_sum(h)
-    sector, col, flag, states = _two_block_reference(h, norm, index)
     assert _points(*spin.parity_eigenstates(h, norm, index)) == _points(
-        sector, col, flag, [(offset, *state)
-                            for offset, state in enumerate(states)])
+        *_two_block_reference(h, norm, index))
 
 
 # points of 300 on each line that take the two-block completion, per j,
