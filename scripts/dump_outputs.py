@@ -21,7 +21,10 @@ The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
 0,0.5,1,1.5, N=20), `bcs spectrum` of the same models, `bcs ellipsoid`
 at N=12 and at N=10 with --state 3 (both gammas); `bcs pairons` on
 three levels at odd N=9 (both gammas), on five levels at N=8 and N=7,
-at N=20 on --slice 2, and on the equal levels 0,0,1, which exits 3;
+at N=20 on --slice 2, on the equal levels 0,0,1, which exits 3, at N=14
+with gamma = -0.1 and --state 675, a state whose pairons certify only
+on its inverse-iteration vector, and at N=8 with gamma = 0, whose
+diagonal H gives exact basis vectors;
 `lmg scan --j 10 --steps 200` and four more scans: `--j 10 --line
 diagonal --from 4.5 --to 5 --steps 3 --state 4`, which skips gx = 4.75
 on a degenerate state, `--j 7 --steps 100 --state 3`, whose samples mix both
@@ -84,7 +87,9 @@ COMMANDS = (
            ("0,0.3,0.7,1.2,2", "8", "-0.3", "1", []),
            ("0,0.3,0.7,1.2,2", "7", "0.4", "4", []),
            ("0,0.5,1,1.5", "20", "0.5", "5", ["--slice", "2"]),
-           ("0,0,1", "6", "0.5", "0", []))]
+           ("0,0,1", "6", "0.5", "0", []),
+           ("0,0.5,1,1.5", "14", "-0.1", "675", []),
+           ("0,0.5,1,1.5", "8", "0", "0", []))]
     + [["lmg", "scan", "--j", "10", "--from", "0.05", "--to", "9.95",
         "--steps", "200"],
        ["lmg", "scan", "--j", "10", "--line", "diagonal", "--from", "4.5",

@@ -27,7 +27,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from .errors import DegenerateStateError, InconsistentPaironsError
+from .errors import (ConvergenceError, DegenerateStateError,
+                     InconsistentPaironsError)
 from .phasespace import _exp, _log_factorials, strip_and_solve
 from .spin import DEGENERACY_RTOL, EIGENVALUE_ERROR_C, rank_states
 
@@ -150,9 +151,11 @@ def _basis_rank(occ: np.ndarray, total) -> np.ndarray:
     return rank
 
 
-def _sector_blocks(model: BosonModel
-                   ) -> list[tuple[tuple[int, ...], np.ndarray, np.ndarray]]:
-    """H on each seniority sector, as (seniority, idx, block).
+@np.errstate(over="ignore", invalid="ignore")
+def _sectors(model: BosonModel) -> tuple[list, float]:
+    """H on each seniority sector, as (seniority, idx, block), and the
+    max row sum of |H| (every row of H lies inside one sector block).  An
+    H whose max row sum is not finite raises ValueError.
 
     Sectors come in sorted seniority order; idx lists a sector's rows of
     model.basis in basis order, and block is H[ix_(idx, idx)].  Every
@@ -164,15 +167,6 @@ def _sector_blocks(model: BosonModel
                    from occ to occ - 2 e_l + 2 e_k
 
     with g4 = gamma / 4.
-    """
-    return _sectors(model)[0]
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _sectors(model: BosonModel) -> tuple[list, float]:
-    """_sector_blocks of model, and the max row sum of |H| (every row of
-    H lies inside one sector block).  An H whose max row sum is not
-    finite raises ValueError.
 
     A sector nu holds the rows n = 2 p + nu, p running over the
     compositions of its pair number M = (N - |nu|)/2 into L+1 parts, and
@@ -240,7 +234,7 @@ def build_bcs_hamiltonian(model: BosonModel
                           ) -> tuple[np.ndarray, list[tuple[int, ...]]]:
     """Dense H over fock_basis, and the basis; zero between sectors."""
     H = np.zeros((model.dim, model.dim))
-    for _, idx, block in _sector_blocks(model):
+    for _, idx, block in _sectors(model)[0]:
         H[np.ix_(idx, idx)] = block
     return H, list(model.basis)
 
@@ -265,25 +259,59 @@ class BosonState:
         return (self.model.n_bosons - sum(self.seniority)) // 2
 
 
-def _sorted_eigensystem(model: BosonModel) -> list[tuple]:
-    """The eigenpairs of every seniority sector, in sorted seniority
-    order, ranked by rank_states: per state (energy, seniority, idx, v,
-    column, degenerate), its sector's eigenvectors v sitting at the rows
-    idx of model.basis."""
+def _ranked_spectrum(model: BosonModel) -> tuple:
+    """Every state of every seniority sector, ranked, with no vector
+    solved: (blocks, norm, values, ranks), blocks and norm those of
+    _sectors, values each sector's ascending eigvalsh values and ranks
+    rank_states over them (per rank its sector, column and degenerate
+    flag).  The one source of energies, seniorities and flags for
+    diagonalize_boson, boson_eigenstate and `bcs spectrum`."""
     blocks, norm = _sectors(model)
-    solved = [np.linalg.eigh(block) for _, _, block in blocks]
-    ranked = rank_states([w for w, _ in solved],
-                         DEGENERACY_RTOL * max(norm, 1.0))
-    return [(float(solved[s][0][col]), *blocks[s][:2], solved[s][1], col, flag)
-            for s, col, flag in zip(*(r.tolist() for r in ranked))]
+    values = [np.linalg.eigvalsh(block) for _, _, block in blocks]
+    return blocks, norm, values, rank_states(
+        values, DEGENERACY_RTOL * max(norm, 1.0))
 
 
-def _boson_state(model: BosonModel, entry) -> BosonState:
-    energy, parity, idx, v, col, flag = entry
+def _ranked_state(model: BosonModel, spectrum, index: int) -> BosonState:
+    """The state at rank `index` of model's _ranked_spectrum: its eigvalsh
+    value, and the vector of column col of its sector block.
+
+    At gamma = 0 the block is diagonal, and the vector is the unit vector
+    of the row at position col of a stable argsort of its diagonal, with
+    exact zeros.  Otherwise it comes from inverse iteration: two solves of
+    (block - s) x = b from the fixed start b_k = cos(k), with the shift s
+    four ulps of max(|H|, 1) below the value (a shift by the value itself
+    made the LU exactly singular), then scaled to norm 1 with its largest
+    entry positive.  Every vector is certified: a LAPACK failure, or a
+    residual |block x - value x| above EIGENVALUE_ERROR_C * m * eps *
+    max(|H|, 1) for a block of m rows, raises ConvergenceError naming the
+    sector.
+    """
+    blocks, norm, values, ranks = spectrum
+    sector, col, flag = (int(r[index]) for r in ranks)
+    nu, idx, block = blocks[sector]
+    energy, scale, m = values[sector][col], max(norm, 1.0), len(idx)
+    if model.gamma == 0.0:
+        x = np.zeros(m)
+        x[np.argsort(np.diagonal(block), kind="stable")[col]] = 1.0
+    else:
+        shifted = block - (energy - 4.0 * np.spacing(scale)) * np.eye(m)
+        # not the vector of ones: a symmetry of equal levels makes that
+        # orthogonal to some eigenvectors
+        x = np.cos(np.arange(m))
+        try:
+            x = np.linalg.solve(shifted, np.linalg.solve(shifted, x))
+        except np.linalg.LinAlgError as exc:
+            raise ConvergenceError(
+                f"LAPACK failed in sector {nu}: {exc}") from exc
+        x *= np.sign(x[np.argmax(np.abs(x))]) / np.linalg.norm(x)
+    residual = np.linalg.norm(block @ x - energy * x)
+    if not residual <= EIGENVALUE_ERROR_C * m * np.finfo(float).eps * scale:
+        raise ConvergenceError(f"sector {nu}: residual {residual:.2g} too big")
     coeffs = np.zeros(model.dim)
-    coeffs[idx] = v[:, col]
-    return BosonState(model=model, energy=energy, coeffs=coeffs,
-                      seniority=parity, degenerate=flag)
+    coeffs[idx] = x
+    return BosonState(model=model, energy=float(energy), coeffs=coeffs,
+                      seniority=nu, degenerate=bool(flag))
 
 
 def diagonalize_boson(model: BosonModel) -> list[BosonState]:
@@ -294,56 +322,21 @@ def diagonalize_boson(model: BosonModel) -> list[BosonState]:
     sharp even when different sectors are accidentally degenerate.  The
     `degenerate` flag marks near-coincidence *within* a sector - the case
     where the eigenvector itself is ill-defined; cross-sector
-    coincidences leave every eigenvector (and its pairons) intact.
+    coincidences leave every eigenvector (and its pairons) intact.  Each
+    state is boson_eigenstate's, all from one ranking.
     """
-    return [_boson_state(model, entry)
-            for entry in _sorted_eigensystem(model)]
+    spectrum = _ranked_spectrum(model)
+    return [_ranked_state(model, spectrum, i) for i in range(model.dim)]
 
 
 def boson_eigenstate(model: BosonModel, index: int) -> BosonState:
-    """diagonalize_boson(model)[index], building only that one state.
-
-    Every sector is ranked by its eigvalsh values, and v is the value at
-    rank `index`.  eigh, which also gives the vectors, runs only on the
-    sectors with an eigenvalue within 4*delta of v.  The state is the entry
-    at rank `index` of one stable sort, in diagonalize_boson's sector and
-    column order, over the eigh values of the solved sectors and the
-    eigvalsh values of the others.  An index outside 0..dim-1 raises
-    ValueError.
-
-    Both solvers are backward stable: each computed eigenvalue lies within
-    delta = c*n*eps*|H| of the exact one (the LAPACK bound p(n)*eps*|H|_2,
-    p(n) a modest function of n; Golub & Van Loan, Matrix Computations,
-    sec. 8.3), with n = dim, |H|_2 bounded by the max row sum, and
-    c = EIGENVALUE_ERROR_C = 1e3.  So the eigh and eigvalsh values of one
-    (sector, column) differ by at most 2*delta, and so do the values at
-    rank `index` of the two sorted lists: the state t that
-    diagonalize_boson picks has an eigh value within 2*delta of v.  An
-    unsolved sector has every eigvalsh value more than 4*delta from v;
-    its eigh values lie within 2*delta of those, so the eigh and eigvalsh
-    value of each of its entries sit on the same side of t's, strictly.
-    Solved sectors carry the same eigh values in both sorts.  Every entry
-    thus compares with t the same way in both, so t has rank `index` here
-    too: the same (sector, column), eigh vector bits and energy, and the
-    same degenerate flag from rank_states over that sector.
-    """
+    """diagonalize_boson(model)[index], solving only that one vector: one
+    eigvalsh per sector ranks every state (_ranked_spectrum), and
+    _ranked_state builds the one at rank `index`.  An index outside
+    0..dim-1 raises ValueError."""
     if not 0 <= index < model.dim:
         raise ValueError(f"state index {index} out of range")
-    blocks, norm = _sectors(model)
-    scale = max(norm, 1.0)
-    values = [np.linalg.eigvalsh(block) for _, _, block in blocks]
-    target = np.sort(np.concatenate(values))[index]
-    delta = EIGENVALUE_ERROR_C * model.dim * np.finfo(float).eps * scale
-    solved = {}
-    for i, (_, _, block) in enumerate(blocks):
-        if np.any(np.abs(values[i] - target) <= 4.0 * delta):
-            solved[i] = np.linalg.eigh(block)
-            values[i] = solved[i][0]
-    sector, col, flag = (int(r[index]) for r in rank_states(
-        values, DEGENERACY_RTOL * scale))
-    nu, idx, _ = blocks[sector]
-    w, v = solved[sector]
-    return _boson_state(model, (float(w[col]), nu, idx, v, col, bool(flag)))
+    return _ranked_state(model, _ranked_spectrum(model), index)
 
 
 def _amplitude_terms(state: BosonState, z: np.ndarray) -> np.ndarray:
@@ -579,8 +572,7 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
     energy = sum(e * s for e, s in zip(levels, seniority)) + sum(
         np.real(e) for e in pairons)
     return BosonState(model=model, energy=float(energy), coeffs=coeffs,
-                      seniority=tuple(seniority),
-                      degenerate=False)
+                      seniority=tuple(seniority), degenerate=False)
 
 
 def boson_energy(pairons: BosonPaironSet) -> float:

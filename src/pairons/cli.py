@@ -27,7 +27,7 @@ from itertools import islice
 import numpy as np
 
 from . import __version__
-from .bosonbcs import (BosonModel, _sorted_eigensystem, boson_eigenstate,
+from .bosonbcs import (BosonModel, _ranked_spectrum, boson_eigenstate,
                        boson_energy, ellipsoid_axes, extract_boson_pairons,
                        reconstruct_boson_state, verify_ellipsoid)
 from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
@@ -37,7 +37,7 @@ from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
 from .errors import InconsistentPaironsError, PaironsError
 from .paironmap import (VERIFY_TOL, PaironSet, extract_pairons, fidelity,
                         pairon_from_u, pairon_sites, zero_sites)
-from .sphere import angle_columns
+from .sphere import angle_columns, coordinates
 from .spin import (PARITY_EVEN, PARITY_ODD, ModelParams, build_hamiltonian,
                    diagonalize)
 
@@ -345,9 +345,10 @@ def _map_recheck(pairons: PaironSet) -> None:
 def _zero_rows(pairons: PaironSet) -> list[list]:
     """Site rows (alpha, theta, phi, multiplicity, flags) of zero_sites,
     by alpha with the seniority-only sites (alpha = -1) last."""
-    rows = [[alpha, point.theta(), point.phi(), mult,
-             ";".join(sorted(flags.union(pairons.flags)))]
-            for point, alpha, mult, flags in zero_sites(pairons)]
+    sites = zero_sites(pairons)
+    theta, phi = angle_columns(coordinates([s[0] for s in sites]).tolist())
+    rows = [[alpha, th, ph, mult, ";".join(sorted(flags.union(pairons.flags)))]
+            for (_, alpha, mult, flags), th, ph in zip(sites, theta, phi)]
     rows.sort(key=lambda r: (r[0] < 0, r[0], r[1], r[2]))
     return rows
 
@@ -527,9 +528,9 @@ def _cmd_lmg_crossings(args) -> int:
 
 def _cmd_bcs_spectrum(args) -> int:
     model = _boson_model(args)
-    rows = [[i, energy, "".join(str(s) for s in seniority), int(flag)]
-            for i, (energy, seniority, _, _, _, flag)
-            in enumerate(_sorted_eigensystem(model))]
+    blocks, _, values, ranks = _ranked_spectrum(model)
+    rows = [[i, float(values[s][c]), "".join(map(str, blocks[s][0])), int(f)]
+            for i, (s, c, f) in enumerate(zip(*ranks))]
     _emit(args, "bcs spectrum", ["index", "energy", "seniority", "degenerate"],
           rows)
     return EXIT_OK

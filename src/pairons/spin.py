@@ -307,8 +307,9 @@ def rank_states(values, gap_tol) -> tuple:
 
 PARITY_SECTORS = ((PARITY_EVEN, 0), (PARITY_ODD, 1))
 
-# c of the eigenvalue error bound c*n*eps*max(|H|, 1) of both window
-# proofs (parity_eigenstates, bosonbcs.boson_eigenstate)
+# c of the error bound c*n*eps*max(|H|, 1) of an n-row block: the
+# eigenvalue window of parity_eigenstates' proof, and the residual
+# |H x - E x| that certifies a boson eigenvector (bosonbcs._ranked_state)
 EIGENVALUE_ERROR_C = 1e3
 
 # Stacks of at least this many points solve one parity block per point

@@ -12,8 +12,9 @@ from pairons import (BosonModel, BosonPaironSet, BosonState,
                      build_bcs_hamiltonian, diagonalize_boson, ellipsoid_axes,
                      extract_boson_pairons, fidelity, fock_basis,
                      reconstruct_boson_state, verify_ellipsoid)
-from pairons.bosonbcs import (_richardson, _sector_blocks, _sectors,
+from pairons.bosonbcs import (_richardson, _sectors,
                               axis_slice_coefficients)
+from pairons.spin import EIGENVALUE_ERROR_C
 from conftest import pair_hamiltonian
 
 # small models for the bit-identity checks: both signs of gamma, an odd
@@ -129,7 +130,7 @@ def _reference_hamiltonian(model):
 def test_sector_blocks_bitwise(levels, gamma, n):
     model = BosonModel(levels=levels, gamma=gamma, n_bosons=n)
     ref = _reference_hamiltonian(model)
-    blocks = _sector_blocks(model)
+    blocks = _sectors(model)[0]
     seniorities = [nu for nu, _, _ in blocks]
     assert seniorities == sorted(set(seniorities))
     rows = np.concatenate([idx for _, idx, _ in blocks])
@@ -147,7 +148,7 @@ def test_sectors_of_many_levels():
     # 64 levels: a seniority no longer fits the bits of one int64
     model = BosonModel(levels=tuple(0.1 * l for l in range(64)), gamma=0.3,
                        n_bosons=2)
-    blocks = _sector_blocks(model)
+    blocks = _sectors(model)[0]
     seniorities = [nu for nu, _, _ in blocks]
     assert seniorities == sorted(set(seniorities))
     assert len(blocks) == 1 + math.comb(64, 2)
@@ -270,21 +271,56 @@ def test_boson_eigenstate_is_diagonalize_entry(levels, gamma, n):
 @pytest.mark.parametrize("gamma", [0.5, -0.5])
 def test_boson_eigenstate_solves_few_sectors(monkeypatch, gamma):
     # N=20 on four levels: 1771 states in 8 sectors of up to 286 rows;
-    # only the sectors near the target energy get eigenvectors
+    # one eigvalsh per sector ranks them, and no sector gets eigh vectors
     model = BosonModel(levels=(0.0, 0.5, 1.0, 1.5), gamma=gamma, n_bosons=20)
     states = diagonalize_boson(model)
-    calls = []
-    eigh = np.linalg.eigh
+    sizes = [len(idx) for _, idx, _ in _sectors(model)[0]]
+    calls = {"eigh": [], "eigvalsh": []}
 
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return eigh(*args, **kwargs)
+    def counted(name):
+        solver = getattr(np.linalg, name)
 
-    monkeypatch.setattr(np.linalg, "eigh", counted)
+        def call(a, *args, **kwargs):
+            calls[name].append(len(a))
+            return solver(a, *args, **kwargs)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, counted(name))
     for s in range(20):
-        calls.clear()
+        for made in calls.values():
+            made.clear()
         assert _same_state(boson_eigenstate(model, s), states[s])
-        assert 1 <= len(calls) <= 2
+        assert calls == {"eigh": [], "eigvalsh": sizes}
+
+
+def test_zero_coupling_vectors_are_exact_basis_states():
+    # at gamma = 0 H is diagonal: every eigenvector is one Fock state,
+    # with the exact zeros that the slice and reconstruction rely on
+    model = BosonModel(levels=(0.0, 0.5, 1.0, 1.5), gamma=0.0, n_bosons=8)
+    states = diagonalize_boson(model)
+    assert len(states) == model.dim == 165
+    for st in states:
+        (row,) = np.flatnonzero(st.coeffs)
+        assert st.coeffs[row] == 1.0
+        assert st.energy == sum(e * n for e, n in
+                                zip(model.levels, model.basis[row]))
+
+
+@pytest.mark.parametrize("gamma", [-0.1, 0.5, -0.5])
+def test_eigenvector_residual_bound(gamma):
+    # every state at N = 14: |H x - E x| within the certificate's bound
+    # c * m * eps * max(|H|, 1), m the rows of the state's sector
+    model = BosonModel(levels=(0.0, 0.5, 1.0, 1.5), gamma=gamma, n_bosons=14)
+    h, _ = build_bcs_hamiltonian(model)
+    blocks, norm = _sectors(model)
+    size = {nu: len(idx) for nu, idx, _ in blocks}
+    eps = np.finfo(float).eps
+    for st in diagonalize_boson(model):
+        assert np.linalg.norm(st.coeffs) == pytest.approx(1.0, abs=1e-15)
+        residual = np.linalg.norm(h @ st.coeffs - st.energy * st.coeffs)
+        assert residual <= (EIGENVALUE_ERROR_C * size[st.seniority] * eps
+                            * max(norm, 1.0))
 
 
 def test_spectrum_two_levels_frozen():

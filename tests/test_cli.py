@@ -38,6 +38,39 @@ index,energy,seniority,degenerate
 
 BCS_SPECTRUM_N6 = """\
 index,energy,seniority,degenerate
+0,1.322123517036947,000,0
+1,1.3247965051247474,110,0
+2,1.9912190904426366,101,0
+3,2.0282594500957098,011,0
+4,2.3307679137177937,000,0
+5,2.5312162728976668,110,0
+6,2.63676521397581,101,0
+7,3.0662979558588566,011,0
+8,3.0719721885442079,000,0
+9,3.6728915748241291,110,0
+10,3.674704655717639,101,0
+11,4.1392131670139207,000,0
+12,4.2793013709167562,110,0
+13,4.3752075532281394,000,0
+14,4.3756337168635007,011,0
+15,5.1347465565861912,000,0
+16,5.1351755027188926,101,0
+17,5.4506517232778924,011,0
+18,5.9256033432016988,110,0
+19,6.1505505664353928,101,0
+20,6.7165008207485863,000,0
+21,6.8752861023153473,000,0
+22,6.9828008268085542,011,0
+23,7.2661909330349967,110,0
+24,8.1825516915813132,000,0
+25,8.4115849707096189,101,0
+26,9.0963563270954868,011,0
+27,10.351630489227544,000,0
+"""
+
+# the same spectrum read off np.linalg.eigh, which also solves the vectors
+BCS_SPECTRUM_N6_EIGH = """\
+index,energy,seniority,degenerate
 0,1.3221235170369472,000,0
 1,1.3247965051247466,110,0
 2,1.9912190904426363,101,0
@@ -101,11 +134,18 @@ def test_bcs_spectrum_frozen(capsys):
 
 
 def test_bcs_spectrum_three_levels_frozen(capsys):
-    # read off the sector solves without building a state
+    # read off one eigvalsh per sector without building a state
     rc, out, _ = run_bcs(capsys, "spectrum", "--levels", "0,0.5,1",
                          "--gamma", "0.5", "--n", "6")
     assert rc == 0
     assert out == BCS_SPECTRUM_N6
+    # the eigh values differ from these in their last bits only
+    rows, old = (list(csv.reader(io.StringIO(text)))[1:]
+                 for text in (out, BCS_SPECTRUM_N6_EIGH))
+    assert len(rows) == len(old) == 28
+    for (i, e, nu, flag), (i_old, e_old, nu_old, flag_old) in zip(rows, old):
+        assert (i, nu, flag) == (i_old, nu_old, flag_old)
+        assert abs(float(e) - float(e_old)) <= 1e-14
 
 
 def test_zeros_total_collapse_pole(capsys):
@@ -155,26 +195,80 @@ def test_bcs_pairons_unverified_exit_3(capsys, monkeypatch):
     assert "pairons unverified, fidelity loss 1.8e-06" in err
 
 
+def _break_sum_rule(monkeypatch):
+    """Make the CLI's extract_boson_pairons move the first pairon of every
+    set by +1e-3, so the pairon sum misses the eigenvalue."""
+    extract = pairons.cli.extract_boson_pairons
+
+    def moved(*args, **kwargs):
+        ps = extract(*args, **kwargs)
+        return dataclasses.replace(
+            ps, energies=(ps.energies[0] + 1e-3, *ps.energies[1:]))
+
+    monkeypatch.setattr(pairons.cli, "extract_boson_pairons", moved)
+
+
 @pytest.mark.parametrize("command", ["pairons", "ellipsoid"])
-def test_bcs_uncertified_pairons_exit_3(capsys, command):
-    # state 675 of N = 14 at gamma = -0.1: the seven pairons sum to
-    # 18.154 against the eigenvalue 17.272; neither command prints them
-    rc, out, err = run_bcs(capsys, command, "--levels", "0,0.5,1,1.5",
-                           "--n", "14", "--gamma", "-0.1", "--state", "675")
+def test_bcs_uncertified_pairons_exit_3(capsys, monkeypatch, command):
+    # a pairon moved by 1e-3 breaks the sum rule; neither command prints
+    # the pairons.  No state of levels 0,0.5,1,1.5 at N <= 15 is refused
+    # unpatched, and the refusals at N >= 16 depend on the BLAS threads.
+    _break_sum_rule(monkeypatch)
+    rc, out, err = run_bcs(capsys, command, "--levels", "0,0.5,1",
+                           "--n", "6", "--gamma", "0.5", "--state", "0")
     assert rc == 3
     assert out == ""
-    assert ("pairon sum 18.154439235534987 disagrees with eigenvalue "
-            "17.27223280251589") in err
+    assert ("pairon sum 1.3231235170369469 disagrees with eigenvalue "
+            "1.322123517036947") in err
 
 
-def test_bcs_ellipsoid_steps_checked_before_the_gate(capsys):
+@pytest.mark.parametrize("gamma, states", [
+    ("-0.1", (652, 668, 675, 679)), ("0.5", (317, 473)), ("-0.5", (679,))])
+def test_bcs_pairons_certify_every_n14_state(capsys, gamma, states):
+    # states whose eigh vectors were refused (state 675 at gamma = -0.1:
+    # its pairons summed to 18.154 against the eigenvalue 17.272); from
+    # the inverse-iteration vectors all of them certify
+    for state in states:
+        rc, out, err = run_bcs(capsys, "pairons", "--levels", "0,0.5,1,1.5",
+                               "--n", "14", "--gamma", gamma,
+                               "--state", str(state), "--format", "json")
+        assert (rc, err) == (0, "")
+        meta = json.loads(out)["meta"]
+        assert abs(meta["energy_sum"] - meta["energy"]) <= 1e-8 * abs(
+            meta["energy"])
+        assert 1.0 - meta["reconstruction_fidelity"] <= 1e-8
+
+
+def test_bcs_ellipsoid_steps_checked_before_the_gate(capsys, monkeypatch):
     # --steps 0 is a usage error whether or not the pairons certify
-    rc, out, err = run_bcs(capsys, "ellipsoid", "--levels", "0,0.5,1,1.5",
-                           "--n", "14", "--gamma", "-0.1", "--state", "675",
+    _break_sum_rule(monkeypatch)
+    rc, out, err = run_bcs(capsys, "ellipsoid", "--levels", "0,0.5,1",
+                           "--n", "6", "--gamma", "0.5", "--state", "0",
                            "--steps", "0")
     assert rc == 2
     assert out == ""
     assert "--steps must be at least 1" in err
+
+
+def _singular(a, b):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+@pytest.mark.parametrize("solve, message", [
+    (_singular, "LAPACK failed in sector (1, 1, 0): Singular matrix"),
+    (lambda a, b: b, "sector (1, 1, 0): residual 3.1 too big")],
+    ids=["lapack", "residual"])
+def test_bcs_pairons_failed_eigensolve_exit_3(capsys, monkeypatch, solve,
+                                              message):
+    # a LAPACK failure of the inverse iteration, or a vector that misses
+    # the certificate's residual bound (here the unsolved start vector),
+    # is refused, naming the sector of the state
+    monkeypatch.setattr(np.linalg, "solve", solve)
+    rc, out, err = run_bcs(capsys, "pairons", "--levels", "0,0.5,1",
+                           "--gamma", "0.5", "--n", "6", "--state", "1")
+    assert rc == 3
+    assert out == ""
+    assert err == f"numerical failure: {message}\n"
 
 
 COLLAPSE_DIAGONAL_J10 = """\
