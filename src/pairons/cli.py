@@ -151,7 +151,8 @@ def _emit(args, command: str, columns: list[str], rows: list[list],
           extra_meta: dict | None = None,
           leads: list[list] | None = None) -> None:
     """Write one table to --out or stdout, as CSV or JSON; with leads, the
-    rows come in groups that share their leading cells (_csv_text)."""
+    rows come in groups that share their leading cells (_csv_text).  An
+    --out file that cannot be opened or written is a usage error."""
     if args.format == "csv":
         text = _csv_text(columns, rows, leads)
     else:
@@ -176,21 +177,22 @@ def _emit(args, command: str, columns: list[str], rows: list[list],
             meta.update(extra_meta)
         doc = {"meta": meta, "columns": columns, "rows": rows}
         text = _json_value(doc) + "\n"
-    if args.out:
+    if not args.out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out file: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
-# Argument plumbing
+# Settings
 # ---------------------------------------------------------------------------
 
-def _levels_value(value) -> tuple[float, ...]:
-    if isinstance(value, (list, tuple)):
-        return tuple(float(v) for v in value)
-    parts = [p for p in str(value).split(",") if p.strip()]
+def _levels_value(text: str) -> tuple[float, ...]:
+    parts = [p for p in text.split(",") if p.strip()]
     if not parts:
         raise UsageError("--levels needs a comma-separated list of energies")
     try:
@@ -199,25 +201,52 @@ def _levels_value(value) -> tuple[float, ...]:
         raise UsageError(f"bad --levels entry: {exc}") from None
 
 
-# dest -> (normalizer, builtin default); None default means "required"
+# the values argparse accepts for a flag
+_CHOICES = {"line": (LINE_SUM, LINE_DIAGONAL), "format": ("csv", "json")}
+
+
+def _positive(message: str):
+    """The normalizer of an integer setting that must be at least 1."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < 1:
+            raise UsageError(message)
+        return value
+    return parse
+
+
+def _format_value(text: str) -> str:
+    if text not in _CHOICES["format"]:
+        raise UsageError(f"unknown format {text!r}")
+    return text
+
+
+# dest -> (normalizer of the flag's text, the built-in default as that
+# text); a None default means no value, which is a usage error where the
+# command requires the setting
 _FIELDS: dict[str, tuple] = {
-    "j": (int, None),
+    "j": (_positive("--j must be a positive integer"), None),
     "gx": (float, None),
     "gy": (float, None),
-    "eps": (float, 1.0),
+    "eps": (float, "1.0"),
     "line": (str, LINE_SUM),
-    "line_sum": (float, 10.0),
+    "line_sum": (float, "10.0"),
     "from_": (float, None),
     "to": (float, None),
     "steps": (int, None),
-    "state": (int, 0),
+    "state": (int, "0"),
     "levels": (_levels_value, None),
     "gamma": (float, None),
     "n": (int, None),
-    "slice": (int, 1),
-    "seed": (int, 0),
-    "threads": (int, None),
+    "slice": (int, "1"),
+    "seed": (int, "0"),
+    "threads": (_positive("--threads must be at least 1"), "1"),
+    "format": (_format_value, "csv"),
+    "out": (str, None),
 }
+
+# the settings of every command, after its own
+_COMMON = ("seed", "threads", "format", "out")
 
 
 def _flag(dest: str) -> str:
@@ -226,96 +255,75 @@ def _flag(dest: str) -> str:
     return "--" + dest.rstrip("_").replace("_", "-")
 
 
+def _settings(fields: list[str]) -> list[str]:
+    """A command's settings: its own fields, then the _COMMON ones."""
+    return list(dict.fromkeys([*fields, *_COMMON]))
+
+
 def _add_flags(parser: argparse.ArgumentParser, names: list[str]) -> None:
-    for name in names:
-        choices = (LINE_SUM, LINE_DIAGONAL) if name == "line" else None
-        parser.add_argument(_flag(name), dest=name, choices=choices)
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
-    parser.add_argument("--out", default=None)
+    for name in _settings(names):
+        parser.add_argument(_flag(name), dest=name,
+                            choices=_CHOICES.get(name))
     parser.add_argument("--config", default=None)
-    if "threads" not in names:
-        parser.add_argument("--threads", dest="threads")
-    if "seed" not in names:
-        parser.add_argument("--seed", dest="seed")
 
 
-def _resolve(args: argparse.Namespace, fields: list[str],
-             required: list[str]) -> None:
-    """Merge CLI > config file > built-in defaults, then normalize types."""
-    table: dict = {}
-    if args.config:
-        try:
-            with open(args.config) as fh:
-                raw = json.load(fh)
-        except OSError as exc:
-            raise UsageError(f"cannot read config file: {exc}") from None
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file is not valid JSON: {exc}") from None
-        if not isinstance(raw, dict):
-            raise UsageError("config file must hold a JSON object")
-        known = set(_FIELDS) | {"format", "out"}
-        for key, value in raw.items():
-            dest = str(key).replace("-", "_")
-            if dest == "from":
-                dest = "from_"
-            if dest not in known:
-                raise UsageError(f"unknown config key {key!r}")
-            table[dest] = value
+def _config_table(path: str) -> dict[str, str]:
+    """The settings of a JSON config file by dest, each as the text its
+    flag would take: a scalar as str(value), a list joined by commas
+    (--levels); a null is left out, as an absent key.  An unreadable or
+    non-UTF-8 file, bad JSON, a document that is not an object and an
+    unknown key are usage errors."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"cannot read config file: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise UsageError(f"config file is not valid JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise UsageError("config file must hold a JSON object")
+    table = {}
+    for key, value in raw.items():
+        dest = "from_" if key == "from" else key.replace("-", "_")
+        if dest not in _FIELDS:
+            raise UsageError(f"unknown config key {key!r}")
+        if isinstance(value, list):
+            table[dest] = ",".join(map(str, value))
+        elif value is not None:
+            table[dest] = str(value)
+    return table
 
-    for dest in list(fields) + ["seed", "threads"]:
-        if getattr(args, dest, None) is None and dest in table:
-            setattr(args, dest, table[dest])
-    if args.out is None and "out" in table:
-        args.out = str(table["out"])
-    if args.format is None:
-        args.format = table.get("format", "csv")
-    if args.format not in ("csv", "json"):
-        raise UsageError(f"unknown format {args.format!r}")
 
-    for dest in list(fields) + ["seed"]:
-        norm, default = _FIELDS[dest]
-        value = getattr(args, dest, None)
-        if value is None:
-            value = default
-        if value is None:
-            if dest in required:
-                raise UsageError(f"missing required flag {_flag(dest)}")
+def _resolve(args: argparse.Namespace) -> None:
+    """Set each setting of the command from the command line, else the
+    config file, else PAIRONS_THREADS (--threads only), else its built-in
+    default, parsed by its _FIELDS normalizer from that text.  A setting
+    with none of them stays None, or is a usage error when required."""
+    config = _config_table(args.config) if args.config else {}
+    for dest in _settings(args._fields):
+        parse, default = _FIELDS[dest]
+        text, name = getattr(args, dest), _flag(dest)
+        if text is None:
+            text = config.get(dest)
+        if text is None and dest == "threads" and ENV_THREADS in os.environ:
+            text, name = os.environ[ENV_THREADS], ENV_THREADS
+        if text is None:
+            text = default
+        if text is None:
+            if dest in args._required:
+                raise UsageError(f"missing required flag {name}")
             continue
         try:
-            setattr(args, dest, norm(value))
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad value for {_flag(dest)}: {exc}") from None
-
-    if getattr(args, "threads", None) is None:
-        env = os.environ.get(ENV_THREADS)
-        if env is not None:
-            try:
-                args.threads = int(env)
-            except ValueError:
-                raise UsageError(
-                    f"{ENV_THREADS} must be an integer, got {env!r}") from None
-        else:
-            args.threads = 1
-    else:
-        try:
-            args.threads = int(args.threads)
-        except (TypeError, ValueError):
-            raise UsageError("--threads must be an integer") from None
-    if args.threads < 1:
-        raise UsageError("--threads must be at least 1")
+            setattr(args, dest, parse(text))
+        except ValueError as exc:
+            raise UsageError(f"bad value for {name}: {exc}") from None
 
 
-def _model_params(args) -> ModelParams:
+def _built(factory, **kwargs):
+    """factory(**kwargs), with the ValueError of a bad parameter raised as
+    a UsageError."""
     try:
-        return ModelParams.from_gammas(args.j, args.gx, args.gy, eps=args.eps)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-
-
-def _boson_model(args) -> BosonModel:
-    try:
-        return BosonModel(levels=args.levels, gamma=args.gamma,
-                          n_bosons=args.n)
+        return factory(**kwargs)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
 
@@ -369,7 +377,8 @@ def _pairon_rows(pairons: PaironSet) -> list[list]:
 # ---------------------------------------------------------------------------
 
 def _cmd_lmg_spectrum(args) -> int:
-    params = _model_params(args)
+    params = _built(ModelParams.from_gammas, j=args.j, gamma_x=args.gx,
+                    gamma_y=args.gy, eps=args.eps)
     pairs = diagonalize(build_hamiltonian(params))
     rows = [[p.index, p.energy, p.state.parity, int(p.degenerate)]
             for p in pairs]
@@ -378,47 +387,22 @@ def _cmd_lmg_spectrum(args) -> int:
     return EXIT_OK
 
 
-def _extract_for_args(args):
-    params = _model_params(args)
+def _cmd_lmg_point(command: str, columns: list[str], rows_of, args) -> int:
+    """lmg zeros or lmg pairons: the rows_of table of one state's checked
+    pairons, with the extraction's diagnostics in the JSON meta."""
+    params = _built(ModelParams.from_gammas, j=args.j, gamma_x=args.gx,
+                    gamma_y=args.gy, eps=args.eps)
     _check_state_index(args.state, 2 * args.j + 1)
     pairons, diag = extract_pairons(params, state_index=args.state)
     _map_recheck(pairons)
-    return params, pairons, diag
-
-
-def _diag_meta(pairons, diag) -> dict:
-    return {
+    _emit(args, command, columns, rows_of(pairons), extra_meta={
         "t": diag.t,
         "energy": diag.energy,
         "nu": pairons.nu,
         "reconstruction_fidelity": diag.reconstruction_fidelity,
         "reconstruction_residual": diag.reconstruction_residual,
-    }
-
-
-def _cmd_lmg_zeros(args) -> int:
-    _, pairons, diag = _extract_for_args(args)
-    rows = _zero_rows(pairons)
-    _emit(args, "lmg zeros", ["alpha", "theta", "phi", "multiplicity", "flags"],
-          rows, extra_meta=_diag_meta(pairons, diag))
+    })
     return EXIT_OK
-
-
-def _cmd_lmg_pairons(args) -> int:
-    _, pairons, diag = _extract_for_args(args)
-    rows = _pairon_rows(pairons)
-    _emit(args, "lmg pairons", ["alpha", "re_e", "im_e", "flags"], rows,
-          extra_meta=_diag_meta(pairons, diag))
-    return EXIT_OK
-
-
-def _trajectory_spec(args, start, stop, steps) -> TrajectorySpec:
-    try:
-        return TrajectorySpec(j=args.j, start=start, stop=stop, steps=steps,
-                              line=args.line, line_sum=args.line_sum,
-                              state_index=args.state, eps=args.eps)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
 
 
 SCAN_COLUMNS = ["gx", "gy", "t", "state_index", "energy", "alpha", "re_e",
@@ -457,7 +441,9 @@ def _flag_text(flags: tuple[str, ...], seniority: int, pole: bool) -> str:
 
 def _cmd_lmg_scan(args) -> int:
     _check_state_index(args.state, 2 * args.j + 1)
-    spec = _trajectory_spec(args, args.from_, args.to, args.steps)
+    spec = _built(TrajectorySpec, j=args.j, start=args.from_, stop=args.to,
+                  steps=args.steps, line=args.line, line_sum=args.line_sum,
+                  state_index=args.state, eps=args.eps)
     table = scan_trajectory(spec)
     for gx, reason in table.failures:
         print(f"skipped gx={gx:.6g}: {reason}", file=sys.stderr)
@@ -478,7 +464,9 @@ def _cmd_lmg_collapse(args) -> int:
     start = args.from_ if args.from_ is not None else lo_default
     stop = args.to if args.to is not None else hi_default
     steps = args.steps if args.steps is not None else 1200
-    spec = _trajectory_spec(args, start, stop, steps)
+    spec = _built(TrajectorySpec, j=args.j, start=start, stop=stop,
+                  steps=steps, line=args.line, line_sum=args.line_sum,
+                  state_index=args.state, eps=args.eps)
 
     if args.line == LINE_DIAGONAL:
         # lam = 0 on the whole line: every sample is a Dicke state, so the
@@ -527,7 +515,8 @@ def _cmd_lmg_crossings(args) -> int:
 # ---------------------------------------------------------------------------
 
 def _cmd_bcs_spectrum(args) -> int:
-    model = _boson_model(args)
+    model = _built(BosonModel, levels=args.levels, gamma=args.gamma,
+                   n_bosons=args.n)
     blocks, _, values, ranks = _ranked_spectrum(model)
     rows = [[i, float(values[s][c]), "".join(map(str, blocks[s][0])), int(f)]
             for i, (s, c, f) in enumerate(zip(*ranks))]
@@ -537,7 +526,8 @@ def _cmd_bcs_spectrum(args) -> int:
 
 
 def _bcs_state(args):
-    model = _boson_model(args)
+    model = _built(BosonModel, levels=args.levels, gamma=args.gamma,
+                   n_bosons=args.n)
     if not 1 <= args.slice <= model.n_levels - 1:
         raise UsageError(f"--slice must be in 1..{model.n_levels - 1}")
     _check_state_index(args.state, model.dim)
@@ -608,9 +598,13 @@ _LMG_COMMANDS = {
     "spectrum": (["j", "gx", "gy", "eps"], ["j", "gx", "gy"],
                  _cmd_lmg_spectrum),
     "zeros": (["j", "gx", "gy", "eps", "state"], ["j", "gx", "gy"],
-              _cmd_lmg_zeros),
+              functools.partial(_cmd_lmg_point, "lmg zeros",
+                                ["alpha", "theta", "phi", "multiplicity",
+                                 "flags"], _zero_rows)),
     "pairons": (["j", "gx", "gy", "eps", "state"], ["j", "gx", "gy"],
-                _cmd_lmg_pairons),
+                functools.partial(_cmd_lmg_point, "lmg pairons",
+                                  ["alpha", "re_e", "im_e", "flags"],
+                                  _pairon_rows)),
     "scan": (["j", "from_", "to", "steps", "line", "line_sum", "state",
               "eps", "seed", "threads"],
              ["j", "from_", "to", "steps"], _cmd_lmg_scan),
@@ -656,9 +650,7 @@ def _run(prog: str, commands: dict, argv) -> int:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
     try:
-        _resolve(args, args._fields, args._required)
-        if "j" in args._fields and args.j is not None and args.j < 1:
-            raise UsageError("--j must be a positive integer")
+        _resolve(args)
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -311,8 +311,8 @@ def stack_slices(j: int, count: int) -> list[slice]:
     (2j+1)^2 points (at least one), so a stack's matrices hold at most
     STACK_ENTRIES floats whatever j and the number of points.  Their sizes
     differ by one at most, so no stack is a short tail: the 1200 points of
-    a j = 10 profile take three stacks of 400, each at least
-    ONE_BLOCK_MIN_POINTS."""
+    a j = 10 profile take three stacks of 400, each of at least
+    ONE_BLOCK_MIN_ROWS rows."""
     chunk = max(1, STACK_ENTRIES // (2 * j + 1) ** 2)
     parts = -(-count // chunk)
     ends = [count * k // max(parts, 1) for k in range(parts + 1)]

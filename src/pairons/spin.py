@@ -312,12 +312,13 @@ PARITY_SECTORS = ((PARITY_EVEN, 0), (PARITY_ODD, 1))
 # |H x - E x| that certifies a boson eigenvector (bosonbcs._ranked_state)
 EIGENVALUE_ERROR_C = 1e3
 
-# Stacks of at least this many points solve one parity block per point
-# (parity_eigenstates).  On a shared 2-core x86-64 host (numpy 2.4.6) the
-# one-block solve broke even with the two-block one at about 100 points
-# of j = 4, 30-60 of j = 10, 16-32 of j = 20 and under 8 of j = 40, and
-# took 1.3-2.4 times as long for a single point.
-ONE_BLOCK_MIN_POINTS = 64
+# Stacks of at least this many rows, points times 2j+1, solve one parity
+# block per point (parity_eigenstates).  On a shared 2-core x86-64 host
+# (numpy 2.4.6, one BLAS thread) the one-block solve broke even with the
+# two-block one at about 75 points of j = 4 (675 rows), 22 of j = 10
+# (460), 7 of j = 20 (290) and 3 of j = 40 (240), and took 1.3-2.2 times
+# as long for a single point.
+ONE_BLOCK_MIN_ROWS = 640
 
 # Smallest pivot magnitude of _sturm_counts, on its scaled matrices
 _PIVMIN = 2.0 ** -900
@@ -384,7 +385,7 @@ def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
     These are what ranking both blocks' parity_eigh values by
     rank_states, with gap DEGENERACY_RTOL * norm, picks, as diagonalize
     ranks its list; that two-block solve is what a stack of fewer than
-    ONE_BLOCK_MIN_POINTS points takes.  An index outside 0..2j raises
+    ONE_BLOCK_MIN_ROWS rows (points times dim) takes.  An index outside 0..2j raises
     ValueError.
 
     A larger stack solves one block per point.  Its block A and column c
@@ -419,7 +420,7 @@ def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
     which is not solved, is not raised.
     """
     dim = h.shape[-1]
-    if len(h) < ONE_BLOCK_MIN_POINTS or not 0 <= index < dim:
+    if len(h) * dim < ONE_BLOCK_MIN_ROWS or not 0 <= index < dim:
         return _two_block_states(h, norm, index)
     k = np.arange(dim)
     first = np.argsort(h[:, k, k], axis=1, kind="stable")[:, :index + 1] % 2

@@ -751,6 +751,77 @@ def test_config_file_missing(tmp_path, capsys):
     assert rc == 2
 
 
+def test_config_file_not_utf8_is_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b'{"j": 1, "gx": 1, "gy": "-1\xff"}')
+    rc, out, err = run_lmg(capsys, "spectrum", "--config", str(cfg))
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage error: cannot read config file: ")
+
+
+_J1 = ["--j", "1", "--gx", "1", "--gy", "-1"]
+
+
+@pytest.mark.parametrize("main, argv, key, value, flag", [
+    (lmg_main, ["spectrum", "--gx", "1", "--gy", "-1"], "j", 1.9, "1.9"),
+    (lmg_main, ["spectrum", "--gx", "1", "--gy", "-1"], "j", True, "True"),
+    (lmg_main, ["spectrum", "--gx", "1", "--gy", "-1"], "j", 0, "0"),
+    (lmg_main, ["spectrum", "--gx", "1", "--gy", "-1", "--format", "json"],
+     "j", 1, "1"),
+    (lmg_main, ["scan", "--j", "2", "--from", "1", "--to", "2"], "steps",
+     3.9, "3.9"),
+    (lmg_main, ["scan", "--j", "2", "--from", "1", "--to", "2", "--format",
+                "json"], "steps", 3, "3"),
+    (lmg_main, ["pairons", *_J1], "state", 0.5, "0.5"),
+    (lmg_main, ["spectrum", "--j", "1", "--gy", "-1"], "gx", True, "True"),
+    (lmg_main, ["spectrum", *_J1], "threads", 2.7, "2.7"),
+    (lmg_main, ["spectrum", *_J1], "threads", 0, "0"),
+    (lmg_main, ["spectrum", *_J1], "threads", 2, "2"),
+    (bcs_main, ["spectrum", "--gamma", "0.5", "--n", "2", "--format",
+                "json"], "levels", [0, 1], "0,1"),
+    (bcs_main, ["spectrum", "--gamma", "0.5", "--n", "2", "--format",
+                "json"], "levels", "0,1", "0,1"),
+    (bcs_main, ["spectrum", "--gamma", "0.5", "--n", "2"], "levels",
+     [0, "x"], "0,x"),
+    (lmg_main, ["spectrum", *_J1], "format", None, None),
+    (lmg_main, ["spectrum", *_J1], "out", None, None)])
+def test_config_value_is_its_flag_text(tmp_path, capsys, monkeypatch, main,
+                                       argv, key, value, flag):
+    # a config value is resolved, or refused, exactly as its text on the
+    # command line (a list joined by commas, a null as no flag at all):
+    # same exit code, stdout and stderr, and no file left behind
+    monkeypatch.delenv("PAIRONS_THREADS", raising=False)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}))
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    from_config = main([*argv, "--config", str(cfg)]), *capsys.readouterr()
+    text = [] if flag is None else [f"--{key}", flag]
+    assert from_config == (main([*argv, *text]), *capsys.readouterr())
+    assert list(work.iterdir()) == []
+
+
+def test_config_format_is_checked(tmp_path, capsys):
+    # the command line's --format xml is refused by argparse's choices
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "xml"}))
+    rc, out, err = run_lmg(capsys, "spectrum", *_J1, "--config", str(cfg))
+    assert (rc, out, err) == (2, "", "usage error: unknown format 'xml'\n")
+
+
+@pytest.mark.parametrize("target", ["missing/x.csv", "."])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, target):
+    # a missing directory, or a directory itself: exit 2, no traceback,
+    # no file
+    rc, out, err = run_lmg(capsys, "spectrum", *_J1, "--out",
+                           str(tmp_path / target))
+    assert (rc, out) == (2, "")
+    assert err.startswith("usage error: cannot write --out file: ")
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 SCAN_ARGS = ["scan", "--j", "4", "--from", "0.5", "--to", "9.5",
              "--steps", "40"]
 
@@ -779,6 +850,24 @@ def test_scan_solves_no_block_twice(capsys, monkeypatch):
                        "--to", "9.95", "--steps", "200", "--state", "5")
     assert rc == 0
     assert sorted(rows) == [70, 200]
+
+
+def test_j40_scan_solves_one_block_per_point(capsys, monkeypatch):
+    # --steps 100 at j = 40 takes three stacks of 33-34 points, each of
+    # at least ONE_BLOCK_MIN_ROWS rows (points times 81), so each point
+    # passes one block to parity_eigh and every one of them certifies
+    rows = []
+
+    def counted(blocks, name):
+        rows.append(len(blocks) if blocks.ndim == 3 else 1)
+        return parity_eigh(blocks, name)
+
+    parity_eigh = pairons.spin.parity_eigh
+    monkeypatch.setattr(pairons.spin, "parity_eigh", counted)
+    rc, _, _ = run_lmg(capsys, "scan", "--j", "40", "--from", "0.05",
+                       "--to", "9.95", "--steps", "100")
+    assert rc == 0
+    assert sorted(rows) == [33, 33, 34]
 
 
 @pytest.mark.parametrize("argv", [

@@ -874,9 +874,10 @@ def test_profile_points_solve_one_block_each(monkeypatch):
     # 400, each certified in its one block, and their profile is that of
     # the two-block solve; a 16-point stack, as a Brent round, passes both
     # blocks of every point to np.linalg.eigh
+    assert 16 * 21 < spin.ONE_BLOCK_MIN_ROWS <= 400 * 21
     lo = SINGULAR_MARGIN + 0.049
     spec = TrajectorySpec(j=10, start=lo, stop=10.0 - lo, steps=1200)
-    monkeypatch.setattr(spin, "ONE_BLOCK_MIN_POINTS", 10 ** 9)
+    monkeypatch.setattr(spin, "ONE_BLOCK_MIN_ROWS", 10 ** 9)
     reference = anchor_profile(spec)
     monkeypatch.undo()
     blocks = []
@@ -1045,8 +1046,8 @@ def test_scan_is_one_stacked_extraction_per_chunk(monkeypatch, budget,
     assert run() == reference
     assert len(solves) <= 2 * chunks
     # the one chunk of 200 points solves one certified block per point,
-    # the chunks of 7 (below ONE_BLOCK_MIN_POINTS) both blocks
-    assert spin.ONE_BLOCK_MIN_POINTS <= 200
+    # the chunks of 7 (7 * 21 rows, below ONE_BLOCK_MIN_ROWS) both blocks
+    assert 7 * 21 < spin.ONE_BLOCK_MIN_ROWS <= 200 * 21
     assert sum(shape[0] for shape in solves) == (
         1 if budget is None else 2) * 200
 

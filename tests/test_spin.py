@@ -329,7 +329,7 @@ _LINES = {"c10": (0.05, 9.95), "diagonal": (-9.95, 9.95),
           "crossings": (-9.95, -0.05)}
 
 
-@given(j=st.sampled_from(list(range(1, 13)) + [40]),
+@given(j=st.sampled_from(list(range(1, 13)) + [20, 40]),
        rank=st.sampled_from(["0", "1", "j", "2j"]),
        line=st.sampled_from(sorted(_LINES)),
        ends=st.tuples(st.floats(0, 1), st.floats(0, 1)),
@@ -337,13 +337,13 @@ _LINES = {"c10": (0.05, 9.95), "diagonal": (-9.95, 9.95),
 @settings(max_examples=60, deadline=None)
 def test_one_block_solve_is_the_two_block_solve(j, rank, line, ends, extra,
                                                 scale):
-    # every point of a stack of at least ONE_BLOCK_MIN_POINTS points gets
-    # the sector, column, flag and the energy and vector bits of the
-    # two-block solve, whether its one block is certified or not
+    # every point of a stack of at least ONE_BLOCK_MIN_ROWS rows (points
+    # times 2j+1) gets the sector, column, flag and the energy and vector
+    # bits of the two-block solve, whether its one block is certified or not
     index = {"0": 0, "1": 1, "j": j, "2j": 2 * j}[rank]
     lo, hi = _LINES[line]
-    gx = lo + (hi - lo) * np.linspace(*ends, spin.ONE_BLOCK_MIN_POINTS
-                                      + extra)
+    points = -(-spin.ONE_BLOCK_MIN_ROWS // (2 * j + 1)) + extra
+    gx = lo + (hi - lo) * np.linspace(*ends, points)
     gy = 10.0 - gx if line == "c10" else gx
     lam, gam = spin.couplings(j, gx * scale, gy * scale)
     h = spin.hamiltonian_stack(j, 1.0, lam, gam)
