@@ -26,9 +26,9 @@ from .collapse import (AnchorProfile, CollapseCandidate, CollapsePoint,
                        scan_trajectory, total_collapse,
                        total_collapse_candidates)
 from .bosonbcs import (BosonModel, BosonPaironSet, BosonState,
-                       boson_eigenstate, boson_energy, boson_husimi_amplitude,
-                       build_bcs_hamiltonian, diagonalize_boson,
-                       ellipsoid_axes, extract_boson_pairons, fock_basis,
+                       boson_eigenstate, boson_husimi_amplitude,
+                       build_bcs_hamiltonian, ellipsoid_axes,
+                       extract_boson_pairons, fock_basis,
                        reconstruct_boson_state, verify_ellipsoid)
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -29,10 +29,9 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStateError,
                      InconsistentPaironsError)
+from .paironmap import VERIFY_TOL, fidelity
 from .phasespace import _exp, _log_factorials, strip_and_solve
 from .spin import DEGENERACY_RTOL, EIGENVALUE_ERROR_C, rank_states
-
-AXIS_POLE_FLAG = "axis-pole"  # root at w = -1: pairon at infinity of the map
 
 LEVEL_DEGENERACY_TOL = 1e-9
 
@@ -265,7 +264,7 @@ def _ranked_spectrum(model: BosonModel) -> tuple:
     _sectors, values each sector's ascending eigvalsh values and ranks
     rank_states over them (per rank its sector, column and degenerate
     flag).  The one source of energies, seniorities and flags for
-    diagonalize_boson, boson_eigenstate and `bcs spectrum`."""
+    boson_eigenstate and `bcs spectrum`."""
     blocks, norm = _sectors(model)
     values = [np.linalg.eigvalsh(block) for _, _, block in blocks]
     return blocks, norm, values, rank_states(
@@ -314,26 +313,16 @@ def _ranked_state(model: BosonModel, spectrum, index: int) -> BosonState:
                       seniority=nu, degenerate=bool(flag))
 
 
-def diagonalize_boson(model: BosonModel) -> list[BosonState]:
-    """All eigenstates sorted by energy, labeled by per-level parity.
-
-    Each seniority sector (per-level occupation parities) is solved
-    separately; it is exactly conserved, and the split keeps the labels
-    sharp even when different sectors are accidentally degenerate.  The
-    `degenerate` flag marks near-coincidence *within* a sector - the case
-    where the eigenvector itself is ill-defined; cross-sector
-    coincidences leave every eigenvector (and its pairons) intact.  Each
-    state is boson_eigenstate's, all from one ranking.
-    """
-    spectrum = _ranked_spectrum(model)
-    return [_ranked_state(model, spectrum, i) for i in range(model.dim)]
-
-
 def boson_eigenstate(model: BosonModel, index: int) -> BosonState:
-    """diagonalize_boson(model)[index], solving only that one vector: one
-    eigvalsh per sector ranks every state (_ranked_spectrum), and
-    _ranked_state builds the one at rank `index`.  An index outside
-    0..dim-1 raises ValueError."""
+    """The eigenstate at rank `index` in ascending energy, labeled by its
+    seniority (per-level occupation parities), solving only that one
+    vector: one eigvalsh per sector ranks every state (_ranked_spectrum),
+    and _ranked_state builds the one at rank `index`.  Each sector is
+    exactly conserved and solved on its own, which keeps the labels sharp
+    when different sectors are accidentally degenerate; the `degenerate`
+    flag marks near-coincidence within the state's sector, where the
+    eigenvector itself is ill-defined.  An index outside 0..dim-1 raises
+    ValueError."""
     if not 0 <= index < model.dim:
         raise ValueError(f"state index {index} out of range")
     return _ranked_state(model, _ranked_spectrum(model), index)
@@ -383,15 +372,15 @@ def axis_slice_coefficients(state: BosonState, axis: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BosonPaironSet:
+    """The certified pairons of one eigenstate (extract_boson_pairons):
+    their real sum rule total sum_l eps_l nu_l + sum_a e_a, and the
+    fidelity of the pair-product state they rebuild."""
+
     model: BosonModel
     seniority: tuple[int, ...]
     energies: tuple[complex, ...]
-    n_at_infinity: int  # slice roots at w = -1 (pairons off the map)
-    flags: tuple[str, ...] = ()
-
-    def energy_sum(self) -> complex:
-        base = sum(e * n for e, n in zip(self.model.levels, self.seniority))
-        return base + sum(self.energies)
+    energy_sum: float
+    reconstruction_fidelity: float
 
 
 def _richardson(model: BosonModel, seniority: tuple[int, ...],
@@ -441,16 +430,22 @@ def _richardson_newton(model: BosonModel, seniority: tuple[int, ...],
 
 def extract_boson_pairons(state: BosonState, axis: int = 1) -> BosonPaironSet:
     """Pairons from the roots of the axis-slice polynomial, finished on
-    Richardson's equations.
+    Richardson's equations, and certified.
 
-    e_a = 2 (eps_axis + eps_0 conj(w_a)) / (1 + conj(w_a)); roots with
-    |1 + w| <= 1e-9 are pairons pushed to infinity of the axis map and
-    are counted separately with a flag.  The slice pairons start Newton's
-    method on Richardson's equations (_richardson_newton), which fixes the
-    digits the slice coefficients cannot.  Newton is skipped at
-    gamma = 0, where the equations do not exist, and when a root sits at
-    y = 0, y = infinity or on the axis pole: such a pairon is on a pole
-    of the equations or off the map.
+    e_a = 2 (eps_axis + eps_0 conj(w_a)) / (1 + conj(w_a)).  The slice
+    pairons start Newton's method on Richardson's equations
+    (_richardson_newton), which fixes the digits the slice coefficients
+    cannot.  Newton is skipped at gamma = 0, where the equations do not
+    exist, and when a root sits at y = 0 or y = infinity: such a pairon
+    is on a pole of the equations.
+
+    The set is refused with InconsistentPaironsError, in this order, when
+    a root has |1 + w| <= 1e-9 (a pairon at infinity of the axis map),
+    when the imaginary parts of the sum rule total fail to cancel (above
+    1e-8), when the real total misses the eigenvalue by more than 1e-8
+    (relative, at least absolute), and when the state the pairons rebuild
+    (reconstruct_boson_state) loses more than VERIFY_TOL of its fidelity
+    (or the loss is NaN).
     """
     if state.degenerate:
         raise DegenerateStateError(
@@ -467,11 +462,12 @@ def extract_boson_pairons(state: BosonState, axis: int = 1) -> BosonPaironSet:
     eps0 = model.levels[0]
     eps_ax = model.levels[axis]
     wc = np.conj(roots)
-    pole = np.abs(1.0 + wc) <= 1e-9
-    wc = wc[~pole]
+    n_pole = int(np.sum(np.abs(1.0 + wc) <= 1e-9))
+    if n_pole:
+        raise InconsistentPaironsError(
+            f"{n_pole} pairon(s) at infinity; the energy sum is not defined")
     finite = 2.0 * (eps_ax + eps0 * wc) / (1.0 + wc)
-    n_pole = int(pole.sum())
-    if model.gamma != 0.0 and finite.size and not (n_zero or n_inf or n_pole):
+    if model.gamma != 0.0 and finite.size and not (n_zero or n_inf):
         finite = _richardson_newton(model, state.seniority, finite)
     # roots at y = 0 <-> pairons at 2 eps_axis;
     # roots at y = inf <-> pairons at 2 eps_0
@@ -479,9 +475,27 @@ def extract_boson_pairons(state: BosonState, axis: int = 1) -> BosonPaironSet:
                 + [complex(2.0 * eps0)] * n_inf
                 + [complex(e) for e in finite])
     energies.sort(key=lambda e: (e.real, e.imag))
+    energies = tuple(energies)
+
+    total = (sum(e * n for e, n in zip(model.levels, state.seniority))
+             + sum(energies))
+    if abs(total.imag) > 1e-8:
+        raise InconsistentPaironsError(
+            f"imaginary parts of the pairon sum fail to cancel "
+            f"({total.imag:.3e}); extraction is inconsistent")
+    total = float(total.real)
+    if abs(total - state.energy) > 1e-8 * max(1.0, abs(state.energy)):
+        raise InconsistentPaironsError(
+            f"pairon sum {total} disagrees with eigenvalue {state.energy}")
+    fid = fidelity(reconstruct_boson_state(model, state.seniority, energies),
+                   state)
+    if not 1.0 - fid <= VERIFY_TOL:
+        raise InconsistentPaironsError(
+            f"pairons unverified, fidelity loss {1.0 - fid:.3g} "
+            f"(bound {VERIFY_TOL:g})")
     return BosonPaironSet(model=model, seniority=state.seniority,
-                          energies=tuple(energies), n_at_infinity=n_pole,
-                          flags=(AXIS_POLE_FLAG,) if n_pole else ())
+                          energies=energies, energy_sum=total,
+                          reconstruction_fidelity=fid)
 
 
 def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
@@ -573,25 +587,6 @@ def reconstruct_boson_state(model: BosonModel, seniority: tuple[int, ...],
         np.real(e) for e in pairons)
     return BosonState(model=model, energy=float(energy), coeffs=coeffs,
                       seniority=tuple(seniority), degenerate=False)
-
-
-def boson_energy(pairons: BosonPaironSet) -> float:
-    """Total energy from the sum rule, as a real number.
-
-    Complex pairons must come in conjugate pairs, so the imaginary parts
-    have to cancel; a residue above 1e-8 means the extraction that
-    produced the set was inconsistent, and the sum cannot be trusted.
-    """
-    if pairons.n_at_infinity:
-        raise InconsistentPaironsError(
-            f"{pairons.n_at_infinity} pairon(s) at infinity; the energy "
-            "sum is not defined")
-    total = pairons.energy_sum()
-    if abs(total.imag) > 1e-8:
-        raise InconsistentPaironsError(
-            f"imaginary parts of the pairon sum fail to cancel "
-            f"({total.imag:.3e}); extraction is inconsistent")
-    return float(total.real)
 
 
 def ellipsoid_axes(model: BosonModel, pairon: complex) -> np.ndarray:

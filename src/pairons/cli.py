@@ -6,7 +6,8 @@
 
 Both tools emit a single table per invocation, as CSV (default) or as a
 JSON document with a meta header; floats are printed with 17 significant
-digits and the output is byte-identical across runs.  `--threads` (or
+digits and repeated runs give byte-identical output (`bcs` output can
+change with the number of BLAS threads).  `--threads` (or
 PAIRONS_THREADS) is validated and has no effect.  Exit codes: 0 success,
 2 usage error, 3 numerical failure.
 """
@@ -28,15 +29,14 @@ import numpy as np
 
 from . import __version__
 from .bosonbcs import (BosonModel, _ranked_spectrum, boson_eigenstate,
-                       boson_energy, ellipsoid_axes, extract_boson_pairons,
-                       reconstruct_boson_state, verify_ellipsoid)
+                       ellipsoid_axes, extract_boson_pairons, verify_ellipsoid)
 from .collapse import (LINE_DIAGONAL, LINE_SUM, SINGULAR_MARGIN,
                        TrajectorySpec, anchor_profile, collapse_rows,
                        crossing_points, find_collapses, scan_trajectory,
                        total_collapse_candidates)
 from .errors import InconsistentPaironsError, PaironsError
-from .paironmap import (VERIFY_TOL, PaironSet, extract_pairons, fidelity,
-                        pairon_from_u, pairon_sites, zero_sites)
+from .paironmap import (PaironSet, extract_pairons, pairon_from_u,
+                        pairon_sites, zero_sites)
 from .sphere import angle_columns, coordinates
 from .spin import (PARITY_EVEN, PARITY_ODD, ModelParams, build_hamiltonian,
                    diagonalize)
@@ -531,56 +531,37 @@ def _bcs_state(args):
     if not 1 <= args.slice <= model.n_levels - 1:
         raise UsageError(f"--slice must be in 1..{model.n_levels - 1}")
     _check_state_index(args.state, model.dim)
-    return model, boson_eigenstate(model, args.state)
-
-
-def _certified_boson_pairons(model, state, axis: int):
-    """The pairons of a boson eigenstate on an axis, their energy sum and
-    the fidelity of the state they rebuild.  InconsistentPaironsError when
-    the sum misses the eigenvalue by more than 1e-8 (relative, at least
-    absolute) or the fidelity loss is above VERIFY_TOL (or NaN)."""
-    pairons = extract_boson_pairons(state, axis=axis)
-    total = boson_energy(pairons)
-    if abs(total - state.energy) > 1e-8 * max(1.0, abs(state.energy)):
-        raise InconsistentPaironsError(
-            f"pairon sum {total} disagrees with eigenvalue {state.energy}")
-    recon = reconstruct_boson_state(model, state.seniority, pairons.energies)
-    fid = fidelity(recon, state)
-    if not 1.0 - fid <= VERIFY_TOL:
-        raise InconsistentPaironsError(
-            f"pairons unverified, fidelity loss {1.0 - fid:.3g} "
-            f"(bound {VERIFY_TOL:g})")
-    return pairons, total, fid
+    return boson_eigenstate(model, args.state)
 
 
 def _cmd_bcs_pairons(args) -> int:
-    model, state = _bcs_state(args)
-    pairons, total, fid = _certified_boson_pairons(model, state, args.slice)
-    flags = ";".join(sorted(pairons.flags))
-    rows = [[alpha, e.real, e.imag, flags]
+    state = _bcs_state(args)
+    pairons = extract_boson_pairons(state, axis=args.slice)
+    # a certified set has no pairon at infinity, so no flag
+    rows = [[alpha, e.real, e.imag, ""]
             for alpha, e in enumerate(pairons.energies)]
     _emit(args, "bcs pairons", ["alpha", "re_e", "im_e", "flags"], rows,
           extra_meta={
               "energy": state.energy,
               "seniority": list(state.seniority),
-              "energy_sum": total,
-              "reconstruction_fidelity": fid,
-              "n_at_infinity": pairons.n_at_infinity,
+              "energy_sum": pairons.energy_sum,
+              "reconstruction_fidelity": pairons.reconstruction_fidelity,
+              "n_at_infinity": 0,
           })
     return EXIT_OK
 
 
 def _cmd_bcs_ellipsoid(args) -> int:
-    model, state = _bcs_state(args)
+    state = _bcs_state(args)
     n_points = args.steps if args.steps is not None else 100
     if n_points < 1:
         raise UsageError("--steps must be at least 1")
-    pairons, _, _ = _certified_boson_pairons(model, state, args.slice)
+    pairons = extract_boson_pairons(state, axis=args.slice)
     rows = []
     for alpha, e in enumerate(pairons.energies):
         residual = verify_ellipsoid(state, e, n_points=n_points,
                                     seed=args.seed)
-        axes = ellipsoid_axes(model, e)
+        axes = ellipsoid_axes(state.model, e)
         for axis, xi2 in enumerate(axes, start=1):
             rows.append([alpha, e.real, e.imag, axis,
                          complex(xi2).real, complex(xi2).imag, residual])

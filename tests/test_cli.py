@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import importlib.metadata
 import io
 import json
@@ -8,6 +7,7 @@ import subprocess
 import numpy as np
 import pytest
 
+import pairons.bosonbcs
 import pairons.cli
 import pairons.collapse
 import pairons.paironmap
@@ -176,18 +176,24 @@ def test_zeros_seniority_joins_pairon_poles(capsys):
     assert out == ZEROS_J7_DIAGONAL_STATE4
 
 
+def _move_newton_pairons(monkeypatch, *shifts):
+    """Make bosonbcs' Newton finish return its pairons sorted as the set
+    is, with shifts added to the first ones, so the moved pairons reach
+    extract_boson_pairons' gate."""
+    newton = pairons.bosonbcs._richardson_newton
+
+    def moved(*args):
+        e = np.array(sorted(newton(*args), key=lambda z: (z.real, z.imag)))
+        e[:len(shifts)] += shifts
+        return e
+
+    monkeypatch.setattr(pairons.bosonbcs, "_richardson_newton", moved)
+
+
 def test_bcs_pairons_unverified_exit_3(capsys, monkeypatch):
     # two real pairons moved by +1e-3 and -1e-3 keep the sum rule, but the
     # rebuilt state loses 1.8e-6 of its fidelity
-    extract = pairons.cli.extract_boson_pairons
-
-    def moved(*args, **kwargs):
-        ps = extract(*args, **kwargs)
-        e = ps.energies
-        return dataclasses.replace(
-            ps, energies=(e[0] + 1e-3, e[1] - 1e-3, *e[2:]))
-
-    monkeypatch.setattr(pairons.cli, "extract_boson_pairons", moved)
+    _move_newton_pairons(monkeypatch, 1e-3, -1e-3)
     rc, out, err = run_bcs(capsys, "pairons", "--levels", "0,0.5,1",
                            "--gamma", "0.5", "--n", "6", "--state", "0")
     assert rc == 3
@@ -196,16 +202,9 @@ def test_bcs_pairons_unverified_exit_3(capsys, monkeypatch):
 
 
 def _break_sum_rule(monkeypatch):
-    """Make the CLI's extract_boson_pairons move the first pairon of every
-    set by +1e-3, so the pairon sum misses the eigenvalue."""
-    extract = pairons.cli.extract_boson_pairons
-
-    def moved(*args, **kwargs):
-        ps = extract(*args, **kwargs)
-        return dataclasses.replace(
-            ps, energies=(ps.energies[0] + 1e-3, *ps.energies[1:]))
-
-    monkeypatch.setattr(pairons.cli, "extract_boson_pairons", moved)
+    """Move the first pairon of every set by +1e-3 before the gate, so
+    the pairon sum misses the eigenvalue."""
+    _move_newton_pairons(monkeypatch, 1e-3)
 
 
 @pytest.mark.parametrize("command", ["pairons", "ellipsoid"])
@@ -944,7 +943,7 @@ def test_bcs_pairons_builds_one_eigenstate(capsys, monkeypatch):
     made = {"eigen": 0, "recon": 0}
     inside = []
     init = BosonState.__init__
-    reconstruct = pairons.cli.reconstruct_boson_state
+    reconstruct = pairons.bosonbcs.reconstruct_boson_state
 
     def counting_init(self, *args, **kwargs):
         made["recon" if inside else "eigen"] += 1
@@ -958,7 +957,7 @@ def test_bcs_pairons_builds_one_eigenstate(capsys, monkeypatch):
             inside.pop()
 
     monkeypatch.setattr(BosonState, "__init__", counting_init)
-    monkeypatch.setattr(pairons.cli, "reconstruct_boson_state",
+    monkeypatch.setattr(pairons.bosonbcs, "reconstruct_boson_state",
                         counting_reconstruct)
     rc, _, _ = run_bcs(capsys, "pairons", "--levels", "0,0.5,1",
                        "--gamma", "0.5", "--n", "6", "--state", "3")
