@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
-"""Pairon content of a three-level bosonic pairing model, state by state.
+"""Pairon content of a bosonic pairing model (three levels by default),
+state by state.
 
 Solves the uniform-coupling model state by state, slices every
 eigenstate into its certified pairon energies, and reports each
 decomposition three ways: the energy sum rule defect and the
 reconstruction fidelity of the pair-product state (both from the
-certified set), and agreement between the slices along different axes.
+certified set), and agreement between the slices along the first and
+the last axis; a two-level model has one axis, and that column reads -.
 A state whose pairons are refused (a degenerate state, or a set that
 fails the sum rule or the fidelity gate) is printed with the reason.
 For the ground state the full quadric (generalized ellipsoid) of each
@@ -51,6 +53,7 @@ def main(argv=None):
           f"{model.dim} eigenstates")
     print(f"{'#':>3} {'energy':>12} {'seniority':>9} {'sum defect':>10} "
           f"{'1-fidelity':>10} {'axis mismatch':>13}  pairons")
+    last = len(model.levels) - 1
     for idx in range(model.dim):
         st = boson_eigenstate(model, idx)
         label = (f"{idx:>3} {st.energy:12.6f} "
@@ -58,16 +61,19 @@ def main(argv=None):
         try:
             ps = extract_boson_pairons(st)
             # the slice along any axis must see the same pairons
-            alt = extract_boson_pairons(st, axis=2)
+            alt = extract_boson_pairons(st, axis=last) if last > 1 else None
         except PaironsError as exc:
             print(f"{label} refused: {exc}")
             continue
-        a = sorted(ps.energies, key=lambda z: (z.real, z.imag))
-        b = sorted(alt.energies, key=lambda z: (z.real, z.imag))
-        mismatch = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+        mismatch = "-"
+        if alt is not None:
+            a = sorted(ps.energies, key=lambda z: (z.real, z.imag))
+            b = sorted(alt.energies, key=lambda z: (z.real, z.imag))
+            gap = max((abs(x - y) for x, y in zip(a, b)), default=0.0)
+            mismatch = f"{gap:.2e}"
         shown = ", ".join(fmt_pairon(e) for e in ps.energies)
         print(f"{label} {abs(ps.energy_sum - st.energy):10.2e} "
-              f"{1.0 - ps.reconstruction_fidelity:10.2e} {mismatch:13.2e}  "
+              f"{1.0 - ps.reconstruction_fidelity:10.2e} {mismatch:>13}  "
               f"{shown}")
 
     ground = boson_eigenstate(model, 0)

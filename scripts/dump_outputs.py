@@ -19,42 +19,43 @@ numeric meta field.
 
 The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
 0,0.5,1,1.5, N=20), `bcs spectrum` of the same models, `bcs ellipsoid`
-at N=12 and at N=10 with --state 3 (both gammas); `bcs pairons` on
-three levels at odd N=9 (both gammas), on five levels at N=8 and N=7,
-at N=20 on --slice 2, on the equal levels 0,0,1, which exits 3, at N=14
-with gamma = -0.1 and --state 675, a state whose pairons certify only
-on its inverse-iteration vector, and at N=8 with gamma = 0, whose
-diagonal H gives exact basis vectors;
-`lmg scan --j 10 --steps 200` and four more scans: `--j 10 --line
-diagonal --from 4.5 --to 5 --steps 3 --state 4`, which skips gx = 4.75
-on a degenerate state, `--j 7 --steps 100 --state 3`, whose samples mix both
-seniorities, `--j 10 --line diagonal --from -9.95 --to -0.05 --steps
-50`, with Dicke states and structural zeros, and `--j 40 --steps 100
---format json`, whose u-polynomials keep exact zeros at one end of many
-samples; `lmg collapse --j 10` and its --line diagonal form, `lmg
-collapse --j 10 --line-sum 12`, `lmg collapse --j 8`, `lmg collapse --j
-6 --format json` and `lmg collapse --j 10 --steps 400`, whose root refinements
-cover the collapse detector's own Brent solver, `lmg collapse --j 4
---from 4 --to 6 --steps 5`, with a sample where the anchor value is
-exactly zero beside the total collapse, `lmg collapse --j 20`, which
-exits 3 on an unresolved anchor, `lmg spectrum --j 40 --gx 2 --gy 8`;
-`lmg zeros` at `--j 10 --gx 2 --gy 8 --state 3`, at `--j 7 --gx 5 --gy 5
---state 4`, whose seniority zeros join pairon poles, and at `--j 7 --gx 2
---gy 8 --state 3`, an odd state with lone seniority poles; `lmg
-crossings --j 10`, whose full diagonalizations cover spin.diagonalize,
-`lmg pairons --j 40
---state 19` at gx = 3.74102 and 6.164669 on gx + gy = 10, where an
-unscaled companion solve misses the root residual check, and `lmg
-pairons --j 120 --gx 0.25 --gy 9.75 --state 60` and `lmg pairons --j 140
---gx 2 --gy 8 --state 100`, whose u-polynomials have roots so large that
-their powers overflow, so the root residual check takes them on the
-reversed polynomial; and `lmg pairons --j 40 --format json` on gx + gy =
-10 at gx = 0.5 state 0, gx = 3.5 state 40 and gx = 9.5 state 80, whose
-meta carries the rebuilt state's fidelity and residual; and three
-commands whose |H| overflows, which are refused: `lmg spectrum --j 2
---gx 1.6e308 --gy 1e307`, `lmg scan --j 2 --line-sum 1.7e308 --from
-1e307 --to 1.6e308 --steps 3` and `bcs spectrum --levels 0,1 --gamma
-1e308 --n 4`; and two 200-step j = 10 scans, each one stack of
+at N=12 and at N=10 with --state 3 (both gammas); `bcs pairons` on three
+levels at odd N=9 (both gammas), on five levels at N=8 and N=7, at N=20
+on --slice 2, on the equal levels 0,0,1, which exits 3, at N=14 with
+gamma = -0.1 and --state 675, a state whose pairons certify only on its
+inverse-iteration vector, and at N=8 with gamma = 0, whose diagonal H
+gives exact basis vectors; `lmg scan --j 10 --steps 200` and five more
+scans: `--j 10 --line diagonal --from 4.5 --to 5 --steps 3 --state 4`,
+which skips gx = 4.75 on a degenerate state, `--j 7 --steps 100 --state
+3`, whose samples mix both seniorities, `--j 10 --line diagonal --from
+-9.95 --to -0.05 --steps 50`, with Dicke states and structural zeros,
+`--j 40 --steps 100 --format json`, whose u-polynomials keep exact zeros
+at one end of many samples, and `--j 40 --steps 16 --state 40`, which
+takes spin.parity_eigenstates' one-block solve on 16 points of 81 rows
+and completes some of them on both blocks; `lmg collapse --j 10` and its
+--line diagonal form, `lmg collapse --j 10 --line-sum 12`, `lmg collapse
+--j 8`, `lmg collapse --j 6 --format json` and `lmg collapse --j 10
+--steps 400`, whose root refinements cover the collapse detector's own
+Brent solver, `lmg collapse --j 4 --from 4 --to 6 --steps 5`, with a
+sample where the anchor value is exactly zero beside the total collapse,
+`lmg collapse --j 20`, which exits 3 on an unresolved anchor, `lmg
+spectrum --j 40 --gx 2 --gy 8`; `lmg zeros` at `--j 10 --gx 2 --gy 8
+--state 3`, at `--j 7 --gx 5 --gy 5 --state 4`, whose seniority zeros
+join pairon poles, and at `--j 7 --gx 2 --gy 8 --state 3`, an odd state
+with lone seniority poles; `lmg crossings --j 10`, whose full
+diagonalizations cover spin.diagonalize, `lmg pairons --j 40 --state 19`
+at gx = 3.74102 and 6.164669 on gx + gy = 10, where an unscaled
+companion solve misses the root residual check, and `lmg pairons --j 120
+--gx 0.25 --gy 9.75 --state 60` and `lmg pairons --j 140 --gx 2 --gy 8
+--state 100`, whose u-polynomials have roots so large that their powers
+overflow, so the root residual check takes them on the reversed
+polynomial; and `lmg pairons --j 40 --format json` on gx + gy = 10 at gx
+= 0.5 state 0, gx = 3.5 state 40 and gx = 9.5 state 80, whose meta
+carries the rebuilt state's fidelity and residual; and three commands
+whose |H| overflows, which are refused: `lmg spectrum --j 2 --gx 1.6e308
+--gy 1e307`, `lmg scan --j 2 --line-sum 1.7e308 --from 1e307 --to
+1.6e308 --steps 3` and `bcs spectrum --levels 0,1 --gamma 1e308 --n 4`;
+and two 200-step j = 10 scans, each one stack of
 spin.parity_eigenstates' one-block solve: `--line diagonal --from -9.95
 --to -0.05` (lam = 0), whose ground state is odd at 109 samples, and
 `--state 5` on gx + gy = 10, where the predicted sectors are mixed and
@@ -100,6 +101,8 @@ COMMANDS = (
         "--to", "-0.05", "--steps", "50"],
        ["lmg", "scan", "--j", "40", "--from", "0.05", "--to", "9.95",
         "--steps", "100", "--format", "json"],
+       ["lmg", "scan", "--j", "40", "--from", "0.05", "--to", "9.95",
+        "--steps", "16", "--state", "40"],
        ["lmg", "collapse", "--j", "10"],
        ["lmg", "collapse", "--j", "10", "--line", "diagonal"],
        ["lmg", "collapse", "--j", "10", "--line-sum", "12"],

@@ -31,7 +31,7 @@ from .phasespace import (ZeroSet, _binomial_sqrt, _exp, _linear_product,
                          strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint
 from .spin import (ModelParams, StateVector, _normalized_rows,
-                   eigen_residuals, gammas, hamiltonian_stack, max_row_sum,
+                   eigen_residuals, gammas, hamiltonian_bands, max_row_sum,
                    overflow_refusal, parity_eigenstates, singular_refusal)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
@@ -331,60 +331,61 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
     arrays lam and gam, and the refusal of each point where it, or its
     pairon map, is undefined: the one place where an lmg point is refused.
 
-    Returns (out, h, gamma, t, sectors): per point None, or the exception
-    that refuses it; the points' H (hamiltonian_stack), (gamma_x, gamma_y)
-    and t = sqrt|gx/gy|; and the parts of parity_eigenstates that hold a
-    live point, each (nu, rows, columns, energies) of parity sector nu (0
-    even, 1 odd): the indices of its live points, their eigenvectors in
-    the sector's basis (len(rows), j + 1 - nu) and their energies.  The
-    H are built, and their max row sums of |H| taken, once; a point whose
-    row sum is not finite keeps a zero H as a placeholder.  The H are
-    solved and ranked together by parity_eigenstates, so each point gets
-    the bits it gets alone; if that raises ConvergenceError, each point
-    is solved alone, and each live point gets an entry of its own.  A
-    point is refused with the first of: overflow_refusal where its row
-    sum is not finite (a coupling that is not finite, in ModelParams'
-    words, or H overflows), what its solve raises (ConvergenceError, or
-    ValueError for a state_index outside 0..2j), SingularParameterError
-    at gamma_y = 0 or gamma_x = 0, DegenerateStateError for a state
-    degenerate within its parity sector, and ValueError for a t that is
-    not finite and positive.  The refusals are vectorized masks; an
-    exception is built only for a point that is refused.  A message names
-    a point by names, the callers' (gamma_x, gamma_y) arrays where they
-    have them, else by its gamma; gamma, t and every other number are
-    taken from the couplings.
+    Returns (out, bands, gamma, t, sectors): per point None, or the
+    exception that refuses it; the bands (diag, off) of the points' H
+    (hamiltonian_bands), (gamma_x, gamma_y) and t = sqrt|gx/gy|; and the
+    parts of parity_eigenstates that hold a live point, each (nu, rows,
+    columns, energies) of parity sector nu (0 even, 1 odd): the indices
+    of its live points, their eigenvectors in the sector's basis
+    (len(rows), j + 1 - nu) and their energies.  The bands are built, and
+    their max row sums of |H| taken, once; no dense H is built.  A point
+    whose row sum is not finite keeps zero bands as a placeholder.  The
+    points are solved and ranked together by parity_eigenstates, so each
+    point gets the bits it gets alone; if that raises ConvergenceError,
+    each point is solved alone, and each live point gets an entry of its
+    own.  A point is refused with the first of: overflow_refusal where
+    its row sum is not finite (a coupling that is not finite, in
+    ModelParams' words, or H overflows), what its solve raises
+    (ConvergenceError, or ValueError for a state_index outside 0..2j),
+    SingularParameterError at gamma_y = 0 or gamma_x = 0,
+    DegenerateStateError for a state degenerate within its parity
+    sector, and ValueError for a t that is not finite and positive.  The
+    refusals are vectorized masks; an exception is built only for a
+    point that is refused.  A message names a point by names, the
+    callers' (gamma_x, gamma_y) arrays where they have them, else by its
+    gamma; gamma, t and every other number are taken from the couplings.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))
     # an entry or row sum that overflows is refused below; gamma_y = 0
     # gives an infinite or NaN t
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        h = hamiltonian_stack(j, eps, lam, gam)
+        diag, off = bands = hamiltonian_bands(j, eps, lam, gam)
         gamma_x, gamma_y = gammas(j, eps, lam, gam)
         t = np.sqrt(np.abs(gamma_x / gamma_y))
-        norm = max_row_sum(h)
+        norm = max_row_sum(diag, off)
     named_x, named_y = (gamma_x, gamma_y) if names is None else names
     overflow = ~(norm < math.inf)
-    out = [None] * len(h)
+    out = [None] * len(diag)
     for i in np.flatnonzero(overflow).tolist():
-        h[i] = 0.0
+        diag[i], off[i] = 0.0, 0.0
         out[i] = overflow_refusal(j, float(eps), float(lam[i]), float(gam[i]),
                                   (float(named_x[i]), float(named_y[i])))
     try:
-        degenerate, parts = parity_eigenstates(h, norm, state_index)
+        degenerate, parts = parity_eigenstates(diag, off, norm, state_index)
     except ValueError as exc:
-        return [r or exc for r in out], h, (gamma_x, gamma_y), t, []
+        return [r or exc for r in out], bands, (gamma_x, gamma_y), t, []
     except ConvergenceError as exc:
-        if len(h) == 1:
-            return [exc], h, (gamma_x, gamma_y), t, []
+        if len(diag) == 1:
+            return [exc], bands, (gamma_x, gamma_y), t, []
         out, sectors = [], []
-        for i in range(len(h)):
+        for i in range(len(diag)):
             (alone,), *_, found = solve_states(
                 j, eps, lam[i:i + 1], gam[i:i + 1], state_index,
                 names_of(names, slice(i, i + 1)))
             out.append(alone)
             sectors += [(nu, rows + i, *rest) for nu, rows, *rest in found]
-        return out, h, (gamma_x, gamma_y), t, sectors
+        return out, bands, (gamma_x, gamma_y), t, sectors
     # gamma_x = 0 gives t = 0 and gamma_y = 0 an infinite or NaN t
     live = ~overflow & ~degenerate & (0.0 < t) & (t < math.inf)
     for i in np.flatnonzero(~live).tolist():
@@ -400,7 +401,7 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
         keep = live[rows]
         if keep.any():
             sectors.append((nu, rows[keep], columns[keep], energies[keep]))
-    return out, h, (gamma_x, gamma_y), t, sectors
+    return out, bands, (gamma_x, gamma_y), t, sectors
 
 
 def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
@@ -432,7 +433,7 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
         return [result for part in parts for result in extract_stack(
             j, eps, lam[part], gam[part], state_index,
             names_of(names, part))]
-    out, h, (gamma_x, gamma_y), t, sectors = solve_states(
+    out, (diag, off), (gamma_x, gamma_y), t, sectors = solve_states(
         j, eps, lam, gam, state_index, names)
     named_x, named_y = (gamma_x, gamma_y) if names is None else names
     binom = _binomial_sqrt(2 * j)
@@ -447,7 +448,7 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
         coeffs[vanished, nu] = 1.0  # a placeholder; the row is refused
         recon, _ = _normalized_rows(coeffs)
         fid = fidelities(recon, unit).tolist()
-        res = eigen_residuals(h[rows], recon).tolist()
+        res = eigen_residuals(diag[rows], off[rows], recon).tolist()
         for k, (i, f, r) in enumerate(zip(rows.tolist(), fid, res)):
             x, y = float(gamma_x[i]), float(gamma_y[i])
             if refusals[k] is not None:

@@ -192,30 +192,46 @@ class StateVector:
 
 @dataclass(frozen=True)
 class HamiltonianMatrix:
-    """Dense symmetric matrix of H in the Dicke basis, with its parameters."""
+    """H in the Dicke basis, with its parameters: its bands (diag, off) of
+    hamiltonian_bands."""
 
     params: ModelParams
-    matrix: np.ndarray
+    diag: np.ndarray
+    off: np.ndarray
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense symmetric matrix, assembled from the bands when read."""
+        return dense_hamiltonian(self.diag, self.off)
 
     @property
     def norm(self) -> float:
         """Max row sum (induced infinity norm), used to scale tolerances.
         An H whose norm is not finite raises overflow_refusal."""
         with np.errstate(over="ignore", invalid="ignore"):
-            norm = float(max_row_sum(self.matrix))
+            norm = float(max_row_sum(self.diag, self.off))
         if not norm < math.inf:
             p = self.params
             raise overflow_refusal(p.j, p.eps, p.lam, p.gam)
         return norm
 
 
-def max_row_sum(matrices: np.ndarray) -> np.ndarray:
-    """Max row sum of |H| for each matrix of a stack (..., dim, dim)."""
-    return np.max(np.sum(np.abs(matrices), axis=-1), axis=-1)
+def max_row_sum(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """Max row sum of |H| of the bands of each point (hamiltonian_bands),
+    each row summed in one fixed order, (|H_kk| + |H_k,k-2|) + |H_k,k+2|.
+    Its rounding errors are those of two additions of non-negative terms,
+    so it lies within two ulps of np.abs(H).sum(-1).max(-1) of the dense
+    H, which sums the same three terms in numpy's pairwise order."""
+    rows, size = np.abs(diag), np.abs(off)
+    rows[..., 2:] += size
+    rows[..., :-2] += size
+    return rows.max(axis=-1)
 
 
-def hamiltonian_stack(j: int, eps, lam, gam) -> np.ndarray:
-    """The Dicke-basis matrices of H for arrays of couplings, (S, dim, dim).
+def hamiltonian_bands(j: int, eps, lam, gam) -> tuple[np.ndarray, np.ndarray]:
+    """The bands of H for arrays of couplings: its diagonal (S, dim),
+    <m|H|m> in column k = j + m, and its m+-2 band (S, dim - 2),
+    <m+2|H|m> = <m|H|m+2> in column k.
 
     eps, lam and gam broadcast to one shape (S,).  Each entry is computed
     with the same operations, in the same order, as a scalar formula:
@@ -228,27 +244,44 @@ def hamiltonian_stack(j: int, eps, lam, gam) -> np.ndarray:
     """
     eps, lam, gam = (x.astype(float)[:, None] for x in
                      np.broadcast_arrays(*np.atleast_1d(eps, lam, gam)))
-    dim = 2 * j + 1
-    k = np.arange(dim)
-    m = k - j
-    H = np.zeros((eps.shape[0], dim, dim))
-    H[:, k, k] = eps * m + gam * (j * (j + 1) - m * m)
-    k, m = k[:-2], m[:-2]
-    v = 0.5 * lam * np.sqrt(
-        ((j - m) * (j + m + 1) * (j - m - 1) * (j + m + 2)).astype(float))
-    H[:, k + 2, k] = v
-    H[:, k, k + 2] = v
-    return H
+    m = np.arange(2 * j + 1) - j
+    return eps * m + gam * (j * (j + 1) - m * m), 0.5 * lam * np.sqrt(
+        ((j - m) * (j + m + 1) * (j - m - 1) * (j + m + 2))[:-2].astype(float))
+
+
+def _banded(diag: np.ndarray, off: np.ndarray, step: int = 1) -> np.ndarray:
+    """The symmetric matrices (..., n, n) with diagonal diag (..., n), off
+    (..., n - step) on the diagonals +-step, and zeros elsewhere."""
+    k = np.arange(diag.shape[-1])
+    out = np.zeros(diag.shape + k.shape)
+    out[..., k, k] = diag
+    out[..., k[step:], k[:-step]] = out[..., k[:-step], k[step:]] = off
+    return out
+
+
+def dense_hamiltonian(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
+    """The dense H (..., dim, dim) of bands of hamiltonian_bands, built only
+    where a dense matrix is read: HamiltonianMatrix.matrix and
+    eigen_residuals."""
+    return _banded(diag, off, 2)
+
+
+def parity_block(diag: np.ndarray, off: np.ndarray, offset: int) -> np.ndarray:
+    """The tridiagonal blocks of sector offset (0 even, 1 odd) of bands
+    (..., dim): the entries of H[offset::2, offset::2], bit for bit."""
+    return _banded(diag[..., offset::2], off[..., offset::2])
 
 
 def build_hamiltonian(params: ModelParams) -> HamiltonianMatrix:
-    """The banded Dicke-basis matrix of one parameter point: the
-    one-sample case of hamiltonian_stack.  Entries that overflow are
-    left inf or NaN, and the norm refuses them."""
+    """The banded Dicke-basis H of one parameter point: the one-sample
+    case of hamiltonian_bands.  Entries that overflow are left inf or
+    NaN, and the norm refuses them."""
     with np.errstate(over="ignore", invalid="ignore"):
-        H = hamiltonian_stack(params.j, params.eps, params.lam, params.gam)[0]
-    H.setflags(write=False)
-    return HamiltonianMatrix(params=params, matrix=H)
+        diag, off = (b[0] for b in hamiltonian_bands(
+            params.j, params.eps, params.lam, params.gam))
+    diag.setflags(write=False)
+    off.setflags(write=False)
+    return HamiltonianMatrix(params=params, diag=diag, off=off)
 
 
 def split_parity(h: HamiltonianMatrix
@@ -259,10 +292,8 @@ def split_parity(h: HamiltonianMatrix
     block on 1, 3, 5, ...; the index maps give each block row's position
     in the full Dicke basis.
     """
-    dim = h.matrix.shape[0]
-    even_idx = np.arange(0, dim, 2)
-    odd_idx = np.arange(1, dim, 2)
-    return (h.matrix[0::2, 0::2], h.matrix[1::2, 1::2], (even_idx, odd_idx))
+    return (parity_block(h.diag, h.off, 0), parity_block(h.diag, h.off, 1),
+            tuple(np.arange(offset, len(h.diag), 2) for offset in (0, 1)))
 
 
 @dataclass(frozen=True)
@@ -314,10 +345,11 @@ EIGENVALUE_ERROR_C = 1e3
 
 # Stacks of at least this many rows, points times 2j+1, solve one parity
 # block per point (parity_eigenstates).  On a shared 2-core x86-64 host
-# (numpy 2.4.6, one BLAS thread) the one-block solve broke even with the
-# two-block one at about 75 points of j = 4 (675 rows), 22 of j = 10
-# (460), 7 of j = 20 (290) and 3 of j = 40 (240), and took 1.3-2.2 times
-# as long for a single point.
+# (numpy 2.4.6, one BLAS thread), with both solves building their blocks
+# from the bands, the one-block solve of the ground state broke even with
+# the two-block one at about 75 points of j = 4 (675 rows), 16 of j = 10
+# (340), 7 of j = 20 (290) and 2 of j = 40 (160), and took 1.25-1.9
+# times as long for a single point.
 ONE_BLOCK_MIN_ROWS = 640
 
 # Smallest pivot magnitude of _sturm_counts, on its scaled matrices
@@ -373,9 +405,11 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray,
     return np.count_nonzero(pivots < 0, axis=0).T
 
 
-def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
-    """The state of energy rank `index` of each H in a stack (S, dim, dim)
-    whose max row sums of |H| are norm (S,).
+def parity_eigenstates(diag, off, norm: np.ndarray, index: int) -> tuple:
+    """The state of energy rank `index` of each H of a stack, given by its
+    bands diag (S, dim) and off (S, dim - 2) (hamiltonian_bands), whose
+    max row sums of |H| are norm (S,).  Each parity block is built from
+    the bands (parity_block).
 
     Returns (degenerate, parts): per H the degenerate flag of its state;
     and a list of parts (offset, rows, columns, energies), each of the H
@@ -419,29 +453,27 @@ def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
     from A's gaps alone.  The one difference: a LAPACK failure of B,
     which is not solved, is not raised.
     """
-    dim = h.shape[-1]
-    if len(h) * dim < ONE_BLOCK_MIN_ROWS or not 0 <= index < dim:
-        return _two_block_states(h, norm, index)
-    k = np.arange(dim)
-    first = np.argsort(h[:, k, k], axis=1, kind="stable")[:, :index + 1] % 2
+    dim = diag.shape[-1]
+    if len(diag) * dim < ONE_BLOCK_MIN_ROWS or not 0 <= index < dim:
+        return _two_block_states(diag, off, norm, index)
+    first = np.argsort(diag, axis=1, kind="stable")[:, :index + 1] % 2
     predicted = first[:, index]
     col = np.count_nonzero(first[:, :index] == predicted[:, None], axis=1)
     delta = EIGENVALUE_ERROR_C * dim * np.finfo(float).eps * np.maximum(
         norm, 1.0)
-    degenerate = np.zeros(len(h), dtype=bool)
+    degenerate = np.zeros(len(diag), dtype=bool)
     parts = []
     for name, offset in PARITY_SECTORS:
         rows = np.flatnonzero(predicted == offset)
         if not rows.size:
             continue
-        w, v = parity_eigh(h[rows, offset::2, offset::2], name)
+        w, v = parity_eigh(parity_block(diag[rows], off[rows], offset), name)
         c = col[rows]
         at = w[np.arange(len(rows)), c]
         window = 4.0 * delta[rows]
         x = np.stack([at - window, at + window], axis=1)
-        other = k[1 - offset::2]
-        counts = _sturm_counts(h[rows[:, None], other, other],
-                               h[rows[:, None], other[1:], other[:-1]], x)
+        counts = _sturm_counts(diag[rows, 1 - offset::2],
+                               off[rows, 1 - offset::2], x)
         ok = ((counts == (index - c)[:, None]).all(axis=1)
               & np.isfinite(w).all(axis=1) & np.isfinite(x).all(axis=1))
         here, rest = np.flatnonzero(ok), np.flatnonzero(~ok)
@@ -455,22 +487,23 @@ def parity_eigenstates(h: np.ndarray, norm: np.ndarray, index: int) -> tuple:
         if rest.size:
             done = rows[rest]
             degenerate[done], more = _two_block_states(
-                h[done], norm[done], index, {offset: (w[rest], v[rest])})
+                diag[done], off[done], norm[done], index,
+                {offset: (w[rest], v[rest])})
             parts += [(o, done[r], columns, energies)
                       for o, r, columns, energies in more]
     return degenerate, parts
 
 
-def _two_block_states(h: np.ndarray, norm: np.ndarray, index: int,
-                      known: dict | None = None) -> tuple:
+def _two_block_states(diag: np.ndarray, off: np.ndarray, norm: np.ndarray,
+                      index: int, known: dict | None = None) -> tuple:
     """parity_eigenstates by both blocks' parity_eigh, stacked, ranked by
     rank_states.  known maps a sector offset to the values and vectors of
     its blocks where they are already solved."""
     known = known or {}
     solved = [known[offset] if offset in known
-              else parity_eigh(h[:, offset::2, offset::2], name)
+              else parity_eigh(parity_block(diag, off, offset), name)
               for name, offset in PARITY_SECTORS]
-    if not 0 <= index < h.shape[-1]:
+    if not 0 <= index < diag.shape[-1]:
         raise ValueError(f"state_index {index} out of range")
     sector, col, flags = (r[:, index] for r in rank_states(
         [w for w, _ in solved], DEGENERACY_RTOL * norm[:, None]))
@@ -485,7 +518,7 @@ def _two_block_states(h: np.ndarray, norm: np.ndarray, index: int,
 
 def _eigenpair(h: HamiltonianMatrix, rows, column: np.ndarray, energy,
                index: int, degenerate) -> EigenPair:
-    full = np.zeros(h.matrix.shape[0])
+    full = np.zeros(len(h.diag))
     full[rows] = column
     return EigenPair(energy=float(energy),
                      state=StateVector(j=h.params.j, coeffs=full),
@@ -503,7 +536,7 @@ def diagonalize(h: HamiltonianMatrix) -> list[EigenPair]:
     solve (HamiltonianMatrix.norm).
     """
     gap = DEGENERACY_RTOL * h.norm
-    solved = [parity_eigh(h.matrix[offset::2, offset::2], name)
+    solved = [parity_eigh(parity_block(h.diag, h.off, offset), name)
               for name, offset in PARITY_SECTORS]
     ranked = rank_states([w for w, _ in solved], gap)
     return [_eigenpair(h, slice(offset, None, 2), solved[offset][1][:, col],
@@ -519,7 +552,7 @@ def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:
     (HamiltonianMatrix.norm).
     """
     (flag,), [(offset, _, (column,), (energy,))] = parity_eigenstates(
-        h.matrix[None], np.array([h.norm]), index)
+        h.diag[None], h.off[None], np.array([h.norm]), index)
     return _eigenpair(h, slice(offset, None, 2), column, energy, index, flag)
 
 
@@ -530,14 +563,15 @@ def expectation(h: HamiltonianMatrix, state: StateVector) -> float:
 def eigen_residual(h: HamiltonianMatrix, state: StateVector) -> float:
     """|| H psi - <H> psi || / |H|, a scale-free eigenvector quality
     measure: the one-state case of eigen_residuals."""
-    return float(eigen_residuals(h.matrix[None], state.coeffs[None])[0])
+    return float(eigen_residuals(h.diag[None], h.off[None],
+                                 state.coeffs[None])[0])
 
 
-def eigen_residuals(matrices: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+def eigen_residuals(diag, off, coeffs: np.ndarray) -> np.ndarray:
     """eigen_residual of each unit state of a stack (R, dim) under the
-    matching H of a stack (R, dim, dim).  The products are stacked
-    np.matmul and the norms _norms, so each state gets the bits it gets
-    alone."""
-    hv = np.matmul(matrices, coeffs[:, :, None])[:, :, 0]
+    matching H of bands (R, dim) and (R, dim - 2), |H| their max_row_sum.
+    The products are stacked np.matmul by the dense H and the norms
+    _norms, so each state gets the bits it gets alone."""
+    hv = np.matmul(dense_hamiltonian(diag, off), coeffs[:, :, None])[:, :, 0]
     ev = np.matmul(np.conj(coeffs)[:, None, :], hv[:, :, None])[:, 0, 0].real
-    return _norms(hv - ev[:, None] * coeffs) / max_row_sum(matrices)
+    return _norms(hv - ev[:, None] * coeffs) / max_row_sum(diag, off)

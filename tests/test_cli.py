@@ -384,6 +384,19 @@ def test_collapse_extracts_no_pairons(capsys, monkeypatch):
     assert calls == []
 
 
+def test_collapse_builds_no_dense_hamiltonian(capsys, monkeypatch):
+    # the anchor profile, the Brent rounds, the total collapse and the
+    # zero patterns all solve from the bands of H
+    reference = run_lmg(capsys, "collapse", "--j", "6")
+
+    def refused(*args, **kwargs):
+        raise AssertionError("dense H built by lmg collapse")
+
+    monkeypatch.setattr(pairons.spin, "dense_hamiltonian", refused)
+    assert run_lmg(capsys, "collapse", "--j", "6") == reference
+    assert reference[0] == 0 and len(reference[1].splitlines()) > 1
+
+
 def test_float_cells_roundtrip(capsys):
     # 17 significant digits: parsing the text recovers the double exactly
     rc, out, _ = run_lmg(capsys, "spectrum", "--j", "1", "--gx", "1", "--gy", "-1")

@@ -15,7 +15,8 @@ SCRIPTS = os.path.join(os.path.dirname(os.path.dirname(
 
 @pytest.mark.parametrize("script, argv", [
     ("run_scan.py", ["--j", "4", "--steps", "400"]),
-    ("boson_demo.py", [])])
+    ("boson_demo.py", []),
+    ("boson_demo.py", ["--levels", "0", "1", "--n", "2"])])
 def test_script_runs(script, argv):
     _, env = module_cli()
     proc = subprocess.run([sys.executable, os.path.join(SCRIPTS, script),
@@ -57,7 +58,7 @@ def test_dump_outputs_runner():
     bad = dump.run(["lmg", "spectrum", "--j", "2", "--gx", "nan", "--gy", "1"])
     assert bad["exit"] == 2 and bad["stdout"] == ""
     assert "lam must be finite" in bad["stderr"]
-    assert len(dump.COMMANDS) == 164
+    assert len(dump.COMMANDS) == 165
 
 
 def test_dump_outputs_compare(tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -263,7 +265,8 @@ def test_stacked_eigen_residuals_are_each_alone(rng, j):
               for k, h in enumerate(matrices)]
     states[1] = StateVector(j=j, coeffs=rng.normal(size=2 * j + 1)
                             + 1j * rng.normal(size=2 * j + 1))
-    stacked = spin.eigen_residuals(np.stack([h.matrix for h in matrices]),
+    stacked = spin.eigen_residuals(np.stack([h.diag for h in matrices]),
+                                   np.stack([h.off for h in matrices]),
                                    np.stack([s.coeffs for s in states]))
     for h, state, r in zip(matrices, states, stacked.tolist()):
         hv = h.matrix @ state.coeffs
@@ -271,6 +274,48 @@ def test_stacked_eigen_residuals_are_each_alone(rng, j):
         ref = float(np.linalg.norm(hv - ev * state.coeffs) / h.norm)
         assert eigen_residual(h, state) == r == ref
     assert stacked[1] > 1e-3
+
+
+def test_bands_are_the_matrix_entries(rng):
+    # each point's diagonal and m+-2 band, stacked, are the scalar formula
+    # and the entries of its build_hamiltonian matrix, bit for bit, and
+    # that matrix has no other nonzeros
+    for j in (1, 2, 7, 40):
+        eps, lam, gam = rng.uniform(-3, 3, (3, 5))
+        diag, off = spin.hamiltonian_bands(j, eps, lam, gam)
+        for i in range(5):
+            p = ModelParams(j=j, eps=eps[i], lam=lam[i], gam=gam[i])
+            H = build_hamiltonian(p).matrix
+            m = list(range(-j, j + 1))
+            formula = [p.eps * x + p.gam * (j * (j + 1) - x * x) for x in m]
+            band = [0.5 * p.lam * math.sqrt(float(
+                (j - x) * (j + x + 1) * (j - x - 1) * (j + x + 2)))
+                for x in m[:-2]]
+            assert diag[i].tolist() == np.diagonal(H).tolist() == formula
+            assert (off[i].tolist() == np.diagonal(H, 2).tolist()
+                    == np.diagonal(H, -2).tolist() == band)
+            rest = H.copy()
+            for d in (0, 2, -2):
+                rest -= np.diag(np.diagonal(H, d), d)
+            assert not rest.any()
+
+
+@given(j=st.integers(1, 40),
+       couplings=st.tuples(*[st.floats(-1e300, 1e300)] * 3).filter(
+           lambda c: c[0] != 0))
+@settings(max_examples=200)
+def test_band_max_row_sum_is_the_dense_row_sum(j, couplings):
+    # the band sum (|H_kk| + |H_k,k-2|) + |H_k,k+2| against numpy's
+    # pairwise sum of the dense rows: two roundings of non-negative terms
+    # each, so within two ulps wherever both are finite
+    eps, lam, gam = couplings
+    with np.errstate(over="ignore", invalid="ignore"):
+        diag, off = spin.hamiltonian_bands(j, eps, lam, gam)
+        band = float(spin.max_row_sum(diag, off)[0])
+        dense = float(np.abs(spin.dense_hamiltonian(diag, off)).sum(-1)
+                      .max(-1)[0])
+    if math.isfinite(band) and math.isfinite(dense):
+        assert abs(band - dense) <= 2 * np.spacing(max(band, dense))
 
 
 @given(j=st.integers(1, 6), lam=st.floats(-3, 3), gam=st.floats(-3, 3))
@@ -346,10 +391,11 @@ def test_one_block_solve_is_the_two_block_solve(j, rank, line, ends, extra,
     gx = lo + (hi - lo) * np.linspace(*ends, points)
     gy = 10.0 - gx if line == "c10" else gx
     lam, gam = spin.couplings(j, gx * scale, gy * scale)
-    h = spin.hamiltonian_stack(j, 1.0, lam, gam)
-    norm = spin.max_row_sum(h)
-    assert _points(*spin.parity_eigenstates(h, norm, index)) == _points(
-        *_two_block_reference(h, norm, index))
+    diag, off = spin.hamiltonian_bands(j, 1.0, lam, gam)
+    norm = spin.max_row_sum(diag, off)
+    assert _points(*spin.parity_eigenstates(diag, off, norm, index)) == (
+        _points(*_two_block_reference(spin.dense_hamiltonian(diag, off),
+                                      norm, index)))
 
 
 # points of 300 on each line that take the two-block completion, per j,
@@ -368,19 +414,19 @@ _COMPLETED = {
 def test_one_block_solve_completes_as_many_points(monkeypatch, line, j):
     completed = []
 
-    def counted(h, *args):
-        completed.append(len(h))
-        return two_block(h, *args)
+    def counted(diag, *args):
+        completed.append(len(diag))
+        return two_block(diag, *args)
 
     two_block = spin._two_block_states
     monkeypatch.setattr(spin, "_two_block_states", counted)
     gx = np.linspace(*_LINES[line], 300)
     lam, gam = spin.couplings(j, gx, 10.0 - gx if line == "c10" else gx)
-    h = spin.hamiltonian_stack(j, 1.0, lam, gam)
+    diag, off = spin.hamiltonian_bands(j, 1.0, lam, gam)
     counts = []
     for index in (0, 1, 5, j, 2 * j):
         completed.clear()
-        spin.parity_eigenstates(h, spin.max_row_sum(h), index)
+        spin.parity_eigenstates(diag, off, spin.max_row_sum(diag, off), index)
         counts.append(sum(completed))
     assert counts == _COMPLETED[line][j]
 
