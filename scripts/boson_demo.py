@@ -19,7 +19,8 @@ import sys
 import numpy as np
 
 from pairons import (BosonModel, PaironsError, boson_eigenstate,
-                     ellipsoid_axes, extract_boson_pairons, verify_ellipsoid)
+                     boson_eigenstates, ellipsoid_axes, extract_boson_pairons,
+                     verify_ellipsoid)
 
 
 def fmt_pairon(e):
@@ -54,8 +55,7 @@ def main(argv=None):
     print(f"{'#':>3} {'energy':>12} {'seniority':>9} {'sum defect':>10} "
           f"{'1-fidelity':>10} {'axis mismatch':>13}  pairons")
     last = len(model.levels) - 1
-    for idx in range(model.dim):
-        st = boson_eigenstate(model, idx)
+    for idx, st in enumerate(boson_eigenstates(model)):
         label = (f"{idx:>3} {st.energy:12.6f} "
                  f"{''.join(map(str, st.seniority)):>9}")
         try:

@@ -26,7 +26,8 @@ from .collapse import (AnchorProfile, CollapseCandidate, CollapsePoint,
                        scan_trajectory, total_collapse,
                        total_collapse_candidates)
 from .bosonbcs import (BosonModel, BosonPaironSet, BosonState,
-                       boson_eigenstate, boson_husimi_amplitude,
+                       boson_eigenstate, boson_eigenstates,
+                       boson_husimi_amplitude,
                        build_bcs_hamiltonian, ellipsoid_axes,
                        extract_boson_pairons, fock_basis,
                        reconstruct_boson_state, verify_ellipsoid)

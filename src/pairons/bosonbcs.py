@@ -21,6 +21,7 @@ the pairons through e_a = 2 (eps_l* + eps_0 conj(w_a)) / (1 + conj(w_a)).
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations
@@ -313,19 +314,32 @@ def _ranked_state(model: BosonModel, spectrum, index: int) -> BosonState:
                       seniority=nu, degenerate=bool(flag))
 
 
+def boson_eigenstates(model: BosonModel,
+                      indices: Iterable[int] | None = None
+                      ) -> Iterator[BosonState]:
+    """The eigenstates at ranks `indices` in ascending energy (default:
+    every rank, in order), each labeled by its seniority (per-level
+    occupation parities), solving only their vectors: one eigvalsh per
+    sector ranks every state once (_ranked_spectrum), and _ranked_state
+    builds each state asked for.  Each sector is exactly conserved and
+    solved on its own, which keeps the labels sharp when different
+    sectors are accidentally degenerate; the `degenerate` flag marks
+    near-coincidence within the state's sector, where the eigenvector
+    itself is ill-defined.  An index outside 0..dim-1 raises ValueError
+    before any state is built."""
+    indices = range(model.dim) if indices is None else list(indices)
+    for index in indices:
+        if not 0 <= index < model.dim:
+            raise ValueError(f"state index {index} out of range")
+    spectrum = _ranked_spectrum(model)
+    for index in indices:
+        yield _ranked_state(model, spectrum, index)
+
+
 def boson_eigenstate(model: BosonModel, index: int) -> BosonState:
-    """The eigenstate at rank `index` in ascending energy, labeled by its
-    seniority (per-level occupation parities), solving only that one
-    vector: one eigvalsh per sector ranks every state (_ranked_spectrum),
-    and _ranked_state builds the one at rank `index`.  Each sector is
-    exactly conserved and solved on its own, which keeps the labels sharp
-    when different sectors are accidentally degenerate; the `degenerate`
-    flag marks near-coincidence within the state's sector, where the
-    eigenvector itself is ill-defined.  An index outside 0..dim-1 raises
-    ValueError."""
-    if not 0 <= index < model.dim:
-        raise ValueError(f"state index {index} out of range")
-    return _ranked_state(model, _ranked_spectrum(model), index)
+    """The eigenstate at rank `index`: the one-index case of
+    boson_eigenstates."""
+    return next(boson_eigenstates(model, [index]))
 
 
 def _amplitude_terms(state: BosonState, z: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import math
 import os
 import re
 import sys
-from itertools import islice
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -59,68 +59,34 @@ class UsageError(Exception):
 # Output
 # ---------------------------------------------------------------------------
 
-def _cell_format(value) -> str:
-    """The % conversion of one CSV cell: FLOAT_FMT for a float, %d for an
-    integer, %s (str) for anything else."""
-    if isinstance(value, float):
+def _code(kind: type) -> str:
+    """The % conversion of a CSV cell of a type: FLOAT_FMT for a float, %d
+    for an integer or bool, %s (str) for anything else."""
+    if issubclass(kind, float):
         return FLOAT_FMT
-    if isinstance(value, (int, np.integer)):
+    if issubclass(kind, (int, np.integer)):
         return "%d"
     return "%s"
 
 
 def _cell(value) -> str:
-    return _cell_format(value) % (value,)
+    return _code(type(value)) % (value,)
 
 
-# a character that makes csv quote the field that holds it
+# a character without which csv.writer leaves a field unquoted
 _CSV_QUOTED = re.compile('[,"\r\n]').search
 
 
-def _csv_text(columns: list[str], rows: list[list],
-              leads: list[list] | None = None) -> str:
-    """The CSV of a table, as csv.writer writes the _cell of each value.
-
-    With leads, the table comes in groups: rows[g] holds the rows of group
-    g, each of at least one cell, and every one of them follows the cells
-    of leads[g], which are formatted once per group.  Each row (or the
-    rest of it after its lead) is formatted by one % string, joined from
-    the _cell_format of its values and built once per sequence of value
-    types.  A row that csv would quote (a str value holding a comma,
-    quote, CR or LF, or a lone empty value) is written by csv.writer.
-    """
+def _csv_field(text: str, lone: bool) -> str:
+    """A field as csv.writer writes it, as the one field of its row (lone)
+    or beside others: a text with no comma, quote, CR or LF as it is, but
+    for the lone empty field, which csv quotes."""
+    if not (_CSV_QUOTED(text) or lone and not text):
+        return text
     buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
-    formats: dict[tuple, tuple[str, list[int]]] = {}
-
-    def template(cells) -> tuple[str, list[int]]:
-        kinds = tuple(map(type, cells))
-        if kinds not in formats:
-            codes = [_cell_format(v) for v in cells]
-            formats[kinds] = (",".join(codes),
-                              [k for k, c in enumerate(codes) if c == "%s"])
-        return formats[kinds]
-
-    def quoted(cells, text_cells) -> bool:
-        for k in text_cells:
-            if _CSV_QUOTED(str(cells[k])):
-                return True
-        return False
-
-    for lead, group in zip(leads, rows) if leads is not None else [([], rows)]:
-        line, text_cells = template(lead)
-        head = line % tuple(lead) + "," if lead else ""
-        lead_quoted = quoted(lead, text_cells)
-        for row in group:
-            line, text_cells = template(row)
-            if lead_quoted or text_cells and (
-                    quoted(row, text_cells)
-                    or not lead and line == "%s" and str(row[0]) == ""):
-                writer.writerow([_cell(v) for v in [*lead, *row]])
-            else:
-                buf.write(head + line % tuple(row) + "\n")
-    return buf.getvalue()
+    csv.writer(buf, lineterminator="\n").writerow(
+        [text] if lone else [text, ""])
+    return buf.getvalue()[:-1 if lone else -2]
 
 
 def _json_value(value) -> str:
@@ -147,25 +113,85 @@ def _json_value(value) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _emit(args, command: str, columns: list[str], rows: list[list],
+def _column(values: list, as_json: bool, lone: bool) -> tuple[str, list]:
+    """The % conversion of a table column and the values it converts,
+    which give each cell's text as csv.writer writes the _cell of the
+    value (lone: the column is its table's only one), or as _json_value.
+
+    A float column keeps FLOAT_FMT and an integer or bool one %d, except
+    that in JSON a non-finite float or a bool makes the column mixed.  A
+    str column (in JSON also a bool one) is converted once per distinct
+    value; a mixed one is first converted cell by cell, by _cell (then
+    as a str column) or _json_value."""
+    kinds = set(map(type, values))
+    codes = set(map(_code, kinds))
+    if codes == {FLOAT_FMT} and (not as_json
+                                 or all(map(math.isfinite, values))):
+        return FLOAT_FMT, values
+    if codes == {"%d"} and not (as_json and bool in kinds):
+        return "%d", values
+    if not kinds <= ({str, bool} if as_json else {str}):
+        if as_json:
+            return "%s", list(map(_json_value, values))
+        values = list(map(_cell, values))
+    text = {v: _json_value(v) if as_json else _csv_field(v, lone)
+            for v in set(values)}
+    if any(k != v for k, v in text.items()):
+        values = list(map(text.__getitem__, values))
+    return "%s", values
+
+
+def _rows_text(columns: list[list], as_json: bool, shared: list[list],
+               counts: list[int]) -> str:
+    """The rows of a table, as CSV lines or as JSON's array of rows, from
+    its columns (_column) by one % over the row's format repeated once per
+    row.
+
+    With shared columns, the rows come in groups of counts[g] rows, which
+    begin with the cells of the shared columns' values g, formatted once
+    per group; the columns hold the rest of each row.
+    """
+    sep = ", " if as_json else ","
+    # a group without rows prints none of its cells
+    shared = [list(compress(column, counts)) for column in shared]
+    counts = list(filter(None, counts))
+    lone = len(shared) + len(columns) == 1
+    cols = [_column(c, as_json, lone) for c in columns]
+    if shared:
+        lead = [_column(c, as_json, lone) for c in shared]
+        line = sep.join(code for code, _ in lead)
+        texts = [line % cells for cells in zip(*(v for _, v in lead))]
+        cols.insert(0, ("%s", list(chain.from_iterable(map(repeat, texts,
+                                                            counts)))))
+    row = sep.join(code for code, _ in cols)
+    n = len(cols[0][1])
+    flat = tuple(chain.from_iterable(zip(*(v for _, v in cols))))
+    if as_json:
+        return "[" + ", ".join([f"[{row}]"] * n) % flat + "]"
+    return (row + "\n") * n % flat
+
+
+def _emit(args, command: str, columns: dict[str, list],
           extra_meta: dict | None = None,
-          leads: list[list] | None = None) -> None:
-    """Write one table to --out or stdout, as CSV or JSON; with leads, the
-    rows come in groups that share their leading cells (_csv_text).  An
+          shared: dict[str, list] | None = None,
+          counts: list[int] = ()) -> None:
+    """Write one table, given by its columns, to --out or stdout, as CSV
+    or JSON.  With shared columns, first in the table, its rows come in
+    groups of counts[g] rows that share their values g (_rows_text).  An
     --out file that cannot be opened or written is a usage error."""
-    if args.format == "csv":
-        text = _csv_text(columns, rows, leads)
+    shared = shared or {}
+    names = [*shared, *columns]
+    as_json = args.format == "json"
+    rows = _rows_text(list(columns.values()), as_json, list(shared.values()),
+                      counts)
+    if not as_json:
+        text = ",".join(_csv_field(name, len(names) == 1)
+                        for name in names) + "\n" + rows
     else:
-        if leads is not None:
-            rows = [[*lead, *row] for lead, group in zip(leads, rows)
-                    for row in group]
-        config = {}
         skip = {"config", "out", "threads", "func", "command", "format",
                 "_fields", "_required"}
-        for key in sorted(vars(args)):
-            if key in skip:
-                continue
-            config[key.rstrip("_")] = getattr(args, key)
+        config = {key.rstrip("_"): getattr(args, key)
+                  for key in sorted(vars(args)) if key not in skip}
         meta = {
             "tool": "pairons",
             "version": __version__,
@@ -175,8 +201,8 @@ def _emit(args, command: str, columns: list[str], rows: list[list],
         }
         if extra_meta:
             meta.update(extra_meta)
-        doc = {"meta": meta, "columns": columns, "rows": rows}
-        text = _json_value(doc) + "\n"
+        text = (f'{{"meta": {_json_value(meta)}, '
+                f'"columns": {_json_value(names)}, "rows": {rows}}}\n')
     if not args.out:
         sys.stdout.write(text)
         return
@@ -319,6 +345,11 @@ def _resolve(args: argparse.Namespace) -> None:
             raise UsageError(f"bad value for {name}: {exc}") from None
 
 
+def _table(names: list[str], rows: list[list]) -> dict[str, list]:
+    """The columns of a table of rows, by name."""
+    return {name: [row[k] for row in rows] for k, name in enumerate(names)}
+
+
 def _built(factory, **kwargs):
     """factory(**kwargs), with the ValueError of a bad parameter raised as
     a UsageError."""
@@ -382,8 +413,8 @@ def _cmd_lmg_spectrum(args) -> int:
     pairs = diagonalize(build_hamiltonian(params))
     rows = [[p.index, p.energy, p.state.parity, int(p.degenerate)]
             for p in pairs]
-    _emit(args, "lmg spectrum", ["index", "energy", "parity", "degenerate"],
-          rows)
+    _emit(args, "lmg spectrum",
+          _table(["index", "energy", "parity", "degenerate"], rows))
     return EXIT_OK
 
 
@@ -395,7 +426,7 @@ def _cmd_lmg_point(command: str, columns: list[str], rows_of, args) -> int:
     _check_state_index(args.state, 2 * args.j + 1)
     pairons, diag = extract_pairons(params, state_index=args.state)
     _map_recheck(pairons)
-    _emit(args, command, columns, rows_of(pairons), extra_meta={
+    _emit(args, command, _table(columns, rows_of(pairons)), extra_meta={
         "t": diag.t,
         "energy": diag.energy,
         "nu": pairons.nu,
@@ -405,38 +436,13 @@ def _cmd_lmg_point(command: str, columns: list[str], rows_of, args) -> int:
     return EXIT_OK
 
 
-SCAN_COLUMNS = ["gx", "gy", "t", "state_index", "energy", "alpha", "re_e",
-                "im_e", "theta", "phi", "multiplicity", "branch_id", "flags"]
-
-
-def _scan_rows(table) -> tuple[list[list], list[list[tuple]]]:
-    """The rows of a ScanTable in groups, one per sample: the sample's
-    cells (gx, gy, t, state_index, energy) and the rest of the row of
-    each of its pairons (alpha, re_e, im_e, theta, phi, multiplicity,
-    branch_id, flags), taken from the table's columns."""
-    live = table.live
-    sample, alpha = np.nonzero(live)
-    pairons, flags, nu = table.pairons[live], table.flags, table.nu.tolist()
-    rows = iter(zip(
-        alpha.tolist(), pairons.real.tolist(), pairons.imag.tolist(),
-        *angle_columns(table.sites[live].tolist()),
-        table.multiplicity[live].tolist(), table.branch[live].tolist(),
-        [_flag_text(flags[s], nu[s], pole)
-         for s, pole in zip(sample.tolist(), table.pole[live].tolist())]))
-    leads = [[gx, gy, t, table.spec.state_index, energy]
-             for gx, gy, t, energy in zip(
-                 table.gamma_x.tolist(), table.gamma_y.tolist(),
-                 table.t.tolist(), table.energy.tolist())]
-    return leads, [list(islice(rows, n)) for n in live.sum(axis=1).tolist()]
-
-
 @functools.cache
-def _flag_text(flags: tuple[str, ...], seniority: int, pole: bool) -> str:
-    """The flags cell of a scan record: its set's flags, with "seniority"
-    on a sample of nonzero seniority and "pole" at a pole, sorted and
-    joined by ";"."""
-    extra = ("seniority",) * bool(seniority) + ("pole",) * pole
-    return ";".join(sorted({*flags, *extra}))
+def _flag_texts(flags: tuple[str, ...], seniority: int) -> tuple[str, str]:
+    """The flags cells of a scan sample's records, away from a pole and
+    at one: its set's flags, with "seniority" on a sample of nonzero
+    seniority and "pole" at a pole, sorted and joined by ";"."""
+    base = {*flags, *("seniority",) * bool(seniority)}
+    return ";".join(sorted(base)), ";".join(sorted({*base, "pole"}))
 
 
 def _cmd_lmg_scan(args) -> int:
@@ -447,8 +453,30 @@ def _cmd_lmg_scan(args) -> int:
     table = scan_trajectory(spec)
     for gx, reason in table.failures:
         print(f"skipped gx={gx:.6g}: {reason}", file=sys.stderr)
-    leads, groups = _scan_rows(table)
-    _emit(args, "lmg scan", SCAN_COLUMNS, groups, leads=leads)
+    # the rows come in one group per sample: its cells, then one row of
+    # each of its pairons, straight from the table's columns
+    live = table.live
+    sample, alpha = np.nonzero(live)
+    pairons, nu = table.pairons[live], table.nu.tolist()
+    theta, phi = angle_columns(table.sites[live].tolist())
+    flags = np.array([_flag_texts(f, n) for f, n in zip(table.flags, nu)],
+                     dtype=object).reshape(-1, 2)
+    _emit(args, "lmg scan", {
+        "alpha": alpha.tolist(),
+        "re_e": pairons.real.tolist(),
+        "im_e": pairons.imag.tolist(),
+        "theta": theta,
+        "phi": phi,
+        "multiplicity": table.multiplicity[live].tolist(),
+        "branch_id": table.branch[live].tolist(),
+        "flags": flags[sample, table.pole[live].astype(int)].tolist(),
+    }, shared={
+        "gx": table.gamma_x.tolist(),
+        "gy": table.gamma_y.tolist(),
+        "t": table.t.tolist(),
+        "state_index": [spec.state_index] * len(nu),
+        "energy": table.energy.tolist(),
+    }, counts=live.sum(axis=1).tolist())
     return EXIT_OK
 
 
@@ -480,9 +508,9 @@ def _cmd_lmg_collapse(args) -> int:
              r.candidate.anchor_value, "+".join(map(str, r.pattern)),
              int(r.pattern_ok)]
             for r in collapse_rows(spec, found)]
-    _emit(args, "lmg collapse",
-          ["k", "branch", "gx_analytic", "gx_detected", "delta",
-           "anchor_value", "pattern", "pattern_ok"], rows)
+    _emit(args, "lmg collapse", _table(
+        ["k", "branch", "gx_analytic", "gx_detected", "delta",
+         "anchor_value", "pattern", "pattern_ok"], rows))
     return EXIT_OK
 
 
@@ -502,7 +530,7 @@ def _cmd_lmg_crossings(args) -> int:
         pair_text = "|".join(f"{m}:{mp}" for m, mp in cp.pairs)
         rows.append([cp.k, cp.gamma_x, pair_text, gap, int(ok)])
     _emit(args, "lmg crossings",
-          ["k", "gx", "pairs", "min_gap", "verified"], rows)
+          _table(["k", "gx", "pairs", "min_gap", "verified"], rows))
     if not all_ok:
         print("numerical failure: a predicted crossing was not degenerate",
               file=sys.stderr)
@@ -520,8 +548,8 @@ def _cmd_bcs_spectrum(args) -> int:
     blocks, _, values, ranks = _ranked_spectrum(model)
     rows = [[i, float(values[s][c]), "".join(map(str, blocks[s][0])), int(f)]
             for i, (s, c, f) in enumerate(zip(*ranks))]
-    _emit(args, "bcs spectrum", ["index", "energy", "seniority", "degenerate"],
-          rows)
+    _emit(args, "bcs spectrum",
+          _table(["index", "energy", "seniority", "degenerate"], rows))
     return EXIT_OK
 
 
@@ -540,8 +568,8 @@ def _cmd_bcs_pairons(args) -> int:
     # a certified set has no pairon at infinity, so no flag
     rows = [[alpha, e.real, e.imag, ""]
             for alpha, e in enumerate(pairons.energies)]
-    _emit(args, "bcs pairons", ["alpha", "re_e", "im_e", "flags"], rows,
-          extra_meta={
+    _emit(args, "bcs pairons",
+          _table(["alpha", "re_e", "im_e", "flags"], rows), extra_meta={
               "energy": state.energy,
               "seniority": list(state.seniority),
               "energy_sum": pairons.energy_sum,
@@ -565,9 +593,9 @@ def _cmd_bcs_ellipsoid(args) -> int:
         for axis, xi2 in enumerate(axes, start=1):
             rows.append([alpha, e.real, e.imag, axis,
                          complex(xi2).real, complex(xi2).imag, residual])
-    _emit(args, "bcs ellipsoid",
-          ["alpha", "re_e", "im_e", "axis", "re_xi2", "im_xi2",
-           "max_residual"], rows)
+    _emit(args, "bcs ellipsoid", _table(
+        ["alpha", "re_e", "im_e", "axis", "re_xi2", "im_xi2",
+         "max_residual"], rows))
     return EXIT_OK
 
 

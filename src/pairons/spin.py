@@ -11,6 +11,7 @@ Control parameters:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -228,6 +229,20 @@ def max_row_sum(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
     return rows.max(axis=-1)
 
 
+@functools.cache
+def _band_factors(j: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The integer factors of the bands of H at j, computed once per j and
+    returned read-only: m = -j..j, j(j+1) - m^2, and the off-band's
+    sqrt((j-m)(j+m+1)(j-m-1)(j+m+2)) for m = -j..j-2, one rounding each
+    from the exact integer."""
+    m = np.arange(2 * j + 1) - j
+    off = ((j - m) * (j + m + 1) * (j - m - 1) * (j + m + 2))[:-2]
+    factors = (m, j * (j + 1) - m * m, np.sqrt(off.astype(float)))
+    for factor in factors:
+        factor.setflags(write=False)
+    return factors
+
+
 def hamiltonian_bands(j: int, eps, lam, gam) -> tuple[np.ndarray, np.ndarray]:
     """The bands of H for arrays of couplings: its diagonal (S, dim),
     <m|H|m> in column k = j + m, and its m+-2 band (S, dim - 2),
@@ -239,14 +254,13 @@ def hamiltonian_bands(j: int, eps, lam, gam) -> tuple[np.ndarray, np.ndarray]:
         Diagonal:   <m|H|m>   = eps*m + gam*(j(j+1) - m^2)
         Off-band:   <m+2|H|m> = (lam/2) * sqrt((j-m)(j+m+1)(j-m-1)(j+m+2))
 
-    with the integer factors exact, so every sample gets the bits that
-    build_hamiltonian gives it alone.
+    with the integer factors exact (_band_factors, once per j), so every
+    sample gets the bits that build_hamiltonian gives it alone.
     """
     eps, lam, gam = (x.astype(float)[:, None] for x in
                      np.broadcast_arrays(*np.atleast_1d(eps, lam, gam)))
-    m = np.arange(2 * j + 1) - j
-    return eps * m + gam * (j * (j + 1) - m * m), 0.5 * lam * np.sqrt(
-        ((j - m) * (j + m + 1) * (j - m - 1) * (j + m + 2))[:-2].astype(float))
+    m, quadratic, root = _band_factors(j)
+    return eps * m + gam * quadratic, 0.5 * lam * root
 
 
 def _banded(diag: np.ndarray, off: np.ndarray, step: int = 1) -> np.ndarray:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 
 from pairons import (BosonModel, ModelParams, StateVector,
-                     boson_eigenstate, build_hamiltonian, collapse_points,
+                     boson_eigenstates, build_hamiltonian, collapse_points,
                      crossing_points, diagonalize, extract_boson_pairons,
                      extract_pairons, husimi_quadrature, majorana_poly,
                      poly_roots, verify_ellipsoid)
@@ -143,8 +143,7 @@ def test_criterion_7_bosonic_model():
     checked = 0
     for gamma in (-0.5, 0.5):
         model = BosonModel(levels=(0.0, 0.5, 1.0), gamma=gamma, n_bosons=6)
-        for index in range(model.dim):
-            st = boson_eigenstate(model, index)
+        for st in boson_eigenstates(model):
             if st.degenerate:
                 continue
             ps = extract_boson_pairons(st, axis=1)

@@ -9,9 +9,10 @@ from numpy.testing import assert_allclose
 
 from pairons import (BosonModel, BosonState, DegenerateStateError,
                      InconsistentPaironsError, boson_eigenstate,
-                     boson_husimi_amplitude, build_bcs_hamiltonian,
-                     ellipsoid_axes, extract_boson_pairons, fidelity,
-                     fock_basis, reconstruct_boson_state, verify_ellipsoid)
+                     boson_eigenstates, boson_husimi_amplitude,
+                     build_bcs_hamiltonian, ellipsoid_axes,
+                     extract_boson_pairons, fidelity, fock_basis,
+                     reconstruct_boson_state, verify_ellipsoid)
 from pairons.bosonbcs import (_ranked_spectrum, _ranked_state, _richardson,
                               _sectors, axis_slice_coefficients)
 from pairons.spin import DEGENERACY_RTOL, EIGENVALUE_ERROR_C
@@ -28,11 +29,8 @@ SECTOR_MODELS = SMALL_MODELS + [((0.0, 0.5, 1.0, 1.5), -0.5, 12),
 
 
 def _states(model):
-    """Every state of model in rank order, each built as
-    boson_eigenstate(model, i) builds it, from one ranking: boson_eigenstate
-    ranks the whole spectrum anew on each call."""
-    spectrum = _ranked_spectrum(model)
-    return [_ranked_state(model, spectrum, i) for i in range(model.dim)]
+    """Every state of model in rank order, from one ranking."""
+    return list(boson_eigenstates(model))
 
 
 def test_fock_basis_counts():
@@ -337,6 +335,34 @@ def test_boson_eigenstate_solves_few_sectors(monkeypatch, gamma):
             made.clear()
         assert _same_state(boson_eigenstate(model, s), states[s])
         assert calls == {"eigh": [], "eigvalsh": sizes}
+
+
+def test_boson_eigenstates_rank_once(monkeypatch):
+    # a walk over any ranks runs one eigvalsh per sector, and builds each
+    # state as boson_eigenstate builds it; a bad rank raises before any
+    # solve
+    model = BosonModel(levels=(0.0, 0.5, 1.0, 1.5), gamma=-0.5, n_bosons=8)
+    ranks = [7, 0, 7, model.dim - 1]
+    reference = [boson_eigenstate(model, s) for s in ranks]
+    sizes = [len(idx) for _, idx, _ in _sectors(model)[0]]
+    calls = []
+    solver = np.linalg.eigvalsh
+
+    def counted(a, *args, **kwargs):
+        calls.append(len(a))
+        return solver(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    states = list(boson_eigenstates(model, ranks))
+    assert calls == sizes
+    assert all(_same_state(a, b) for a, b in zip(states, reference))
+    calls.clear()
+    assert len(list(boson_eigenstates(model))) == model.dim
+    assert calls == sizes
+    calls.clear()
+    with pytest.raises(ValueError, match="out of range"):
+        next(boson_eigenstates(model, [0, model.dim]))
+    assert calls == []
 
 
 def test_zero_coupling_vectors_are_exact_basis_states():

@@ -1,12 +1,17 @@
+import contextlib
 import csv
 import importlib.metadata
 import io
 import json
 import subprocess
+from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import pairons
 import pairons.bosonbcs
 import pairons.cli
 import pairons.collapse
@@ -414,6 +419,30 @@ def _csv_writer_text(columns, rows):
     return buf.getvalue()
 
 
+def _json_rows_text(columns, rows):
+    """The JSON of a table as the per-cell rules of _json_value write it,
+    with the meta _emit gives a namespace that holds only its output
+    settings."""
+    meta = {"tool": "pairons", "version": pairons.__version__,
+            "command": "table", "seed": 0, "config": {}}
+    return pairons.cli._json_value(
+        {"meta": meta, "columns": columns, "rows": rows}) + "\n"
+
+
+def _emitted(fmt, columns, shared=None, counts=()):
+    """The text _emit writes for a table of columns, as CSV or JSON."""
+    args = SimpleNamespace(format=fmt, out=None)
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        pairons.cli._emit(args, "table", columns, shared=shared,
+                          counts=counts)
+    return out.getvalue()
+
+
+def _by_column(rows):
+    """The columns c0, c1, ... of rectangular rows."""
+    return {f"c{k}": [row[k] for row in rows] for k in range(len(rows[0]))}
+
+
 CSV_CELLS = [1.5, float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
              5e-324, np.float64(0.1), np.float64("nan"), np.int64(-3),
              np.int64(2 ** 62), 7, True, False, np.bool_(True), "", "a",
@@ -424,16 +453,15 @@ CSV_CELLS = [1.5, float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
 @pytest.mark.parametrize("rows", [
     [CSV_CELLS],
     [[v] for v in CSV_CELLS],
-    [[""], [], [""] * 3, ["", 1.0], [1.0, ""], ["x", ",", "y"]],
+    [["", "", ""], ["", 1.0, ""], [1.0, "", ","], ["x", ",", "y"]],
     [[float(k) / 3, k, "seniority" if k % 2 else ""] for k in range(50)],
 ], ids=["one-row", "one-column", "empty-cells", "mixed-types"])
 def test_csv_rows_are_csv_writer_bytes(rows):
-    # the %-formatted rows equal csv.writer over _cell, byte for byte,
-    # including the rows csv quotes and a lone empty cell, which csv
-    # writes as ""
-    columns = [f"c{k}" for k in range(max(len(r) for r in rows))]
-    assert (pairons.cli._csv_text(columns, rows)
-            == _csv_writer_text(columns, rows))
+    # the table written from its columns equals csv.writer over _cell of
+    # its rows, byte for byte, including the cells csv quotes and a lone
+    # empty cell, which csv writes as ""
+    columns = _by_column(rows)
+    assert _emitted("csv", columns) == _csv_writer_text(list(columns), rows)
 
 
 @pytest.mark.parametrize("lead", [[0.5, 3], ["a,b", 1.0], [""], [1.0, "x"]],
@@ -441,13 +469,70 @@ def test_csv_rows_are_csv_writer_bytes(rows):
 def test_grouped_csv_rows_are_csv_writer_bytes(lead):
     # rows given behind shared leading cells are the full rows' bytes,
     # with a quoted cell in the lead or in the rest of a row
-    tails = [[v] for v in CSV_CELLS] + [CSV_CELLS, [1.0, "c\rd"]]
-    leads, groups = [lead, [2.0, 7]], [tails, tails[:3]]
+    tails = [[v, 1.0] for v in CSV_CELLS] + [[1.0, "c\rd"]]
+    leads, groups = [lead, [2.0, 7][:len(lead)]], [tails, tails[:3]]
     rows = [head + tail for head, group in zip(leads, groups)
             for tail in group]
-    columns = [f"c{k}" for k in range(max(len(r) for r in rows))]
-    assert (pairons.cli._csv_text(columns, groups, leads)
-            == _csv_writer_text(columns, rows))
+    shared = {f"s{k}": [head[k] for head in leads] for k in range(len(lead))}
+    columns = _by_column([tail for group in groups for tail in group])
+    assert (_emitted("csv", columns, shared, [len(g) for g in groups])
+            == _csv_writer_text([*shared, *columns], rows))
+
+
+def _cells(kind):
+    """Cells of one column kind: floats, integers (bools among them), str,
+    or any of CSV_CELLS, which makes mixed columns."""
+    return {
+        "float": st.floats() | st.sampled_from(
+            [-0.0, 5e-324, float("nan"), float("inf"), float("-inf"),
+             np.float64(0.1), np.float64("-inf")]),
+        "int": st.integers(-2 ** 63, 2 ** 63 - 1) | st.sampled_from(
+            [np.int64(-3), np.int32(5), True, False]),
+        "str": st.text(alphabet="ab ,\"\r\n%;", max_size=3),
+        "mixed": st.sampled_from(CSV_CELLS),
+    }[kind]
+
+
+@st.composite
+def _tables(draw):
+    """A table of columns c0.., maybe behind shared columns s0.. of one
+    value per group of rows, and its full rows."""
+    kinds = ["float", "int", "str", "mixed"]
+    n_shared = draw(st.integers(0, 2))
+    counts = draw(st.lists(st.integers(0, 3), max_size=4)) if n_shared else []
+    width = draw(st.integers(0 if n_shared else 1, 3))
+    n_rows = sum(counts) if n_shared else draw(st.integers(0, 6))
+    shared = {f"s{k}": draw(st.lists(_cells(draw(st.sampled_from(kinds))),
+                                     min_size=len(counts),
+                                     max_size=len(counts)))
+              for k in range(n_shared)}
+    columns = {f"c{k}": draw(st.lists(_cells(draw(st.sampled_from(kinds))),
+                                      min_size=n_rows, max_size=n_rows))
+               for k in range(width)}
+    heads = [head for head, n in zip(zip(*shared.values()), counts)
+             for _ in range(n)] if n_shared else [()] * n_rows
+    tails = list(zip(*columns.values())) if width else [()] * n_rows
+    rows = [[*head, *tail] for head, tail in zip(heads, tails)]
+    return columns, shared, counts, rows
+
+
+@given(table=_tables())
+@settings(max_examples=300)
+def test_table_text_is_the_row_writers(table):
+    # the column writer against reference row writers: csv.writer over
+    # _cell, and _json_value's per-cell rules, byte for byte; where the
+    # JSON rules refuse a cell (np.bool_), so does the writer
+    columns, shared, counts, rows = table
+    names = [*shared, *columns]
+    assert (_emitted("csv", columns, shared, counts)
+            == _csv_writer_text(names, rows))
+    try:
+        expected = _json_rows_text(names, rows)
+    except TypeError:
+        with pytest.raises(TypeError):
+            _emitted("json", columns, shared, counts)
+    else:
+        assert _emitted("json", columns, shared, counts) == expected
 
 
 def test_json_meta_and_rows(capsys):

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from scipy.optimize import brentq, linear_sum_assignment
 
 import pairons
+import pairons.cli
 from pairons import (ConvergenceError, DegenerateStateError, ModelParams,
                      PaironsError, SingularParameterError, TrajectorySpec,
                      UnresolvedAnchorError, anchor_profile, anchor_value,
@@ -1052,7 +1053,7 @@ def test_scan_is_one_stacked_extraction_per_chunk(monkeypatch, budget,
         1 if budget is None else 2) * 200
 
 
-def test_scan_builds_no_sphere_points(monkeypatch):
+def test_scan_builds_no_sphere_points(monkeypatch, capsys):
     # the sites stay complex columns from the extraction to the table and
     # to the rows of lmg scan: no SpherePoint is built on the way
     spec = TrajectorySpec(j=10, line="sum", line_sum=10.0, start=0.05,
@@ -1066,8 +1067,11 @@ def test_scan_builds_no_sphere_points(monkeypatch):
     table = scan_trajectory(spec)
     assert len(table.gamma_x) == 200
     assert _table_bits(table) == reference
-    leads, groups = pairons.cli._scan_rows(table)
-    assert len(leads) == len(groups) == 200
+    assert pairons.cli.lmg_main(
+        ["scan", "--j", "10", "--from", "0.05", "--to", "9.95", "--steps",
+         "200"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert len({row.split(",")[0] for row in rows}) == 200
 
 
 def test_scan_builds_no_per_sample_objects(monkeypatch):
