@@ -49,7 +49,10 @@ companion solve misses the root residual check, and `lmg pairons --j 120
 --gx 0.25 --gy 9.75 --state 60` and `lmg pairons --j 140 --gx 2 --gy 8
 --state 100`, whose u-polynomials have roots so large that their powers
 overflow, so the root residual check takes them on the reversed
-polynomial; and `lmg pairons --j 40 --format json` on gx + gy = 10 at gx
+polynomial, and `lmg pairons --j 330 --gx 2 --gy 8 --state 0`, a single
+point of 661 rows, which takes the one-block solve and so does not read
+ModelParams.parity_solutions; and `lmg pairons --j 40 --format json` on
+gx + gy = 10 at gx
 = 0.5 state 0, gx = 3.5 state 40 and gx = 9.5 state 80, whose meta
 carries the rebuilt state's fidelity and residual; and three commands
 whose |H| overflows, which are refused: `lmg spectrum --j 2 --gx 1.6e308
@@ -121,7 +124,8 @@ COMMANDS = (
        for gx, gy in (("3.74102", "6.25898"), ("6.164669", "3.835331"))]
     + [["lmg", "pairons", "--j", j, "--gx", gx, "--gy", gy, "--state", s]
        for j, gx, gy, s in (("120", "0.25", "9.75", "60"),
-                            ("140", "2", "8", "100"))]
+                            ("140", "2", "8", "100"),
+                            ("330", "2", "8", "0"))]
     + [["lmg", "pairons", "--j", "40", "--gx", gx, "--gy", gy, "--state", s,
         "--format", "json"]
        for gx, gy, s in (("0.5", "9.5", "0"), ("3.5", "6.5", "40"),

@@ -173,8 +173,9 @@ class ScanTable:
     of each row hold the sample's pairons (the mask live): the pairons;
     the emitted site, the member of its +- zero pair that continues its
     branch (_align_branch_signs), complex with sphere.INFINITY for the
-    point at infinity; its multiplicity, the zeros of the sample's
-    pairons at exactly that site, two per pairon; the branch id
+    point at infinity; its multiplicity, the zeros of the sample's state
+    at exactly that site, as zero_sites counts them: two per pairon, and
+    at a pole one more where nu = 1 (its seniority zero); the branch id
     (_assign_branches), -1 past the live columns; and whether the site is
     a pole (0 or infinity), False past the live columns.
     """
@@ -206,8 +207,10 @@ def _sample_columns(sets: list[PaironSet]) -> tuple[np.ndarray, ...]:
 
     The pairons of all sets sit in one array, padded to the longest set.
     Their canonical sites come from one pairon_sites call; a site's
-    multiplicity counts the zeros of the pairons of its set at exactly
-    that site, two per pairon.  _assign_branches gives the branch ids
+    multiplicity counts the zeros of its set at exactly that site, as
+    paironmap.zero_sites does: two per pairon, and at a pole (0 or
+    infinity) the seniority zero a nu = 1 set puts on each pole.
+    _assign_branches gives the branch ids
     and _align_branch_signs the member of each site's +- pair that is
     emitted.
     """
@@ -217,10 +220,11 @@ def _sample_columns(sets: list[PaironSet]) -> tuple[np.ndarray, ...]:
     energies[live] = [e for p in sets for e in p.energies]
     z = pairon_sites(energies, np.array([p.t for p in sets])[:, None])
     same = z[:, :, None] == z[:, None, :]
-    mult = 2 * np.sum(same & live[:, None, :], axis=2)
+    pole = live & ((z == 0) | np.isinf(z))
+    nu = np.array([p.nu for p in sets], dtype=int)[:, None]
+    mult = 2 * np.sum(same & live[:, None, :], axis=2) + pole * nu
     branch, source = _assign_branches(energies, counts)
     flip = _align_branch_signs(z, source)
-    pole = live & ((z == 0) | np.isinf(z))
     return energies, np.where(flip, -z, z), mult, branch, pole
 
 

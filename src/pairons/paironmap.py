@@ -300,10 +300,14 @@ def extract_pairons(params: ModelParams, state_index: int = 0
     carry no invariant meaning), the singular parameter loci
     gamma_x = 0 / gamma_y = 0, and pairon sets whose rebuilt state fails
     its fidelity or eigen-residual check (InconsistentPaironsError).  The
-    one-point case of extract_stack.
+    one-point case of extract_stack.  The point's parity blocks are
+    solved once per ModelParams (ModelParams.parity_solutions, below
+    spin.ONE_BLOCK_MIN_ROWS rows, j < 320), so the states of one params
+    share one solve: at j = 40 the 81 states of a point make 2 parity_eigh
+    calls, not 162.
     """
     return _raised(extract_stack(params.j, params.eps, [params.lam],
-                                 [params.gam], state_index)[0])
+                                 [params.gam], state_index, point=params)[0])
 
 
 def stack_slices(j: int, count: int) -> list[slice]:
@@ -326,7 +330,7 @@ def names_of(names, part) -> tuple | None:
 
 
 def solve_states(j: int, eps: float, lam, gam, state_index: int,
-                 names=None) -> tuple:
+                 names=None, point: ModelParams | None = None) -> tuple:
     """The state of energy rank state_index at each point of the coupling
     arrays lam and gam, and the refusal of each point where it, or its
     pairon map, is undefined: the one place where an lmg point is refused.
@@ -354,6 +358,9 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
     point that is refused.  A message names a point by names, the
     callers' (gamma_x, gamma_y) arrays where they have them, else by its
     gamma; gamma, t and every other number are taken from the couplings.
+    point is the ModelParams of a one-point call, or None: once an
+    overflowing point is refused, a finite one's solve may read its
+    parity_solutions (parity_eigenstates).
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))
@@ -372,7 +379,8 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
         out[i] = overflow_refusal(j, float(eps), float(lam[i]), float(gam[i]),
                                   (float(named_x[i]), float(named_y[i])))
     try:
-        degenerate, parts = parity_eigenstates(diag, off, norm, state_index)
+        degenerate, parts = parity_eigenstates(
+            diag, off, norm, state_index, None if overflow.any() else point)
     except ValueError as exc:
         return [r or exc for r in out], bands, (gamma_x, gamma_y), t, []
     except ConvergenceError as exc:
@@ -405,12 +413,13 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
 
 
 def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
-                  names=None) -> list:
+                  names=None, point: ModelParams | None = None) -> list:
     """extract_pairons at each point of the coupling arrays lam and gam:
     per point its (PaironSet, ExtractionDiagnostics), or the exception
     extract_pairons raises there.  Refusal messages name the points by
     names, the callers' (gamma_x, gamma_y) arrays, where given
-    (solve_states).
+    (solve_states).  point is the ModelParams of a one-point call, whose
+    solved parity blocks solve_states may read.
 
     The points are taken in the stacks of stack_slices, one call each,
     so the memory a call holds is bounded however many points it is
@@ -434,7 +443,7 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
             j, eps, lam[part], gam[part], state_index,
             names_of(names, part))]
     out, (diag, off), (gamma_x, gamma_y), t, sectors = solve_states(
-        j, eps, lam, gam, state_index, names)
+        j, eps, lam, gam, state_index, names, point)
     named_x, named_y = (gamma_x, gamma_y) if names is None else names
     binom = _binomial_sqrt(2 * j)
     for nu, rows, columns, energy in sectors:

@@ -32,6 +32,12 @@ class ModelParams:
 
     j is a positive integer (number of particles N = 2j).  eps is the level
     splitting, lam the pair-exchange coupling, gam the scattering coupling.
+
+    parity_solutions, the point's two parity blocks solved, is derived
+    from the couplings on first read and kept with the object, so the
+    states taken from one ModelParams (extract_pairons, eigenpair,
+    diagonalize) share one solve.  It is not a field: two equal
+    ModelParams compare and hash the same whether or not either holds it.
     """
 
     j: int
@@ -70,6 +76,26 @@ class ModelParams:
         if refusal is not None:
             raise refusal
         return math.sqrt(abs(gx / gy))
+
+    @functools.cached_property
+    def parity_solutions(self) -> tuple:
+        """Per parity sector offset (0 even, 1 odd) the (values, vectors)
+        of parity_eigh of parity_block of hamiltonian_bands at this point:
+        stacks of one point, (1, n) and (1, n, n), read-only, the solve
+        _two_block_states makes of it.  An H whose max row sum is not
+        finite raises overflow_refusal, and a LAPACK failure
+        ConvergenceError, on every read; neither is kept."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            diag, off = hamiltonian_bands(self.j, self.eps, self.lam,
+                                          self.gam)
+            finite = max_row_sum(diag, off)[0] < math.inf
+        if not finite:
+            raise overflow_refusal(self.j, self.eps, self.lam, self.gam)
+        solved = tuple(parity_eigh(parity_block(diag, off, offset), name)
+                       for name, offset in PARITY_SECTORS)
+        for array in (a for pair in solved for a in pair):
+            array.setflags(write=False)
+        return solved
 
 
 def singular_refusal(gamma_x: float, gamma_y: float
@@ -419,11 +445,15 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray,
     return np.count_nonzero(pivots < 0, axis=0).T
 
 
-def parity_eigenstates(diag, off, norm: np.ndarray, index: int) -> tuple:
+def parity_eigenstates(diag, off, norm: np.ndarray, index: int,
+                       point: ModelParams | None = None) -> tuple:
     """The state of energy rank `index` of each H of a stack, given by its
     bands diag (S, dim) and off (S, dim - 2) (hamiltonian_bands), whose
     max row sums of |H| are norm (S,).  Each parity block is built from
-    the bands (parity_block).
+    the bands (parity_block).  point, where given, is the ModelParams of
+    a one-point stack, whose H is finite: where that stack takes the
+    two-block solve for its size, it reads point.parity_solutions, the
+    same bits, instead of solving.
 
     Returns (degenerate, parts): per H the degenerate flag of its state;
     and a list of parts (offset, rows, columns, energies), each of the H
@@ -468,7 +498,11 @@ def parity_eigenstates(diag, off, norm: np.ndarray, index: int) -> tuple:
     which is not solved, is not raised.
     """
     dim = diag.shape[-1]
-    if len(diag) * dim < ONE_BLOCK_MIN_ROWS or not 0 <= index < dim:
+    small = len(diag) * dim < ONE_BLOCK_MIN_ROWS
+    if small and point is not None:
+        return _two_block_states(diag, off, norm, index,
+                                 dict(enumerate(point.parity_solutions)))
+    if small or not 0 <= index < dim:
         return _two_block_states(diag, off, norm, index)
     first = np.argsort(diag, axis=1, kind="stable")[:, :index + 1] % 2
     predicted = first[:, index]
@@ -544,14 +578,14 @@ def diagonalize(h: HamiltonianMatrix) -> list[EigenPair]:
 
     Each parity sector is solved separately by parity_eigh (they are
     exactly decoupled), so eigenvectors carry exact structural zeros on
-    the other sublattice and a sharp parity label.  States closer than
-    DEGENERACY_RTOL * |H| to a same-sector neighbor are flagged
-    degenerate.  An H whose norm is not finite is refused before the
-    solve (HamiltonianMatrix.norm).
+    the other sublattice and a sharp parity label; the solves are those
+    of h.params.parity_solutions, made once per ModelParams.  States
+    closer than DEGENERACY_RTOL * |H| to a same-sector neighbor are
+    flagged degenerate.  An H whose norm is not finite is refused before
+    the solve (HamiltonianMatrix.norm).
     """
     gap = DEGENERACY_RTOL * h.norm
-    solved = [parity_eigh(parity_block(h.diag, h.off, offset), name)
-              for name, offset in PARITY_SECTORS]
+    solved = [(w[0], v[0]) for w, v in h.params.parity_solutions]
     ranked = rank_states([w for w, _ in solved], gap)
     return [_eigenpair(h, slice(offset, None, 2), solved[offset][1][:, col],
                        solved[offset][0][col], index, flag)
@@ -561,12 +595,14 @@ def diagonalize(h: HamiltonianMatrix) -> list[EigenPair]:
 
 def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:
     """diagonalize(h)[index], building only that one state: the
-    one-sample case of parity_eigenstates.  An index outside 0..2j
-    raises ValueError, and so does an H whose norm is not finite
+    one-sample case of parity_eigenstates, which below ONE_BLOCK_MIN_ROWS
+    rows (j < 320) reads h.params.parity_solutions, so the states of one
+    ModelParams share one solve.  An index outside 0..2j raises
+    ValueError, and so does an H whose norm is not finite
     (HamiltonianMatrix.norm).
     """
     (flag,), [(offset, _, (column,), (energy,))] = parity_eigenstates(
-        h.diag[None], h.off[None], np.array([h.norm]), index)
+        h.diag[None], h.off[None], np.array([h.norm]), index, h.params)
     return _eigenpair(h, slice(offset, None, 2), column, energy, index, flag)
 
 

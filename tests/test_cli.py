@@ -3,6 +3,7 @@ import csv
 import importlib.metadata
 import io
 import json
+import math
 import subprocess
 from types import SimpleNamespace
 
@@ -179,6 +180,25 @@ def test_zeros_seniority_joins_pairon_poles(capsys):
                          "--state", "4")
     assert rc == 0
     assert out == ZEROS_J7_DIAGONAL_STATE4
+
+
+def test_scan_pole_multiplicity_is_that_of_zeros(capsys):
+    # one rule for both commands: the scan's pole rows count the seniority
+    # zero that lmg zeros adds there, 11 at theta = pi and 3 at theta = 0
+    rc, out, _ = run_lmg(capsys, "zeros", "--j", "7", "--gx", "5", "--gy", "5",
+                         "--state", "4")
+    assert rc == 0
+    zeros = {float(row["theta"]): int(row["multiplicity"])
+             for row in csv.DictReader(io.StringIO(out))}
+    rc, out, _ = run_lmg(capsys, "scan", "--j", "7", "--from", "5", "--to",
+                         "6", "--steps", "2", "--state", "4")
+    assert rc == 0
+    rows = [row for row in csv.DictReader(io.StringIO(out))
+            if float(row["gx"]) == 5.0]
+    assert len(rows) == 6
+    assert all(row["flags"] == "pole;seniority" for row in rows)
+    scan = {float(row["theta"]): int(row["multiplicity"]) for row in rows}
+    assert scan == zeros == {math.pi: 11, 0.0: 3}
 
 
 def _move_newton_pairons(monkeypatch, *shifts):

@@ -415,7 +415,8 @@ def _negation(z):
 def test_dicke_line_pole_multiplicities():
     # on the diagonal gx = gy < 0 every state is a Dicke state, whose
     # pairons are the exact structural roots of its u-polynomial: n0 at
-    # +t and n_inf at -t, each putting both its zeros on its pole
+    # +t and n_inf at -t, each putting both its zeros on its pole, where a
+    # nu = 1 state adds its seniority zero
     spec = TrajectorySpec(j=10, line="diagonal", start=-9.95, stop=-0.05,
                           steps=50)
     table = scan_trajectory(spec)
@@ -434,7 +435,7 @@ def test_dicke_line_pole_multiplicities():
                                     table.multiplicity[s, live].tolist()):
             assert pole
             assert cmath.isinf(site) or site == 0
-            expect = 2 * n_inf if cmath.isinf(site) else 2 * n0
+            expect = (2 * n_inf if cmath.isinf(site) else 2 * n0) + nu
             assert mult == expect
             seen.add((nu, cmath.isinf(site), expect))
     # both seniorities, both poles

@@ -596,3 +596,118 @@ def test_reconstruction_matches_a_50_digit_product():
                 assert 1 - overlap / norm <= 1e-14
                 assert mp.sqrt(mp.fsum(abs(x / norm - y) ** 2
                                        for x, y in zip(got, ref))) <= 1e-12
+
+
+# points of each kind the shared parity solve must serve: j = 1 and 2,
+# the diagonal gx = gy with states degenerate within their sector (2 and
+# 3 at j = 2, gx = 1.5; a pair at j = 10, gx = 9.5), the j = 40 benchmark
+# line and an overflowing H
+SHARED_SOLVE_POINTS = [(1, 1.0, -1.0), (2, 2.0, 8.0), (2, 1.5, 1.5),
+                       (10, 2.0, 8.0), (10, 9.5, 9.5), (40, 3.5, 6.5),
+                       (2, 1.6e308, 1e307)]
+
+
+def _outcome(call):
+    """repr of what a call returns, every float to its last bit, or the
+    type and message of what it raises."""
+    try:
+        return repr(call())
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _eigenpair_bits(pair):
+    return (pair.energy, pair.index, pair.degenerate,
+            pair.state.coeffs.tobytes())
+
+
+@pytest.mark.parametrize("j, gx, gy", SHARED_SOLVE_POINTS)
+def test_states_of_one_params_are_those_of_fresh_params(j, gx, gy):
+    # every state, and every out-of-range index, taken from one
+    # ModelParams gives what a fresh ModelParams per call gives
+    indices = range(-1, 2 * j + 2)
+    shared = ModelParams.from_gammas(j, gx, gy)
+    got = [_outcome(lambda: extract_pairons(shared, s)) for s in indices]
+    fresh = [_outcome(lambda: extract_pairons(
+        ModelParams.from_gammas(j, gx, gy), s)) for s in indices]
+    assert got == fresh
+    refused = {s: outcome for s, outcome in zip(indices, got)
+               if isinstance(outcome, tuple)}
+    assert refused[-1][0] == refused[2 * j + 1][0] == "ValueError"
+    if (j, gx) == (2, 1.5):
+        assert [s for s, (kind, _) in refused.items()
+                if kind == "DegenerateStateError"] == [2, 3]
+    if gx == 1.6e308:
+        assert set(refused.values()) == {
+            ("ValueError", "H overflows at (gx=1.6e+308, gy=1e+307)")}
+        return
+    h = build_hamiltonian(shared)
+    pairs = [_eigenpair_bits(p) for p in diagonalize(h)]
+    assert pairs == [_eigenpair_bits(p) for p in diagonalize(
+        build_hamiltonian(ModelParams.from_gammas(j, gx, gy)))]
+    assert [_eigenpair_bits(eigenpair(h, s)) for s in range(2 * j + 1)] \
+        == pairs
+
+
+@pytest.mark.parametrize("j, gx, gy", SHARED_SOLVE_POINTS[:-1])
+def test_one_params_solves_its_parity_blocks_once(monkeypatch, j, gx, gy):
+    # every state of a point, its full diagonalization and an
+    # out-of-range index make one parity_eigh call per block
+    calls = []
+    solve = spin.parity_eigh
+
+    def counted(blocks, name):
+        calls.append(name)
+        return solve(blocks, name)
+
+    monkeypatch.setattr(spin, "parity_eigh", counted)
+    params = ModelParams.from_gammas(j, gx, gy)
+    for s in range(-1, 2 * j + 2):
+        try:
+            extract_pairons(params, s)
+        except (PaironsError, ValueError):
+            pass
+    h = build_hamiltonian(params)
+    diagonalize(h)
+    for s in range(2 * j + 1):
+        eigenpair(h, s)
+    assert calls == ["even", "odd"]
+
+
+def test_parity_solutions_are_read_only_and_not_compared():
+    params = ModelParams.from_gammas(10, 2.0, 8.0)
+    twin = ModelParams.from_gammas(10, 2.0, 8.0)
+    before = hash(params)
+    assert "parity_solutions" not in vars(params)
+    solved = params.parity_solutions
+    assert params.parity_solutions is solved
+    assert [(w.shape, v.shape) for w, v in solved] == [
+        ((1, 11), (1, 11, 11)), ((1, 10), (1, 10, 10))]
+    for array in (a for pair in solved for a in pair):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0, 0] = 0.0
+    assert hash(params) == before == hash(twin)
+    assert params == twin and {twin: 1}[params] == 1
+    assert "parity_solutions" not in vars(twin)
+    assert repr(params) == repr(twin)
+
+
+def test_overflowing_params_keep_no_parity_solutions():
+    # the point is refused before its record is read, and the record
+    # itself refuses the H in the same words
+    params = ModelParams.from_gammas(2, 1.6e308, 1e307)
+    with pytest.raises(ValueError, match=r"^H overflows at \(gx=1\.6e\+308, "
+                       r"gy=1e\+307\)$"):
+        extract_pairons(params, 0)
+    assert "parity_solutions" not in vars(params)
+    with pytest.raises(ValueError, match=r"^H overflows at"):
+        params.parity_solutions
+    assert "parity_solutions" not in vars(params)
+
+
+def test_one_block_point_does_not_read_parity_solutions():
+    # a single point of 661 rows (j = 330) takes the one-block solve
+    params = ModelParams.from_gammas(330, 2.0, 8.0)
+    extract_pairons(params, 0)
+    assert "parity_solutions" not in vars(params)
