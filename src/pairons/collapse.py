@@ -146,14 +146,18 @@ class TrajectorySpec:
             raise ValueError("need at least 2 samples")
         if self.stop <= self.start:
             raise ValueError("stop must exceed start")
-        singular = [0.0] + ([self.line_sum] if self.line == LINE_SUM else [])
-        for g in np.linspace(self.start, self.stop, self.steps).tolist():
-            for s in singular:
-                # in Python floats, which overflow to inf without a warning
-                if abs(g - float(s)) < SINGULAR_MARGIN:
-                    raise ValueError(
-                        f"sample gx={g:.6g} is within {SINGULAR_MARGIN} of the "
-                        f"singular point gx={s:.6g}")
+        singular = [0.0] + ([float(self.line_sum)]
+                            if self.line == LINE_SUM else [])
+        gx = self.samples()
+        # a difference that overflows to inf is far from the point
+        with np.errstate(over="ignore"):
+            near = np.abs(gx[:, None] - singular) < SINGULAR_MARGIN
+        if near.any():
+            # the first sample, in gx order, then its first singular point
+            i, k = np.argwhere(near)[0].tolist()
+            raise ValueError(
+                f"sample gx={gx[i]:.6g} is within {SINGULAR_MARGIN} of the "
+                f"singular point gx={singular[k]:.6g}")
 
     def gamma_y(self, gx: float) -> float:
         return self.line_sum - gx if self.line == LINE_SUM else gx

@@ -30,9 +30,9 @@ from .phasespace import (ZeroSet, _binomial_sqrt, _exp, _linear_product,
                          _log_factorials, _raised, parity_slice,
                          strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint
-from .spin import (ModelParams, StateVector, _normalized_rows,
-                   eigen_residuals, gammas, hamiltonian_bands, max_row_sum,
-                   overflow_refusal, parity_eigenstates, singular_refusal)
+from .spin import (ModelParams, StateVector, _unit_rows, eigen_residuals,
+                   gammas, hamiltonian_bands, max_row_sum, overflow_refusal,
+                   parity_eigenstates, point_record, singular_refusal)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
 
@@ -302,9 +302,10 @@ def extract_pairons(params: ModelParams, state_index: int = 0
     its fidelity or eigen-residual check (InconsistentPaironsError).  The
     one-point case of extract_stack.  The point's parity blocks are
     solved once per ModelParams (ModelParams.parity_solutions, below
-    spin.ONE_BLOCK_MIN_ROWS rows, j < 320), so the states of one params
-    share one solve: at j = 40 the 81 states of a point make 2 parity_eigh
-    calls, not 162.
+    spin.ONE_BLOCK_MIN_ROWS rows, j < 320), and its states ranked once,
+    so the states of one params share one solve: at j = 40 the 81 states
+    of a point make 2 parity_eigh calls, not 162, and one rank_states
+    call, not 81.
     """
     return _raised(extract_stack(params.j, params.eps, [params.lam],
                                  [params.gam], state_index, point=params)[0])
@@ -337,13 +338,14 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
 
     Returns (out, bands, gamma, t, sectors): per point None, or the
     exception that refuses it; the bands (diag, off) of the points' H
-    (hamiltonian_bands), (gamma_x, gamma_y) and t = sqrt|gx/gy|; and the
+    (hamiltonian_bands) and their max row sums of |H| norm, as (diag,
+    off, norm), (gamma_x, gamma_y) and t = sqrt|gx/gy|; and the
     parts of parity_eigenstates that hold a live point, each (nu, rows,
     columns, energies) of parity sector nu (0 even, 1 odd): the indices
     of its live points, their eigenvectors in the sector's basis
     (len(rows), j + 1 - nu) and their energies.  The bands are built, and
-    their max row sums of |H| taken, once; no dense H is built.  A point
-    whose row sum is not finite keeps zero bands as a placeholder.  The
+    their max row sums taken, once; no dense H is built.  A point whose
+    row sum is not finite keeps zero bands as a placeholder.  The
     points are solved and ranked together by parity_eigenstates, so each
     point gets the bits it gets alone; if that raises ConvergenceError,
     each point is solved alone, and each live point gets an entry of its
@@ -358,19 +360,32 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
     point that is refused.  A message names a point by names, the
     callers' (gamma_x, gamma_y) arrays where they have them, else by its
     gamma; gamma, t and every other number are taken from the couplings.
-    point is the ModelParams of a one-point call, or None: once an
-    overflowing point is refused, a finite one's solve may read its
-    parity_solutions (parity_eigenstates).
+    point is the ModelParams of a one-point call, or None.  Where its
+    point_record is read, the bands, norm, solve and ranking are the
+    record's, the same bits, and nothing is built, solved or ranked here;
+    a point whose record refuses it (its H overflows, or LAPACK fails) is
+    built and solved as a point without one, and refused in the same
+    words.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))
+    solved = None
+    if point is not None:
+        try:
+            solved = point_record(point)
+        except (ValueError, ConvergenceError):
+            pass
     # an entry or row sum that overflows is refused below; gamma_y = 0
     # gives an infinite or NaN t
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        diag, off = bands = hamiltonian_bands(j, eps, lam, gam)
+        if solved is None:
+            diag, off = hamiltonian_bands(j, eps, lam, gam)
+            norm = max_row_sum(diag, off)
+        else:
+            diag, off, norm = solved.diag, solved.off, solved.norm
         gamma_x, gamma_y = gammas(j, eps, lam, gam)
         t = np.sqrt(np.abs(gamma_x / gamma_y))
-        norm = max_row_sum(diag, off)
+    bands = diag, off, norm
     named_x, named_y = (gamma_x, gamma_y) if names is None else names
     overflow = ~(norm < math.inf)
     out = [None] * len(diag)
@@ -379,8 +394,8 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
         out[i] = overflow_refusal(j, float(eps), float(lam[i]), float(gam[i]),
                                   (float(named_x[i]), float(named_y[i])))
     try:
-        degenerate, parts = parity_eigenstates(
-            diag, off, norm, state_index, None if overflow.any() else point)
+        degenerate, parts = parity_eigenstates(diag, off, norm, state_index,
+                                               solved)
     except ValueError as exc:
         return [r or exc for r in out], bands, (gamma_x, gamma_y), t, []
     except ConvergenceError as exc:
@@ -419,7 +434,7 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
     extract_pairons raises there.  Refusal messages name the points by
     names, the callers' (gamma_x, gamma_y) arrays, where given
     (solve_states).  point is the ModelParams of a one-point call, whose
-    solved parity blocks solve_states may read.
+    solved record solve_states may read.
 
     The points are taken in the stacks of stack_slices, one call each,
     so the memory a call holds is bounded however many points it is
@@ -442,22 +457,23 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
         return [result for part in parts for result in extract_stack(
             j, eps, lam[part], gam[part], state_index,
             names_of(names, part))]
-    out, (diag, off), (gamma_x, gamma_y), t, sectors = solve_states(
+    out, (diag, off, norm), (gamma_x, gamma_y), t, sectors = solve_states(
         j, eps, lam, gam, state_index, names, point)
     named_x, named_y = (gamma_x, gamma_y) if names is None else names
     binom = _binomial_sqrt(2 * j)
     for nu, rows, columns, energy in sectors:
         full = np.zeros((len(rows), 2 * j + 1), dtype=complex)
         full[:, nu::2] = columns
-        unit, _ = _normalized_rows(full)
+        unit = _unit_rows(full)
         ts = t[rows]
         pairons, root_residual, refusals = _slice_pairons(
             np.conj(unit[:, nu::2]) * binom[nu::2], ts)
         coeffs, vanished = _reconstruct_stack(j, nu, pairons, ts)
         coeffs[vanished, nu] = 1.0  # a placeholder; the row is refused
-        recon, _ = _normalized_rows(coeffs)
+        recon = _unit_rows(coeffs)
         fid = fidelities(recon, unit).tolist()
-        res = eigen_residuals(diag[rows], off[rows], recon).tolist()
+        res = eigen_residuals(diag[rows], off[rows], recon,
+                              norm[rows]).tolist()
         for k, (i, f, r) in enumerate(zip(rows.tolist(), fid, res)):
             x, y = float(gamma_x[i]), float(gamma_y[i])
             if refusals[k] is not None:

@@ -12,6 +12,7 @@ Control parameters:
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -33,11 +34,13 @@ class ModelParams:
     j is a positive integer (number of particles N = 2j).  eps is the level
     splitting, lam the pair-exchange coupling, gam the scattering coupling.
 
-    parity_solutions, the point's two parity blocks solved, is derived
-    from the couplings on first read and kept with the object, so the
-    states taken from one ModelParams (extract_pairons, eigenpair,
-    diagonalize) share one solve.  It is not a field: two equal
-    ModelParams compare and hash the same whether or not either holds it.
+    parity_solutions, the point solved (SolvedPoint: its bands, their
+    max row sum, both parity blocks solved and every state ranked), is
+    derived from the couplings on first read and kept with the object, so
+    the states taken from one ModelParams (extract_pairons, eigenpair,
+    diagonalize) share one solve and one ranking.  It is not a field: two
+    equal ModelParams compare and hash the same whether or not either
+    holds it.
     """
 
     j: int
@@ -78,24 +81,51 @@ class ModelParams:
         return math.sqrt(abs(gx / gy))
 
     @functools.cached_property
-    def parity_solutions(self) -> tuple:
-        """Per parity sector offset (0 even, 1 odd) the (values, vectors)
-        of parity_eigh of parity_block of hamiltonian_bands at this point:
-        stacks of one point, (1, n) and (1, n, n), read-only, the solve
-        _two_block_states makes of it.  An H whose max row sum is not
-        finite raises overflow_refusal, and a LAPACK failure
-        ConvergenceError, on every read; neither is kept."""
+    def parity_solutions(self) -> SolvedPoint:
+        """The point's SolvedPoint, read-only, made by the calls the
+        two-block solve of a one-point stack makes (_two_block_states):
+        hamiltonian_bands, max_row_sum, parity_eigh of each parity_block
+        and rank_states with gap DEGENERACY_RTOL * norm.  An H whose max
+        row sum is not finite raises overflow_refusal, and a LAPACK
+        failure ConvergenceError, on every read; neither is kept."""
         with np.errstate(over="ignore", invalid="ignore"):
             diag, off = hamiltonian_bands(self.j, self.eps, self.lam,
                                           self.gam)
-            finite = max_row_sum(diag, off)[0] < math.inf
-        if not finite:
+            norm = max_row_sum(diag, off)
+        if not norm[0] < math.inf:
             raise overflow_refusal(self.j, self.eps, self.lam, self.gam)
-        solved = tuple(parity_eigh(parity_block(diag, off, offset), name)
-                       for name, offset in PARITY_SECTORS)
-        for array in (a for pair in solved for a in pair):
+        solutions = tuple(parity_eigh(parity_block(diag, off, offset), name)
+                          for name, offset in PARITY_SECTORS)
+        ranks = rank_states([w for w, _ in solutions],
+                            DEGENERACY_RTOL * norm[:, None])
+        for array in (diag, off, norm, *ranks,
+                      *(a for pair in solutions for a in pair)):
             array.setflags(write=False)
-        return solved
+        return SolvedPoint(diag, off, norm, solutions, ranks)
+
+
+@dataclass(frozen=True, eq=False)
+class SolvedPoint:
+    """One point solved (ModelParams.parity_solutions), as stacks of one
+    point: the bands diag (1, dim) and off (1, dim - 2) of its H
+    (hamiltonian_bands) and their max row sum norm (1,); per parity
+    sector offset (0 even, 1 odd) the (values, vectors) of its block,
+    (1, n) and (1, n, n); and ranks, the (sector, column, degenerate)
+    arrays (1, dim) of rank_states over both blocks' values."""
+
+    diag: np.ndarray
+    off: np.ndarray
+    norm: np.ndarray
+    solutions: tuple
+    ranks: tuple
+
+
+def point_record(point: ModelParams) -> SolvedPoint | None:
+    """point.parity_solutions where one point takes the two-block solve
+    (2j + 1 rows, fewer than ONE_BLOCK_MIN_ROWS: j < 320), else None."""
+    if 2 * point.j + 1 < ONE_BLOCK_MIN_ROWS:
+        return point.parity_solutions
+    return None
 
 
 def singular_refusal(gamma_x: float, gamma_y: float
@@ -152,22 +182,28 @@ def _norms(x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.vecdot(x.real, x.real) + np.vecdot(x.imag, x.imag))
 
 
-def _normalized_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str]]:
-    """The rows of a complex stack (R, dim) at unit norm, and the parity
-    of each row.
-
-    A row whose norm is off 1 by more than 1e-12 is divided by it; a zero
-    row raises ValueError.  A row is even if its odd-index entries are all
-    within _PARITY_TOL of its largest entry, odd if its even-index entries
-    are, mixed otherwise.
-    """
+def _unit_rows(coeffs: np.ndarray) -> np.ndarray:
+    """The rows of a complex stack (R, dim) at unit norm: a row whose
+    norm is off 1 by more than 1e-12 is divided by it, and a zero row
+    raises ValueError."""
     norm = _norms(coeffs)
-    off = [abs(n - 1.0) > 1e-12 for n in norm.tolist()]
-    if any(off):
+    off = np.abs(norm - 1.0) > 1e-12
+    if off.any():
         if not norm.all():
             raise ValueError("zero vector is not a state")
         coeffs = np.divide(coeffs, norm[:, None], out=coeffs.copy(),
-                           where=np.array(off)[:, None])
+                           where=off[:, None])
+    return coeffs
+
+
+def _normalized_rows(coeffs: np.ndarray) -> tuple[np.ndarray, list[str]]:
+    """The rows of a complex stack (R, dim) at unit norm (_unit_rows), and
+    the parity of each row.
+
+    A row is even if its odd-index entries are all within _PARITY_TOL of
+    its largest entry, odd if its even-index entries are, mixed otherwise.
+    """
+    coeffs = _unit_rows(coeffs)
     size = np.abs(coeffs)
     even = size[:, 0::2].max(axis=1)
     odd = size[:, 1::2].max(axis=1, initial=0.0)
@@ -360,20 +396,22 @@ def rank_states(values, gap_tol) -> tuple:
     values lists each sector's ascending eigenvalues, (n_s,) or a stack
     (S, n_s), and the ranks run over the last axis: a stable argsort of
     the values concatenated in list order.  A state is degenerate when a
-    gap w[c+1] - w[c] beside it in its sector, fenced by -inf and +inf,
-    is below gap_tol (broadcast as a column)."""
-    order = np.argsort(np.concatenate(values, -1), -1, kind="stable")
+    gap w[c+1] - w[c] beside it in its sector is below gap_tol
+    (broadcast as a column).  One concatenation serves the sort and the
+    gaps, of which those across two sectors are dropped."""
+    joined = np.concatenate(values, -1)
+    order = np.argsort(joined, -1, kind="stable")
     sizes = [w.shape[-1] for w in values]
-    ends = np.cumsum(sizes)
-    sector = np.searchsorted(ends, order, side="right")
-    fence = np.full(values[0].shape[:-1] + (1,), math.inf)
-    close = np.diff(np.concatenate([x for w in values
-                                    for x in (-fence, w, fence)], axis=-1),
-                    axis=-1) < gap_tol
-    # the state at column o, in sector s, lies between gaps o+2s, o+2s+1
-    flags = close[..., :-1] | close[..., 1:]
-    return (sector, order - (ends - sizes)[sector],
-            np.take_along_axis(flags, order + 2 * sector, -1))
+    starts = [0, *itertools.accumulate(sizes[:-1])]
+    sector = np.repeat(np.arange(len(sizes)), sizes)[order]
+    close = joined[..., 1:] - joined[..., :-1] < gap_tol
+    close[..., [s - 1 for s in starts if 0 < s < joined.shape[-1]]] = False
+    # the value at position p has gaps p - 1 and p beside it
+    flags = np.zeros(joined.shape, dtype=bool)
+    flags[..., 1:] = close
+    flags[..., :-1] |= close
+    return (sector, order - np.array(starts)[sector],
+            np.take_along_axis(flags, order, -1))
 
 
 PARITY_SECTORS = ((PARITY_EVEN, 0), (PARITY_ODD, 1))
@@ -446,14 +484,14 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray,
 
 
 def parity_eigenstates(diag, off, norm: np.ndarray, index: int,
-                       point: ModelParams | None = None) -> tuple:
+                       solved: SolvedPoint | None = None) -> tuple:
     """The state of energy rank `index` of each H of a stack, given by its
     bands diag (S, dim) and off (S, dim - 2) (hamiltonian_bands), whose
     max row sums of |H| are norm (S,).  Each parity block is built from
-    the bands (parity_block).  point, where given, is the ModelParams of
-    a one-point stack, whose H is finite: where that stack takes the
-    two-block solve for its size, it reads point.parity_solutions, the
-    same bits, instead of solving.
+    the bands (parity_block).  solved, where given, is the SolvedPoint of
+    a one-point stack that takes the two-block solve (point_record): its
+    sector, column and flag at `index` are read from its ranks, the same
+    bits, and nothing is solved or ranked.
 
     Returns (degenerate, parts): per H the degenerate flag of its state;
     and a list of parts (offset, rows, columns, energies), each of the H
@@ -498,11 +536,9 @@ def parity_eigenstates(diag, off, norm: np.ndarray, index: int,
     which is not solved, is not raised.
     """
     dim = diag.shape[-1]
-    small = len(diag) * dim < ONE_BLOCK_MIN_ROWS
-    if small and point is not None:
-        return _two_block_states(diag, off, norm, index,
-                                 dict(enumerate(point.parity_solutions)))
-    if small or not 0 <= index < dim:
+    if solved is not None:
+        return _states_at(solved.solutions, solved.ranks, index)
+    if len(diag) * dim < ONE_BLOCK_MIN_ROWS or not 0 <= index < dim:
         return _two_block_states(diag, off, norm, index)
     first = np.argsort(diag, axis=1, kind="stable")[:, :index + 1] % 2
     predicted = first[:, index]
@@ -551,10 +587,18 @@ def _two_block_states(diag: np.ndarray, off: np.ndarray, norm: np.ndarray,
     solved = [known[offset] if offset in known
               else parity_eigh(parity_block(diag, off, offset), name)
               for name, offset in PARITY_SECTORS]
-    if not 0 <= index < diag.shape[-1]:
+    return _states_at(solved, rank_states(
+        [w for w, _ in solved], DEGENERACY_RTOL * norm[:, None]), index)
+
+
+def _states_at(solved, ranks, index: int) -> tuple:
+    """parity_eigenstates' (degenerate, parts) at rank index of a stack
+    whose sectors are solved, (values, vectors) per sector offset, and
+    ranked, ranks of rank_states.  An index outside 0..2j raises
+    ValueError."""
+    if not 0 <= index < ranks[0].shape[-1]:
         raise ValueError(f"state_index {index} out of range")
-    sector, col, flags = (r[:, index] for r in rank_states(
-        [w for w, _ in solved], DEGENERACY_RTOL * norm[:, None]))
+    sector, col, flags = (r[:, index] for r in ranks)
     parts = []
     for offset, (w, v) in enumerate(solved):
         rows = np.flatnonzero(sector == offset)
@@ -578,31 +622,32 @@ def diagonalize(h: HamiltonianMatrix) -> list[EigenPair]:
 
     Each parity sector is solved separately by parity_eigh (they are
     exactly decoupled), so eigenvectors carry exact structural zeros on
-    the other sublattice and a sharp parity label; the solves are those
-    of h.params.parity_solutions, made once per ModelParams.  States
-    closer than DEGENERACY_RTOL * |H| to a same-sector neighbor are
-    flagged degenerate.  An H whose norm is not finite is refused before
-    the solve (HamiltonianMatrix.norm).
+    the other sublattice and a sharp parity label; the solves and their
+    ranking are those of h.params.parity_solutions, made once per
+    ModelParams.  States closer than DEGENERACY_RTOL * |H| to a
+    same-sector neighbor are flagged degenerate.  An H whose norm is not
+    finite is refused before the solve, in HamiltonianMatrix.norm's words
+    (overflow_refusal).
     """
-    gap = DEGENERACY_RTOL * h.norm
-    solved = [(w[0], v[0]) for w, v in h.params.parity_solutions]
-    ranked = rank_states([w for w, _ in solved], gap)
-    return [_eigenpair(h, slice(offset, None, 2), solved[offset][1][:, col],
-                       solved[offset][0][col], index, flag)
+    solved = h.params.parity_solutions
+    return [_eigenpair(h, slice(offset, None, 2),
+                       solved.solutions[offset][1][0, :, col],
+                       solved.solutions[offset][0][0, col], index, flag)
             for index, (offset, col, flag) in enumerate(
-                zip(*(r.tolist() for r in ranked)))]
+                zip(*(r[0].tolist() for r in solved.ranks)))]
 
 
 def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:
     """diagonalize(h)[index], building only that one state: the
     one-sample case of parity_eigenstates, which below ONE_BLOCK_MIN_ROWS
-    rows (j < 320) reads h.params.parity_solutions, so the states of one
-    ModelParams share one solve.  An index outside 0..2j raises
-    ValueError, and so does an H whose norm is not finite
-    (HamiltonianMatrix.norm).
+    rows (j < 320) reads the state's sector, column and flag from
+    h.params.parity_solutions, so the states of one ModelParams share one
+    solve and one ranking.  An index outside 0..2j raises ValueError, and
+    so does an H whose norm is not finite (HamiltonianMatrix.norm).
     """
     (flag,), [(offset, _, (column,), (energy,))] = parity_eigenstates(
-        h.diag[None], h.off[None], np.array([h.norm]), index, h.params)
+        h.diag[None], h.off[None], np.array([h.norm]), index,
+        point_record(h.params))
     return _eigenpair(h, slice(offset, None, 2), column, energy, index, flag)
 
 
@@ -617,11 +662,15 @@ def eigen_residual(h: HamiltonianMatrix, state: StateVector) -> float:
                                  state.coeffs[None])[0])
 
 
-def eigen_residuals(diag, off, coeffs: np.ndarray) -> np.ndarray:
+def eigen_residuals(diag, off, coeffs: np.ndarray,
+                    norm: np.ndarray | None = None) -> np.ndarray:
     """eigen_residual of each unit state of a stack (R, dim) under the
-    matching H of bands (R, dim) and (R, dim - 2), |H| their max_row_sum.
-    The products are stacked np.matmul by the dense H and the norms
-    _norms, so each state gets the bits it gets alone."""
+    matching H of bands (R, dim) and (R, dim - 2), |H| their max_row_sum:
+    norm (R,), where the caller holds it, else taken here.  The products
+    are stacked np.matmul by the dense H and the norms _norms, so each
+    state gets the bits it gets alone."""
     hv = np.matmul(dense_hamiltonian(diag, off), coeffs[:, :, None])[:, :, 0]
     ev = np.matmul(np.conj(coeffs)[:, None, :], hv[:, :, None])[:, 0, 0].real
-    return _norms(hv - ev[:, None] * coeffs) / max_row_sum(diag, off)
+    if norm is None:
+        norm = max_row_sum(diag, off)
+    return _norms(hv - ev[:, None] * coeffs) / norm

@@ -88,6 +88,55 @@ def test_trajectory_spec_validation():
     assert_allclose(spec.gamma_y(3.0), 7.0)
 
 
+def _margin_refusal(start, stop, steps, line, line_sum):
+    """The refusal message of the first sample within SINGULAR_MARGIN of
+    a singular point, or None: the check sample by sample in Python
+    floats, which overflow to inf without a warning."""
+    singular = [0.0] + ([line_sum] if line == "sum" else [])
+    for g in np.linspace(start, stop, steps).tolist():
+        for s in singular:
+            if abs(g - float(s)) < SINGULAR_MARGIN:
+                return (f"sample gx={g:.6g} is within {SINGULAR_MARGIN} of "
+                        f"the singular point gx={s:.6g}")
+    return None
+
+
+@pytest.mark.parametrize("start, stop, steps, line, line_sum", [
+    # at the margin of gx = 0 and one ulp inside it, from both sides
+    (SINGULAR_MARGIN, 5.0, 1200, "sum", 10.0),
+    (np.nextafter(SINGULAR_MARGIN, 0.0), 5.0, 1200, "sum", 10.0),
+    (-5.0, -SINGULAR_MARGIN, 1200, "diagonal", 10.0),
+    (-5.0, np.nextafter(-SINGULAR_MARGIN, 0.0), 1200, "diagonal", 10.0),
+    # gx = line_sum -+ the margin, which rounds inside it, and one ulp
+    # further out
+    (5.0, 10.0 - SINGULAR_MARGIN, 1200, "sum", 10.0),
+    (5.0, np.nextafter(10.0 - SINGULAR_MARGIN, 0.0), 1200, "sum", 10.0),
+    (10.0 + SINGULAR_MARGIN, 15.0, 1200, "sum", 10.0),
+    (np.nextafter(10.0 + SINGULAR_MARGIN, 20.0), 15.0, 1200, "sum", 10.0),
+    # both singular points inside the range: gx = 0 is named first
+    (-10.0, 20.0, 31, "sum", 10.0),
+    (-10.0, 20.0, 31, "sum", -7.0),
+    # endpoints near +-1e308, where gx - line_sum overflows
+    (1e308, 1.7e308, 1200, "sum", -1.5e308),
+    (-1.7e308, -1e308, 1200, "sum", 1.5e308),
+    (1e308, 1.7e308, 1200, "sum", 1.7e308),
+    (-1.7e308, -1e308, 7, "sum", -1.7e308),
+])
+def test_trajectory_spec_margin_is_the_sample_loop(start, stop, steps, line,
+                                                   line_sum):
+    # the first sample, in gx order, within the margin of the first
+    # singular point is named, as the loop over samples names it
+    expected = _margin_refusal(start, stop, steps, line, line_sum)
+    if expected is None:
+        TrajectorySpec(j=4, start=start, stop=stop, steps=steps, line=line,
+                       line_sum=line_sum)
+        return
+    with pytest.raises(ValueError) as refused:
+        TrajectorySpec(j=4, start=start, stop=stop, steps=steps, line=line,
+                       line_sum=line_sum)
+    assert str(refused.value) == expected
+
+
 @pytest.mark.parametrize("j", [0, 1.5])
 def test_trajectory_spec_refuses_a_j_that_is_not_a_positive_integer(j):
     with pytest.raises(ValueError, match="j must be a positive integer"):

@@ -9,8 +9,9 @@ import hypothesis.strategies as st
 from numpy.testing import assert_allclose
 from scipy.optimize import linear_sum_assignment
 
-from pairons import (DegenerateStateError, InconsistentPaironsError,
-                     ModelParams, PaironSet, PaironsError, StateVector,
+from pairons import (ConvergenceError, DegenerateStateError,
+                     InconsistentPaironsError, ModelParams, PaironSet,
+                     PaironsError, StateVector,
                      UnpairedZeroError, build_hamiltonian, chordal_distance,
                      diagonalize, eigen_residual, eigenpair, extract_pairons,
                      fidelity, majorana_poly, pairon_from_u,
@@ -33,16 +34,16 @@ def _conjugation_closed(energies):
 def test_extraction_builds_two_state_vectors(monkeypatch):
     # the requested eigenvector and the reconstruction, not all 2j+1: every
     # StateVector and every row extract_stack normalizes goes through
-    # _normalized_rows
+    # _unit_rows
     made = []
-    normalized = spin._normalized_rows
+    normalized = spin._unit_rows
 
     def counting(coeffs):
         made.append(coeffs.shape)
         return normalized(coeffs)
 
-    monkeypatch.setattr(spin, "_normalized_rows", counting)
-    monkeypatch.setattr(paironmap, "_normalized_rows", counting)
+    monkeypatch.setattr(spin, "_unit_rows", counting)
+    monkeypatch.setattr(paironmap, "_unit_rows", counting)
     extract_pairons(ModelParams.from_gammas(10, 2.0, 8.0), state_index=4)
     assert made == [(1, 21), (1, 21)]
 
@@ -623,14 +624,16 @@ def _eigenpair_bits(pair):
 
 @pytest.mark.parametrize("j, gx, gy", SHARED_SOLVE_POINTS)
 def test_states_of_one_params_are_those_of_fresh_params(j, gx, gy):
-    # every state, and every out-of-range index, taken from one
-    # ModelParams gives what a fresh ModelParams per call gives
-    indices = range(-1, 2 * j + 2)
+    # every state, and both out-of-range indices before and after the
+    # first read of the record, taken from one ModelParams gives what a
+    # fresh ModelParams per call gives
+    indices = [-1, 2 * j + 1, *range(2 * j + 1), -1, 2 * j + 1]
     shared = ModelParams.from_gammas(j, gx, gy)
     got = [_outcome(lambda: extract_pairons(shared, s)) for s in indices]
     fresh = [_outcome(lambda: extract_pairons(
         ModelParams.from_gammas(j, gx, gy), s)) for s in indices]
     assert got == fresh
+    assert got[:2] == got[-2:]
     refused = {s: outcome for s, outcome in zip(indices, got)
                if isinstance(outcome, tuple)}
     assert refused[-1][0] == refused[2 * j + 1][0] == "ValueError"
@@ -674,6 +677,31 @@ def test_one_params_solves_its_parity_blocks_once(monkeypatch, j, gx, gy):
     assert calls == ["even", "odd"]
 
 
+def test_one_params_builds_and_ranks_once(monkeypatch):
+    # the 81 states at j = 40 from one ModelParams build its bands once,
+    # solve each parity block once and rank its states once
+    calls = []
+
+    def counted(name, function):
+        def call(*args):
+            calls.append(name)
+            return function(*args)
+        return call
+
+    for module, name in ((spin, "hamiltonian_bands"),
+                         (paironmap, "hamiltonian_bands"),
+                         (spin, "rank_states"), (spin, "parity_eigh")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+    params = ModelParams.from_gammas(40, 3.5, 6.5)
+    for s in range(81):
+        try:
+            extract_pairons(params, s)
+        except PaironsError:
+            pass
+    assert sorted(calls) == ["hamiltonian_bands", "parity_eigh",
+                             "parity_eigh", "rank_states"]
+
+
 def test_parity_solutions_are_read_only_and_not_compared():
     params = ModelParams.from_gammas(10, 2.0, 8.0)
     twin = ModelParams.from_gammas(10, 2.0, 8.0)
@@ -681,12 +709,20 @@ def test_parity_solutions_are_read_only_and_not_compared():
     assert "parity_solutions" not in vars(params)
     solved = params.parity_solutions
     assert params.parity_solutions is solved
-    assert [(w.shape, v.shape) for w, v in solved] == [
+    assert [(w.shape, v.shape) for w, v in solved.solutions] == [
         ((1, 11), (1, 11, 11)), ((1, 10), (1, 10, 10))]
-    for array in (a for pair in solved for a in pair):
+    assert [r.shape for r in (solved.diag, solved.off, solved.norm,
+                              *solved.ranks)] == [(1, 21), (1, 19), (1,)] \
+        + [(1, 21)] * 3
+    sector, column, flag = solved.ranks
+    assert sorted(zip(sector[0].tolist(), column[0].tolist())) == [
+        (s, c) for s, n in ((0, 11), (1, 10)) for c in range(n)]
+    assert flag.dtype == bool and not flag.any()
+    for array in (solved.diag, solved.off, solved.norm, *solved.ranks,
+                  *(a for pair in solved.solutions for a in pair)):
         assert not array.flags.writeable
         with pytest.raises(ValueError):
-            array[0, 0] = 0.0
+            array[(0,) * array.ndim] = 0
     assert hash(params) == before == hash(twin)
     assert params == twin and {twin: 1}[params] == 1
     assert "parity_solutions" not in vars(twin)
@@ -704,6 +740,24 @@ def test_overflowing_params_keep_no_parity_solutions():
     with pytest.raises(ValueError, match=r"^H overflows at"):
         params.parity_solutions
     assert "parity_solutions" not in vars(params)
+
+
+def test_lapack_failure_is_refused_on_every_read(monkeypatch):
+    # a point whose record cannot be solved keeps none, and each state,
+    # eigenpair and diagonalize refuses it with the solve's own error
+    def failing(blocks):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    params = ModelParams.from_gammas(10, 2.0, 8.0)
+    h = build_hamiltonian(params)
+    for call in (lambda: extract_pairons(params, 3), lambda: eigenpair(h, 3),
+                 lambda: diagonalize(h), lambda: extract_pairons(params, 3)):
+        with pytest.raises(ConvergenceError, match=(
+                r"^eigensolve failed in the even sector: Eigenvalues did "
+                r"not converge$")):
+            call()
+        assert "parity_solutions" not in vars(params)
 
 
 def test_one_block_point_does_not_read_parity_solutions():

@@ -127,6 +127,19 @@ def test_rank_states_is_pythons_stable_sort(seed):
         assert list(zip(*(r.tolist() for r in alone))) == expect
 
 
+@pytest.mark.parametrize("sizes", [(1, 3, 6, 10, 15, 21, 28, 36),
+                                   (0, 36, 1, 28, 0, 15, 21, 0)])
+def test_rank_states_of_eight_sectors_is_pythons_stable_sort(rng, sizes):
+    # eight sectors of unequal sizes, as bcs ranks its seniority sectors
+    # in one call, and eight with empty ones first, among them and last;
+    # values on a grid, so they tie within and across sectors
+    values = [np.sort(np.round(rng.normal(size=n), 1)) for n in sizes]
+    ranked = spin.rank_states(values, 0.05)
+    assert [r.dtype.kind for r in ranked] == ["i", "i", "b"]
+    assert list(zip(*(r.tolist() for r in ranked))) == _rank_reference(
+        [w.tolist() for w in values], 0.05)
+
+
 def test_cross_sector_degeneracy_not_flagged():
     # even-odd crossings are fine: parity pins the basis
     from pairons import crossing_points
