@@ -50,8 +50,8 @@ companion solve misses the root residual check, and `lmg pairons --j 120
 --state 100`, whose u-polynomials have roots so large that their powers
 overflow, so the root residual check takes them on the reversed
 polynomial, and `lmg pairons --j 330 --gx 2 --gy 8 --state 0`, a single
-point of 661 rows, which takes the one-block solve and so does not read
-ModelParams.parity_solutions; and `lmg pairons --j 40 --format json` on
+point of 661 rows, which reads ModelParams.parity_solutions, the record
+of both of its parity blocks, as every single point does; and `lmg pairons --j 40 --format json` on
 gx + gy = 10 at gx
 = 0.5 state 0, gx = 3.5 state 40 and gx = 9.5 state 80, whose meta
 carries the rebuilt state's fidelity and residual; and three commands

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, PaironsError, UnresolvedAnchorError
 from .paironmap import (PaironSet, extract_stack, names_of, pairon_sites,
                         solve_states, stack_slices)
-from .phasespace import _binomial_sqrt, _polyval, _raised
+from .phasespace import _binomial_sqrt, _live_ranges, _polyval, _raised
 from .sphere import chordal_distances
 from .spin import (ModelParams, build_hamiltonian, check_j, couplings,
                    eigenpair)
@@ -120,7 +120,8 @@ class TrajectorySpec:
     line = "sum": gy = line_sum - gx; line = "diagonal": gy = gx.  j is
     a positive integer (check_j).  The range must keep a margin of
     SINGULAR_MARGIN away from the singular values gx = 0 and (for sum
-    lines) gx = line_sum.
+    lines) gx = line_sum, and its span stop - start must be finite, so
+    that the samples are.
     """
 
     j: int
@@ -146,6 +147,9 @@ class TrajectorySpec:
             raise ValueError("need at least 2 samples")
         if self.stop <= self.start:
             raise ValueError("stop must exceed start")
+        if not math.isfinite(self.stop - self.start):
+            raise ValueError(f"the span from start={self.start:.6g} to "
+                             f"stop={self.stop:.6g} overflows")
         singular = [0.0] + ([float(self.line_sum)]
                             if self.line == LINE_SUM else [])
         gx = self.samples()
@@ -954,7 +958,8 @@ def _slice_patterns(d: np.ndarray, w: np.ndarray) -> list[list[int]]:
     w (R,).
 
     n0 and n_inf count a row's structural roots, its zero coefficients at
-    the low end and, for w != 0, at the high end.  Of its other (free)
+    the low end and, for w != 0, at the high end (_live_ranges; each row
+    of a unit state's slice has a nonzero one).  Of its other (free)
     roots, merged sit at the anchor: the number of leading Taylor
     coefficients a_0, a_1, ... within their bounds, at most all free
     roots.  Round m takes a_m of every row by one _anchor_coefficients
@@ -962,9 +967,8 @@ def _slice_patterns(d: np.ndarray, w: np.ndarray) -> list[list[int]]:
     stop once every row has its count.
     """
     n = d.shape[1] - 1
-    nonzero = d != 0
-    n0 = np.argmax(nonzero, axis=1)
-    n_inf = np.where(w != 0, np.argmax(nonzero[:, ::-1], axis=1), 0)
+    n0, last = _live_ranges(d)
+    n_inf = np.where(w != 0, n - last, 0)
     free = n - n0 - n_inf
     merged = free.copy()
     pending = free > 0

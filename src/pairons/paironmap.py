@@ -32,7 +32,7 @@ from .phasespace import (ZeroSet, _binomial_sqrt, _exp, _linear_product,
 from .sphere import INFINITY, SpherePoint
 from .spin import (ModelParams, StateVector, _unit_rows, eigen_residuals,
                    gammas, hamiltonian_bands, max_row_sum, overflow_refusal,
-                   parity_eigenstates, point_record, singular_refusal)
+                   parity_eigenstates, singular_refusal, states_at)
 
 FLAG_SIGN_UNVERIFIED = "sign-unverified"
 
@@ -301,11 +301,10 @@ def extract_pairons(params: ModelParams, state_index: int = 0
     gamma_x = 0 / gamma_y = 0, and pairon sets whose rebuilt state fails
     its fidelity or eigen-residual check (InconsistentPaironsError).  The
     one-point case of extract_stack.  The point's parity blocks are
-    solved once per ModelParams (ModelParams.parity_solutions, below
-    spin.ONE_BLOCK_MIN_ROWS rows, j < 320), and its states ranked once,
-    so the states of one params share one solve: at j = 40 the 81 states
-    of a point make 2 parity_eigh calls, not 162, and one rank_states
-    call, not 81.
+    solved once per ModelParams (ModelParams.parity_solutions), and its
+    states ranked once, so the states of one params share one solve: at
+    j = 40 the 81 states of a point make 2 parity_eigh calls, not 162,
+    and one rank_states call, not 81.
     """
     return _raised(extract_stack(params.j, params.eps, [params.lam],
                                  [params.gam], state_index, point=params)[0])
@@ -360,31 +359,28 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
     point that is refused.  A message names a point by names, the
     callers' (gamma_x, gamma_y) arrays where they have them, else by its
     gamma; gamma, t and every other number are taken from the couplings.
-    point is the ModelParams of a one-point call, or None.  Where its
-    point_record is read, the bands, norm, solve and ranking are the
-    record's, the same bits, and nothing is built, solved or ranked here;
-    a point whose record refuses it (its H overflows, or LAPACK fails) is
-    built and solved as a point without one, and refused in the same
-    words.
+    point is the ModelParams of a one-point call, or None.  Where given,
+    its parity_solutions are read, and the bands, norm, solve and ranking
+    are the record's, the same bits; nothing is built, solved or ranked
+    here.  A record that refuses its point (its H overflows, or LAPACK
+    fails) gives the point that refusal, and no bands.
     """
     lam = np.atleast_1d(np.asarray(lam, dtype=float))
     gam = np.atleast_1d(np.asarray(gam, dtype=float))
-    solved = None
-    if point is not None:
-        try:
-            solved = point_record(point)
-        except (ValueError, ConvergenceError):
-            pass
     # an entry or row sum that overflows is refused below; gamma_y = 0
     # gives an infinite or NaN t
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        if solved is None:
-            diag, off = hamiltonian_bands(j, eps, lam, gam)
-            norm = max_row_sum(diag, off)
-        else:
-            diag, off, norm = solved.diag, solved.off, solved.norm
         gamma_x, gamma_y = gammas(j, eps, lam, gam)
         t = np.sqrt(np.abs(gamma_x / gamma_y))
+        if point is None:
+            diag, off = hamiltonian_bands(j, eps, lam, gam)
+            norm = max_row_sum(diag, off)
+    if point is not None:
+        try:
+            record = point.parity_solutions
+        except (ValueError, ConvergenceError) as exc:
+            return [exc], None, (gamma_x, gamma_y), t, []
+        diag, off, norm = record.diag, record.off, record.norm
     bands = diag, off, norm
     named_x, named_y = (gamma_x, gamma_y) if names is None else names
     overflow = ~(norm < math.inf)
@@ -394,8 +390,9 @@ def solve_states(j: int, eps: float, lam, gam, state_index: int,
         out[i] = overflow_refusal(j, float(eps), float(lam[i]), float(gam[i]),
                                   (float(named_x[i]), float(named_y[i])))
     try:
-        degenerate, parts = parity_eigenstates(diag, off, norm, state_index,
-                                               solved)
+        degenerate, parts = (
+            parity_eigenstates(diag, off, norm, state_index)
+            if point is None else states_at(record, state_index))
     except ValueError as exc:
         return [r or exc for r in out], bands, (gamma_x, gamma_y), t, []
     except ConvergenceError as exc:
@@ -434,7 +431,7 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
     extract_pairons raises there.  Refusal messages name the points by
     names, the callers' (gamma_x, gamma_y) arrays, where given
     (solve_states).  point is the ModelParams of a one-point call, whose
-    solved record solve_states may read.
+    record solve_states reads.
 
     The points are taken in the stacks of stack_slices, one call each,
     so the memory a call holds is bounded however many points it is
@@ -457,7 +454,7 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
         return [result for part in parts for result in extract_stack(
             j, eps, lam[part], gam[part], state_index,
             names_of(names, part))]
-    out, (diag, off, norm), (gamma_x, gamma_y), t, sectors = solve_states(
+    out, bands, (gamma_x, gamma_y), t, sectors = solve_states(
         j, eps, lam, gam, state_index, names, point)
     named_x, named_y = (gamma_x, gamma_y) if names is None else names
     binom = _binomial_sqrt(2 * j)
@@ -472,8 +469,8 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
         coeffs[vanished, nu] = 1.0  # a placeholder; the row is refused
         recon = _unit_rows(coeffs)
         fid = fidelities(recon, unit).tolist()
-        res = eigen_residuals(diag[rows], off[rows], recon,
-                              norm[rows]).tolist()
+        diag, off, norm = (b[rows] for b in bands)
+        res = eigen_residuals(diag, off, recon, norm).tolist()
         for k, (i, f, r) in enumerate(zip(rows.tolist(), fid, res)):
             x, y = float(gamma_x[i]), float(gamma_y[i])
             if refusals[k] is not None:

@@ -244,22 +244,15 @@ def _solve_cores(cores: np.ndarray) -> list:
     (_factor_defects); otherwise ConvergenceError, with the roots in
     `partial`.
 
-    Real and complex rows are solved apart, and the scaled companion
-    matrices of all rows go to one batched np.linalg.eigvals, which runs
-    the LAPACK routine of np.roots on each matrix.  If the batched call
-    raises, each row is solved alone; a row whose eigensolve still fails,
-    as when its scaled coefficients overflow, gets a ConvergenceError.
+    A stack with any complex coefficient is solved in complex, a real one
+    in real, and the scaled companion matrices of all rows go to one
+    batched np.linalg.eigvals, which runs the LAPACK routine of np.roots
+    on each matrix.  If the batched call raises, each row is solved
+    alone; a row whose eigensolve still fails, as when its scaled
+    coefficients overflow, gets a ConvergenceError.
     """
     c = np.asarray(cores)
-    real = ~np.any(c.imag, axis=1)
-    if real.any() and not real.all():
-        out: list = [None] * len(c)
-        for part in (real, ~real):
-            rows = np.flatnonzero(part)
-            for i, result in zip(rows, _solve_cores(c[rows])):
-                out[i] = result
-        return out
-    if real.all():
+    if not np.any(c.imag):
         c = c.real
     deg = c.shape[1] - 1
     if deg == 0:

@@ -82,50 +82,37 @@ class ModelParams:
 
     @functools.cached_property
     def parity_solutions(self) -> SolvedPoint:
-        """The point's SolvedPoint, read-only, made by the calls the
-        two-block solve of a one-point stack makes (_two_block_states):
-        hamiltonian_bands, max_row_sum, parity_eigh of each parity_block
-        and rank_states with gap DEGENERACY_RTOL * norm.  An H whose max
-        row sum is not finite raises overflow_refusal, and a LAPACK
-        failure ConvergenceError, on every read; neither is kept."""
+        """The point's SolvedPoint, read-only: solve_blocks of its bands,
+        a one-point stack.  An H whose max row sum is not finite raises
+        overflow_refusal, and a LAPACK failure ConvergenceError, on every
+        read; neither is kept."""
         with np.errstate(over="ignore", invalid="ignore"):
             diag, off = hamiltonian_bands(self.j, self.eps, self.lam,
                                           self.gam)
             norm = max_row_sum(diag, off)
         if not norm[0] < math.inf:
             raise overflow_refusal(self.j, self.eps, self.lam, self.gam)
-        solutions = tuple(parity_eigh(parity_block(diag, off, offset), name)
-                          for name, offset in PARITY_SECTORS)
-        ranks = rank_states([w for w, _ in solutions],
-                            DEGENERACY_RTOL * norm[:, None])
-        for array in (diag, off, norm, *ranks,
-                      *(a for pair in solutions for a in pair)):
+        record = solve_blocks(diag, off, norm)
+        for array in (diag, off, norm, *record.ranks,
+                      *(a for pair in record.solutions for a in pair)):
             array.setflags(write=False)
-        return SolvedPoint(diag, off, norm, solutions, ranks)
+        return record
 
 
 @dataclass(frozen=True, eq=False)
 class SolvedPoint:
-    """One point solved (ModelParams.parity_solutions), as stacks of one
-    point: the bands diag (1, dim) and off (1, dim - 2) of its H
-    (hamiltonian_bands) and their max row sum norm (1,); per parity
-    sector offset (0 even, 1 odd) the (values, vectors) of its block,
-    (1, n) and (1, n, n); and ranks, the (sector, column, degenerate)
-    arrays (1, dim) of rank_states over both blocks' values."""
+    """A stack of points with both parity blocks solved and every state
+    ranked (solve_blocks): the bands diag (S, dim) and off (S, dim - 2) of
+    each H (hamiltonian_bands) and their max row sums norm (S,); per
+    parity sector offset (0 even, 1 odd) the (values, vectors) of its
+    blocks, (S, n) and (S, n, n); and ranks, the (sector, column,
+    degenerate) arrays (S, dim) of rank_states over both blocks' values."""
 
     diag: np.ndarray
     off: np.ndarray
     norm: np.ndarray
     solutions: tuple
     ranks: tuple
-
-
-def point_record(point: ModelParams) -> SolvedPoint | None:
-    """point.parity_solutions where one point takes the two-block solve
-    (2j + 1 rows, fewer than ONE_BLOCK_MIN_ROWS: j < 320), else None."""
-    if 2 * point.j + 1 < ONE_BLOCK_MIN_ROWS:
-        return point.parity_solutions
-    return None
 
 
 def singular_refusal(gamma_x: float, gamma_y: float
@@ -483,25 +470,15 @@ def _sturm_counts(diag: np.ndarray, off: np.ndarray,
     return np.count_nonzero(pivots < 0, axis=0).T
 
 
-def parity_eigenstates(diag, off, norm: np.ndarray, index: int,
-                       solved: SolvedPoint | None = None) -> tuple:
+def parity_eigenstates(diag, off, norm: np.ndarray, index: int) -> tuple:
     """The state of energy rank `index` of each H of a stack, given by its
     bands diag (S, dim) and off (S, dim - 2) (hamiltonian_bands), whose
     max row sums of |H| are norm (S,).  Each parity block is built from
-    the bands (parity_block).  solved, where given, is the SolvedPoint of
-    a one-point stack that takes the two-block solve (point_record): its
-    sector, column and flag at `index` are read from its ranks, the same
-    bits, and nothing is solved or ranked.
+    the bands (parity_block).
 
-    Returns (degenerate, parts): per H the degenerate flag of its state;
-    and a list of parts (offset, rows, columns, energies), each of the H
-    whose state lies in sector offset (0 even, 1 odd): their indices,
-    ascending, and their eigenvectors in the sector's basis (len(rows),
-    n_s) and energies.  Every H lies in one part, and no part is empty.
-    These are what ranking both blocks' parity_eigh values by
-    rank_states, with gap DEGENERACY_RTOL * norm, picks, as diagonalize
-    ranks its list; that two-block solve is what a stack of fewer than
-    ONE_BLOCK_MIN_ROWS rows (points times dim) takes.  An index outside 0..2j raises
+    Returns states_at's (degenerate, parts) of the two-block solve,
+    solve_blocks, which is what a stack of fewer than ONE_BLOCK_MIN_ROWS
+    rows (points times dim) takes.  An index outside 0..2j raises
     ValueError.
 
     A larger stack solves one block per point.  Its block A and column c
@@ -513,7 +490,7 @@ def parity_eigenstates(diag, off, norm: np.ndarray, index: int,
     c_E*n*eps*max(norm, 1), n = dim and c_E = EIGENVALUE_ERROR_C, and
     all of w and both windows are finite.  Its state is then column c of
     A.  An uncertified point keeps A's values and vectors, and
-    _two_block_states solves B and ranks the two.
+    solve_blocks solves B and ranks the two.
 
     Proof that a certified point gets what the two-block solve picks.
     Both solvers' values lie within delta of the exact eigenvalues (the
@@ -536,10 +513,8 @@ def parity_eigenstates(diag, off, norm: np.ndarray, index: int,
     which is not solved, is not raised.
     """
     dim = diag.shape[-1]
-    if solved is not None:
-        return _states_at(solved.solutions, solved.ranks, index)
     if len(diag) * dim < ONE_BLOCK_MIN_ROWS or not 0 <= index < dim:
-        return _two_block_states(diag, off, norm, index)
+        return states_at(solve_blocks(diag, off, norm), index)
     first = np.argsort(diag, axis=1, kind="stable")[:, :index + 1] % 2
     predicted = first[:, index]
     col = np.count_nonzero(first[:, :index] == predicted[:, None], axis=1)
@@ -570,37 +545,41 @@ def parity_eigenstates(diag, off, norm: np.ndarray, index: int,
                           at[here]))
         if rest.size:
             done = rows[rest]
-            degenerate[done], more = _two_block_states(
-                diag[done], off[done], norm[done], index,
-                {offset: (w[rest], v[rest])})
+            degenerate[done], more = states_at(solve_blocks(
+                diag[done], off[done], norm[done],
+                {offset: (w[rest], v[rest])}), index)
             parts += [(o, done[r], columns, energies)
                       for o, r, columns, energies in more]
     return degenerate, parts
 
 
-def _two_block_states(diag: np.ndarray, off: np.ndarray, norm: np.ndarray,
-                      index: int, known: dict | None = None) -> tuple:
-    """parity_eigenstates by both blocks' parity_eigh, stacked, ranked by
-    rank_states.  known maps a sector offset to the values and vectors of
-    its blocks where they are already solved."""
+def solve_blocks(diag: np.ndarray, off: np.ndarray, norm: np.ndarray,
+                 known: dict | None = None) -> SolvedPoint:
+    """The SolvedPoint of a stack of bands (S, dim) and their max row sums
+    norm (S,): both blocks' parity_eigh, stacked, ranked by rank_states
+    with gap DEGENERACY_RTOL * norm.  known maps a sector offset to the
+    values and vectors of its blocks where they are already solved."""
     known = known or {}
-    solved = [known[offset] if offset in known
-              else parity_eigh(parity_block(diag, off, offset), name)
-              for name, offset in PARITY_SECTORS]
-    return _states_at(solved, rank_states(
-        [w for w, _ in solved], DEGENERACY_RTOL * norm[:, None]), index)
+    solutions = tuple(known[offset] if offset in known
+                      else parity_eigh(parity_block(diag, off, offset), name)
+                      for name, offset in PARITY_SECTORS)
+    return SolvedPoint(diag, off, norm, solutions, rank_states(
+        [w for w, _ in solutions], DEGENERACY_RTOL * norm[:, None]))
 
 
-def _states_at(solved, ranks, index: int) -> tuple:
-    """parity_eigenstates' (degenerate, parts) at rank index of a stack
-    whose sectors are solved, (values, vectors) per sector offset, and
-    ranked, ranks of rank_states.  An index outside 0..2j raises
-    ValueError."""
-    if not 0 <= index < ranks[0].shape[-1]:
+def states_at(record: SolvedPoint, index: int) -> tuple:
+    """The state of energy rank index of each point of a SolvedPoint:
+    (degenerate, parts), per point the degenerate flag of its state; and
+    a list of parts (offset, rows, columns, energies), each of the points
+    whose state lies in sector offset (0 even, 1 odd): their indices,
+    ascending, and their eigenvectors in the sector's basis (len(rows),
+    n_s) and energies.  Every point lies in one part, and no part is
+    empty.  An index outside 0..2j raises ValueError."""
+    if not 0 <= index < record.ranks[0].shape[-1]:
         raise ValueError(f"state_index {index} out of range")
-    sector, col, flags = (r[:, index] for r in ranks)
+    sector, col, flags = (r[:, index] for r in record.ranks)
     parts = []
-    for offset, (w, v) in enumerate(solved):
+    for offset, (w, v) in enumerate(record.solutions):
         rows = np.flatnonzero(sector == offset)
         c = col[rows]
         if rows.size:
@@ -638,16 +617,14 @@ def diagonalize(h: HamiltonianMatrix) -> list[EigenPair]:
 
 
 def eigenpair(h: HamiltonianMatrix, index: int) -> EigenPair:
-    """diagonalize(h)[index], building only that one state: the
-    one-sample case of parity_eigenstates, which below ONE_BLOCK_MIN_ROWS
-    rows (j < 320) reads the state's sector, column and flag from
-    h.params.parity_solutions, so the states of one ModelParams share one
-    solve and one ranking.  An index outside 0..2j raises ValueError, and
-    so does an H whose norm is not finite (HamiltonianMatrix.norm).
+    """diagonalize(h)[index], building only that one state: its sector,
+    column and flag are read from h.params.parity_solutions (states_at),
+    so the states of one ModelParams share one solve and one ranking.  An
+    index outside 0..2j raises ValueError, and so does an H whose norm is
+    not finite (overflow_refusal).
     """
-    (flag,), [(offset, _, (column,), (energy,))] = parity_eigenstates(
-        h.diag[None], h.off[None], np.array([h.norm]), index,
-        point_record(h.params))
+    (flag,), [(offset, _, (column,), (energy,))] = states_at(
+        h.params.parity_solutions, index)
     return _eigenpair(h, slice(offset, None, 2), column, energy, index, flag)
 
 

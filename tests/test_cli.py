@@ -759,6 +759,15 @@ def test_overflowing_couplings_are_usage_error(capsys):
     assert "lam must be finite, got inf" in err
 
 
+def test_overflowing_scan_span_is_usage_error(capsys):
+    rc, out, err = run_lmg(capsys, "scan", "--j", "2", "--from=-1e308",
+                           "--to", "1e308", "--steps", "3")
+    assert rc == 2
+    assert out == ""
+    assert err == ("usage error: the span from start=-1e+308 to "
+                   "stop=1e+308 overflows\n")
+
+
 def test_nonpositive_j_rejected(capsys):
     rc, _, err = run_lmg(capsys, "spectrum", "--j", "0", "--gx", "1", "--gy", "2")
     assert rc == 2

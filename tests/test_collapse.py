@@ -137,6 +137,16 @@ def test_trajectory_spec_margin_is_the_sample_loop(start, stop, steps, line,
     assert str(refused.value) == expected
 
 
+@pytest.mark.parametrize("start, stop", [(-1e308, 1e308),
+                                         (-1.7e308, 1.7e308)])
+def test_trajectory_spec_refuses_a_span_that_overflows(start, stop):
+    # stop - start is inf, so linspace would scan gx = nan
+    with pytest.raises(ValueError) as refused:
+        TrajectorySpec(j=2, start=start, stop=stop, steps=3)
+    assert str(refused.value) == (
+        f"the span from start={start:.6g} to stop={stop:.6g} overflows")
+
+
 @pytest.mark.parametrize("j", [0, 1.5])
 def test_trajectory_spec_refuses_a_j_that_is_not_a_positive_integer(j):
     with pytest.raises(ValueError, match="j must be a positive integer"):

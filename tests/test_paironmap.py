@@ -760,8 +760,20 @@ def test_lapack_failure_is_refused_on_every_read(monkeypatch):
         assert "parity_solutions" not in vars(params)
 
 
-def test_one_block_point_does_not_read_parity_solutions():
-    # a single point of 661 rows (j = 330) takes the one-block solve
+def test_one_point_record_is_the_one_block_solve():
+    # a single point of 661 rows (j = 330) reads its record, and each
+    # state is what the one-block solve of the same point gives it
     params = ModelParams.from_gammas(330, 2.0, 8.0)
-    extract_pairons(params, 0)
-    assert "parity_solutions" not in vars(params)
+    h = build_hamiltonian(params)
+    diag, off = spin.hamiltonian_bands(330, 1.0, [params.lam], [params.gam])
+    norm = spin.max_row_sum(diag, off)
+    for s in (0, 330, 660):
+        assert _outcome(lambda: extract_pairons(params, s)) == _outcome(
+            lambda: paironmap._raised(paironmap.extract_stack(
+                330, 1.0, [params.lam], [params.gam], s)[0]))
+        (flag,), [(offset, _, (column,), (energy,))] = \
+            spin.parity_eigenstates(diag, off, norm, s)
+        assert _eigenpair_bits(eigenpair(h, s)) == _eigenpair_bits(
+            spin._eigenpair(h, slice(offset, None, 2), column, energy, s,
+                            flag))
+    assert "parity_solutions" in vars(params)

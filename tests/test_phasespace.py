@@ -206,13 +206,15 @@ def _convolve_defect_reference(c, roots):
 
 @pytest.mark.parametrize("length", [2, 5, 11, 21, 41])
 def test_batched_companion_roots_are_np_roots_bitwise(rng, length):
-    # real and complex cores of one length, solved in one stack, get the
-    # bits np.roots gives each alone; the factor defect of the roots, and
-    # of the roots with one lost, agrees with the convolution product
+    # real cores of one length, solved in one stack, and complex cores in
+    # another, get the bits np.roots gives each alone; the factor defect
+    # of the roots, and of the roots with one lost, agrees with the
+    # convolution product
     cores = (rng.normal(size=(30, length))
              * 10.0 ** rng.uniform(-3, 3, (30, length))).astype(complex)
     cores[20:] += 1j * rng.normal(size=(10, length))
-    solved = phasespace._solve_cores(cores)
+    solved = phasespace._solve_cores(cores[:20]) + phasespace._solve_cores(
+        cores[20:])
     for c, result in zip(cores, solved):
         if isinstance(result, ConvergenceError):
             roots = result.partial

@@ -431,8 +431,8 @@ def test_one_block_solve_completes_as_many_points(monkeypatch, line, j):
         completed.append(len(diag))
         return two_block(diag, *args)
 
-    two_block = spin._two_block_states
-    monkeypatch.setattr(spin, "_two_block_states", counted)
+    two_block = spin.solve_blocks
+    monkeypatch.setattr(spin, "solve_blocks", counted)
     gx = np.linspace(*_LINES[line], 300)
     lam, gam = spin.couplings(j, gx, 10.0 - gx if line == "c10" else gx)
     diag, off = spin.hamiltonian_bands(j, 1.0, lam, gam)
