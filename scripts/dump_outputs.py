@@ -39,11 +39,11 @@ and completes some of them on both blocks; `lmg collapse --j 10` and its
 Brent solver, `lmg collapse --j 4 --from 4 --to 6 --steps 5`, with a
 sample where the anchor value is exactly zero beside the total collapse,
 `lmg collapse --j 20`, which exits 3 on an unresolved anchor, `lmg
-spectrum --j 40 --gx 2 --gy 8`; `lmg zeros` at `--j 10 --gx 2 --gy 8
+spectrum --j 40 --gx 2 --gy 8`, which covers spin.diagonalize; `lmg zeros` at `--j 10 --gx 2 --gy 8
 --state 3`, at `--j 7 --gx 5 --gy 5 --state 4`, whose seniority zeros
 join pairon poles, and at `--j 7 --gx 2 --gy 8 --state 3`, an odd state
-with lone seniority poles; `lmg crossings --j 10`, whose full
-diagonalizations cover spin.diagonalize, `lmg pairons --j 40 --state 19`
+with lone seniority poles; `lmg crossings --j 10`, read off the diagonal
+H of lam = 0, `lmg pairons --j 40 --state 19`
 at gx = 3.74102 and 6.164669 on gx + gy = 10, where an unscaled
 companion solve misses the root residual check, and `lmg pairons --j 120
 --gx 0.25 --gy 9.75 --state 60` and `lmg pairons --j 140 --gx 2 --gy 8
@@ -62,7 +62,14 @@ and two 200-step j = 10 scans, each one stack of
 spin.parity_eigenstates' one-block solve: `--line diagonal --from -9.95
 --to -0.05` (lam = 0), whose ground state is odd at 109 samples, and
 `--state 5` on gx + gy = 10, where the predicted sectors are mixed and
-70 samples fail their certificate and solve the other block too.
+70 samples fail their certificate and solve the other block too; and
+four commands at the edges of the energy unit: `lmg pairons --j 10 --gx
+2 --gy 8 --eps 1e200`, whose eigen-residual is taken at a power-of-two
+scale of |H|, `bcs pairons --levels 0,5e99,1e100 --gamma 5e99 --n 6`,
+the x1e100 copy of a model, whose inverse iteration rescales its vector
+after each solve, `lmg spectrum --j 2 --gx=-1 --gy=-1 --eps=5e307`,
+whose gaps between sectors overflow, and `lmg crossings --j 3 --eps 0`,
+a usage error.
 """
 import argparse
 import json
@@ -137,7 +144,13 @@ COMMANDS = (
     + [["lmg", "scan", "--j", "10", "--line", "diagonal", "--from", "-9.95",
         "--to", "-0.05", "--steps", "200"],
        ["lmg", "scan", "--j", "10", "--from", "0.05", "--to", "9.95",
-        "--steps", "200", "--state", "5"]])
+        "--steps", "200", "--state", "5"]]
+    + [["lmg", "pairons", "--j", "10", "--gx", "2", "--gy", "8", "--eps",
+        "1e200"],
+       ["bcs", "pairons", "--levels", "0,5e99,1e100", "--gamma", "5e99",
+        "--n", "6"],
+       ["lmg", "spectrum", "--j", "2", "--gx=-1", "--gy=-1", "--eps=5e307"],
+       ["lmg", "crossings", "--j", "3", "--eps", "0"]])
 
 
 def run(argv: list[str], src: Path = SRC) -> dict:

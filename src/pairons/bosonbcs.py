@@ -281,11 +281,17 @@ def _ranked_state(model: BosonModel, spectrum, index: int) -> BosonState:
     exact zeros.  Otherwise it comes from inverse iteration: two solves of
     (block - s) x = b from the fixed start b_k = cos(k), with the shift s
     four ulps of max(|H|, 1) below the value (a shift by the value itself
-    made the LU exactly singular), then scaled to norm 1 with its largest
-    entry positive.  Every vector is certified: a LAPACK failure, or a
-    residual |block x - value x| above EIGENVALUE_ERROR_C * m * eps *
-    max(|H|, 1) for a block of m rows, raises ConvergenceError naming the
-    sector.
+    made the LU exactly singular), each solve's result scaled by the power
+    of two that brings its largest entry into [1/2, 1), then scaled to
+    norm 1 with its largest entry positive.  Every vector is certified: a
+    LAPACK failure, or a residual |block x - value x| above
+    EIGENVALUE_ERROR_C * m * eps * max(|H|, 1) for a block of m rows,
+    raises ConvergenceError naming the sector.  The residual's norm is
+    taken on the vector scaled by the power of two that brings
+    max(|H|, 1) into [1/2, 1), so it cannot overflow at a finite |H|.
+    Scaling by a power of two is exact but for entries that underflow, so
+    a vector or residual that neither overflows nor underflows keeps its
+    bits.
     """
     blocks, norm, values, ranks = spectrum
     sector, col, flag = (int(r[index]) for r in ranks)
@@ -300,12 +306,15 @@ def _ranked_state(model: BosonModel, spectrum, index: int) -> BosonState:
         # orthogonal to some eigenvectors
         x = np.cos(np.arange(m))
         try:
-            x = np.linalg.solve(shifted, np.linalg.solve(shifted, x))
+            for _ in range(2):
+                x = np.linalg.solve(shifted, x)
+                x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
         except np.linalg.LinAlgError as exc:
             raise ConvergenceError(
                 f"LAPACK failed in sector {nu}: {exc}") from exc
         x *= np.sign(x[np.argmax(np.abs(x))]) / np.linalg.norm(x)
-    residual = np.linalg.norm(block @ x - energy * x)
+    unit = np.ldexp(1.0, -np.frexp(scale)[1])
+    residual = np.linalg.norm((block @ x - energy * x) * unit) / unit
     if not residual <= EIGENVALUE_ERROR_C * m * np.finfo(float).eps * scale:
         raise ConvergenceError(f"sector {nu}: residual {residual:.2g} too big")
     coeffs = np.zeros(model.dim)

@@ -851,41 +851,43 @@ def _refine_brackets(spec: TrajectorySpec,
 
 
 def label_collapses(spec: TrajectorySpec, found: list[CollapseCandidate]
-                    ) -> list[tuple[CollapseCandidate, int, str, float]]:
-    """Each detected collapse with its analytic point: (cand, k, branch, gx).
+                    ) -> list[tuple[CollapseCandidate, CollapsePoint]]:
+    """Each detected collapse with its analytic point: (cand, point), the
+    point's gamma_y that of spec's line, spec.gamma_y(gamma_x).
 
-    The total collapse is labelled (j-1, "diagonal", its gx); every other
-    candidate takes the nearest analytic point, a hyperbola point of
-    collapse_points or the total collapse at c/2.  These are the ground
-    state's points, so for state 0 on a sum line the match is checked:
-    points within 1e-9*c of each other are one point, and each distinct
-    point inside [start, stop] must take exactly one candidate and every
-    other point none.  Otherwise neighbouring sign changes have cancelled
+    The total collapse is labelled k = j-1, branch "diagonal", at its own
+    gx; every other candidate takes the nearest analytic point, a
+    hyperbola point of collapse_points or the total collapse at c/2.
+    These are the ground state's points, so for state 0 on a sum line the
+    match is checked: points within 1e-9*c of each other are one point,
+    and each distinct point inside [start, stop] must take exactly one
+    candidate and every other point none.  Otherwise neighbouring sign changes have cancelled
     between two samples (or a spurious one appeared), and
     UnresolvedAnchorError names the points.
     """
     j, c = spec.j, spec.line_sum
-    targets = [(p.k, p.branch, p.gamma_x) for p in collapse_points(j, c)]
-    targets.append((j - 1, "diagonal", c / 2.0))
-    labelled = []
-    for cand in found:
-        if cand.total:
-            k, branch, gx = j - 1, "diagonal", cand.gamma_x
-        else:
-            k, branch, gx = min(targets,
-                                key=lambda tg: abs(tg[2] - cand.gamma_x))
-        labelled.append((cand, k, branch, gx))
+
+    def at(k: int, branch: str, gx: float) -> CollapsePoint:
+        return CollapsePoint(k=k, gamma_x=gx, gamma_y=spec.gamma_y(gx),
+                             branch=branch)
+
+    targets = [at(p.k, p.branch, p.gamma_x) for p in collapse_points(j, c)]
+    targets.append(at(j - 1, "diagonal", c / 2.0))
+    labelled = [(cand, at(j - 1, "diagonal", cand.gamma_x) if cand.total
+                 else min(targets,
+                          key=lambda tg: abs(tg.gamma_x - cand.gamma_x)))
+                for cand in found]
     if spec.line != LINE_SUM or spec.state_index != 0:
         return labelled
 
     tol = 1e-9 * abs(c)
     points: list[float] = []
-    for gx in sorted(tg[2] for tg in targets):
+    for gx in sorted(tg.gamma_x for tg in targets):
         if not points or gx - points[-1] > tol:
             points.append(gx)
     missed, extra = [], []
     for p in points:
-        rows = sum(abs(row[3] - p) <= tol for row in labelled)
+        rows = sum(abs(point.gamma_x - p) <= tol for _, point in labelled)
         expected = int(spec.start <= p <= spec.stop)
         if rows < expected:
             missed.append(p)
@@ -1009,17 +1011,12 @@ def collapse_rows(spec: TrajectorySpec, found: list[CollapseCandidate]
     the patterns of all rows come from one stacked solve (_zero_patterns).
     """
     labelled = label_collapses(spec, found)
-    at = np.array([row[3] for row in labelled], dtype=float)
+    at = np.array([point.gamma_x for _, point in labelled], dtype=float)
     gy = spec.gamma_y(at)
     lam, gam = couplings(spec.j, at, gy, spec.eps)
     patterns = _zero_patterns(spec.j, spec.eps, lam, gam, spec.state_index,
                               (at, gy))
-    rows = []
-    for (cand, k, branch, gx), pattern in zip(labelled, patterns):
-        point = CollapsePoint(k=k, gamma_x=gx, gamma_y=spec.gamma_y(gx),
-                              branch=branch)
-        rows.append(CollapseRow(
-            candidate=cand, point=point, pattern=tuple(pattern),
-            expected=((point.merged_zero_multiplicity,)
-                      + (2,) * (spec.j - 1 - k))))
-    return rows
+    return [CollapseRow(candidate=cand, point=point, pattern=tuple(pattern),
+                        expected=((point.merged_zero_multiplicity,)
+                                  + (2,) * (spec.j - 1 - point.k)))
+            for (cand, point), pattern in zip(labelled, patterns)]

@@ -391,7 +391,9 @@ def rank_states(values, gap_tol) -> tuple:
     sizes = [w.shape[-1] for w in values]
     starts = [0, *itertools.accumulate(sizes[:-1])]
     sector = np.repeat(np.arange(len(sizes)), sizes)[order]
-    close = joined[..., 1:] - joined[..., :-1] < gap_tol
+    # a gap that overflows to inf is not close
+    with np.errstate(over="ignore"):
+        close = joined[..., 1:] - joined[..., :-1] < gap_tol
     close[..., [s - 1 for s in starts if 0 < s < joined.shape[-1]]] = False
     # the value at position p has gaps p - 1 and p beside it
     flags = np.zeros(joined.shape, dtype=bool)
@@ -645,9 +647,15 @@ def eigen_residuals(diag, off, coeffs: np.ndarray,
     matching H of bands (R, dim) and (R, dim - 2), |H| their max_row_sum:
     norm (R,), where the caller holds it, else taken here.  The products
     are stacked np.matmul by the dense H and the norms _norms, so each
-    state gets the bits it gets alone."""
+    state gets the bits it gets alone.  The residual vector and |H| are
+    both scaled by the power of two that brings |H| into [1/2, 1), so the
+    squares in _norms cannot overflow at any finite |H|.  The scaling is
+    exact but for entries that underflow, so a residual whose squares
+    neither overflow nor underflow keeps its bits."""
     hv = np.matmul(dense_hamiltonian(diag, off), coeffs[:, :, None])[:, :, 0]
     ev = np.matmul(np.conj(coeffs)[:, None, :], hv[:, :, None])[:, 0, 0].real
     if norm is None:
         norm = max_row_sum(diag, off)
-    return _norms(hv - ev[:, None] * coeffs) / norm
+    scale = np.ldexp(1.0, -np.frexp(norm)[1])
+    return (_norms((hv - ev[:, None] * coeffs) * scale[:, None])
+            / (norm * scale))

@@ -11,6 +11,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from numpy.testing import assert_allclose
 
 import pairons
 import pairons.bosonbcs
@@ -130,6 +131,97 @@ def test_crossings_frozen(capsys):
     rc, out, _ = run_lmg(capsys, "crossings", "--j", "2")
     assert rc == 0
     assert out == CROSSINGS_J2
+
+
+@pytest.mark.parametrize("eps", ["1", "-2", "0.3"])
+def test_crossings_are_those_of_the_eigensolve(capsys, eps):
+    # lam = 0 on the diagonal: the rows read off H's diagonal are those of
+    # a full diagonalization, min_gap to the last bit
+    for j in range(1, 41):
+        rc, out, _ = run_lmg(capsys, "crossings", "--j", str(j), "--eps", eps)
+        assert rc == 0
+        expected = []
+        for cp in pairons.crossing_points(j):
+            h = pairons.build_hamiltonian(pairons.ModelParams.from_gammas(
+                j, cp.gamma_x, cp.gamma_x, eps=float(eps)))
+            energies = {"even": [], "odd": []}
+            for pair in pairons.diagonalize(h):
+                energies[pair.state.parity].append(pair.energy)
+            gap = min(abs(a - b) for a in energies["even"]
+                      for b in energies["odd"])
+            expected.append([str(cp.k), "%.17g" % cp.gamma_x,
+                             "|".join(f"{m}:{mp}" for m, mp in cp.pairs),
+                             "%.17g" % gap, str(int(gap <= 1e-10 * h.norm))])
+        assert list(csv.reader(io.StringIO(out)))[1:] == expected
+
+
+@pytest.mark.parametrize("eps, message", [
+    ("0", "eps must be nonzero"), ("nan", "eps must be finite, got nan")])
+def test_crossings_bad_eps_is_usage_error(capsys, eps, message):
+    rc, out, err = run_lmg(capsys, "crossings", "--j", "3", "--eps", eps)
+    assert (rc, out) == (2, "")
+    assert err == f"usage error: {message}\n"
+
+
+def test_crossings_overflowing_h_is_refused_without_warnings():
+    # the first points' |H| is finite, but an even - odd difference
+    # overflows; the k = 4 point's |H| overflows, and is refused in its own
+    # words
+    prefix, env = module_cli("pairons")
+    proc = subprocess.run(
+        prefix + ["lmg", "crossings", "--j", "10", "--eps", "1e307"],
+        capture_output=True, text=True, timeout=300,
+        env=dict(env, PYTHONWARNINGS="error::RuntimeWarning"))
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("numerical failure: H overflows at "
+                           "(gx=-3.8, gy=-3.8)\n")
+
+
+@pytest.mark.parametrize("eps", ["1e170", "1e200", "1e300"])
+def test_lmg_pairons_at_a_large_energy_unit(capsys, eps):
+    # the eigen-residual's squares would overflow unscaled from about
+    # eps = 1e170
+    rc, out, _ = run_lmg(capsys, "pairons", "--j", "10", "--gx", "2",
+                         "--gy", "8", "--eps", eps, "--format", "json")
+    assert rc == 0
+    meta = json.loads(out)["meta"]
+    assert meta["reconstruction_residual"] <= 1e-12
+    assert 1.0 - meta["reconstruction_fidelity"] <= 1e-12
+
+
+def test_bcs_pairons_at_a_large_energy_unit(capsys):
+    # the x1e100 copy of a model: its pairons are 1e100 times the model's;
+    # at x1e200 the pairon product overflows, and the set is refused
+    argv = ["pairons", "--n", "6", "--format", "json"]
+    rc, out, _ = run_bcs(capsys, *argv, "--levels", "0,0.5,1",
+                         "--gamma", "0.5")
+    assert rc == 0
+    small = json.loads(out)
+    rc, out, _ = run_bcs(capsys, *argv, "--levels", "0,5e99,1e100",
+                         "--gamma", "5e99")
+    assert rc == 0
+    large = json.loads(out)
+    assert_allclose(np.array(large["rows"])[:, 1:3].astype(float),
+                    1e100 * np.array(small["rows"])[:, 1:3].astype(float),
+                    rtol=1e-12, atol=0)
+    assert_allclose(large["meta"]["energy"], 1e100 * small["meta"]["energy"],
+                    rtol=1e-12)
+    rc, out, err = run_bcs(capsys, *argv, "--levels", "0,5e199,1e200",
+                           "--gamma", "5e199")
+    assert (rc, out) == (3, "")
+    assert err.startswith("numerical failure: pairon product is not finite")
+
+
+def test_spectrum_gap_that_overflows_is_not_degenerate(capsys):
+    # at |H| near the largest double, a gap between two sectors' values
+    # overflows; it is not close
+    rc, out, _ = run_lmg(capsys, "spectrum", "--j", "2", "--gx=-1",
+                         "--gy=-1", "--eps=5e307")
+    assert rc == 0
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert [row[2:] for row in rows] == [
+        ["even", "0"], ["odd", "0"], ["even", "0"], ["odd", "0"],
+        ["even", "0"]]
 
 
 def test_bcs_spectrum_frozen(capsys):

@@ -75,6 +75,20 @@ def test_crossings_are_exact_degeneracies():
         assert gap <= 1e-10 * h.norm
 
 
+def test_diagonal_spec_points_lie_on_the_diagonal():
+    # every point of a diagonal spec has gamma_y = gx, not line_sum - gx
+    spec = TrajectorySpec(j=4, start=0.05, stop=9.0, steps=50,
+                          line=collapse.LINE_DIAGONAL)
+    rows = collapse_rows(spec, collapse.total_collapse_candidates(spec))
+    assert [(r.point.k, r.point.branch) for r in rows] == [(3, "diagonal")]
+    gx = 0.5 * (spec.start + spec.stop)
+    assert (rows[0].point.gamma_x, rows[0].point.gamma_y) == (gx, gx)
+    # a candidate off the total collapse takes the nearest hyperbola point
+    (_, point), = collapse.label_collapses(spec, [CollapseCandidate(1.0, 0.0)])
+    assert (point.k, point.branch) == (2, "lower")
+    assert point.gamma_y == point.gamma_x != spec.line_sum - point.gamma_x
+
+
 def test_trajectory_spec_validation():
     with pytest.raises(ValueError):
         TrajectorySpec(j=4, line="sum", line_sum=10.0, start=0.0, stop=5.0,

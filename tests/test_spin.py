@@ -214,6 +214,18 @@ def test_eigen_residual_detects_non_eigenvector(rng):
     assert eigen_residual(h, v) > 1e-3
 
 
+def test_eigen_residual_is_scale_free_at_any_finite_norm():
+    # H times 2^600 (about 4e180) is exact; unscaled, the residual's
+    # squares would overflow
+    state = eigenpair(build_hamiltonian(ModelParams.from_gammas(10, 2, 8)),
+                      0).state
+    residuals = [eigen_residual(build_hamiltonian(
+        ModelParams.from_gammas(10, 2, 8, eps=eps)), state)
+        for eps in (1.0, 2.0 ** 600, 2.0 ** -600)]
+    assert 0 < residuals[0] < 1e-14
+    assert residuals == [residuals[0]] * 3
+
+
 def _state_reference(j, coeffs):
     """(coefficients, parity) of StateVector(j, coeffs) by its definition:
     np.linalg.norm of the vector, one division by it when it is off 1 by
