@@ -15,7 +15,9 @@ prints, as Markdown, the commands found in only one of them and the
 commands whose records differ, each with its change of exit code, the
 first line of stdout and of stderr that differs and, where both stdouts
 are JSON with a "meta" object, the largest absolute difference of each
-numeric meta field.
+numeric meta field, and where both stdouts are tables with one header and
+one row count (CSV, or JSON with "columns" and "rows"), the largest
+absolute difference of each numeric column.
 
 The list: `bcs pairons` for states 0..59 at gamma = +-0.5 (levels
 0,0.5,1,1.5, N=20), `bcs spectrum` of the same models, `bcs ellipsoid`
@@ -35,10 +37,13 @@ takes spin.parity_eigenstates' one-block solve on 16 points of 81 rows
 and completes some of them on both blocks; `lmg collapse --j 10` and its
 --line diagonal form, `lmg collapse --j 10 --line-sum 12`, `lmg collapse
 --j 8`, `lmg collapse --j 6 --format json` and `lmg collapse --j 10
---steps 400`, whose root refinements cover the collapse detector's own
-Brent solver, `lmg collapse --j 4 --from 4 --to 6 --steps 5`, with a
+--steps 400`, whose roots come from the collapse detector's lockstep
+regula falsi, `lmg collapse --j 4 --from 4 --to 6 --steps 5`, with a
 sample where the anchor value is exactly zero beside the total collapse,
 `lmg collapse --j 20`, which exits 3 on an unresolved anchor, `lmg
+collapse --j 4 --eps -1`, a usage error, as the listed points are the
+ground state's for eps > 0, `lmg collapse --j 7 --line-sum 12`, whose
+odd total collapse closes its bracket on a point that falls on an end, `lmg
 spectrum --j 40 --gx 2 --gy 8`, which covers spin.diagonalize; `lmg zeros` at `--j 10 --gx 2 --gy 8
 --state 3`, at `--j 7 --gx 5 --gy 5 --state 4`, whose seniority zeros
 join pairon poles, and at `--j 7 --gx 2 --gy 8 --state 3`, an odd state
@@ -72,6 +77,8 @@ whose gaps between sectors overflow, and `lmg crossings --j 3 --eps 0`,
 a usage error.
 """
 import argparse
+import csv
+import io
 import json
 import os
 import subprocess
@@ -122,6 +129,8 @@ COMMANDS = (
        ["lmg", "collapse", "--j", "4", "--from", "4", "--to", "6",
         "--steps", "5"],
        ["lmg", "collapse", "--j", "20"],
+       ["lmg", "collapse", "--j", "4", "--eps", "-1"],
+       ["lmg", "collapse", "--j", "7", "--line-sum", "12"],
        ["lmg", "spectrum", "--j", "40", "--gx", "2", "--gy", "8"],
        ["lmg", "zeros", "--j", "10", "--gx", "2", "--gy", "8", "--state", "3"],
        ["lmg", "zeros", "--j", "7", "--gx", "5", "--gy", "5", "--state", "4"],
@@ -213,6 +222,47 @@ def meta_differences(base: str, head: str) -> list[tuple[str, float]]:
     return out
 
 
+def _table(text: str) -> tuple[list, list] | None:
+    """The header and rows of a stdout that is a table: JSON with
+    "columns" and "rows", or CSV whose rows are as wide as its header;
+    else None."""
+    try:
+        data = json.loads(text)
+    except ValueError:
+        header, *rows = list(csv.reader(io.StringIO(text))) or [[]]
+    else:
+        if not isinstance(data, dict) or "columns" not in data:
+            return None
+        header, rows = data["columns"], data.get("rows", [])
+    if not header or any(len(row) != len(header) for row in rows):
+        return None
+    return header, rows
+
+
+def _column(rows: list, k: int) -> list[float] | None:
+    """Column k of a table's rows as floats; None if a cell is no number."""
+    try:
+        return [float(row[k]) for row in rows]
+    except (TypeError, ValueError):
+        return None
+
+
+def column_differences(base: str, head: str) -> list[tuple[str, float]]:
+    """Per numeric column of two stdouts that are tables (_table) with one
+    header and one row count, the largest absolute difference; empty
+    unless both are such tables."""
+    a, b = _table(base), _table(head)
+    if a is None or b is None or a[0] != b[0] or len(a[1]) != len(b[1]):
+        return []
+    out = []
+    for k, name in enumerate(a[0]):
+        x, y = _column(a[1], k), _column(b[1], k)
+        if x is not None and y is not None:
+            out.append((name, max((0.0 if p == q else abs(p - q)
+                                   for p, q in zip(x, y)), default=0)))
+    return out
+
+
 def compare(base: list[dict], head: list[dict]) -> str:
     """The Markdown report of the records that differ between two dumps.
 
@@ -241,11 +291,13 @@ def compare(base: list[dict], head: list[dict]) -> str:
                           "    base: " + excerpt(x, column),
                           "    head: " + excerpt(y, column),
                           "    ```"]
-        fields = meta_differences(b["stdout"], h["stdout"])
-        if b["stdout"] != h["stdout"] and fields:
-            lines.append("  - meta, largest absolute difference: "
-                         + ", ".join(f"{key} {delta:.3g}"
-                                     for key, delta in fields))
+        for part, fields in (
+                ("meta", meta_differences(b["stdout"], h["stdout"])),
+                ("columns", column_differences(b["stdout"], h["stdout"]))):
+            if b["stdout"] != h["stdout"] and fields:
+                lines.append(f"  - {part}, largest absolute difference: "
+                             + ", ".join(f"{key} {delta:.3g}"
+                                         for key, delta in fields))
     for side, records in only:
         if records:
             lines += ["", f"{len(records)} only in the {side}:", ""]

@@ -480,6 +480,10 @@ def _cmd_lmg_collapse(args) -> int:
     if args.state != 0:
         raise UsageError("--state must be 0: the collapse points and zero "
                          "patterns are the ground state's")
+    if args.eps < 0 or (args.line == LINE_SUM and args.line_sum <= 0):
+        raise UsageError("--eps and --line-sum must be positive: the "
+                         "collapse points are the ground state's for "
+                         "eps > 0 on gx + gy = c > 0")
     if args.line == LINE_SUM:
         lo_default = SINGULAR_MARGIN + 0.049
         hi_default = args.line_sum - lo_default

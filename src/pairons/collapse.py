@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, PaironsError, UnresolvedAnchorError
+from .errors import ConvergenceError, UnresolvedAnchorError
 from .paironmap import (PaironSet, extract_stack, names_of, pairon_sites,
                         solve_states, stack_slices)
 from .phasespace import _binomial_sqrt, _live_ranges, _polyval, _raised
@@ -678,84 +678,6 @@ def total_collapse(spec: TrajectorySpec) -> float | None:
     return gx if abs(state.coeffs[0]) >= TOTAL_COLLAPSE_OVERLAP else None
 
 
-def _brentq(f, xa: float, xb: float) -> float:
-    """A root of f in the sign-change bracket [xa, xb], by Brent's method.
-
-    Drives _brent_steps with f, calling f at xa, at xb and then at each
-    point the steps ask for.  Given float brackets it returns the same
-    root as scipy.optimize.brentq, bit for bit, which tests pin; keeping
-    it here spares every collapse command the import of scipy.optimize.
-    """
-    steps = _brent_steps(xa, xb, f(xa), f(xb))
-    try:
-        x = next(steps)
-        while True:
-            x = steps.send(f(x))
-    except StopIteration as done:
-        return done.value[0]
-
-
-def _brent_steps(xa: float, xb: float, fa: float, fb: float):
-    """Brent's method on the sign-change bracket [xa, xb] with f(xa) = fa
-    and f(xb) = fb, as a generator: it yields each point where it needs
-    f, is sent f there, and returns (root, f(root)).
-
-    A step-for-step transcription of scipy's brentq.c (Brent 1973,
-    "Algorithms for Minimization without Derivatives", ch. 4): inverse
-    quadratic extrapolation or secant interpolation where the step is
-    short enough, bisection otherwise, with the defaults of
-    scipy.optimize.brentq (xtol 2e-12, rtol 4*eps, maxiter 100).  An
-    endpoint where f is 0 is returned as is; a bracket without a sign
-    change raises ValueError, and 100 steps without convergence raise
-    ConvergenceError.
-    """
-    xtol, rtol, maxiter = 2e-12, 4 * math.ulp(1.0), 100
-    xpre, xcur = xa, xb
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fa, fb
-    if fpre == 0:
-        return xpre, fpre
-    if fcur == 0:
-        return xcur, fcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if (fpre != 0 and fcur != 0
-                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur, fcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:  # interpolate
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
-                else:  # extrapolate
-                    dpre = (fpre - fcur) / (xpre - xcur)
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = (-fcur * (fblk * dblk - fpre * dpre)
-                            / (dblk * dpre * (fblk - fpre)))
-            except ZeroDivisionError:  # C's inf or nan step: bisect
-                stry = math.inf
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = yield xcur
-    raise ConvergenceError(
-        f"brentq did not converge in {maxiter} steps in [{xa!r}, {xb!r}]",
-        partial=xcur)
-
-
 @dataclass(frozen=True)
 class CollapseCandidate:
     gamma_x: float
@@ -796,7 +718,12 @@ def find_collapses(profile: AnchorProfile) -> list[CollapseCandidate]:
     sign = np.sign(value)
     roots = [(float(gx[i]), float(value[i]))
              for i in np.flatnonzero(sign == 0)]
-    roots += _refine_brackets(spec, [
+
+    def values(x: np.ndarray) -> tuple:
+        value, _, refusals = _anchor_values(spec, x)
+        return value, refusals
+
+    roots += _refine_brackets(values, [
         (float(gx[i]), float(gx[i + 1]), float(value[i]), float(value[i + 1]))
         for i in np.flatnonzero(sign[:-1] * sign[1:] < 0)])
     found = total_collapse_candidates(spec)
@@ -807,44 +734,57 @@ def find_collapses(profile: AnchorProfile) -> list[CollapseCandidate]:
     return sorted(found, key=lambda c: c.gamma_x)
 
 
-def _refine_brackets(spec: TrajectorySpec,
-                     brackets: list[tuple[float, float, float, float]]
+def _refine_brackets(f, brackets: list[tuple[float, float, float, float]]
                      ) -> list[tuple[float, float]]:
-    """(root, anchor_value there) in each bracket (xa, xb, f(xa), f(xb)),
-    the roots _brentq finds bracket by bracket, bit for bit.
+    """(root, f(root)) in each bracket (a, b, f(a), f(b)), a < b, where
+    f(a) and f(b) have opposite signs.
 
-    One _brent_steps generator per bracket; the brackets step in
-    lockstep, and each round evaluates every pending point with one
-    _anchor_values call, which solves each point once.  A bracket whose
-    point is refused stops with that point's refusal, and one whose
-    steps raise (ConvergenceError after 100 steps) with that exception,
-    while the others go on.  The brackets do not depend on each other,
-    so the exception of the first failed bracket is the one the
-    bracket-by-bracket order raises first, and it is raised once all are
-    done.
+    f maps an array of points to their values and to one refusal or None
+    per point, as _anchor_values does.  All brackets are refined at once
+    by regula falsi with the Illinois rule (Dowell & Jarratt, BIT 11,
+    1971): each round takes x = (a f(b) - b f(a)) / (f(b) - f(a)) in every
+    open bracket, by one f call, and x replaces the end whose value has
+    the sign of f(x); an end kept for a second round in a row has its
+    value halved.  A bracket closes with (x, f(x)) when f(x) is 0, when x
+    is not strictly inside (a, b), or when the new width is at most
+    2e-12 + 4*eps*|x|, the stop of scipy.optimize.brentq.  Every step is
+    elementwise, so each bracket gets the root it gets alone.
+
+    A bracket whose point is refused closes with that refusal, and one
+    still open after 100 rounds with a ConvergenceError that names it.
+    Once every bracket is closed, the first failed bracket's exception is
+    raised.
     """
-    steps = [_brent_steps(*bracket) for bracket in brackets]
-    results: list = [None] * len(steps)  # (root, f), or the failure
-    pending: dict[int, float] = {}  # bracket -> the point it asks f at
-
-    def advance(i: int, f: float | None) -> None:
-        try:
-            pending[i] = next(steps[i]) if f is None else steps[i].send(f)
-        except StopIteration as done:
-            results[i] = done.value
-        except (PaironsError, ValueError) as exc:
-            results[i] = exc
-
-    for i in range(len(steps)):
-        advance(i, None)
-    while pending:
-        index, x = list(pending), list(pending.values())
-        pending.clear()
-        values, _, refusals = _anchor_values(spec, np.array(x))
-        for i, f, refusal in zip(index, values.tolist(), refusals):
-            results[i] = refusal  # None while the bracket goes on
-            if refusal is None:
-                advance(i, f)
+    xtol, rtol = 2e-12, 4 * math.ulp(1.0)
+    results: list = [None] * len(brackets)  # (root, f), or the failure
+    index = np.arange(len(brackets))
+    a, b, fa, fb = np.array(brackets, dtype=float).reshape(-1, 4).T
+    kept = np.zeros(len(brackets))  # -1: a kept last round, 1: b, 0: none
+    x = a  # the partials, if no round runs
+    for _ in range(100):
+        if not len(index):
+            break
+        x = (a * fb - b * fa) / (fb - fa)
+        fx, refusals = f(x)
+        inside = (a < x) & (x < b)
+        to_b = np.signbit(fx) == np.signbit(fb)  # x replaces b, keeps a
+        fa = np.where(to_b & (kept == -1), 0.5 * fa, fa)
+        fb = np.where(~to_b & (kept == 1), 0.5 * fb, fb)
+        a, fa = np.where(to_b, a, x), np.where(to_b, fa, fx)
+        b, fb = np.where(to_b, x, b), np.where(to_b, fx, fb)
+        kept = np.where(to_b, -1.0, 1.0)
+        done = ((fx == 0) | ~inside | (b - a <= xtol + rtol * np.abs(x))
+                | np.array([r is not None for r in refusals], dtype=bool))
+        for i in np.flatnonzero(done).tolist():
+            results[index[i]] = (refusals[i] if refusals[i] is not None
+                                 else (float(x[i]), float(fx[i])))
+        index, a, b, fa, fb, kept, x = (
+            v[~done] for v in (index, a, b, fa, fb, kept, x))
+    for k, partial in zip(index.tolist(), x.tolist()):
+        lo, hi = brackets[k][:2]
+        results[k] = ConvergenceError(
+            f"regula falsi did not converge in 100 rounds in "
+            f"[{lo!r}, {hi!r}]", partial=partial)
     for result in results:
         _raised(result)
     return results
@@ -927,8 +867,8 @@ def collapse_zero_pattern(params: ModelParams,
     leaves the vanishing a_m of order delta.  At the analytic points with
     j <= 10 on line sums 10 and 12 they stay below 0.24 of their bound
     and the next coefficient exceeds its bound 1.9e4-fold; at the
-    root-solved gx of find_collapses (up to 6e-7 off at j = 10) the count
-    falls short at 65 of the 178 points with j = 2..10.
+    root-solved gx of find_collapses (up to 1.9e-6 off at j = 10) the count
+    falls short at 61 of the 178 hyperbola points with j = 2..10.
 
     This is the one-point case of _zero_patterns, which collapse_rows
     calls on all its points at once.

@@ -17,7 +17,8 @@ class ConvergenceError(PaironsError):
     residual check or their normalized factor product misses the
     coefficients by more than ACCEPT_DEFECT (phasespace._solve_cores).
     The parity-block eigensolver (spin.parity_eigh) raises it when LAPACK
-    fails, and the collapse detector's Brent solver when it does not converge.
+    fails, and the collapse detector's regula falsi when a bracket is still
+    open after 100 rounds.
     Carries whatever partial results were available in ``partial``.
     """
 

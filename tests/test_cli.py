@@ -445,6 +445,21 @@ def test_collapse_excited_state_is_usage_error(capsys, state):
     assert "--state must be 0" in err and "ground state" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["--j", "4", "--eps", "-1"],
+    ["--j", "4", "--line", "diagonal", "--eps", "-1"],
+    ["--j", "4", "--line-sum=-10", "--from=-9.9", "--to=-0.1"],
+    ["--j", "3", "--line-sum=-10", "--from=-9", "--to=-1"],
+    ["--j", "4", "--line-sum", "0", "--from=-3", "--to=-1"]])
+def test_collapse_outside_its_ground_state_is_usage_error(capsys, argv):
+    # H(-eps) has the spectrum of -H(eps), so state 0 there is the top
+    # state of the eps > 0 model, not the one whose points are listed
+    rc, out, err = run_lmg(capsys, "collapse", *argv)
+    assert rc == 2
+    assert out == ""
+    assert "ground state's for eps > 0 on gx + gy = c > 0" in err
+
+
 def test_collapse_diagonal_frozen(capsys):
     rc, out, _ = run_lmg(capsys, "collapse", "--j", "10", "--line",
                          "diagonal")
@@ -502,7 +517,7 @@ def test_collapse_extracts_no_pairons(capsys, monkeypatch):
 
 
 def test_collapse_builds_no_dense_hamiltonian(capsys, monkeypatch):
-    # the anchor profile, the Brent rounds, the total collapse and the
+    # the anchor profile, the refinement rounds, the total collapse and the
     # zero patterns all solve from the bands of H
     reference = run_lmg(capsys, "collapse", "--j", "6")
 

@@ -1,10 +1,11 @@
 import cmath
+import json
 import math
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.optimize import brentq, linear_sum_assignment
+from scipy.optimize import linear_sum_assignment
 
 import pairons
 import pairons.cli
@@ -22,9 +23,9 @@ from pairons.paironmap import extract_stack
 from pairons.sphere import INFINITY, chordal_distances, coordinates
 from pairons.collapse import (SINGULAR_MARGIN, AnchorProfile,
                               CollapseCandidate, _anchor_coefficients,
-                              _anchor_slices, _assign_branches, _brentq,
-                              _linear_sum_assignment, _steady_costs,
-                              collapse_rows)
+                              _anchor_slices, _assign_branches,
+                              _linear_sum_assignment, _refine_brackets,
+                              _steady_costs, collapse_rows)
 
 
 def test_hyperbola_levels_frozen():
@@ -632,79 +633,63 @@ def test_anchor_value_changes_sign_at_collapse():
         assert 0 < abs(above) < abs(anchor_value(spec, p.gamma_x + 2e-4)[0])
 
 
-def _root_or_failure(solve, failure, f, a, b):
-    """The root's hex, or which way the solve failed."""
-    try:
-        return solve(f, a, b).hex()
-    except ValueError:
-        return "no sign change"
-    except failure:
-        return "no convergence"
-
-
-def _same_as_scipy(f, a, b):
-    return (_root_or_failure(_brentq, ConvergenceError, f, a, b)
-            == _root_or_failure(brentq, RuntimeError, f, a, b))
-
-
 # (f, lo, root, hi): brackets are drawn with one end in [lo, root) and
 # the other in (root, hi]
 BRENTQ_CASES = [
     (lambda x: math.cos(x) - x, -2.0, 0.7390851332151607, 3.0),
     (lambda x: x ** 3 - 2 * x - 5, 0.0, 2.0945514815423265, 4.0),
     (lambda x: math.exp(x) - 3, -1.0, math.log(3), 3.0),
-    (lambda x: (x - 0.3) ** 5, -2.0, 0.3, 2.0),  # often out of steps
+    (lambda x: (x - 0.3) ** 5, -2.0, 0.3, 2.0),  # flat: out of rounds
     (lambda x: math.tan(x) - 1, -1.5, math.pi / 4, 1.5),
     (lambda x: x ** 4 - 1e-10, 0.0, 10 ** -2.5, 2.0)]
 
 
+def _pointwise(g):
+    """g as _refine_brackets' f: values at an array of points, no refusal."""
+    return lambda x: (np.array([g(v) for v in x.tolist()]), [None] * len(x))
+
+
 @pytest.mark.parametrize("case", range(len(BRENTQ_CASES)))
-def test_brentq_is_scipy_bitwise(case):
-    f, lo, root, hi = BRENTQ_CASES[case]
+def test_refine_brackets_finds_known_roots(case):
+    # within brentq's stop, 2e-12 + 4*eps*|root|, of the known root; the
+    # quintic's flat root may run out of rounds, and the error names the
+    # bracket
+    g, lo, root, hi = BRENTQ_CASES[case]
+    f = _pointwise(g)
     rng = np.random.default_rng(case)
     for _ in range(100):
         a = float(rng.uniform(lo, root))
         b = float(rng.uniform(root, hi))
-        if rng.random() < 0.5:
-            a, b = b, a
-        assert _same_as_scipy(f, a, b), (case, a, b)
+        try:
+            ((x, fx),) = _refine_brackets(f, [(a, b, g(a), g(b))])
+        except ConvergenceError as exc:
+            assert case == 3, (a, b)
+            assert str(exc) == ("regula falsi did not converge in 100 "
+                                f"rounds in [{a!r}, {b!r}]")
+            continue
+        assert fx == g(x)
+        if case == 3:
+            assert a <= x <= b
+        else:
+            assert abs(x - root) <= 2e-12 + 4 * math.ulp(1.0) * abs(root), \
+                (a, b)
 
 
-def test_brentq_edge_cases():
-    # an endpoint where f is 0 is the root; a bracket without a sign
-    # change raises ValueError, one that does not converge in 100 steps
-    # ConvergenceError (scipy: RuntimeError)
-    f = lambda x: x * x - 4
-    p5 = lambda x: (x - 0.3) ** 5
-    assert _brentq(f, 2.0, 5.0) == 2.0
-    assert _brentq(f, 0.0, -2.0) == -2.0
-    assert _brentq(p5, 0.3, 1.0) == 0.3
-    with pytest.raises(ValueError):
-        _brentq(f, 3.0, 4.0)
-    with pytest.raises(ConvergenceError):
-        _brentq(p5, 0.0, 1.0)
-    for g, a, b in [(f, 2.0, 5.0), (f, 0.0, -2.0), (p5, 0.3, 1.0),
-                    (f, 3.0, 4.0), (p5, 0.0, 1.0)]:
-        assert _same_as_scipy(g, a, b)
+def test_refine_brackets_returns_an_exact_zero_as_is():
+    # a point where f is 0, interior or an end, closes its bracket at once
+    # (a plateau of zeros in [1, 2], and x^2 - 4 shifted to [12, 15])
+    g = lambda x: (0.0 if 1.0 <= x <= 2.0 else x - 1.5) if x < 10 \
+        else (x - 10) ** 2 - 4
+    calls = []
 
+    def f(x):
+        calls.append(x.tolist())
+        return _pointwise(g)(x)
 
-def test_brentq_is_scipy_bitwise_on_anchor_brackets():
-    # every sign-change bracket the collapse command refines at these
-    # (j, line sum), on its default sampling
-    lo = SINGULAR_MARGIN + 0.049
-    count = 0
-    for j in (3, 6, 10):
-        for c in (10.0, 12.0):
-            spec = TrajectorySpec(j=j, start=lo, stop=c - lo, steps=1200,
-                                  line_sum=c)
-            gx = spec.samples()
-            sign = np.sign(anchor_profile(spec).value)
-            f = lambda g: anchor_value(spec, g)[0]
-            for i in np.nonzero(sign[:-1] * sign[1:] < 0)[0]:
-                assert _same_as_scipy(f, float(gx[i]), float(gx[i + 1])), \
-                    (j, c, i)
-                count += 1
-    assert count == 64
+    assert _refine_brackets(f, [(0.0, 3.0, -1.5, 1.5),
+                                (12.0, 15.0, 0.0, 21.0)]) == [
+        (1.5, 0.0), (12.0, 0.0)]
+    assert calls == [[1.5, 12.0]]
 
 
 def _same_assignment(cost):
@@ -840,18 +825,24 @@ def _brackets(profile):
 
 
 def _serial_collapses(profile):
-    """find_collapses bracket by bracket: _brentq on one-sample
-    anchor_value calls, then anchor_value at each root."""
+    """find_collapses bracket by bracket: _refine_brackets on each bracket
+    alone, so that each of its rounds evaluates one point."""
     spec = profile.spec
-    f = lambda g: anchor_value(spec, g)[0]
-    roots = [float(g) for g, v in zip(spec.samples(), profile.value)
-             if v == 0]
-    roots += [_brentq(f, a, b) for a, b in _brackets(profile)]
+    gx, value = spec.samples().tolist(), profile.value.tolist()
+
+    def f(x):
+        values, _, refusals = collapse._anchor_values(spec, x)
+        return values, refusals
+
+    roots = [(g, v) for g, v in zip(gx, value) if v == 0]
+    for a, b in _brackets(profile):
+        fa, fb = value[gx.index(a)], value[gx.index(b)]
+        roots += _refine_brackets(f, [(a, b, fa, fb)])
     found = total_collapse_candidates(spec)
     for total in found:
         roots = [r for r in roots
-                 if abs(r - total.gamma_x) > 1e-9 * abs(spec.line_sum)]
-    found += [CollapseCandidate(gamma_x=r, anchor_value=f(r)) for r in roots]
+                 if abs(r[0] - total.gamma_x) > 1e-9 * abs(spec.line_sum)]
+    found += [CollapseCandidate(gamma_x=r, anchor_value=v) for r, v in roots]
     return sorted(found, key=lambda c: c.gamma_x)
 
 
@@ -864,7 +855,7 @@ def _fields(found):
     (6, 10.0, 1)])
 def test_find_collapses_is_serial_brent_bitwise(j, line_sum, state):
     # the lockstep rounds give every bracket the root and the anchor value
-    # that _brentq on one-sample anchor_value calls gives it
+    # that _refine_brackets gives it alone
     lo = SINGULAR_MARGIN + 0.049
     spec = TrajectorySpec(j=j, start=lo, stop=line_sum - lo, steps=1200,
                           line_sum=line_sum, state_index=state)
@@ -923,7 +914,7 @@ def test_find_collapses_raises_as_the_first_failing_bracket(monkeypatch):
     assert refused == ["late", "early"]
     assert str(lockstep.value) == str(serial.value)
 
-    # an earlier bracket out of Brent steps wins over a later bracket
+    # an earlier bracket out of rounds wins over a later bracket
     # whose first point is refused
     spec = TrajectorySpec(j=2, start=1.0, stop=3.0, steps=3)
 
@@ -941,13 +932,39 @@ def test_find_collapses_raises_as_the_first_failing_bracket(monkeypatch):
     with pytest.raises(ConvergenceError) as lockstep:
         find_collapses(profile)
     assert str(lockstep.value) == str(serial.value) == (
-        "brentq did not converge in 100 steps in [1.0, 2.0]")
+        "regula falsi did not converge in 100 rounds in [1.0, 2.0]")
+
+
+def _collapse_table(capsys, *argv):
+    """The exit code and the rows of `lmg collapse ARGV`, as dicts."""
+    rc = pairons.cli.lmg_main(["collapse", *argv, "--format", "json"])
+    table = json.loads(capsys.readouterr().out)
+    return rc, [dict(zip(table["columns"], row)) for row in table["rows"]]
+
+
+def test_collapse_closes_the_odd_total_collapse_bracket(capsys):
+    # f ~ (gx - 6)^7 around the total collapse of j = 7 on c = 12: the
+    # bracket closes once a point falls on one of its ends, where it
+    # would otherwise run out of rounds
+    rc, rows = _collapse_table(capsys, "--j", "7", "--line-sum", "12")
+    assert rc == 0
+    assert len(rows) == 13 and all(r["pattern_ok"] == 1 for r in rows)
+
+
+@pytest.mark.parametrize("line_sum", ["10", "12"])
+@pytest.mark.parametrize("j", [8, 9, 10])
+def test_collapse_rows_are_within_5e6_of_their_points(capsys, j, line_sum):
+    rc, rows = _collapse_table(capsys, "--j", str(j), "--line-sum", line_sum)
+    assert rc == 0
+    hyperbola = [r for r in rows if r["branch"] != "diagonal"]
+    assert len(hyperbola) == len(rows) - 1
+    assert max(r["delta"] for r in hyperbola) <= 5e-6
 
 
 def test_profile_points_solve_one_block_each(monkeypatch):
     # the 1200 profile points of `lmg collapse --j 10` take three stacks of
     # 400, each certified in its one block, and their profile is that of
-    # the two-block solve; a 16-point stack, as a Brent round, passes both
+    # the two-block solve; a 16-point stack, as a refinement round, passes both
     # blocks of every point to np.linalg.eigh
     assert 16 * 21 < spin.ONE_BLOCK_MIN_ROWS <= 400 * 21
     lo = SINGULAR_MARGIN + 0.049

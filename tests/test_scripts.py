@@ -58,13 +58,14 @@ def test_dump_outputs_runner():
     bad = dump.run(["lmg", "spectrum", "--j", "2", "--gx", "nan", "--gy", "1"])
     assert bad["exit"] == 2 and bad["stdout"] == ""
     assert "lam must be finite" in bad["stderr"]
-    assert len(dump.COMMANDS) == 170
+    assert len(dump.COMMANDS) == 172
 
 
 def test_dump_outputs_compare(tmp_path):
     # two crafted dumps: one command keeps its output, one changes its
     # exit code and stderr, one JSON command moves two numeric meta fields,
-    # and one changes stdout at line 2, column 5
+    # one changes stdout at line 2, column 5, and two tables, one CSV and
+    # one JSON with a meta, move numeric columns
     same = {"argv": ["lmg", "spectrum"], "exit": 0, "stdout": "a\n",
             "stderr": ""}
 
@@ -76,18 +77,31 @@ def test_dump_outputs_compare(tmp_path):
                 "stdout": json.dumps({"meta": meta, "rows": rows}) + "\n",
                 "stderr": ""}
 
+    def collapse_csv(gx):
+        return {"argv": ["lmg", "collapse"], "exit": 0, "stderr": "",
+                "stdout": f"k,branch,gx,pattern\n0,lower,0.25,4\n"
+                          f"1,upper,{gx!r},4+2\n"}
+
+    def collapse_json(delta):
+        return {"argv": ["lmg", "collapse", "--format", "json"], "exit": 0,
+                "stderr": "", "stdout": json.dumps({
+                    "meta": {"seed": 0}, "columns": ["k", "delta", "pattern"],
+                    "rows": [[0, delta, "4"], [1, 0.0, "4+2"]]})}
+
     base = [same,
             {"argv": ["lmg", "pairons"], "exit": 0, "stdout": "x\n",
              "stderr": "warning\n"},
             pairons_json(1.0, [0, 1]),
             {"argv": ["lmg", "scan"], "exit": 0, "stdout": "h\n1,2,3\n",
-             "stderr": ""}]
+             "stderr": ""},
+            collapse_csv(0.5), collapse_json(1e-7)]
     head = [same,
             {"argv": ["lmg", "pairons"], "exit": 3, "stdout": "x\n",
              "stderr": "numerical failure\n"},
             pairons_json(1.0 + 2.0 ** -52, [0, 3]),
             {"argv": ["lmg", "scan"], "exit": 0, "stdout": "h\n1,2,4\n",
-             "stderr": ""}]
+             "stderr": ""},
+            collapse_csv(0.5000025), collapse_json(4e-7)]
     assert _compare(tmp_path, base, head) == REPORT
     # dumps of different lengths are paired by argv: a command in only one
     # of them is listed as such and not counted
@@ -123,7 +137,7 @@ def _compare(tmp_path, base, head):
 REPORT = """\
 ## Byte identity against the base commit
 
-3 of 4 commands differ.
+5 of 6 commands differ.
 
 - `lmg pairons`
   - exit code 0 -> 3
@@ -148,6 +162,23 @@ reconstruction_fidelity 2.22e-16, seniority 2
     base: 1,2,3
     head: 1,2,4
     ```
+- `lmg collapse`
+  - stdout, first difference at line 3, column 12:
+    ```
+    base: 1,upper,0.5,4+2
+    head: 1,upper,0.5000025,4+2
+    ```
+  - columns, largest absolute difference: k 0, gx 2.5e-06
+- `lmg collapse --format json`
+  - stdout, first difference at line 1, column 74:
+    ```
+    base: ...["k", "delta", "pattern"], "rows": [[0, 1e-07, "4"], \
+[1, 0.0, "4+2"]]}
+    head: ...["k", "delta", "pattern"], "rows": [[0, 4e-07, "4"], \
+[1, 0.0, "4+2"]]}
+    ```
+  - meta, largest absolute difference: seed 0
+  - columns, largest absolute difference: k 0, delta 3e-07
 """
 
 
