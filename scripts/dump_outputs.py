@@ -68,13 +68,17 @@ spin.parity_eigenstates' one-block solve: `--line diagonal --from -9.95
 --to -0.05` (lam = 0), whose ground state is odd at 109 samples, and
 `--state 5` on gx + gy = 10, where the predicted sectors are mixed and
 70 samples fail their certificate and solve the other block too; and
-four commands at the edges of the energy unit: `lmg pairons --j 10 --gx
+six commands at the edges of the energy unit: `lmg pairons --j 10 --gx
 2 --gy 8 --eps 1e200`, whose eigen-residual is taken at a power-of-two
 scale of |H|, `bcs pairons --levels 0,5e99,1e100 --gamma 5e99 --n 6`,
 the x1e100 copy of a model, whose inverse iteration rescales its vector
 after each solve, `lmg spectrum --j 2 --gx=-1 --gy=-1 --eps=5e307`,
-whose gaps between sectors overflow, and `lmg crossings --j 3 --eps 0`,
-a usage error.
+whose gaps between sectors overflow, `lmg crossings --j 3 --eps 0`,
+a usage error, `bcs pairons --levels 0,5e-11,1e-10 --gamma 5e-11 --n 6
+--format json`, the x1e-10 copy of a model, whose degeneracy rules take
+their gaps relative to |H| and to the largest |level|, and `bcs spectrum
+--levels 0,0,0 --gamma 0 --n 4`, whose H = 0 flags every state
+degenerate.
 """
 import argparse
 import csv
@@ -159,7 +163,10 @@ COMMANDS = (
        ["bcs", "pairons", "--levels", "0,5e99,1e100", "--gamma", "5e99",
         "--n", "6"],
        ["lmg", "spectrum", "--j", "2", "--gx=-1", "--gy=-1", "--eps=5e307"],
-       ["lmg", "crossings", "--j", "3", "--eps", "0"]])
+       ["lmg", "crossings", "--j", "3", "--eps", "0"],
+       ["bcs", "pairons", "--levels", "0,5e-11,1e-10", "--gamma", "5e-11",
+        "--n", "6", "--format", "json"],
+       ["bcs", "spectrum", "--levels", "0,0,0", "--gamma", "0", "--n", "4"]])
 
 
 def run(argv: list[str], src: Path = SRC) -> dict:

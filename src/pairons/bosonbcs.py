@@ -69,9 +69,11 @@ class BosonModel:
     @property
     def has_degenerate_levels(self) -> bool:
         """True when some pair of levels is closer than the inversion can
-        separate (the quadric axes coincide and the axis map loses rank)."""
-        return any(self.levels[i + 1] - self.levels[i] <= LEVEL_DEGENERACY_TOL
-                   for i in range(len(self.levels) - 1))
+        separate (the quadric axes coincide and the axis map loses rank):
+        within LEVEL_DEGENERACY_TOL times the largest |level|, so the rule
+        is the same in any energy unit, and equal levels always are."""
+        tol = LEVEL_DEGENERACY_TOL * max(map(abs, self.levels))
+        return any(b - a <= tol for a, b in zip(self.levels, self.levels[1:]))
 
     @property
     def dim(self) -> int:
@@ -268,8 +270,7 @@ def _ranked_spectrum(model: BosonModel) -> tuple:
     boson_eigenstate and `bcs spectrum`."""
     blocks, norm = _sectors(model)
     values = [np.linalg.eigvalsh(block) for _, _, block in blocks]
-    return blocks, norm, values, rank_states(
-        values, DEGENERACY_RTOL * max(norm, 1.0))
+    return blocks, norm, values, rank_states(values, DEGENERACY_RTOL * norm)
 
 
 def _ranked_state(model: BosonModel, spectrum, index: int) -> BosonState:

@@ -28,7 +28,7 @@ import numpy as np
 from .errors import ConvergenceError, UnresolvedAnchorError
 from .paironmap import (PaironSet, extract_stack, names_of, pairon_sites,
                         solve_states, stack_slices)
-from .phasespace import _binomial_sqrt, _live_ranges, _polyval, _raised
+from .phasespace import _live_ranges, _polyval, _raised, sector_slices
 from .sphere import chordal_distances
 from .spin import (ModelParams, build_hamiltonian, check_j, couplings,
                    eigenpair)
@@ -590,17 +590,16 @@ def _anchor_slices(j: int, eps: float, lam: np.ndarray, gam: np.ndarray,
     solved, and the points refused, by solve_states, as extract_stack
     solves and refuses them, naming the points by names, the callers'
     (gamma_x, gamma_y) arrays, where given; nothing is raised.  The slice
-    is the eigenvector's column times the sector's sqrt(C(2j, k)), as
-    parity_slice computes it, so each point gets the bits it gets alone.
+    is sector_slices of the eigenvector's column, as parity_slice takes
+    it, so each point gets the bits it gets alone.
     """
-    binom = _binomial_sqrt(2 * j)
     refusals, slices = [], []
     for part in stack_slices(j, len(lam)):
         out, _, _, t, sectors = solve_states(
             j, eps, lam[part], gam[part], state_index, names_of(names, part))
         refusals += out
         for nu, rows, columns, _ in sectors:
-            d = columns * binom[nu::2]
+            d = sector_slices(columns, nu, 2 * j)
             d[d[:, 0] < 0] *= -1.0
             ts = t[rows]
             slices.append((rows + part.start, d, (ts - 1.0) / (ts + 1.0)))

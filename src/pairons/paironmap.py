@@ -26,8 +26,8 @@ import numpy as np
 
 from .errors import (ConvergenceError, DegenerateStateError,
                      InconsistentPaironsError)
-from .phasespace import (ZeroSet, _binomial_sqrt, _exp, _linear_product,
-                         _log_factorials, _raised, parity_slice,
+from .phasespace import (ZeroSet, _exp, _linear_product, _log_factorials,
+                         _raised, parity_slice, sector_slices,
                          strip_and_solve_stack)
 from .sphere import INFINITY, SpherePoint
 from .spin import (ModelParams, StateVector, _unit_rows, eigen_residuals,
@@ -457,14 +457,13 @@ def extract_stack(j: int, eps: float, lam, gam, state_index: int = 0,
     out, bands, (gamma_x, gamma_y), t, sectors = solve_states(
         j, eps, lam, gam, state_index, names, point)
     named_x, named_y = (gamma_x, gamma_y) if names is None else names
-    binom = _binomial_sqrt(2 * j)
     for nu, rows, columns, energy in sectors:
         full = np.zeros((len(rows), 2 * j + 1), dtype=complex)
         full[:, nu::2] = columns
         unit = _unit_rows(full)
         ts = t[rows]
         pairons, root_residual, refusals = _slice_pairons(
-            np.conj(unit[:, nu::2]) * binom[nu::2], ts)
+            sector_slices(unit[:, nu::2], nu, 2 * j), ts)
         coeffs, vanished = _reconstruct_stack(j, nu, pairons, ts)
         coeffs[vanished, nu] = 1.0  # a placeholder; the row is refused
         recon = _unit_rows(coeffs)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, UnpairedZeroError
-from .sphere import SpherePoint
+from .sphere import SpherePoint, coordinates
 from .spin import PARITY_MIXED, PARITY_ODD, StateVector
 
 # A root set that misses the coefficients it came from by a factor defect
@@ -98,36 +98,42 @@ def parity_slice(state: StateVector) -> tuple[int, np.ndarray]:
     A state of definite parity has P(zeta) = zeta^nu * sum_i d_i u^i with
     u = zeta^2 and d = majorana_poly(state).coeffs[nu::2] (nu = 1 for odd
     parity), so its zeros come in exact +- pairs, one pair per root u.
-    A mixed-parity state has no such structure: UnpairedZeroError.
+    d is the one-vector case of sector_slices.  A mixed-parity state has
+    no such structure: UnpairedZeroError.
     """
     if state.parity == PARITY_MIXED:
         raise UnpairedZeroError(
             "state has mixed parity; its zeros do not close under "
             "zeta -> -zeta")
     nu = 1 if state.parity == PARITY_ODD else 0
-    return nu, majorana_poly(state).coeffs[nu::2]
+    return nu, sector_slices(state.coeffs[nu::2], nu, 2 * state.j)
+
+
+def sector_slices(columns: np.ndarray, nu: int, two_j: int) -> np.ndarray:
+    """The u-polynomials (..., n) of a stack of vectors columns (..., n)
+    of parity sector nu (0 even, 1 odd) in the sector's basis: conj(c_k)
+    sqrt(C(2j, k)) at the sector's Dicke indices k = nu, nu + 2, ..., the
+    entries of majorana_poly's coefficients there, bit for bit."""
+    return np.conj(columns) * _binomial_sqrt(two_j)[nu::2]
+
+
+def _overlaps(state: StateVector, z: np.ndarray) -> np.ndarray:
+    """<psi|zeta> at an array of coordinates z (sphere.INFINITY for the
+    south pole), each on its safe chart (_root_charts): where |zeta| > 1,
+    the reversed polynomial at w = 1/zeta times the chart phase
+    exp(-2ij arg w), so no power above 1 is formed.  At the pole w = 0
+    and the value is conj(c_j), the amplitude in the w chart (the phase
+    there is chart convention)."""
+    x, terms = _root_charts(majorana_poly(state).coeffs[None], z[None])
+    x = x[0]
+    phase = np.where(np.abs(z) > 1.0, np.exp(-2j * state.j * np.angle(x)), 1)
+    return phase * _polyval(x, terms)[0] / (1.0 + np.abs(x) ** 2) ** state.j
 
 
 def coherent_overlap(state: StateVector, point: SpherePoint | complex) -> complex:
-    """<psi|zeta> evaluated stably on either chart.
-
-    For |zeta| > 1 the reversed polynomial in w = 1/zeta is used; at the
-    south pole itself the returned value is conj(c_j), the amplitude in
-    the w chart (the phase there is chart convention).
-    """
-    d = majorana_poly(state).coeffs
-    two_j = 2 * state.j
-    zeta = point.zeta if isinstance(point, SpherePoint) else complex(point)
-    if zeta is None:
-        return complex(d[two_j])
-    if abs(zeta) <= 1.0:
-        num = complex(_polyval(zeta, d))
-        return num / (1.0 + abs(zeta) ** 2) ** state.j
-    w = 1.0 / zeta
-    rev = d[::-1]
-    num = complex(_polyval(w, rev))
-    phase = cmath.exp(-2j * state.j * cmath.phase(w))
-    return phase * num / (1.0 + abs(w) ** 2) ** state.j
+    """<psi|zeta> evaluated stably on either chart: the one-point case of
+    _overlaps."""
+    return complex(_overlaps(state, coordinates([point]))[0])
 
 
 def husimi(state: StateVector, point: SpherePoint | complex) -> float:
@@ -141,32 +147,15 @@ def husimi_quadrature(state: StateVector) -> float:
     Gauss-Legendre in cos(theta) crossed with a uniform azimuthal grid,
     128 nodes each; both are spectrally exact once 128 exceeds the
     bandwidth 2j, so for 2j < 128 the result is 1.0 to roundoff for any
-    normalized state.
+    normalized state.  Q is |_overlaps|^2, one theta row at a time.
     """
     n_theta = n_phi = 128
-    j = state.j
-    d = majorana_poly(state).coeffs
     x, wx = np.polynomial.legendre.leggauss(n_theta)
-    theta = np.arccos(x)
-    tan_half = np.tan(theta / 2.0)
-    phi = 2.0 * math.pi * np.arange(n_phi) / n_phi
-
-    zeta = tan_half[:, None] * np.exp(-1j * phi[None, :])
-    # evaluate on the safe chart row by row: rows with tan(theta/2) > 1 flip
-    q = np.empty((n_theta, n_phi))
-    rev = d[::-1]
-    big = tan_half > 1.0
-    if np.any(~big):
-        z = zeta[~big]
-        num = _polyval(z, d)
-        q[~big] = np.abs(num) ** 2 / (1.0 + np.abs(z) ** 2) ** (2 * j)
-    if np.any(big):
-        w = 1.0 / zeta[big]
-        num = _polyval(w, rev)
-        q[big] = np.abs(num) ** 2 / (1.0 + np.abs(w) ** 2) ** (2 * j)
-
+    tan_half = np.tan(np.arccos(x) / 2.0)
+    ring = np.exp(-1j * (2.0 * math.pi * np.arange(n_phi) / n_phi))
+    q = np.array([np.abs(_overlaps(state, r * ring)) ** 2 for r in tan_half])
     weights = wx[:, None] * (2.0 * math.pi / n_phi)
-    return float((2 * j + 1) / (4.0 * math.pi) * np.sum(q * weights))
+    return float((2 * state.j + 1) / (4.0 * math.pi) * np.sum(q * weights))
 
 
 # ---------------------------------------------------------------------------

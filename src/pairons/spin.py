@@ -82,18 +82,15 @@ class ModelParams:
 
     @functools.cached_property
     def parity_solutions(self) -> SolvedPoint:
-        """The point's SolvedPoint, read-only: solve_blocks of its bands,
-        a one-point stack.  An H whose max row sum is not finite raises
+        """The point's SolvedPoint, read-only: solve_blocks of the bands
+        of build_hamiltonian and their HamiltonianMatrix.norm, a one-point
+        stack.  An H whose max row sum is not finite raises
         overflow_refusal, and a LAPACK failure ConvergenceError, on every
         read; neither is kept."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            diag, off = hamiltonian_bands(self.j, self.eps, self.lam,
-                                          self.gam)
-            norm = max_row_sum(diag, off)
-        if not norm[0] < math.inf:
-            raise overflow_refusal(self.j, self.eps, self.lam, self.gam)
-        record = solve_blocks(diag, off, norm)
-        for array in (diag, off, norm, *record.ranks,
+        h = build_hamiltonian(self)
+        norm = np.array([h.norm])
+        record = solve_blocks(h.diag[None], h.off[None], norm)
+        for array in (norm, *record.ranks,
                       *(a for pair in record.solutions for a in pair)):
             array.setflags(write=False)
         return record
@@ -252,7 +249,7 @@ class HamiltonianMatrix:
     @property
     def matrix(self) -> np.ndarray:
         """The dense symmetric matrix, assembled from the bands when read."""
-        return dense_hamiltonian(self.diag, self.off)
+        return _banded(self.diag, self.off, 2)
 
     @property
     def norm(self) -> float:
@@ -322,13 +319,6 @@ def _banded(diag: np.ndarray, off: np.ndarray, step: int = 1) -> np.ndarray:
     return out
 
 
-def dense_hamiltonian(diag: np.ndarray, off: np.ndarray) -> np.ndarray:
-    """The dense H (..., dim, dim) of bands of hamiltonian_bands, built only
-    where a dense matrix is read: HamiltonianMatrix.matrix and
-    eigen_residuals."""
-    return _banded(diag, off, 2)
-
-
 def parity_block(diag: np.ndarray, off: np.ndarray, offset: int) -> np.ndarray:
     """The tridiagonal blocks of sector offset (0 even, 1 odd) of bands
     (..., dim): the entries of H[offset::2, offset::2], bit for bit."""
@@ -383,9 +373,10 @@ def rank_states(values, gap_tol) -> tuple:
     values lists each sector's ascending eigenvalues, (n_s,) or a stack
     (S, n_s), and the ranks run over the last axis: a stable argsort of
     the values concatenated in list order.  A state is degenerate when a
-    gap w[c+1] - w[c] beside it in its sector is below gap_tol
-    (broadcast as a column).  One concatenation serves the sort and the
-    gaps, of which those across two sectors are dropped."""
+    gap w[c+1] - w[c] beside it in its sector is at most gap_tol
+    (broadcast as a column), so an exact tie is one at any gap_tol, 0
+    included.  One concatenation serves the sort and the gaps, of which
+    those across two sectors are dropped."""
     joined = np.concatenate(values, -1)
     order = np.argsort(joined, -1, kind="stable")
     sizes = [w.shape[-1] for w in values]
@@ -393,7 +384,7 @@ def rank_states(values, gap_tol) -> tuple:
     sector = np.repeat(np.arange(len(sizes)), sizes)[order]
     # a gap that overflows to inf is not close
     with np.errstate(over="ignore"):
-        close = joined[..., 1:] - joined[..., :-1] < gap_tol
+        close = joined[..., 1:] - joined[..., :-1] <= gap_tol
     close[..., [s - 1 for s in starts if 0 < s < joined.shape[-1]]] = False
     # the value at position p has gaps p - 1 and p beside it
     flags = np.zeros(joined.shape, dtype=bool)
@@ -645,14 +636,18 @@ def eigen_residuals(diag, off, coeffs: np.ndarray,
                     norm: np.ndarray | None = None) -> np.ndarray:
     """eigen_residual of each unit state of a stack (R, dim) under the
     matching H of bands (R, dim) and (R, dim - 2), |H| their max_row_sum:
-    norm (R,), where the caller holds it, else taken here.  The products
-    are stacked np.matmul by the dense H and the norms _norms, so each
-    state gets the bits it gets alone.  The residual vector and |H| are
-    both scaled by the power of two that brings |H| into [1/2, 1), so the
-    squares in _norms cannot overflow at any finite |H|.  The scaling is
-    exact but for entries that underflow, so a residual whose squares
-    neither overflow nor underflow keeps its bits."""
-    hv = np.matmul(dense_hamiltonian(diag, off), coeffs[:, :, None])[:, :, 0]
+    norm (R,), where the caller holds it, else taken here.  H x is read
+    off the bands, each row summed in max_row_sum's order, (H_kk x_k +
+    H_k,k-2 x_k-2) + H_k,k+2 x_k+2, so no dense H is built; <H> is a
+    stacked np.matmul and the norms _norms, so each state gets the bits
+    it gets alone.  The residual vector and |H| are both scaled by the
+    power of two that brings |H| into [1/2, 1), so the squares in _norms
+    cannot overflow at any finite |H|.  The scaling is exact but for
+    entries that underflow, so a residual whose squares neither overflow
+    nor underflow keeps its bits."""
+    hv = diag * coeffs
+    hv[:, 2:] += off * coeffs[:, :-2]
+    hv[:, :-2] += off * coeffs[:, 2:]
     ev = np.matmul(np.conj(coeffs)[:, None, :], hv[:, :, None])[:, 0, 0].real
     if norm is None:
         norm = max_row_sum(diag, off)

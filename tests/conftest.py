@@ -35,6 +35,29 @@ def schwinger_hamiltonian(params):
     return h
 
 
+_U = np.finfo(float).eps / 2
+
+# How far a band eigen-residual (spin.eigen_residuals) may lie from
+# dense_residual of the same unit state.  Each entry of H x is three
+# products and two additions, the other terms of a dense row being exact
+# zeros, so each side's H x is within gamma_3 (|H| |x|)_k of the exact
+# product in its real and in its imaginary part, gamma_3 = 3u / (1 - 3u)
+# (Higham, Accuracy and Stability of Numerical Algorithms, sec. 3.1).
+# The two products then differ by at most 2 sqrt(2) gamma_3 |H| in
+# 2-norm, |H| the max row sum, which bounds the 2-norm of |H| for a
+# symmetric H.  The residual |(I - x x^H) H x| / |H| moves by no more than
+# its input over |H|; the rest of it is the same operations on both sides.
+RESIDUAL_BOUND = 2 * math.sqrt(2) * 3 * _U / (1 - 3 * _U)
+
+
+def dense_residual(h, state):
+    """|| H x - <H> x || / |H| of a state x, with H x the product by the
+    dense h.matrix."""
+    hv = h.matrix @ state.coeffs
+    ev = np.real(np.conj(state.coeffs) @ hv)
+    return float(np.linalg.norm(hv - ev * state.coeffs) / h.norm)
+
+
 def pair_hamiltonian(levels, gamma, basis):
     """Dense bosonic pairing Hamiltonian from raw operator action."""
     index = {occ: i for i, occ in enumerate(basis)}

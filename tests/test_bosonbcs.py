@@ -278,7 +278,8 @@ def _sector_eigh(model):
 def test_boson_eigenstate_is_diagonalize_entry(levels, gamma, n):
     # every state against the eigh diagonalization of its sector: its
     # energy within the certified window c * m * eps * max(|H|, 1) of an
-    # eigh value, the degenerate flag of that value's gaps, and its
+    # eigh value, the degenerate flag of that value's gaps (at most
+    # DEGENERACY_RTOL * |H|, no floor), and its
     # vector, zero outside the sector, inside the eigh eigenspace of the
     # values in the window (|<x|v>| = 1 for a lone value)
     model = BosonModel(levels=levels, gamma=gamma, n_bosons=n)
@@ -299,7 +300,7 @@ def test_boson_eigenstate_is_diagonalize_entry(levels, gamma, n):
         col = int(np.argmin(np.abs(w - st.energy)))
         gaps = np.diff(np.concatenate(([-math.inf], w, [math.inf])))
         assert st.degenerate == bool(
-            min(gaps[col], gaps[col + 1]) < DEGENERACY_RTOL * scale)
+            min(gaps[col], gaps[col + 1]) <= DEGENERACY_RTOL * norm)
         outside = np.ones(model.dim, dtype=bool)
         outside[idx] = False
         assert not np.any(st.coeffs[outside])

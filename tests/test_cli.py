@@ -212,6 +212,37 @@ def test_bcs_pairons_at_a_large_energy_unit(capsys):
     assert err.startswith("numerical failure: pairon product is not finite")
 
 
+def test_bcs_at_a_small_energy_unit_is_the_model_scaled(capsys):
+    # the x1e-10 copy of a model: its spectrum flags none of its 28
+    # states, as the model's flags none, and its pairons are 1e-10 times the model's, as the degeneracy rules
+    # take their gaps relative to |H| and to the largest |level|; equal
+    # levels are still refused, and an H = 0 still flags every state
+    argv = ["--n", "6", "--format", "json"]
+    unit = ["--levels", "0,0.5,1", "--gamma", "0.5"]
+    small = ["--levels", "0,5e-11,1e-10", "--gamma", "5e-11"]
+    docs = {}
+    for command in ("spectrum", "pairons"):
+        for name, model in (("unit", unit), ("small", small)):
+            rc, out, _ = run_bcs(capsys, command, *argv, *model)
+            assert rc == 0
+            docs[command, name] = json.loads(out)
+    flags = [[row[3] for row in docs["spectrum", name]["rows"]]
+             for name in ("unit", "small")]
+    assert flags[0] == flags[1] == [0] * 28
+    assert_allclose(
+        np.array(docs["pairons", "small"]["rows"])[:, 1:3].astype(float),
+        1e-10 * np.array(docs["pairons", "unit"]["rows"])[:, 1:3].astype(float),
+        rtol=1e-12, atol=0)
+    rc, out, err = run_bcs(capsys, "pairons", "--n", "6", "--levels", "0,0,1",
+                           "--gamma", "0.5")
+    assert (rc, out) == (3, "")
+    assert "level energies are not pairwise distinct" in err
+    rc, out, _ = run_bcs(capsys, "spectrum", "--levels", "0,0,0", "--gamma",
+                         "0", "--n", "4")
+    rows = list(csv.reader(io.StringIO(out)))[1:]
+    assert rc == 0 and len(rows) == 15 and {row[3] for row in rows} == {"1"}
+
+
 def test_spectrum_gap_that_overflows_is_not_degenerate(capsys):
     # at |H| near the largest double, a gap between two sectors' values
     # overflows; it is not close
@@ -516,17 +547,30 @@ def test_collapse_extracts_no_pairons(capsys, monkeypatch):
     assert calls == []
 
 
-def test_collapse_builds_no_dense_hamiltonian(capsys, monkeypatch):
-    # the anchor profile, the refinement rounds, the total collapse and the
-    # zero patterns all solve from the bands of H
-    reference = run_lmg(capsys, "collapse", "--j", "6")
+_POINT = ("--j", "10", "--gx", "2", "--gy", "8")
 
-    def refused(*args, **kwargs):
-        raise AssertionError("dense H built by lmg collapse")
 
-    monkeypatch.setattr(pairons.spin, "dense_hamiltonian", refused)
-    assert run_lmg(capsys, "collapse", "--j", "6") == reference
-    assert reference[0] == 0 and len(reference[1].splitlines()) > 1
+@pytest.mark.parametrize("argv", [
+    ("collapse", "--j", "6"),
+    ("scan", "--j", "10", "--from", "0.05", "--to", "9.95", "--steps", "40"),
+    ("pairons", *_POINT, "--format", "json"),
+    ("zeros", *_POINT, "--state", "3"),
+    ("spectrum", *_POINT),
+], ids=["collapse", "scan", "pairons", "zeros", "spectrum"])
+def test_lmg_commands_build_no_dense_hamiltonian(capsys, monkeypatch, argv):
+    # the solves, the collapse's anchor profile, refinement rounds, total
+    # collapse and zero patterns, and the extraction's eigen-residual all
+    # read the bands of H: no _banded call builds the m+-2 matrix
+    reference = run_lmg(capsys, *argv)
+    banded = pairons.spin._banded
+
+    def refused(diag, off, step=1):
+        assert step != 2, f"dense H built by lmg {argv[0]}"
+        return banded(diag, off, step)
+
+    monkeypatch.setattr(pairons.spin, "_banded", refused)
+    assert run_lmg(capsys, *argv) == reference
+    assert reference[0] == 0 and reference[1]
 
 
 def test_float_cells_roundtrip(capsys):

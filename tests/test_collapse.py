@@ -572,6 +572,40 @@ def test_stacked_zero_patterns_are_the_one_point_patterns(line_sum):
                 assert stacked[i] == _one_row_pattern(row, at)
 
 
+@pytest.mark.parametrize("j, state_index", [(10, 0), (7, 3), (40, 19)])
+def test_stacked_slices_are_parity_slice_bitwise(monkeypatch, j, state_index):
+    # the u-polynomial each stacked layer roots, the extraction's (as
+    # _slice_pairons receives it) and the anchor's (sign fixed by d_0 > 0),
+    # is parity_slice of the point's eigenpair state, bit for bit
+    gx = np.linspace(0.05, 9.95, 600 // (2 * j + 1))
+    lam, gam = spin.couplings(j, gx, 10.0 - gx)
+    alone = [parity_slice(eigenpair(build_hamiltonian(
+        ModelParams(j=j, lam=a, gam=b)), state_index).state)
+        for a, b in zip(lam.tolist(), gam.tolist())]
+    slice_pairons, rooted = paironmap._slice_pairons, []
+
+    def spy(d, t):
+        rooted.extend(d)
+        return slice_pairons(d, t)
+
+    monkeypatch.setattr(paironmap, "_slice_pairons", spy)
+    extract_stack(j, 1.0, lam, gam, state_index)
+    # fewer than ONE_BLOCK_MIN_ROWS rows: the sectors come even then odd,
+    # each with its points ascending
+    order = sorted(range(len(gx)), key=lambda i: alone[i][0])
+    assert len(rooted) == len(gx)
+    for i, d in zip(order, rooted):
+        assert d.tobytes() == alone[i][1].tobytes()
+    _, slices = _anchor_slices(j, 1.0, lam, gam, state_index)
+    assert sum(len(rows) for rows, _, _ in slices) == len(gx)
+    for rows, d, _ in slices:
+        for i, row in zip(rows.tolist(), d):
+            want = alone[i][1]
+            assert not want.imag.any()
+            want = -want.real if want.real[0] < 0 else want.real
+            assert row.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("j, gx, pattern", [
     (5, -3.0, [6, 4]),   # |5,-1>: pairons -1, -1, -1, +1, +1
     (3, -2.0, [4, 2]),   # |3,-1>: pairons -1, -1, +1

@@ -20,7 +20,7 @@ from pairons import (ConvergenceError, DegenerateStateError,
 from pairons import paironmap, phasespace, spin
 from pairons.paironmap import _reconstruct_stack, extract_stack
 from pairons.sphere import INFINITY
-from conftest import shift_one_pairon
+from conftest import RESIDUAL_BOUND, dense_residual, shift_one_pairon
 
 
 def _conjugation_closed(energies):
@@ -427,8 +427,9 @@ def test_stacked_extraction_is_extract_pairons_bitwise(monkeypatch, j,
         "half-at-t-j40"])
 def test_stacked_diagnostics_are_each_alone(j, state_index, gx):
     # the stacked fidelity and eigen-residual of each sample equal
-    # fidelity and eigen_residual of its own eigenstate and rebuilt state,
-    # and those equal |vdot| and the residual formula on the vectors; the
+    # fidelity and eigen_residual of its own eigenstate and rebuilt state;
+    # the fidelity equals |vdot|, and the eigen-residual the residual
+    # formula on the dense H within RESIDUAL_BOUND; the
     # root residual is poly_residual of the stripped core of the state's
     # u-polynomial over its roots (at half-at-t-j40, 20 of the 40 pairons
     # sit at +t, structural roots at u = 0)
@@ -443,11 +444,9 @@ def test_stacked_diagnostics_are_each_alone(j, state_index, gx):
         assert diag.reconstruction_fidelity == fidelity(recon, state)
         assert diag.reconstruction_fidelity == abs(np.vdot(recon.coeffs,
                                                            state.coeffs))
-        hv = h.matrix @ recon.coeffs
-        ev = np.real(np.conj(recon.coeffs) @ hv)
         assert diag.reconstruction_residual == eigen_residual(h, recon)
-        assert diag.reconstruction_residual == float(
-            np.linalg.norm(hv - ev * recon.coeffs) / h.norm)
+        assert abs(diag.reconstruction_residual
+                   - dense_residual(h, recon)) <= RESIDUAL_BOUND
         _, d = phasespace.parity_slice(state)
         n0, n_inf, roots = phasespace.strip_and_solve(d)
         core = d[n0:len(d) - n_inf]
@@ -729,6 +728,24 @@ def test_parity_solutions_are_read_only_and_not_compared():
     assert repr(params) == repr(twin)
 
 
+@pytest.mark.parametrize("j, gx, gy", [
+    (1, 0.5, 2.0), (10, 2.0, 8.0), (40, 3.5, 6.5), (7, 1e300, -3e299)])
+def test_parity_solutions_read_build_hamiltonian(j, gx, gy):
+    # the record's bands and norm are the bits of build_hamiltonian and
+    # HamiltonianMatrix.norm, and those of hamiltonian_bands and
+    # max_row_sum of the point
+    params = ModelParams.from_gammas(j, gx, gy)
+    h = build_hamiltonian(params)
+    solved = params.parity_solutions
+    diag, off = spin.hamiltonian_bands(j, params.eps, params.lam, params.gam)
+    for band, ours, alone in ((solved.diag, h.diag, diag),
+                              (solved.off, h.off, off)):
+        assert band.shape == alone.shape
+        assert band.tobytes() == ours.tobytes() == alone.tobytes()
+    assert solved.norm.tolist() == [h.norm] == spin.max_row_sum(
+        diag, off).tolist()
+
+
 def test_overflowing_params_keep_no_parity_solutions():
     # the point is refused before its record is read, and the record
     # itself refuses the H in the same words
@@ -737,8 +754,12 @@ def test_overflowing_params_keep_no_parity_solutions():
                        r"gy=1e\+307\)$"):
         extract_pairons(params, 0)
     assert "parity_solutions" not in vars(params)
-    with pytest.raises(ValueError, match=r"^H overflows at"):
+    with pytest.raises(ValueError) as norm:
+        build_hamiltonian(params).norm
+    with pytest.raises(ValueError) as record:
         params.parity_solutions
+    assert str(record.value) == str(norm.value) == (
+        "H overflows at (gx=1.6e+308, gy=1e+307)")
     assert "parity_solutions" not in vars(params)
 
 

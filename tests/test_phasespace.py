@@ -114,6 +114,36 @@ def test_quadrature_of_coherent_like_peak():
     assert abs(husimi_quadrature(s) - 1.0) < 1e-6
 
 
+@pytest.mark.parametrize("j", [1, 4, 10, 20, 40])
+def test_coherent_overlap_is_the_amplitude_on_both_charts(rng, j):
+    # P(zeta) / (1+|zeta|^2)^j summed term by term, inside the unit
+    # circle, on it and outside, to 1e-12 relative; at the pole the w
+    # chart's conj(c_j)
+    binom = [math.sqrt(math.comb(2 * j, k)) for k in range(2 * j + 1)]
+    for _ in range(5):
+        s = random_state(j, rng)
+        d = [complex(np.conj(c)) * b for c, b in zip(s.coeffs, binom)]
+        for zeta in (0.3 - 0.4j, -0.9j, 0.6 + 0.8j, 1.7 + 0.2j, -3 + 4j, 25j):
+            want = sum(dk * zeta ** k for k, dk in enumerate(d)) / (
+                1.0 + abs(zeta) ** 2) ** j
+            got = coherent_overlap(s, zeta)
+            assert abs(got - want) <= 1e-12 * abs(want)
+            assert coherent_overlap(s, SpherePoint(zeta)) == got
+        pole = coherent_overlap(s, SpherePoint.infinity())
+        assert pole == np.conj(s.coefficient(j))
+        assert husimi(s, SpherePoint.infinity()) == abs(pole) ** 2
+
+
+@pytest.mark.parametrize("j", [1, 2, 5, 10, 20])
+def test_husimi_quadrature_of_eigenstates_is_one(j):
+    # every eigenstate at two points, on either side of the collapses: the
+    # quadrature is exact for 2j < 128, so 1 to roundoff
+    for gx, gy in ((2.0, 8.0), (9.0, -3.0)):
+        for pair in diagonalize(build_hamiltonian(
+                ModelParams.from_gammas(j, gx, gy))):
+            assert abs(husimi_quadrature(pair.state) - 1.0) <= 1e-12
+
+
 def test_chordal_metric():
     inf = SpherePoint(zeta=None)
     assert chordal_distance(0j, inf) == 2.0

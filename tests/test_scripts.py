@@ -58,7 +58,7 @@ def test_dump_outputs_runner():
     bad = dump.run(["lmg", "spectrum", "--j", "2", "--gx", "nan", "--gy", "1"])
     assert bad["exit"] == 2 and bad["stdout"] == ""
     assert "lam must be finite" in bad["stderr"]
-    assert len(dump.COMMANDS) == 172
+    assert len(dump.COMMANDS) == 174
 
 
 def test_dump_outputs_compare(tmp_path):

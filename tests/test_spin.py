@@ -10,7 +10,7 @@ from pairons import (ModelParams, SingularParameterError, StateVector,
                      build_hamiltonian, diagonalize, eigen_residual,
                      eigenpair, expectation, split_parity)
 from pairons import spin
-from conftest import schwinger_hamiltonian
+from conftest import RESIDUAL_BOUND, dense_residual, schwinger_hamiltonian
 
 
 def test_j1_matrix_frozen():
@@ -294,10 +294,8 @@ def test_stacked_eigen_residuals_are_each_alone(rng, j):
                                    np.stack([h.off for h in matrices]),
                                    np.stack([s.coeffs for s in states]))
     for h, state, r in zip(matrices, states, stacked.tolist()):
-        hv = h.matrix @ state.coeffs
-        ev = np.real(np.conj(state.coeffs) @ hv)
-        ref = float(np.linalg.norm(hv - ev * state.coeffs) / h.norm)
-        assert eigen_residual(h, state) == r == ref
+        assert eigen_residual(h, state) == r
+        assert abs(r - dense_residual(h, state)) <= RESIDUAL_BOUND
     assert stacked[1] > 1e-3
 
 
@@ -334,11 +332,11 @@ def test_band_max_row_sum_is_the_dense_row_sum(j, couplings):
     # pairwise sum of the dense rows: two roundings of non-negative terms
     # each, so within two ulps wherever both are finite
     eps, lam, gam = couplings
+    h = build_hamiltonian(ModelParams(j=j, eps=eps, lam=lam, gam=gam))
     with np.errstate(over="ignore", invalid="ignore"):
         diag, off = spin.hamiltonian_bands(j, eps, lam, gam)
         band = float(spin.max_row_sum(diag, off)[0])
-        dense = float(np.abs(spin.dense_hamiltonian(diag, off)).sum(-1)
-                      .max(-1)[0])
+        dense = float(np.abs(h.matrix).sum(-1).max(-1))
     if math.isfinite(band) and math.isfinite(dense):
         assert abs(band - dense) <= 2 * np.spacing(max(band, dense))
 
@@ -418,9 +416,10 @@ def test_one_block_solve_is_the_two_block_solve(j, rank, line, ends, extra,
     lam, gam = spin.couplings(j, gx * scale, gy * scale)
     diag, off = spin.hamiltonian_bands(j, 1.0, lam, gam)
     norm = spin.max_row_sum(diag, off)
+    dense = np.stack([build_hamiltonian(ModelParams(j=j, lam=a, gam=b)).matrix
+                      for a, b in zip(lam.tolist(), gam.tolist())])
     assert _points(*spin.parity_eigenstates(diag, off, norm, index)) == (
-        _points(*_two_block_reference(spin.dense_hamiltonian(diag, off),
-                                      norm, index)))
+        _points(*_two_block_reference(dense, norm, index)))
 
 
 # points of 300 on each line that take the two-block completion, per j,
